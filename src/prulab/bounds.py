@@ -9,26 +9,8 @@ big-integer cross-checks available at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Universal constants the bound formulas depend on.
-
-    None of these is pinned by theory; the defaults of 1 are placeholders
-    for desk-scale exploration and every consumer takes them as explicit
-    arguments.
-    """
-
-    c_diamond: float = 1.0
-    c_design: float = 1.0
-    additive_slack: float = 1.0
-
-    def __post_init__(self):
-        if self.c_diamond <= 0 or self.c_design <= 0:
-            raise ValueError("constants must be positive")
 
 
 def _log_binom(n: int, k: int) -> float:
@@ -93,12 +75,7 @@ class InputLengthBounds:
     regime_notes: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "m_design_1": self.m_design_1,
-            "m_design_2": self.m_design_2,
-            "m_net": self.m_net,
-            "regime_notes": self.regime_notes,
-        }
+        return asdict(self)
 
 
 def rom_input_length_bounds(d: int, t: float, delta: float, epsilon: float,
@@ -169,15 +146,7 @@ class TrivialRomPruParams:
     q_upper: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "kappa": self.kappa,
-            "t": self.t,
-            "support_size_log2": self.support_size_log2,
-            "q": self.q,
-            "m": self.m,
-            "q_upper": self.q_upper,
-        }
+        return asdict(self)
 
 
 def trivial_rompru_params(d: int, kappa: int) -> TrivialRomPruParams:

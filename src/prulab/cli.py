@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from pathlib import Path
 
 from prulab.linalg import (
     PropertyViolationError,
@@ -140,7 +141,7 @@ def _cmd_pfc_distinguish(args) -> None:
     from prulab.distinguisher import pfc_distinguish_experiment
 
     if args.n < 1 or args.n > 30:
-        raise SystemExit(1)
+        raise ValueError(f"--n must be between 1 and 30, got {args.n}")
     if args.n <= 4:
         print(f"warning: n={args.n} gives d={2**args.n}, far from the "
               "asymptotic regime the test is tuned for; running anyway",
@@ -165,15 +166,17 @@ def _cmd_design_distance(args) -> None:
     from prulab.serialize import ensemble_from_json_dict, load_json
 
     if (args.ensemble_file is None) == (args.ensemble is None):
-        raise SystemExit(1)
+        raise ValueError("give exactly one of --ensemble and --ensemble-file")
     if args.ensemble_file:
-        ens = ensemble_from_json_dict(load_json(args.ensemble_file))
+        ens = ensemble_from_json_dict(load_json(args.ensemble_file),
+                                      Path(args.ensemble_file).parent)
     elif args.ensemble == "pauli-1":
         ens = reference_design("pauli-1-design", 1)
     elif args.ensemble == "clifford-1":
         ens = reference_design("single-qubit-clifford-3-design")
     else:
-        raise SystemExit(1)
+        raise ValueError(f"unknown --ensemble {args.ensemble!r}; "
+                         "choose pauli-1 or clifford-1")
     rep = diamond_design_bounds(ens, args.t)
     config = {"command": "design-distance", "t": args.t,
               "ensemble": args.ensemble or args.ensemble_file}
@@ -190,7 +193,7 @@ def _cmd_net_coverage(args) -> None:
     elif args.haar_net_size and args.dim:
         net = NetSpec.haar_sample(args.dim, args.haar_net_size, seed.child(999))
     else:
-        raise SystemExit(1)
+        raise ValueError("give --net-file, or --haar-net-size together with --dim")
     eps_list = ([float(v) for v in args.sweep_eps.split(",")]
                 if args.sweep_eps else [args.eps])
     rows = []
@@ -245,9 +248,9 @@ def _cmd_bounds(args) -> None:
     needs_t = args.formula in ("prior-support", "improved-support",
                                "rom-input-length", "scalable-check")
     if needs_t and args.t is None and not args.sweep_t:
-        raise SystemExit(1)
+        raise ValueError(f"bounds {args.formula} needs --t or --sweep-t")
     if args.formula in ("trivial-rompru", "scalable-check") and args.kappa is None:
-        raise SystemExit(1)
+        raise ValueError(f"bounds {args.formula} needs --kappa")
     config = {"command": "bounds", "formula": args.formula,
               "inputs": {k: v for k, v in vars(args).items()
                          if k not in ("command", "out", "format", "func") and v is not None}}

@@ -9,7 +9,7 @@ distinguisher.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -156,12 +156,7 @@ class CollisionReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "params": {
-                "d": self.params.d,
-                "t": self.params.t,
-                "k_blocks": self.params.k_blocks,
-                "alpha": self.params.alpha,
-            },
+            "params": asdict(self.params),
             "blocks": [int(b) for b in self.blocks],
             "M": self.mean_collisions,
             "center": self.center,
@@ -292,12 +287,7 @@ class PFCDistinguishReport:
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "params": {
-                "d": self.params.d,
-                "t": self.params.t,
-                "k_blocks": self.params.k_blocks,
-                "alpha": self.params.alpha,
-            },
+            "params": asdict(self.params),
             "trials": self.trials,
             "haar_verdict_rate": self.haar_rate,
             "pfc_verdict_rate": self.pfc_rate,

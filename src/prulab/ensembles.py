@@ -13,7 +13,7 @@ from math import factorial
 
 import numpy as np
 
-from prulab.linalg import RandomSeed, as_seed, ensure_budget, haar_state
+from prulab.linalg import PropertyViolationError, RandomSeed, as_seed, ensure_budget, haar_state
 from prulab.stabilizer import (
     Tableau,
     measurement_support,
@@ -307,7 +307,8 @@ def single_qubit_cliffords() -> list[np.ndarray]:
                     found[key] = v
                     nxt.append(v)
         frontier = nxt
-    assert len(found) == 24
+    if len(found) != 24:
+        raise PropertyViolationError(f"{{H, S}} closure has {len(found)} elements, not 24")
     return list(found.values())
 
 

@@ -1,8 +1,9 @@
 """Dense complex linear algebra foundation.
 
 Haar sampling, Schatten norms, operator vectorization, Kronecker powers,
-and the exact diamond distance between unitary channels via the
-eigenvalue-hull closed form.
+and the exact diamond distance between unitary channels,
+2 sin(min(arc, pi)/2) for the shortest arc of the unit circle holding the
+spectrum of U^dag V.
 """
 
 from __future__ import annotations
@@ -82,11 +83,6 @@ def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     return float(np.max(np.abs(dev))) <= tol
 
 
-def assert_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> None:
-    if not is_unitary(u, tol):
-        raise ValueError("matrix fails the unitarity invariant")
-
-
 def haar_unitary(d: int, seed: RandomSeed | int) -> np.ndarray:
     """Sample a Haar-distributed d x d unitary.
 
@@ -152,62 +148,35 @@ def kron_power(u: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
-def _hull_distance_to_origin(eigs: np.ndarray) -> float:
-    """Distance from 0 to the convex hull of unit-modulus points.
+def diamond_distance_from_spectrum(eigs: np.ndarray) -> np.ndarray:
+    """Diamond distance between the identity channel and a unitary channel
+    with eigenvalues ``eigs``; shape (..., d) -> (...).
 
-    The hull contains the origin iff no angular gap between consecutive
-    points exceeds pi; otherwise the nearest hull feature is the chord
-    spanning the largest gap (this also covers the collinear degenerate
-    hulls: one point, two points, antipodal pairs).
+    With arc the length of the shortest arc of the unit circle holding every
+    eigenvalue, the origin lies cos(arc/2) from the spectrum's convex hull
+    (inside it once arc >= pi), so the closed form
+    2 sqrt(1 - dist(0, conv(spec))^2) of Watrous, The Theory of Quantum
+    Information (2018), is 2 sin(min(arc, pi)/2).  arc is 2 pi minus the
+    largest gap between neighbouring angles, the gap across -pi included,
+    so it is never negative and is exactly 0 for d = 1 or equal eigenvalues.
     """
-    pts = eigs / np.abs(eigs)
-    if pts.size == 1:
-        return 1.0
-    ang = np.sort(np.angle(pts))
-    gaps = np.diff(ang)
-    wrap = ang[0] + 2 * np.pi - ang[-1]
-    i = int(np.argmax(gaps)) if gaps.size and np.max(gaps) > wrap else -1
-    max_gap = wrap if i == -1 else gaps[i]
-    if max_gap < np.pi:
-        return 0.0
-    if i == -1:
-        a, b = np.exp(1j * ang[-1]), np.exp(1j * ang[0])
-    else:
-        a, b = np.exp(1j * ang[i]), np.exp(1j * ang[i + 1])
-    return _segment_distance_to_origin(a, b)
-
-
-def _segment_distance_to_origin(a: complex, b: complex) -> float:
-    ab = b - a
-    denom = (ab * ab.conjugate()).real
-    if denom < 1e-30:
-        return float(abs(a))
-    t = -(a.conjugate() * ab).real / denom
-    t = min(max(t, 0.0), 1.0)
-    return float(abs(a + t * ab))
+    ang = np.sort(np.angle(eigs), axis=-1)
+    span = ang[..., -1] - ang[..., 0]
+    inner_gap = np.diff(ang, axis=-1).max(axis=-1, initial=0.0)
+    arc = np.minimum(span, 2 * np.pi - inner_gap)
+    return 2.0 * np.sin(np.minimum(arc, np.pi) / 2)
 
 
 def diamond_distance_unitaries(u: np.ndarray, v: np.ndarray) -> float:
     """Exact diamond distance between the channels U(.)U^dag and V(.)V^dag.
 
-    Closed form for unitary channels: 2 sqrt(1 - dist(0, conv(spec(U^dag V)))^2).
-    Symmetric, zero iff U = e^{i theta} V, range [0, 2].
+    Closed form for unitary channels, evaluated on the spectrum of U^dag V
+    (see ``diamond_distance_from_spectrum``).  Symmetric, zero iff
+    U = e^{i theta} V, range [0, 2].
     """
     if u.shape != v.shape:
         raise ValueError("dimension mismatch")
-    w = u.conj().T @ v
-    if w.shape[0] == 2:
-        return _diamond_from_trace_2x2(np.trace(w))
-    eigs = np.linalg.eigvals(w)
-    h = _hull_distance_to_origin(eigs)
-    return 2.0 * np.sqrt(max(0.0, 1.0 - h * h))
-
-
-def _diamond_from_trace_2x2(tr: complex) -> float:
-    # two eigenvalues on the circle: hull distance is |tr|/2, so the
-    # distance reduces to sqrt(4 - |tr|^2)
-    t2 = min((tr * tr.conjugate()).real, 4.0)
-    return float(np.sqrt(4.0 - t2))
+    return float(diamond_distance_batch((u.conj().T @ v)[None])[0])
 
 
 def diamond_distance_batch(ws: np.ndarray) -> np.ndarray:
@@ -218,9 +187,9 @@ def diamond_distance_batch(ws: np.ndarray) -> np.ndarray:
     if d == 1:
         return np.zeros(ws.shape[0])
     if d == 2:
+        # two eigenvalues on the circle: the hull distance is |tr|/2, so the
+        # distance is sqrt(4 - |tr|^2) and needs no eigensolver
         tr = np.einsum("kii->k", ws)
         t2 = np.minimum(np.abs(tr) ** 2, 4.0)
         return np.sqrt(4.0 - t2)
-    eigs = np.linalg.eigvals(ws)
-    hull = np.array([_hull_distance_to_origin(e) for e in eigs])
-    return 2.0 * np.sqrt(np.maximum(0.0, 1.0 - hull * hull))
+    return diamond_distance_from_spectrum(np.linalg.eigvals(ws))

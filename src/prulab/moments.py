@@ -8,12 +8,12 @@ the orthogonal projector onto the permutation-operator span, the 2->2
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
 
-from prulab.linalg import ensure_budget, kron_power
+from prulab.linalg import PropertyViolationError, ensure_budget, kron_power
 from prulab.ensembles import EnsembleSpec
 
 PROJECTOR_TOL = 1e-9
@@ -204,16 +204,7 @@ class DesignDistanceReport:
     symmetric: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "order": self.order,
-            "lambda_tpe": self.lambda_tpe,
-            "diamond_upper": self.diamond_upper,
-            "diamond_lower": self.diamond_lower,
-            "eps_relative": self.eps_relative,
-            "not_relative": self.not_relative,
-            "symmetric": self.symmetric,
-        }
+        return asdict(self)
 
 
 def _relative_eps(mv: MomentSuperoperator, mh: MomentSuperoperator,
@@ -298,12 +289,12 @@ def symmetric_composition_check(ens: EnsembleSpec, m: int, t: int,
     lam_m = tpe_distance(comp, t)
     target = lam**m
     if abs(lam_m - target) > tol * max(1.0, target):
-        raise AssertionError(
+        raise PropertyViolationError(
             f"composed 2->2 distance {lam_m} deviates from lambda^m = {target}"
         )
     d = ens.dim
     up1 = (d**t) * lam
     upm = (d**t) * lam_m
     if upm > up1**m + tol and m >= 1:
-        raise AssertionError("diamond upper bounds inconsistent under composition")
+        raise PropertyViolationError("diamond upper bounds inconsistent under composition")
     return CompositionReport(m, lam, lam_m, target, up1, upm)

@@ -138,7 +138,10 @@ def cover_with_product(u: np.ndarray, net: NetSpec) -> tuple[np.ndarray, np.ndar
     stacked = net.stacked()
     if d == 2:
         # dist(V1 V2^dag, u) = sqrt(4 - |tr(V2 V1^dag u)|^2); the trace is a
-        # 4-vector inner product, so the pair search is a single gemm
+        # 4-vector inner product, so the pair search is a single gemm.  It
+        # ranks pairs by the trace itself rather than calling
+        # diamond_distance_batch, which would need all m^2 product matrices
+        # (four times the memory of the m x m trace matrix).
         h = np.einsum("kij,il->klj", stacked.conj(), u).reshape(m, 4)  # rows vec((V1_i^dag u)^T)
         g = stacked.reshape(m, 4)
         tr = g @ h.T  # tr[j, i] = tr(V2_j V1_i^dag u)

@@ -49,7 +49,7 @@ def ensemble_to_json_dict(ens: EnsembleSpec, inline: bool = True) -> dict:
     }
 
 
-def ensemble_from_json_dict(d: dict, baseic: Path | None = None) -> EnsembleSpec:
+def ensemble_from_json_dict(d: dict, base: Path | None = None) -> EnsembleSpec:
     dim = int(d["dim"])
     if "matrices" in d:
         us = [matrix_from_json(m) for m in d["matrices"]]

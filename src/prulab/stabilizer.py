@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from prulab.linalg import RandomSeed, as_seed, ensure_budget
+from prulab.linalg import PropertyViolationError, RandomSeed, as_seed, ensure_budget
 
 # ---------------------------------------------------------------------------
 # GF(2) linear algebra helpers
@@ -411,7 +411,8 @@ def tableau_to_gates(t: Tableau) -> list[tuple]:
             do("z", j)
         if work.r[n + j]:
             do("x", j)
-    assert work == Tableau(n), "tableau reduction failed"
+    if work != Tableau(n):
+        raise PropertyViolationError("tableau reduction failed")
     return ops
 
 
@@ -487,7 +488,7 @@ def measurement_support(t: Tableau) -> AffineSupport:
             xi, zi, pi = _row_xzform(t, n + int(i))
             x, z, p = _pauli_product(x, z, p, xi, zi, pi)
         if x.any() or p % 2 != 0:
-            raise AssertionError("Z-type product reconstruction failed")
+            raise PropertyViolationError("Z-type product reconstruction failed")
         constraints[idx] = z
         rhs[idx] = (p // 2) % 2
     if kernel.shape[0] == 0:
@@ -496,7 +497,7 @@ def measurement_support(t: Tableau) -> AffineSupport:
         return AffineSupport(n, basis, offset)
     offset = gf2_solve(constraints, rhs)
     if offset is None:
-        raise AssertionError("inconsistent stabilizer sign constraints")
+        raise PropertyViolationError("inconsistent stabilizer sign constraints")
     basis = gf2_nullspace(constraints)
     # canonical coset representative: reduce the offset against the RREF basis
     rbasis, pivots = gf2_rref(basis) if basis.size else (basis, [])

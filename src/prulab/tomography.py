@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from prulab.linalg import RandomSeed, ResourceLimitError, as_seed
+from prulab.serialize import matrix_to_json
 
 #: repetition-count calibration for the (eps, eta) contract; empirical with
 #: margin at d <= 8, not a claim about the information-theoretic optimum.
@@ -59,7 +60,7 @@ class TomographyResult:
             "queries_used": self.queries_used,
             "target_eps": self.target_eps,
             "target_eta": self.target_eta,
-            "u_hat": [[[float(z.real), float(z.imag)] for z in row] for row in self.u_hat],
+            "u_hat": matrix_to_json(self.u_hat),
         }
 
 

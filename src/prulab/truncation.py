@@ -8,13 +8,14 @@ arithmetic for re-encoding truncated diagonals as binary functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from prulab.linalg import (
     PropertyViolationError,
-    _hull_distance_to_origin,
+    diamond_distance_from_spectrum,
+    diamond_distance_unitaries,
     ensure_budget,
 )
 
@@ -84,8 +85,7 @@ def diag_truncation_distance(f: DiagonalPhase, k: int) -> float:
         raise ValueError("exact evaluation capped at m = 12")
     g, _ = truncate_diagonal(f, k)
     rel = np.exp(1j * np.pi * (g.phases - f.phases))
-    h = _hull_distance_to_origin(rel)
-    dist = 2.0 * math.sqrt(max(0.0, 1.0 - h * h))
+    dist = float(diamond_distance_from_spectrum(rel))
     bound = math.pi * 2.0 ** (-k)
     if dist > bound + 1e-9:
         raise PropertyViolationError(
@@ -160,12 +160,7 @@ class CircuitTruncationReport:
     bound: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "s_calls": self.s_calls,
-            "k": self.k,
-            "distance": self.distance,
-            "bound": self.bound,
-        }
+        return asdict(self)
 
 
 def circuit_truncation_bound(c: DiagonalOracleCircuit, k: int) -> CircuitTruncationReport:
@@ -173,12 +168,7 @@ def circuit_truncation_bound(c: DiagonalOracleCircuit, k: int) -> CircuitTruncat
     checked against the union bound s 2^{-k} pi."""
     if 1 << c.n > 1 << 10:
         raise ValueError("dense circuit comparison capped at total dim 2^10")
-    u = c.materialize()
-    v = c.materialize(k_trunc=k)
-    w = u.conj().T @ v
-    eigs = np.linalg.eigvals(w)
-    h = _hull_distance_to_origin(eigs)
-    dist = 2.0 * math.sqrt(max(0.0, 1.0 - h * h))
+    dist = diamond_distance_unitaries(c.materialize(), c.materialize(k_trunc=k))
     bound = c.call_count * math.pi * 2.0 ** (-k)
     if dist > bound + 1e-9:
         raise PropertyViolationError(

@@ -2,7 +2,8 @@
 
 These deliberately avoid the closed forms they are checking: the diamond
 oracle maximizes the output trace distance over pure inputs with an
-ancilla by direct numerical optimization.
+ancilla by direct numerical optimization, and the hull oracle finds the
+point of the spectrum's convex hull nearest the origin geometrically.
 """
 
 from __future__ import annotations
@@ -39,6 +40,23 @@ def brute_force_diamond(u: np.ndarray, v: np.ndarray, restarts: int = 8,
         res = minimize(neg_trace_dist, x0, method="L-BFGS-B")
         best = max(best, -res.fun)
     return best
+
+
+def hull_diamond_from_spectrum(eigs: np.ndarray) -> float:
+    """2 sqrt(1 - h^2) for h the distance from 0 to the convex hull of one
+    spectrum.  The hull misses the origin only when an angular gap exceeds
+    pi, and then its nearest point lies on the chord across that gap."""
+    ang = np.sort(np.angle(eigs))
+    gaps = np.append(np.diff(ang), ang[0] + 2 * np.pi - ang[-1])
+    i = int(np.argmax(gaps))
+    if gaps[i] <= np.pi:
+        return 2.0
+    a, b = np.exp(1j * ang[i]), np.exp(1j * ang[(i + 1) % ang.size])
+    ab = b - a
+    denom = abs(ab) ** 2
+    t = 0.0 if denom < 1e-30 else min(max(-(a.conjugate() * ab).real / denom, 0.0), 1.0)
+    h = abs(a + t * ab)
+    return 2.0 * float(np.sqrt(max(0.0, 1.0 - h * h)))
 
 
 def total_variation(counts_a: dict, counts_b: dict, n_a: int, n_b: int) -> float:

@@ -86,6 +86,23 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["result"]["lambda_tpe"] <= 1e-10
 
+    def test_design_distance_matrix_files_relative_to_manifest(self, tmp_path, monkeypatch,
+                                                               capsys):
+        from prulab.ensembles import reference_design
+
+        names = []
+        for i, u in enumerate(reference_design("pauli-1-design", 1).unitaries):
+            names.append(f"u{i}.bin")
+            save_matrix_bin(tmp_path / names[-1], u)
+        dump_json(tmp_path / "m.json", {"dim": 2, "matrix_files": names})
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        code, out, err = run_cli(["design-distance", "--ensemble-file",
+                                  str(tmp_path / "m.json"), "--t", "1"], capsys)
+        assert code == 0, err
+        assert json.loads(out)["result"]["lambda_tpe"] <= 1e-10
+
     def test_net_coverage_single_element_diameter(self, tmp_path, capsys):
         from prulab.nets import NetSpec
 
@@ -138,6 +155,23 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["bounds", "prior-support", "--d", "2", "--t", "1", "--bogus", "3"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv, cause", [
+        (["pfc-distinguish", "--n", "31", "--trials", "1", "--seed", "1"], "--n"),
+        (["design-distance", "--t", "1"], "--ensemble and --ensemble-file"),
+        (["design-distance", "--ensemble", "pauli-1", "--ensemble-file", "m.json",
+          "--t", "1"], "--ensemble and --ensemble-file"),
+        (["design-distance", "--ensemble", "bogus", "--t", "1"], "--ensemble 'bogus'"),
+        (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1"], "--net-file"),
+        (["bounds", "prior-support", "--d", "2"], "--t"),
+        (["bounds", "trivial-rompru", "--d", "4"], "--kappa"),
+    ], ids=["n-out-of-range", "no-ensemble", "both-ensembles", "unknown-ensemble",
+            "no-net", "no-t", "no-kappa"])
+    def test_usage_error_names_its_cause(self, argv, cause, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and cause in err
 
     def test_csv_sweep_one_param_per_row(self, capsys):
         code, out, _ = run_cli(

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_diamond
+from helpers import brute_force_diamond, hull_diamond_from_spectrum
 from prulab.linalg import (
     RandomSeed,
     ResourceLimitError,
     diamond_distance_batch,
+    diamond_distance_from_spectrum,
     diamond_distance_unitaries,
     devectorize,
     haar_unitary,
@@ -198,3 +199,35 @@ class TestDiamondDistance:
             u = haar_unitary(5, seed.child(2 * k))
             v = haar_unitary(5, seed.child(2 * k + 1))
             assert 0.0 <= diamond_distance_unitaries(u, v) <= 2.0
+
+    @pytest.mark.parametrize("angles, expected", [
+        ([0.7], 0.0),  # d = 1
+        ([1.1, 1.1, 1.1], 0.0),  # equal eigenvalues
+        ([0.3, 0.3 - np.pi], 2.0),  # antipodal pair
+        ([np.pi - 0.1, -(np.pi - 0.1)], 2 * np.sin(0.1)),  # straddles the branch cut
+        ([0.0, np.pi / 2, np.pi], 2.0),  # arc of exactly pi
+    ])
+    def test_spectrum_closed_form_degenerate(self, angles, expected):
+        got = diamond_distance_from_spectrum(np.exp(1j * np.array(angles)))
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_spectrum_batch_matches_rows(self):
+        rng = np.random.default_rng(12)
+        eigs = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(5, 4)))
+        eigs[1] = eigs[1, 0]  # one degenerate row
+        batch = diamond_distance_from_spectrum(eigs)
+        assert batch.shape == (5,)
+        rows = [diamond_distance_from_spectrum(e) for e in eigs]
+        np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=0.0)
+
+    def test_spectrum_matches_hull_reference(self):
+        # the hull form's 2 sqrt(1 - h^2) cancels near 0, leaving an absolute
+        # error up to about 2 sqrt(machine eps) = 3e-8
+        rng = np.random.default_rng(13)
+        for d in range(1, 9):
+            for width in (2 * np.pi, 1.0, 1e-3, 0.0):
+                centre = rng.uniform(-np.pi, np.pi, size=(50, 1))
+                eigs = np.exp(1j * (centre + rng.uniform(0.0, width, size=(50, d))))
+                ref = [hull_diamond_from_spectrum(e) for e in eigs]
+                np.testing.assert_allclose(diamond_distance_from_spectrum(eigs), ref,
+                                           rtol=0.0, atol=1e-7)
