@@ -189,7 +189,7 @@ def _cmd_net_coverage(args) -> None:
 
     seed = _seed_of(args)
     if args.net_file:
-        net = net_from_json_dict(load_json(args.net_file))
+        net = net_from_json_dict(load_json(args.net_file), Path(args.net_file).parent)
     elif args.haar_net_size and args.dim:
         net = NetSpec.haar_sample(args.dim, args.haar_net_size, seed.child(999))
     else:
@@ -243,7 +243,6 @@ def _cmd_bounds(args) -> None:
         if args.formula == "net-size":
             return {"value": net_size_lower_bound(args.d, args.eps, args.eta,
                                                   args.c_diamond)}
-        raise SystemExit(1)
 
     needs_t = args.formula in ("prior-support", "improved-support",
                                "rom-input-length", "scalable-check")

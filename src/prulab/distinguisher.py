@@ -1,9 +1,10 @@
 """Collision-statistics distinguisher and advantage harnesses.
 
-The sqrt(d)-query collision test on repeated |0...0> queries, the
-Chebyshev concentration reference for its block estimator, a generic
-Monte Carlo advantage estimator, and the tomography-based net-membership
-distinguisher.
+The measurement oracles of the hidden states (Haar by urn or dense
+vector, PFC by stabilizer sampling), the sqrt(d)-query collision test on
+repeated |0...0> queries, the Chebyshev concentration reference for its
+block estimator, a generic Monte Carlo advantage estimator, and the
+tomography-based net-membership distinguisher.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from prulab.linalg import RandomSeed, as_seed
-from prulab.ensembles import PolyaUrnSampler, sample_pfc
+from prulab.linalg import RandomSeed, as_seed, ensure_budget, haar_state
+from prulab.ensembles import PFCSample, PolyaUrnSampler, sample_pfc
 from prulab.stabilizer import measurement_support, pack_bits, sample_from_support
 from prulab.util import wilson_interval
 
@@ -95,28 +96,27 @@ class HaarDenseOracle:
     """Measurement oracle of a hidden Haar state, dense realization."""
 
     def __init__(self, d: int, seed: RandomSeed):
-        from prulab.linalg import ensure_budget, haar_state
-
         ensure_budget(16 * d * 4, "dense Haar oracle")
-        rng = seed.generator()
-        psi = haar_state(d, rng)
-        self._probs = np.abs(psi) ** 2
-        self._probs /= self._probs.sum()
-        self._cum = np.cumsum(self._probs)
-        self._rng = rng
+        self._rng = seed.generator()
+        probs = np.abs(haar_state(d, self._rng)) ** 2
+        self._probs = probs / probs.sum()
 
     def draw(self, shots: int) -> np.ndarray:
-        u = self._rng.random(shots)
-        return np.searchsorted(self._cum, u)
+        return self._rng.choice(self._probs.size, size=shots, p=self._probs)
 
 
 class PFCOracle:
-    """Measurement oracle of a hidden permutation-phase-Clifford draw."""
+    """Measurement oracle of (PFC)|0...0> for a hidden PFC draw.
 
-    def __init__(self, n: int, seed: RandomSeed):
-        self.sample = sample_pfc(n, seed.child(0))
-        self._support = measurement_support(self.sample.clifford)
-        self._rng = seed.child(1).generator()
+    The phase diagonal never affects outcome probabilities and the
+    permutation is a relabeling, so this is stabilizer sampling of C
+    followed by the permutation.
+    """
+
+    def __init__(self, sample: PFCSample, seed: RandomSeed):
+        self.sample = sample
+        self._support = measurement_support(sample.clifford)
+        self._rng = seed.generator()
 
     def draw(self, shots: int) -> np.ndarray:
         bits = sample_from_support(self._support, shots, self._rng)
@@ -132,7 +132,7 @@ def haar_oracle_factory(d: int, mode: str = "urn"):
 
 
 def pfc_oracle_factory(n: int):
-    return lambda seed: PFCOracle(n, seed)
+    return lambda seed: PFCOracle(sample_pfc(n, seed.child(0)), seed.child(1))
 
 
 # ---------------------------------------------------------------------------
@@ -171,19 +171,14 @@ def run_collision_distinguisher(oracle, params: DistinguisherParams,
                                 estimator: str = "mean") -> CollisionReport:
     """Run the blocked collision test against a state-measurement oracle.
 
-    `oracle` is either an object with draw(shots) or a factory
-    callable(RandomSeed) -> such an object, instantiated from `seed`.
-    Verdict is "Haar" iff the block average M lands within alpha of the
-    Haar reference center.  `estimator`="median" switches the block
-    aggregation to a median-of-blocks variant.
+    `oracle` is an object with draw(shots); `seed`, if given, is recorded
+    in the report.  Verdict is "Haar" iff the block average M lands within
+    alpha of the Haar reference center.  `estimator`="median" switches the
+    block aggregation to a median-of-blocks variant.
     """
     if estimator not in ("mean", "median"):
         raise ValueError("estimator must be 'mean' or 'median'")
     sd = None if seed is None else as_seed(seed)
-    if callable(oracle):
-        if sd is None:
-            raise ValueError("a factory oracle needs a seed")
-        oracle = oracle(sd.child(0))
     t, k = params.t, params.k_blocks
     samples = np.empty((k, t), dtype=np.int64)
     for r in range(k):

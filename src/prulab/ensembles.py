@@ -1,8 +1,9 @@
 """Unitary ensemble generators.
 
-The permutation/phase/Clifford product ensemble, Haar-state measurement
-samplers (dense and urn-based), and small exact reference designs used as
-oracles by the moment-operator tests.
+The permutation/phase/Clifford product ensemble, the Polya-urn sampler
+behind the Haar-state measurement oracle, exact partition probabilities,
+and small exact reference designs used as oracles by the moment-operator
+tests.
 """
 
 from __future__ import annotations
@@ -13,15 +14,8 @@ from math import factorial
 
 import numpy as np
 
-from prulab.linalg import PropertyViolationError, RandomSeed, as_seed, ensure_budget, haar_state
-from prulab.stabilizer import (
-    Tableau,
-    measurement_support,
-    pack_bits,
-    random_clifford_rng,
-    sample_from_support,
-    tableau_to_unitary,
-)
+from prulab.linalg import PropertyViolationError, RandomSeed, as_seed, ensure_budget
+from prulab.stabilizer import Tableau, random_clifford_rng, tableau_to_unitary
 
 # ---------------------------------------------------------------------------
 # PFC ensemble
@@ -104,34 +98,9 @@ def sample_pfc(n: int, seed: RandomSeed | int, phase_order: int = 2) -> PFCSampl
     return PFCSample(n, perm, phase_key, phase_order, cliff)
 
 
-def pfc_measure_zero_state(s: PFCSample, shots: int, seed: RandomSeed | int) -> np.ndarray:
-    """Computational-basis samples of (PFC)|0...0>, as integer outcomes.
-
-    The phase diagonal never affects outcome probabilities and the
-    permutation is a relabeling, so this is stabilizer sampling of C
-    followed by the permutation.
-    """
-    rng = as_seed(seed).generator()
-    sup = measurement_support(s.clifford)
-    bits = sample_from_support(sup, shots, rng)
-    return s.permutation[pack_bits(bits).astype(np.int64)]
-
-
 # ---------------------------------------------------------------------------
-# Haar-state measurement samplers
+# Haar-state measurement
 # ---------------------------------------------------------------------------
-
-
-def haar_state_measure_dense(d: int, shots: int, seed: RandomSeed | int) -> np.ndarray:
-    """Sample one Haar state |psi> on C^d, then `shots` i.i.d. basis outcomes."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    ensure_budget(16 * d * 4, "dense Haar-state sampling")
-    rng = as_seed(seed).generator()
-    psi = haar_state(d, rng)
-    probs = np.abs(psi) ** 2
-    probs /= probs.sum()
-    return rng.choice(d, size=shots, p=probs)
 
 
 class PolyaUrnSampler:
@@ -171,13 +140,6 @@ class PolyaUrnSampler:
             hist.append(lab)
             out[i] = lab
         return out
-
-
-def haar_collision_polya(d: int, shots: int, seed: RandomSeed | int) -> np.ndarray:
-    """One-shot urn draw: abstract labels whose joint equality pattern matches
-    haar_state_measure_dense; cost independent of d."""
-    rng = as_seed(seed).generator()
-    return PolyaUrnSampler(d, rng).draw(shots)
 
 
 def partition_probability_dirichlet(d: int, block_sizes: list[int]) -> Fraction:

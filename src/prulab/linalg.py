@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 UNITARY_TOL = 1e-10
-METRIC_TOL = 1e-9
 
 _DEFAULT_BUDGET_BYTES = 8 << 30  # 8 GiB working-set cap
 _budget_bytes = _DEFAULT_BUDGET_BYTES

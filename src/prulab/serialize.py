@@ -38,7 +38,24 @@ def load_matrix_bin(path: str | Path, dim: int) -> np.ndarray:
     return (flat[0::2] + 1j * flat[1::2]).reshape(dim, dim)
 
 
-def ensemble_to_json_dict(ens: EnsembleSpec, inline: bool = True) -> dict:
+def _field(d: dict, key: str, what: str):
+    """d[key], or a ValueError naming the missing key."""
+    if key not in d:
+        raise ValueError(f"{what} has no {key!r} entry")
+    return d[key]
+
+
+def _manifest_matrices(d: dict, dim: int, base: Path | None) -> list[np.ndarray]:
+    """A manifest's inline `matrices`, or its binary `matrix_files` read
+    relative to `base` (default: the working directory)."""
+    if "matrices" in d:
+        return [matrix_from_json(m) for m in d["matrices"]]
+    if "matrix_files" in d:
+        return [load_matrix_bin(Path(base or ".") / f, dim) for f in d["matrix_files"]]
+    raise ValueError("manifest needs 'matrices' or 'matrix_files'")
+
+
+def ensemble_to_json_dict(ens: EnsembleSpec) -> dict:
     if ens.mode != "finite-list":
         raise ValueError("only finite-list ensembles serialize to manifests")
     return {
@@ -50,14 +67,8 @@ def ensemble_to_json_dict(ens: EnsembleSpec, inline: bool = True) -> dict:
 
 
 def ensemble_from_json_dict(d: dict, base: Path | None = None) -> EnsembleSpec:
-    dim = int(d["dim"])
-    if "matrices" in d:
-        us = [matrix_from_json(m) for m in d["matrices"]]
-    elif "matrix_files" in d:
-        base = base if base is not None else Path(".")
-        us = [load_matrix_bin(Path(base) / f, dim) for f in d["matrix_files"]]
-    else:
-        raise ValueError("manifest needs 'matrices' or 'matrix_files'")
+    dim = int(_field(d, "dim", "ensemble manifest"))
+    us = _manifest_matrices(d, dim, base)
     weights = np.array(d["weights"]) if "weights" in d else None
     return EnsembleSpec(dim, "finite-list", us, weights, name=d.get("name", ""))
 
@@ -66,9 +77,9 @@ def net_to_json_dict(net: NetSpec) -> dict:
     return {"dim": net.dim, "matrices": [matrix_to_json(u) for u in net.unitaries]}
 
 
-def net_from_json_dict(d: dict) -> NetSpec:
-    dim = int(d["dim"])
-    return NetSpec(dim, [matrix_from_json(m) for m in d["matrices"]])
+def net_from_json_dict(d: dict, base: Path | None = None) -> NetSpec:
+    dim = int(_field(d, "dim", "net manifest"))
+    return NetSpec(dim, _manifest_matrices(d, dim, base))
 
 
 def circuit_to_json_dict(c: DiagonalOracleCircuit) -> dict:
@@ -87,15 +98,16 @@ def circuit_to_json_dict(c: DiagonalOracleCircuit) -> dict:
 
 
 def circuit_from_json_dict(d: dict) -> DiagonalOracleCircuit:
-    m = int(d["m"])
-    oracles = [DiagonalPhase(m, np.array(p, dtype=float)) for p in d["oracles"]]
+    m = int(_field(d, "m", "circuit"))
+    oracles = [DiagonalPhase(m, np.array(p, dtype=float))
+               for p in _field(d, "oracles", "circuit")]
     seq = []
-    for item in d["sequence"]:
+    for item in _field(d, "sequence", "circuit"):
         if "fixed" in item:
             seq.append(("fixed", matrix_from_json(item["fixed"])))
         else:
-            seq.append(("oracle", int(item["oracle"])))
-    return DiagonalOracleCircuit(int(d["n"]), m, oracles, seq)
+            seq.append(("oracle", int(_field(item, "oracle", "circuit sequence item"))))
+    return DiagonalOracleCircuit(int(_field(d, "n", "circuit")), m, oracles, seq)
 
 
 def load_json(path: str | Path) -> dict:

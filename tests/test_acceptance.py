@@ -17,10 +17,13 @@ from prulab.bounds import (
     prior_support_bound,
     prior_support_bound_exact,
 )
-from prulab.distinguisher import collision_count, pfc_distinguish_experiment
+from prulab.distinguisher import (
+    HaarDenseOracle,
+    HaarUrnOracle,
+    collision_count,
+    pfc_distinguish_experiment,
+)
 from prulab.ensembles import (
-    haar_collision_polya,
-    haar_state_measure_dense,
     partition_probability_dirichlet,
     partition_probability_urn,
     reference_design,
@@ -253,9 +256,9 @@ def test_c10_sampler_equivalence():
     dense_counts: dict = {}
     urn_counts: dict = {}
     for i in range(trials):
-        c = collision_count(haar_state_measure_dense(d, t, seed.child(2 * i)))
+        c = collision_count(HaarDenseOracle(d, seed.child(2 * i)).draw(t))
         dense_counts[c] = dense_counts.get(c, 0) + 1
-        c = collision_count(haar_collision_polya(d, t, seed.child(2 * i + 1)))
+        c = collision_count(HaarUrnOracle(d, seed.child(2 * i + 1)).draw(t))
         urn_counts[c] = urn_counts.get(c, 0) + 1
     tv = total_variation(dense_counts, urn_counts, trials, trials)
     ok = tv <= 0.02

@@ -103,6 +103,33 @@ class TestCli:
         assert code == 0, err
         assert json.loads(out)["result"]["lambda_tpe"] <= 1e-10
 
+    def test_net_coverage_matrix_files_relative_to_manifest(self, tmp_path, monkeypatch,
+                                                            capsys):
+        save_matrix_bin(tmp_path / "u.bin", np.eye(2, dtype=complex))
+        dump_json(tmp_path / "net.json", {"dim": 2, "matrix_files": ["u.bin"]})
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        code, out, err = run_cli(["net-coverage", "--net-file", str(tmp_path / "net.json"),
+                                  "--eps", "2.0", "--samples", "40", "--seed", "5"], capsys)
+        assert code == 0, err
+        assert json.loads(out)["result"]["eta_hat"] == 0.0
+
+    @pytest.mark.parametrize("command, manifest, key", [
+        (["design-distance", "--t", "1", "--ensemble-file"], {"matrices": []}, "'dim'"),
+        (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1", "--net-file"],
+         {"matrices": []}, "'dim'"),
+        (["truncate-diag", "--k", "4", "--circuit-file"],
+         {"n": 1, "m": 1, "oracles": [[0.0, 0.5]]}, "'sequence'"),
+    ], ids=["ensemble-no-dim", "net-no-dim", "circuit-no-sequence"])
+    def test_manifest_missing_key_is_a_usage_error(self, command, manifest, key, tmp_path,
+                                                   capsys):
+        dump_json(tmp_path / "m.json", manifest)
+        code, out, err = run_cli([*command, str(tmp_path / "m.json")], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and key in err
+
     def test_net_coverage_single_element_diameter(self, tmp_path, capsys):
         from prulab.nets import NetSpec
 
@@ -145,6 +172,16 @@ class TestCli:
             assert main(["pfc-distinguish", "--n", "3", "--trials", "4",
                          "--k-blocks", "25", "--seed", "21", "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_pfc_distinguish_dense_haar_mode(self, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            assert main(["pfc-distinguish", "--n", "6", "--trials", "5", "--k-blocks", "200",
+                         "--haar-mode", "dense", "--seed", "7", "--out", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        rep = json.loads(paths[0].read_text())["result"]
+        assert 0.0 <= rep["haar_verdict_rate"] <= 1.0
+        assert 0.0 <= rep["pfc_verdict_rate"] <= 1.0
 
     def test_stochastic_requires_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from prulab.distinguisher import (
     DistinguisherParams,
-    PFCOracle,
     blocked_collision_counts,
     collision_count,
     concentration_reference,
@@ -17,6 +16,7 @@ from prulab.distinguisher import (
     haar_oracle_factory,
     net_membership_distinguisher,
     pfc_distinguish_experiment,
+    pfc_oracle_factory,
     run_collision_distinguisher,
 )
 from prulab.ensembles import reference_design
@@ -103,12 +103,12 @@ class TestCollisionDistinguisher:
 
     def test_verdict_invariant_under_relabeling(self):
         p = DistinguisherParams(d=16, t=4, k_blocks=50)
-        base = PFCOracle(4, RandomSeed(7))
+        base = pfc_oracle_factory(4)(RandomSeed(7))
         rep1 = run_collision_distinguisher(base, p)
 
         class Relabeled:
             def __init__(self):
-                self.inner = PFCOracle(4, RandomSeed(7))
+                self.inner = pfc_oracle_factory(4)(RandomSeed(7))
                 self.perm = np.random.default_rng(1).permutation(16)
 
             def draw(self, shots):
@@ -118,11 +118,6 @@ class TestCollisionDistinguisher:
         assert rep1.verdict == rep2.verdict
         assert np.array_equal(rep1.blocks, rep2.blocks)
 
-    def test_factory_needs_seed(self):
-        p = DistinguisherParams(d=4, t=2, k_blocks=2)
-        with pytest.raises(ValueError):
-            run_collision_distinguisher(haar_oracle_factory(4), p)
-
     def test_median_variant(self):
         p = DistinguisherParams(d=64, t=8, k_blocks=21)
         rep = run_collision_distinguisher(_ConstantOracle(), p, estimator="median")
@@ -131,7 +126,8 @@ class TestCollisionDistinguisher:
 
     def test_report_serialization(self):
         p = DistinguisherParams(d=16, t=4, k_blocks=5)
-        rep = run_collision_distinguisher(haar_oracle_factory(16), p, RandomSeed(3))
+        oracle = haar_oracle_factory(16)(RandomSeed(3).child(0))
+        rep = run_collision_distinguisher(oracle, p, RandomSeed(3))
         d = rep.to_json_dict()
         assert d["params"]["d"] == 16 and len(d["blocks"]) == 5
 

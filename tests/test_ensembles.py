@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 from fractions import Fraction
 from helpers import empirical_counts, total_variation
-from prulab.distinguisher import collision_count
+from prulab.distinguisher import HaarDenseOracle, HaarUrnOracle, PFCOracle, collision_count
 from prulab.ensembles import (
     EnsembleSpec,
     PolyaUrnSampler,
-    haar_collision_polya,
-    haar_state_measure_dense,
     partition_probability_dirichlet,
     partition_probability_urn,
     pauli_group,
-    pfc_measure_zero_state,
     reference_design,
     sample_pfc,
     single_qubit_cliffords,
@@ -86,13 +83,13 @@ class TestPFCMeasurement:
         from prulab.ensembles import PFCSample
 
         s = PFCSample(3, np.arange(8), 0, 2, Tableau(3))
-        out = pfc_measure_zero_state(s, 6, RandomSeed(1))
+        out = PFCOracle(s, RandomSeed(1)).draw(6)
         assert not out.any()
 
     def test_tv_against_dense_simulation(self):
         n, shots = 4, 10_000
         s = sample_pfc(n, RandomSeed(21))
-        out = pfc_measure_zero_state(s, shots, RandomSeed(22))
+        out = PFCOracle(s, RandomSeed(22)).draw(shots)
         emp = np.bincount(out.astype(np.int64), minlength=2**n) / shots
         probs = np.abs(s.dense()[:, 0]) ** 2
         assert 0.5 * np.abs(emp - probs).sum() <= 0.05
@@ -100,28 +97,40 @@ class TestPFCMeasurement:
     def test_collision_counts_invariant_under_permutation(self):
         n = 4
         s = sample_pfc(n, RandomSeed(31))
-        out = pfc_measure_zero_state(s, 64, RandomSeed(5))
+        out = PFCOracle(s, RandomSeed(5)).draw(64)
         plain = s.permutation.argsort()[out]  # undo the relabeling
         assert collision_count(out) == collision_count(plain)
 
 
 class TestHaarMeasurement:
     def test_d1_constant(self):
-        assert not haar_state_measure_dense(1, 5, RandomSeed(0)).any()
+        assert not HaarDenseOracle(1, RandomSeed(0)).draw(5).any()
 
     def test_pairwise_collision_rate(self):
         d, trials = 16, 4000
         seed = RandomSeed(50)
         hits = 0
         for i in range(trials):
-            a, b = haar_state_measure_dense(d, 2, seed.child(i))
+            a, b = HaarDenseOracle(d, seed.child(i)).draw(2)
             hits += int(a == b)
         p = 2 / (d + 1)
         se = np.sqrt(p * (1 - p) / trials)
         assert abs(hits / trials - p) < 3.5 * se
 
+    def test_dense_labels_in_range_when_cdf_falls_short_of_one(self):
+        class TopUniform(np.random.Generator):
+            def random(self, size=None, dtype=np.float64, out=None):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        d = 16
+        oracle = HaarDenseOracle(d, RandomSeed(1))
+        assert np.cumsum(oracle._probs)[-1] < np.nextafter(1.0, 0.0)
+        oracle._rng = TopUniform(np.random.PCG64(0))
+        out = oracle.draw(3)
+        assert (out < d).all(), out
+
     def test_urn_single_draw(self):
-        out = haar_collision_polya(7, 1, RandomSeed(1))
+        out = HaarUrnOracle(7, RandomSeed(1)).draw(1)
         assert out.tolist() == [0]
 
     def test_urn_collision_rate_d2(self):
@@ -144,9 +153,9 @@ class TestHaarMeasurement:
     def test_urn_vs_dense_tv_small(self):
         d, t, trials = 8, 4, 20_000
         seed = RandomSeed(53)
-        dense = [collision_count(haar_state_measure_dense(d, t, seed.child(i)))
+        dense = [collision_count(HaarDenseOracle(d, seed.child(i)).draw(t))
                  for i in range(trials)]
-        urn = [collision_count(haar_collision_polya(d, t, seed.child(trials + i)))
+        urn = [collision_count(HaarUrnOracle(d, seed.child(trials + i)).draw(t))
                for i in range(trials)]
         tv = total_variation(empirical_counts(dense), empirical_counts(urn),
                              trials, trials)
