@@ -109,10 +109,10 @@ def build_parser() -> _Parser:
     return top
 
 
-def _emit(args, config: dict, payload: dict, rows: list[dict] | None = None) -> None:
+def _emit(args, config: dict, result: dict | list[dict]) -> None:
+    """Write `result`, one report or a list of rows, as JSON or CSV."""
+    rows = result if isinstance(result, list) else [result]
     if args.format == "csv":
-        if rows is None:
-            rows = [payload]
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -123,7 +123,7 @@ def _emit(args, config: dict, payload: dict, rows: list[dict] | None = None) -> 
         report = {
             "config": config,
             "config_hash": config_hash(config),
-            "result": payload if rows is None else {"rows": rows},
+            "result": {"rows": rows} if isinstance(result, list) else result,
         }
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -203,10 +203,7 @@ def _cmd_net_coverage(args) -> None:
     config = {"command": "net-coverage", "eps": eps_list, "samples": args.samples,
               "net": args.net_file or f"haar({args.dim},{args.haar_net_size})",
               "seed": [args.seed, args.stream]}
-    if len(rows) == 1:
-        _emit(args, config, rows[0])
-    else:
-        _emit(args, config, rows[0], rows=rows)
+    _emit(args, config, rows[0] if len(rows) == 1 else rows)
 
 
 def _cmd_truncate_diag(args) -> None:
@@ -248,14 +245,16 @@ def _cmd_bounds(args) -> None:
                                "rom-input-length", "scalable-check")
     if needs_t and args.t is None and not args.sweep_t:
         raise ValueError(f"bounds {args.formula} needs --t or --sweep-t")
-    if args.formula in ("trivial-rompru", "scalable-check") and args.kappa is None:
-        raise ValueError(f"bounds {args.formula} needs --kappa")
+    required = {"trivial-rompru": ("kappa",), "scalable-check": ("kappa", "q", "m"),
+                "net-size": ("eps",)}
+    for name in required.get(args.formula, ()):
+        if getattr(args, name) is None:
+            raise ValueError(f"bounds {args.formula} needs --{name}")
     config = {"command": "bounds", "formula": args.formula,
               "inputs": {k: v for k, v in vars(args).items()
                          if k not in ("command", "out", "format", "func") and v is not None}}
     if args.sweep_t:
-        rows = [one(float(v)) for v in args.sweep_t.split(",")]
-        _emit(args, config, rows[0], rows=rows)
+        _emit(args, config, [one(float(v)) for v in args.sweep_t.split(",")])
     else:
         _emit(args, config, one(args.t))
 
@@ -290,9 +289,13 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.mem_budget is not None:
-        set_memory_budget_bytes(int(args.mem_budget * (1 << 30)))
     try:
+        if args.mem_budget is not None:
+            nbytes = args.mem_budget * (1 << 30)
+            if not 1 <= nbytes < float("inf"):
+                raise ValueError(f"--mem-budget must be a finite size of at least one "
+                                 f"byte, got {args.mem_budget} GiB")
+            set_memory_budget_bytes(int(nbytes))
         _DISPATCH[args.command](args)
     except PropertyViolationError as exc:
         print(f"property violation: {exc}", file=sys.stderr)

@@ -151,8 +151,6 @@ class CollisionReport:
     verdict: str  # "Haar" | "PFC"
     estimator: str = "mean"
     seed: RandomSeed | None = None
-    mu_ref: float | None = None
-    tau_ref: float | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -229,17 +227,6 @@ class AdvantageReport:
     @property
     def ci_half_width(self) -> float:
         return self.ci_half_a + self.ci_half_b
-
-    def to_json_dict(self) -> dict:
-        return {
-            "accept_rate_a": self.accept_rate_a,
-            "accept_rate_b": self.accept_rate_b,
-            "ci_half_a": self.ci_half_a,
-            "ci_half_b": self.ci_half_b,
-            "advantage": self.advantage,
-            "ci_half_width": self.ci_half_width,
-            "trials": self.trials,
-        }
 
 
 def estimate_advantage(ens_a, ens_b, test, trials: int,

@@ -20,7 +20,14 @@ def matrix_to_json(u: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in u]
 
 
+def _is_pair(z) -> bool:
+    return isinstance(z, list) and len(z) == 2 and all(isinstance(v, (int, float)) for v in z)
+
+
 def matrix_from_json(rows: list) -> np.ndarray:
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) and all(map(_is_pair, row)) for row in rows)):
+        raise ValueError("a JSON matrix must be an array of rows of [re, im] number pairs")
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 

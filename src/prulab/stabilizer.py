@@ -2,8 +2,8 @@
 
 Uniform Clifford sampling through the canonical symplectic-index
 construction, computational-basis measurement supports of stabilizer
-states, dense synthesis of tableau unitaries, and the explicit
-full-support state family parametrized by (M, u, v).
+states, dense tableau unitaries read off the tableau's Pauli rows, and the
+explicit full-support state family parametrized by (M, u, v).
 """
 
 from __future__ import annotations
@@ -42,27 +42,6 @@ def gf2_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return m, pivots
-
-
-def gf2_rank(a: np.ndarray) -> int:
-    if a.size == 0:
-        return 0
-    _, pivots = gf2_rref(a)
-    return len(pivots)
-
-
-def gf2_nullspace(a: np.ndarray) -> np.ndarray:
-    """Basis (rows) of {x : a x = 0}, deterministic ordering."""
-    rows, cols = a.shape
-    m, pivots = gf2_rref(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, pc in enumerate(pivots):
-            if m[r, fc]:
-                basis[k, pc] = 1
-    return basis
 
 
 def gf2_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -143,26 +122,14 @@ class Tableau:
         self.r ^= self.x[:, q] & self.z[:, q]
         self.z[:, q] ^= self.x[:, q]
 
-    def apply_x(self, q: int) -> None:
-        self.r ^= self.z[:, q]
-
     def apply_z(self, q: int) -> None:
         self.r ^= self.x[:, q]
-
-    def apply_cnot(self, c: int, t: int) -> None:
-        self.r ^= self.x[:, c] & self.z[:, t] & (self.x[:, t] ^ self.z[:, c] ^ 1)
-        self.x[:, t] ^= self.x[:, c]
-        self.z[:, c] ^= self.z[:, t]
 
     def apply_cz(self, a: int, b: int) -> None:
         self.r ^= self.x[:, a] & self.x[:, b] & (self.z[:, a] ^ self.z[:, b])
         za = self.z[:, a] ^ self.x[:, b]
         zb = self.z[:, b] ^ self.x[:, a]
         self.z[:, a], self.z[:, b] = za, zb
-
-    def apply_swap(self, a: int, b: int) -> None:
-        self.x[:, [a, b]] = self.x[:, [b, a]]
-        self.z[:, [a, b]] = self.z[:, [b, a]]
 
 
 def pauli_matrix(x: np.ndarray, z: np.ndarray, r: int) -> np.ndarray:
@@ -340,96 +307,58 @@ def random_clifford_rng(n: int, rng: np.random.Generator) -> Tableau:
 
 
 # ---------------------------------------------------------------------------
-# Dense synthesis
+# Dense unitaries
 # ---------------------------------------------------------------------------
 
-_H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_S2 = np.diag([1, 1j]).astype(complex)
-_X2 = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z2 = np.diag([1, -1]).astype(complex)
-_CZ4 = np.diag([1, 1, 1, -1]).astype(complex)
-_CNOT4 = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-_SWAP4 = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
 
-_GATES = {"h": _H2, "s": _S2, "x": _X2, "z": _Z2, "cz": _CZ4, "cnot": _CNOT4, "swap": _SWAP4}
+def _apply_row(t: Tableau, i: int, m: np.ndarray) -> np.ndarray:
+    """Tableau row i, as a dense Pauli, applied to a block of column vectors.
 
-
-def _apply_gate_left(m: np.ndarray, name: str, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Left-multiply G acting on `qubits`: returns (G tensor I) @ m."""
-    gate = _GATES[name]
-    k = len(qubits)
-    tens = m.reshape((2,) * n + (m.shape[1],))
-    g = gate.reshape((2,) * (2 * k))
-    out = np.tensordot(g, tens, axes=(list(range(k, 2 * k)), list(qubits)))
-    order = list(qubits) + [ax for ax in range(n + 1) if ax not in qubits]
-    inv = np.argsort(order)
-    return np.transpose(out, inv).reshape(m.shape)
-
-
-def tableau_to_gates(t: Tableau) -> list[tuple]:
-    """Gate sequence g_1 .. g_K with g_K ... g_1 U = I (up to phase)."""
-    work = t.copy()
-    n = work.n
-    ops: list[tuple] = []
-
-    def do(name, *qubits):
-        ops.append((name, qubits))
-        getattr(work, "apply_" + name)(*qubits)
-
-    for j in range(n):
-        if not work.x[j, j:].any():
-            q = j + int(np.nonzero(work.z[j, j:])[0][0])
-            do("h", q)
-        if work.x[j, j] == 0:
-            q = j + 1 + int(np.nonzero(work.x[j, j + 1:])[0][0])
-            do("swap", j, q)
-        for q in range(j + 1, n):
-            if work.x[j, q]:
-                do("cnot", j, q)
-        if work.z[j, j]:
-            do("s", j)
-        for q in range(j + 1, n):
-            if work.z[j, q]:
-                do("cz", j, q)
-        # row j is now +-X_j; move to the Z partner under gates fixing Z_j
-        do("h", j)
-        for q in range(j + 1, n):
-            if work.x[n + j, q]:
-                do("cnot", j, q)
-        if work.z[n + j, j]:
-            do("s", j)
-        for q in range(j + 1, n):
-            if work.z[n + j, q]:
-                do("cz", j, q)
-        do("h", j)
-    for j in range(n):
-        if work.r[j]:
-            do("z", j)
-        if work.r[n + j]:
-            do("x", j)
-    if work != Tableau(n):
-        raise PropertyViolationError("tableau reduction failed")
-    return ops
-
-
-def tableau_to_unitary(t: Tableau) -> np.ndarray:
-    """Dense unitary of the tableau, fixed global phase by construction."""
-    n = t.n
-    ensure_budget(16 * 4**n * 4, "dense Clifford synthesis")
-    ops = tableau_to_gates(t)
-    m = np.eye(2**n, dtype=complex)
-    for name, qubits in ops:
-        m = _apply_gate_left(m, name, qubits, n)
-    return m.conj().T
+    With the row as i^p X^x Z^z: (i^p X^x Z^z m)[w] = i^p (-1)^{z.(w^x)} m[w^x],
+    basis index w read with qubit 0 as the most significant bit.
+    """
+    x, z, p = _row_xzform(t, i)
+    src = np.arange(m.shape[0]) ^ int(pack_bits(x))
+    parity = (((src[:, None] >> np.arange(t.n - 1, -1, -1)) & 1) @ z) & 1
+    return (1j**p * (1 - 2 * parity))[:, None] * m[src]
 
 
 def tableau_to_statevector(t: Tableau) -> np.ndarray:
-    """C|0...0> as a dense vector (test-oracle scale)."""
-    return tableau_to_unitary(t)[:, 0]
+    """C|0...0> as a dense vector, the joint +1 eigenvector of the stabilizer
+    rows C Z_j C^dag, with its global phase fixed so that its first nonzero
+    entry is real and positive."""
+    n = t.n
+    ensure_budget(16 * 2**n * 4, "dense stabilizer state")
+    v = np.zeros((1 << n, 1), dtype=complex)
+    v[0] = 1.0
+    for j in range(n):
+        w = v + _apply_row(t, n + j, v)
+        # v is a stabilizer state, so |(I + S_j) v| is 2|v|, sqrt(2)|v| or 0; when
+        # it is 0, the anticommuting destabilizer row maps v into the +1
+        # eigenspace of S_j and keeps those of S_0 .. S_{j-1}
+        if np.linalg.norm(w) < np.linalg.norm(v):
+            v = _apply_row(t, j, v)
+            w = v + _apply_row(t, n + j, v)
+        v = w
+    v = v[:, 0]
+    lead = v[np.argmax(np.abs(v) > 0.5 * np.abs(v).max())]
+    return v * (abs(lead) / lead / np.linalg.norm(v))
+
+
+def tableau_to_unitary(t: Tableau) -> np.ndarray:
+    """Dense unitary C of the tableau, read off its Pauli rows.
+
+    Column 0 is C|0...0> from `tableau_to_statevector`, so its first nonzero
+    entry is real and positive.  Column x is C|x> = prod_{j : x_j = 1}
+    C X_j C^dag C|0...0>, a product of destabilizer rows applied to column 0.
+    """
+    n = t.n
+    ensure_budget(16 * 4**n * 4, "dense Clifford synthesis")
+    u = np.empty((1 << n, 1 << n), dtype=complex)
+    u[:, 0] = tableau_to_statevector(t)
+    for k in range(n):
+        u[:, 1 << k: 2 << k] = _apply_row(t, n - 1 - k, u[:, : 1 << k])
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -469,44 +398,36 @@ class AffineSupport:
 def measurement_support(t: Tableau) -> AffineSupport:
     """Affine set over which measuring C|0...0> is uniform.
 
-    The stabilizer rows conjugate the Z_j generators; the diagonal (Z-type)
-    subgroup pins down sign constraints v.x = s whose solution set is the
-    support.  Gaussian elimination over GF(2) on the X block, lexicographic
-    pivots throughout for determinism.
+    One Gauss-Jordan pass over the X block of the stabilizer rows, each row
+    operation a Pauli product, lexicographic pivots for determinism.  The
+    rows with an X pivot span the support's direction, already in RREF; the
+    remaining rows are +-Z^z and fix z.v to their sign.  The offset is the
+    coset representative that is zero at every pivot column.
     """
     n = t.n
-    xs = t.x[n:, :]
-    # coefficient vectors c with sum_i c_i x_i = 0 give Z-type products
-    kernel = gf2_nullspace(xs.T)
-    constraints = np.zeros((kernel.shape[0], n), dtype=np.uint8)
-    rhs = np.zeros(kernel.shape[0], dtype=np.uint8)
-    for idx, c in enumerate(kernel):
-        x = np.zeros(n, dtype=np.uint8)
-        z = np.zeros(n, dtype=np.uint8)
-        p = 0
-        for i in np.nonzero(c)[0]:
-            xi, zi, pi = _row_xzform(t, n + int(i))
-            x, z, p = _pauli_product(x, z, p, xi, zi, pi)
-        if x.any() or p % 2 != 0:
-            raise PropertyViolationError("Z-type product reconstruction failed")
-        constraints[idx] = z
-        rhs[idx] = (p // 2) % 2
-    if kernel.shape[0] == 0:
-        offset = np.zeros(n, dtype=np.uint8)
-        basis = np.eye(n, dtype=np.uint8)
-        return AffineSupport(n, basis, offset)
-    offset = gf2_solve(constraints, rhs)
+    rows = [_row_xzform(t, n + j) for j in range(n)]
+    pivots: list[int] = []
+    for c in range(n):
+        r = len(pivots)
+        hot = [q for q in range(r, n) if rows[q][0][c]]
+        if not hot:
+            continue
+        rows[r], rows[hot[0]] = rows[hot[0]], rows[r]
+        for q in range(n):
+            if q != r and rows[q][0][c]:
+                rows[q] = _pauli_product(*rows[q], *rows[r])
+        pivots.append(c)
+    k = len(pivots)
+    basis = np.array([x for x, _, _ in rows[:k]], dtype=np.uint8).reshape(k, n)
+    zs = np.array([z for _, z, _ in rows[k:]], dtype=np.uint8).reshape(n - k, n)
+    phases = np.array([p for _, _, p in rows[k:]], dtype=np.uint8)
+    offset = None if (phases % 2).any() else gf2_solve(zs, phases // 2)
     if offset is None:
         raise PropertyViolationError("inconsistent stabilizer sign constraints")
-    basis = gf2_nullspace(constraints)
-    # canonical coset representative: reduce the offset against the RREF basis
-    rbasis, pivots = gf2_rref(basis) if basis.size else (basis, [])
-    basis = rbasis[: len(pivots)] if basis.size else basis
-    off = offset.copy()
     for row, pc in zip(basis, pivots):
-        if off[pc]:
-            off ^= row
-    return AffineSupport(n, basis, off)
+        if offset[pc]:
+            offset ^= row
+    return AffineSupport(n, basis, offset)
 
 
 def sample_from_support(sup: AffineSupport, shots: int, rng: np.random.Generator) -> np.ndarray:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from prulab.linalg import RandomSeed, ResourceLimitError, as_seed
-from prulab.serialize import matrix_to_json
 
 #: repetition-count calibration for the (eps, eta) contract; empirical with
 #: margin at d <= 8, not a claim about the information-theoretic optimum.
@@ -54,14 +53,6 @@ class TomographyResult:
     queries_used: int
     target_eps: float
     target_eta: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "queries_used": self.queries_used,
-            "target_eps": self.target_eps,
-            "target_eta": self.target_eta,
-            "u_hat": matrix_to_json(self.u_hat),
-        }
 
 
 def planned_queries(d: int, eps: float, eta: float) -> int:

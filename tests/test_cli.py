@@ -121,7 +121,15 @@ class TestCli:
          {"matrices": []}, "'dim'"),
         (["truncate-diag", "--k", "4", "--circuit-file"],
          {"n": 1, "m": 1, "oracles": [[0.0, 0.5]]}, "'sequence'"),
-    ], ids=["ensemble-no-dim", "net-no-dim", "circuit-no-sequence"])
+        (["design-distance", "--t", "1", "--ensemble-file"],
+         {"dim": 2, "matrices": [[1, 2]]}, "[re, im]"),
+        (["design-distance", "--t", "1", "--ensemble-file"],
+         {"dim": 2, "matrices": [[[["a", 0], [0, 0]], [[0, 0], [1, 0]]]]}, "[re, im]"),
+        (["truncate-diag", "--k", "4", "--circuit-file"],
+         {"n": 1, "m": 1, "oracles": [[0.0, 0.5]], "sequence": [{"fixed": [[1, 0], [0, 1]]}]},
+         "[re, im]"),
+    ], ids=["ensemble-no-dim", "net-no-dim", "circuit-no-sequence", "matrix-row-of-numbers",
+            "matrix-entry-not-numeric", "circuit-fixed-of-numbers"])
     def test_manifest_missing_key_is_a_usage_error(self, command, manifest, key, tmp_path,
                                                    capsys):
         dump_json(tmp_path / "m.json", manifest)
@@ -202,8 +210,15 @@ class TestCli:
         (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1"], "--net-file"),
         (["bounds", "prior-support", "--d", "2"], "--t"),
         (["bounds", "trivial-rompru", "--d", "4"], "--kappa"),
+        (["bounds", "prior-support", "--d", "2", "--t", "1", "--mem-budget", "0"],
+         "--mem-budget"),
+        (["bounds", "prior-support", "--d", "2", "--t", "1", "--mem-budget", "-1"],
+         "--mem-budget"),
+        (["bounds", "net-size", "--d", "2"], "--eps"),
+        (["bounds", "scalable-check", "--d", "4", "--t", "1", "--kappa", "1"], "--q"),
     ], ids=["n-out-of-range", "no-ensemble", "both-ensembles", "unknown-ensemble",
-            "no-net", "no-t", "no-kappa"])
+            "no-net", "no-t", "no-kappa", "zero-mem-budget", "negative-mem-budget",
+            "net-size-no-eps", "scalable-check-no-q"])
     def test_usage_error_names_its_cause(self, argv, cause, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1

@@ -2,12 +2,14 @@ import ast
 import functools
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import prulab
 
 SRC = Path(prulab.__file__).parent
-LAYERTRACE = Path(__file__).parents[1] / "perfbench" / "layertrace.py"
+ROOT = Path(__file__).parents[1]
+LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
 
 
 def test_no_private_names_imported_across_modules():
@@ -33,3 +35,20 @@ def test_benchmark_trace_targets_resolve():
         except AttributeError:
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def test_every_module_level_definition_is_used():
+    # a function or class whose name is no token outside its own def/class
+    # line, in src, tests, scripts or perfbench, is dead code
+    defined = [(node.name, path, node.lineno)
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    def_lines = {(path, lineno) for _, path, lineno in defined}
+    used = set()
+    for folder in (SRC, ROOT / "tests", ROOT / "scripts", ROOT / "perfbench"):
+        for path in folder.rglob("*.py"):
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                if (path, lineno) not in def_lines:
+                    used.update(re.findall(r"\w+", line))
+    assert sorted({name for name, _, _ in defined} - used) == []

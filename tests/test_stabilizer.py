@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,6 @@ from prulab.stabilizer import (
     full_support_probability,
     gamma_amplitudes,
     gamma_state,
-    gf2_nullspace,
-    gf2_rank,
     gf2_rref,
     gf2_solve,
     measurement_support,
@@ -31,15 +31,6 @@ from prulab.stabilizer import (
 
 
 class TestGF2:
-    @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 6))
-    @settings(max_examples=40, deadline=None)
-    def test_nullspace_annihilates(self, seed, rows, cols):
-        a = np.random.default_rng(seed).integers(0, 2, size=(rows, cols)).astype(np.uint8)
-        ns = gf2_nullspace(a)
-        assert ns.shape[0] == cols - gf2_rank(a)
-        if ns.size:
-            assert not ((a @ ns.T) % 2).any()
-
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_solve_consistent_systems(self, seed):
@@ -113,7 +104,7 @@ class TestRandomClifford:
     def test_conjugation_matches_dense(self):
         # the tableau rows must be exactly U P U^dag for the dense synthesis
         seed = RandomSeed(11)
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 6):
             for k in range(3):
                 t = random_clifford(n, seed.child(100 * n + k))
                 u = tableau_to_unitary(t)
@@ -129,6 +120,25 @@ class TestRandomClifford:
                     assert np.allclose(u @ zj @ u.conj().T,
                                        pauli_matrix(t.x[n + j], t.z[n + j], t.r[n + j]),
                                        atol=1e-9)
+
+    def test_single_qubit_images_are_the_hs_closure(self):
+        # 6 symplectic (x, z) row pairs times 4 sign patterns; the {H, S}
+        # closure shares no code with the tableau read-out
+        from prulab.ensembles import single_qubit_cliffords
+
+        paulis = [(1, 0), (0, 1), (1, 1)]
+        images = []
+        for px, pz in itertools.permutations(paulis, 2):
+            for r in itertools.product((0, 1), repeat=2):
+                t = Tableau(1, [[px[0]], [pz[0]]], [[px[1]], [pz[1]]], r)
+                assert t.check_symplectic()
+                images.append(tableau_to_unitary(t))
+        closure = single_qubit_cliffords()
+        overlaps = np.array([[abs(np.trace(a.conj().T @ b)) / 2 for b in closure]
+                             for a in images])
+        matches = overlaps > 1 - 1e-9
+        assert matches.shape == (24, 24)
+        assert (matches.sum(axis=0) == 1).all() and (matches.sum(axis=1) == 1).all()
 
 
 class TestMeasurementSupport:
@@ -179,6 +189,17 @@ class TestMeasurementSupport:
         counts = np.bincount(pack_bits(samples).astype(np.int64), minlength=4)
         se = np.sqrt(0.25 * 0.75 / 10_000)
         assert np.all(np.abs(counts / 10_000 - 0.25) < 3.5 * se)
+
+    def test_basis_is_canonical_rref(self):
+        # PFCOracle's draws from the support depend on this canonical form
+        seed = RandomSeed(53)
+        for n in range(1, 9):
+            for k in range(10):
+                sup = measurement_support(random_clifford(n, seed.child(10 * n + k)))
+                rref, pivots = gf2_rref(sup.basis)
+                assert np.array_equal(rref, sup.basis)
+                assert len(pivots) == sup.k_dim
+                assert not sup.offset[pivots].any()
 
     def test_affine_contains_members(self):
         t = random_clifford(4, RandomSeed(99))
