@@ -17,6 +17,7 @@ import time
 
 from prulab.distinguisher import pfc_distinguish_experiment
 from prulab.linalg import RandomSeed
+from prulab.util import report_dict
 
 
 def main() -> None:
@@ -34,7 +35,7 @@ def main() -> None:
         rep = pfc_distinguish_experiment(
             n, args.trials, RandomSeed(args.seed).child(n), k_blocks=args.k_blocks
         )
-        row = rep.to_json_dict()
+        row = report_dict(rep)
         row["elapsed_s"] = round(time.time() - t0, 2)
         rows.append(row)
         print(f"n={n:3d}  haar_rate={rep.haar_rate:.3f}  pfc_rate={rep.pfc_rate:.3f}"

@@ -9,7 +9,7 @@ big-integer cross-checks available at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -73,9 +73,6 @@ class InputLengthBounds:
     m_design_2: float | None
     m_net: float | None
     regime_notes: dict
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def rom_input_length_bounds(d: int, t: float, delta: float, epsilon: float,
@@ -145,9 +142,6 @@ class TrivialRomPruParams:
     m: float
     q_upper: float
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def trivial_rompru_params(d: int, kappa: int) -> TrivialRomPruParams:
     """Evaluate the trivial construction at t = 2^kappa; kappa >= 0."""
@@ -183,7 +177,8 @@ class RomPruParams:
 
 @dataclass
 class ScalableCheckReport:
-    """Itemized scalability predicate plus the induced design record."""
+    """Itemized scalability predicate plus the induced design record: the
+    construction is an (induced_design_t, induced_design_delta)-diamond-design."""
 
     efficiency_ok: bool
     alpha_ok: bool
@@ -191,24 +186,12 @@ class ScalableCheckReport:
     advantage_ok: bool
     qm: float
     qm_budget: float
-    induced_design: tuple[float, float]  # the construction is a (t, delta)-diamond-design
+    induced_design_t: float
+    induced_design_delta: float
+    passes: bool = field(init=False)
 
-    @property
-    def passes(self) -> bool:
-        return self.efficiency_ok and self.alpha_ok and self.queries_ok and self.advantage_ok
-
-    def to_json_dict(self) -> dict:
-        return {
-            "efficiency_ok": self.efficiency_ok,
-            "alpha_ok": self.alpha_ok,
-            "queries_ok": self.queries_ok,
-            "advantage_ok": self.advantage_ok,
-            "qm": self.qm,
-            "qm_budget": self.qm_budget,
-            "induced_design_t": self.induced_design[0],
-            "induced_design_delta": self.induced_design[1],
-            "passes": self.passes,
-        }
+    def __post_init__(self):
+        self.passes = self.efficiency_ok and self.alpha_ok and self.queries_ok and self.advantage_ok
 
 
 def scalable_check(p: RomPruParams, poly_budget: float = 2.0) -> ScalableCheckReport:
@@ -228,5 +211,6 @@ def scalable_check(p: RomPruParams, poly_budget: float = 2.0) -> ScalableCheckRe
         advantage_ok=p.delta <= 2.0 ** (-p.kappa),
         qm=qm,
         qm_budget=budget,
-        induced_design=(p.t, p.delta),
+        induced_design_t=p.t,
+        induced_design_delta=p.delta,
     )

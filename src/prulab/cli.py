@@ -19,9 +19,10 @@ from prulab.linalg import (
     PropertyViolationError,
     RandomSeed,
     ResourceLimitError,
+    memory_budget_bytes,
     set_memory_budget_bytes,
 )
-from prulab.util import config_hash
+from prulab.util import config_hash, report_dict
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,6 +138,13 @@ def _seed_of(args) -> RandomSeed:
     return RandomSeed(args.seed, args.stream)
 
 
+def _float_list(text: str, flag: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} {text!r} is not a comma list of numbers") from None
+
+
 def _cmd_pfc_distinguish(args) -> None:
     from prulab.distinguisher import pfc_distinguish_experiment
 
@@ -157,7 +165,7 @@ def _cmd_pfc_distinguish(args) -> None:
         "haar_mode": args.haar_mode, "estimator": args.estimator,
         "seed": [args.seed, args.stream],
     }
-    _emit(args, config, rep.to_json_dict())
+    _emit(args, config, report_dict(rep))
 
 
 def _cmd_design_distance(args) -> None:
@@ -180,7 +188,7 @@ def _cmd_design_distance(args) -> None:
     rep = diamond_design_bounds(ens, args.t)
     config = {"command": "design-distance", "t": args.t,
               "ensemble": args.ensemble or args.ensemble_file}
-    _emit(args, config, rep.to_json_dict())
+    _emit(args, config, report_dict(rep))
 
 
 def _cmd_net_coverage(args) -> None:
@@ -194,12 +202,12 @@ def _cmd_net_coverage(args) -> None:
         net = NetSpec.haar_sample(args.dim, args.haar_net_size, seed.child(999))
     else:
         raise ValueError("give --net-file, or --haar-net-size together with --dim")
-    eps_list = ([float(v) for v in args.sweep_eps.split(",")]
+    eps_list = (_float_list(args.sweep_eps, "--sweep-eps")
                 if args.sweep_eps else [args.eps])
     rows = []
     for i, eps in enumerate(eps_list):
         rep = exposure_estimate(net, eps, args.samples, seed.child(i))
-        rows.append(rep.to_json_dict())
+        rows.append(report_dict(rep))
     config = {"command": "net-coverage", "eps": eps_list, "samples": args.samples,
               "net": args.net_file or f"haar({args.dim},{args.haar_net_size})",
               "seed": [args.seed, args.stream]}
@@ -213,30 +221,34 @@ def _cmd_truncate_diag(args) -> None:
     circ = circuit_from_json_dict(load_json(args.circuit_file))
     rep = circuit_truncation_bound(circ, args.k)
     config = {"command": "truncate-diag", "circuit": args.circuit_file, "k": args.k}
-    _emit(args, config, rep.to_json_dict())
+    _emit(args, config, report_dict(rep))
 
 
 def _cmd_bounds(args) -> None:
     from prulab import bounds as B
     from prulab.nets import net_size_lower_bound
 
+    t_flag = "--sweep-t" if args.sweep_t else "--t"
+
     def one(t_val):
         if args.formula == "prior-support":
+            if not t_val.is_integer():
+                raise ValueError(f"bounds prior-support needs an integer {t_flag}, got {t_val}")
             return {"t": t_val, "value": B.prior_support_bound(
                 args.d, int(t_val), args.delta, as_log=args.log)}
         if args.formula == "improved-support":
             return {"t": t_val, "value": B.improved_support_bound(
                 args.d, t_val, args.delta, args.c_design, as_log=args.log)}
         if args.formula == "rom-input-length":
-            return {"t": t_val, **B.rom_input_length_bounds(
+            return {"t": t_val, **report_dict(B.rom_input_length_bounds(
                 args.d, t_val, args.delta, args.eps if args.eps else 0.0,
-                args.additive_slack).to_json_dict()}
+                args.additive_slack))}
         if args.formula == "trivial-rompru":
-            return B.trivial_rompru_params(args.d, args.kappa).to_json_dict()
+            return report_dict(B.trivial_rompru_params(args.d, args.kappa))
         if args.formula == "scalable-check":
             params = B.RomPruParams(args.d, args.kappa, args.q, args.m,
                                     args.alpha_impl, t_val, args.delta)
-            return B.scalable_check(params, args.poly_budget).to_json_dict()
+            return report_dict(B.scalable_check(params, args.poly_budget))
         if args.formula == "net-size":
             return {"value": net_size_lower_bound(args.d, args.eps, args.eta,
                                                   args.c_diamond)}
@@ -254,7 +266,7 @@ def _cmd_bounds(args) -> None:
               "inputs": {k: v for k, v in vars(args).items()
                          if k not in ("command", "out", "format", "func") and v is not None}}
     if args.sweep_t:
-        _emit(args, config, [one(float(v)) for v in args.sweep_t.split(",")])
+        _emit(args, config, [one(v) for v in _float_list(args.sweep_t, t_flag)])
     else:
         _emit(args, config, one(args.t))
 
@@ -289,6 +301,7 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    budget = memory_budget_bytes()
     try:
         if args.mem_budget is not None:
             nbytes = args.mem_budget * (1 << 30)
@@ -303,6 +316,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ResourceLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        set_memory_budget_bytes(budget)
     return 0
 
 

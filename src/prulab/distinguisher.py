@@ -10,7 +10,7 @@ tomography-based net-membership distinguisher.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,36 +147,21 @@ class CollisionReport:
     params: DistinguisherParams
     blocks: np.ndarray
     mean_collisions: float
-    center: float
     verdict: str  # "Haar" | "PFC"
     estimator: str = "mean"
-    seed: RandomSeed | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "params": asdict(self.params),
-            "blocks": [int(b) for b in self.blocks],
-            "M": self.mean_collisions,
-            "center": self.center,
-            "verdict": self.verdict,
-            "estimator": self.estimator,
-            "seed": None if self.seed is None else [self.seed.seed, self.seed.stream],
-        }
 
 
 def run_collision_distinguisher(oracle, params: DistinguisherParams,
-                                seed: RandomSeed | int | None = None,
                                 estimator: str = "mean") -> CollisionReport:
     """Run the blocked collision test against a state-measurement oracle.
 
-    `oracle` is an object with draw(shots); `seed`, if given, is recorded
-    in the report.  Verdict is "Haar" iff the block average M lands within
-    alpha of the Haar reference center.  `estimator`="median" switches the
-    block aggregation to a median-of-blocks variant.
+    `oracle` is an object with draw(shots).  Verdict is "Haar" iff the
+    block average M lands within alpha of the Haar reference center
+    `params.center`.  `estimator`="median" switches the block aggregation
+    to a median-of-blocks variant.
     """
     if estimator not in ("mean", "median"):
         raise ValueError("estimator must be 'mean' or 'median'")
-    sd = None if seed is None else as_seed(seed)
     t, k = params.t, params.k_blocks
     samples = np.empty((k, t), dtype=np.int64)
     for r in range(k):
@@ -187,8 +172,7 @@ def run_collision_distinguisher(oracle, params: DistinguisherParams,
     blocks = blocked_collision_counts(samples)
     m = float(np.mean(blocks)) if estimator == "mean" else float(np.median(blocks))
     verdict = "Haar" if abs(m - params.center) <= params.alpha else "PFC"
-    return CollisionReport(params, blocks, m, params.center, verdict,
-                           estimator=estimator, seed=sd)
+    return CollisionReport(params, blocks, m, verdict, estimator=estimator)
 
 
 def concentration_reference(t: int, p_psi: float, q_psi: float, beta: float,
@@ -259,25 +243,14 @@ class PFCDistinguishReport:
     n: int
     params: DistinguisherParams
     trials: int
-    haar_rate: float  # fraction of Haar-side trials answered "Haar"
-    pfc_rate: float  # fraction of PFC-side trials answered "PFC"
+    # fraction of Haar-side trials answered "Haar"
+    haar_rate: float = field(metadata={"json": "haar_verdict_rate"})
+    # fraction of PFC-side trials answered "PFC"
+    pfc_rate: float = field(metadata={"json": "pfc_verdict_rate"})
     haar_ci_half: float
     pfc_ci_half: float
     advantage: float
     advantage_ci_half: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "params": asdict(self.params),
-            "trials": self.trials,
-            "haar_verdict_rate": self.haar_rate,
-            "pfc_verdict_rate": self.pfc_rate,
-            "haar_ci_half": self.haar_ci_half,
-            "pfc_ci_half": self.pfc_ci_half,
-            "advantage": self.advantage,
-            "advantage_ci_half": self.advantage_ci_half,
-        }
 
 
 def pfc_distinguish_experiment(n: int, trials: int, seed: RandomSeed | int,
@@ -292,8 +265,7 @@ def pfc_distinguish_experiment(n: int, trials: int, seed: RandomSeed | int,
     )
 
     def test(oracle, s):
-        rep = run_collision_distinguisher(oracle, params, s, estimator=estimator)
-        return rep.verdict == "Haar"
+        return run_collision_distinguisher(oracle, params, estimator=estimator).verdict == "Haar"
 
     adv = estimate_advantage(
         haar_oracle_factory(d, haar_mode), pfc_oracle_factory(n), test, trials, seed

@@ -72,17 +72,6 @@ class PFCSample:
             self._dense = out
         return self._dense
 
-    def to_json_dict(self) -> dict:
-        from prulab.stabilizer import tableau_to_json_dict
-
-        return {
-            "n": self.n,
-            "permutation": [int(v) for v in self.permutation],
-            "phase_key": self.phase_key,
-            "phase_order": self.phase_order,
-            "clifford": tableau_to_json_dict(self.clifford),
-        }
-
 
 def sample_pfc(n: int, seed: RandomSeed | int, phase_order: int = 2) -> PFCSample:
     """Draw P uniform over permutations, F a uniform phase diagonal (lazy),

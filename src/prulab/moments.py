@@ -8,7 +8,7 @@ the orthogonal projector onto the permutation-operator span, the 2->2
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -202,9 +202,6 @@ class DesignDistanceReport:
     eps_relative: float | None
     not_relative: bool
     symmetric: bool
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _relative_eps(mv: MomentSuperoperator, mh: MomentSuperoperator,

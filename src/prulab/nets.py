@@ -8,7 +8,7 @@ cardinality lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,21 +54,12 @@ class CoverageReport:
 
     epsilon: float
     eta_hat: float
+    vol_hat: float = field(init=False)
     samples: int
     ci_half: float
 
-    @property
-    def vol_hat(self) -> float:
-        return 1.0 - self.eta_hat
-
-    def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "eta_hat": self.eta_hat,
-            "vol_hat": self.vol_hat,
-            "samples": self.samples,
-            "ci_half": self.ci_half,
-        }
+    def __post_init__(self):
+        self.vol_hat = 1.0 - self.eta_hat
 
 
 def _distances_to_net(u: np.ndarray, stacked: np.ndarray) -> np.ndarray:

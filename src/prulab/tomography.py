@@ -110,7 +110,8 @@ def naive_process_tomography(oracle: ChannelOracle, eps: float, eta: float,
         probs = np.abs(amps) ** 2
         probs /= probs.sum(axis=1, keepdims=True)
         u = rng.random(chunk)
-        ks = (np.cumsum(probs, axis=1) < u[:, None]).sum(axis=1)
+        # a cumsum ending below 1 can leave u past every entry: clamp to D-1
+        ks = np.minimum((np.cumsum(probs, axis=1) < u[:, None]).sum(axis=1), big - 1)
         vs = ws[np.arange(chunk), :, ks]
         acc += vs.T @ vs.conj()
         done += chunk

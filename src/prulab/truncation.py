@@ -8,7 +8,7 @@ arithmetic for re-encoding truncated diagonals as binary functions.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,9 +158,6 @@ class CircuitTruncationReport:
     k: int
     distance: float
     bound: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def circuit_truncation_bound(c: DiagonalOracleCircuit, k: int) -> CircuitTruncationReport:

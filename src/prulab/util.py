@@ -1,10 +1,11 @@
-"""Shared report plumbing: confidence intervals, config hashing."""
+"""Shared report plumbing: confidence intervals, report dicts, config hashing."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+from dataclasses import fields, is_dataclass
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -17,6 +18,17 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     center = (p + z2 / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denom
     return center, half
+
+
+def report_dict(report) -> dict:
+    """A report dataclass as a JSON-ready dict: one key per field, in field
+    order, named by the field's ``metadata["json"]`` if set; nested
+    dataclasses recurse."""
+    out = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        out[f.metadata.get("json", f.name)] = report_dict(value) if is_dataclass(value) else value
+    return out
 
 
 def config_hash(config: dict) -> str:

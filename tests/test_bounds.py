@@ -148,7 +148,7 @@ class TestScalableCheck:
         assert not rep.efficiency_ok  # q scales like d^2 kappa, not polylog d
         assert rep.alpha_ok and rep.queries_ok and rep.advantage_ok
         assert not rep.passes
-        assert rep.induced_design == (float(tp.t), 0.0)
+        assert (rep.induced_design_t, rep.induced_design_delta) == (float(tp.t), 0.0)
 
     def test_sqrt_d_query_budget_boundary(self):
         d = 1 << 10

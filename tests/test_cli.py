@@ -216,14 +216,61 @@ class TestCli:
          "--mem-budget"),
         (["bounds", "net-size", "--d", "2"], "--eps"),
         (["bounds", "scalable-check", "--d", "4", "--t", "1", "--kappa", "1"], "--q"),
+        (["bounds", "prior-support", "--d", "2", "--t", "1.5"], "integer --t"),
+        (["bounds", "prior-support", "--d", "2", "--sweep-t", "1,1.5"], "integer --sweep-t"),
+        (["net-coverage", "--haar-net-size", "2", "--dim", "2", "--eps", "0.5",
+          "--samples", "2", "--seed", "1", "--sweep-eps", "0.1,x"], "--sweep-eps '0.1,x'"),
+        (["bounds", "improved-support", "--d", "4", "--sweep-t", "1,y"], "--sweep-t '1,y'"),
     ], ids=["n-out-of-range", "no-ensemble", "both-ensembles", "unknown-ensemble",
             "no-net", "no-t", "no-kappa", "zero-mem-budget", "negative-mem-budget",
-            "net-size-no-eps", "scalable-check-no-q"])
+            "net-size-no-eps", "scalable-check-no-q", "fractional-t", "fractional-sweep-t",
+            "bad-sweep-eps", "bad-sweep-t"])
     def test_usage_error_names_its_cause(self, argv, cause, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and cause in err
+
+    def test_mem_budget_is_restored(self, capsys):
+        from prulab.linalg import memory_budget_bytes
+
+        before = memory_budget_bytes()
+        assert main(["bounds", "prior-support", "--d", "2", "--t", "1",
+                     "--mem-budget", "0.5"]) == 0
+        assert memory_budget_bytes() == before
+        assert main(["bounds", "trivial-rompru", "--d", "4", "--mem-budget", "0.5"]) == 1
+        assert memory_budget_bytes() == before
+
+    @pytest.mark.parametrize("argv, header", [
+        (["pfc-distinguish", "--n", "2", "--trials", "1", "--k-blocks", "2", "--seed", "1"],
+         "n,params,trials,haar_verdict_rate,pfc_verdict_rate,haar_ci_half,pfc_ci_half,"
+         "advantage,advantage_ci_half"),
+        (["design-distance", "--ensemble", "pauli-1", "--t", "1"],
+         "dim,order,lambda_tpe,diamond_upper,diamond_lower,eps_relative,not_relative,symmetric"),
+        (["net-coverage", "--haar-net-size", "2", "--dim", "2", "--eps", "0.5",
+          "--samples", "2", "--seed", "1"], "epsilon,eta_hat,vol_hat,samples,ci_half"),
+        (["truncate-diag", "--k", "4", "--circuit-file"], "s_calls,k,distance,bound"),
+        (["bounds", "rom-input-length", "--d", "4", "--t", "8", "--eps", "0.1"],
+         "t,m_design_1,m_design_2,m_net,regime_notes"),
+        (["bounds", "trivial-rompru", "--d", "4", "--kappa", "3"],
+         "d,kappa,t,support_size_log2,q,m,q_upper"),
+        (["bounds", "scalable-check", "--d", "16", "--kappa", "3", "--q", "4", "--m", "2",
+          "--t", "8"], "efficiency_ok,alpha_ok,queries_ok,advantage_ok,qm,qm_budget,"
+         "induced_design_t,induced_design_delta,passes"),
+    ], ids=["pfc-distinguish", "design-distance", "net-coverage", "truncate-diag",
+            "rom-input-length", "trivial-rompru", "scalable-check"])
+    def test_csv_header_is_the_report_fields(self, argv, header, tmp_path, capsys):
+        if argv[-1] == "--circuit-file":
+            from prulab.truncation import DiagonalOracleCircuit, DiagonalPhase
+
+            path = tmp_path / "circ.json"
+            phase = DiagonalPhase.random(2, RandomSeed(7).generator())
+            dump_json(path, circuit_to_json_dict(
+                DiagonalOracleCircuit(2, 2, [phase], [("oracle", 0)])))
+            argv = argv + [str(path)]
+        code, out, err = run_cli(argv + ["--format", "csv"], capsys)
+        assert code == 0, err
+        assert out.splitlines()[0] == header
 
     def test_csv_sweep_one_param_per_row(self, capsys):
         code, out, _ = run_cli(

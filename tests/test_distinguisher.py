@@ -124,13 +124,6 @@ class TestCollisionDistinguisher:
         assert rep.estimator == "median"
         assert rep.verdict == "PFC"
 
-    def test_report_serialization(self):
-        p = DistinguisherParams(d=16, t=4, k_blocks=5)
-        oracle = haar_oracle_factory(16)(RandomSeed(3).child(0))
-        rep = run_collision_distinguisher(oracle, p, RandomSeed(3))
-        d = rep.to_json_dict()
-        assert d["params"]["d"] == 16 and len(d["blocks"]) == 5
-
 
 class TestConcentrationReference:
     def test_formula_substitution(self):

@@ -85,6 +85,20 @@ class TestNaiveTomography:
         _, half = wilson_interval(fails, trials)
         assert fails / trials <= eta + half
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_sampled_index_in_range_when_cdf_falls_short_of_one(self, d):
+        class TopUniform(np.random.Generator):
+            def random(self, size=None, dtype=np.float64, out=None):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        class TopUniformSeed(RandomSeed):
+            def generator(self):
+                return TopUniform(super().generator().bit_generator)
+
+        u = haar_unitary(d, RandomSeed(18))
+        res = naive_process_tomography(ChannelOracle(u), 0.5, 0.2, TopUniformSeed(19))
+        assert is_unitary(res.u_hat, 1e-10)
+
     def test_resource_cap(self):
         orc = ChannelOracle(haar_unitary(4, RandomSeed(13)))
         with pytest.raises(ResourceLimitError):
