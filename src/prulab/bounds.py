@@ -25,6 +25,8 @@ def prior_support_bound(d: int, t: int, delta: float, as_log: bool = False) -> f
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must be in [0, 1]")
+    if t < 0:
+        raise ValueError("t must be nonnegative")
     log_b2 = -math.log1p(delta) + 2 * t * math.log(d) - math.lgamma(t + 1)
     if delta >= 1.0:
         log_best = log_b2

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -126,7 +127,7 @@ def _emit(args, config: dict, result: dict | list[dict]) -> None:
             "config_hash": config_hash(config),
             "result": {"rows": rows} if isinstance(result, list) else result,
         }
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -140,9 +141,12 @@ def _seed_of(args) -> RandomSeed:
 
 def _float_list(text: str, flag: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",")]
+        values = [float(v) for v in text.split(",")]
     except ValueError:
         raise ValueError(f"{flag} {text!r} is not a comma list of numbers") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{flag} {text!r} holds a value that is not finite")
+    return values
 
 
 def _cmd_pfc_distinguish(args) -> None:
@@ -230,15 +234,21 @@ def _cmd_bounds(args) -> None:
 
     t_flag = "--sweep-t" if args.sweep_t else "--t"
 
+    def finite(value: float) -> float:
+        if not math.isfinite(value):
+            hint = "" if args.log else "; pass --log for its natural log"
+            raise ValueError(f"bounds {args.formula} evaluates to {value} as a float{hint}")
+        return value
+
     def one(t_val):
         if args.formula == "prior-support":
             if not t_val.is_integer():
                 raise ValueError(f"bounds prior-support needs an integer {t_flag}, got {t_val}")
-            return {"t": t_val, "value": B.prior_support_bound(
-                args.d, int(t_val), args.delta, as_log=args.log)}
+            return {"t": t_val, "value": finite(B.prior_support_bound(
+                args.d, int(t_val), args.delta, as_log=args.log))}
         if args.formula == "improved-support":
-            return {"t": t_val, "value": B.improved_support_bound(
-                args.d, t_val, args.delta, args.c_design, as_log=args.log)}
+            return {"t": t_val, "value": finite(B.improved_support_bound(
+                args.d, t_val, args.delta, args.c_design, as_log=args.log))}
         if args.formula == "rom-input-length":
             return {"t": t_val, **report_dict(B.rom_input_length_bounds(
                 args.d, t_val, args.delta, args.eps if args.eps else 0.0,
@@ -250,13 +260,16 @@ def _cmd_bounds(args) -> None:
                                     args.alpha_impl, t_val, args.delta)
             return report_dict(B.scalable_check(params, args.poly_budget))
         if args.formula == "net-size":
-            return {"value": net_size_lower_bound(args.d, args.eps, args.eta,
-                                                  args.c_diamond)}
+            return {"value": finite(net_size_lower_bound(
+                args.d, args.eps, args.eta, args.c_diamond, as_log=args.log))}
 
     needs_t = args.formula in ("prior-support", "improved-support",
                                "rom-input-length", "scalable-check")
     if needs_t and args.t is None and not args.sweep_t:
         raise ValueError(f"bounds {args.formula} needs --t or --sweep-t")
+    t_vals = _float_list(args.sweep_t, t_flag) if args.sweep_t else [args.t]
+    if needs_t and min(t_vals) < 0:
+        raise ValueError(f"{t_flag} must be nonnegative, got {min(t_vals)}")
     required = {"trivial-rompru": ("kappa",), "scalable-check": ("kappa", "q", "m"),
                 "net-size": ("eps",)}
     for name in required.get(args.formula, ()):
@@ -265,10 +278,8 @@ def _cmd_bounds(args) -> None:
     config = {"command": "bounds", "formula": args.formula,
               "inputs": {k: v for k, v in vars(args).items()
                          if k not in ("command", "out", "format", "func") and v is not None}}
-    if args.sweep_t:
-        _emit(args, config, [one(v) for v in _float_list(args.sweep_t, t_flag)])
-    else:
-        _emit(args, config, one(args.t))
+    rows = [one(v) for v in t_vals]
+    _emit(args, config, rows if args.sweep_t else rows[0])
 
 
 def _cmd_tomo_demo(args) -> None:
@@ -303,6 +314,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     budget = memory_budget_bytes()
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"--{name.replace('_', '-')} must be a finite number, "
+                                 f"got {value}")
         if args.mem_budget is not None:
             nbytes = args.mem_budget * (1 << 30)
             if not 1 <= nbytes < float("inf"):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from prulab.linalg import RandomSeed, as_seed, ensure_budget, haar_state
+from prulab.linalg import RandomSeed, ensure_budget, haar_state
 from prulab.ensembles import PFCSample, PolyaUrnSampler, sample_pfc
 from prulab.stabilizer import measurement_support, pack_bits, sample_from_support
 from prulab.util import wilson_interval
@@ -214,7 +214,7 @@ class AdvantageReport:
 
 
 def estimate_advantage(ens_a, ens_b, test, trials: int,
-                       seed: RandomSeed | int) -> AdvantageReport:
+                       seed: RandomSeed) -> AdvantageReport:
     """Monte Carlo acceptance gap of a binary test between two ensembles.
 
     `ens_a`/`ens_b` are oracle factories callable(RandomSeed) -> oracle and
@@ -224,13 +224,12 @@ def estimate_advantage(ens_a, ens_b, test, trials: int,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    sd = as_seed(seed)
     hits_a = hits_b = 0
     for i in range(trials):
-        oa = ens_a(sd.child(4 * i))
-        hits_a += bool(test(oa, sd.child(4 * i + 1)))
-        ob = ens_b(sd.child(4 * i + 2))
-        hits_b += bool(test(ob, sd.child(4 * i + 3)))
+        oa = ens_a(seed.child(4 * i))
+        hits_a += bool(test(oa, seed.child(4 * i + 1)))
+        ob = ens_b(seed.child(4 * i + 2))
+        hits_b += bool(test(ob, seed.child(4 * i + 3)))
     _, ha = wilson_interval(hits_a, trials)
     _, hb = wilson_interval(hits_b, trials)
     return AdvantageReport(hits_a / trials, hits_b / trials, ha, hb, trials)
@@ -253,7 +252,7 @@ class PFCDistinguishReport:
     advantage_ci_half: float
 
 
-def pfc_distinguish_experiment(n: int, trials: int, seed: RandomSeed | int,
+def pfc_distinguish_experiment(n: int, trials: int, seed: RandomSeed,
                                t: int | None = None, k_blocks: int = 100000,
                                alpha: float = 0.25, haar_mode: str = "urn",
                                estimator: str = "mean") -> PFCDistinguishReport:
@@ -289,7 +288,7 @@ def pfc_distinguish_experiment(n: int, trials: int, seed: RandomSeed | int,
 
 
 def net_membership_distinguisher(oracle, net, eps: float, eta0: float,
-                                 seed: RandomSeed | int) -> int:
+                                 seed: RandomSeed) -> int:
     """Tomography-based exposure test behind the designs-to-nets reduction.
 
     Learns the hidden channel to accuracy eps/3 (failure eta0), then

@@ -14,7 +14,7 @@ from math import factorial
 
 import numpy as np
 
-from prulab.linalg import PropertyViolationError, RandomSeed, as_seed, ensure_budget
+from prulab.linalg import PropertyViolationError, RandomSeed, ensure_budget
 from prulab.stabilizer import Tableau, random_clifford_rng, tableau_to_unitary
 
 # ---------------------------------------------------------------------------
@@ -34,16 +34,14 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 class PFCSample:
     """One draw of the permutation-phase-Clifford product at a given width.
 
-    The phase diagonal is never materialized: values come from a seeded
-    counter-based PRF, so widths up to n = 30 stay cheap.  ``phase_order``
-    of 2 means +-1 entries; higher orders use the corresponding roots of
-    unity.  The dense matrix P.F.C is available lazily for n <= 12.
+    The phase diagonal is never materialized: its +-1 values come from a
+    seeded counter-based PRF, so widths up to n = 30 stay cheap.  The dense
+    matrix P.F.C is available lazily for n <= 12.
     """
 
     n: int
     permutation: np.ndarray  # index array: |x> -> |perm[x]>
     phase_key: int
-    phase_order: int
     clifford: Tableau
     _dense: np.ndarray | None = field(default=None, repr=False)
 
@@ -52,12 +50,9 @@ class PFCSample:
         return 1 << self.n
 
     def phase_values(self, indices: np.ndarray) -> np.ndarray:
-        """Root-of-unity phases at the given basis indices."""
+        """+-1 phases at the given basis indices: the top bit of the PRF."""
         h = _splitmix64(np.asarray(indices, dtype=np.uint64) ^ np.uint64(self.phase_key))
-        if self.phase_order == 2:
-            return np.where((h >> np.uint64(63)).astype(bool), -1.0 + 0j, 1.0 + 0j)
-        k = (h % np.uint64(self.phase_order)).astype(np.float64)
-        return np.exp(2j * np.pi * k / self.phase_order)
+        return np.where((h >> np.uint64(63)).astype(bool), -1.0 + 0j, 1.0 + 0j)
 
     def dense(self) -> np.ndarray:
         """P.F.C as a matrix; n <= 12 only."""
@@ -73,18 +68,15 @@ class PFCSample:
         return self._dense
 
 
-def sample_pfc(n: int, seed: RandomSeed | int, phase_order: int = 2) -> PFCSample:
-    """Draw P uniform over permutations, F a uniform phase diagonal (lazy),
-    and C a uniform Clifford; 1 <= n <= 30."""
+def sample_pfc(n: int, seed: RandomSeed) -> PFCSample:
+    """Draw P uniform over permutations, F a uniform +-1 phase diagonal
+    (lazy), and C a uniform Clifford; 1 <= n <= 30."""
     if not 1 <= n <= 30:
         raise ValueError("qubit count out of range [1, 30]")
-    if phase_order < 2:
-        raise ValueError("phase order must be >= 2")
-    rng = as_seed(seed).generator()
+    rng = seed.generator()
     perm = rng.permutation(1 << n)
     phase_key = int(rng.integers(0, 2**63, dtype=np.uint64))
-    cliff = random_clifford_rng(n, rng)
-    return PFCSample(n, perm, phase_key, phase_order, cliff)
+    return PFCSample(n, perm, phase_key, random_clifford_rng(n, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -185,43 +177,30 @@ def partition_probability_urn(d: int, blocks: list[list[int]]) -> Fraction:
 
 @dataclass
 class EnsembleSpec:
-    """A distribution over U(d): an explicit weighted list or a seedable sampler."""
+    """A finite distribution over U(d): unitaries with weights (default uniform)."""
 
     dim: int
-    mode: str  # "finite-list" | "generator"
-    unitaries: list[np.ndarray] | None = None
+    unitaries: list[np.ndarray]
     weights: np.ndarray | None = None
-    sampler: object = None  # callable(RandomSeed) -> unitary, generator mode
     name: str = ""
 
     def __post_init__(self):
-        if self.mode == "finite-list":
-            if not self.unitaries:
-                raise ValueError("finite-list ensemble needs unitaries")
-            if self.weights is None:
-                self.weights = np.full(len(self.unitaries), 1.0 / len(self.unitaries))
-            self.weights = np.asarray(self.weights, dtype=float)
-            if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-12:
-                raise ValueError("weights must be nonnegative and sum to 1")
-            for u in self.unitaries:
-                if u.shape != (self.dim, self.dim):
-                    raise ValueError("ensemble element dimension mismatch")
-        elif self.mode == "generator":
-            if self.sampler is None:
-                raise ValueError("generator ensemble needs a sampler")
-        else:
-            raise ValueError("mode must be 'finite-list' or 'generator'")
+        if not self.unitaries:
+            raise ValueError("an ensemble needs unitaries")
+        if self.weights is None:
+            self.weights = np.full(len(self.unitaries), 1.0 / len(self.unitaries))
+        self.weights = np.asarray(self.weights, dtype=float)
+        if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-12:
+            raise ValueError("weights must be nonnegative and sum to 1")
+        for u in self.unitaries:
+            if u.shape != (self.dim, self.dim):
+                raise ValueError("ensemble element dimension mismatch")
 
-    def sample(self, seed: RandomSeed | int) -> np.ndarray:
-        rng = as_seed(seed).generator()
-        if self.mode == "finite-list":
-            i = rng.choice(len(self.unitaries), p=self.weights)
-            return self.unitaries[i]
-        return self.sampler(as_seed(seed))
+    def sample(self, seed: RandomSeed) -> np.ndarray:
+        i = seed.generator().choice(len(self.unitaries), p=self.weights)
+        return self.unitaries[i]
 
     def __len__(self) -> int:
-        if self.mode != "finite-list":
-            raise TypeError("generator ensembles have no fixed support size")
         return len(self.unitaries)
 
 
@@ -282,8 +261,8 @@ def reference_design(kind: str, n: int = 1) -> EnsembleSpec:
     """
     if kind == "pauli-1-design":
         us = pauli_group(n)
-        return EnsembleSpec(2**n, "finite-list", us, name=f"pauli({n})")
+        return EnsembleSpec(2**n, us, name=f"pauli({n})")
     if kind == "single-qubit-clifford-3-design":
         us = single_qubit_cliffords()
-        return EnsembleSpec(2, "finite-list", us, name="clifford(1)")
+        return EnsembleSpec(2, us, name="clifford(1)")
     raise ValueError(f"unknown reference design {kind!r}")

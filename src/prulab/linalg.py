@@ -71,10 +71,6 @@ class RandomSeed:
         return RandomSeed(int(a), int(b))
 
 
-def as_seed(seed: "RandomSeed | int") -> RandomSeed:
-    return seed if isinstance(seed, RandomSeed) else RandomSeed(int(seed))
-
-
 def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 1:
         return False
@@ -82,7 +78,7 @@ def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     return float(np.max(np.abs(dev))) <= tol
 
 
-def haar_unitary(d: int, seed: RandomSeed | int) -> np.ndarray:
+def haar_unitary(d: int, seed: RandomSeed) -> np.ndarray:
     """Sample a Haar-distributed d x d unitary.
 
     Ginibre matrix, QR factorization, then the R-diagonal phase correction;
@@ -90,8 +86,7 @@ def haar_unitary(d: int, seed: RandomSeed | int) -> np.ndarray:
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    rng = as_seed(seed).generator()
-    return haar_unitary_rng(d, rng)
+    return haar_unitary_rng(d, seed.generator())
 
 
 def haar_unitary_rng(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -32,7 +32,6 @@ class MomentSuperoperator:
     dim: int
     order: int
     matrix: np.ndarray
-    approximate: bool = False
 
     @property
     def op_dim(self) -> int:
@@ -64,34 +63,18 @@ def _check_superop_budget(d: int, t: int) -> None:
     ensure_budget(16 * (n * n) ** 2 * 3, "moment superoperator")
 
 
-def moment_operator(ens: EnsembleSpec, t: int, n_samples: int | None = None,
-                    seed=None) -> MomentSuperoperator:
-    """t-th moment superoperator of an ensemble.
-
-    Finite lists average exactly; generator ensembles need an explicit
-    ``n_samples`` for an empirical average and the result is flagged
-    approximate.
-    """
+def moment_operator(ens: EnsembleSpec, t: int) -> MomentSuperoperator:
+    """t-th moment superoperator of an ensemble: the exact weighted average."""
     if t < 1:
         raise ValueError("moment order must be >= 1")
     d = ens.dim
     _check_superop_budget(d, t)
     n = d**t
     acc = np.zeros((n * n, n * n), dtype=complex)
-    if ens.mode == "finite-list":
-        for w, u in zip(ens.weights, ens.unitaries):
-            ut = kron_power(u, t)
-            acc += w * np.kron(ut, ut.conj())
-        return MomentSuperoperator(d, t, acc)
-    if n_samples is None:
-        raise ValueError("generator ensembles need an explicit sample count")
-    from prulab.linalg import as_seed
-    base = as_seed(seed if seed is not None else 0)
-    for i in range(n_samples):
-        u = ens.sample(base.child(i))
+    for w, u in zip(ens.weights, ens.unitaries):
         ut = kron_power(u, t)
-        acc += np.kron(ut, ut.conj()) / n_samples
-    return MomentSuperoperator(d, t, acc, approximate=True)
+        acc += w * np.kron(ut, ut.conj())
+    return MomentSuperoperator(d, t, acc)
 
 
 def _permutation_operator(perm: tuple[int, ...], d: int) -> np.ndarray:
@@ -148,9 +131,9 @@ def haar_moment_operator(d: int, t: int) -> MomentSuperoperator:
     return MomentSuperoperator(d, t, proj.astype(complex))
 
 
-def tpe_distance(ens: EnsembleSpec, t: int, **kw) -> float:
+def tpe_distance(ens: EnsembleSpec, t: int) -> float:
     """2->2 distance: spectral norm of the moment-operator difference."""
-    mv = moment_operator(ens, t, **kw)
+    mv = moment_operator(ens, t)
     mh = haar_moment_operator(ens.dim, t)
     return float(np.linalg.norm(mv.matrix - mh.matrix, 2))
 
@@ -161,8 +144,6 @@ def is_symmetric_ensemble(ens: EnsembleSpec, tol: float = 1e-9) -> bool:
     Matching is done modulo global phase, which is invisible to every
     moment operator.
     """
-    if ens.mode != "finite-list":
-        raise ValueError("symmetry check needs a finite list")
     used = [False] * len(ens.unitaries)
     for i, u in enumerate(ens.unitaries):
         ud = u.conj().T
@@ -223,13 +204,13 @@ def _relative_eps(mv: MomentSuperoperator, mh: MomentSuperoperator,
     return max(eps, 0.0), False
 
 
-def diamond_design_bounds(ens: EnsembleSpec, t: int, **kw) -> DesignDistanceReport:
+def diamond_design_bounds(ens: EnsembleSpec, t: int) -> DesignDistanceReport:
     """Report the 2->2 distance and the derived diamond/relative brackets."""
-    mv = moment_operator(ens, t, **kw)
+    mv = moment_operator(ens, t)
     mh = haar_moment_operator(ens.dim, t)
     lam = float(np.linalg.norm(mv.matrix - mh.matrix, 2))
     d, tt = ens.dim, t
-    symmetric = is_symmetric_ensemble(ens) if ens.mode == "finite-list" else False
+    symmetric = is_symmetric_ensemble(ens)
     lower = lam * d ** (-tt / 2) if symmetric else None
     eps, not_rel = _relative_eps(mv, mh)
     return DesignDistanceReport(
@@ -246,8 +227,6 @@ def diamond_design_bounds(ens: EnsembleSpec, t: int, **kw) -> DesignDistanceRepo
 
 def compose_ensemble(ens: EnsembleSpec, m: int) -> EnsembleSpec:
     """m-fold sequential composition: all length-m products with product weights."""
-    if ens.mode != "finite-list":
-        raise ValueError("composition needs a finite list")
     if m < 1:
         raise ValueError("m must be >= 1")
     ensure_budget(16 * ens.dim**2 * len(ens.unitaries) ** m, "composed ensemble")
@@ -256,7 +235,7 @@ def compose_ensemble(ens: EnsembleSpec, m: int) -> EnsembleSpec:
     for _ in range(m):
         us = [u @ v for u in us for v in ens.unitaries]
         ws = [w1 * w2 for w1 in ws for w2 in ens.weights]
-    return EnsembleSpec(ens.dim, "finite-list", us, np.array(ws), name=f"{ens.name}^{m}")
+    return EnsembleSpec(ens.dim, us, np.array(ws), name=f"{ens.name}^{m}")
 
 
 @dataclass

@@ -14,7 +14,6 @@ import numpy as np
 
 from prulab.linalg import (
     RandomSeed,
-    as_seed,
     diamond_distance_batch,
     ensure_budget,
     haar_unitary_rng,
@@ -43,8 +42,8 @@ class NetSpec:
         return np.stack(self.unitaries)
 
     @classmethod
-    def haar_sample(cls, dim: int, size: int, seed: RandomSeed | int) -> "NetSpec":
-        rng = as_seed(seed).generator()
+    def haar_sample(cls, dim: int, size: int, seed: RandomSeed) -> "NetSpec":
+        rng = seed.generator()
         return cls(dim, [haar_unitary_rng(dim, rng) for _ in range(size)])
 
 
@@ -79,7 +78,7 @@ def min_diamond_distance(u: np.ndarray, net: NetSpec) -> tuple[float, int]:
 
 
 def exposure_estimate(net: NetSpec, eps: float, samples: int,
-                      seed: RandomSeed | int) -> CoverageReport:
+                      seed: RandomSeed) -> CoverageReport:
     """Fraction of Haar-sampled unitaries at distance > eps from the net.
 
     Monte Carlo with a Wilson interval; the estimator cannot distinguish
@@ -88,11 +87,10 @@ def exposure_estimate(net: NetSpec, eps: float, samples: int,
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    sd = as_seed(seed)
     stacked = net.stacked()
     exposed = 0
     for i in range(samples):
-        u = haar_unitary_rng(net.dim, sd.child(i).generator())
+        u = haar_unitary_rng(net.dim, seed.child(i).generator())
         if float(_distances_to_net(u, stacked).min()) > eps:
             exposed += 1
     _, half = wilson_interval(exposed, samples)
@@ -150,18 +148,27 @@ def cover_with_product(u: np.ndarray, net: NetSpec) -> tuple[np.ndarray, np.ndar
     return net.unitaries[best[1]], net.unitaries[best[2]], best[0]
 
 
-def net_size_lower_bound(d: int, eps: float, eta: float, c_diamond: float = 1.0) -> float:
+def net_size_lower_bound(d: int, eps: float, eta: float, c_diamond: float = 1.0,
+                         as_log: bool = False) -> float:
     """Ball-volume cardinality bound for an (eps, eta)-net:
     (1 - eta) (c_diamond / eps)^(d^2 - 1).
 
-    The universal ball-volume constant is caller-supplied; its true value
-    is open, the default 1 is a placeholder.
+    Natural-log value, computed in log space, with ``as_log``; the plain
+    value overflows to inf for large parameters.  The universal ball-volume
+    constant is caller-supplied; its true value is open, the default 1 is a
+    placeholder.
     """
     if eps <= 0 or c_diamond <= 0:
         raise ValueError("eps and c_diamond must be positive")
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must be in [0, 1]")
-    return (1.0 - eta) * (c_diamond / eps) ** (d * d - 1)
+    if as_log:
+        log_keep = math.log1p(-eta) if eta < 1.0 else -math.inf
+        return log_keep + (d * d - 1) * math.log(c_diamond / eps)
+    try:
+        return (1.0 - eta) * (c_diamond / eps) ** (d * d - 1)
+    except OverflowError:
+        return math.inf
 
 
 def exposure_bound(delta: float, eta0: float) -> float:

@@ -63,8 +63,6 @@ def _manifest_matrices(d: dict, dim: int, base: Path | None) -> list[np.ndarray]
 
 
 def ensemble_to_json_dict(ens: EnsembleSpec) -> dict:
-    if ens.mode != "finite-list":
-        raise ValueError("only finite-list ensembles serialize to manifests")
     return {
         "dim": ens.dim,
         "weights": [float(w) for w in ens.weights],
@@ -77,7 +75,7 @@ def ensemble_from_json_dict(d: dict, base: Path | None = None) -> EnsembleSpec:
     dim = int(_field(d, "dim", "ensemble manifest"))
     us = _manifest_matrices(d, dim, base)
     weights = np.array(d["weights"]) if "weights" in d else None
-    return EnsembleSpec(dim, "finite-list", us, weights, name=d.get("name", ""))
+    return EnsembleSpec(dim, us, weights, name=d.get("name", ""))
 
 
 def net_to_json_dict(net: NetSpec) -> dict:

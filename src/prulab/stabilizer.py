@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from prulab.linalg import PropertyViolationError, RandomSeed, as_seed, ensure_budget
+from prulab.linalg import PropertyViolationError, ensure_budget
 
 # ---------------------------------------------------------------------------
 # GF(2) linear algebra helpers
@@ -68,8 +68,7 @@ class Tableau:
     Row j < n holds the conjugate of X_j, row n+j the conjugate of Z_j, each
     encoded as x/z bit vectors plus a sign bit r; a row with bits (x, z, r)
     stands for the Hermitian Pauli (-1)^r prod_q sigma(x_q, z_q) where
-    sigma(1,1) = Y.  Tableaus are immutable once handed out; the ``apply_*``
-    mutators exist for constructors building a Clifford gate by gate.
+    sigma(1,1) = Y.  Tableaus are immutable once handed out.
     """
 
     __slots__ = ("n", "x", "z", "r")
@@ -91,9 +90,6 @@ class Tableau:
             if self.x.shape != (2 * n, n) or self.z.shape != (2 * n, n) or self.r.shape != (2 * n,):
                 raise ValueError("tableau block shapes inconsistent with n")
 
-    def copy(self) -> "Tableau":
-        return Tableau(self.n, self.x.copy(), self.z.copy(), self.r.copy())
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Tableau)
@@ -111,25 +107,6 @@ class Tableau:
         want[:n, n:] = np.eye(n, dtype=np.uint8)
         want[n:, :n] = np.eye(n, dtype=np.uint8)
         return np.array_equal(form, want)
-
-    # -- gate conjugation updates (constructor use) --
-
-    def apply_h(self, q: int) -> None:
-        self.r ^= self.x[:, q] & self.z[:, q]
-        self.x[:, q], self.z[:, q] = self.z[:, q].copy(), self.x[:, q].copy()
-
-    def apply_s(self, q: int) -> None:
-        self.r ^= self.x[:, q] & self.z[:, q]
-        self.z[:, q] ^= self.x[:, q]
-
-    def apply_z(self, q: int) -> None:
-        self.r ^= self.x[:, q]
-
-    def apply_cz(self, a: int, b: int) -> None:
-        self.r ^= self.x[:, a] & self.x[:, b] & (self.z[:, a] ^ self.z[:, b])
-        za = self.z[:, a] ^ self.x[:, b]
-        zb = self.z[:, b] ^ self.x[:, a]
-        self.z[:, a], self.z[:, b] = za, zb
 
 
 def pauli_matrix(x: np.ndarray, z: np.ndarray, r: int) -> np.ndarray:
@@ -279,7 +256,7 @@ def _uniform_below(card: int, rng: np.random.Generator) -> int:
             return val
 
 
-def random_clifford(n: int, seed: RandomSeed | int) -> Tableau:
+def random_clifford_rng(n: int, rng: np.random.Generator) -> Tableau:
     """Uniformly random n-qubit Clifford (modulo global phase), 1 <= n <= 63.
 
     Uniform symplectic part via the canonical index construction plus
@@ -288,11 +265,6 @@ def random_clifford(n: int, seed: RandomSeed | int) -> Tableau:
     """
     if not 1 <= n <= 63:
         raise ValueError("qubit count out of range [1, 63]")
-    rng = as_seed(seed).generator()
-    return random_clifford_rng(n, rng)
-
-
-def random_clifford_rng(n: int, rng: np.random.Generator) -> Tableau:
     idx = _uniform_below(symplectic_group_order(n), rng)
     g = symplectic_from_index(idx, n)
     x = np.zeros((2 * n, n), dtype=np.uint8)
@@ -439,16 +411,6 @@ def sample_from_support(sup: AffineSupport, shots: int, rng: np.random.Generator
     return (coeffs @ sup.basis + sup.offset) % 2
 
 
-def sample_measurement(t: Tableau, shots: int, seed: RandomSeed | int) -> np.ndarray:
-    """Measure C|0...0> in the computational basis `shots` times.
-
-    O(n^2) per shot after the one-off O(n^3) support extraction.
-    """
-    sup = measurement_support(t)
-    rng = as_seed(seed).generator()
-    return sample_from_support(sup, shots, rng)
-
-
 def pack_bits(rows: np.ndarray) -> np.ndarray:
     """Bit rows -> integers (qubit 0 = most significant), n <= 63."""
     n = rows.shape[-1]
@@ -491,24 +453,17 @@ class GammaParams:
 def gamma_state(p: GammaParams) -> Tableau:
     """Clifford preparing 2^{-n/2} sum_x i^{u.x} (-1)^{x^T M x + v.x} |x>.
 
-    Hadamards, then S on the u-marked qubits, CZ on the M-marked pairs and
-    Z on the v-marked qubits.  The result always has full measurement
-    support (k_dim = n).
+    The circuit Z^v CZ^M S^u H^{(x)n} written straight into the tableau: it
+    sends X_j to Z_j, and Z_j to X_j times Z on the M-neighbours of j (Y_j
+    when u_j = 1) with sign (-1)^{v_j}.  The result always has full
+    measurement support (k_dim = n).
     """
-    t = Tableau(p.n)
-    for q in range(p.n):
-        t.apply_h(q)
-    for q in range(p.n):
-        if p.u[q]:
-            t.apply_s(q)
-    for i in range(p.n):
-        for j in range(i + 1, p.n):
-            if p.m_matrix[i, j]:
-                t.apply_cz(i, j)
-    for q in range(p.n):
-        if p.v[q]:
-            t.apply_z(q)
-    return t
+    n = p.n
+    eye = np.eye(n, dtype=np.uint8)
+    zero = np.zeros((n, n), dtype=np.uint8)
+    neighbours = p.m_matrix ^ p.m_matrix.T ^ np.diag(p.u)
+    return Tableau(n, np.vstack([zero, eye]), np.vstack([eye, neighbours]),
+                   np.concatenate([np.zeros(n, dtype=np.uint8), p.v]))
 
 
 def gamma_amplitudes(p: GammaParams) -> np.ndarray:

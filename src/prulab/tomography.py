@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from prulab.linalg import RandomSeed, ResourceLimitError, as_seed
+from prulab.linalg import RandomSeed, ResourceLimitError
 
 #: repetition-count calibration for the (eps, eta) contract; empirical with
 #: margin at d <= 8, not a claim about the information-theoretic optimum.
@@ -68,7 +68,7 @@ def _nearest_unitary(m: np.ndarray) -> np.ndarray:
 
 
 def naive_process_tomography(oracle: ChannelOracle, eps: float, eta: float,
-                             seed: RandomSeed | int,
+                             seed: RandomSeed,
                              max_queries: int = MAX_QUERIES_DEFAULT) -> TomographyResult:
     """Learn the hidden unitary to diamond distance eps with failure rate
     at most eta.
@@ -92,7 +92,7 @@ def naive_process_tomography(oracle: ChannelOracle, eps: float, eta: float,
         raise ResourceLimitError(
             f"tomography needs {shots} queries, cap is {max_queries}"
         )
-    rng = as_seed(seed).generator()
+    rng = seed.generator()
     big = d * d
     omega = np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
     acc = np.zeros((big, big), dtype=complex)

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +65,13 @@ class TestSerialization:
         back = circuit_from_json_dict(circuit_to_json_dict(circ))
         assert back.n == 3 and back.call_count == 1
         assert np.allclose(back.materialize(), circ.materialize())
+
+
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def run_cli(args, capsys):
@@ -221,15 +230,51 @@ class TestCli:
         (["net-coverage", "--haar-net-size", "2", "--dim", "2", "--eps", "0.5",
           "--samples", "2", "--seed", "1", "--sweep-eps", "0.1,x"], "--sweep-eps '0.1,x'"),
         (["bounds", "improved-support", "--d", "4", "--sweep-t", "1,y"], "--sweep-t '1,y'"),
+        (["bounds", "prior-support", "--d", "2", "--t", "-1"], "--t"),
+        (["bounds", "improved-support", "--d", "2", "--t", "inf"], "--t"),
+        (["bounds", "improved-support", "--d", "2", "--t", "nan"], "--t"),
+        (["bounds", "improved-support", "--d", "2", "--sweep-t", "1,nan"], "--sweep-t"),
+        (["net-coverage", "--haar-net-size", "5", "--dim", "2", "--eps", "nan",
+          "--samples", "5", "--seed", "1"], "--eps"),
+        (["bounds", "improved-support", "--d", "64", "--t", "1e300"], "--log"),
+        (["bounds", "prior-support", "--d", "1000", "--t", "200"], "--log"),
+        (["bounds", "net-size", "--d", "100", "--eps", "0.001"], "--log"),
     ], ids=["n-out-of-range", "no-ensemble", "both-ensembles", "unknown-ensemble",
             "no-net", "no-t", "no-kappa", "zero-mem-budget", "negative-mem-budget",
             "net-size-no-eps", "scalable-check-no-q", "fractional-t", "fractional-sweep-t",
-            "bad-sweep-eps", "bad-sweep-t"])
+            "bad-sweep-eps", "bad-sweep-t", "negative-t", "infinite-t", "nan-t",
+            "nan-sweep-t", "nan-eps", "improved-support-overflow", "prior-support-overflow",
+            "net-size-overflow"])
     def test_usage_error_names_its_cause(self, argv, cause, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and cause in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "improved-support", "--d", "64", "--t", "1e300"],
+        ["bounds", "prior-support", "--d", "1000", "--t", "200"],
+        ["bounds", "net-size", "--d", "100", "--eps", "0.001"],
+    ], ids=["improved-support", "prior-support", "net-size"])
+    def test_overflowing_bound_is_finite_with_log(self, argv, capsys):
+        code, out, err = run_cli(argv + ["--log"], capsys)
+        assert code == 0, err
+        assert np.isfinite(strict_json(out)["result"]["value"])
+
+    def test_readme_bounds_commands_emit_strict_json(self, capsys):
+        # every `prulab bounds` example in README's CLI block runs as written,
+        # and its JSON report holds no NaN or Infinity
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        block = text.split("## CLI", 1)[1].split("```")[1]
+        commands = [shlex.split(line)[1:] for line in block.splitlines()
+                    if line.startswith("prulab bounds ")]
+        assert commands
+        for argv in commands:
+            code, _, err = run_cli(argv, capsys)
+            assert code == 0, (argv, err)
+            code, out, err = run_cli(argv + ["--format", "json"], capsys)
+            assert code == 0, (argv, err)
+            strict_json(out)
 
     def test_mem_budget_is_restored(self, capsys):
         from prulab.linalg import memory_budget_bytes

@@ -28,7 +28,7 @@ def cliff1():
 
 class TestMomentOperator:
     def test_singleton_identity_is_identity_superop(self):
-        ens = EnsembleSpec(2, "finite-list", [np.eye(2, dtype=complex)])
+        ens = EnsembleSpec(2, [np.eye(2, dtype=complex)])
         for t in (1, 2):
             m = moment_operator(ens, t)
             assert np.allclose(m.matrix, np.eye(4**t), atol=1e-12)
@@ -49,16 +49,8 @@ class TestMomentOperator:
             assert m.is_trace_preserving()
             assert m.is_completely_positive()
 
-    def test_generator_mode_needs_count(self):
-        ens = EnsembleSpec(2, "generator", sampler=lambda s: haar_unitary(2, s))
-        with pytest.raises(ValueError):
-            moment_operator(ens, 1)
-        m = moment_operator(ens, 1, n_samples=64, seed=RandomSeed(3))
-        assert m.approximate
-        assert np.abs(m.matrix - haar_moment_operator(2, 1).matrix).max() < 0.3
-
     def test_budget_guard(self):
-        ens = EnsembleSpec(2, "finite-list", [np.eye(2, dtype=complex)])
+        ens = EnsembleSpec(2, [np.eye(2, dtype=complex)])
         from prulab.linalg import memory_budget_bytes, set_memory_budget_bytes
 
         old = memory_budget_bytes()
@@ -110,7 +102,7 @@ class TestTpeDistance:
         assert tpe_distance(cliff1, 4) > 0.5
 
     def test_singleton_identity_matches_direct_svd(self):
-        ens = EnsembleSpec(2, "finite-list", [np.eye(2, dtype=complex)])
+        ens = EnsembleSpec(2, [np.eye(2, dtype=complex)])
         lam = tpe_distance(ens, 1)
         diff = np.eye(4) - haar_moment_operator(2, 1).matrix
         direct = np.linalg.svd(diff, compute_uv=False)[0]
@@ -145,7 +137,7 @@ class TestDesignDistanceBounds:
 
     def test_lower_absent_for_asymmetric(self):
         u = haar_unitary(2, RandomSeed(8))
-        ens = EnsembleSpec(2, "finite-list", [u, u @ u])
+        ens = EnsembleSpec(2, [u, u @ u])
         rep = diamond_design_bounds(ens, 1)
         assert not rep.symmetric
         assert rep.diamond_lower is None
@@ -176,14 +168,13 @@ class TestSymmetry:
 
     def test_asymmetric_detected(self):
         u = haar_unitary(3, RandomSeed(14))
-        ens = EnsembleSpec(3, "finite-list", [u, u @ u])
+        ens = EnsembleSpec(3, [u, u @ u])
         assert not is_symmetric_ensemble(ens)
 
     def test_composition_multiplicative(self):
         u = haar_unitary(2, RandomSeed(3))
         v = haar_unitary(2, RandomSeed(4))
-        ens = EnsembleSpec(2, "finite-list",
-                           [u, u.conj().T, v, v.conj().T], name="two-axis")
+        ens = EnsembleSpec(2, [u, u.conj().T, v, v.conj().T], name="two-axis")
         r1 = symmetric_composition_check(ens, 1, 1)
         assert r1.lambda_composed == pytest.approx(r1.lambda_base)
         r2 = symmetric_composition_check(ens, 2, 1)
@@ -196,11 +187,11 @@ class TestSymmetry:
 
     def test_rejects_asymmetric(self):
         u = haar_unitary(2, RandomSeed(5))
-        ens = EnsembleSpec(2, "finite-list", [u, u @ u])
+        ens = EnsembleSpec(2, [u, u @ u])
         with pytest.raises(ValueError):
             symmetric_composition_check(ens, 2, 1)
 
     def test_compose_ensemble_size(self):
         u = haar_unitary(2, RandomSeed(6))
-        ens = EnsembleSpec(2, "finite-list", [u, u.conj().T])
+        ens = EnsembleSpec(2, [u, u.conj().T])
         assert len(compose_ensemble(ens, 3)) == 8

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -17,9 +18,8 @@ from prulab.stabilizer import (
     measurement_support,
     pack_bits,
     pauli_matrix,
-    random_clifford,
     random_clifford_rng,
-    sample_measurement,
+    sample_from_support,
     stabilizer_state_count,
     symplectic_from_index,
     symplectic_group_order,
@@ -28,6 +28,19 @@ from prulab.stabilizer import (
     tableau_to_statevector,
     tableau_to_unitary,
 )
+
+
+def random_clifford(n, seed):
+    return random_clifford_rng(n, seed.generator())
+
+
+def sample_measurement(t, shots, seed):
+    return sample_from_support(measurement_support(t), shots, seed.generator())
+
+
+def hadamards(n):
+    zero = np.zeros(n, dtype=np.uint8)
+    return gamma_state(GammaParams(n, np.zeros((n, n), dtype=np.uint8), zero, zero))
 
 
 class TestGF2:
@@ -148,10 +161,7 @@ class TestMeasurementSupport:
         assert not sup.offset.any()
 
     def test_hadamard_full_support(self):
-        t = Tableau(3)
-        for q in range(3):
-            t.apply_h(q)
-        sup = measurement_support(t)
+        sup = measurement_support(hadamards(3))
         assert sup.k_dim == 3
 
     def test_support_matches_dense_exactly(self):
@@ -182,10 +192,7 @@ class TestMeasurementSupport:
         assert not out.any()
 
     def test_hadamard_pair_uniform(self):
-        t = Tableau(2)
-        t.apply_h(0)
-        t.apply_h(1)
-        samples = sample_measurement(t, 10_000, RandomSeed(3))
+        samples = sample_measurement(hadamards(2), 10_000, RandomSeed(3))
         counts = np.bincount(pack_bits(samples).astype(np.int64), minlength=4)
         se = np.sqrt(0.25 * 0.75 / 10_000)
         assert np.all(np.abs(counts / 10_000 - 0.25) < 3.5 * se)
@@ -239,6 +246,31 @@ class TestGammaFamily:
                 assert abs(np.vdot(psi, amps)) == pytest.approx(1.0, abs=1e-9)
                 states.add(tuple(np.round(amps / amps[0], 8)))
         assert len(states) == 32
+
+    def test_unitary_matches_gate_product(self):
+        # every column, so the destabilizer rows are checked too: the tableau
+        # is Z^v CZ^M S^u H^(x)n up to one global phase, for every (M, u, v)
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        for n in (1, 2, 3):
+            bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+            pairs = list(itertools.combinations(range(n), 2))
+            for mbits in itertools.product((0, 1), repeat=len(pairs)):
+                m = np.zeros((n, n), dtype=np.uint8)
+                for (i, j), b in zip(pairs, mbits):
+                    m[i, j] = b
+                for u in itertools.product((0, 1), repeat=n):
+                    for v in itertools.product((0, 1), repeat=n):
+                        want = functools.reduce(np.kron, [h] * n).astype(complex)
+                        for q in range(n):
+                            want = np.diag(1j ** (u[q] * bits[:, q])) @ want
+                        for (i, j), b in zip(pairs, mbits):
+                            want = np.diag((-1.0) ** (b * bits[:, i] * bits[:, j])) @ want
+                        for q in range(n):
+                            want = np.diag((-1.0) ** (v[q] * bits[:, q])) @ want
+                        got = tableau_to_unitary(gamma_state(GammaParams(n, m, u, v)))
+                        phase = np.trace(want.conj().T @ got) / (1 << n)
+                        assert abs(phase) == pytest.approx(1.0, abs=1e-9)
+                        assert np.allclose(got, phase * want, atol=1e-9)
 
     @given(st.integers(0, 100_000), st.integers(1, 5))
     @settings(max_examples=30, deadline=None)
