@@ -9,8 +9,13 @@ big-integer cross-checks available at desk scale.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+#: trivial_rompru_params needs kappa below this, so that t = 2^kappa is a
+#: finite float
+KAPPA_LIMIT = sys.float_info.max_exp
 
 
 def _log_binom(n: int, k: int) -> float:
@@ -146,14 +151,22 @@ class TrivialRomPruParams:
 
 
 def trivial_rompru_params(d: int, kappa: int) -> TrivialRomPruParams:
-    """Evaluate the trivial construction at t = 2^kappa; kappa >= 0."""
+    """Evaluate the trivial construction at t = 2^kappa; 0 <= kappa < KAPPA_LIMIT."""
+    # imported here: scipy.special adds about 0.3 s to every other calculator
+    from scipy.special import betaln
+
     if d < 2 or kappa < 0:
         raise ValueError("need d >= 2 and kappa >= 0")
+    if kappa >= KAPPA_LIMIT:
+        raise ValueError(f"need kappa < {KAPPA_LIMIT}, so that t = 2^kappa is a finite float")
     t = 1 << kappa
-    log2_support = 2 * _log_binom(d * d + t - 1, d * d - 1) / math.log(2)
+    k = d * d - 1
+    # log C(t + k, k) = -log(t + k + 1) - log B(t + 1, k + 1); unlike a
+    # difference of lgammas it keeps its digits when t >> k
+    log2_support = -2 * (math.log1p(t + k) + float(betaln(t + 1.0, k + 1.0))) / math.log(2)
     q = log2_support
     m = math.log2(q) if q > 0 else 0.0
-    q_upper = 2 * (d * d - 1) * math.log2(math.e * (d * d + t - 1) / (d * d - 1))
+    q_upper = 2 * k * math.log2(math.e * ((k + t) / k))
     return TrivialRomPruParams(d, kappa, t, log2_support, q, m, q_upper)
 
 
@@ -205,11 +218,16 @@ def scalable_check(p: RomPruParams, poly_budget: float = 2.0) -> ScalableCheckRe
     security parameters always induce a (t, delta)-diamond-design record.
     """
     qm = p.q * p.m
-    budget = (math.log2(p.d) * p.kappa) ** poly_budget
+    try:
+        budget = (math.log2(p.d) * p.kappa) ** poly_budget
+    except (OverflowError, ZeroDivisionError):  # beyond floats, or 0 ** negative
+        budget = math.inf
     return ScalableCheckReport(
         efficiency_ok=qm <= budget,
         alpha_ok=p.alpha_impl <= 2.0 ** (-p.kappa),
-        queries_ok=p.t >= 2.0**p.kappa,
+        # t >= 2^kappa iff t's binary exponent exceeds kappa; 2.0**kappa
+        # overflows from kappa = 1024 on
+        queries_ok=math.frexp(p.t)[1] > p.kappa,
         advantage_ok=p.delta <= 2.0 ** (-p.kappa),
         qm=qm,
         qm_budget=budget,

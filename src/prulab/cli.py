@@ -233,22 +233,30 @@ def _cmd_bounds(args) -> None:
     from prulab.nets import net_size_lower_bound
 
     t_flag = "--sweep-t" if args.sweep_t else "--t"
+    # the flags named when a report field other than "value" is not finite
+    sources = {"m_design_1": f"--d and {t_flag}", "m_net": "--d and --eps",
+               "qm": "--q and --m", "qm_budget": "--d, --kappa and --poly-budget"}
 
-    def finite(value: float) -> float:
-        if not math.isfinite(value):
-            hint = "" if args.log else "; pass --log for its natural log"
-            raise ValueError(f"bounds {args.formula} evaluates to {value} as a float{hint}")
-        return value
+    def finite(row: dict) -> dict:
+        for key, value in row.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                if key == "value":
+                    hint = "" if args.log else "; pass --log for its natural log"
+                    raise ValueError(f"bounds {args.formula} evaluates to {value} "
+                                     f"as a float{hint}")
+                raise ValueError(f"bounds {args.formula} evaluates {key} to {value} "
+                                 f"as a float; it is computed from {sources[key]}")
+        return row
 
     def one(t_val):
         if args.formula == "prior-support":
             if not t_val.is_integer():
                 raise ValueError(f"bounds prior-support needs an integer {t_flag}, got {t_val}")
-            return {"t": t_val, "value": finite(B.prior_support_bound(
-                args.d, int(t_val), args.delta, as_log=args.log))}
+            return {"t": t_val, "value": B.prior_support_bound(
+                args.d, int(t_val), args.delta, as_log=args.log)}
         if args.formula == "improved-support":
-            return {"t": t_val, "value": finite(B.improved_support_bound(
-                args.d, t_val, args.delta, args.c_design, as_log=args.log))}
+            return {"t": t_val, "value": B.improved_support_bound(
+                args.d, t_val, args.delta, args.c_design, as_log=args.log)}
         if args.formula == "rom-input-length":
             return {"t": t_val, **report_dict(B.rom_input_length_bounds(
                 args.d, t_val, args.delta, args.eps if args.eps else 0.0,
@@ -260,8 +268,8 @@ def _cmd_bounds(args) -> None:
                                     args.alpha_impl, t_val, args.delta)
             return report_dict(B.scalable_check(params, args.poly_budget))
         if args.formula == "net-size":
-            return {"value": finite(net_size_lower_bound(
-                args.d, args.eps, args.eta, args.c_diamond, as_log=args.log))}
+            return {"value": net_size_lower_bound(
+                args.d, args.eps, args.eta, args.c_diamond, as_log=args.log)}
 
     needs_t = args.formula in ("prior-support", "improved-support",
                                "rom-input-length", "scalable-check")
@@ -275,10 +283,13 @@ def _cmd_bounds(args) -> None:
     for name in required.get(args.formula, ()):
         if getattr(args, name) is None:
             raise ValueError(f"bounds {args.formula} needs --{name}")
+    if args.formula == "trivial-rompru" and args.kappa >= B.KAPPA_LIMIT:
+        raise ValueError(f"bounds trivial-rompru needs --kappa below {B.KAPPA_LIMIT}, "
+                         f"so that t = 2^kappa is a finite float, got {args.kappa}")
     config = {"command": "bounds", "formula": args.formula,
               "inputs": {k: v for k, v in vars(args).items()
                          if k not in ("command", "out", "format", "func") and v is not None}}
-    rows = [one(v) for v in t_vals]
+    rows = [finite(one(v)) for v in t_vals]
     _emit(args, config, rows if args.sweep_t else rows[0])
 
 

@@ -2,9 +2,11 @@
 
 The oracle exposes exactly one capability: apply the hidden unitary (with
 an ancilla) to a chosen pure state, counting one query per application.
-The learner entangles, measures in per-shot Haar bases, averages the
-shadow-inverted outcomes into a Choi estimate and projects its top
-eigenvector to the nearest unitary.
+The learner entangles and, for each output phi, draws in O(D) the vector
+that measuring phi in a Haar-random basis would select: its squared moduli
+are Dirichlet(2, 1, ..., 1) in any basis holding phi, with independent
+uniform phases.  It averages the shadow-inverted outcomes into a Choi
+estimate and projects its top eigenvector to the nearest unitary.
 """
 
 from __future__ import annotations
@@ -62,9 +64,14 @@ def planned_queries(d: int, eps: float, eta: float) -> int:
     return max(1, math.ceil(SHOT_CONSTANT * d**3 / eps**2 * (1.0 + math.log(1.0 / eta))))
 
 
-def _nearest_unitary(m: np.ndarray) -> np.ndarray:
-    a, _, b = np.linalg.svd(m)
-    return a @ b
+def measured_basis_vectors(phis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The basis vector w that measuring each unit row phi of ``phis`` in a
+    fresh Haar basis selects: a complex Gaussian whose phi component is
+    swapped for one of Gamma(2) squared modulus and uniform phase, normalised."""
+    g = (rng.standard_normal(phis.shape) + 1j * rng.standard_normal(phis.shape)) / math.sqrt(2)
+    a = np.sqrt(rng.standard_gamma(2.0, len(phis))) * np.exp(2j * math.pi * rng.random(len(phis)))
+    vs = g + (a - np.einsum("si,si->s", phis.conj(), g))[:, None] * phis
+    return vs / np.linalg.norm(vs, axis=1, keepdims=True)
 
 
 def naive_process_tomography(oracle: ChannelOracle, eps: float, eta: float,
@@ -74,11 +81,11 @@ def naive_process_tomography(oracle: ChannelOracle, eps: float, eta: float,
     at most eta.
 
     Non-adaptive: every query sends half of a maximally entangled register
-    through the channel; the output is measured in a fresh Haar-random
-    basis and the shadow-inverted projector (D+1)|w><w| - I is averaged
-    into a Choi estimate.  The unitary is read off the top eigenvector by
-    polar projection, so the result is exactly unitary.  eps >= 2 is the
-    metric diameter and needs no queries.
+    through the channel, and the classical-shadow inversion (D+1)|w><w| - I
+    (arXiv:2002.08953) of the output's measured basis vector w, drawn by
+    ``measured_basis_vectors``, is averaged into a Choi estimate.  The
+    unitary is the polar projection of the top eigenvector, so it is exactly
+    unitary.  eps >= 2 is the metric diameter and needs no queries.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must be in (0, 1)")
@@ -100,27 +107,15 @@ def naive_process_tomography(oracle: ChannelOracle, eps: float, eta: float,
     while done < shots:
         chunk = min(shots - done, 2048)
         phis = np.stack([oracle.apply(omega) for _ in range(chunk)])
-        # fresh Haar basis per shot, batched Ginibre QR with phase fix
-        z = (rng.standard_normal((chunk, big, big))
-             + 1j * rng.standard_normal((chunk, big, big))) / math.sqrt(2)
-        q, r = np.linalg.qr(z)
-        diag = np.einsum("sii->si", r)
-        ws = q * (diag / np.abs(diag))[:, None, :]
-        amps = np.einsum("sij,si->sj", ws.conj(), phis)
-        probs = np.abs(amps) ** 2
-        probs /= probs.sum(axis=1, keepdims=True)
-        u = rng.random(chunk)
-        # a cumsum ending below 1 can leave u past every entry: clamp to D-1
-        ks = np.minimum((np.cumsum(probs, axis=1) < u[:, None]).sum(axis=1), big - 1)
-        vs = ws[np.arange(chunk), :, ks]
+        vs = measured_basis_vectors(phis, rng)
         acc += vs.T @ vs.conj()
         done += chunk
     rho = (big + 1) * acc / shots - np.eye(big)
     rho = (rho + rho.conj().T) / 2
     evals, evecs = np.linalg.eigh(rho)
     top = evecs[:, -1]
-    u_hat = _nearest_unitary(top.reshape(d, d) * math.sqrt(d))
-    return TomographyResult(u_hat, oracle.queries, eps, eta)
+    a, _, b = np.linalg.svd(top.reshape(d, d) * math.sqrt(d))
+    return TomographyResult(a @ b, oracle.queries, eps, eta)
 
 
 def query_budget_reference(d: int, eps: float, eta: float, mode: str = "non-adaptive") -> float:

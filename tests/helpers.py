@@ -4,9 +4,13 @@ These deliberately avoid the closed forms they are checking: the diamond
 oracle maximizes the output trace distance over pure inputs with an
 ancilla by direct numerical optimization, and the hull oracle finds the
 point of the spectrum's convex hull nearest the origin geometrically.
+The Haar-basis measurement oracle builds the whole basis and samples the
+outcome from its Born probabilities.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.optimize import minimize
@@ -72,3 +76,22 @@ def empirical_counts(values) -> dict:
         key = int(v)
         out[key] = out.get(key, 0) + 1
     return out
+
+
+def haar_basis_measurement(phis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The basis vector selected by measuring each unit row of ``phis`` in a
+    fresh Haar basis: batched Ginibre QR with phase fix, then a cdf search
+    over the Born probabilities."""
+    shots, big = phis.shape
+    z = (rng.standard_normal((shots, big, big))
+         + 1j * rng.standard_normal((shots, big, big))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    diag = np.einsum("sii->si", r)
+    ws = q * (diag / np.abs(diag))[:, None, :]
+    amps = np.einsum("sij,si->sj", ws.conj(), phis)
+    probs = np.abs(amps) ** 2
+    probs /= probs.sum(axis=1, keepdims=True)
+    u = rng.random(shots)
+    # a cumsum ending below 1 can leave u past every entry: clamp to D-1
+    ks = np.minimum((np.cumsum(probs, axis=1) < u[:, None]).sum(axis=1), big - 1)
+    return ws[np.arange(shots), :, ks]

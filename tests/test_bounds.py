@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prulab.bounds import (
+    KAPPA_LIMIT,
     RomPruParams,
     improved_support_bound,
     prior_support_bound,
@@ -132,11 +134,22 @@ class TestTrivialConstruction:
         vals = [trivial_rompru_params(3, k).support_size_log2 for k in range(6)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("d, kappa", [(2, 0), (4, 3), (4, 60), (16, 40), (3, 200)])
+    def test_support_matches_big_integer(self, d, kappa):
+        # the lgamma difference it replaces read 0.0 at d = 4, kappa = 60
+        exact = 2 * math.log2(math.comb(d * d + (1 << kappa) - 1, d * d - 1))
+        p = trivial_rompru_params(d, kappa)
+        assert p.support_size_log2 == pytest.approx(exact, rel=1e-9)
+        assert p.q <= p.q_upper
+
     def test_validation(self):
         with pytest.raises(ValueError):
             trivial_rompru_params(1, 2)
         with pytest.raises(ValueError):
             trivial_rompru_params(2, -1)
+        assert math.isfinite(trivial_rompru_params(4, KAPPA_LIMIT - 1).q_upper)
+        with pytest.raises(ValueError):
+            trivial_rompru_params(4, KAPPA_LIMIT)
 
 
 class TestScalableCheck:
@@ -158,6 +171,17 @@ class TestScalableCheck:
         assert scalable_check(good).queries_ok
         over = RomPruParams(d, kappa + 1, 4.0, 2.0, 0.0, float(t), 2.0**-kappa)
         assert not scalable_check(over).queries_ok
+
+    @pytest.mark.parametrize("kappa", [0, 3, 53, 1023, 1024, 5000])
+    def test_queries_ok_is_exact_at_the_power_of_two(self, kappa):
+        def queries_ok(t):
+            return scalable_check(RomPruParams(16, kappa, 4.0, 2.0, 0.0, t, 0.0)).queries_ok
+
+        if kappa < KAPPA_LIMIT:
+            t = math.ldexp(1.0, kappa)
+            assert queries_ok(t) and not queries_ok(math.nextafter(t, 0.0))
+        else:
+            assert not queries_ok(sys.float_info.max)
 
     def test_all_zero_errors_pass(self):
         p = RomPruParams(16, 2, 3.0, 2.0, 0.0, 100.0, 0.0)

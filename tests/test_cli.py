@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -239,12 +242,28 @@ class TestCli:
         (["bounds", "improved-support", "--d", "64", "--t", "1e300"], "--log"),
         (["bounds", "prior-support", "--d", "1000", "--t", "200"], "--log"),
         (["bounds", "net-size", "--d", "100", "--eps", "0.001"], "--log"),
+        (["bounds", "trivial-rompru", "--d", "4", "--kappa", "2000"], "--kappa"),
+        (["bounds", "scalable-check", "--d", "16", "--kappa", "8", "--q", "1e300",
+          "--m", "1e300", "--t", "8"], "--q and --m"),
+        (["bounds", "scalable-check", "--d", "16", "--kappa", "8", "--q", "1e300",
+          "--m", "1e300", "--t", "8", "--format", "csv"], "--q and --m"),
+        (["bounds", "scalable-check", "--d", "16", "--kappa", "8", "--q", "4", "--m", "2",
+          "--t", "8", "--poly-budget", "1000"], "--poly-budget"),
+        (["bounds", "scalable-check", "--d", "16", "--kappa", "0", "--q", "4", "--m", "2",
+          "--t", "8", "--poly-budget", "-1"], "--poly-budget"),
+        (["bounds", "rom-input-length", "--d", "4", "--t", "1e-320"], "--d and --t"),
+        (["bounds", "rom-input-length", "--d", "4", "--eps", "1e-320", "--t", "2"], "--eps"),
+        (["bounds", "rom-input-length", "--d", "4", "--eps", "1e-320", "--t", "2",
+          "--format", "csv"], "--eps"),
     ], ids=["n-out-of-range", "no-ensemble", "both-ensembles", "unknown-ensemble",
             "no-net", "no-t", "no-kappa", "zero-mem-budget", "negative-mem-budget",
             "net-size-no-eps", "scalable-check-no-q", "fractional-t", "fractional-sweep-t",
             "bad-sweep-eps", "bad-sweep-t", "negative-t", "infinite-t", "nan-t",
             "nan-sweep-t", "nan-eps", "improved-support-overflow", "prior-support-overflow",
-            "net-size-overflow"])
+            "net-size-overflow", "trivial-rompru-kappa-overflow", "scalable-check-qm",
+            "scalable-check-qm-csv", "scalable-check-budget",
+            "scalable-check-budget-zero-base", "rom-input-length-m-design-1",
+            "rom-input-length-m-net", "rom-input-length-m-net-csv"])
     def test_usage_error_names_its_cause(self, argv, cause, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1
@@ -260,6 +279,25 @@ class TestCli:
         code, out, err = run_cli(argv + ["--log"], capsys)
         assert code == 0, err
         assert np.isfinite(strict_json(out)["result"]["value"])
+
+    def test_scalable_check_beyond_float_kappa(self, capsys):
+        code, out, err = run_cli(["bounds", "scalable-check", "--d", "16", "--kappa", "2000",
+                                  "--q", "4", "--m", "2", "--t", "8"], capsys)
+        assert code == 0, err
+        rep = strict_json(out)["result"]
+        assert rep["qm_budget"] == pytest.approx(8000.0**2)
+        assert (rep["queries_ok"], rep["alpha_ok"], rep["passes"]) == (False, True, False)
+
+    def test_runs_as_python_module(self, capsys):
+        argv = ["bounds", "prior-support", "--d", "2", "--t", "1", "--delta", "0"]
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "prulab", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        code, out, err = run_cli(argv, capsys)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        assert code == 0 and out
 
     def test_readme_bounds_commands_emit_strict_json(self, capsys):
         # every `prulab bounds` example in README's CLI block runs as written,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from helpers import haar_basis_measurement
+from scipy.stats import beta, kstest
 
 from prulab.linalg import (
     RandomSeed,
@@ -12,6 +14,7 @@ from prulab.linalg import (
 )
 from prulab.tomography import (
     ChannelOracle,
+    measured_basis_vectors,
     naive_process_tomography,
     planned_queries,
     query_budget_reference,
@@ -46,6 +49,53 @@ class TestChannelOracle:
         orc = ChannelOracle(haar_unitary(2, RandomSeed(3)))
         with pytest.raises(ValueError):
             orc.apply(np.zeros(3, dtype=complex))
+
+
+def unit_rows(shots, dim, rng):
+    z = rng.standard_normal((shots, dim)) + 1j * rng.standard_normal((shots, dim))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def measured_overlaps(sampler, phis, rng, chunk=4096):
+    vs = np.concatenate([sampler(phis[i:i + chunk], rng)
+                         for i in range(0, len(phis), chunk)])
+    return np.abs(np.einsum("si,si->s", vs.conj(), phis)) ** 2
+
+
+class TestMeasuredBasisVectors:
+    @pytest.mark.parametrize("sampler, dim, shots", [
+        (measured_basis_vectors, 4, 200_000),
+        (measured_basis_vectors, 16, 200_000),
+        (haar_basis_measurement, 4, 100_000),
+        (haar_basis_measurement, 16, 40_000),
+    ], ids=["direct-4", "direct-16", "qr-4", "qr-16"])
+    def test_overlap_moments_are_exact(self, sampler, dim, shots):
+        # |<w|phi>|^2 ~ Beta(2, D-1); each moment within 5 standard errors
+        # of the exact law
+        m1 = 2 / (dim + 1)
+        m2 = 6 / ((dim + 1) * (dim + 2))
+        m4 = 120 / ((dim + 1) * (dim + 2) * (dim + 3) * (dim + 4))
+        rng = np.random.default_rng(20)
+        x = measured_overlaps(sampler, unit_rows(shots, dim, rng), rng)
+        assert abs(x.mean() - m1) <= 5 * math.sqrt((m2 - m1**2) / shots)
+        assert abs((x**2).mean() - m2) <= 5 * math.sqrt((m4 - m2**2) / shots)
+
+    @pytest.mark.parametrize("dim", [4, 16])
+    def test_overlap_law_is_beta(self, dim):
+        rng = np.random.default_rng(21)
+        x = measured_overlaps(measured_basis_vectors, unit_rows(20_000, dim, rng), rng)
+        assert kstest(x, beta(2, dim - 1).cdf).pvalue > 0.01
+
+    def test_averaged_shadow_converges_to_the_measured_state(self):
+        dim, shots, chunk = 16, 200_000, 20_000
+        rng = np.random.default_rng(22)
+        phi = unit_rows(1, dim, rng)[0]
+        acc = np.zeros((dim, dim), dtype=complex)
+        for _ in range(shots // chunk):
+            vs = measured_basis_vectors(np.tile(phi, (chunk, 1)), rng)
+            acc += vs.T @ vs.conj()
+        shadow = (dim + 1) * acc / shots - np.eye(dim)
+        assert np.abs(shadow - np.outer(phi, phi.conj())).max() < 0.02
 
 
 class TestNaiveTomography:
@@ -98,6 +148,14 @@ class TestNaiveTomography:
         u = haar_unitary(d, RandomSeed(18))
         res = naive_process_tomography(ChannelOracle(u), 0.5, 0.2, TopUniformSeed(19))
         assert is_unitary(res.u_hat, 1e-10)
+
+    def test_no_qr_factorisation(self, monkeypatch):
+        orc = ChannelOracle(haar_unitary(4, RandomSeed(23)))
+        qr, calls = np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+        res = naive_process_tomography(orc, 0.5, 0.1, RandomSeed(24))
+        assert calls == []
+        assert res.queries_used == orc.queries == planned_queries(4, 0.5, 0.1)
 
     def test_resource_cap(self):
         orc = ChannelOracle(haar_unitary(4, RandomSeed(13)))
