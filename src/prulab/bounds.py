@@ -17,6 +17,16 @@ from fractions import Fraction
 #: finite float
 KAPPA_LIMIT = sys.float_info.max_exp
 
+#: every calculator needs 2 <= d <= D_LIMIT: d^2 then stays below 2^1000,
+#: which leaves float range for the factors the formulas multiply it by
+D_LIMIT = 2**500
+
+
+def check_dimension(d: int, name: str = "d") -> None:
+    """Raise ValueError unless 2 <= d <= D_LIMIT; ``name`` is the one to report."""
+    if not 2 <= d <= D_LIMIT:
+        raise ValueError(f"{name} must be an integer from 2 to 2^500, got {d}")
+
 
 def _log_binom(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
@@ -28,6 +38,7 @@ def prior_support_bound(d: int, t: int, delta: float, as_log: bool = False) -> f
     Natural-log value with ``as_log``; the plain value may overflow to inf
     for large parameters.
     """
+    check_dimension(d)
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must be in [0, 1]")
     if t < 0:
@@ -55,6 +66,7 @@ def improved_support_bound(d: int, t: float, delta: float, c_design: float = 1.0
     Valid for 0 <= delta < 1; the unspecified constant enters linearly in
     the base.
     """
+    check_dimension(d)
     if not 0.0 <= delta < 1.0:
         raise ValueError("delta must be in [0, 1)")
     if t <= 0 or c_design <= 0:
@@ -93,6 +105,7 @@ def rom_input_length_bounds(d: int, t: float, delta: float, epsilon: float,
                  reported only when the advantage is bounded away from 1)
     m_net      = 2 log2 d + loglog2(1/epsilon) - slack
     """
+    check_dimension(d)
     notes: dict = {}
 
     def loglog2(x: float) -> float | None:
@@ -155,8 +168,9 @@ def trivial_rompru_params(d: int, kappa: int) -> TrivialRomPruParams:
     # imported here: scipy.special adds about 0.3 s to every other calculator
     from scipy.special import betaln
 
-    if d < 2 or kappa < 0:
-        raise ValueError("need d >= 2 and kappa >= 0")
+    check_dimension(d)
+    if kappa < 0:
+        raise ValueError("need kappa >= 0")
     if kappa >= KAPPA_LIMIT:
         raise ValueError(f"need kappa < {KAPPA_LIMIT}, so that t = 2^kappa is a finite float")
     t = 1 << kappa
@@ -183,8 +197,7 @@ class RomPruParams:
     delta: float
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
+        check_dimension(self.d)
         for name in ("kappa", "q", "m", "alpha_impl", "t", "delta"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")

@@ -235,7 +235,8 @@ def _cmd_bounds(args) -> None:
     t_flag = "--sweep-t" if args.sweep_t else "--t"
     # the flags named when a report field other than "value" is not finite
     sources = {"m_design_1": f"--d and {t_flag}", "m_net": "--d and --eps",
-               "qm": "--q and --m", "qm_budget": "--d, --kappa and --poly-budget"}
+               "qm": "--q and --m", "qm_budget": "--d, --kappa and --poly-budget",
+               "support_size_log2": "--d and --kappa", "q_upper": "--d and --kappa"}
 
     def finite(row: dict) -> dict:
         for key, value in row.items():
@@ -271,6 +272,7 @@ def _cmd_bounds(args) -> None:
             return {"value": net_size_lower_bound(
                 args.d, args.eps, args.eta, args.c_diamond, as_log=args.log)}
 
+    B.check_dimension(args.d, "--d")
     needs_t = args.formula in ("prior-support", "improved-support",
                                "rom-input-length", "scalable-check")
     if needs_t and args.t is None and not args.sweep_t:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from prulab.bounds import check_dimension
 from prulab.linalg import (
     RandomSeed,
     diamond_distance_batch,
@@ -158,6 +159,7 @@ def net_size_lower_bound(d: int, eps: float, eta: float, c_diamond: float = 1.0,
     constant is caller-supplied; its true value is open, the default 1 is a
     placeholder.
     """
+    check_dimension(d)
     if eps <= 0 or c_diamond <= 0:
         raise ValueError("eps and c_diamond must be positive")
     if not 0.0 <= eta <= 1.0:

@@ -3,7 +3,9 @@
 Uniform Clifford sampling through the canonical symplectic-index
 construction, computational-basis measurement supports of stabilizer
 states, dense tableau unitaries read off the tableau's Pauli rows, and the
-explicit full-support state family parametrized by (M, u, v).
+explicit full-support state family parametrized by (M, u, v).  Sampling and
+support extraction work on packed rows, one Python int per row with column
+j as bit j, so a row operation is one XOR and an inner product a popcount.
 """
 
 from __future__ import annotations
@@ -122,12 +124,6 @@ def pauli_matrix(x: np.ndarray, z: np.ndarray, r: int) -> np.ndarray:
     return (-1) ** int(r) * out
 
 
-def _pauli_product(x1, z1, p1, x2, z2, p2):
-    """Multiply phase-tracked Paulis i^p X^x Z^z; phases mod 4."""
-    p = (p1 + p2 + 2 * int(np.dot(z1.astype(np.int64), x2.astype(np.int64)))) % 4
-    return x1 ^ x2, z1 ^ z2, p
-
-
 def _row_xzform(t: Tableau, i: int):
     """Tableau row as phase-tracked XZ-form: (-1)^r prod sigma = i^p prod X^x Z^z."""
     x, z, r = t.x[i], t.z[i], int(t.r[i])
@@ -135,64 +131,62 @@ def _row_xzform(t: Tableau, i: int):
     return x.copy(), z.copy(), p
 
 
+def _pack_rows(bits: np.ndarray) -> list[int]:
+    """Bit rows -> one int per row, column j as bit j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    width = packed.shape[1]
+    buf = packed.tobytes()
+    return [int.from_bytes(buf[j: j + width], "little") for j in range(0, len(buf), width)]
+
+
+def _unpack_rows(rows: list[int], width: int) -> np.ndarray:
+    """Inverse of `_pack_rows`: a (len(rows), width) uint8 bit array."""
+    nbytes = (width + 7) // 8
+    buf = b"".join(row.to_bytes(nbytes, "little") for row in rows)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
 # ---------------------------------------------------------------------------
 # Uniform symplectic / Clifford sampling
 # ---------------------------------------------------------------------------
 
 
-def _sym_inner(v: np.ndarray, w: np.ndarray) -> int:
-    return int(np.dot(v[0::2], w[1::2]) + np.dot(v[1::2], w[0::2])) % 2
+def _swap_pairs(w: int, evens: int) -> int:
+    """Exchange the X and Z bit of every qubit pair; ``evens`` has every even
+    bit set.  <v,w> is then the parity of v AND _swap_pairs(w)."""
+    return (w & evens) << 1 | (w >> 1) & evens
 
 
-def _transvect(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Apply the transvection x -> x + <x,h> h to every row of g."""
-    prod = (g[:, 0::2].astype(np.int64) @ h[1::2].astype(np.int64)
-            + g[:, 1::2].astype(np.int64) @ h[0::2].astype(np.int64)) % 2
-    return (g ^ np.outer(prod.astype(np.uint8), h)).astype(np.uint8)
+def _transvect_rows(h: int, rows: list[int], evens: int) -> list[int]:
+    """The transvection x -> x + <x,h> h on every packed row."""
+    hs = _swap_pairs(h, evens)
+    return [x ^ h if (x & hs).bit_count() & 1 else x for x in rows]
 
 
-def _int_to_bits(k: int, width: int) -> np.ndarray:
-    return np.array([(k >> j) & 1 for j in range(width)], dtype=np.uint8)
+def _find_transvection(x: int, y: int, n: int, evens: int) -> tuple[int, int]:
+    """Rows (h1, h2) with Z_h2(Z_h1(x)) = y for nonzero packed rows x, y.
 
-
-def _find_transvection(x: np.ndarray, y: np.ndarray):
-    """Vectors (h1, h2) with Z_h2(Z_h1(x)) = y for nonzero x, y."""
-    nn = x.size
-    zero = np.zeros(nn, dtype=np.uint8)
-    if np.array_equal(x, y):
-        return zero, zero
-    if _sym_inner(x, y) == 1:
-        return (x ^ y), zero
-    z = np.zeros(nn, dtype=np.uint8)
-    for i in range(nn // 2):
-        ii = 2 * i
-        if (x[ii] or x[ii + 1]) and (y[ii] or y[ii + 1]):
-            z[ii] = x[ii] ^ y[ii]
-            z[ii + 1] = x[ii + 1] ^ y[ii + 1]
-            if z[ii] == 0 and z[ii + 1] == 0:
-                z[ii + 1] = 1
-                if x[ii] != x[ii + 1]:
-                    z[ii] = 1
-            return (x ^ z), (z ^ y)
-    for i in range(nn // 2):
-        ii = 2 * i
-        if (x[ii] or x[ii + 1]) and not (y[ii] or y[ii + 1]):
-            if x[ii] == x[ii + 1]:
-                z[ii + 1] = 1
-            else:
-                z[ii + 1] = x[ii]
-                z[ii] = x[ii + 1]
-            break
-    for i in range(nn // 2):
-        ii = 2 * i
-        if (y[ii] or y[ii + 1]) and not (x[ii] or x[ii + 1]):
-            if y[ii] == y[ii + 1]:
-                z[ii + 1] = 1
-            else:
-                z[ii + 1] = y[ii]
-                z[ii] = y[ii + 1]
-            break
-    return (x ^ z), (z ^ y)
+    Each qubit's bit pair (low X, high Z) reads as 1 = X, 2 = Z, 3 = Y.
+    """
+    if x == y:
+        return 0, 0
+    if (x & _swap_pairs(y, evens)).bit_count() & 1:
+        return x ^ y, 0
+    pairs = [((x >> (2 * q)) & 3, (y >> (2 * q)) & 3) for q in range(n)]
+    for q, (xq, yq) in enumerate(pairs):
+        if xq and yq:
+            # z = x ^ y on the pair; an equal X or Z pair gets Y, a Y pair Z
+            z = ((xq ^ yq) or (2 | (xq != 3))) << (2 * q)
+            return x ^ z, z ^ y
+    z = 0
+    for side in (pairs, [(yq, xq) for xq, yq in pairs]):
+        for q, (aq, bq) in enumerate(side):
+            if aq and not bq:
+                # Z against a Y pair, else the other one of X and Z
+                z |= (2 if aq == 3 else 3 - aq) << (2 * q)
+                break
+    return x ^ z, z ^ y
 
 
 def symplectic_group_order(n: int) -> int:
@@ -202,44 +196,42 @@ def symplectic_group_order(n: int) -> int:
     return out
 
 
+def _symplectic_rows(i: int, n: int) -> list[int]:
+    """The rows of `symplectic_from_index(i, n)`, column j as bit j of each."""
+    nn = 2 * n
+    evens = int("01" * n, 2)
+    s = (1 << nn) - 1
+    f1 = (i % s) + 1
+    i //= s
+    t1, t2 = _find_transvection(1, f1, n, evens)
+    bits = i % (1 << (nn - 1))
+    i >>= nn - 1
+    # e1 with its columns from 2 on set to bits[1:]
+    h0 = 1 | (bits >> 1) << 2
+    for h in (t2, t1):
+        (h0,) = _transvect_rows(h, [h0], evens)
+    if bits & 1:
+        f1 = 0
+    g = [1, 2] + ([] if n == 1 else [row << 2 for row in _symplectic_rows(i, n - 1)])
+    for h in (t2, t1, h0, f1):
+        g = _transvect_rows(h, g, evens)
+    return g
+
+
 def symplectic_from_index(i: int, n: int) -> np.ndarray:
     """Canonical bijection from [0, |Sp(2n,2)|) onto 2n x 2n symplectic matrices.
 
-    Pair-interleaved convention: columns 2q, 2q+1 are the X/Z components on
-    qubit q, and <v,w> = sum_q v_{2q} w_{2q+1} + v_{2q+1} w_{2q}.
+    Koenig-Smolin construction (arXiv:1406.2170) on packed rows: each row is
+    one Python int whose bit j is column j.  Pair-interleaved convention:
+    columns 2q, 2q+1 are the X/Z components on qubit q, so <v,w> is the
+    parity of v AND w with each bit pair swapped, and the transvection by h
+    sends a row x to x ^ h when <x,h> = 1.
     """
-    nn = 2 * n
-    s = (1 << nn) - 1
-    k = (i % s) + 1
-    i //= s
-
-    f1 = _int_to_bits(k, nn)
-    e1 = np.zeros(nn, dtype=np.uint8)
-    e1[0] = 1
-    t1, t2 = _find_transvection(e1, f1)
-
-    bits = _int_to_bits(i % (1 << (nn - 1)), nn - 1)
-    i >>= nn - 1
-
-    eprime = e1.copy()
-    eprime[2:] = bits[1:]
-    h0 = _transvect(t2, eprime[None, :])[0]
-    h0 = _transvect(t1, h0[None, :])[0]
-    if bits[0] == 1:
-        f1 = np.zeros(nn, dtype=np.uint8)
-
-    if n == 1:
-        g = np.eye(2, dtype=np.uint8)
-    else:
-        g = np.zeros((nn, nn), dtype=np.uint8)
-        g[0, 0] = g[1, 1] = 1
-        g[2:, 2:] = symplectic_from_index(i, n - 1)
-
-    g = _transvect(t2, g)
-    g = _transvect(t1, g)
-    g = _transvect(h0, g)
-    g = _transvect(f1, g)
-    return g
+    if n < 1:
+        raise ValueError(f"need n >= 1 qubits, got {n}")
+    if not 0 <= i < symplectic_group_order(n):
+        raise ValueError(f"symplectic index {i} outside [0, {symplectic_group_order(n)})")
+    return _unpack_rows(_symplectic_rows(i, n), 2 * n)
 
 
 def _uniform_below(card: int, rng: np.random.Generator) -> int:
@@ -261,21 +253,15 @@ def random_clifford_rng(n: int, rng: np.random.Generator) -> Tableau:
 
     Uniform symplectic part via the canonical index construction plus
     uniform sign bits; exact uniformity rather than a random-circuit
-    heuristic.
+    heuristic.  Symplectic row 2j is the image of X_j and row 2j+1 that of
+    Z_j; their even and odd columns are the tableau's x and z bits.
     """
     if not 1 <= n <= 63:
         raise ValueError("qubit count out of range [1, 63]")
-    idx = _uniform_below(symplectic_group_order(n), rng)
-    g = symplectic_from_index(idx, n)
-    x = np.zeros((2 * n, n), dtype=np.uint8)
-    z = np.zeros((2 * n, n), dtype=np.uint8)
-    for j in range(n):
-        x[j] = g[2 * j, 0::2]
-        z[j] = g[2 * j, 1::2]
-        x[n + j] = g[2 * j + 1, 0::2]
-        z[n + j] = g[2 * j + 1, 1::2]
+    rows = _symplectic_rows(_uniform_below(symplectic_group_order(n), rng), n)
+    g = _unpack_rows(rows[0::2] + rows[1::2], 2 * n)
     r = rng.integers(0, 2, size=2 * n).astype(np.uint8)
-    return Tableau(n, x, z, r)
+    return Tableau(n, g[:, 0::2], g[:, 1::2], r)
 
 
 # ---------------------------------------------------------------------------
@@ -370,32 +356,36 @@ class AffineSupport:
 def measurement_support(t: Tableau) -> AffineSupport:
     """Affine set over which measuring C|0...0> is uniform.
 
-    One Gauss-Jordan pass over the X block of the stabilizer rows, each row
-    operation a Pauli product, lexicographic pivots for determinism.  The
-    rows with an X pivot span the support's direction, already in RREF; the
-    remaining rows are +-Z^z and fix z.v to their sign.  The offset is the
-    coset representative that is zero at every pivot column.
+    One Gauss-Jordan pass over the X block of the stabilizer rows, held as
+    packed triples (x, z, p) for i^p X^x Z^z, qubit q as bit q.  A row
+    operation is the Pauli product, of phase p1 + p2 + 2 popcount(z1 & x2)
+    mod 4; pivots are lexicographic for determinism.  The rows with an X
+    pivot span the support's direction, already in RREF; the remaining rows
+    are +-Z^z and fix z.v to their sign.  The offset is the coset
+    representative that is zero at every pivot column.
     """
     n = t.n
-    rows = [_row_xzform(t, n + j) for j in range(n)]
+    rows = [(x, z, (2 * r + (x & z).bit_count()) % 4)
+            for x, z, r in zip(_pack_rows(t.x[n:]), _pack_rows(t.z[n:]), t.r[n:].tolist())]
     pivots: list[int] = []
     for c in range(n):
         r = len(pivots)
-        hot = [q for q in range(r, n) if rows[q][0][c]]
-        if not hot:
+        hot = next((q for q in range(r, n) if rows[q][0] >> c & 1), None)
+        if hot is None:
             continue
-        rows[r], rows[hot[0]] = rows[hot[0]], rows[r]
-        for q in range(n):
-            if q != r and rows[q][0][c]:
-                rows[q] = _pauli_product(*rows[q], *rows[r])
+        rows[r], rows[hot] = rows[hot], rows[r]
+        x2, z2, p2 = rows[r]
+        for q, (x1, z1, p1) in enumerate(rows):
+            if q != r and x1 >> c & 1:
+                rows[q] = (x1 ^ x2, z1 ^ z2, (p1 + p2 + 2 * (z1 & x2).bit_count()) % 4)
         pivots.append(c)
     k = len(pivots)
-    basis = np.array([x for x, _, _ in rows[:k]], dtype=np.uint8).reshape(k, n)
-    zs = np.array([z for _, z, _ in rows[k:]], dtype=np.uint8).reshape(n - k, n)
-    phases = np.array([p for _, _, p in rows[k:]], dtype=np.uint8)
-    offset = None if (phases % 2).any() else gf2_solve(zs, phases // 2)
+    phases = [p for _, _, p in rows[k:]]
+    offset = None if any(p % 2 for p in phases) else gf2_solve(
+        _unpack_rows([z for _, z, _ in rows[k:]], n), np.array(phases, dtype=np.uint8) // 2)
     if offset is None:
         raise PropertyViolationError("inconsistent stabilizer sign constraints")
+    basis = _unpack_rows([x for x, _, _ in rows[:k]], n)
     for row, pc in zip(basis, pivots):
         if offset[pc]:
             offset ^= row
@@ -499,31 +489,37 @@ def stabilizer_state_count(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bits_to_hex(bits: np.ndarray) -> str:
-    val = 0
-    for j, b in enumerate(bits):
-        val |= int(b) << j
-    width = (bits.size + 3) // 4
-    return format(val, f"0{width}x")
-
-
-def _hex_to_bits(s: str, width: int) -> np.ndarray:
-    val = int(s, 16)
-    return np.array([(val >> j) & 1 for j in range(width)], dtype=np.uint8)
+def _hex_rows(field: str, hexes, count: int, width: int) -> list[int]:
+    """``count`` hex rows of at most ``width`` bits from a tableau field."""
+    if not isinstance(hexes, list) or len(hexes) != count:
+        raise ValueError(f"tableau field {field!r} needs a list of {count} hex rows")
+    try:
+        rows = [int(text, 16) for text in hexes]
+    except (TypeError, ValueError):
+        raise ValueError(f"tableau field {field!r} holds a row that is not hex") from None
+    if not all(0 <= row < 1 << width for row in rows):
+        raise ValueError(f"tableau field {field!r} sets bits beyond its {width} columns")
+    return rows
 
 
 def tableau_to_json_dict(t: Tableau) -> dict:
-    return {
-        "n": t.n,
-        "x": [_bits_to_hex(row) for row in t.x],
-        "z": [_bits_to_hex(row) for row in t.z],
-        "r": _bits_to_hex(t.r),
-    }
+    """Each bit row as one zero-padded hex string, column j as bit j."""
+    def hexes(bits: np.ndarray) -> list[str]:
+        return [format(row, f"0{(bits.shape[1] + 3) // 4}x") for row in _pack_rows(bits)]
+
+    return {"n": t.n, "x": hexes(t.x), "z": hexes(t.z), "r": hexes(t.r[None, :])[0]}
 
 
 def tableau_from_json_dict(d: dict) -> Tableau:
-    n = int(d["n"])
-    x = np.stack([_hex_to_bits(s, n) for s in d["x"]])
-    z = np.stack([_hex_to_bits(s, n) for s in d["z"]])
-    r = _hex_to_bits(d["r"], 2 * n)
-    return Tableau(n, x, z, r)
+    """Inverse of `tableau_to_json_dict`, rejecting wrong row counts, bits
+    beyond the row width and non-symplectic tableaus."""
+    n = d["n"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"tableau field 'n' must be a positive integer, got {n!r}")
+    x, z = (_unpack_rows(_hex_rows(key, d[key], 2 * n, n), n) for key in ("x", "z"))
+    r = _unpack_rows(_hex_rows("r", [d["r"]], 1, 2 * n), 2 * n)[0]
+    t = Tableau(n, x, z, r)
+    if not t.check_symplectic():
+        raise ValueError("tableau fields 'x' and 'z' are not symplectic: "
+                         "their rows must commute except for the X_j/Z_j pairs")
+    return t

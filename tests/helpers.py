@@ -5,7 +5,9 @@ oracle maximizes the output trace distance over pure inputs with an
 ancilla by direct numerical optimization, and the hull oracle finds the
 point of the spectrum's convex hull nearest the origin geometrically.
 The Haar-basis measurement oracle builds the whole basis and samples the
-outcome from its Born probabilities.
+outcome from its Born probabilities.  The symplectic-index and
+measurement-support oracles are the bit-per-byte numpy forms of the
+packed-row code in `prulab.stabilizer`.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from prulab.linalg import schatten_norm
+from prulab.stabilizer import AffineSupport, Tableau, gf2_solve
 
 
 def brute_force_diamond(u: np.ndarray, v: np.ndarray, restarts: int = 8,
@@ -95,3 +98,136 @@ def haar_basis_measurement(phis: np.ndarray, rng: np.random.Generator) -> np.nda
     # a cumsum ending below 1 can leave u past every entry: clamp to D-1
     ks = np.minimum((np.cumsum(probs, axis=1) < u[:, None]).sum(axis=1), big - 1)
     return ws[np.arange(shots), :, ks]
+
+
+def _sym_inner(v: np.ndarray, w: np.ndarray) -> int:
+    return int(np.dot(v[0::2], w[1::2]) + np.dot(v[1::2], w[0::2])) % 2
+
+
+def _transvect(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Apply the transvection x -> x + <x,h> h to every row of g."""
+    prod = (g[:, 0::2].astype(np.int64) @ h[1::2].astype(np.int64)
+            + g[:, 1::2].astype(np.int64) @ h[0::2].astype(np.int64)) % 2
+    return (g ^ np.outer(prod.astype(np.uint8), h)).astype(np.uint8)
+
+
+def _int_to_bits(k: int, width: int) -> np.ndarray:
+    return np.array([(k >> j) & 1 for j in range(width)], dtype=np.uint8)
+
+
+def _find_transvection(x: np.ndarray, y: np.ndarray):
+    """Vectors (h1, h2) with Z_h2(Z_h1(x)) = y for nonzero x, y."""
+    nn = x.size
+    zero = np.zeros(nn, dtype=np.uint8)
+    if np.array_equal(x, y):
+        return zero, zero
+    if _sym_inner(x, y) == 1:
+        return (x ^ y), zero
+    z = np.zeros(nn, dtype=np.uint8)
+    for i in range(nn // 2):
+        ii = 2 * i
+        if (x[ii] or x[ii + 1]) and (y[ii] or y[ii + 1]):
+            z[ii] = x[ii] ^ y[ii]
+            z[ii + 1] = x[ii + 1] ^ y[ii + 1]
+            if z[ii] == 0 and z[ii + 1] == 0:
+                z[ii + 1] = 1
+                if x[ii] != x[ii + 1]:
+                    z[ii] = 1
+            return (x ^ z), (z ^ y)
+    for i in range(nn // 2):
+        ii = 2 * i
+        if (x[ii] or x[ii + 1]) and not (y[ii] or y[ii + 1]):
+            if x[ii] == x[ii + 1]:
+                z[ii + 1] = 1
+            else:
+                z[ii + 1] = x[ii]
+                z[ii] = x[ii + 1]
+            break
+    for i in range(nn // 2):
+        ii = 2 * i
+        if (y[ii] or y[ii + 1]) and not (x[ii] or x[ii + 1]):
+            if y[ii] == y[ii + 1]:
+                z[ii + 1] = 1
+            else:
+                z[ii + 1] = y[ii]
+                z[ii] = y[ii + 1]
+            break
+    return (x ^ z), (z ^ y)
+
+
+def symplectic_from_index_bits(i: int, n: int) -> np.ndarray:
+    """The Koenig-Smolin index bijection with one byte per matrix entry and a
+    small matmul per transvection; wraps indices outside [0, |Sp(2n,2)|)."""
+    nn = 2 * n
+    s = (1 << nn) - 1
+    k = (i % s) + 1
+    i //= s
+
+    f1 = _int_to_bits(k, nn)
+    e1 = np.zeros(nn, dtype=np.uint8)
+    e1[0] = 1
+    t1, t2 = _find_transvection(e1, f1)
+
+    bits = _int_to_bits(i % (1 << (nn - 1)), nn - 1)
+    i >>= nn - 1
+
+    eprime = e1.copy()
+    eprime[2:] = bits[1:]
+    h0 = _transvect(t2, eprime[None, :])[0]
+    h0 = _transvect(t1, h0[None, :])[0]
+    if bits[0] == 1:
+        f1 = np.zeros(nn, dtype=np.uint8)
+
+    if n == 1:
+        g = np.eye(2, dtype=np.uint8)
+    else:
+        g = np.zeros((nn, nn), dtype=np.uint8)
+        g[0, 0] = g[1, 1] = 1
+        g[2:, 2:] = symplectic_from_index_bits(i, n - 1)
+
+    g = _transvect(t2, g)
+    g = _transvect(t1, g)
+    g = _transvect(h0, g)
+    g = _transvect(f1, g)
+    return g
+
+
+def _pauli_product(x1, z1, p1, x2, z2, p2):
+    """Multiply phase-tracked Paulis i^p X^x Z^z; phases mod 4."""
+    p = (p1 + p2 + 2 * int(np.dot(z1.astype(np.int64), x2.astype(np.int64)))) % 4
+    return x1 ^ x2, z1 ^ z2, p
+
+
+def _row_xzform(t: Tableau, i: int):
+    """Tableau row as phase-tracked XZ-form: (-1)^r prod sigma = i^p prod X^x Z^z."""
+    x, z, r = t.x[i], t.z[i], int(t.r[i])
+    p = (2 * r + int(np.dot(x.astype(np.int64), z.astype(np.int64)))) % 4
+    return x.copy(), z.copy(), p
+
+
+def measurement_support_bits(t: Tableau) -> AffineSupport:
+    """Gauss-Jordan over the stabilizer rows held as uint8 bit vectors, each
+    row operation a numpy Pauli product, lexicographic pivots."""
+    n = t.n
+    rows = [_row_xzform(t, n + j) for j in range(n)]
+    pivots: list[int] = []
+    for c in range(n):
+        r = len(pivots)
+        hot = [q for q in range(r, n) if rows[q][0][c]]
+        if not hot:
+            continue
+        rows[r], rows[hot[0]] = rows[hot[0]], rows[r]
+        for q in range(n):
+            if q != r and rows[q][0][c]:
+                rows[q] = _pauli_product(*rows[q], *rows[r])
+        pivots.append(c)
+    k = len(pivots)
+    basis = np.array([x for x, _, _ in rows[:k]], dtype=np.uint8).reshape(k, n)
+    zs = np.array([z for _, z, _ in rows[k:]], dtype=np.uint8).reshape(n - k, n)
+    phases = np.array([p for _, _, p in rows[k:]], dtype=np.uint8)
+    offset = None if (phases % 2).any() else gf2_solve(zs, phases // 2)
+    assert offset is not None, "inconsistent stabilizer sign constraints"
+    for row, pc in zip(basis, pivots):
+        if offset[pc]:
+            offset ^= row
+    return AffineSupport(n, basis, offset)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prulab.bounds import (
+    D_LIMIT,
     KAPPA_LIMIT,
     RomPruParams,
     improved_support_bound,
@@ -16,6 +17,7 @@ from prulab.bounds import (
     scalable_check,
     trivial_rompru_params,
 )
+from prulab.nets import net_size_lower_bound
 
 
 class TestPriorSupportBound:
@@ -150,6 +152,28 @@ class TestTrivialConstruction:
         assert math.isfinite(trivial_rompru_params(4, KAPPA_LIMIT - 1).q_upper)
         with pytest.raises(ValueError):
             trivial_rompru_params(4, KAPPA_LIMIT)
+
+    @pytest.mark.parametrize("d", [-3, 0, 1, D_LIMIT + 1, 10**200])
+    def test_every_calculator_rejects_d(self, d):
+        calls = [
+            lambda: prior_support_bound(d, 2, 0.0),
+            lambda: improved_support_bound(d, 2.0, 0.0),
+            lambda: rom_input_length_bounds(d, 8.0, 0.0, 0.1),
+            lambda: trivial_rompru_params(d, 3),
+            lambda: net_size_lower_bound(d, 0.1, 0.0),
+            lambda: RomPruParams(d, 1, 1.0, 1.0, 0.0, 2.0, 0.0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="d must be an integer from 2 to 2"):
+                call()
+
+    def test_d_limit_is_evaluable(self):
+        # at the largest accepted d every calculator still runs in floats
+        assert math.isfinite(prior_support_bound(D_LIMIT, 2, 0.0, as_log=True))
+        assert math.isfinite(improved_support_bound(D_LIMIT, 2.0, 0.999999, as_log=True))
+        assert math.isfinite(rom_input_length_bounds(D_LIMIT, 2.0, 0.0, 0.1).m_net)
+        assert math.isfinite(trivial_rompru_params(D_LIMIT, 3).support_size_log2)
+        assert math.isfinite(net_size_lower_bound(D_LIMIT, 0.1, 0.0, as_log=True))
 
 
 class TestScalableCheck:

@@ -255,6 +255,17 @@ class TestCli:
         (["bounds", "rom-input-length", "--d", "4", "--eps", "1e-320", "--t", "2"], "--eps"),
         (["bounds", "rom-input-length", "--d", "4", "--eps", "1e-320", "--t", "2",
           "--format", "csv"], "--eps"),
+        (["bounds", "rom-input-length", "--d", "0", "--t", "8"], "--d"),
+        (["bounds", "improved-support", "--d", "0", "--t", "2"], "--d"),
+        (["bounds", "prior-support", "--d", "0", "--t", "2"], "--d"),
+        (["bounds", "trivial-rompru", "--kappa", "3", "--d", "1" + "0" * 200], "--d"),
+        (["bounds", "net-size", "--d", "0", "--eps", "0.1"], "--d"),
+        (["bounds", "rom-input-length", "--d", "-3", "--t", "8"], "--d"),
+        (["bounds", "scalable-check", "--d", "1", "--kappa", "1", "--q", "1", "--m", "1",
+          "--t", "2"], "--d"),
+        (["bounds", "prior-support", "--d", str(2**500 + 1), "--t", "2", "--log"], "--d"),
+        (["bounds", "trivial-rompru", "--d", str(2**200), "--kappa", "500"],
+         "--d and --kappa"),
     ], ids=["n-out-of-range", "no-ensemble", "both-ensembles", "unknown-ensemble",
             "no-net", "no-t", "no-kappa", "zero-mem-budget", "negative-mem-budget",
             "net-size-no-eps", "scalable-check-no-q", "fractional-t", "fractional-sweep-t",
@@ -263,7 +274,11 @@ class TestCli:
             "net-size-overflow", "trivial-rompru-kappa-overflow", "scalable-check-qm",
             "scalable-check-qm-csv", "scalable-check-budget",
             "scalable-check-budget-zero-base", "rom-input-length-m-design-1",
-            "rom-input-length-m-net", "rom-input-length-m-net-csv"])
+            "rom-input-length-m-net", "rom-input-length-m-net-csv",
+            "rom-input-length-d-zero", "improved-support-d-zero", "prior-support-d-zero",
+            "trivial-rompru-d-201-digits", "net-size-d-zero", "rom-input-length-d-negative",
+            "scalable-check-d-one", "prior-support-d-beyond-limit",
+            "trivial-rompru-support-nan"])
     def test_usage_error_names_its_cause(self, argv, cause, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1

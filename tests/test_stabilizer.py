@@ -1,11 +1,14 @@
 import functools
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import measurement_support_bits, symplectic_from_index_bits
 from prulab.linalg import RandomSeed, is_unitary
 from prulab.stabilizer import (
     GammaParams,
@@ -41,6 +44,20 @@ def sample_measurement(t, shots, seed):
 def hadamards(n):
     zero = np.zeros(n, dtype=np.uint8)
     return gamma_state(GammaParams(n, np.zeros((n, n), dtype=np.uint8), zero, zero))
+
+
+def tableau_of(g, r):
+    """The tableau `random_clifford_rng` builds from symplectic matrix g and signs r."""
+    rows = np.vstack([g[0::2], g[1::2]])
+    return Tableau(g.shape[0] // 2, rows[:, 0::2], rows[:, 1::2], r)
+
+
+def assert_same_support(t):
+    got, want = measurement_support(t), measurement_support_bits(t)
+    for field in ("basis", "offset"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert np.array_equal(a, b)
 
 
 class TestGF2:
@@ -84,6 +101,26 @@ class TestSymplecticSampling:
                 g = symplectic_from_index(int(rng.integers(order)), n)
                 assert np.array_equal((g @ lam @ g.T) % 2, lam)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_index_matches_bit_oracle(self, n):
+        for i in range(symplectic_group_order(n)):
+            got, want = symplectic_from_index(i, n), symplectic_from_index_bits(i, n)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert np.array_equal(got, want), i
+
+    @pytest.mark.parametrize("n", [*range(3, 11), 63])
+    def test_random_indices_match_bit_oracle(self, n):
+        rng = RandomSeed(1406).child(n).generator()
+        order = symplectic_group_order(n)
+        for _ in range(40 if n <= 10 else 10):
+            i = int.from_bytes(rng.bytes(order.bit_length() // 8 + 8), "little") % order
+            assert np.array_equal(symplectic_from_index(i, n), symplectic_from_index_bits(i, n))
+
+    @pytest.mark.parametrize("i, n", [(6, 1), (-1, 1), (720, 2), (-720, 2), (0, 0), (0, -1)])
+    def test_index_outside_bijection_rejected(self, i, n):
+        with pytest.raises(ValueError):
+            symplectic_from_index(i, n)
+
 
 class TestRandomClifford:
     def test_symplectic_invariant(self):
@@ -99,6 +136,17 @@ class TestRandomClifford:
 
     def test_determinism(self):
         assert random_clifford(3, RandomSeed(12)) == random_clifford(3, RandomSeed(12))
+
+    def test_stream_is_pinned(self):
+        # the digest of these seeded draws, taken before the sampler moved
+        # to packed rows; it changes only with the RNG stream or the bijection
+        rng = RandomSeed(20261018).generator()
+        digest = hashlib.sha256()
+        for n in [*range(1, 11), 63]:
+            for _ in range(5):
+                digest.update(json.dumps(tableau_to_json_dict(random_clifford_rng(n, rng))).encode())
+        assert digest.hexdigest() == (
+            "692aa533103edcf251e5d885045b38861afbd09dd31e95edd54268024024041b")
 
     def test_single_qubit_uniform_over_24(self):
         rng = RandomSeed(971).generator()
@@ -208,6 +256,34 @@ class TestMeasurementSupport:
                 assert len(pivots) == sup.k_dim
                 assert not sup.offset[pivots].any()
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_tableau_matches_bit_oracle(self, n):
+        # every symplectic index times every sign pattern: 6*4 and 720*16
+        signs = list(itertools.product((0, 1), repeat=2 * n))
+        for i in range(symplectic_group_order(n)):
+            g = symplectic_from_index(i, n)
+            for r in signs:
+                assert_same_support(tableau_of(g, r))
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 10, 20, 63])
+    def test_random_tableaus_match_bit_oracle(self, n):
+        rng = RandomSeed(2170).child(n).generator()
+        for _ in range(30):
+            assert_same_support(random_clifford_rng(n, rng))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 63])
+    def test_extreme_dimensions_match_bit_oracle(self, n):
+        # k = 0 for the identity, k = n for Hadamard layers and gamma states
+        rng = np.random.default_rng(n)
+        cases = [Tableau(n), hadamards(n)]
+        for _ in range(4):
+            m = np.triu(rng.integers(0, 2, size=(n, n)), k=1).astype(np.uint8)
+            cases.append(gamma_state(GammaParams(n, m, rng.integers(0, 2, n), rng.integers(0, 2, n))))
+        for t in cases:
+            assert_same_support(t)
+        assert measurement_support(cases[0]).k_dim == 0
+        assert all(measurement_support(t).k_dim == n for t in cases[1:])
+
     def test_affine_contains_members(self):
         t = random_clifford(4, RandomSeed(99))
         sup = measurement_support(t)
@@ -313,3 +389,28 @@ class TestSerialization:
         t = random_clifford(5, RandomSeed(2))
         d = tableau_to_json_dict(t)
         assert tableau_from_json_dict(d) == t
+
+    def test_hex_layout(self):
+        # column j is bit j; x and z rows take n bits' worth of digits, r 2n
+        d = tableau_to_json_dict(hadamards(5))
+        assert d == {"n": 5, "x": ["00", "00", "00", "00", "00", "01", "02", "04", "08", "10"],
+                     "z": ["01", "02", "04", "08", "10", "00", "00", "00", "00", "00"],
+                     "r": "000"}
+
+    @pytest.mark.parametrize("field, value, cause", [
+        ("x", ["01", "02"], "'x' needs a list of 4 hex rows"),
+        ("z", ["00", "00", "01", "02", "00"], "'z' needs a list of 4 hex rows"),
+        ("x", "01", "'x' needs a list of 4 hex rows"),
+        ("x", ["05", "02", "00", "00"], "'x' sets bits beyond its 2 columns"),
+        ("r", "10", "'r' sets bits beyond its 4 columns"),
+        ("z", ["00", "00", "1g", "02"], "'z' holds a row that is not hex"),
+        ("z", ["00", "00", "-1", "02"], "'z' sets bits beyond its 2 columns"),
+        ("r", 3, "'r' holds a row that is not hex"),
+        ("x", ["02", "01", "00", "00"], "'x' and 'z' are not symplectic"),
+        ("n", 0, "'n' must be a positive integer"),
+        ("n", 2.0, "'n' must be a positive integer"),
+    ])
+    def test_malformed_json_rejected(self, field, value, cause):
+        d = {**tableau_to_json_dict(Tableau(2)), field: value}
+        with pytest.raises(ValueError, match="tableau fields? " + cause):
+            tableau_from_json_dict(d)
