@@ -73,7 +73,12 @@ def improved_support_bound(d: int, t: float, delta: float, c_design: float = 1.0
         raise ValueError("t and c_design must be positive")
     pref = math.log(2.0 - 2.0 * delta) - math.log(3.0 + delta)
     denom = d * d * math.log(4.0 / (1.0 - delta))
-    log_val = pref + 0.5 * (d * d - 1) * math.log(c_design * t / denom)
+    ratio = c_design * t / denom
+    if sys.float_info.min <= ratio <= sys.float_info.max:
+        log_ratio = math.log(ratio)
+    else:  # the ratio left the normal float range; its log did not
+        log_ratio = math.log(c_design) + math.log(t) - math.log(denom)
+    log_val = pref + 0.5 * (d * d - 1) * log_ratio
     return log_val if as_log else _safe_exp(log_val)
 
 
@@ -176,8 +181,16 @@ def trivial_rompru_params(d: int, kappa: int) -> TrivialRomPruParams:
     t = 1 << kappa
     k = d * d - 1
     # log C(t + k, k) = -log(t + k + 1) - log B(t + 1, k + 1); unlike a
-    # difference of lgammas it keeps its digits when t >> k
-    log2_support = -2 * (math.log1p(t + k) + float(betaln(t + 1.0, k + 1.0))) / math.log(2)
+    # difference of lgammas it keeps its digits when t >> k.  betaln gives
+    # nan once both arguments are huge (t and k from 2^256 on); Stirling's
+    # form, off by O(1/min(t, k)), is then exact to float precision
+    log_beta = float(betaln(t + 1.0, k + 1.0))
+    if math.isfinite(log_beta):
+        log_binom = -(math.log1p(t + k) + log_beta)
+    else:
+        log_binom = (t * math.log1p(k / t) + k * math.log1p(t / k)
+                     + 0.5 * (math.log(t + k) - math.log(2 * math.pi) - math.log(t) - math.log(k)))
+    log2_support = 2 * log_binom / math.log(2)
     q = log2_support
     m = math.log2(q) if q > 0 else 0.0
     q_upper = 2 * k * math.log2(math.e * ((k + t) / k))

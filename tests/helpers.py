@@ -7,7 +7,9 @@ point of the spectrum's convex hull nearest the origin geometrically.
 The Haar-basis measurement oracle builds the whole basis and samples the
 outcome from its Born probabilities.  The symplectic-index and
 measurement-support oracles are the bit-per-byte numpy forms of the
-packed-row code in `prulab.stabilizer`.
+packed-row code in `prulab.stabilizer`.  The d = 2 pair-cover oracle
+ranks the whole m x m trace matrix at once, where `prulab.nets` streams
+it in row blocks.
 """
 
 from __future__ import annotations
@@ -98,6 +100,20 @@ def haar_basis_measurement(phis: np.ndarray, rng: np.random.Generator) -> np.nda
     # a cumsum ending below 1 can leave u past every entry: clamp to D-1
     ks = np.minimum((np.cumsum(probs, axis=1) < u[:, None]).sum(axis=1), big - 1)
     return ws[np.arange(shots), :, ks]
+
+
+def cover_with_product_unblocked(u: np.ndarray, net) -> tuple[np.ndarray, np.ndarray, float]:
+    """The d = 2 pair search over the full m x m trace matrix: one gemm,
+    the clamped rank 4 - min(|tr|^2, 4), one row-major argmin."""
+    m = len(net)
+    stacked = net.unitaries
+    h = np.einsum("kij,il->klj", stacked.conj(), u).reshape(m, 4)
+    g = stacked.reshape(m, 4)
+    tr = g @ h.T  # tr[j, i] = tr(V2_j V1_i^dag u)
+    d2 = 4.0 - np.minimum(np.abs(tr) ** 2, 4.0)
+    j, i = np.unravel_index(int(np.argmin(d2)), d2.shape)
+    best = math.sqrt(max(float(d2[j, i]), 0.0))
+    return net.unitaries[i], net.unitaries[j], best
 
 
 def _sym_inner(v: np.ndarray, w: np.ndarray) -> int:

@@ -78,6 +78,20 @@ class TestImprovedSupportBound:
         with pytest.raises(ValueError):
             improved_support_bound(2, 10.0, 1.0)
 
+    @pytest.mark.parametrize("t, c_design, shift", [
+        (5e-324, 1.0, 600), (1e-300, 1e-30, 600), (1e-310, 1.0, 100), (1e300, 1e300, -1000)])
+    def test_ratio_past_float_range(self, t, c_design, shift):
+        # c_design t / denom underflows (or is subnormal) or overflows; the
+        # log must still be linear in log t: scaling t by 2^shift lands in
+        # the normal range and adds (d^2 - 1)/2 shift ln 2
+        d = 3
+        far = improved_support_bound(d, t, 0.0, c_design, as_log=True)
+        near = improved_support_bound(d, math.ldexp(t, shift), 0.0, c_design, as_log=True)
+        assert math.isfinite(near)
+        assert far == pytest.approx(near - 0.5 * (d * d - 1) * shift * math.log(2), rel=1e-12)
+        plain = improved_support_bound(d, t, 0.0, c_design)
+        assert plain == (0.0 if shift > 0 else math.inf)
+
 
 class TestDominationCrossover:
     def test_improved_beats_prior_large_d_grid(self):
@@ -143,6 +157,32 @@ class TestTrivialConstruction:
         p = trivial_rompru_params(d, kappa)
         assert p.support_size_log2 == pytest.approx(exact, rel=1e-9)
         assert p.q <= p.q_upper
+
+    def test_finite_and_monotone_where_betaln_is_nan(self):
+        # scipy's betaln is nan over much of this grid (t and k from 2^256)
+        for e in range(100, 501):
+            vals = [trivial_rompru_params(2**e, kappa) for kappa in range(3, KAPPA_LIMIT)]
+            logs = [p.support_size_log2 for p in vals]
+            assert all(map(math.isfinite, logs)), e
+            assert all(a < b for a, b in zip(logs, logs[1:])), e
+            assert all(p.q == p.support_size_log2 and p.m > 0 for p in vals), e
+        # 1.816e122 nats at d = 2^200, kappa = 500
+        assert trivial_rompru_params(2**200, 500).support_size_log2 == pytest.approx(
+            2 * 1.8157017212780723e122 / math.log(2), rel=1e-12)
+
+    @pytest.mark.parametrize("d, kappa", [(64, 20), (64, 40), (128, 30), (2**20, 60)])
+    def test_stirling_fallback(self, d, kappa, monkeypatch):
+        import scipy.special
+
+        with_betaln = trivial_rompru_params(d, kappa).support_size_log2
+        monkeypatch.setattr(scipy.special, "betaln", lambda a, b: math.nan)
+        p = trivial_rompru_params(d, kappa)
+        assert p.support_size_log2 == pytest.approx(with_betaln, rel=1e-9)
+        if d < 2**20:
+            exact = 2 * math.log2(math.comb(d * d + (1 << kappa) - 1, d * d - 1))
+            assert p.support_size_log2 == pytest.approx(exact, rel=1e-9)
+        else:  # t = 2^60, k = 2^40 - 1: every printed digit
+            assert repr(p.support_size_log2) == repr(with_betaln)
 
     def test_validation(self):
         with pytest.raises(ValueError):

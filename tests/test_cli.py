@@ -264,8 +264,6 @@ class TestCli:
         (["bounds", "scalable-check", "--d", "1", "--kappa", "1", "--q", "1", "--m", "1",
           "--t", "2"], "--d"),
         (["bounds", "prior-support", "--d", str(2**500 + 1), "--t", "2", "--log"], "--d"),
-        (["bounds", "trivial-rompru", "--d", str(2**200), "--kappa", "500"],
-         "--d and --kappa"),
     ], ids=["n-out-of-range", "no-ensemble", "both-ensembles", "unknown-ensemble",
             "no-net", "no-t", "no-kappa", "zero-mem-budget", "negative-mem-budget",
             "net-size-no-eps", "scalable-check-no-q", "fractional-t", "fractional-sweep-t",
@@ -277,8 +275,7 @@ class TestCli:
             "rom-input-length-m-net", "rom-input-length-m-net-csv",
             "rom-input-length-d-zero", "improved-support-d-zero", "prior-support-d-zero",
             "trivial-rompru-d-201-digits", "net-size-d-zero", "rom-input-length-d-negative",
-            "scalable-check-d-one", "prior-support-d-beyond-limit",
-            "trivial-rompru-support-nan"])
+            "scalable-check-d-one", "prior-support-d-beyond-limit"])
     def test_usage_error_names_its_cause(self, argv, cause, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1
@@ -294,6 +291,24 @@ class TestCli:
         code, out, err = run_cli(argv + ["--log"], capsys)
         assert code == 0, err
         assert np.isfinite(strict_json(out)["result"]["value"])
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "improved-support", "--d", "2", "--t", "5e-324"],
+        ["bounds", "improved-support", "--d", "2", "--t", "5e-324", "--log"],
+        ["bounds", "improved-support", "--d", "2", "--t", "1e-300", "--c-design", "1e-30"],
+        ["bounds", "improved-support", "--d", "2", "--t", "1e-300", "--c-design", "1e-30",
+         "--log"],
+        ["bounds", "trivial-rompru", "--d", str(2**200), "--kappa", "500"],
+    ], ids=["improved-support-underflow", "improved-support-underflow-log",
+            "improved-support-tiny-c-design", "improved-support-tiny-c-design-log",
+            "trivial-rompru-support-nan"])
+    def test_bound_past_float_range_is_finite(self, argv, capsys):
+        # the improved-support ratio underflows to 0, and scipy's betaln is
+        # nan at d = 2^200, kappa = 500
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        rep = strict_json(out)["result"]
+        assert all(np.isfinite(v) for v in rep.values() if isinstance(v, float))
 
     def test_scalable_check_beyond_float_kappa(self, capsys):
         code, out, err = run_cli(["bounds", "scalable-check", "--d", "16", "--kappa", "2000",

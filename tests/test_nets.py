@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from helpers import cover_with_product_unblocked
 
-from prulab.linalg import RandomSeed, diamond_distance_unitaries, haar_unitary
+from prulab import nets
+from prulab.linalg import (
+    RandomSeed,
+    ResourceLimitError,
+    diamond_distance_unitaries,
+    haar_unitary,
+    memory_budget_bytes,
+    set_memory_budget_bytes,
+)
 from prulab.nets import (
     NetSpec,
     compose_nets,
@@ -116,7 +125,7 @@ class TestComposeAndDagger:
 
     def test_dagger_involution(self, small_net):
         dd = dagger_net(dagger_net(small_net))
-        assert np.allclose(dd.stacked(), small_net.stacked())
+        assert np.allclose(dd.unitaries, small_net.unitaries)
 
 
 class TestCoverWithProduct:
@@ -155,6 +164,97 @@ class TestCoverWithProduct:
             u = haar_unitary(2, seed.child(i))
             _, _, dist = cover_with_product(u, net)
             assert dist <= 2 * eps
+
+
+def _row_of(net, v):
+    """The net index of v, a row view of net.unitaries."""
+    assert np.shares_memory(v, net.unitaries)
+    return (v.ctypes.data - net.unitaries.ctypes.data) // net.unitaries[0].nbytes
+
+
+def _assert_matches_unblocked(u, net):
+    v1, v2, dist = cover_with_product(u, net)
+    w1, w2, want = cover_with_product_unblocked(u, net)
+    assert (_row_of(net, v1), _row_of(net, v2)) == (_row_of(net, w1), _row_of(net, w2))
+    assert np.float64(dist).tobytes() == np.float64(want).tobytes()
+    return _row_of(net, v1), _row_of(net, v2), dist
+
+
+@pytest.fixture(scope="module")
+def net_2000():
+    return NetSpec.haar_sample(2, 2000, RandomSeed(600))
+
+
+@pytest.fixture
+def budget():
+    before = memory_budget_bytes()
+    yield set_memory_budget_bytes
+    set_memory_budget_bytes(before)
+
+
+class TestStreamedPairSearch:
+    """The d = 2 search streams row blocks of the pair matrix; it must pick
+    the same pair, with a bit-equal distance, as the unblocked argmin."""
+
+    def test_seeded_queries_at_2000(self, net_2000):
+        seed = RandomSeed(601)
+        for i in range(25):
+            _assert_matches_unblocked(haar_unitary(2, seed.child(i)), net_2000)
+
+    def test_exact_net_products(self, net_2000):
+        # rows are V2 = net[b], so (7, 1999) lands in the last block; the
+        # clamp binds where |tr|^2 rounds past 4, and u = I ties every V1 = V2
+        # pair at 0, so only the first may be returned
+        us = net_2000.unitaries
+        queries = [us[a] @ us[b].conj().T
+                   for a, b in [(3, 5), (1999, 0), (7, 1999), (1990, 1985), (0, 0)]]
+        dists = [_assert_matches_unblocked(u, net_2000)[2]
+                 for u in queries + [np.eye(2, dtype=complex)]]
+        assert max(dists) < 1e-6 and 0.0 in dists
+
+    @pytest.mark.parametrize("blocks, extra", [
+        (0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, 0), (3, 5)])
+    def test_net_sizes_around_the_block(self, blocks, extra):
+        m = blocks * nets._PAIR_BLOCK_ROWS + extra
+        net = NetSpec.haar_sample(2, m, RandomSeed(602 + m))
+        seed = RandomSeed(603)
+        for i in range(10):
+            _assert_matches_unblocked(haar_unitary(2, seed.child(i)), net)
+        us = net.unitaries
+        _assert_matches_unblocked(us[m - 1] @ us[0].conj().T, net)
+        _assert_matches_unblocked(us[0] @ us[m - 1].conj().T, net)
+
+    def test_duplicate_rows_across_blocks_tie_to_the_first(self):
+        b = nets._PAIR_BLOCK_ROWS
+        m = 3 * b + 5
+        us = list(NetSpec.haar_sample(2, m, RandomSeed(604)).unitaries)
+        for dup in (b, 2 * b + 1, m - 1):  # next block, a middle one, the last
+            us[dup] = us[b - 1]
+        net = NetSpec(2, us)
+        picks = [_assert_matches_unblocked(us[4] @ us[b - 1].conj().T, net)]
+        seed = RandomSeed(605)
+        picks += [_assert_matches_unblocked(haar_unitary(2, seed.child(i)), net)
+                  for i in range(10)]
+        assert picks[0][:2] == (4, b - 1)
+        assert all(v2 not in (b, 2 * b + 1, m - 1) for _, v2, _ in picks)
+
+    def test_budget_charges_one_block(self, net_2000, budget):
+        # the unblocked search charged 16 m^2 = 64 MB at m = 2000
+        u = haar_unitary(2, RandomSeed(606))
+        budget(16 << 20)
+        _assert_matches_unblocked(u, net_2000)
+        budget(64 << 10)  # smaller than any block of two or more rows
+        with pytest.raises(ResourceLimitError):
+            cover_with_product(u, net_2000)
+
+    def test_budget_d3_charges_one_batch(self, budget):
+        net = NetSpec.haar_sample(3, 40, RandomSeed(607))
+        u = haar_unitary(3, RandomSeed(608))
+        budget(16 * 40 * 40)  # below the old m x m charge
+        cover_with_product(u, net)
+        budget(16 * 40)
+        with pytest.raises(ResourceLimitError):
+            cover_with_product(u, net)
 
 
 class TestBounds:
