@@ -16,7 +16,7 @@ import numpy as np
 
 from prulab.linalg import RandomSeed, ensure_budget, haar_state
 from prulab.ensembles import PFCSample, PolyaUrnSampler, sample_pfc
-from prulab.stabilizer import measurement_support, pack_bits, sample_from_support
+from prulab.stabilizer import measurement_support, sample_from_support
 from prulab.util import wilson_interval
 
 
@@ -119,8 +119,7 @@ class PFCOracle:
         self._rng = seed.generator()
 
     def draw(self, shots: int) -> np.ndarray:
-        bits = sample_from_support(self._support, shots, self._rng)
-        return self.sample.permutation[pack_bits(bits).astype(np.int64)]
+        return self.sample.permutation[sample_from_support(self._support, shots, self._rng)]
 
 
 def haar_oracle_factory(d: int, mode: str = "urn"):

@@ -32,7 +32,8 @@ class NetSpec:
     """A finite set of same-dimension unitaries treated as a candidate net.
 
     Built from any sequence of (dim, dim) matrices; ``unitaries`` holds
-    them as one (m, dim, dim) complex array.
+    them as one (m, dim, dim) complex array, which is the caller's own
+    array, not a copy, when it already is one.
     """
 
     dim: int
@@ -43,7 +44,7 @@ class NetSpec:
             raise ValueError("a net must be nonempty")
         if any(np.shape(u) != (self.dim, self.dim) for u in self.unitaries):
             raise ValueError("net element dimension mismatch")
-        self.unitaries = np.array(self.unitaries, dtype=complex)
+        self.unitaries = np.asarray(self.unitaries, dtype=complex)
 
     def __len__(self) -> int:
         return len(self.unitaries)
@@ -104,12 +105,17 @@ def exposure_estimate(net: NetSpec, eps: float, samples: int,
 
 
 def compose_nets(n1: NetSpec, n2: NetSpec) -> NetSpec:
-    """All products V1 V2^dag (|n1| |n2| elements, before deduplication)."""
+    """All products V1 V2^dag (|n1| |n2| elements, before deduplication),
+    V1 = n1[i] and V2 = n2[j] at index i |n2| + j."""
     if n1.dim != n2.dim:
         raise ValueError("dimension mismatch")
-    ensure_budget(16 * n1.dim**2 * len(n1) * len(n2), "net composition")
-    out = [v1 @ v2.conj().T for v1 in n1.unitaries for v2 in n2.unitaries]
-    return NetSpec(n1.dim, out)
+    d = n1.dim
+    # the products, which NetSpec keeps without a copy, n2's daggers, and
+    # one more |n2| stack of headroom for the Python objects made on the way
+    ensure_budget(16 * d * d * (len(n1) + 2) * len(n2), "net composition")
+    daggers = n2.unitaries.conj().transpose(0, 2, 1)
+    out = np.matmul(n1.unitaries[:, None], daggers[None]).reshape(-1, d, d)
+    return NetSpec(d, out)
 
 
 def dagger_net(net: NetSpec) -> NetSpec:

@@ -4,8 +4,11 @@ Uniform Clifford sampling through the canonical symplectic-index
 construction, computational-basis measurement supports of stabilizer
 states, dense tableau unitaries read off the tableau's Pauli rows, and the
 explicit full-support state family parametrized by (M, u, v).  Sampling and
-support extraction work on packed rows, one Python int per row with column
-j as bit j, so a row operation is one XOR and an inner product a popcount.
+support extraction work on packed rows, one Python int per row, so a row
+operation is one XOR and an inner product a popcount.  Symplectic rows
+keep column j as bit j; support rows put qubit 0 in the most significant
+bit, so a support's basis, offset and samples are outcome indices as they
+stand.
 """
 
 from __future__ import annotations
@@ -16,48 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 from prulab.linalg import PropertyViolationError, ensure_budget
-
-# ---------------------------------------------------------------------------
-# GF(2) linear algebra helpers
-# ---------------------------------------------------------------------------
-
-
-def gf2_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(2) with lexicographic pivots."""
-    m = a.copy().astype(np.uint8) % 2
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        hot = np.nonzero(m[r:, c])[0]
-        if hot.size == 0:
-            continue
-        p = r + hot[0]
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        others = np.nonzero(m[:, c])[0]
-        for q in others:
-            if q != r:
-                m[q] ^= m[r]
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
-def gf2_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One solution of a x = b over GF(2), or None if inconsistent."""
-    rows, cols = a.shape
-    aug = np.concatenate([a.astype(np.uint8) % 2, (b.astype(np.uint8) % 2)[:, None]], axis=1)
-    m, pivots = gf2_rref(aug)
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.uint8)
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r, cols]
-    return x
-
 
 # ---------------------------------------------------------------------------
 # Tableau
@@ -122,13 +83,6 @@ def pauli_matrix(x: np.ndarray, z: np.ndarray, r: int) -> np.ndarray:
     for xq, zq in zip(x, z):
         out = np.kron(out, table[(int(xq), int(zq))])
     return (-1) ** int(r) * out
-
-
-def _row_xzform(t: Tableau, i: int):
-    """Tableau row as phase-tracked XZ-form: (-1)^r prod sigma = i^p prod X^x Z^z."""
-    x, z, r = t.x[i], t.z[i], int(t.r[i])
-    p = (2 * r + int(np.dot(x.astype(np.int64), z.astype(np.int64)))) % 4
-    return x.copy(), z.copy(), p
 
 
 def _pack_rows(bits: np.ndarray) -> list[int]:
@@ -272,12 +226,14 @@ def random_clifford_rng(n: int, rng: np.random.Generator) -> Tableau:
 def _apply_row(t: Tableau, i: int, m: np.ndarray) -> np.ndarray:
     """Tableau row i, as a dense Pauli, applied to a block of column vectors.
 
-    With the row as i^p X^x Z^z: (i^p X^x Z^z m)[w] = i^p (-1)^{z.(w^x)} m[w^x],
-    basis index w read with qubit 0 as the most significant bit.
+    The row (-1)^r prod sigma(x_q, z_q) is i^p X^x Z^z with p = 2r + x.z, and
+    (i^p X^x Z^z m)[w] = i^p (-1)^{z.(w^x)} m[w^x], basis index w read with
+    qubit 0 as the most significant bit.
     """
-    x, z, p = _row_xzform(t, i)
-    src = np.arange(m.shape[0]) ^ int(pack_bits(x))
-    parity = (((src[:, None] >> np.arange(t.n - 1, -1, -1)) & 1) @ z) & 1
+    x, z = _pack_rows(np.stack([t.x[i, ::-1], t.z[i, ::-1]]))
+    p = (2 * int(t.r[i]) + (x & z).bit_count()) % 4
+    src = np.arange(m.shape[0]) ^ x
+    parity = (((src[:, None] >> np.arange(t.n - 1, -1, -1)) & 1) @ t.z[i]) & 1
     return (1j**p * (1 - 2 * parity))[:, None] * m[src]
 
 
@@ -326,86 +282,101 @@ def tableau_to_unitary(t: Tableau) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AffineSupport:
-    """Affine subspace of F_2^n carrying the measurement distribution of C|0..0>."""
+    """Affine subspace of F_2^n carrying the measurement distribution of C|0..0>.
+
+    Elements are outcome indices with qubit 0 as the most significant bit,
+    the order of `tableau_to_statevector`.  ``basis`` is in RREF with
+    descending leading bits, and ``offset`` is zero at each leading bit.
+    """
 
     n: int
-    basis: np.ndarray  # (k_dim, n) independent rows
-    offset: np.ndarray  # (n,)
+    basis: tuple[int, ...]
+    offset: int
 
     @property
     def k_dim(self) -> int:
-        return self.basis.shape[0]
+        return len(self.basis)
 
     @property
     def size(self) -> int:
         return 1 << self.k_dim
 
-    def contains(self, v: np.ndarray) -> bool:
-        res = gf2_solve(self.basis.T, (np.asarray(v, dtype=np.uint8) ^ self.offset))
-        return res is not None
+    def contains(self, v: int) -> bool:
+        v ^= self.offset
+        for b in self.basis:
+            if v >> (b.bit_length() - 1) & 1:
+                v ^= b
+        return v == 0
 
     def members(self) -> np.ndarray:
-        """All 2^k_dim elements; k_dim <= 20 guard."""
+        """All 2^k_dim elements as int64 indices, member i selecting basis
+        row j when bit j of i is set; k_dim <= 20 and n <= 63."""
+        _check_index_width(self)
         if self.k_dim > 20:
             raise ValueError("support too large to enumerate")
-        k = self.k_dim
-        coeffs = ((np.arange(1 << k)[:, None] >> np.arange(k)[None, :]) & 1).astype(np.uint8)
-        return (coeffs @ self.basis + self.offset) % 2
+        out = np.array([self.offset], dtype=np.int64)
+        for b in self.basis:
+            out = np.concatenate([out, out ^ b])
+        return out
+
+
+def _check_index_width(sup: AffineSupport) -> None:
+    if sup.n > 63:
+        raise ValueError(f"outcome indices of {sup.n} qubits do not fit in int64 (n <= 63)")
 
 
 def measurement_support(t: Tableau) -> AffineSupport:
     """Affine set over which measuring C|0...0> is uniform.
 
-    One Gauss-Jordan pass over the X block of the stabilizer rows, held as
-    packed triples (x, z, p) for i^p X^x Z^z, qubit q as bit q.  A row
-    operation is the Pauli product, of phase p1 + p2 + 2 popcount(z1 & x2)
-    mod 4; pivots are lexicographic for determinism.  The rows with an X
-    pivot span the support's direction, already in RREF; the remaining rows
-    are +-Z^z and fix z.v to their sign.  The offset is the coset
-    representative that is zero at every pivot column.
+    One Gauss-Jordan pass over the stabilizer rows, each packed as
+    (x << n | z, p) for i^p X^x Z^z with qubit 0 as the most significant bit
+    of x and of z.  A row operation is the Pauli product, of phase
+    p1 + p2 + 2 popcount(z1 & x2) mod 4; pivots run lexicographically over
+    the X columns, then the Z columns.  The rows with an X pivot span the
+    support's direction, already in RREF; the Z-column steps leave their x
+    parts alone.  Each remaining row is +-Z^z and sets the outcome bit at
+    its pivot to its sign, so z.v matches that sign on every row.  The
+    offset is that outcome reduced to zero at every basis pivot.
     """
     n = t.n
-    rows = [(x, z, (2 * r + (x & z).bit_count()) % 4)
-            for x, z, r in zip(_pack_rows(t.x[n:]), _pack_rows(t.z[n:]), t.r[n:].tolist())]
-    pivots: list[int] = []
-    for c in range(n):
-        r = len(pivots)
+    rows = [(x << n | z, (2 * r + (x & z).bit_count()) % 4)
+            for x, z, r in zip(_pack_rows(t.x[n:, ::-1]), _pack_rows(t.z[n:, ::-1]),
+                               t.r[n:].tolist())]
+    r = 0
+    for c in range(2 * n - 1, -1, -1):
         hot = next((q for q in range(r, n) if rows[q][0] >> c & 1), None)
         if hot is None:
             continue
         rows[r], rows[hot] = rows[hot], rows[r]
-        x2, z2, p2 = rows[r]
-        for q, (x1, z1, p1) in enumerate(rows):
-            if q != r and x1 >> c & 1:
-                rows[q] = (x1 ^ x2, z1 ^ z2, (p1 + p2 + 2 * (z1 & x2).bit_count()) % 4)
-        pivots.append(c)
-    k = len(pivots)
-    phases = [p for _, _, p in rows[k:]]
-    offset = None if any(p % 2 for p in phases) else gf2_solve(
-        _unpack_rows([z for _, z, _ in rows[k:]], n), np.array(phases, dtype=np.uint8) // 2)
-    if offset is None:
-        raise PropertyViolationError("inconsistent stabilizer sign constraints")
-    basis = _unpack_rows([x for x, _, _ in rows[:k]], n)
-    for row, pc in zip(basis, pivots):
-        if offset[pc]:
-            offset ^= row
+        v2, p2 = rows[r]
+        x2 = v2 >> n  # below bit n, so v1 & x2 is z1 & x2
+        for q, (v1, p1) in enumerate(rows):
+            if q != r and v1 >> c & 1:
+                rows[q] = (v1 ^ v2, (p1 + p2 + 2 * (v1 & x2).bit_count()) % 4)
+        r += 1
+    basis = tuple(v >> n for v, _ in rows if v >> n)
+    offset = 0
+    for v, p in rows[len(basis):]:
+        if p % 2 or p and not v:
+            raise PropertyViolationError("inconsistent stabilizer sign constraints")
+        if p:
+            offset |= 1 << (v.bit_length() - 1)
+    for b in basis:
+        if offset >> (b.bit_length() - 1) & 1:
+            offset ^= b
     return AffineSupport(n, basis, offset)
 
 
 def sample_from_support(sup: AffineSupport, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. uniform samples (shots x n bit rows) over the affine set."""
+    """i.i.d. uniform outcome indices (int64, n <= 63) over the affine set:
+    the offset XOR the basis rows each uniform coefficient row selects."""
+    _check_index_width(sup)
     k = sup.k_dim
     if k == 0:
-        return np.tile(sup.offset, (shots, 1))
+        return np.full(shots, sup.offset, dtype=np.int64)
     coeffs = rng.integers(0, 2, size=(shots, k), dtype=np.uint8)
-    return (coeffs @ sup.basis + sup.offset) % 2
-
-
-def pack_bits(rows: np.ndarray) -> np.ndarray:
-    """Bit rows -> integers (qubit 0 = most significant), n <= 63."""
-    n = rows.shape[-1]
-    weights = (1 << np.arange(n - 1, -1, -1)).astype(np.uint64)
-    return rows.astype(np.uint64) @ weights
+    picked = coeffs * np.array(sup.basis, dtype=np.int64)
+    return np.bitwise_xor.reduce(picked, axis=1) ^ sup.offset
 
 
 # ---------------------------------------------------------------------------

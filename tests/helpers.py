@@ -7,7 +7,9 @@ point of the spectrum's convex hull nearest the origin geometrically.
 The Haar-basis measurement oracle builds the whole basis and samples the
 outcome from its Born probabilities.  The symplectic-index and
 measurement-support oracles are the bit-per-byte numpy forms of the
-packed-row code in `prulab.stabilizer`.  The d = 2 pair-cover oracle
+packed-row code in `prulab.stabilizer`, with the GF(2) row reduction,
+solver and bit-row packing they need; `prulab.stabilizer` keeps supports
+as packed outcome indices and needs none of them.  The d = 2 pair-cover oracle
 ranks the whole m x m trace matrix at once, where `prulab.nets` streams
 it in row blocks.
 """
@@ -20,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from prulab.linalg import schatten_norm
-from prulab.stabilizer import AffineSupport, Tableau, gf2_solve
+from prulab.stabilizer import Tableau
 
 
 def brute_force_diamond(u: np.ndarray, v: np.ndarray, restarts: int = 8,
@@ -208,6 +210,50 @@ def symplectic_from_index_bits(i: int, n: int) -> np.ndarray:
     return g
 
 
+def gf2_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over GF(2) with lexicographic pivots."""
+    m = a.copy().astype(np.uint8) % 2
+    rows, cols = m.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        hot = np.nonzero(m[r:, c])[0]
+        if hot.size == 0:
+            continue
+        p = r + hot[0]
+        if p != r:
+            m[[r, p]] = m[[p, r]]
+        others = np.nonzero(m[:, c])[0]
+        for q in others:
+            if q != r:
+                m[q] ^= m[r]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def gf2_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """One solution of a x = b over GF(2), or None if inconsistent."""
+    rows, cols = a.shape
+    aug = np.concatenate([a.astype(np.uint8) % 2, (b.astype(np.uint8) % 2)[:, None]], axis=1)
+    m, pivots = gf2_rref(aug)
+    if cols in pivots:
+        return None
+    x = np.zeros(cols, dtype=np.uint8)
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r, cols]
+    return x
+
+
+def pack_bits(rows: np.ndarray) -> np.ndarray:
+    """Bit rows -> integers (qubit 0 = most significant), n <= 63."""
+    n = rows.shape[-1]
+    weights = (1 << np.arange(n - 1, -1, -1)).astype(np.uint64)
+    return rows.astype(np.uint64) @ weights
+
+
 def _pauli_product(x1, z1, p1, x2, z2, p2):
     """Multiply phase-tracked Paulis i^p X^x Z^z; phases mod 4."""
     p = (p1 + p2 + 2 * int(np.dot(z1.astype(np.int64), x2.astype(np.int64)))) % 4
@@ -221,9 +267,11 @@ def _row_xzform(t: Tableau, i: int):
     return x.copy(), z.copy(), p
 
 
-def measurement_support_bits(t: Tableau) -> AffineSupport:
-    """Gauss-Jordan over the stabilizer rows held as uint8 bit vectors, each
-    row operation a numpy Pauli product, lexicographic pivots."""
+def measurement_support_bits(t: Tableau) -> tuple[np.ndarray, np.ndarray]:
+    """The support's (k, n) basis and (n,) offset as bit arrays, qubit q in
+    column q: Gauss-Jordan over the X block of the stabilizer rows held as
+    uint8 bit vectors, each row operation a numpy Pauli product,
+    lexicographic pivots, then `gf2_solve` on the leftover Z rows."""
     n = t.n
     rows = [_row_xzform(t, n + j) for j in range(n)]
     pivots: list[int] = []
@@ -246,4 +294,4 @@ def measurement_support_bits(t: Tableau) -> AffineSupport:
     for row, pc in zip(basis, pivots):
         if offset[pc]:
             offset ^= row
-    return AffineSupport(n, basis, offset)
+    return basis, offset

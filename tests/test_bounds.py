@@ -41,6 +41,13 @@ class TestPriorSupportBound:
                     worst = max(worst, abs(approx - exact) / exact)
         assert worst < 1e-9
 
+    @pytest.mark.parametrize("d, t", [(1000, 10**15), (4, 10**6), (66, 10**6), (65, 10**8)])
+    def test_log_binomial_keeps_its_digits(self, d, t):
+        # the binomial branch wins at t >> d; a difference of lgammas was off
+        # in the 4th digit at d = 1000, t = 1e15
+        exact = 2 * math.log(math.comb(d + t - 1, t))
+        assert prior_support_bound(d, t, 0.0, as_log=True) == pytest.approx(exact, rel=1e-15)
+
     def test_log_space_no_overflow(self):
         v = prior_support_bound(64, 10_000, 0.1, as_log=True)
         assert math.isfinite(v) and v > 0
@@ -128,6 +135,19 @@ class TestRomInputLength:
         assert r.m_design_2 is not None
 
 
+def _mp_log2_support(d: int, kappa: int) -> float:
+    """2 log2 C(t + k, k), t = 2^kappa and k = d^2 - 1, from mpmath's loggamma.
+
+    2300 bits hold t + k exactly for every accepted d and kappa, and keep
+    about 1000 bits after the loggammas cancel.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(2300):
+        t, k = mpmath.mpf(1 << kappa), mpmath.mpf(d * d - 1)
+        log_binom = mpmath.loggamma(t + k + 1) - mpmath.loggamma(t + 1) - mpmath.loggamma(k + 1)
+        return float(2 * log_binom / mpmath.log(2))
+
+
 class TestTrivialConstruction:
     def test_kappa_zero_point(self):
         p = trivial_rompru_params(2, 0)
@@ -159,7 +179,7 @@ class TestTrivialConstruction:
         assert p.q <= p.q_upper
 
     def test_finite_and_monotone_where_betaln_is_nan(self):
-        # scipy's betaln is nan over much of this grid (t and k from 2^256)
+        # scipy's betaln, used here before, is nan over much of this grid
         for e in range(100, 501):
             vals = [trivial_rompru_params(2**e, kappa) for kappa in range(3, KAPPA_LIMIT)]
             logs = [p.support_size_log2 for p in vals]
@@ -171,18 +191,23 @@ class TestTrivialConstruction:
             2 * 1.8157017212780723e122 / math.log(2), rel=1e-12)
 
     @pytest.mark.parametrize("d, kappa", [(64, 20), (64, 40), (128, 30), (2**20, 60)])
-    def test_stirling_fallback(self, d, kappa, monkeypatch):
-        import scipy.special
-
-        with_betaln = trivial_rompru_params(d, kappa).support_size_log2
-        monkeypatch.setattr(scipy.special, "betaln", lambda a, b: math.nan)
+    def test_stirling_fallback(self, d, kappa):
+        # min(t, k) > 64, so Stirling's series with its corrections runs
         p = trivial_rompru_params(d, kappa)
-        assert p.support_size_log2 == pytest.approx(with_betaln, rel=1e-9)
         if d < 2**20:
             exact = 2 * math.log2(math.comb(d * d + (1 << kappa) - 1, d * d - 1))
-            assert p.support_size_log2 == pytest.approx(exact, rel=1e-9)
-        else:  # t = 2^60, k = 2^40 - 1: every printed digit
-            assert repr(p.support_size_log2) == repr(with_betaln)
+            assert p.support_size_log2 == pytest.approx(exact, rel=1e-15)
+        else:  # t = 2^60, k = 2^40 - 1
+            assert p.support_size_log2 == pytest.approx(_mp_log2_support(d, kappa), rel=1e-15)
+
+    def test_matches_mpmath_on_grid(self):
+        # both branches of the log binomial, either side of min(t, k) = 64,
+        # across the whole accepted range of d and kappa
+        ds = [*range(2, 40), *(2**e for e in range(1, 501, 11)), 2**500]
+        kappas = [*range(0, 13), *range(13, KAPPA_LIMIT, 29), KAPPA_LIMIT - 1]
+        worst = max(abs(trivial_rompru_params(d, kappa).support_size_log2
+                        / _mp_log2_support(d, kappa) - 1) for d in ds for kappa in kappas)
+        assert worst <= 1e-14
 
     def test_validation(self):
         with pytest.raises(ValueError):

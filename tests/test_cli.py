@@ -303,8 +303,8 @@ class TestCli:
             "improved-support-tiny-c-design", "improved-support-tiny-c-design-log",
             "trivial-rompru-support-nan"])
     def test_bound_past_float_range_is_finite(self, argv, capsys):
-        # the improved-support ratio underflows to 0, and scipy's betaln is
-        # nan at d = 2^200, kappa = 500
+        # the improved-support ratio underflows to 0, and t and k are both
+        # past 2^256 at d = 2^200, kappa = 500
         code, out, err = run_cli(argv, capsys)
         assert code == 0, err
         rep = strict_json(out)["result"]

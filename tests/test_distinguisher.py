@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from itertools import product
@@ -81,6 +82,19 @@ class _UniformOracle:
 
     def draw(self, shots):
         return self.rng.integers(0, self.d, size=shots)
+
+
+class TestPFCOracle:
+    def test_draw_stream_is_pinned(self):
+        # digest taken when the oracle still packed bit rows with pack_bits;
+        # it changes only with the RNG stream or the support's basis
+        digest = hashlib.sha256()
+        for s in range(8):
+            oracle = pfc_oracle_factory(10)(RandomSeed(20261018).child(s))
+            for shots in (1, 32, 500):
+                digest.update(np.asarray(oracle.draw(shots), dtype="<i8").tobytes())
+        assert digest.hexdigest() == (
+            "ce7eb4499c61597bd9de5f831e49329abfbe3e915697d82f03d01585107ba1e3")
 
 
 class TestCollisionDistinguisher:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import cover_with_product_unblocked
@@ -116,6 +118,23 @@ class TestComposeAndDagger:
         b = NetSpec.haar_sample(3, 3, RandomSeed(16))
         with pytest.raises(ValueError):
             compose_nets(a, b)
+
+    def test_products_stay_within_their_charge(self, monkeypatch):
+        # a list of 2x2 products, then NetSpec's copy, once peaked at 4.6x the charge
+        a = NetSpec.haar_sample(2, 300, RandomSeed(19))
+        b = NetSpec.haar_sample(2, 300, RandomSeed(20))
+        charged = []
+        monkeypatch.setattr(nets, "ensure_budget", lambda nbytes, what: charged.append(nbytes))
+        tracemalloc.start()
+        try:
+            comp = compose_nets(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(charged) == 1 and peak <= charged[0]
+        want = np.array([v1 @ v2.conj().T for v1 in a.unitaries for v2 in b.unitaries])
+        assert comp.unitaries.shape == (90_000, 2, 2)
+        assert np.abs(comp.unitaries - want).max() <= 1e-14
 
     def test_dagger_exposure_matches(self, small_net):
         eps = 0.9

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import measurement_support_bits, symplectic_from_index_bits
+from helpers import gf2_rref, gf2_solve, measurement_support_bits, pack_bits, symplectic_from_index_bits
 from prulab.linalg import RandomSeed, is_unitary
 from prulab.stabilizer import (
     GammaParams,
@@ -16,10 +16,7 @@ from prulab.stabilizer import (
     full_support_probability,
     gamma_amplitudes,
     gamma_state,
-    gf2_rref,
-    gf2_solve,
     measurement_support,
-    pack_bits,
     pauli_matrix,
     random_clifford_rng,
     sample_from_support,
@@ -53,11 +50,11 @@ def tableau_of(g, r):
 
 
 def assert_same_support(t):
-    got, want = measurement_support(t), measurement_support_bits(t)
-    for field in ("basis", "offset"):
-        a, b = getattr(got, field), getattr(want, field)
-        assert (a.dtype, a.shape) == (b.dtype, b.shape)
-        assert np.array_equal(a, b)
+    got = measurement_support(t)
+    basis, offset = measurement_support_bits(t)
+    assert all(type(v) is int for v in (*got.basis, got.offset))
+    assert got.basis == tuple(int(v) for v in pack_bits(basis))
+    assert got.offset == int(pack_bits(offset))
 
 
 class TestGF2:
@@ -206,7 +203,7 @@ class TestMeasurementSupport:
     def test_identity_supports_zero_string(self):
         sup = measurement_support(Tableau(3))
         assert sup.k_dim == 0
-        assert not sup.offset.any()
+        assert sup.offset == 0
 
     def test_hadamard_full_support(self):
         sup = measurement_support(hadamards(3))
@@ -220,8 +217,7 @@ class TestMeasurementSupport:
                 sup = measurement_support(t)
                 probs = np.abs(tableau_to_statevector(t)) ** 2
                 hot = set(np.nonzero(probs > 1e-12)[0].tolist())
-                members = {int(v) for v in pack_bits(sup.members())}
-                assert hot == members
+                assert hot == set(sup.members().tolist())
                 assert np.allclose(probs[sorted(hot)], 1 / len(hot), atol=1e-9)
 
     def test_sampling_tv_against_dense(self):
@@ -229,19 +225,18 @@ class TestMeasurementSupport:
         t = random_clifford(n, RandomSeed(47))
         samples = sample_measurement(t, shots, RandomSeed(48))
         probs = np.abs(tableau_to_statevector(t)) ** 2
-        keys = pack_bits(samples)
-        emp = np.bincount(keys.astype(np.int64), minlength=2**n) / shots
+        emp = np.bincount(samples, minlength=2**n) / shots
         tv = 0.5 * np.abs(emp - probs).sum()
         assert tv <= 0.05
 
     def test_identity_sampling_constant(self):
         out = sample_measurement(Tableau(4), 5, RandomSeed(0))
-        assert out.shape == (5, 4)
+        assert (out.dtype, out.shape) == (np.int64, (5,))
         assert not out.any()
 
     def test_hadamard_pair_uniform(self):
         samples = sample_measurement(hadamards(2), 10_000, RandomSeed(3))
-        counts = np.bincount(pack_bits(samples).astype(np.int64), minlength=4)
+        counts = np.bincount(samples, minlength=4)
         se = np.sqrt(0.25 * 0.75 / 10_000)
         assert np.all(np.abs(counts / 10_000 - 0.25) < 3.5 * se)
 
@@ -251,10 +246,12 @@ class TestMeasurementSupport:
         for n in range(1, 9):
             for k in range(10):
                 sup = measurement_support(random_clifford(n, seed.child(10 * n + k)))
-                rref, pivots = gf2_rref(sup.basis)
-                assert np.array_equal(rref, sup.basis)
-                assert len(pivots) == sup.k_dim
-                assert not sup.offset[pivots].any()
+                leads = [b.bit_length() - 1 for b in sup.basis]
+                assert all(0 <= lead < n for lead in leads)
+                assert all(a > b for a, b in zip(leads, leads[1:]))
+                for i, lead in enumerate(leads):
+                    others = [*sup.basis[:i], *sup.basis[i + 1:], sup.offset]
+                    assert not any(v >> lead & 1 for v in others)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_every_tableau_matches_bit_oracle(self, n):
@@ -287,8 +284,50 @@ class TestMeasurementSupport:
     def test_affine_contains_members(self):
         t = random_clifford(4, RandomSeed(99))
         sup = measurement_support(t)
-        for row in sup.members():
-            assert sup.contains(row)
+        for v in sup.members().tolist():
+            assert sup.contains(v)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_contains_every_index(self, n):
+        # members and non-members alike, against the dense state's support
+        seed = RandomSeed(4096).child(n)
+        for k in range(6):
+            t = random_clifford(n, seed.child(k))
+            sup = measurement_support(t)
+            hot = np.abs(tableau_to_statevector(t)) ** 2 > 1e-12
+            assert [sup.contains(v) for v in range(1 << n)] == hot.tolist()
+
+    def test_support_past_int64_width(self):
+        # supports are Python ints at any n; only int64 outcome arrays stop at 63
+        n = 100
+        ident = Tableau(n)
+        r = np.zeros(2 * n, dtype=np.uint8)
+        r[n:] = np.arange(n) % 3 == 0  # -Z_j stabilizers flip outcome bit j
+        sup = measurement_support(Tableau(n, ident.x, ident.z, r))
+        assert sup.basis == () and sup.offset == sum(1 << (n - 1 - j) for j in range(0, n, 3))
+        sup = measurement_support(hadamards(n))
+        assert sup.basis == tuple(1 << j for j in range(n - 1, -1, -1)) and sup.offset == 0
+        assert sup.contains((1 << n) - 1) and not sup.contains(1 << n)
+        for t in (Tableau(64), hadamards(64), Tableau(n), hadamards(n)):
+            sup = measurement_support(t)
+            with pytest.raises(ValueError, match="int64"):
+                sample_from_support(sup, 4, np.random.default_rng(0))
+            with pytest.raises(ValueError, match="int64"):
+                sup.members()
+
+    def test_sample_stream_is_pinned(self):
+        # digest of int64 outcome indices, taken when supports were still
+        # bit rows (indices then packed with qubit 0 as the most significant
+        # bit); it changes only with the RNG stream or the support's basis
+        digest = hashlib.sha256()
+        rng = RandomSeed(2170).generator()
+        for n in (1, 5, 10, 30, 63):
+            for _ in range(10):
+                sup = measurement_support(random_clifford_rng(n, rng))
+                for shots in (1, 64):
+                    digest.update(sample_from_support(sup, shots, rng).astype("<i8").tobytes())
+        assert digest.hexdigest() == (
+            "c11f8d1fa53a8ccd65ecb7c8a6dbe71bc69671b95927244232467dc6e47d520c")
 
 
 class TestGammaFamily:
