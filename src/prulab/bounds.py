@@ -2,8 +2,8 @@
 
 Support-size lower bounds for approximate designs, oracle input-length
 bounds, the trivial scalable construction's parameter arithmetic, and the
-scalability predicate.  Everything is evaluated in log-space with exact
-big-integer cross-checks available at desk scale.
+scalability predicate.  Everything is evaluated in log-space; the tests
+cross-check it against exact big-integer values at desk scale.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 #: trivial_rompru_params needs kappa below this, so that t = 2^kappa is a
 #: finite float
@@ -69,13 +68,6 @@ def prior_support_bound(d: int, t: int, delta: float, as_log: bool = False) -> f
         log_b1 = math.log1p(-delta) + 2 * _log_binom(t, d - 1)
         log_best = max(log_b1, log_b2)
     return log_best if as_log else _safe_exp(log_best)
-
-
-def prior_support_bound_exact(d: int, t: int, delta: Fraction) -> Fraction:
-    """Big-integer ground truth for the prior bound (tests and cross-checks)."""
-    b1 = (1 - delta) * Fraction(math.comb(d + t - 1, t)) ** 2
-    b2 = Fraction(d ** (2 * t), math.factorial(t)) / (1 + delta)
-    return max(b1, b2)
 
 
 def improved_support_bound(d: int, t: float, delta: float, c_design: float = 1.0,

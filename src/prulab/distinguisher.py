@@ -52,15 +52,6 @@ class DistinguisherParams:
         return math.comb(self.t, 2) * 2.0 / (self.d + 1)
 
 
-def collision_count(outcomes) -> int:
-    """Number of equal pairs sum_{i<j} 1{x_i = x_j} among the outcomes."""
-    arr = np.asarray(outcomes)
-    if arr.shape[0] < 2:
-        raise ValueError("need at least two outcomes")
-    _, counts = np.unique(arr, return_counts=True, axis=0 if arr.ndim > 1 else None)
-    return int(np.sum(counts * (counts - 1) // 2))
-
-
 def blocked_collision_counts(samples: np.ndarray) -> np.ndarray:
     """Per-row collision counts of a (k_blocks, t) integer outcome array."""
     s = np.sort(samples, axis=1)
@@ -258,7 +249,7 @@ def pfc_distinguish_experiment(n: int, trials: int, seed: RandomSeed,
     """Run the collision test on fresh hidden draws from both ensembles."""
     d = 1 << n
     params = DistinguisherParams(
-        d=d, t=t if t is not None else math.isqrt(d - 1) + 1,
+        d=d, t=t if t is not None else DistinguisherParams.canonical(d).t,
         k_blocks=k_blocks, alpha=alpha,
     )
 

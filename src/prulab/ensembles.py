@@ -1,16 +1,13 @@
 """Unitary ensemble generators.
 
 The permutation/phase/Clifford product ensemble, the Polya-urn sampler
-behind the Haar-state measurement oracle, exact partition probabilities,
-and small exact reference designs used as oracles by the moment-operator
-tests.
+behind the Haar-state measurement oracle, and small exact reference
+designs used as oracles by the moment-operator tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import factorial
 
 import numpy as np
 
@@ -73,6 +70,7 @@ def sample_pfc(n: int, seed: RandomSeed) -> PFCSample:
     (lazy), and C a uniform Clifford; 1 <= n <= 30."""
     if not 1 <= n <= 30:
         raise ValueError("qubit count out of range [1, 30]")
+    ensure_budget(8 << n, "PFC permutation")
     rng = seed.generator()
     perm = rng.permutation(1 << n)
     phase_key = int(rng.integers(0, 2**63, dtype=np.uint64))
@@ -121,53 +119,6 @@ class PolyaUrnSampler:
             hist.append(lab)
             out[i] = lab
         return out
-
-
-def partition_probability_dirichlet(d: int, block_sizes: list[int]) -> Fraction:
-    """Exact probability that t basis draws from a Haar state realize a given
-    set partition of positions, via the flat-Dirichlet moment integral:
-    [d]_k (d-1)!/(d+t-1)! prod_i b_i!."""
-    k = len(block_sizes)
-    t = sum(block_sizes)
-    if k > d:
-        return Fraction(0)
-    falling = 1
-    for j in range(k):
-        falling *= d - j
-    num = falling * factorial(d - 1)
-    for b in block_sizes:
-        num *= factorial(b)
-    return Fraction(num, factorial(d + t - 1))
-
-
-def partition_probability_urn(d: int, blocks: list[list[int]]) -> Fraction:
-    """Same event probability via the urn predictive product along positions.
-
-    `blocks` lists the positions (0-based) of each block; exchangeability
-    makes the product depend only on the pattern, giving an independent
-    route to the Dirichlet integral.
-    """
-    t = sum(len(b) for b in blocks)
-    owner = {}
-    for bi, b in enumerate(blocks):
-        for pos in b:
-            owner[pos] = bi
-    if len(owner) != t or set(owner) != set(range(t)):
-        raise ValueError("blocks must partition positions 0..t-1")
-    if len(blocks) > d:
-        return Fraction(0)
-    counts = [0] * len(blocks)
-    seen = 0
-    prob = Fraction(1)
-    for pos in range(t):
-        bi = owner[pos]
-        if counts[bi] == 0:
-            prob *= Fraction(d - seen, pos + d)
-            seen += 1
-        else:
-            prob *= Fraction(counts[bi] + 1, pos + d)
-        counts[bi] += 1
-    return prob
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Dense complex linear algebra foundation.
 
-Haar sampling, Schatten norms, operator vectorization, Kronecker powers,
-and the exact diamond distance between unitary channels,
-2 sin(min(arc, pi)/2) for the shortest arc of the unit circle holding the
-spectrum of U^dag V.
+Haar sampling, Kronecker powers, the unitarity check, and the exact
+diamond distance between unitary channels, 2 sin(min(arc, pi)/2) for the
+shortest arc of the unit circle holding the spectrum of U^dag V.
 """
 
 from __future__ import annotations
@@ -102,32 +101,6 @@ def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random pure state: normalized complex Gaussian vector."""
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)
-
-
-def schatten_norm(x: np.ndarray, k) -> float:
-    """Schatten-k norm (singular-value l_k); k = "inf" or np.inf is the operator norm."""
-    s = np.linalg.svd(x, compute_uv=False)
-    if k == 1:
-        return float(np.sum(s))
-    if k == 2:
-        return float(np.sqrt(np.sum(s * s)))
-    if k in ("inf", np.inf):
-        return float(s[0]) if s.size else 0.0
-    raise ValueError("k must be one of 1, 2, inf")
-
-
-def vectorize(x: np.ndarray) -> np.ndarray:
-    """Row-major vec: vec(A X B) = (A kron B^T) vec(X)."""
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError("expected a square matrix")
-    return x.reshape(-1)
-
-
-def devectorize(v: np.ndarray) -> np.ndarray:
-    d = round(np.sqrt(v.size))
-    if d * d != v.size:
-        raise ValueError("vector length is not a perfect square")
-    return v.reshape(d, d)
 
 
 def kron_power(u: np.ndarray, t: int) -> np.ndarray:

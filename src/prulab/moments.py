@@ -16,7 +16,6 @@ import scipy.linalg
 from prulab.linalg import PropertyViolationError, ensure_budget, kron_power
 from prulab.ensembles import EnsembleSpec
 
-PROJECTOR_TOL = 1e-9
 _GRAM_RCOND = 1e-10
 
 
@@ -45,17 +44,6 @@ class MomentSuperoperator:
         n = self.op_dim
         m = self.matrix.reshape(n, n, n, n)
         return m.transpose(0, 2, 1, 3).reshape(n * n, n * n)
-
-    def is_trace_preserving(self, tol: float = PROJECTOR_TOL) -> bool:
-        n = self.op_dim
-        c = self.choi()
-        # partial trace over the output factor must give the identity
-        pt = np.trace(c.reshape(n, n, n, n), axis1=0, axis2=2)
-        return np.allclose(pt, np.eye(n), atol=tol)
-
-    def is_completely_positive(self, tol: float = PROJECTOR_TOL) -> bool:
-        ev = np.linalg.eigvalsh((self.choi() + self.choi().conj().T) / 2)
-        return bool(ev.min() >= -tol)
 
 
 def _check_superop_budget(d: int, t: int) -> None:

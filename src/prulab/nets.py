@@ -200,11 +200,3 @@ def net_size_lower_bound(d: int, eps: float, eta: float, c_diamond: float = 1.0,
     except OverflowError:
         return math.inf
 
-
-def exposure_bound(delta: float, eta0: float) -> float:
-    """Exposure guaranteed for the support of a (t, delta)-design when the
-    tomography inside the reduction has failure rate eta0:
-    eta = (delta + eta0) / (1 - eta0)."""
-    if not 0 <= eta0 < 1:
-        raise ValueError("eta0 must be in [0, 1)")
-    return (delta + eta0) / (1.0 - eta0)

@@ -2,6 +2,8 @@
 
 JSON matrices are arrays of rows of [re, im] pairs; the optional binary
 format is raw little-endian float64, row-major, re/im interleaved.
+Loading an ensemble, a net or a circuit rejects a matrix that is not
+unitary to within `UNITARY_TOL`.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from prulab.ensembles import EnsembleSpec
+from prulab.linalg import is_unitary
 from prulab.nets import NetSpec
 from prulab.truncation import DiagonalOracleCircuit, DiagonalPhase
 
@@ -52,6 +55,16 @@ def _field(d: dict, key: str, what: str):
     return d[key]
 
 
+def _check_unitary(indexed, what: str) -> None:
+    """Raise a ValueError naming the index of the first square matrix in
+    the (index, matrix) pairs ``indexed`` that is not unitary, with its
+    max |U U^dag - I| entry."""
+    for i, u in indexed:
+        if not is_unitary(u):
+            dev = np.max(np.abs(u @ u.conj().T - np.eye(len(u))))
+            raise ValueError(f"{what} {i} is not unitary: max |U U^dag - I| is {dev:.3g}")
+
+
 def _manifest_matrices(d: dict, dim: int, base: Path | None) -> list[np.ndarray]:
     """A manifest's inline `matrices`, or its binary `matrix_files` read
     relative to `base` (default: the working directory)."""
@@ -75,7 +88,9 @@ def ensemble_from_json_dict(d: dict, base: Path | None = None) -> EnsembleSpec:
     dim = int(_field(d, "dim", "ensemble manifest"))
     us = _manifest_matrices(d, dim, base)
     weights = np.array(d["weights"]) if "weights" in d else None
-    return EnsembleSpec(dim, us, weights, name=d.get("name", ""))
+    ens = EnsembleSpec(dim, us, weights, name=d.get("name", ""))
+    _check_unitary(enumerate(ens.unitaries), "ensemble element")
+    return ens
 
 
 def net_to_json_dict(net: NetSpec) -> dict:
@@ -84,7 +99,9 @@ def net_to_json_dict(net: NetSpec) -> dict:
 
 def net_from_json_dict(d: dict, base: Path | None = None) -> NetSpec:
     dim = int(_field(d, "dim", "net manifest"))
-    return NetSpec(dim, _manifest_matrices(d, dim, base))
+    net = NetSpec(dim, _manifest_matrices(d, dim, base))
+    _check_unitary(enumerate(net.unitaries), "net element")
+    return net
 
 
 def circuit_to_json_dict(c: DiagonalOracleCircuit) -> dict:
@@ -112,7 +129,10 @@ def circuit_from_json_dict(d: dict) -> DiagonalOracleCircuit:
             seq.append(("fixed", matrix_from_json(item["fixed"])))
         else:
             seq.append(("oracle", int(_field(item, "oracle", "circuit sequence item"))))
-    return DiagonalOracleCircuit(int(_field(d, "n", "circuit")), m, oracles, seq)
+    circ = DiagonalOracleCircuit(int(_field(d, "n", "circuit")), m, oracles, seq)
+    _check_unitary(((i, item[1]) for i, item in enumerate(seq) if item[0] == "fixed"),
+                   "circuit sequence item")
+    return circ
 
 
 def load_json(path: str | Path) -> dict:

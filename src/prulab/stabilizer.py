@@ -72,19 +72,6 @@ class Tableau:
         return np.array_equal(form, want)
 
 
-def pauli_matrix(x: np.ndarray, z: np.ndarray, r: int) -> np.ndarray:
-    """Dense Hermitian Pauli for a tableau row (test-oracle scale only)."""
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    si = np.eye(2, dtype=complex)
-    table = {(0, 0): si, (1, 0): sx, (0, 1): sz, (1, 1): sy}
-    out = np.array([[1.0 + 0j]])
-    for xq, zq in zip(x, z):
-        out = np.kron(out, table[(int(xq), int(zq))])
-    return (-1) ** int(r) * out
-
-
 def _pack_rows(bits: np.ndarray) -> list[int]:
     """Bit rows -> one int per row, column j as bit j."""
     packed = np.packbits(bits, axis=1, bitorder="little")
@@ -425,15 +412,6 @@ def gamma_state(p: GammaParams) -> Tableau:
     neighbours = p.m_matrix ^ p.m_matrix.T ^ np.diag(p.u)
     return Tableau(n, np.vstack([zero, eye]), np.vstack([eye, neighbours]),
                    np.concatenate([np.zeros(n, dtype=np.uint8), p.v]))
-
-
-def gamma_amplitudes(p: GammaParams) -> np.ndarray:
-    """Closed-form amplitudes of the (M, u, v) state, for cross-checks."""
-    n = p.n
-    xs = ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1).astype(np.int64)
-    quad = np.einsum("ki,ij,kj->k", xs, p.m_matrix.astype(np.int64), xs)
-    phase = (1j ** (xs @ p.u.astype(np.int64))) * ((-1.0) ** ((quad + xs @ p.v.astype(np.int64)) % 2))
-    return phase / np.sqrt(1 << n)
 
 
 def full_support_probability(n: int, exact: bool = False):

@@ -117,15 +117,3 @@ def naive_process_tomography(oracle: ChannelOracle, eps: float, eta: float,
     a, _, b = np.linalg.svd(top.reshape(d, d) * math.sqrt(d))
     return TomographyResult(a @ b, oracle.queries, eps, eta)
 
-
-def query_budget_reference(d: int, eps: float, eta: float, mode: str = "non-adaptive") -> float:
-    """Theta-shape query budgets of optimal unitary tomography, constants
-    set to 1 and not authoritative: d^2/eps^2 ln(1/eta) non-adaptively,
-    d^2/eps ln(1/eta) adaptively."""
-    if d < 1 or eps <= 0 or not 0 < eta < 1:
-        raise ValueError("invalid parameters")
-    if mode == "non-adaptive":
-        return d * d / eps**2 * math.log(1.0 / eta)
-    if mode == "adaptive":
-        return d * d / eps * math.log(1.0 / eta)
-    raise ValueError("mode must be 'non-adaptive' or 'adaptive'")

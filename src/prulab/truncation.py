@@ -1,8 +1,7 @@
 """Diagonal-oracle truncation machinery.
 
-Phase rounding to k fractional bits, diamond-distance verification of the
-per-call and per-circuit truncation bounds, and the input-length
-arithmetic for re-encoding truncated diagonals as binary functions.
+Phase rounding to k fractional bits and diamond-distance verification of
+the per-call and per-circuit truncation bounds.
 """
 
 from __future__ import annotations
@@ -173,39 +172,3 @@ def circuit_truncation_bound(c: DiagonalOracleCircuit, k: int) -> CircuitTruncat
         )
     return CircuitTruncationReport(c.call_count, k, dist, bound)
 
-
-@dataclass
-class PackedLayout:
-    """Switch-bit layout packing several output-width functions into one
-    binary function: ell = sum of widths, switch bits = ceil(log2 ell)."""
-
-    total_width: int
-    switch_bits: int
-    offsets: list[int]
-
-
-def pack_functions(widths: list[int]) -> PackedLayout:
-    if not widths or any(w < 1 for w in widths):
-        raise ValueError("need at least one positive output width")
-    total = sum(widths)
-    offsets = [0]
-    for w in widths[:-1]:
-        offsets.append(offsets[-1] + w)
-    return PackedLayout(total, math.ceil(math.log2(total)) if total > 1 else 0, offsets)
-
-
-def equivalent_binary_input_length(m: int, s: int, eps: float, const_c: float = 1.0) -> int:
-    """Input length of the single binary function replacing s calls to
-    2^m-dimensional diagonal oracles at overall accuracy eps:
-    m + ceil(log2 s) + ceil(log2 log2 (s/eps + const_c)).
-
-    The additive constant inside the loglog is open; the default 1 is a
-    placeholder.
-    """
-    if m < 0 or s < 1 or eps <= 0:
-        raise ValueError("need m >= 0, s >= 1, eps > 0")
-    inner = s / eps + const_c
-    if inner <= 2.0:
-        raise ValueError("parameters leave the loglog term undefined")
-    switch = math.ceil(math.log2(s)) if s > 1 else 0
-    return m + switch + math.ceil(math.log2(math.log2(inner)))

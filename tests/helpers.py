@@ -1,4 +1,4 @@
-"""Shared brute-force oracles for the test suite.
+"""Shared brute-force and exact oracles for the test suite.
 
 These deliberately avoid the closed forms they are checking: the diamond
 oracle maximizes the output trace distance over pure inputs with an
@@ -12,17 +12,40 @@ solver and bit-row packing they need; `prulab.stabilizer` keeps supports
 as packed outcome indices and needs none of them.  The d = 2 pair-cover oracle
 ranks the whole m x m trace matrix at once, where `prulab.nets` streams
 it in row blocks.
+
+The exact ground truths no program calls live here too, not in
+`prulab`: the Schatten norm behind the diamond oracle, the `np.unique`
+collision count that checks `blocked_collision_counts`, the two exact
+routes to Haar partition probabilities (Dirichlet integral and urn
+product), the big-integer prior support bound, the trace-preservation
+and complete-positivity checks of moment superoperators, dense tableau
+Paulis, and the closed-form amplitudes of the (M, u, v) state family.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import minimize
 
-from prulab.linalg import schatten_norm
-from prulab.stabilizer import Tableau
+from prulab.stabilizer import GammaParams, Tableau
+
+#: tolerance of the channel-property checks on moment superoperators
+PROJECTOR_TOL = 1e-9
+
+
+def schatten_norm(x: np.ndarray, k) -> float:
+    """Schatten-k norm (singular-value l_k); k = "inf" or np.inf is the operator norm."""
+    s = np.linalg.svd(x, compute_uv=False)
+    if k == 1:
+        return float(np.sum(s))
+    if k == 2:
+        return float(np.sqrt(np.sum(s * s)))
+    if k in ("inf", np.inf):
+        return float(s[0]) if s.size else 0.0
+    raise ValueError("k must be one of 1, 2, inf")
 
 
 def brute_force_diamond(u: np.ndarray, v: np.ndarray, restarts: int = 8,
@@ -68,6 +91,86 @@ def hull_diamond_from_spectrum(eigs: np.ndarray) -> float:
     t = 0.0 if denom < 1e-30 else min(max(-(a.conjugate() * ab).real / denom, 0.0), 1.0)
     h = abs(a + t * ab)
     return 2.0 * float(np.sqrt(max(0.0, 1.0 - h * h)))
+
+
+def collision_count(outcomes) -> int:
+    """Number of equal pairs sum_{i<j} 1{x_i = x_j} among the outcomes, by
+    `np.unique`; the oracle for `blocked_collision_counts`."""
+    arr = np.asarray(outcomes)
+    if arr.shape[0] < 2:
+        raise ValueError("need at least two outcomes")
+    _, counts = np.unique(arr, return_counts=True, axis=0 if arr.ndim > 1 else None)
+    return int(np.sum(counts * (counts - 1) // 2))
+
+
+def partition_probability_dirichlet(d: int, block_sizes: list[int]) -> Fraction:
+    """Exact probability that t basis draws from a Haar state realize a given
+    set partition of positions, via the flat-Dirichlet moment integral:
+    [d]_k (d-1)!/(d+t-1)! prod_i b_i!."""
+    k = len(block_sizes)
+    t = sum(block_sizes)
+    if k > d:
+        return Fraction(0)
+    falling = 1
+    for j in range(k):
+        falling *= d - j
+    num = falling * math.factorial(d - 1)
+    for b in block_sizes:
+        num *= math.factorial(b)
+    return Fraction(num, math.factorial(d + t - 1))
+
+
+def partition_probability_urn(d: int, blocks: list[list[int]]) -> Fraction:
+    """Same event probability via the urn predictive product along positions.
+
+    `blocks` lists the positions (0-based) of each block; exchangeability
+    makes the product depend only on the pattern, giving an independent
+    route to the Dirichlet integral.
+    """
+    t = sum(len(b) for b in blocks)
+    owner = {}
+    for bi, b in enumerate(blocks):
+        for pos in b:
+            owner[pos] = bi
+    if len(owner) != t or set(owner) != set(range(t)):
+        raise ValueError("blocks must partition positions 0..t-1")
+    if len(blocks) > d:
+        return Fraction(0)
+    counts = [0] * len(blocks)
+    seen = 0
+    prob = Fraction(1)
+    for pos in range(t):
+        bi = owner[pos]
+        if counts[bi] == 0:
+            prob *= Fraction(d - seen, pos + d)
+            seen += 1
+        else:
+            prob *= Fraction(counts[bi] + 1, pos + d)
+        counts[bi] += 1
+    return prob
+
+
+def prior_support_bound_exact(d: int, t: int, delta: Fraction) -> Fraction:
+    """Big-integer ground truth for `prulab.bounds.prior_support_bound`."""
+    b1 = (1 - delta) * Fraction(math.comb(d + t - 1, t)) ** 2
+    b2 = Fraction(d ** (2 * t), math.factorial(t)) / (1 + delta)
+    return max(b1, b2)
+
+
+def is_trace_preserving(m, tol: float = PROJECTOR_TOL) -> bool:
+    """Whether the moment superoperator ``m``'s Choi matrix has the identity
+    as its partial trace over the output factor."""
+    n = m.op_dim
+    pt = np.trace(m.choi().reshape(n, n, n, n), axis1=0, axis2=2)
+    return np.allclose(pt, np.eye(n), atol=tol)
+
+
+def is_completely_positive(m, tol: float = PROJECTOR_TOL) -> bool:
+    """Whether the moment superoperator ``m``'s Choi matrix is positive
+    semidefinite to within ``tol``."""
+    c = m.choi()
+    ev = np.linalg.eigvalsh((c + c.conj().T) / 2)
+    return bool(ev.min() >= -tol)
 
 
 def total_variation(counts_a: dict, counts_b: dict, n_a: int, n_b: int) -> float:
@@ -252,6 +355,29 @@ def pack_bits(rows: np.ndarray) -> np.ndarray:
     n = rows.shape[-1]
     weights = (1 << np.arange(n - 1, -1, -1)).astype(np.uint64)
     return rows.astype(np.uint64) @ weights
+
+
+def pauli_matrix(x: np.ndarray, z: np.ndarray, r: int) -> np.ndarray:
+    """Dense Hermitian Pauli for a tableau row."""
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sz = np.array([[1, 0], [0, -1]], dtype=complex)
+    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    si = np.eye(2, dtype=complex)
+    table = {(0, 0): si, (1, 0): sx, (0, 1): sz, (1, 1): sy}
+    out = np.array([[1.0 + 0j]])
+    for xq, zq in zip(x, z):
+        out = np.kron(out, table[(int(xq), int(zq))])
+    return (-1) ** int(r) * out
+
+
+def gamma_amplitudes(p: GammaParams) -> np.ndarray:
+    """Closed-form amplitudes 2^{-n/2} i^{u.x} (-1)^{x^T M x + v.x} of the
+    (M, u, v) state, the oracle for `prulab.stabilizer.gamma_state`."""
+    n = p.n
+    xs = ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1).astype(np.int64)
+    quad = np.einsum("ki,ij,kj->k", xs, p.m_matrix.astype(np.int64), xs)
+    phase = (1j ** (xs @ p.u.astype(np.int64))) * ((-1.0) ** ((quad + xs @ p.v.astype(np.int64)) % 2))
+    return phase / np.sqrt(1 << n)
 
 
 def _pauli_product(x1, z1, p1, x2, z2, p2):

@@ -11,23 +11,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import brute_force_diamond, total_variation
-from prulab.bounds import (
-    improved_support_bound,
-    prior_support_bound,
+from helpers import (
+    brute_force_diamond,
+    empirical_counts,
+    partition_probability_dirichlet,
+    partition_probability_urn,
     prior_support_bound_exact,
+    total_variation,
 )
+from prulab.bounds import improved_support_bound, prior_support_bound
 from prulab.distinguisher import (
     HaarDenseOracle,
     HaarUrnOracle,
-    collision_count,
+    blocked_collision_counts,
     pfc_distinguish_experiment,
 )
-from prulab.ensembles import (
-    partition_probability_dirichlet,
-    partition_probability_urn,
-    reference_design,
-)
+from prulab.ensembles import reference_design
 from prulab.linalg import RandomSeed, diamond_distance_unitaries, haar_unitary
 from prulab.moments import haar_moment_operator, moment_operator, tpe_distance
 from prulab.nets import NetSpec, cover_with_product, dagger_net, exposure_estimate
@@ -253,13 +252,10 @@ def test_c9_bound_calculators():
 def test_c10_sampler_equivalence():
     d, t, trials = 8, 4, 100_000
     seed = RandomSeed(9500)
-    dense_counts: dict = {}
-    urn_counts: dict = {}
-    for i in range(trials):
-        c = collision_count(HaarDenseOracle(d, seed.child(2 * i)).draw(t))
-        dense_counts[c] = dense_counts.get(c, 0) + 1
-        c = collision_count(HaarUrnOracle(d, seed.child(2 * i + 1)).draw(t))
-        urn_counts[c] = urn_counts.get(c, 0) + 1
+    dense = np.stack([HaarDenseOracle(d, seed.child(2 * i)).draw(t) for i in range(trials)])
+    urn = np.stack([HaarUrnOracle(d, seed.child(2 * i + 1)).draw(t) for i in range(trials)])
+    dense_counts = empirical_counts(blocked_collision_counts(dense))
+    urn_counts = empirical_counts(blocked_collision_counts(urn))
     tv = total_variation(dense_counts, urn_counts, trials, trials)
     ok = tv <= 0.02
     # exact partition probabilities agree between the urn product rule and

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import prior_support_bound_exact
 from prulab.bounds import (
     D_LIMIT,
     KAPPA_LIMIT,
     RomPruParams,
     improved_support_bound,
     prior_support_bound,
-    prior_support_bound_exact,
     rom_input_length_bounds,
     scalable_check,
     trivial_rompru_params,

@@ -77,6 +77,10 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+EYE_2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+TWICE_EYE_2 = [[[2, 0], [0, 0]], [[0, 0], [2, 0]]]
+
+
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
@@ -140,8 +144,19 @@ class TestCli:
         (["truncate-diag", "--k", "4", "--circuit-file"],
          {"n": 1, "m": 1, "oracles": [[0.0, 0.5]], "sequence": [{"fixed": [[1, 0], [0, 1]]}]},
          "[re, im]"),
+        (["design-distance", "--t", "1", "--ensemble-file"],
+         {"dim": 2, "matrices": [EYE_2, TWICE_EYE_2]},
+         "ensemble element 1 is not unitary: max |U U^dag - I| is 3"),
+        (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1", "--net-file"],
+         {"dim": 2, "matrices": [EYE_2, TWICE_EYE_2]},
+         "net element 1 is not unitary: max |U U^dag - I| is 3"),
+        (["truncate-diag", "--k", "4", "--circuit-file"],
+         {"n": 1, "m": 1, "oracles": [[0.0, 0.5]],
+          "sequence": [{"oracle": 0}, {"fixed": TWICE_EYE_2}]},
+         "circuit sequence item 1 is not unitary: max |U U^dag - I| is 3"),
     ], ids=["ensemble-no-dim", "net-no-dim", "circuit-no-sequence", "matrix-row-of-numbers",
-            "matrix-entry-not-numeric", "circuit-fixed-of-numbers"])
+            "matrix-entry-not-numeric", "circuit-fixed-of-numbers", "ensemble-not-unitary",
+            "net-not-unitary", "circuit-fixed-not-unitary"])
     def test_manifest_missing_key_is_a_usage_error(self, command, manifest, key, tmp_path,
                                                    capsys):
         dump_json(tmp_path / "m.json", manifest)
@@ -264,6 +279,8 @@ class TestCli:
         (["bounds", "scalable-check", "--d", "1", "--kappa", "1", "--q", "1", "--m", "1",
           "--t", "2"], "--d"),
         (["bounds", "prior-support", "--d", str(2**500 + 1), "--t", "2", "--log"], "--d"),
+        (["pfc-distinguish", "--n", "20", "--trials", "1", "--k-blocks", "1", "--seed", "1",
+          "--mem-budget", "0.0005"], "PFC permutation needs 8.39e+06 bytes, budget is 536870"),
     ], ids=["n-out-of-range", "no-ensemble", "both-ensembles", "unknown-ensemble",
             "no-net", "no-t", "no-kappa", "zero-mem-budget", "negative-mem-budget",
             "net-size-no-eps", "scalable-check-no-q", "fractional-t", "fractional-sweep-t",
@@ -275,7 +292,8 @@ class TestCli:
             "rom-input-length-m-net", "rom-input-length-m-net-csv",
             "rom-input-length-d-zero", "improved-support-d-zero", "prior-support-d-zero",
             "trivial-rompru-d-201-digits", "net-size-d-zero", "rom-input-length-d-negative",
-            "scalable-check-d-one", "prior-support-d-beyond-limit"])
+            "scalable-check-d-one", "prior-support-d-beyond-limit",
+            "pfc-permutation-over-budget"])
     def test_usage_error_names_its_cause(self, argv, cause, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import collision_count
 from prulab.distinguisher import (
     DistinguisherParams,
     blocked_collision_counts,
-    collision_count,
     concentration_reference,
     estimate_advantage,
     haar_oracle_factory,

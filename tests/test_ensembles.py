@@ -1,19 +1,29 @@
 import numpy as np
 import pytest
 from fractions import Fraction
-from helpers import empirical_counts, total_variation
-from prulab.distinguisher import HaarDenseOracle, HaarUrnOracle, PFCOracle, collision_count
+from helpers import (
+    collision_count,
+    empirical_counts,
+    partition_probability_dirichlet,
+    partition_probability_urn,
+    total_variation,
+)
+from prulab.distinguisher import HaarDenseOracle, HaarUrnOracle, PFCOracle
 from prulab.ensembles import (
     EnsembleSpec,
     PolyaUrnSampler,
-    partition_probability_dirichlet,
-    partition_probability_urn,
     pauli_group,
     reference_design,
     sample_pfc,
     single_qubit_cliffords,
 )
-from prulab.linalg import RandomSeed, is_unitary
+from prulab.linalg import (
+    RandomSeed,
+    ResourceLimitError,
+    is_unitary,
+    memory_budget_bytes,
+    set_memory_budget_bytes,
+)
 from prulab.stabilizer import measurement_support, tableau_to_unitary
 
 
@@ -53,6 +63,17 @@ class TestPFCSample:
             sample_pfc(0, RandomSeed(0))
         with pytest.raises(ValueError):
             sample_pfc(31, RandomSeed(0))
+
+    def test_permutation_is_charged_to_the_budget(self):
+        # the 2^n int64 permutation: 8 MiB at n = 20, 512 KiB at n = 16
+        before = memory_budget_bytes()
+        set_memory_budget_bytes(1 << 20)
+        try:
+            with pytest.raises(ResourceLimitError, match="PFC permutation"):
+                sample_pfc(20, RandomSeed(0))
+            assert sample_pfc(16, RandomSeed(0)).permutation.nbytes == 8 << 16
+        finally:
+            set_memory_budget_bytes(before)
 
     def test_phase_values_signs(self):
         s = sample_pfc(5, RandomSeed(1))

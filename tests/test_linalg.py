@@ -3,21 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_diamond, hull_diamond_from_spectrum
+from helpers import brute_force_diamond, hull_diamond_from_spectrum, schatten_norm
 from prulab.linalg import (
     RandomSeed,
     ResourceLimitError,
     diamond_distance_batch,
     diamond_distance_from_spectrum,
     diamond_distance_unitaries,
-    devectorize,
     haar_unitary,
     is_unitary,
     kron_power,
     memory_budget_bytes,
-    schatten_norm,
     set_memory_budget_bytes,
-    vectorize,
 )
 
 X_GATE = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -109,20 +106,6 @@ class TestSchattenNorm:
 
 
 class TestVectorize:
-    def test_round_trip(self):
-        m = np.arange(9.0).reshape(3, 3) + 1j
-        assert np.array_equal(devectorize(vectorize(m)), m)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=20, deadline=None)
-    def test_sandwich_identity(self, seed):
-        rng = np.random.default_rng(seed)
-        a, x, b = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-                   for _ in range(3))
-        lhs = vectorize(a @ x @ b)
-        rhs = np.kron(a, b.T) @ vectorize(x)
-        assert np.allclose(lhs, rhs)
-
     def test_kron_power_identity(self):
         assert np.array_equal(kron_power(np.eye(2), 3), np.eye(8))
 

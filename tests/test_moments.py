@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import is_completely_positive, is_trace_preserving
 from prulab.ensembles import EnsembleSpec, reference_design
 from prulab.linalg import RandomSeed, ResourceLimitError, haar_unitary
 from prulab.moments import (
@@ -46,8 +47,8 @@ class TestMomentOperator:
     def test_trace_preserving_and_cp(self, cliff1):
         for ens, t in ((cliff1, 2), (reference_design("pauli-1-design", 1), 1)):
             m = moment_operator(ens, t)
-            assert m.is_trace_preserving()
-            assert m.is_completely_positive()
+            assert is_trace_preserving(m)
+            assert is_completely_positive(m)
 
     def test_budget_guard(self):
         ens = EnsembleSpec(2, [np.eye(2, dtype=complex)])

@@ -18,7 +18,6 @@ from prulab.nets import (
     compose_nets,
     cover_with_product,
     dagger_net,
-    exposure_bound,
     exposure_estimate,
     min_diamond_distance,
     net_size_lower_bound,
@@ -292,13 +291,6 @@ class TestBounds:
             net_size_lower_bound(2, 0.0, 0.0)
         with pytest.raises(ValueError):
             net_size_lower_bound(2, 0.1, 1.5)
-
-    def test_exposure_bound_formula(self):
-        assert exposure_bound(1 / 6, 1 / 6) == pytest.approx((1 / 6 + 1 / 6) / (5 / 6))
-        assert exposure_bound(1 / 6, 1 / 6) <= 2 / 5
-        with pytest.raises(ValueError):
-            exposure_bound(0.1, 1.0)
-
 
 class TestNetSpec:
     def test_empty_rejected(self):

@@ -8,16 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gf2_rref, gf2_solve, measurement_support_bits, pack_bits, symplectic_from_index_bits
+from helpers import (
+    gamma_amplitudes,
+    gf2_rref,
+    gf2_solve,
+    measurement_support_bits,
+    pack_bits,
+    pauli_matrix,
+    symplectic_from_index_bits,
+)
 from prulab.linalg import RandomSeed, is_unitary
 from prulab.stabilizer import (
     GammaParams,
     Tableau,
     full_support_probability,
-    gamma_amplitudes,
     gamma_state,
     measurement_support,
-    pauli_matrix,
     random_clifford_rng,
     sample_from_support,
     stabilizer_state_count,

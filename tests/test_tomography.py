@@ -17,7 +17,6 @@ from prulab.tomography import (
     measured_basis_vectors,
     naive_process_tomography,
     planned_queries,
-    query_budget_reference,
 )
 from prulab.util import wilson_interval
 
@@ -169,21 +168,3 @@ class TestNaiveTomography:
         with pytest.raises(ValueError):
             naive_process_tomography(orc, 0.5, 0.0, RandomSeed(17))
 
-
-class TestQueryBudgetReference:
-    def test_eta_near_one_vanishes(self):
-        assert query_budget_reference(4, 0.5, 0.999) < 0.1
-        assert query_budget_reference(4, 0.5, 0.9999) < 0.01
-
-    def test_adaptive_ratio_is_inverse_eps(self):
-        d, eps, eta = 3, 0.2, 0.1
-        na = query_budget_reference(d, eps, eta, "non-adaptive")
-        ad = query_budget_reference(d, eps, eta, "adaptive")
-        assert na / ad == pytest.approx(1 / eps)
-
-    def test_worked_example(self):
-        assert query_budget_reference(2, 0.5, 1 / 6) == pytest.approx(16 * math.log(6))
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            query_budget_reference(2, 0.5, 0.1, "psychic")

@@ -12,8 +12,6 @@ from prulab.truncation import (
     DiagonalPhase,
     circuit_truncation_bound,
     diag_truncation_distance,
-    equivalent_binary_input_length,
-    pack_functions,
     round_k,
     truncate_diagonal,
 )
@@ -167,35 +165,3 @@ class TestCircuitTruncation:
         with pytest.raises(ValueError):
             DiagonalOracleCircuit(2, 2, [f, f], [("oracle", 0)])  # unused oracle
 
-
-class TestInputLengthArithmetic:
-    def test_worked_example(self):
-        # s=8, eps=2^-10, c=1: 3 switch bits + ceil(log2 log2 8193) = 7 extra
-        assert equivalent_binary_input_length(5, 8, 2.0**-10, 1.0) == 12
-
-    def test_single_call_no_switch_bits(self):
-        base = equivalent_binary_input_length(4, 1, 2.0**-10, 1.0)
-        assert base == 4 + 0 + math.ceil(math.log2(math.log2(2.0**10 + 1)))
-
-    def test_packing_two_functions(self):
-        layout = pack_functions([3, 5])
-        assert layout.total_width == 8
-        assert layout.switch_bits == 3
-        assert layout.offsets == [0, 3]
-
-    def test_packing_single_bit(self):
-        layout = pack_functions([1])
-        assert layout.switch_bits == 0
-
-    @given(st.integers(1, 12), st.integers(1, 2**14))
-    @settings(max_examples=60, deadline=None)
-    def test_monotone_in_calls(self, m, s):
-        a = equivalent_binary_input_length(m, s, 1e-3)
-        b = equivalent_binary_input_length(m, s + 1, 1e-3)
-        assert b >= a
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            equivalent_binary_input_length(3, 0, 0.1)
-        with pytest.raises(ValueError):
-            pack_functions([])
