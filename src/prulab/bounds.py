@@ -111,15 +111,17 @@ class InputLengthBounds:
 
 
 def rom_input_length_bounds(d: int, t: float, delta: float, epsilon: float,
-                            additive_slack: float = 1.0,
-                            delta_bounded_away: bool = True) -> InputLengthBounds:
+                            additive_slack: float = 1.0) -> InputLengthBounds:
     """Input-length lower bounds for implementing designs/nets from one
     binary oracle.
 
     m_design_1 = log2 t + loglog2(d^2/t) - slack        (regime t < d^2)
-    m_design_2 = 2 log2 d + loglog2(t/d^2) - slack      (regime t > d^2,
-                 reported only when the advantage is bounded away from 1)
+    m_design_2 = 2 log2 d + loglog2(t/d^2) - slack      (regime t > d^2)
     m_net      = 2 log2 d + loglog2(1/epsilon) - slack
+
+    The paper proves m_design_2 only for a design error delta whose
+    advantage 1 - delta stays bounded away from 0; it is reported whenever
+    t > d^2, and holding that precondition is the caller's part.
     """
     check_dimension(d)
     notes: dict = {}
@@ -137,14 +139,11 @@ def rom_input_length_bounds(d: int, t: float, delta: float, epsilon: float,
         m1 = math.log2(t) + v - additive_slack
 
     m2 = None
-    if not delta_bounded_away:
-        notes["m_design_2"] = "not reported: needs 1 - delta bounded away from 0"
+    v = loglog2(t / (d * d)) if t > 0 else None
+    if v is None:
+        notes["m_design_2"] = "undefined: needs t > d^2"
     else:
-        v = loglog2(t / (d * d)) if t > 0 else None
-        if v is None:
-            notes["m_design_2"] = "undefined: needs t > d^2"
-        else:
-            m2 = 2 * math.log2(d) + v - additive_slack
+        m2 = 2 * math.log2(d) + v - additive_slack
 
     m3 = None
     if epsilon <= 0:

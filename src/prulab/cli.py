@@ -70,10 +70,11 @@ def build_parser() -> _Parser:
     p.add_argument("--haar-net-size", type=int, default=None,
                    help="instead of a file: sample this many Haar elements")
     p.add_argument("--dim", type=int, default=None, help="dimension for --haar-net-size")
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=float, default=None)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--sweep-eps", type=str, default=None,
-                   help="comma list of eps values; with --format csv, one row per value")
+                   help="comma list of eps values, used in place of --eps; "
+                        "with --format csv, one row per value")
 
     p = sub.add_parser("truncate-diag", help="verify diagonal-truncation distance bounds")
     _add_common(p, stochastic=False)
@@ -199,15 +200,21 @@ def _cmd_net_coverage(args) -> None:
     from prulab.nets import NetSpec, exposure_estimate
     from prulab.serialize import load_json, net_from_json_dict
 
+    if args.eps is None and args.sweep_eps is None:
+        raise ValueError("net-coverage needs --eps or --sweep-eps")
+    eps_list = (_float_list(args.sweep_eps, "--sweep-eps")
+                if args.sweep_eps is not None else [args.eps])
     seed = _seed_of(args)
     if args.net_file:
         net = net_from_json_dict(load_json(args.net_file), Path(args.net_file).parent)
-    elif args.haar_net_size and args.dim:
+    elif args.haar_net_size is not None and args.dim is not None:
+        if args.dim < 1:
+            raise ValueError(f"--dim must be at least 1, got {args.dim}")
+        if args.haar_net_size < 1:
+            raise ValueError(f"--haar-net-size must be at least 1, got {args.haar_net_size}")
         net = NetSpec.haar_sample(args.dim, args.haar_net_size, seed.child(999))
     else:
         raise ValueError("give --net-file, or --haar-net-size together with --dim")
-    eps_list = (_float_list(args.sweep_eps, "--sweep-eps")
-                if args.sweep_eps else [args.eps])
     rows = []
     for i, eps in enumerate(eps_list):
         rep = exposure_estimate(net, eps, args.samples, seed.child(i))
@@ -215,7 +222,7 @@ def _cmd_net_coverage(args) -> None:
     config = {"command": "net-coverage", "eps": eps_list, "samples": args.samples,
               "net": args.net_file or f"haar({args.dim},{args.haar_net_size})",
               "seed": [args.seed, args.stream]}
-    _emit(args, config, rows[0] if len(rows) == 1 else rows)
+    _emit(args, config, rows if args.sweep_eps is not None else rows[0])
 
 
 def _cmd_truncate_diag(args) -> None:

@@ -7,62 +7,32 @@ designs used as oracles by the moment-operator tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from prulab.linalg import PropertyViolationError, RandomSeed, ensure_budget
-from prulab.stabilizer import Tableau, random_clifford_rng, tableau_to_unitary
+from prulab.stabilizer import Tableau, random_clifford_rng
 
 # ---------------------------------------------------------------------------
 # PFC ensemble
 # ---------------------------------------------------------------------------
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer; cheap stateless PRF on uint64."""
-    z = (x + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
 @dataclass
 class PFCSample:
-    """One draw of the permutation-phase-Clifford product at a given width.
+    """One draw of the permutation-phase-Clifford product P.F.C at a given width.
 
-    The phase diagonal is never materialized: its +-1 values come from a
-    seeded counter-based PRF, so widths up to n = 30 stay cheap.  The dense
-    matrix P.F.C is available lazily for n <= 12.
+    ``permutation`` maps |x> to |perm[x]> and ``clifford`` is C's tableau.
+    The +-1 phase diagonal F is never materialized: ``phase_key`` keys the
+    counter-based PRF that gives its values, so widths up to n = 30 stay
+    cheap.  F changes no outcome probability, so no measurement reads it.
     """
 
     n: int
-    permutation: np.ndarray  # index array: |x> -> |perm[x]>
+    permutation: np.ndarray
     phase_key: int
     clifford: Tableau
-    _dense: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
-
-    def phase_values(self, indices: np.ndarray) -> np.ndarray:
-        """+-1 phases at the given basis indices: the top bit of the PRF."""
-        h = _splitmix64(np.asarray(indices, dtype=np.uint64) ^ np.uint64(self.phase_key))
-        return np.where((h >> np.uint64(63)).astype(bool), -1.0 + 0j, 1.0 + 0j)
-
-    def dense(self) -> np.ndarray:
-        """P.F.C as a matrix; n <= 12 only."""
-        if self._dense is None:
-            if self.n > 12:
-                raise ValueError("dense form capped at n = 12")
-            ensure_budget(16 * 4**self.n * 4, "dense PFC materialization")
-            c = tableau_to_unitary(self.clifford)
-            f = self.phase_values(np.arange(self.dim))
-            out = np.empty_like(c)
-            out[self.permutation] = f[:, None] * c
-            self._dense = out
-        return self._dense
 
 
 def sample_pfc(n: int, seed: RandomSeed) -> PFCSample:
@@ -138,18 +108,21 @@ class EnsembleSpec:
     def __post_init__(self):
         if not self.unitaries:
             raise ValueError("an ensemble needs unitaries")
+        count = len(self.unitaries)
         if self.weights is None:
-            self.weights = np.full(len(self.unitaries), 1.0 / len(self.unitaries))
-        self.weights = np.asarray(self.weights, dtype=float)
-        if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1")
+            self.weights = np.full(count, 1.0 / count)
+        w = self.weights = np.asarray(self.weights, dtype=float)
+        if w.shape != (count,):
+            raise ValueError(f"weights of shape {w.shape} for {count} unitaries; "
+                             "give one weight per unitary")
+        bad = np.flatnonzero(~np.isfinite(w))
+        if bad.size:
+            raise ValueError(f"weight {bad[0]} is {w[bad[0]]}, not a finite number")
+        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+            raise ValueError(f"weights must be nonnegative and sum to 1, got sum {w.sum()}")
         for u in self.unitaries:
             if u.shape != (self.dim, self.dim):
                 raise ValueError("ensemble element dimension mismatch")
-
-    def sample(self, seed: RandomSeed) -> np.ndarray:
-        i = seed.generator().choice(len(self.unitaries), p=self.weights)
-        return self.unitaries[i]
 
     def __len__(self) -> int:
         return len(self.unitaries)

@@ -36,9 +36,6 @@ class MomentSuperoperator:
     def op_dim(self) -> int:
         return self.dim**self.order
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return (self.matrix @ x.reshape(-1)).reshape(x.shape)
-
     def choi(self) -> np.ndarray:
         """Reshuffle to the Choi matrix; positive semidefinite iff CP."""
         n = self.op_dim

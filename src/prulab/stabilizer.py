@@ -271,9 +271,11 @@ def tableau_to_unitary(t: Tableau) -> np.ndarray:
 class AffineSupport:
     """Affine subspace of F_2^n carrying the measurement distribution of C|0..0>.
 
-    Elements are outcome indices with qubit 0 as the most significant bit,
-    the order of `tableau_to_statevector`.  ``basis`` is in RREF with
-    descending leading bits, and ``offset`` is zero at each leading bit.
+    Its 2^k_dim elements are the outcome indices offset ^ (XOR of a subset
+    of basis), qubit 0 as the most significant bit, the order of
+    `tableau_to_statevector`.  ``basis`` is in RREF with descending leading
+    bits, and ``offset`` is zero at each leading bit, so both are canonical
+    for the subspace.
     """
 
     n: int
@@ -283,28 +285,6 @@ class AffineSupport:
     @property
     def k_dim(self) -> int:
         return len(self.basis)
-
-    @property
-    def size(self) -> int:
-        return 1 << self.k_dim
-
-    def contains(self, v: int) -> bool:
-        v ^= self.offset
-        for b in self.basis:
-            if v >> (b.bit_length() - 1) & 1:
-                v ^= b
-        return v == 0
-
-    def members(self) -> np.ndarray:
-        """All 2^k_dim elements as int64 indices, member i selecting basis
-        row j when bit j of i is set; k_dim <= 20 and n <= 63."""
-        _check_index_width(self)
-        if self.k_dim > 20:
-            raise ValueError("support too large to enumerate")
-        out = np.array([self.offset], dtype=np.int64)
-        for b in self.basis:
-            out = np.concatenate([out, out ^ b])
-        return out
 
 
 def _check_index_width(sup: AffineSupport) -> None:

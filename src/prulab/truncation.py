@@ -19,18 +19,22 @@ from prulab.linalg import (
 )
 
 
-def round_k(x: float, k: int) -> float:
-    """Round x in (-1, 1] to k fractional bits, breaking ties upwards.
+def round_k(x, k: int):
+    """Round x in (-1, 1], a float or an array, to k fractional bits,
+    breaking ties upwards.
 
-    2^{-k} round(2^k x); |x - round_k(x)| <= 2^{-(k+1)}.  The output can be
-    exactly -1 (phase-equivalent to +1); callers storing phases canonicalize.
+    2^{-k} floor(2^k x + 1/2); |x - round_k(x)| <= 2^{-(k+1)}.  The output
+    can be exactly -1 (phase-equivalent to +1); callers storing phases
+    canonicalize.
     """
-    if not (-1.0 < x <= 1.0):
+    v = np.asarray(x, dtype=float)
+    if not np.all((-1.0 < v) & (v <= 1.0)):
         raise ValueError("phase value must lie in (-1, 1]")
     if k < 0:
         raise ValueError("k must be >= 0")
     scale = float(1 << k)
-    return math.floor(x * scale + 0.5) / scale
+    out = np.floor(v * scale + 0.5) / scale
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -51,24 +55,11 @@ class DiagonalPhase:
             raise ValueError("phase values must lie in (-1, 1]")
         self.phases = p
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.m
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(np.exp(1j * np.pi * self.phases))
-
-    @classmethod
-    def random(cls, m: int, rng: np.random.Generator) -> "DiagonalPhase":
-        vals = rng.uniform(-1.0, 1.0, size=1 << m)
-        vals[vals <= -1.0] = 1.0
-        return cls(m, vals)
-
 
 def truncate_diagonal(f: DiagonalPhase, k: int) -> tuple[DiagonalPhase, int]:
     """Pointwise k-bit rounding; the result is a classical function with
     k+1 output bits.  Values rounding to -1 are stored as +1 (same entry)."""
-    vals = np.array([round_k(float(x), k) for x in f.phases])
+    vals = round_k(f.phases, k)
     vals[vals <= -1.0] = 1.0
     return DiagonalPhase(f.m, vals), k + 1
 

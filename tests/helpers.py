@@ -19,7 +19,10 @@ collision count that checks `blocked_collision_counts`, the two exact
 routes to Haar partition probabilities (Dirichlet integral and urn
 product), the big-integer prior support bound, the trace-preservation
 and complete-positivity checks of moment superoperators, dense tableau
-Paulis, and the closed-form amplitudes of the (M, u, v) state family.
+Paulis, the closed-form amplitudes of the (M, u, v) state family,
+membership in and enumeration of a measurement support, the dense P.F.C
+matrix of a PFC sample with the splitmix64 phase PRF its ``phase_key``
+keys, and uniformly random diagonal phase functions.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import minimize
 
-from prulab.stabilizer import GammaParams, Tableau
+from prulab.ensembles import PFCSample
+from prulab.stabilizer import AffineSupport, GammaParams, Tableau, tableau_to_unitary
+from prulab.truncation import DiagonalPhase
 
 #: tolerance of the channel-property checks on moment superoperators
 PROJECTOR_TOL = 1e-9
@@ -421,3 +426,56 @@ def measurement_support_bits(t: Tableau) -> tuple[np.ndarray, np.ndarray]:
         if offset[pc]:
             offset ^= row
     return basis, offset
+
+
+def support_contains(sup: AffineSupport, v: int) -> bool:
+    """Whether outcome index v lies in the support: v ^ offset reduces to
+    zero against the RREF basis."""
+    v ^= sup.offset
+    for b in sup.basis:
+        if v >> (b.bit_length() - 1) & 1:
+            v ^= b
+    return v == 0
+
+
+def support_members(sup: AffineSupport) -> np.ndarray:
+    """All 2^k_dim elements as int64 indices, member i selecting basis row j
+    when bit j of i is set; k_dim <= 20 and n <= 63."""
+    if sup.n > 63:
+        raise ValueError(f"outcome indices of {sup.n} qubits do not fit in int64 (n <= 63)")
+    if sup.k_dim > 20:
+        raise ValueError("support too large to enumerate")
+    out = np.array([sup.offset], dtype=np.int64)
+    for b in sup.basis:
+        out = np.concatenate([out, out ^ b])
+    return out
+
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """Vectorized splitmix64 finalizer; cheap stateless PRF on uint64."""
+    z = (x + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def pfc_phase_values(s: PFCSample, indices: np.ndarray) -> np.ndarray:
+    """+-1 phases of the sample's diagonal F at the given basis indices: the
+    top bit of splitmix64 of the index XOR ``phase_key``."""
+    h = _splitmix64(np.asarray(indices, dtype=np.uint64) ^ np.uint64(s.phase_key))
+    return np.where((h >> np.uint64(63)).astype(bool), -1.0 + 0j, 1.0 + 0j)
+
+
+def pfc_dense(s: PFCSample) -> np.ndarray:
+    """P.F.C of a PFC sample as a dense matrix."""
+    c = tableau_to_unitary(s.clifford)
+    out = np.empty_like(c)
+    out[s.permutation] = pfc_phase_values(s, np.arange(1 << s.n))[:, None] * c
+    return out
+
+
+def random_phase(m: int, rng: np.random.Generator) -> DiagonalPhase:
+    """A phase function on m bits with i.i.d. uniform values in (-1, 1]."""
+    vals = rng.uniform(-1.0, 1.0, size=1 << m)
+    vals[vals <= -1.0] = 1.0
+    return DiagonalPhase(m, vals)

@@ -17,6 +17,7 @@ from helpers import (
     partition_probability_dirichlet,
     partition_probability_urn,
     prior_support_bound_exact,
+    random_phase,
     total_variation,
 )
 from prulab.bounds import improved_support_bound, prior_support_bound
@@ -32,7 +33,7 @@ from prulab.moments import haar_moment_operator, moment_operator, tpe_distance
 from prulab.nets import NetSpec, cover_with_product, dagger_net, exposure_estimate
 from prulab.stabilizer import full_support_probability, measurement_support, random_clifford_rng
 from prulab.tomography import ChannelOracle, naive_process_tomography, planned_queries
-from prulab.truncation import DiagonalOracleCircuit, DiagonalPhase, circuit_truncation_bound, diag_truncation_distance
+from prulab.truncation import DiagonalOracleCircuit, circuit_truncation_bound, diag_truncation_distance
 from prulab.util import wilson_interval
 
 
@@ -150,13 +151,13 @@ def test_c6_truncation_theorem():
     for m in (2, 4, 6):
         for k in (4, 8, 12):
             for _ in range(50):
-                f = DiagonalPhase.random(m, rng)
+                f = random_phase(m, rng)
                 if diag_truncation_distance(f, k) > math.pi * 2.0**-k:
                     violations += 1
     circ_violations = 0
     for s in range(1, 9):
         for k in (6, 10):
-            oracles = [DiagonalPhase.random(3, rng) for _ in range(min(s, 2))]
+            oracles = [random_phase(3, rng) for _ in range(min(s, 2))]
             seq = []
             for i in range(s):
                 seq.append(("fixed", haar_unitary(16, RandomSeed(9200 + 31 * s + i))))

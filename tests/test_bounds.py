@@ -128,11 +128,12 @@ class TestRomInputLength:
         r = rom_input_length_bounds(1 << 10, 2.0, 0.1, 2.0**-16, additive_slack=0.0)
         assert r.m_net == pytest.approx(20 + 4)
 
-    def test_design2_requires_flag(self):
-        r = rom_input_length_bounds(4, 1000.0, 0.99, 0.01, delta_bounded_away=False)
-        assert r.m_design_2 is None
-        r = rom_input_length_bounds(4, 1000.0, 0.5, 0.01, delta_bounded_away=True)
-        assert r.m_design_2 is not None
+    def test_design2_formula(self):
+        # reported whenever t > d^2, whatever delta
+        for delta in (0.5, 0.99):
+            r = rom_input_length_bounds(4, 1000.0, delta, 0.01, additive_slack=0.0)
+            assert r.m_design_2 == pytest.approx(4 + math.log2(math.log2(1000 / 16)))
+            assert "m_design_2" not in r.regime_notes
 
 
 def _mp_log2_support(d: int, kappa: int) -> float:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import random_phase
 from prulab.cli import main
 from prulab.linalg import RandomSeed, haar_unitary
 from prulab.serialize import (
@@ -59,11 +60,11 @@ class TestSerialization:
         assert len(back) == 5
 
     def test_circuit_manifest_round_trip(self):
-        from prulab.truncation import DiagonalOracleCircuit, DiagonalPhase
+        from prulab.truncation import DiagonalOracleCircuit
 
         rng = RandomSeed(5).generator()
         circ = DiagonalOracleCircuit(
-            3, 2, [DiagonalPhase.random(2, rng)],
+            3, 2, [random_phase(2, rng)],
             [("fixed", haar_unitary(8, RandomSeed(6))), ("oracle", 0)])
         back = circuit_from_json_dict(circuit_to_json_dict(circ))
         assert back.n == 3 and back.call_count == 1
@@ -154,9 +155,16 @@ class TestCli:
          {"n": 1, "m": 1, "oracles": [[0.0, 0.5]],
           "sequence": [{"oracle": 0}, {"fixed": TWICE_EYE_2}]},
          "circuit sequence item 1 is not unitary: max |U U^dag - I| is 3"),
+        (["design-distance", "--t", "1", "--ensemble-file"],
+         {"dim": 2, "weights": [1.0], "matrices": [EYE_2, [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]]},
+         "weights of shape (1,) for 2 unitaries"),
+        (["design-distance", "--t", "1", "--ensemble-file"],
+         {"dim": 2, "weights": [float("nan"), 1.0], "matrices": [EYE_2, EYE_2]},
+         "weight 0 is nan, not a finite number"),
     ], ids=["ensemble-no-dim", "net-no-dim", "circuit-no-sequence", "matrix-row-of-numbers",
             "matrix-entry-not-numeric", "circuit-fixed-of-numbers", "ensemble-not-unitary",
-            "net-not-unitary", "circuit-fixed-not-unitary"])
+            "net-not-unitary", "circuit-fixed-not-unitary", "ensemble-weights-length",
+            "ensemble-weights-nan"])
     def test_manifest_missing_key_is_a_usage_error(self, command, manifest, key, tmp_path,
                                                    capsys):
         dump_json(tmp_path / "m.json", manifest)
@@ -177,11 +185,11 @@ class TestCli:
         assert json.loads(out)["result"]["eta_hat"] == 0.0
 
     def test_truncate_diag_ok(self, tmp_path, capsys):
-        from prulab.truncation import DiagonalOracleCircuit, DiagonalPhase
+        from prulab.truncation import DiagonalOracleCircuit
 
         rng = RandomSeed(7).generator()
         circ = DiagonalOracleCircuit(
-            2, 2, [DiagonalPhase.random(2, rng)],
+            2, 2, [random_phase(2, rng)],
             [("oracle", 0), ("fixed", haar_unitary(4, RandomSeed(8))), ("oracle", 0)])
         path = tmp_path / "circ.json"
         dump_json(path, circuit_to_json_dict(circ))
@@ -281,6 +289,14 @@ class TestCli:
         (["bounds", "prior-support", "--d", str(2**500 + 1), "--t", "2", "--log"], "--d"),
         (["pfc-distinguish", "--n", "20", "--trials", "1", "--k-blocks", "1", "--seed", "1",
           "--mem-budget", "0.0005"], "PFC permutation needs 8.39e+06 bytes, budget is 536870"),
+        (["net-coverage", "--haar-net-size", "2", "--dim", "2", "--samples", "2", "--seed", "1"],
+         "--eps or --sweep-eps"),
+        (["net-coverage", "--haar-net-size", "2", "--dim", "0", "--eps", "0.5",
+          "--samples", "2", "--seed", "1"], "--dim must be at least 1, got 0"),
+        (["net-coverage", "--haar-net-size", "2", "--dim", "-2", "--eps", "0.5",
+          "--samples", "2", "--seed", "1"], "--dim must be at least 1, got -2"),
+        (["net-coverage", "--haar-net-size", "-5", "--dim", "2", "--eps", "0.5",
+          "--samples", "2", "--seed", "1"], "--haar-net-size must be at least 1, got -5"),
     ], ids=["n-out-of-range", "no-ensemble", "both-ensembles", "unknown-ensemble",
             "no-net", "no-t", "no-kappa", "zero-mem-budget", "negative-mem-budget",
             "net-size-no-eps", "scalable-check-no-q", "fractional-t", "fractional-sweep-t",
@@ -293,7 +309,8 @@ class TestCli:
             "rom-input-length-d-zero", "improved-support-d-zero", "prior-support-d-zero",
             "trivial-rompru-d-201-digits", "net-size-d-zero", "rom-input-length-d-negative",
             "scalable-check-d-one", "prior-support-d-beyond-limit",
-            "pfc-permutation-over-budget"])
+            "pfc-permutation-over-budget", "net-coverage-no-eps", "net-coverage-dim-zero",
+            "net-coverage-dim-negative", "net-coverage-net-size-negative"])
     def test_usage_error_names_its_cause(self, argv, cause, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1
@@ -392,16 +409,33 @@ class TestCli:
             "rom-input-length", "trivial-rompru", "scalable-check"])
     def test_csv_header_is_the_report_fields(self, argv, header, tmp_path, capsys):
         if argv[-1] == "--circuit-file":
-            from prulab.truncation import DiagonalOracleCircuit, DiagonalPhase
+            from prulab.truncation import DiagonalOracleCircuit
 
             path = tmp_path / "circ.json"
-            phase = DiagonalPhase.random(2, RandomSeed(7).generator())
+            phase = random_phase(2, RandomSeed(7).generator())
             dump_json(path, circuit_to_json_dict(
                 DiagonalOracleCircuit(2, 2, [phase], [("oracle", 0)])))
             argv = argv + [str(path)]
         code, out, err = run_cli(argv + ["--format", "csv"], capsys)
         assert code == 0, err
         assert out.splitlines()[0] == header
+
+    def test_net_coverage_sweep_emits_rows(self, capsys):
+        # --sweep-eps wins over --eps and needs none, and gives rows even for
+        # one value, as --sweep-t does in bounds
+        base = ["net-coverage", "--haar-net-size", "3", "--dim", "2", "--samples", "5",
+                "--seed", "1"]
+        code, out, err = run_cli(base + ["--sweep-eps", "0.5"], capsys)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["config"]["eps"] == [0.5]
+        assert [row["epsilon"] for row in report["result"]["rows"]] == [0.5]
+        code, swept, err = run_cli(base + ["--eps", "0.1", "--sweep-eps", "0.5"], capsys)
+        assert code == 0, err
+        assert swept == out
+        code, out, err = run_cli(base + ["--eps", "0.5"], capsys)
+        assert code == 0, err
+        assert json.loads(out)["result"]["epsilon"] == 0.5
 
     def test_csv_sweep_one_param_per_row(self, capsys):
         code, out, _ = run_cli(

@@ -76,6 +76,18 @@ class _ConstantOracle:
         return np.zeros(shots, dtype=np.int64)
 
 
+class _ScriptedOracle:
+    """Returns the given blocks of outcomes, one per draw call."""
+
+    def __init__(self, blocks):
+        self.blocks = iter(blocks)
+
+    def draw(self, shots):
+        block = np.asarray(next(self.blocks), dtype=np.int64)
+        assert block.shape == (shots,)
+        return block
+
+
 class _UniformOracle:
     def __init__(self, d, rng):
         self.d, self.rng = d, rng
@@ -137,6 +149,19 @@ class TestCollisionDistinguisher:
         rep = run_collision_distinguisher(_ConstantOracle(), p, estimator="median")
         assert rep.estimator == "median"
         assert rep.verdict == "PFC"
+
+    def test_median_and_mean_disagree_on_one_outlier_block(self):
+        # collision counts [1, 1, 28]: one equal pair twice, then all 8 equal;
+        # the mean 10 lies far from the center 56/65, the median 1 within alpha
+        p = DistinguisherParams(d=64, t=8, k_blocks=3)
+        blocks = [[0, 0, 1, 2, 3, 4, 5, 6], [7, 8, 9, 9, 10, 11, 12, 13], [5] * 8]
+        verdicts = {}
+        for estimator in ("mean", "median"):
+            rep = run_collision_distinguisher(_ScriptedOracle(blocks), p, estimator=estimator)
+            assert rep.blocks.tolist() == [1, 1, 28]
+            assert abs(1 - p.center) <= p.alpha < abs(10 - p.center)
+            verdicts[estimator] = (rep.mean_collisions, rep.verdict)
+        assert verdicts == {"mean": (10.0, "PFC"), "median": (1.0, "Haar")}
 
 
 class TestConcentrationReference:
@@ -218,7 +243,7 @@ class TestAdvantage:
         pauli = reference_design("pauli-1-design", 1)
 
         def pauli_oracle(seed):
-            u = pauli.sample(seed)
+            u = pauli.unitaries[seed.generator().choice(len(pauli), p=pauli.weights)]
             probs = np.abs(u[:, 0]) ** 2
             rng = seed.generator()
 

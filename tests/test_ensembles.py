@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -6,6 +8,8 @@ from helpers import (
     empirical_counts,
     partition_probability_dirichlet,
     partition_probability_urn,
+    pfc_dense,
+    pfc_phase_values,
     total_variation,
 )
 from prulab.distinguisher import HaarDenseOracle, HaarUrnOracle, PFCOracle
@@ -43,10 +47,10 @@ class TestPFCSample:
     def test_dense_is_unitary_product(self, n):
         d = 1 << n
         s = sample_pfc(n, RandomSeed(5))
-        u = s.dense()
+        u = pfc_dense(s)
         assert is_unitary(u, 1e-9)
         c = tableau_to_unitary(s.clifford)
-        f = np.diag(s.phase_values(np.arange(d)))
+        f = np.diag(pfc_phase_values(s, np.arange(d)))
         p = np.zeros((d, d))
         p[s.permutation, np.arange(d)] = 1.0
         assert np.allclose(u, p @ f @ c, atol=1e-9)
@@ -77,10 +81,10 @@ class TestPFCSample:
 
     def test_phase_values_signs(self):
         s = sample_pfc(5, RandomSeed(1))
-        vals = s.phase_values(np.arange(32))
+        vals = pfc_phase_values(s, np.arange(32))
         assert set(np.round(vals.real).astype(int)) <= {-1, 1}
         assert np.abs(vals.imag).max() == 0
-        assert is_unitary(s.dense(), 1e-9)
+        assert is_unitary(pfc_dense(s), 1e-9)
 
     def test_first_column_profile_matches_support(self):
         # |amplitudes|^2 of the first dense column: uniform over a set whose
@@ -88,9 +92,9 @@ class TestPFCSample:
         seed = RandomSeed(77)
         for k in range(20):
             s = sample_pfc(3, seed.child(k))
-            col = np.abs(s.dense()[:, 0]) ** 2
+            col = np.abs(pfc_dense(s)[:, 0]) ** 2
             hot = col[col > 1e-12]
-            size = measurement_support(s.clifford).size
+            size = 1 << measurement_support(s.clifford).k_dim
             assert hot.size == size
             assert np.allclose(hot, 1.0 / size, atol=1e-9)
 
@@ -109,7 +113,7 @@ class TestPFCMeasurement:
         s = sample_pfc(n, RandomSeed(21))
         out = PFCOracle(s, RandomSeed(22)).draw(shots)
         emp = np.bincount(out.astype(np.int64), minlength=2**n) / shots
-        probs = np.abs(s.dense()[:, 0]) ** 2
+        probs = np.abs(pfc_dense(s)[:, 0]) ** 2
         assert 0.5 * np.abs(emp - probs).sum() <= 0.05
 
     def test_collision_counts_invariant_under_permutation(self):
@@ -218,3 +222,16 @@ class TestReferenceDesigns:
     def test_weights_validation(self):
         with pytest.raises(ValueError):
             EnsembleSpec(2, [np.eye(2)], np.array([0.5]))
+
+    @pytest.mark.parametrize("weights, cause", [
+        ([1.0], "weights of shape (1,) for 2 unitaries"),
+        ([0.25, 0.25, 0.5], "weights of shape (3,) for 2 unitaries"),
+        ([[0.5, 0.5]], "weights of shape (1, 2) for 2 unitaries"),
+        ([float("nan"), 1.0], "weight 0 is nan"),
+        ([0.0, float("inf")], "weight 1 is inf"),
+        ([-0.5, 1.5], "nonnegative"),
+        ([0.5, 0.25], "sum to 1, got sum 0.75"),
+    ], ids=["too-few", "too-many", "not-a-vector", "nan", "inf", "negative", "sum"])
+    def test_weights_must_fit_the_unitaries(self, weights, cause):
+        with pytest.raises(ValueError, match=re.escape(cause)):
+            EnsembleSpec(2, [np.eye(2), np.eye(2)], weights)

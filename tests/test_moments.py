@@ -68,9 +68,9 @@ class TestHaarMomentOperator:
         m = haar_moment_operator(2, 1)
         for basis in (np.array([[0, 1], [1, 0]]), np.array([[1, 0], [0, -1]]),
                       np.array([[0, -1j], [1j, 0]])):
-            assert np.abs(m.apply(basis.astype(complex))).max() < 1e-12
+            assert np.abs(m.matrix @ basis.reshape(-1)).max() < 1e-12
         x = np.array([[0.3, 0], [0, 0.7]], dtype=complex)
-        assert np.allclose(m.apply(x), np.trace(x) * np.eye(2) / 2)
+        assert np.allclose((m.matrix @ x.reshape(-1)).reshape(2, 2), np.trace(x) * np.eye(2) / 2)
 
     @pytest.mark.parametrize("d,t", [(2, 1), (2, 2), (2, 3), (3, 2), (2, 4)])
     def test_projector_properties(self, d, t):
@@ -114,7 +114,7 @@ class TestTpeDistance:
             mv = moment_operator(cliff1, t)
             mh = haar_moment_operator(2, t)
             eye = np.eye(2**t, dtype=complex)
-            assert np.abs(mv.apply(eye) - mh.apply(eye)).max() < 1e-9
+            assert np.abs((mv.matrix - mh.matrix) @ eye.reshape(-1)).max() < 1e-9
 
 
 class TestDesignDistanceBounds:

@@ -2,14 +2,19 @@ import ast
 import functools
 import importlib
 import importlib.util
+import inspect
+import json
 import tokenize
 from pathlib import Path
 
 import prulab
+from prulab.distinguisher import pfc_distinguish_experiment
+from prulab.linalg import RandomSeed
 
 SRC = Path(prulab.__file__).parent
 ROOT = Path(__file__).parents[1]
 LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
+BENCH_SPEC = ROOT / "perfbench" / "spec.json"
 
 
 def test_no_private_names_imported_across_modules():
@@ -37,23 +42,37 @@ def test_benchmark_trace_targets_resolve():
     assert missing == []
 
 
+def test_benchmark_call_binds():
+    # the collide-n10 unit calls pfc_distinguish_experiment(seed=..., **params)
+    # with its params from the benchmark spec; a renamed or dropped keyword
+    # breaks that call, which binding here shows without running it
+    params = json.loads(BENCH_SPEC.read_text())["workloads"]["collide-n10"]["params"]
+    inspect.signature(pfc_distinguish_experiment).bind(seed=RandomSeed(0), **params)
+
+
 #: public definitions in src/prulab that only tests/ call, kept as library
 #: API: manifest and tableau writers and readers, net and ensemble
-#: operations, closed forms and counts for callers of the package, and
-#: concentration_reference until the exact support-dimension law replaces it
+#: operations, closed forms and counts for callers of the package, dense
+#: Clifford synthesis, which a reference design built from tableaus needs,
+#: and concentration_reference until the exact support-dimension law
+#: replaces it; a class member kept on purpose goes here as ``Class.member``
 TEST_ONLY_API = {
     "concentration_reference", "net_membership_distinguisher",
     "symmetric_composition_check", "compose_nets", "dagger_net",
     "save_matrix_bin", "ensemble_to_json_dict", "net_to_json_dict",
     "circuit_to_json_dict", "dump_json", "symplectic_from_index", "gamma_state",
     "stabilizer_state_count", "tableau_to_json_dict", "tableau_from_json_dict",
-    "diag_truncation_distance",
+    "diag_truncation_distance", "tableau_to_unitary",
 }
 
 
-def _definitions() -> list[tuple[str, Path, int, int]]:
-    """(name, path, first line, last line) of every module-level function,
-    class and assigned name in src/prulab, dunders left out."""
+def _definitions() -> list[tuple[str, str, Path, int, int]]:
+    """(name, token, path, first line, last line) of every module-level
+    function, class and assigned name in src/prulab, and of every public
+    method, property and classmethod of a public class, named
+    ``Class.member`` with the member's name as its token; dunders,
+    ``_``-prefixed members and members of ``_``-prefixed classes are left
+    out."""
     out = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -64,18 +83,26 @@ def _definitions() -> list[tuple[str, Path, int, int]]:
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 continue
-            out += [(name, path, node.lineno, node.end_lineno)
+            out += [(name, name, path, node.lineno, node.end_lineno)
                     for name in names if not name.startswith("__")]
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                out += [(f"{node.name}.{m.name}", m.name, path, m.lineno, m.end_lineno)
+                        for m in node.body
+                        if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not m.name.startswith("_")]
     return out
 
 
 def _referenced(folders, definitions) -> set[str]:
-    """Names of ``definitions`` that some NAME token in the .py files under
-    ``folders`` spells, outside the definition's own statement; strings,
-    docstrings and comments are other token types and never count."""
-    spans = {}
-    for name, path, first, last in definitions:
-        spans.setdefault(name, []).append((path, first, last))
+    """Names of ``definitions`` whose token some NAME token in the .py files
+    under ``folders`` spells, outside every statement that defines that
+    token; strings, docstrings and comments are other token types and never
+    count.  A member shares its token with every other attribute of that
+    name, so one use of ``x.draw`` marks every ``draw`` method used."""
+    spans, names = {}, {}
+    for name, token, path, first, last in definitions:
+        spans.setdefault(token, []).append((path, first, last))
+        names.setdefault(token, set()).add(name)
     found = set()
     for folder in folders:
         for path in sorted(folder.rglob("*.py")):
@@ -84,22 +111,29 @@ def _referenced(folders, definitions) -> set[str]:
                     if tok.type == tokenize.NAME and tok.string in spans and not any(
                             p == path and first <= tok.start[0] <= last
                             for p, first, last in spans[tok.string]):
-                        found.add(tok.string)
+                        found |= names[tok.string]
     return found
 
 
 def test_every_module_level_definition_is_used():
     # a definition whose name is no token outside its own statement, in src,
-    # tests, scripts or perfbench, is dead code
+    # tests, scripts or perfbench, is dead code; class members included
     defined = _definitions()
     used = _referenced((SRC, ROOT / "tests", ROOT / "scripts", ROOT / "perfbench"), defined)
     assert sorted({name for name, *_ in defined} - used) == []
 
 
 def test_public_definitions_have_a_caller_outside_tests():
-    # a public definition that only tests/ reach is a test oracle, which
-    # belongs in tests/helpers.py, or dead code, unless kept as API above;
-    # a listed name that gains a caller, or is gone, leaves the list
+    """A public definition that only tests/ reach is a test oracle, which
+    belongs in tests/helpers.py, or dead code, unless kept as API above; a
+    listed name that gains a caller, or is gone, leaves the list.
+
+    Members are matched by name alone: a member whose name another attribute
+    or definition shares (``apply``, ``sample``, ``dim``, ``size``,
+    ``matrix``, ``random``) counts as used wherever that name appears, so
+    this guard misses test-only members with common names; those need a
+    sweep by hand, grepping each attribute's uses.
+    """
     defined = [d for d in _definitions() if not d[0].startswith("_")]
     used = _referenced((SRC, ROOT / "scripts", ROOT / "perfbench"), defined)
     test_only = {name for name, *_ in defined} - used

@@ -15,6 +15,8 @@ from helpers import (
     measurement_support_bits,
     pack_bits,
     pauli_matrix,
+    support_contains,
+    support_members,
     symplectic_from_index_bits,
 )
 from prulab.linalg import RandomSeed, is_unitary
@@ -223,7 +225,7 @@ class TestMeasurementSupport:
                 sup = measurement_support(t)
                 probs = np.abs(tableau_to_statevector(t)) ** 2
                 hot = set(np.nonzero(probs > 1e-12)[0].tolist())
-                assert hot == set(sup.members().tolist())
+                assert hot == set(support_members(sup).tolist())
                 assert np.allclose(probs[sorted(hot)], 1 / len(hot), atol=1e-9)
 
     def test_sampling_tv_against_dense(self):
@@ -290,8 +292,8 @@ class TestMeasurementSupport:
     def test_affine_contains_members(self):
         t = random_clifford(4, RandomSeed(99))
         sup = measurement_support(t)
-        for v in sup.members().tolist():
-            assert sup.contains(v)
+        for v in support_members(sup).tolist():
+            assert support_contains(sup, v)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_contains_every_index(self, n):
@@ -301,7 +303,7 @@ class TestMeasurementSupport:
             t = random_clifford(n, seed.child(k))
             sup = measurement_support(t)
             hot = np.abs(tableau_to_statevector(t)) ** 2 > 1e-12
-            assert [sup.contains(v) for v in range(1 << n)] == hot.tolist()
+            assert [support_contains(sup, v) for v in range(1 << n)] == hot.tolist()
 
     def test_support_past_int64_width(self):
         # supports are Python ints at any n; only int64 outcome arrays stop at 63
@@ -313,13 +315,13 @@ class TestMeasurementSupport:
         assert sup.basis == () and sup.offset == sum(1 << (n - 1 - j) for j in range(0, n, 3))
         sup = measurement_support(hadamards(n))
         assert sup.basis == tuple(1 << j for j in range(n - 1, -1, -1)) and sup.offset == 0
-        assert sup.contains((1 << n) - 1) and not sup.contains(1 << n)
+        assert support_contains(sup, (1 << n) - 1) and not support_contains(sup, 1 << n)
         for t in (Tableau(64), hadamards(64), Tableau(n), hadamards(n)):
             sup = measurement_support(t)
             with pytest.raises(ValueError, match="int64"):
                 sample_from_support(sup, 4, np.random.default_rng(0))
             with pytest.raises(ValueError, match="int64"):
-                sup.members()
+                support_members(sup)
 
     def test_sample_stream_is_pinned(self):
         # digest of int64 outcome indices, taken when supports were still

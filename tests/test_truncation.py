@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_diamond
+from helpers import brute_force_diamond, random_phase
 from prulab.linalg import RandomSeed, haar_unitary
 from prulab.truncation import (
     DiagonalOracleCircuit,
@@ -33,6 +33,24 @@ class TestRoundK:
             round_k(-1.0, 3)
         with pytest.raises(ValueError):
             round_k(0.5, -1)
+        for bad in ([0.5, 1.5], [0.5, -1.0], [0.5, float("nan")]):
+            with pytest.raises(ValueError):
+                round_k(np.array(bad), 3)
+
+    def test_array_matches_scalar_bytes(self):
+        # uniform phases plus every kind of tie: odd multiples of 2^-(k+1)
+        # sit exactly between two grid points and must break upwards
+        rng = np.random.default_rng(160)
+        for k in range(40):
+            for m in (0, 3, 8):
+                x = rng.uniform(-1.0, 1.0, size=1 << m)
+                x[x <= -1.0] = 1.0
+                ties = rng.integers(-(1 << (k + 1)) + 1, (1 << (k + 1)) + 1, size=1 << m)
+                x = np.concatenate([x, ties / 2.0 ** (k + 1)])
+                scalar = [round_k(float(v), k) for v in x]
+                assert all(type(r) is float for r in scalar)
+                assert [math.floor(v * 2.0**k + 0.5) / 2.0**k for v in x] == scalar
+                assert round_k(x, k).tobytes() == np.array(scalar).tobytes()
 
     @given(st.floats(min_value=-0.999999, max_value=1.0), st.integers(0, 14))
     @settings(max_examples=200, deadline=None)
@@ -60,7 +78,7 @@ class TestTruncateDiagonal:
     def test_pointwise_deviation_exhaustive(self):
         rng = RandomSeed(1).generator()
         for m, k in ((3, 8), (12, 6)):
-            f = DiagonalPhase.random(m, rng)
+            f = random_phase(m, rng)
             g, _ = truncate_diagonal(f, k)
             # compare as phases mod 2 (the -1 -> +1 wrap is free)
             dev = np.abs(f.phases - g.phases)
@@ -88,7 +106,7 @@ class TestDiagTruncationDistance:
         for m in (2, 4):
             for k in (4, 8):
                 for _ in range(10):
-                    f = DiagonalPhase.random(m, rng)
+                    f = random_phase(m, rng)
                     d = diag_truncation_distance(f, k)
                     assert d <= math.pi * 2.0**-k + 1e-9
 
@@ -99,8 +117,8 @@ class TestDiagTruncationDistance:
         f = DiagonalPhase(2, phases)
         # k large enough that only the closed form matters: compare the two
         # diagonal unitaries directly
-        u = f.matrix()
-        v = DiagonalPhase(2, np.zeros(4)).matrix()
+        u = np.diag(np.exp(1j * np.pi * f.phases))
+        v = np.eye(4, dtype=complex)
         from prulab.linalg import diamond_distance_unitaries
 
         cf = diamond_distance_unitaries(u, v)
@@ -115,7 +133,7 @@ class TestDiagTruncationDistance:
 
 def _random_circuit(n, m, ell, s, seed):
     rng = RandomSeed(seed).generator()
-    oracles = [DiagonalPhase.random(m, rng) for _ in range(ell)]
+    oracles = [random_phase(m, rng) for _ in range(ell)]
     seq = []
     calls = [i % ell for i in range(s)]
     for i, c in enumerate(calls):
@@ -134,7 +152,7 @@ class TestCircuitTruncation:
 
     def test_single_call_reduces_to_diagonal_case(self):
         rng = RandomSeed(5).generator()
-        f = DiagonalPhase.random(3, rng)
+        f = random_phase(3, rng)
         c = DiagonalOracleCircuit(3, 3, [f], [("oracle", 0)])
         rep = circuit_truncation_bound(c, 6)
         assert rep.distance == pytest.approx(diag_truncation_distance(f, 6), abs=1e-9)
