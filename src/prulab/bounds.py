@@ -119,11 +119,14 @@ def rom_input_length_bounds(d: int, t: float, delta: float, epsilon: float,
     m_design_2 = 2 log2 d + loglog2(t/d^2) - slack      (regime t > d^2)
     m_net      = 2 log2 d + loglog2(1/epsilon) - slack
 
-    The paper proves m_design_2 only for a design error delta whose
-    advantage 1 - delta stays bounded away from 0; it is reported whenever
-    t > d^2, and holding that precondition is the caller's part.
+    Valid for 0 <= delta < 1, as for `improved_support_bound`.  The paper
+    proves m_design_2 only for a design error delta whose advantage
+    1 - delta stays bounded away from 0; it is reported whenever t > d^2,
+    and holding that precondition is the caller's part.
     """
     check_dimension(d)
+    if not 0.0 <= delta < 1.0:
+        raise ValueError(f"delta must be in [0, 1), got {delta}")
     notes: dict = {}
 
     def loglog2(x: float) -> float | None:

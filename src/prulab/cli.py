@@ -202,8 +202,11 @@ def _cmd_net_coverage(args) -> None:
 
     if args.eps is None and args.sweep_eps is None:
         raise ValueError("net-coverage needs --eps or --sweep-eps")
-    eps_list = (_float_list(args.sweep_eps, "--sweep-eps")
+    eps_flag = "--sweep-eps" if args.sweep_eps is not None else "--eps"
+    eps_list = (_float_list(args.sweep_eps, eps_flag)
                 if args.sweep_eps is not None else [args.eps])
+    if min(eps_list) < 0:
+        raise ValueError(f"{eps_flag} must be nonnegative, got {min(eps_list)}")
     seed = _seed_of(args)
     if args.net_file:
         net = net_from_json_dict(load_json(args.net_file), Path(args.net_file).parent)
@@ -239,7 +242,7 @@ def _cmd_bounds(args) -> None:
     from prulab import bounds as B
     from prulab.nets import net_size_lower_bound
 
-    t_flag = "--sweep-t" if args.sweep_t else "--t"
+    t_flag = "--sweep-t" if args.sweep_t is not None else "--t"
     # the flags named when a report field other than "value" is not finite
     sources = {"m_design_1": f"--d and {t_flag}", "m_net": "--d and --eps",
                "qm": "--q and --m", "qm_budget": "--d, --kappa and --poly-budget",
@@ -282,11 +285,13 @@ def _cmd_bounds(args) -> None:
     B.check_dimension(args.d, "--d")
     needs_t = args.formula in ("prior-support", "improved-support",
                                "rom-input-length", "scalable-check")
-    if needs_t and args.t is None and not args.sweep_t:
+    if needs_t and args.t is None and args.sweep_t is None:
         raise ValueError(f"bounds {args.formula} needs --t or --sweep-t")
-    t_vals = _float_list(args.sweep_t, t_flag) if args.sweep_t else [args.t]
+    t_vals = _float_list(args.sweep_t, t_flag) if args.sweep_t is not None else [args.t]
     if needs_t and min(t_vals) < 0:
         raise ValueError(f"{t_flag} must be nonnegative, got {min(t_vals)}")
+    if args.formula in ("improved-support", "rom-input-length") and not 0 <= args.delta < 1:
+        raise ValueError(f"bounds {args.formula} needs --delta in [0, 1), got {args.delta}")
     required = {"trivial-rompru": ("kappa",), "scalable-check": ("kappa", "q", "m"),
                 "net-size": ("eps",)}
     for name in required.get(args.formula, ()):
@@ -299,7 +304,7 @@ def _cmd_bounds(args) -> None:
               "inputs": {k: v for k, v in vars(args).items()
                          if k not in ("command", "out", "format", "func") and v is not None}}
     rows = [finite(one(v)) for v in t_vals]
-    _emit(args, config, rows if args.sweep_t else rows[0])
+    _emit(args, config, rows if args.sweep_t is not None else rows[0])
 
 
 def _cmd_tomo_demo(args) -> None:

@@ -5,6 +5,11 @@ vector, PFC by stabilizer sampling), the sqrt(d)-query collision test on
 repeated |0...0> queries, the Chebyshev concentration reference for its
 block estimator, a generic Monte Carlo advantage estimator, and the
 tomography-based net-membership distinguisher.
+
+Every oracle serves ``draw(shots)`` from one block stream of outcomes,
+`_OutcomeStream`: its sampler runs once per block, not once per call, so
+the per-call cost of many small draws is a slice.  The blocks grow with
+what the caller has drawn, up to _BLOCK outcomes.
 """
 
 from __future__ import annotations
@@ -69,31 +74,72 @@ def blocked_collision_counts(samples: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+#: most outcomes a refill samples beyond the request it serves
+_BLOCK = 4096
+
+
+class _OutcomeStream:
+    """Serves ``take(shots)`` in order from outcomes ``fill(n)`` samples in blocks.
+
+    The first fill is exactly the first request; a later one samples
+    max(shots - left, min(served, _BLOCK)), so the block grows with what
+    the caller has taken, up to _BLOCK.  ``take`` returns a copy.
+    """
+
+    def __init__(self, fill):
+        self._fill = fill
+        self._buf = np.empty(0, dtype=np.int64)
+        self._pos = 0
+        self._served = 0
+
+    def take(self, shots: int) -> np.ndarray:
+        if shots < 0:
+            raise ValueError(f"shots must be nonnegative, got {shots}")
+        left = self._buf.size - self._pos
+        if shots > left:
+            more = self._fill(max(shots - left, min(self._served, _BLOCK)))
+            self._buf = np.concatenate((self._buf[self._pos:], more)) if left else more
+            self._pos = 0
+        out = self._buf[self._pos:self._pos + shots].copy()
+        self._pos += shots
+        self._served += shots
+        return out
+
+
 class HaarUrnOracle:
     """Measurement oracle of a hidden Haar state, urn realization.
 
     No state vector is ever formed; the equality pattern is exact and the
-    cost per draw is O(1) independent of d.
+    cost per draw is O(1) independent of d.  Draws are served from one
+    block stream of urn outcomes, so repeated draws consume the urn's RNG
+    stream in blocks, not per call.
     """
 
     def __init__(self, d: int, seed: RandomSeed):
-        self._urn = PolyaUrnSampler(d, seed.generator())
+        urn = PolyaUrnSampler(d, seed.generator())
+        self._stream = _OutcomeStream(lambda n: urn.draw(n))
 
     def draw(self, shots: int) -> np.ndarray:
-        return self._urn.draw(shots)
+        return self._stream.take(shots)
 
 
 class HaarDenseOracle:
-    """Measurement oracle of a hidden Haar state, dense realization."""
+    """Measurement oracle of a hidden Haar state, dense realization.
+
+    Outcomes come from one block stream of Born-rule samples.
+    """
 
     def __init__(self, d: int, seed: RandomSeed):
         ensure_budget(16 * d * 4, "dense Haar oracle")
-        self._rng = seed.generator()
-        probs = np.abs(haar_state(d, self._rng)) ** 2
-        self._probs = probs / probs.sum()
+        rng = seed.generator()
+        probs = np.abs(haar_state(d, rng)) ** 2
+        cdf = np.cumsum(probs / probs.sum())
+        cdf /= cdf[-1]
+        # rng.choice(d, size=n, p=probs) with the cdf built once, not per call
+        self._stream = _OutcomeStream(lambda n: cdf.searchsorted(rng.random(n), side="right"))
 
     def draw(self, shots: int) -> np.ndarray:
-        return self._rng.choice(self._probs.size, size=shots, p=self._probs)
+        return self._stream.take(shots)
 
 
 class PFCOracle:
@@ -101,16 +147,17 @@ class PFCOracle:
 
     The phase diagonal never affects outcome probabilities and the
     permutation is a relabeling, so this is stabilizer sampling of C
-    followed by the permutation.
+    followed by the permutation, served from one block stream.
     """
 
     def __init__(self, sample: PFCSample, seed: RandomSeed):
-        self.sample = sample
-        self._support = measurement_support(sample.clifford)
-        self._rng = seed.generator()
+        support = measurement_support(sample.clifford)
+        perm = sample.permutation
+        rng = seed.generator()
+        self._stream = _OutcomeStream(lambda n: perm[sample_from_support(support, n, rng)])
 
     def draw(self, shots: int) -> np.ndarray:
-        return self.sample.permutation[sample_from_support(self._support, shots, self._rng)]
+        return self._stream.take(shots)
 
 
 def haar_oracle_factory(d: int, mode: str = "urn"):

@@ -57,9 +57,17 @@ class PolyaUrnSampler:
     fixed Haar state.
 
     The basis probabilities of a Haar state are flat-Dirichlet, so i.i.d.
-    outcome draws marginalize to a d-color Polya urn; amortized O(1) per
-    draw via the copy-or-fresh decomposition of the predictive rule.  State
-    persists across calls: all draws share one hidden state.
+    outcome draws marginalize to a d-color Polya urn (Blackwell-MacQueen
+    predictive rule).  Draw i, with m earlier draws, copies the label of a
+    uniform earlier draw with probability m/(m+d), and otherwise picks a
+    uniform fresh category; labels number the categories in order of first
+    appearance.  State persists across calls: all draws share one hidden
+    state.
+
+    ``draw`` is vectorised and exact: the same three RNG calls and the same
+    float64 arithmetic as the per-shot rule, with copies of draws from the
+    same call resolved by pointer doubling and older ones read from an
+    int64 history whose capacity doubles as it grows.
     """
 
     def __init__(self, d: int, rng: np.random.Generator):
@@ -67,28 +75,42 @@ class PolyaUrnSampler:
             raise ValueError("dimension must be >= 1")
         self.d = d
         self._rng = rng
-        self._history: list[int] = []
+        self._history = np.empty(0, dtype=np.int64)
+        self._size = 0
         self._labels: dict[int, int] = {}
 
     def draw(self, shots: int) -> np.ndarray:
-        d = self.d
         rng = self._rng
         coins = rng.random(shots)
         copy_pick = rng.random(shots)
-        fresh_cats = rng.integers(0, d, size=shots)
-        out = np.empty(shots, dtype=np.int64)
+        fresh_cats = rng.integers(0, self.d, size=shots)
+        m0 = self._size
+        end = self._size = m0 + shots
+        if end > self._history.size:
+            grown = np.empty(max(end, 2 * self._history.size), dtype=np.int64)
+            grown[:m0] = self._history[:m0]
+            self._history = grown
         hist = self._history
+        block = hist[m0:end]
+        m = np.arange(m0, end, dtype=np.float64)  # exact: m < 2^53
+        copy = coins * np.arange(m0 + self.d, end + self.d) < m
+        src = (copy_pick * m).astype(np.int64)
+        # copies of older draws are exact after this gather; copies of draws
+        # in this block are resolved below, once the fresh labels are in
+        hist.take(src, out=block)
+        fresh = ~copy
         labels = self._labels
-        for i in range(shots):
-            m = len(hist)
-            if coins[i] * (m + d) < m:
-                lab = hist[int(copy_pick[i] * m)]
-            else:
-                cat = int(fresh_cats[i])
-                lab = labels.setdefault(cat, len(labels))
-            hist.append(lab)
-            out[i] = lab
-        return out
+        block[fresh] = [labels.setdefault(c, len(labels)) for c in fresh_cats[fresh].tolist()]
+        inner = src >= m0
+        inner &= copy
+        hops = int(np.count_nonzero(inner))
+        if hops:
+            ptr = np.arange(shots)
+            ptr[inner] = src[inner] - m0
+            for _ in range(hops.bit_length()):  # no source chain is longer than hops
+                ptr = ptr[ptr]
+            block[:] = block[ptr]
+        return block.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,8 @@ def exposure_estimate(net: NetSpec, eps: float, samples: int,
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if not eps >= 0:
+        raise ValueError(f"eps must be nonnegative, got {eps}")
     exposed = 0
     for i in range(samples):
         u = haar_unitary_rng(net.dim, seed.child(i).generator())

@@ -13,6 +13,9 @@ as packed outcome indices and needs none of them.  The d = 2 pair-cover oracle
 ranks the whole m x m trace matrix at once, where `prulab.nets` streams
 it in row blocks.
 
+The per-shot Polya urn is the oracle for the vectorised
+`PolyaUrnSampler.draw`: same RNG calls, one predictive step per shot.
+
 The exact ground truths no program calls live here too, not in
 `prulab`: the Schatten norm behind the diamond oracle, the `np.unique`
 collision count that checks `blocked_collision_counts`, the two exact
@@ -153,6 +156,37 @@ def partition_probability_urn(d: int, blocks: list[list[int]]) -> Fraction:
             prob *= Fraction(counts[bi] + 1, pos + d)
         counts[bi] += 1
     return prob
+
+
+class PolyaUrnLoop:
+    """The per-shot Polya urn, the oracle for `PolyaUrnSampler.draw`: the
+    same three RNG calls per draw, then one predictive step per shot."""
+
+    def __init__(self, d: int, rng: np.random.Generator):
+        self.d = d
+        self._rng = rng
+        self._history: list[int] = []
+        self._labels: dict[int, int] = {}
+
+    def draw(self, shots: int) -> np.ndarray:
+        d = self.d
+        rng = self._rng
+        coins = rng.random(shots)
+        copy_pick = rng.random(shots)
+        fresh_cats = rng.integers(0, d, size=shots)
+        out = np.empty(shots, dtype=np.int64)
+        hist = self._history
+        labels = self._labels
+        for i in range(shots):
+            m = len(hist)
+            if coins[i] * (m + d) < m:
+                lab = hist[int(copy_pick[i] * m)]
+            else:
+                cat = int(fresh_cats[i])
+                lab = labels.setdefault(cat, len(labels))
+            hist.append(lab)
+            out[i] = lab
+        return out
 
 
 def prior_support_bound_exact(d: int, t: int, delta: Fraction) -> Fraction:

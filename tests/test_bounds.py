@@ -135,6 +135,11 @@ class TestRomInputLength:
             assert r.m_design_2 == pytest.approx(4 + math.log2(math.log2(1000 / 16)))
             assert "m_design_2" not in r.regime_notes
 
+    @pytest.mark.parametrize("delta", [-0.1, 1.0, 5.0, math.nan])
+    def test_delta_domain(self, delta):
+        with pytest.raises(ValueError, match=r"delta must be in \[0, 1\)"):
+            rom_input_length_bounds(4, 1000.0, delta, 0.01)
+
 
 def _mp_log2_support(d: int, kappa: int) -> float:
     """2 log2 C(t + k, k), t = 2^kappa and k = d^2 - 1, from mpmath's loggamma.

@@ -297,6 +297,16 @@ class TestCli:
           "--samples", "2", "--seed", "1"], "--dim must be at least 1, got -2"),
         (["net-coverage", "--haar-net-size", "-5", "--dim", "2", "--eps", "0.5",
           "--samples", "2", "--seed", "1"], "--haar-net-size must be at least 1, got -5"),
+        (["bounds", "rom-input-length", "--d", "4", "--t", "1000", "--delta", "5"],
+         "--delta in [0, 1), got 5.0"),
+        (["bounds", "improved-support", "--d", "4", "--t", "8", "--delta", "1"],
+         "--delta in [0, 1), got 1.0"),
+        (["net-coverage", "--haar-net-size", "3", "--dim", "2", "--eps", "-1",
+          "--samples", "5", "--seed", "1"], "--eps must be nonnegative, got -1.0"),
+        (["net-coverage", "--haar-net-size", "3", "--dim", "2", "--sweep-eps", "0.3,-1",
+          "--samples", "5", "--seed", "1"], "--sweep-eps must be nonnegative, got -1.0"),
+        (["bounds", "improved-support", "--d", "4", "--t", "8", "--sweep-t", ""],
+         "--sweep-t '' is not a comma list of numbers"),
     ], ids=["n-out-of-range", "no-ensemble", "both-ensembles", "unknown-ensemble",
             "no-net", "no-t", "no-kappa", "zero-mem-budget", "negative-mem-budget",
             "net-size-no-eps", "scalable-check-no-q", "fractional-t", "fractional-sweep-t",
@@ -310,7 +320,9 @@ class TestCli:
             "trivial-rompru-d-201-digits", "net-size-d-zero", "rom-input-length-d-negative",
             "scalable-check-d-one", "prior-support-d-beyond-limit",
             "pfc-permutation-over-budget", "net-coverage-no-eps", "net-coverage-dim-zero",
-            "net-coverage-dim-negative", "net-coverage-net-size-negative"])
+            "net-coverage-dim-negative", "net-coverage-net-size-negative",
+            "rom-input-length-delta", "improved-support-delta-one", "net-coverage-negative-eps",
+            "net-coverage-negative-sweep-eps", "empty-sweep-t"])
     def test_usage_error_names_its_cause(self, argv, cause, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import math
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -9,8 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import collision_count
+from prulab import distinguisher
 from prulab.distinguisher import (
     DistinguisherParams,
+    HaarDenseOracle,
+    HaarUrnOracle,
+    PFCOracle,
+    _OutcomeStream,
     blocked_collision_counts,
     concentration_reference,
     estimate_advantage,
@@ -20,8 +27,8 @@ from prulab.distinguisher import (
     pfc_oracle_factory,
     run_collision_distinguisher,
 )
-from prulab.ensembles import reference_design
-from prulab.linalg import RandomSeed, haar_unitary
+from prulab.ensembles import reference_design, sample_pfc
+from prulab.linalg import RandomSeed, haar_state, haar_unitary
 from prulab.nets import NetSpec, exposure_estimate
 from prulab.tomography import ChannelOracle
 
@@ -96,10 +103,71 @@ class _UniformOracle:
         return self.rng.integers(0, self.d, size=shots)
 
 
+class TestOutcomeStream:
+    def test_counting_fill_is_served_in_order_on_schedule(self):
+        fills = []
+
+        def fill(n):
+            start = sum(fills)
+            fills.append(n)
+            return np.arange(start, start + n)
+
+        stream = _OutcomeStream(fill)
+        requests = [3, 3, 0, 10, 1, 5000, 7, 4096, 2, 9000, 1]
+        served = []
+        for shots in requests:
+            out = stream.take(shots)
+            assert out.shape == (shots,) and out.flags.owndata
+            served.append(out.copy())
+            out[:] = -1  # writing to what was served changes nothing later
+        assert np.array_equal(np.concatenate(served), np.arange(sum(requests)))
+        # first fill = first request, then max(shots - left, min(served, 4096))
+        assert fills == [3, 3, 10, 16, 4985, 4096, 4096, 4913, 4096]
+
+    def test_negative_shots_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            _OutcomeStream(np.arange).take(-1)
+
+    def test_dense_draws_do_not_depend_on_the_split(self):
+        # the whole stream is numpy's rng.choice over the Born probabilities
+        rng = RandomSeed(3).generator()
+        probs = np.abs(haar_state(64, rng)) ** 2
+        want = rng.choice(64, size=6000, p=probs / probs.sum())
+        for split in ([6000], [1] * 10 + [5990], [3000, 0, 3000], [4096, 1, 1903]):
+            oracle = HaarDenseOracle(64, RandomSeed(3))
+            assert np.array_equal(np.concatenate([oracle.draw(s) for s in split]), want), split
+
+    @pytest.mark.parametrize("make", [
+        lambda: HaarUrnOracle(16, RandomSeed(1)),
+        lambda: HaarDenseOracle(16, RandomSeed(1)),
+        lambda: PFCOracle(sample_pfc(4, RandomSeed(1)), RandomSeed(2)),
+    ], ids=["urn", "dense", "pfc"])
+    def test_oracle_is_freed_without_the_cycle_collector(self, make):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            oracle = make()
+            oracle.draw(5)
+            ref = weakref.ref(oracle)
+            del oracle
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+
 class TestPFCOracle:
-    def test_draw_stream_is_pinned(self):
+    def test_draw_stream_is_pinned(self, monkeypatch):
         # digest taken when the oracle still packed bit rows with pack_bits;
         # it changes only with the RNG stream or the support's basis
+        fills = []
+
+        def recording(support, shots, rng):
+            fills.append(shots)
+            return sample_from_support(support, shots, rng)
+
+        sample_from_support = distinguisher.sample_from_support
+        monkeypatch.setattr(distinguisher, "sample_from_support", recording)
         digest = hashlib.sha256()
         for s in range(8):
             oracle = pfc_oracle_factory(10)(RandomSeed(20261018).child(s))
@@ -107,6 +175,7 @@ class TestPFCOracle:
                 digest.update(np.asarray(oracle.draw(shots), dtype="<i8").tobytes())
         assert digest.hexdigest() == (
             "ce7eb4499c61597bd9de5f831e49329abfbe3e915697d82f03d01585107ba1e3")
+        assert fills == [1, 32, 500] * 8  # one fill per request, of its size
 
 
 class TestCollisionDistinguisher:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 from helpers import (
+    PolyaUrnLoop,
     collision_count,
     empirical_counts,
     partition_probability_dirichlet,
@@ -24,6 +25,7 @@ from prulab.ensembles import (
 from prulab.linalg import (
     RandomSeed,
     ResourceLimitError,
+    haar_state,
     is_unitary,
     memory_budget_bytes,
     set_memory_budget_bytes,
@@ -144,11 +146,16 @@ class TestHaarMeasurement:
             def random(self, size=None, dtype=np.float64, out=None):
                 return np.full(size, np.nextafter(1.0, 0.0))
 
+        class TopUniformSeed:
+            """RandomSeed(1)'s stream with every uniform at the top of [0, 1)."""
+
+            def generator(self):
+                return TopUniform(RandomSeed(1).generator().bit_generator)
+
         d = 16
-        oracle = HaarDenseOracle(d, RandomSeed(1))
-        assert np.cumsum(oracle._probs)[-1] < np.nextafter(1.0, 0.0)
-        oracle._rng = TopUniform(np.random.PCG64(0))
-        out = oracle.draw(3)
+        probs = np.abs(haar_state(d, RandomSeed(1).generator())) ** 2
+        assert np.cumsum(probs / probs.sum())[-1] < np.nextafter(1.0, 0.0)
+        out = HaarDenseOracle(d, TopUniformSeed()).draw(3)
         assert (out < d).all(), out
 
     def test_urn_single_draw(self):
@@ -171,6 +178,44 @@ class TestHaarMeasurement:
         a = urn.draw(4)
         b = urn.draw(4)
         assert len(set(a.tolist()) | set(b.tolist())) <= 3
+
+    @pytest.mark.parametrize("d", [1, 3, 1024, 1 << 20])
+    def test_urn_labels_match_the_per_shot_loop(self, d):
+        # draws of mixed lengths share one history, in a seed-dependent order
+        for seed in range(10):
+            lengths = np.random.default_rng(seed).permutation([0, 1, 5, 32, 4096, 5000])
+            fast = PolyaUrnSampler(d, np.random.default_rng(seed))
+            loop = PolyaUrnLoop(d, np.random.default_rng(seed))
+            for shots in [*lengths.tolist(), 1, 5, 0, 32]:
+                got, want = fast.draw(shots), loop.draw(shots)
+                assert got.dtype == want.dtype == np.int64
+                assert np.array_equal(got, want), (d, seed, shots)
+
+    @pytest.mark.parametrize("first", [0, 3])
+    def test_urn_resolves_the_longest_copy_chain(self, first):
+        class ChainRng:
+            """Draws 0, 1, 2 are fresh, each later one copies the one before."""
+
+            def __init__(self):
+                self.size = self.calls = 0
+
+            def random(self, shots):
+                self.calls += 1
+                m = np.arange(self.size, self.size + shots)
+                if self.calls % 2:  # the coins
+                    return np.where(m < 3, 0.999, 0.0)
+                return 1.0 - 0.5 / np.maximum(m, 1)  # copy_pick * m = m - 1/2
+
+            def integers(self, low, high, size):
+                self.size += size
+                return np.arange(self.size - size, self.size)
+
+        for shots in range(1, 70):
+            fast, loop = PolyaUrnSampler(1, ChainRng()), PolyaUrnLoop(1, ChainRng())
+            for n in (first, shots):
+                got = fast.draw(n)
+                assert np.array_equal(got, loop.draw(n)), (first, shots, got)
+            assert got[-1] == min(first + shots, 3) - 1
 
     def test_urn_vs_dense_tv_small(self):
         d, t, trials = 8, 4, 20_000

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -72,6 +73,11 @@ class TestExposure:
     def test_zero_radius_exposes_everything(self, small_net):
         rep = exposure_estimate(small_net, 0.0, 60, RandomSeed(6))
         assert rep.eta_hat == 1.0
+
+    @pytest.mark.parametrize("eps", [-1.0, -1e-300, math.nan])
+    def test_negative_radius_rejected(self, small_net, eps):
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            exposure_estimate(small_net, eps, 5, RandomSeed(5))
 
     def test_stable_across_seeds(self, small_net):
         eps = 0.9
