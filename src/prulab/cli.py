@@ -137,6 +137,9 @@ def _emit(args, config: dict, result: dict | list[dict]) -> None:
 
 
 def _seed_of(args) -> RandomSeed:
+    for flag, value in (("--seed", args.seed), ("--stream", args.stream)):
+        if not 0 <= value < 1 << 64:
+            raise ValueError(f"{flag} must be in [0, 2^64), got {value}")
     return RandomSeed(args.seed, args.stream)
 
 
@@ -155,12 +158,19 @@ def _cmd_pfc_distinguish(args) -> None:
 
     if args.n < 1 or args.n > 30:
         raise ValueError(f"--n must be between 1 and 30, got {args.n}")
+    for flag, value, least in (("--trials", args.trials, 1), ("--t", args.t, 2),
+                               ("--k-blocks", args.k_blocks, 1)):
+        if value is not None and value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
+    if args.alpha <= 0:
+        raise ValueError(f"--alpha must be positive, got {args.alpha}")
+    seed = _seed_of(args)
     if args.n <= 4:
         print(f"warning: n={args.n} gives d={2**args.n}, far from the "
               "asymptotic regime the test is tuned for; running anyway",
               file=sys.stderr)
     rep = pfc_distinguish_experiment(
-        args.n, args.trials, _seed_of(args), t=args.t,
+        args.n, args.trials, seed, t=args.t,
         k_blocks=args.k_blocks, alpha=args.alpha, haar_mode=args.haar_mode,
         estimator=args.estimator,
     )
@@ -207,6 +217,8 @@ def _cmd_net_coverage(args) -> None:
                 if args.sweep_eps is not None else [args.eps])
     if min(eps_list) < 0:
         raise ValueError(f"{eps_flag} must be nonnegative, got {min(eps_list)}")
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     seed = _seed_of(args)
     if args.net_file:
         net = net_from_json_dict(load_json(args.net_file), Path(args.net_file).parent)
@@ -292,6 +304,8 @@ def _cmd_bounds(args) -> None:
         raise ValueError(f"{t_flag} must be nonnegative, got {min(t_vals)}")
     if args.formula in ("improved-support", "rom-input-length") and not 0 <= args.delta < 1:
         raise ValueError(f"bounds {args.formula} needs --delta in [0, 1), got {args.delta}")
+    if args.formula == "prior-support" and not 0 <= args.delta <= 1:
+        raise ValueError(f"bounds prior-support needs --delta in [0, 1], got {args.delta}")
     required = {"trivial-rompru": ("kappa",), "scalable-check": ("kappa", "q", "m"),
                 "net-size": ("eps",)}
     for name in required.get(args.formula, ()):
@@ -311,6 +325,12 @@ def _cmd_tomo_demo(args) -> None:
     from prulab.linalg import diamond_distance_unitaries, haar_unitary
     from prulab.tomography import ChannelOracle, naive_process_tomography
 
+    if args.d < 1:
+        raise ValueError(f"--d must be at least 1, got {args.d}")
+    if args.eps <= 0:
+        raise ValueError(f"--eps must be positive, got {args.eps}")
+    if not 0 < args.eta < 1:
+        raise ValueError(f"--eta must be in (0, 1), got {args.eta}")
     seed = _seed_of(args)
     hidden = haar_unitary(args.d, seed.child(0))
     oracle = ChannelOracle(hidden)

@@ -1,10 +1,11 @@
-"""Collision-statistics distinguisher and advantage harnesses.
+"""Collision-statistics distinguisher.
 
 The measurement oracles of the hidden states (Haar by urn or dense
 vector, PFC by stabilizer sampling), the sqrt(d)-query collision test on
 repeated |0...0> queries, the Chebyshev concentration reference for its
-block estimator, a generic Monte Carlo advantage estimator, and the
-tomography-based net-membership distinguisher.
+block estimator, the PFC-vs-Haar experiment that runs the test on fresh
+hidden states of both kinds, and the tomography-based net-membership
+distinguisher.
 
 Every oracle serves ``draw(shots)`` from one block stream of outcomes,
 `_OutcomeStream`: its sampler runs once per block, not once per call, so
@@ -160,18 +161,6 @@ class PFCOracle:
         return self._stream.take(shots)
 
 
-def haar_oracle_factory(d: int, mode: str = "urn"):
-    if mode == "urn":
-        return lambda seed: HaarUrnOracle(d, seed)
-    if mode == "dense":
-        return lambda seed: HaarDenseOracle(d, seed)
-    raise ValueError("mode must be 'urn' or 'dense'")
-
-
-def pfc_oracle_factory(n: int):
-    return lambda seed: PFCOracle(sample_pfc(n, seed.child(0)), seed.child(1))
-
-
 # ---------------------------------------------------------------------------
 # The collision test
 # ---------------------------------------------------------------------------
@@ -200,13 +189,10 @@ def run_collision_distinguisher(oracle, params: DistinguisherParams,
     if estimator not in ("mean", "median"):
         raise ValueError("estimator must be 'mean' or 'median'")
     t, k = params.t, params.k_blocks
-    samples = np.empty((k, t), dtype=np.int64)
-    for r in range(k):
-        got = np.asarray(oracle.draw(t))
-        if got.shape[0] != t:
-            raise ValueError("oracle returned short block (oracle exhaustion)")
-        samples[r] = got
-    blocks = blocked_collision_counts(samples)
+    draws = [oracle.draw(t) for _ in range(k)]
+    if set(map(len, draws)) != {t}:
+        raise ValueError("oracle returned short block (oracle exhaustion)")
+    blocks = blocked_collision_counts(np.concatenate(draws).reshape(k, t))
     m = float(np.mean(blocks)) if estimator == "mean" else float(np.median(blocks))
     verdict = "Haar" if abs(m - params.center) <= params.alpha else "PFC"
     return CollisionReport(params, blocks, m, verdict, estimator=estimator)
@@ -226,50 +212,6 @@ def concentration_reference(t: int, p_psi: float, q_psi: float, beta: float,
     mu = math.comb(t, 2) * p_psi
     tau = t * t * p_psi + 2 * t**3 * q_psi
     return mu, tau, tau / (k_blocks * beta * beta)
-
-
-# ---------------------------------------------------------------------------
-# Advantage estimation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AdvantageReport:
-    accept_rate_a: float
-    accept_rate_b: float
-    ci_half_a: float
-    ci_half_b: float
-    trials: int
-
-    @property
-    def advantage(self) -> float:
-        return abs(self.accept_rate_a - self.accept_rate_b)
-
-    @property
-    def ci_half_width(self) -> float:
-        return self.ci_half_a + self.ci_half_b
-
-
-def estimate_advantage(ens_a, ens_b, test, trials: int,
-                       seed: RandomSeed) -> AdvantageReport:
-    """Monte Carlo acceptance gap of a binary test between two ensembles.
-
-    `ens_a`/`ens_b` are oracle factories callable(RandomSeed) -> oracle and
-    `test` is callable(oracle, RandomSeed) -> bool.  Each trial draws a
-    fresh hidden unitary; trials are seeded individually so fan-out order
-    cannot change the report.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    hits_a = hits_b = 0
-    for i in range(trials):
-        oa = ens_a(seed.child(4 * i))
-        hits_a += bool(test(oa, seed.child(4 * i + 1)))
-        ob = ens_b(seed.child(4 * i + 2))
-        hits_b += bool(test(ob, seed.child(4 * i + 3)))
-    _, ha = wilson_interval(hits_a, trials)
-    _, hb = wilson_interval(hits_b, trials)
-    return AdvantageReport(hits_a / trials, hits_b / trials, ha, hb, trials)
 
 
 @dataclass
@@ -293,30 +235,39 @@ def pfc_distinguish_experiment(n: int, trials: int, seed: RandomSeed,
                                t: int | None = None, k_blocks: int = 100000,
                                alpha: float = 0.25, haar_mode: str = "urn",
                                estimator: str = "mean") -> PFCDistinguishReport:
-    """Run the collision test on fresh hidden draws from both ensembles."""
+    """Run the collision test on fresh hidden draws from both ensembles.
+
+    Trial i measures a Haar state seeded ``seed.child(4i)`` and the state
+    of ``sample_pfc(n, s.child(0))``, drawn by ``s.child(1)``, where
+    s = ``seed.child(4i + 2)``.  Each side's Wilson half-width is taken
+    on its count of "Haar" verdicts.
+    """
     d = 1 << n
     params = DistinguisherParams(
         d=d, t=t if t is not None else DistinguisherParams.canonical(d).t,
         k_blocks=k_blocks, alpha=alpha,
     )
+    haar_oracle = {"urn": HaarUrnOracle, "dense": HaarDenseOracle}.get(haar_mode)
+    if haar_oracle is None:
+        raise ValueError("mode must be 'urn' or 'dense'")
+    if trials < 1:
+        raise ValueError("need at least one trial")
 
-    def test(oracle, s):
+    def says_haar(oracle) -> bool:
         return run_collision_distinguisher(oracle, params, estimator=estimator).verdict == "Haar"
 
-    adv = estimate_advantage(
-        haar_oracle_factory(d, haar_mode), pfc_oracle_factory(n), test, trials, seed
-    )
+    haar_hits = pfc_misses = 0
+    for i in range(trials):
+        haar_hits += says_haar(haar_oracle(d, seed.child(4 * i)))
+        s = seed.child(4 * i + 2)
+        pfc_misses += says_haar(PFCOracle(sample_pfc(n, s.child(0)), s.child(1)))
+    haar_rate, miss_rate = haar_hits / trials, pfc_misses / trials
+    _, haar_half = wilson_interval(haar_hits, trials)
+    _, pfc_half = wilson_interval(pfc_misses, trials)
     return PFCDistinguishReport(
-        n=n,
-        params=params,
-        trials=trials,
-        haar_rate=adv.accept_rate_a,
-        pfc_rate=1.0 - adv.accept_rate_b,
-        haar_ci_half=adv.ci_half_a,
-        pfc_ci_half=adv.ci_half_b,
-        advantage=adv.advantage,
-        advantage_ci_half=adv.ci_half_width,
-    )
+        n=n, params=params, trials=trials, haar_rate=haar_rate, pfc_rate=1.0 - miss_rate,
+        haar_ci_half=haar_half, pfc_ci_half=pfc_half,
+        advantage=abs(haar_rate - miss_rate), advantage_ci_half=haar_half + pfc_half)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,12 @@ from prulab.linalg import PropertyViolationError, ensure_budget, kron_power
 from prulab.ensembles import EnsembleSpec
 
 _GRAM_RCOND = 1e-10
+#: phase-corrected Frobenius residual under which U^dagger matches a member
+_SYMMETRY_TOL = 1e-9
+#: Haar Choi eigenvalues below this fraction of the largest span no support
+_SUPPORT_TOL = 1e-9
+#: relative slack of the composed 2->2 distance against lambda^m
+_COMPOSITION_TOL = 1e-8
 
 
 @dataclass
@@ -123,7 +129,7 @@ def tpe_distance(ens: EnsembleSpec, t: int) -> float:
     return float(np.linalg.norm(mv.matrix - mh.matrix, 2))
 
 
-def is_symmetric_ensemble(ens: EnsembleSpec, tol: float = 1e-9) -> bool:
+def is_symmetric_ensemble(ens: EnsembleSpec) -> bool:
     """Whether the ensemble is closed under dagger with matched weights.
 
     Matching is done modulo global phase, which is invisible to every
@@ -138,7 +144,7 @@ def is_symmetric_ensemble(ens: EnsembleSpec, tol: float = 1e-9) -> bool:
                 continue
             tr = np.trace(v.conj().T @ ud)
             # phase-corrected Frobenius residual: 2d - 2|tr|
-            if 2 * ens.dim - 2 * abs(tr) <= tol:
+            if 2 * ens.dim - 2 * abs(tr) <= _SYMMETRY_TOL:
                 hit = j
                 break
         if hit is None:
@@ -170,16 +176,15 @@ class DesignDistanceReport:
     symmetric: bool
 
 
-def _relative_eps(mv: MomentSuperoperator, mh: MomentSuperoperator,
-                  support_tol: float = 1e-9):
+def _relative_eps(mv: MomentSuperoperator, mh: MomentSuperoperator):
     """Smallest eps with (1-eps) C_H <= C_nu <= (1+eps) C_H on C_H's support."""
     ch = (mh.choi() + mh.choi().conj().T) / 2
     cv = (mv.choi() + mv.choi().conj().T) / 2
     evals, evecs = np.linalg.eigh(ch)
     scale = float(evals.max())
-    keep = evals > support_tol * scale
+    keep = evals > _SUPPORT_TOL * scale
     v_out = evecs[:, ~keep]
-    if v_out.size and np.linalg.norm(v_out.conj().T @ cv @ v_out) > support_tol * scale:
+    if v_out.size and np.linalg.norm(v_out.conj().T @ cv @ v_out) > _SUPPORT_TOL * scale:
         return None, True
     v_in = evecs[:, keep]
     a = v_in.conj().T @ cv @ v_in
@@ -233,13 +238,12 @@ class CompositionReport:
     diamond_upper_composed: float
 
 
-def symmetric_composition_check(ens: EnsembleSpec, m: int, t: int,
-                                tol: float = 1e-8) -> CompositionReport:
+def symmetric_composition_check(ens: EnsembleSpec, m: int, t: int) -> CompositionReport:
     """Verify the multiplicativity of the 2->2 distance under composition.
 
     For a symmetric ensemble the moment difference is Hermitian and is
     annihilated by the Haar projector on both sides, so the composed
-    distance is exactly lambda^m; asserted within `tol` relative.  The
+    distance is exactly lambda^m; asserted within _COMPOSITION_TOL relative.  The
     diamond upper bounds are reported and checked consistent
     (upper_m <= upper_1^m).
     """
@@ -249,13 +253,13 @@ def symmetric_composition_check(ens: EnsembleSpec, m: int, t: int,
     comp = compose_ensemble(ens, m)
     lam_m = tpe_distance(comp, t)
     target = lam**m
-    if abs(lam_m - target) > tol * max(1.0, target):
+    if abs(lam_m - target) > _COMPOSITION_TOL * max(1.0, target):
         raise PropertyViolationError(
             f"composed 2->2 distance {lam_m} deviates from lambda^m = {target}"
         )
     d = ens.dim
     up1 = (d**t) * lam
     upm = (d**t) * lam_m
-    if upm > up1**m + tol and m >= 1:
+    if upm > up1**m + _COMPOSITION_TOL and m >= 1:
         raise PropertyViolationError("diamond upper bounds inconsistent under composition")
     return CompositionReport(m, lam, lam_m, target, up1, upm)

@@ -53,8 +53,6 @@ class ChannelOracle:
 class TomographyResult:
     u_hat: np.ndarray
     queries_used: int
-    target_eps: float
-    target_eta: float
 
 
 def planned_queries(d: int, eps: float, eta: float) -> int:
@@ -93,7 +91,7 @@ def naive_process_tomography(oracle: ChannelOracle, eps: float, eta: float,
         raise ValueError("eps must be positive")
     d = oracle.dim
     if eps >= 2.0:
-        return TomographyResult(np.eye(d, dtype=complex), 0, eps, eta)
+        return TomographyResult(np.eye(d, dtype=complex), 0)
     shots = planned_queries(d, eps, eta)
     if shots > max_queries:
         raise ResourceLimitError(
@@ -115,5 +113,5 @@ def naive_process_tomography(oracle: ChannelOracle, eps: float, eta: float,
     evals, evecs = np.linalg.eigh(rho)
     top = evecs[:, -1]
     a, _, b = np.linalg.svd(top.reshape(d, d) * math.sqrt(d))
-    return TomographyResult(a @ b, oracle.queries, eps, eta)
+    return TomographyResult(a @ b, oracle.queries)
 

@@ -8,10 +8,11 @@ import math
 from dataclasses import fields, is_dataclass
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a Bernoulli rate; returns (center, half_width)."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a Bernoulli rate; returns (center, half_width)."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = 1.96
     p = successes / trials
     z2 = z * z
     denom = 1 + z2 / trials

@@ -97,6 +97,19 @@ class TestCli:
         assert rep["result"]["value"] == pytest.approx(4.0)
         assert "config_hash" in rep
 
+    def test_bounds_prior_support_accepts_delta_one(self, capsys):
+        # max{(1 - 1) C(2, 1)^2, 2^2 / (2 * 1!)} = 2
+        code, out, err = run_cli(
+            ["bounds", "prior-support", "--d", "2", "--t", "1", "--delta", "1"], capsys)
+        assert code == 0, err
+        assert json.loads(out)["result"]["value"] == pytest.approx(2.0)
+
+    def test_largest_seed_and_stream_accepted(self, capsys):
+        top = str(2**64 - 1)
+        code, _, err = run_cli(["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks",
+                                "5", "--seed", top, "--stream", top], capsys)
+        assert code == 0, err
+
     def test_design_distance_pauli(self, capsys):
         code, out, _ = run_cli(["design-distance", "--ensemble", "pauli-1", "--t", "1"],
                                capsys)
@@ -307,6 +320,24 @@ class TestCli:
           "--samples", "5", "--seed", "1"], "--sweep-eps must be nonnegative, got -1.0"),
         (["bounds", "improved-support", "--d", "4", "--t", "8", "--sweep-t", ""],
          "--sweep-t '' is not a comma list of numbers"),
+        (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--trials", "0"], "--trials must be at least 1, got 0"),
+        (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--t", "1"], "--t must be at least 2, got 1"),
+        (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--k-blocks", "0"], "--k-blocks must be at least 1, got 0"),
+        (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--alpha", "-1"], "--alpha must be positive, got -1.0"),
+        (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--alpha", "0"], "--alpha must be positive, got 0.0"),
+        (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--seed", "-1"], "--seed must be in [0, 2^64), got -1"),
+        (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--seed", str(2**64)], f"--seed must be in [0, 2^64), got {2**64}"),
+        (["tomo-demo", "--d", "2", "--eps", "0.5", "--eta", "0.1", "--seed", "1", "--stream", "-1"], "--stream must be in [0, 2^64), got -1"),
+        (["net-coverage", "--haar-net-size", "3", "--dim", "2", "--eps", "0.5",
+          "--samples", "5", "--seed", "-1"], "--seed must be in [0, 2^64), got -1"),
+        (["net-coverage", "--haar-net-size", "3", "--dim", "2", "--eps", "0.5",
+          "--samples", "0", "--seed", "1"], "--samples must be at least 1, got 0"),
+        (["tomo-demo", "--d", "2", "--eps", "0.5", "--eta", "0.1", "--seed", "1", "--d", "0"], "--d must be at least 1, got 0"),
+        (["tomo-demo", "--d", "2", "--eps", "0.5", "--eta", "0.1", "--seed", "1", "--eps", "-1"], "--eps must be positive, got -1.0"),
+        (["tomo-demo", "--d", "2", "--eps", "0.5", "--eta", "0.1", "--seed", "1", "--eta", "1"], "--eta must be in (0, 1), got 1.0"),
+        (["tomo-demo", "--d", "2", "--eps", "0.5", "--eta", "0.1", "--seed", "1", "--eta", "0"], "--eta must be in (0, 1), got 0.0"),
+        (["bounds", "prior-support", "--d", "4", "--t", "2", "--delta", "5"],
+         "bounds prior-support needs --delta in [0, 1], got 5.0"),
     ], ids=["n-out-of-range", "no-ensemble", "both-ensembles", "unknown-ensemble",
             "no-net", "no-t", "no-kappa", "zero-mem-budget", "negative-mem-budget",
             "net-size-no-eps", "scalable-check-no-q", "fractional-t", "fractional-sweep-t",
@@ -322,7 +353,11 @@ class TestCli:
             "pfc-permutation-over-budget", "net-coverage-no-eps", "net-coverage-dim-zero",
             "net-coverage-dim-negative", "net-coverage-net-size-negative",
             "rom-input-length-delta", "improved-support-delta-one", "net-coverage-negative-eps",
-            "net-coverage-negative-sweep-eps", "empty-sweep-t"])
+            "net-coverage-negative-sweep-eps", "empty-sweep-t", "pfc-trials-zero",
+            "pfc-t-one", "pfc-k-blocks-zero", "pfc-alpha-negative", "pfc-alpha-zero",
+            "pfc-seed-negative", "pfc-seed-2-64", "tomo-stream-negative",
+            "net-coverage-seed-negative", "net-coverage-samples-zero", "tomo-d-zero",
+            "tomo-eps-negative", "tomo-eta-one", "tomo-eta-zero", "prior-support-delta"])
     def test_usage_error_names_its_cause(self, argv, cause, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1

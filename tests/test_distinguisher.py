@@ -20,17 +20,15 @@ from prulab.distinguisher import (
     _OutcomeStream,
     blocked_collision_counts,
     concentration_reference,
-    estimate_advantage,
-    haar_oracle_factory,
     net_membership_distinguisher,
     pfc_distinguish_experiment,
-    pfc_oracle_factory,
     run_collision_distinguisher,
 )
 from prulab.ensembles import reference_design, sample_pfc
 from prulab.linalg import RandomSeed, haar_state, haar_unitary
 from prulab.nets import NetSpec, exposure_estimate
 from prulab.tomography import ChannelOracle
+from prulab.util import report_dict, wilson_interval
 
 
 class TestCollisionCount:
@@ -93,6 +91,16 @@ class _ScriptedOracle:
         block = np.asarray(next(self.blocks), dtype=np.int64)
         assert block.shape == (shots,)
         return block
+
+
+class _SizedOracle:
+    """Returns zeros of the given lengths, one per draw call, whatever is asked."""
+
+    def __init__(self, sizes):
+        self.sizes = iter(sizes)
+
+    def draw(self, shots):
+        return np.zeros(next(self.sizes), dtype=np.int64)
 
 
 class _UniformOracle:
@@ -170,7 +178,8 @@ class TestPFCOracle:
         monkeypatch.setattr(distinguisher, "sample_from_support", recording)
         digest = hashlib.sha256()
         for s in range(8):
-            oracle = pfc_oracle_factory(10)(RandomSeed(20261018).child(s))
+            seed = RandomSeed(20261018).child(s)
+            oracle = PFCOracle(sample_pfc(10, seed.child(0)), seed.child(1))
             for shots in (1, 32, 500):
                 digest.update(np.asarray(oracle.draw(shots), dtype="<i8").tobytes())
         assert digest.hexdigest() == (
@@ -198,12 +207,13 @@ class TestCollisionDistinguisher:
 
     def test_verdict_invariant_under_relabeling(self):
         p = DistinguisherParams(d=16, t=4, k_blocks=50)
-        base = pfc_oracle_factory(4)(RandomSeed(7))
+        seed = RandomSeed(7)
+        base = PFCOracle(sample_pfc(4, seed.child(0)), seed.child(1))
         rep1 = run_collision_distinguisher(base, p)
 
         class Relabeled:
             def __init__(self):
-                self.inner = pfc_oracle_factory(4)(RandomSeed(7))
+                self.inner = PFCOracle(sample_pfc(4, seed.child(0)), seed.child(1))
                 self.perm = np.random.default_rng(1).permutation(16)
 
             def draw(self, shots):
@@ -231,6 +241,29 @@ class TestCollisionDistinguisher:
             assert abs(1 - p.center) <= p.alpha < abs(10 - p.center)
             verdicts[estimator] = (rep.mean_collisions, rep.verdict)
         assert verdicts == {"mean": (10.0, "PFC"), "median": (1.0, "Haar")}
+
+    def test_short_blocks_rejected(self):
+        p = DistinguisherParams(d=64, t=8, k_blocks=3)
+        with pytest.raises(ValueError, match="short block"):
+            run_collision_distinguisher(_SizedOracle([7, 7, 7]), p)
+
+    def test_ragged_blocks_rejected(self):
+        # 7 + 9 outcomes would fill two blocks of 8 if only the total were checked
+        p = DistinguisherParams(d=64, t=8, k_blocks=2)
+        with pytest.raises(ValueError):
+            run_collision_distinguisher(_SizedOracle([7, 9]), p)
+
+    def test_every_block_is_one_draw(self):
+        # the benchmark pins one draw(t) call per block
+        calls = []
+
+        class Counting(_ConstantOracle):
+            def draw(self, shots):
+                calls.append(shots)
+                return super().draw(shots)
+
+        run_collision_distinguisher(Counting(), DistinguisherParams(d=64, t=8, k_blocks=37))
+        assert calls == [8] * 37
 
 
 class TestConcentrationReference:
@@ -296,38 +329,71 @@ class TestExactMoments:
         assert fails / trials <= min(1.0, bound) + 0.05
 
 
+def _gap_within_wilson(hits_a: int, hits_b: int, trials: int) -> bool:
+    """Whether two acceptance rates differ by at most their two Wilson
+    half-widths summed."""
+    half = wilson_interval(hits_a, trials)[1] + wilson_interval(hits_b, trials)[1]
+    return abs(hits_a / trials - hits_b / trials) <= half
+
+
 class TestAdvantage:
+    # trial i measures side a's state at seed.child(4i) and side b's at
+    # seed.child(4i + 2), as pfc_distinguish_experiment does
+
     def test_identical_ensembles_no_advantage(self):
         p = DistinguisherParams(d=16, t=4, k_blocks=30)
-
-        def test_fn(oracle, seed):
-            return run_collision_distinguisher(oracle, p).verdict == "Haar"
-
-        rep = estimate_advantage(haar_oracle_factory(16), haar_oracle_factory(16),
-                                 test_fn, 60, RandomSeed(70))
-        assert rep.advantage <= rep.ci_half_width
+        seed, trials = RandomSeed(70), 60
+        hits = [0, 0]
+        for i in range(trials):
+            for side in (0, 1):
+                oracle = HaarUrnOracle(16, seed.child(4 * i + 2 * side))
+                hits[side] += run_collision_distinguisher(oracle, p).verdict == "Haar"
+        assert _gap_within_wilson(*hits, trials)
 
     def test_exact_1_design_matches_haar_single_query(self):
         # one query, accept iff the measured outcome is 0
         pauli = reference_design("pauli-1-design", 1)
-
-        def pauli_oracle(seed):
-            u = pauli.unitaries[seed.generator().choice(len(pauli), p=pauli.weights)]
+        seed, trials = RandomSeed(71), 400
+        hits_pauli = hits_haar = 0
+        for i in range(trials):
+            s = seed.child(4 * i)
+            u = pauli.unitaries[s.generator().choice(len(pauli), p=pauli.weights)]
             probs = np.abs(u[:, 0]) ** 2
-            rng = seed.generator()
+            hits_pauli += int(s.generator().choice(2, size=1, p=probs / probs.sum())[0]) == 0
+            hits_haar += int(HaarDenseOracle(2, seed.child(4 * i + 2)).draw(1)[0]) == 0
+        assert _gap_within_wilson(hits_pauli, hits_haar, trials)
 
-            class O:
-                def draw(self, shots):
-                    return rng.choice(2, size=shots, p=probs / probs.sum())
+    @pytest.mark.parametrize("args,kwargs,want", [
+        ((6, 30, RandomSeed(7)), {"k_blocks": 300}, {
+            "n": 6, "params": {"d": 64, "t": 8, "k_blocks": 300, "alpha": 0.25},
+            "trials": 30, "haar_verdict_rate": 0.9666666666666667, "pfc_verdict_rate": 0.8,
+            "haar_ci_half": 0.08039953798736568, "pfc_ci_half": 0.13900534639313106,
+            "advantage": 0.7666666666666666, "advantage_ci_half": 0.21940488438049674}),
+        ((5, 17, RandomSeed(3)), {"k_blocks": 200, "haar_mode": "dense",
+                                  "estimator": "median"}, {
+            "n": 5, "params": {"d": 32, "t": 6, "k_blocks": 200, "alpha": 0.25},
+            "trials": 17, "haar_verdict_rate": 0.9411764705882353,
+            "pfc_verdict_rate": 0.7647058823529411, "haar_ci_half": 0.12968266069523188,
+            "pfc_ci_half": 0.1885367840874783, "advantage": 0.7058823529411764,
+            "advantage_ci_half": 0.31821944478271014}),
+    ], ids=["urn", "dense-median"])
+    def test_report_is_pinned(self, args, kwargs, want):
+        # exact floats: the PFC half-width is taken on the count of "Haar"
+        # verdicts, and wilson_interval(k, n) and (n - k, n) differ in the last bit
+        assert report_dict(pfc_distinguish_experiment(*args, **kwargs)) == want
 
-            return O()
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"trials": 0}, "at least one trial"),
+        ({"haar_mode": "qr"}, "mode must be"),
+    ])
+    def test_bad_arguments_fail_before_any_trial(self, kwargs, match, monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
 
-        def test_fn(oracle, seed):
-            return int(oracle.draw(1)[0]) == 0
-
-        rep = estimate_advantage(pauli_oracle, haar_oracle_factory(2, "dense"),
-                                 test_fn, 400, RandomSeed(71))
-        assert rep.advantage <= rep.ci_half_width
+        monkeypatch.setattr(distinguisher, "run_collision_distinguisher", no_trial)
+        with pytest.raises(ValueError, match=match):
+            pfc_distinguish_experiment(**{"n": 4, "trials": 2, "seed": RandomSeed(1),
+                                          "k_blocks": 5, **kwargs})
 
     def test_pfc_vs_haar_visible_at_moderate_scale(self):
         rep = pfc_distinguish_experiment(8, 40, RandomSeed(72), k_blocks=400)
