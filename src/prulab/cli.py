@@ -28,27 +28,29 @@ from prulab.util import config_hash, report_dict
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        # main reports it as every other usage error: "error: ..." and exit 1
+        raise ValueError(f"{message}\n{self.format_usage().rstrip()}")
 
 
-def _add_common(p: _Parser, stochastic: bool) -> None:
-    p.add_argument("--seed", type=int, required=stochastic,
-                   help="base seed" + (" (required)" if stochastic else ""))
-    p.add_argument("--stream", type=int, default=0, help="seed stream id")
+def _add_output(p: _Parser, budget: bool = True) -> None:
     p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--mem-budget", type=float, default=None,
-                   help="working-set cap in GiB")
+    if budget:
+        p.add_argument("--mem-budget", type=float, help="working-set cap in GiB")
+
+
+def _add_seed(p: _Parser) -> None:
+    p.add_argument("--seed", type=int, required=True, help="base seed")
+    p.add_argument("--stream", type=int, default=0, help="seed stream id")
 
 
 def build_parser() -> _Parser:
     top = _Parser(prog="prulab", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pfc-distinguish", parents=[], help="collision test: permutation-phase-Clifford vs Haar")
-    _add_common(p, stochastic=True)
+    p = sub.add_parser("pfc-distinguish", help="collision test: permutation-phase-Clifford vs Haar")
+    _add_output(p)
+    _add_seed(p)
     p.add_argument("--n", type=int, required=True, help="qubit count (d = 2^n), n <= 30")
     p.add_argument("--t", type=int, default=None, help="copies per block (default ceil(sqrt(d)))")
     p.add_argument("--k-blocks", type=int, default=100000)
@@ -58,14 +60,15 @@ def build_parser() -> _Parser:
     p.add_argument("--estimator", choices=("mean", "median"), default="mean")
 
     p = sub.add_parser("design-distance", help="2->2 distance and diamond/relative bracket of an ensemble")
-    _add_common(p, stochastic=False)
+    _add_output(p)
     p.add_argument("--ensemble-file", type=str, default=None, help="ensemble manifest JSON")
     p.add_argument("--ensemble", type=str, default=None,
                    help="builtin: pauli-1 | clifford-1")
     p.add_argument("--t", type=int, required=True)
 
     p = sub.add_parser("net-coverage", help="Monte Carlo exposure of a finite net")
-    _add_common(p, stochastic=True)
+    _add_output(p)
+    _add_seed(p)
     p.add_argument("--net-file", type=str, default=None, help="net manifest JSON")
     p.add_argument("--haar-net-size", type=int, default=None,
                    help="instead of a file: sample this many Haar elements")
@@ -77,34 +80,41 @@ def build_parser() -> _Parser:
                         "with --format csv, one row per value")
 
     p = sub.add_parser("truncate-diag", help="verify diagonal-truncation distance bounds")
-    _add_common(p, stochastic=False)
+    _add_output(p)
     p.add_argument("--circuit-file", type=str, required=True)
     p.add_argument("--k", type=int, required=True, help="truncation bits")
 
     p = sub.add_parser("bounds", help="cardinality/entropy bound calculators")
-    _add_common(p, stochastic=False)
-    p.add_argument("formula", choices=(
-        "prior-support", "improved-support", "rom-input-length",
-        "trivial-rompru", "scalable-check", "net-size"))
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--eta", type=float, default=0.0)
-    p.add_argument("--kappa", type=int, default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--m", type=float, default=None)
-    p.add_argument("--alpha-impl", type=float, default=0.0)
-    p.add_argument("--c-diamond", type=float, default=1.0)
-    p.add_argument("--c-design", type=float, default=1.0)
-    p.add_argument("--additive-slack", type=float, default=1.0)
-    p.add_argument("--poly-budget", type=float, default=2.0)
-    p.add_argument("--log", action="store_true", help="report natural logs")
-    p.add_argument("--sweep-t", type=str, default=None,
-                   help="comma list of t values; with --format csv, one row per value")
+    formulas = p.add_subparsers(dest="formula", required=True)
+    f = {}
+    for name in ("prior-support", "improved-support", "rom-input-length",
+                 "trivial-rompru", "scalable-check", "net-size"):
+        f[name] = formulas.add_parser(name)
+        f[name].add_argument("--d", type=int, required=True)
+        _add_output(f[name], budget=False)
+    for name in ("prior-support", "improved-support", "rom-input-length", "scalable-check"):
+        f[name].add_argument("--t", type=float, default=None)
+        f[name].add_argument("--sweep-t", type=str, default=None,
+                             help="comma list of t values; with --format csv, one row per value")
+        f[name].add_argument("--delta", type=float, default=0.0)
+    for name in ("prior-support", "improved-support", "net-size"):
+        f[name].add_argument("--log", action="store_true", help="report natural logs")
+    f["improved-support"].add_argument("--c-design", type=float, default=1.0)
+    f["rom-input-length"].add_argument("--eps", type=float, default=0.0)
+    f["rom-input-length"].add_argument("--additive-slack", type=float, default=1.0)
+    for name in ("trivial-rompru", "scalable-check"):
+        f[name].add_argument("--kappa", type=int, required=True)
+    f["scalable-check"].add_argument("--q", type=float, required=True)
+    f["scalable-check"].add_argument("--m", type=float, required=True)
+    f["scalable-check"].add_argument("--alpha-impl", type=float, default=0.0)
+    f["scalable-check"].add_argument("--poly-budget", type=float, default=2.0)
+    f["net-size"].add_argument("--eps", type=float, required=True)
+    f["net-size"].add_argument("--eta", type=float, default=0.0)
+    f["net-size"].add_argument("--c-diamond", type=float, default=1.0)
 
     p = sub.add_parser("tomo-demo", help="tomography contract demo on a hidden Haar unitary")
-    _add_common(p, stochastic=True)
+    _add_output(p)
+    _add_seed(p)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--eta", type=float, required=True)
@@ -185,9 +195,11 @@ def _cmd_pfc_distinguish(args) -> None:
 
 def _cmd_design_distance(args) -> None:
     from prulab.ensembles import reference_design
-    from prulab.moments import diamond_design_bounds
+    from prulab.moments import MAX_MOMENT_ORDER, diamond_design_bounds
     from prulab.serialize import ensemble_from_json_dict, load_json
 
+    if not 1 <= args.t <= MAX_MOMENT_ORDER:
+        raise ValueError(f"--t must be in 1..{MAX_MOMENT_ORDER}, got {args.t}")
     if (args.ensemble_file is None) == (args.ensemble is None):
         raise ValueError("give exactly one of --ensemble and --ensemble-file")
     if args.ensemble_file:
@@ -242,8 +254,10 @@ def _cmd_net_coverage(args) -> None:
 
 def _cmd_truncate_diag(args) -> None:
     from prulab.serialize import circuit_from_json_dict, load_json
-    from prulab.truncation import circuit_truncation_bound
+    from prulab.truncation import MAX_K, circuit_truncation_bound
 
+    if not 0 <= args.k <= MAX_K:
+        raise ValueError(f"--k must be in 0..{MAX_K}, got {args.k}")
     circ = circuit_from_json_dict(load_json(args.circuit_file))
     rep = circuit_truncation_bound(circ, args.k)
     config = {"command": "truncate-diag", "circuit": args.circuit_file, "k": args.k}
@@ -254,7 +268,8 @@ def _cmd_bounds(args) -> None:
     from prulab import bounds as B
     from prulab.nets import net_size_lower_bound
 
-    t_flag = "--sweep-t" if args.sweep_t is not None else "--t"
+    sweep = args.sweep_t if "t" in vars(args) else None
+    t_flag = "--sweep-t" if sweep is not None else "--t"
     # the flags named when a report field other than "value" is not finite
     sources = {"m_design_1": f"--d and {t_flag}", "m_net": "--d and --eps",
                "qm": "--q and --m", "qm_budget": "--d, --kappa and --poly-budget",
@@ -282,8 +297,7 @@ def _cmd_bounds(args) -> None:
                 args.d, t_val, args.delta, args.c_design, as_log=args.log)}
         if args.formula == "rom-input-length":
             return {"t": t_val, **report_dict(B.rom_input_length_bounds(
-                args.d, t_val, args.delta, args.eps if args.eps else 0.0,
-                args.additive_slack))}
+                args.d, t_val, args.delta, args.eps, args.additive_slack))}
         if args.formula == "trivial-rompru":
             return report_dict(B.trivial_rompru_params(args.d, args.kappa))
         if args.formula == "scalable-check":
@@ -295,30 +309,25 @@ def _cmd_bounds(args) -> None:
                 args.d, args.eps, args.eta, args.c_diamond, as_log=args.log)}
 
     B.check_dimension(args.d, "--d")
-    needs_t = args.formula in ("prior-support", "improved-support",
-                               "rom-input-length", "scalable-check")
-    if needs_t and args.t is None and args.sweep_t is None:
-        raise ValueError(f"bounds {args.formula} needs --t or --sweep-t")
-    t_vals = _float_list(args.sweep_t, t_flag) if args.sweep_t is not None else [args.t]
-    if needs_t and min(t_vals) < 0:
-        raise ValueError(f"{t_flag} must be nonnegative, got {min(t_vals)}")
+    t_vals = [None]
+    if "t" in vars(args):
+        if args.t is None and sweep is None:
+            raise ValueError(f"bounds {args.formula} needs --t or --sweep-t")
+        t_vals = _float_list(sweep, t_flag) if sweep is not None else [args.t]
+        if min(t_vals) < 0:
+            raise ValueError(f"{t_flag} must be nonnegative, got {min(t_vals)}")
     if args.formula in ("improved-support", "rom-input-length") and not 0 <= args.delta < 1:
         raise ValueError(f"bounds {args.formula} needs --delta in [0, 1), got {args.delta}")
     if args.formula == "prior-support" and not 0 <= args.delta <= 1:
         raise ValueError(f"bounds prior-support needs --delta in [0, 1], got {args.delta}")
-    required = {"trivial-rompru": ("kappa",), "scalable-check": ("kappa", "q", "m"),
-                "net-size": ("eps",)}
-    for name in required.get(args.formula, ()):
-        if getattr(args, name) is None:
-            raise ValueError(f"bounds {args.formula} needs --{name}")
     if args.formula == "trivial-rompru" and args.kappa >= B.KAPPA_LIMIT:
         raise ValueError(f"bounds trivial-rompru needs --kappa below {B.KAPPA_LIMIT}, "
                          f"so that t = 2^kappa is a finite float, got {args.kappa}")
     config = {"command": "bounds", "formula": args.formula,
               "inputs": {k: v for k, v in vars(args).items()
-                         if k not in ("command", "out", "format", "func") and v is not None}}
+                         if k not in ("command", "formula", "out", "format") and v is not None}}
     rows = [finite(one(v)) for v in t_vals]
-    _emit(args, config, rows if args.sweep_t is not None else rows[0])
+    _emit(args, config, rows if sweep is not None else rows[0])
 
 
 def _cmd_tomo_demo(args) -> None:
@@ -356,14 +365,15 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     budget = memory_budget_bytes()
     try:
+        args = build_parser().parse_args(argv)
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"--{name.replace('_', '-')} must be a finite number, "
                                  f"got {value}")
-        if args.mem_budget is not None:
+        # bounds allocates nothing under ensure_budget, so it has no --mem-budget
+        if getattr(args, "mem_budget", None) is not None:
             nbytes = args.mem_budget * (1 << 30)
             if not 1 <= nbytes < float("inf"):
                 raise ValueError(f"--mem-budget must be a finite size of at least one "

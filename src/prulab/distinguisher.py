@@ -189,6 +189,8 @@ def run_collision_distinguisher(oracle, params: DistinguisherParams,
     if estimator not in ("mean", "median"):
         raise ValueError("estimator must be 'mean' or 'median'")
     t, k = params.t, params.k_blocks
+    # the int64 blocks, their concatenation and its sorted copy
+    ensure_budget(24 * k * t, "collision test outcomes")
     draws = [oracle.draw(t) for _ in range(k)]
     if set(map(len, draws)) != {t}:
         raise ValueError("oracle returned short block (oracle exhaustion)")

@@ -17,6 +17,8 @@ from prulab.linalg import PropertyViolationError, ensure_budget, kron_power
 from prulab.ensembles import EnsembleSpec
 
 _GRAM_RCOND = 1e-10
+#: highest moment order haar_moment_operator builds (t! permutation operators)
+MAX_MOMENT_ORDER = 4
 #: phase-corrected Frobenius residual under which U^dagger matches a member
 _SYMMETRY_TOL = 1e-9
 #: Haar Choi eigenvalues below this fraction of the largest span no support
@@ -105,8 +107,8 @@ def haar_moment_operator(d: int, t: int) -> MomentSuperoperator:
     """
     if t < 1:
         raise ValueError("moment order must be >= 1")
-    if t > 4:
-        raise ValueError("moment order capped at 4")
+    if t > MAX_MOMENT_ORDER:
+        raise ValueError(f"moment order capped at {MAX_MOMENT_ORDER}")
     _check_superop_budget(d, t)
     perms = list(itertools.permutations(range(t)))
     k = len(perms)

@@ -18,6 +18,9 @@ from prulab.linalg import (
     ensure_budget,
 )
 
+#: round_k needs k <= MAX_K, so that 2^k is a finite float
+MAX_K = 1023
+
 
 def round_k(x, k: int):
     """Round x in (-1, 1], a float or an array, to k fractional bits,
@@ -30,8 +33,8 @@ def round_k(x, k: int):
     v = np.asarray(x, dtype=float)
     if not np.all((-1.0 < v) & (v <= 1.0)):
         raise ValueError("phase value must lie in (-1, 1]")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    if not 0 <= k <= MAX_K:
+        raise ValueError(f"k must be in 0..{MAX_K}, got {k}")
     scale = float(1 << k)
     out = np.floor(v * scale + 0.5) / scale
     return float(out) if out.ndim == 0 else out

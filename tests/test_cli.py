@@ -1,5 +1,8 @@
+import argparse
+import inspect
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -9,7 +12,8 @@ import numpy as np
 import pytest
 
 from helpers import random_phase
-from prulab.cli import main
+from prulab import cli
+from prulab.cli import build_parser, main
 from prulab.linalg import RandomSeed, haar_unitary
 from prulab.serialize import (
     circuit_from_json_dict,
@@ -24,6 +28,7 @@ from prulab.serialize import (
     net_to_json_dict,
     save_matrix_bin,
 )
+from prulab.truncation import DiagonalOracleCircuit
 
 
 class TestSerialization:
@@ -80,6 +85,47 @@ def strict_json(text):
 
 EYE_2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 TWICE_EYE_2 = [[[2, 0], [0, 0]], [[0, 0], [2, 0]]]
+
+
+def readme_commands():
+    """The argv of each `prulab` line in README's CLI block, continuations joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("prulab ")]
+
+
+def leaf_parsers(parser, command=None):
+    """(command, parser) for each parser that takes flags and no further subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [(command, parser)]
+    return [leaf for name, p in subs[0].choices.items()
+            for leaf in leaf_parsers(p, command or name)]
+
+
+# the base command line of each command or formula that lost flags, and the
+# flags it no longer accepts because it never read them
+UNREAD_FLAGS = {
+    "bounds prior-support --d 2 --t 1": "--eps --eta --kappa --q --m --alpha-impl "
+    "--c-diamond --c-design --additive-slack --poly-budget --seed --stream --mem-budget",
+    "bounds improved-support --d 4 --t 8": "--eps --eta --kappa --q --m --alpha-impl "
+    "--c-diamond --additive-slack --poly-budget --seed --stream --mem-budget",
+    "bounds rom-input-length --d 4 --t 8": "--eta --kappa --q --m --alpha-impl --c-diamond "
+    "--c-design --poly-budget --log --seed --stream --mem-budget",
+    "bounds trivial-rompru --d 4 --kappa 3": "--t --sweep-t --delta --eps --eta --q --m "
+    "--alpha-impl --c-diamond --c-design --additive-slack --poly-budget --log --seed "
+    "--stream --mem-budget",
+    "bounds scalable-check --d 16 --kappa 3 --q 4 --m 2 --t 8": "--eps --eta --c-diamond "
+    "--c-design --additive-slack --log --seed --stream --mem-budget",
+    "bounds net-size --d 2 --eps 0.5": "--t --sweep-t --delta --kappa --q --m --alpha-impl "
+    "--c-design --additive-slack --poly-budget --seed --stream --mem-budget",
+    "design-distance --ensemble pauli-1 --t 1": "--seed --stream",
+    "truncate-diag --k 4": "--seed --stream",
+}
+FLAG_VALUES = {"--t": "3", "--sweep-t": "1,2", "--delta": "0", "--eps": "0.5", "--eta": "0",
+               "--kappa": "3", "--q": "3", "--m": "3", "--alpha-impl": "0",
+               "--c-diamond": "1", "--c-design": "1", "--additive-slack": "1",
+               "--poly-budget": "2", "--seed": "1", "--stream": "2", "--mem-budget": "1"}
 
 
 def run_cli(args, capsys):
@@ -240,14 +286,36 @@ class TestCli:
         assert 0.0 <= rep["pfc_verdict_rate"] <= 1.0
 
     def test_stochastic_requires_seed(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["pfc-distinguish", "--n", "3", "--trials", "2"])
-        assert exc.value.code == 1
+        code, out, err = run_cli(["pfc-distinguish", "--n", "3", "--trials", "2"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the following arguments are required: --seed")
 
     def test_unknown_flag_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bounds", "prior-support", "--d", "2", "--t", "1", "--bogus", "3"])
-        assert exc.value.code == 1
+        code, out, err = run_cli(
+            ["bounds", "prior-support", "--d", "2", "--t", "1", "--bogus", "3"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: unrecognized arguments: --bogus 3")
+
+    @pytest.mark.parametrize("base, flag", [
+        pytest.param(base, flag, id=base.split(" --")[0].removeprefix("bounds ") + flag)
+        for base, unread in UNREAD_FLAGS.items() for flag in unread.split()])
+    def test_flag_the_command_does_not_read_is_rejected(self, base, flag, tmp_path, capsys):
+        # every command accepted the output, budget and seed flags, and every
+        # bounds formula all 20 bounds flags, whether it read them or not
+        argv = shlex.split(base) + [flag] + ([] if flag == "--log" else [FLAG_VALUES[flag]])
+        if argv[0] == "truncate-diag":
+            dump_json(tmp_path / "c.json", circuit_to_json_dict(DiagonalOracleCircuit(
+                1, 1, [random_phase(1, RandomSeed(7).generator())], [("oracle", 0)])))
+            argv += ["--circuit-file", str(tmp_path / "c.json")]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, ""), err
+        assert err.startswith(f"error: unrecognized arguments: {flag}")
+
+    def test_bounds_inputs_are_the_formulas_own_flags(self, capsys):
+        code, out, err = run_cli(["bounds", "prior-support", "--d", "2", "--t", "1"], capsys)
+        assert code == 0, err
+        assert json.loads(out)["config"]["inputs"] == {
+            "d": 2, "t": 1.0, "delta": 0.0, "log": False}
 
     @pytest.mark.parametrize("argv, cause", [
         (["pfc-distinguish", "--n", "31", "--trials", "1", "--seed", "1"], "--n"),
@@ -258,9 +326,9 @@ class TestCli:
         (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1"], "--net-file"),
         (["bounds", "prior-support", "--d", "2"], "--t"),
         (["bounds", "trivial-rompru", "--d", "4"], "--kappa"),
-        (["bounds", "prior-support", "--d", "2", "--t", "1", "--mem-budget", "0"],
+        (["design-distance", "--ensemble", "pauli-1", "--t", "1", "--mem-budget", "0"],
          "--mem-budget"),
-        (["bounds", "prior-support", "--d", "2", "--t", "1", "--mem-budget", "-1"],
+        (["design-distance", "--ensemble", "pauli-1", "--t", "1", "--mem-budget", "-1"],
          "--mem-budget"),
         (["bounds", "net-size", "--d", "2"], "--eps"),
         (["bounds", "scalable-check", "--d", "4", "--t", "1", "--kappa", "1"], "--q"),
@@ -338,6 +406,14 @@ class TestCli:
         (["tomo-demo", "--d", "2", "--eps", "0.5", "--eta", "0.1", "--seed", "1", "--eta", "0"], "--eta must be in (0, 1), got 0.0"),
         (["bounds", "prior-support", "--d", "4", "--t", "2", "--delta", "5"],
          "bounds prior-support needs --delta in [0, 1], got 5.0"),
+        (["design-distance", "--ensemble", "pauli-1", "--t", "0"], "--t must be in 1..4, got 0"),
+        (["design-distance", "--ensemble", "pauli-1", "--t", "5"], "--t must be in 1..4, got 5"),
+        (["truncate-diag", "--circuit-file", "c.json", "--k", "-1"],
+         "--k must be in 0..1023, got -1"),
+        (["truncate-diag", "--circuit-file", "c.json", "--k", "2000"],
+         "--k must be in 0..1023, got 2000"),
+        (["pfc-distinguish", "--n", "5", "--trials", "1", "--k-blocks", "2", "--seed", "1",
+          "--t", "100000000000"], "collision test outcomes needs 4.8e+12 bytes"),
     ], ids=["n-out-of-range", "no-ensemble", "both-ensembles", "unknown-ensemble",
             "no-net", "no-t", "no-kappa", "zero-mem-budget", "negative-mem-budget",
             "net-size-no-eps", "scalable-check-no-q", "fractional-t", "fractional-sweep-t",
@@ -357,7 +433,9 @@ class TestCli:
             "pfc-t-one", "pfc-k-blocks-zero", "pfc-alpha-negative", "pfc-alpha-zero",
             "pfc-seed-negative", "pfc-seed-2-64", "tomo-stream-negative",
             "net-coverage-seed-negative", "net-coverage-samples-zero", "tomo-d-zero",
-            "tomo-eps-negative", "tomo-eta-one", "tomo-eta-zero", "prior-support-delta"])
+            "tomo-eps-negative", "tomo-eta-one", "tomo-eta-zero", "prior-support-delta",
+            "design-distance-t-zero", "design-distance-t-five", "truncate-k-negative",
+            "truncate-k-2000", "pfc-outcomes-over-budget"])
     def test_usage_error_names_its_cause(self, argv, cause, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1
@@ -411,13 +489,25 @@ class TestCli:
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
         assert code == 0 and out
 
+    def test_readme_commands_parse(self):
+        for argv in readme_commands():
+            build_parser().parse_args(argv)
+
+    def test_every_declared_flag_is_read(self):
+        # each flag a command's leaf parser declares is read by its handler,
+        # or by the shared code every handler goes through
+        shared = "".join(inspect.getsource(f) for f in (cli.main, cli._emit, cli._seed_of))
+        for command, leaf in leaf_parsers(build_parser()):
+            source = inspect.getsource(cli._DISPATCH[command]) + shared
+            for action in leaf._actions:
+                if action.option_strings and action.dest != "help":
+                    assert re.search(rf"\bargs\.{action.dest}\b", source), (
+                        command, leaf.prog, action.dest)
+
     def test_readme_bounds_commands_emit_strict_json(self, capsys):
         # every `prulab bounds` example in README's CLI block runs as written,
         # and its JSON report holds no NaN or Infinity
-        text = (Path(__file__).parents[1] / "README.md").read_text()
-        block = text.split("## CLI", 1)[1].split("```")[1]
-        commands = [shlex.split(line)[1:] for line in block.splitlines()
-                    if line.startswith("prulab bounds ")]
+        commands = [argv for argv in readme_commands() if argv[0] == "bounds"]
         assert commands
         for argv in commands:
             code, _, err = run_cli(argv, capsys)
@@ -430,10 +520,10 @@ class TestCli:
         from prulab.linalg import memory_budget_bytes
 
         before = memory_budget_bytes()
-        assert main(["bounds", "prior-support", "--d", "2", "--t", "1",
+        assert main(["design-distance", "--ensemble", "pauli-1", "--t", "1",
                      "--mem-budget", "0.5"]) == 0
         assert memory_budget_bytes() == before
-        assert main(["bounds", "trivial-rompru", "--d", "4", "--mem-budget", "0.5"]) == 1
+        assert main(["design-distance", "--t", "1", "--mem-budget", "0.5"]) == 1
         assert memory_budget_bytes() == before
 
     @pytest.mark.parametrize("argv, header", [

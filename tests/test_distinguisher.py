@@ -25,7 +25,14 @@ from prulab.distinguisher import (
     run_collision_distinguisher,
 )
 from prulab.ensembles import reference_design, sample_pfc
-from prulab.linalg import RandomSeed, haar_state, haar_unitary
+from prulab.linalg import (
+    RandomSeed,
+    ResourceLimitError,
+    haar_state,
+    haar_unitary,
+    memory_budget_bytes,
+    set_memory_budget_bytes,
+)
 from prulab.nets import NetSpec, exposure_estimate
 from prulab.tomography import ChannelOracle
 from prulab.util import report_dict, wilson_interval
@@ -263,6 +270,28 @@ class TestCollisionDistinguisher:
                 return super().draw(shots)
 
         run_collision_distinguisher(Counting(), DistinguisherParams(d=64, t=8, k_blocks=37))
+        assert calls == [8] * 37
+
+    def test_outcome_working_set_is_budgeted_before_any_draw(self):
+        # 24 bytes per outcome: the int64 blocks, their concatenation and its sorted copy
+        calls = []
+
+        class Counting(_ConstantOracle):
+            def draw(self, shots):
+                calls.append(shots)
+                return super().draw(shots)
+
+        p = DistinguisherParams(d=64, t=8, k_blocks=37)
+        before = memory_budget_bytes()
+        try:
+            set_memory_budget_bytes(24 * 8 * 37 - 1)
+            with pytest.raises(ResourceLimitError, match="collision test outcomes needs"):
+                run_collision_distinguisher(Counting(), p)
+            assert calls == []
+            set_memory_budget_bytes(24 * 8 * 37)
+            run_collision_distinguisher(Counting(), p)
+        finally:
+            set_memory_budget_bytes(before)
         assert calls == [8] * 37
 
 

@@ -31,8 +31,10 @@ class TestRoundK:
             round_k(1.5, 3)
         with pytest.raises(ValueError):
             round_k(-1.0, 3)
-        with pytest.raises(ValueError):
-            round_k(0.5, -1)
+        for k in (-1, 1024):
+            with pytest.raises(ValueError, match=r"k must be in 0\.\.1023"):
+                round_k(0.5, k)
+        assert round_k(0.5, 1023) == 0.5
         for bad in ([0.5, 1.5], [0.5, -1.0], [0.5, float("nan")]):
             with pytest.raises(ValueError):
                 round_k(np.array(bad), 3)
