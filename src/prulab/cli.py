@@ -31,6 +31,14 @@ class _Parser(argparse.ArgumentParser):
         # main reports it as every other usage error: "error: ..." and exit 1
         raise ValueError(f"{message}\n{self.format_usage().rstrip()}")
 
+    def parse_known_args(self, *args, **kwargs):
+        # a sub-parser rejects its own leftovers, so the usage line shown is
+        # that of the command or formula, not the top parser's
+        namespace, extras = super().parse_known_args(*args, **kwargs)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def _add_output(p: _Parser, budget: bool = True) -> None:
     p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
@@ -174,16 +182,16 @@ def _cmd_pfc_distinguish(args) -> None:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
     if args.alpha <= 0:
         raise ValueError(f"--alpha must be positive, got {args.alpha}")
-    seed = _seed_of(args)
-    if args.n <= 4:
-        print(f"warning: n={args.n} gives d={2**args.n}, far from the "
-              "asymptotic regime the test is tuned for; running anyway",
-              file=sys.stderr)
     rep = pfc_distinguish_experiment(
-        args.n, args.trials, seed, t=args.t,
+        args.n, args.trials, _seed_of(args), t=args.t,
         k_blocks=args.k_blocks, alpha=args.alpha, haar_mode=args.haar_mode,
         estimator=args.estimator,
     )
+    # only once the run has passed, so that an error's message stays first
+    if args.n <= 4:
+        print(f"warning: n={args.n} gives d={2**args.n}, far from the "
+              "asymptotic regime the test is tuned for; ran anyway",
+              file=sys.stderr)
     config = {
         "command": "pfc-distinguish", "n": args.n, "t": rep.params.t,
         "k_blocks": args.k_blocks, "alpha": args.alpha, "trials": args.trials,

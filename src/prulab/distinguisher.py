@@ -3,9 +3,8 @@
 The measurement oracles of the hidden states (Haar by urn or dense
 vector, PFC by stabilizer sampling), the sqrt(d)-query collision test on
 repeated |0...0> queries, the Chebyshev concentration reference for its
-block estimator, the PFC-vs-Haar experiment that runs the test on fresh
-hidden states of both kinds, and the tomography-based net-membership
-distinguisher.
+block estimator, and the PFC-vs-Haar experiment that runs the test on
+fresh hidden states of both kinds.
 
 Every oracle serves ``draw(shots)`` from one block stream of outcomes,
 `_OutcomeStream`: its sampler runs once per block, not once per call, so
@@ -270,25 +269,3 @@ def pfc_distinguish_experiment(n: int, trials: int, seed: RandomSeed,
         n=n, params=params, trials=trials, haar_rate=haar_rate, pfc_rate=1.0 - miss_rate,
         haar_ci_half=haar_half, pfc_ci_half=pfc_half,
         advantage=abs(haar_rate - miss_rate), advantage_ci_half=haar_half + pfc_half)
-
-
-# ---------------------------------------------------------------------------
-# Net-membership distinguisher
-# ---------------------------------------------------------------------------
-
-
-def net_membership_distinguisher(oracle, net, eps: float, eta0: float,
-                                 seed: RandomSeed) -> int:
-    """Tomography-based exposure test behind the designs-to-nets reduction.
-
-    Learns the hidden channel to accuracy eps/3 (failure eta0), then
-    outputs 1 iff the estimate sits farther than 2 eps/3 from every net
-    element; equivalent to accepting when the estimate lands near the
-    eps-far complement of the net.
-    """
-    from prulab.nets import min_diamond_distance
-    from prulab.tomography import naive_process_tomography
-
-    result = naive_process_tomography(oracle, eps / 3.0, eta0, seed)
-    dist, _ = min_diamond_distance(result.u_hat, net)
-    return int(dist > 2.0 * eps / 3.0)

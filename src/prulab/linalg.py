@@ -36,11 +36,11 @@ def set_memory_budget_bytes(n: int) -> None:
     _budget_bytes = int(n)
 
 
-def ensure_budget(nbytes: float, what: str = "allocation") -> None:
+def ensure_budget(nbytes: float, what: str) -> None:
     if nbytes > _budget_bytes:
         raise ResourceLimitError(
             f"{what} needs {nbytes:.3g} bytes, budget is {_budget_bytes} "
-            "(raise it with set_memory_budget_bytes)"
+            "(raise it with --mem-budget, in GiB, or set_memory_budget_bytes)"
         )
 
 

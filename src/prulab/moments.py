@@ -2,7 +2,8 @@
 
 The t-th moment operator of an ensemble, the exact Haar moment operator as
 the orthogonal projector onto the permutation-operator span, the 2->2
-(expander) distance, and the diamond/relative conversion bracket.
+(expander) distance, the dagger-symmetry test behind its diamond lower
+bound, and the diamond/relative conversion bracket.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from prulab.linalg import PropertyViolationError, ensure_budget, kron_power
+from prulab.linalg import ensure_budget, kron_power
 from prulab.ensembles import EnsembleSpec
 
 _GRAM_RCOND = 1e-10
@@ -23,8 +24,6 @@ MAX_MOMENT_ORDER = 4
 _SYMMETRY_TOL = 1e-9
 #: Haar Choi eigenvalues below this fraction of the largest span no support
 _SUPPORT_TOL = 1e-9
-#: relative slack of the composed 2->2 distance against lambda^m
-_COMPOSITION_TOL = 1e-8
 
 
 @dataclass
@@ -124,13 +123,6 @@ def haar_moment_operator(d: int, t: int) -> MomentSuperoperator:
     return MomentSuperoperator(d, t, proj.astype(complex))
 
 
-def tpe_distance(ens: EnsembleSpec, t: int) -> float:
-    """2->2 distance: spectral norm of the moment-operator difference."""
-    mv = moment_operator(ens, t)
-    mh = haar_moment_operator(ens.dim, t)
-    return float(np.linalg.norm(mv.matrix - mh.matrix, 2))
-
-
 def is_symmetric_ensemble(ens: EnsembleSpec) -> bool:
     """Whether the ensemble is closed under dagger with matched weights.
 
@@ -215,53 +207,3 @@ def diamond_design_bounds(ens: EnsembleSpec, t: int) -> DesignDistanceReport:
         not_relative=not_rel,
         symmetric=symmetric,
     )
-
-
-def compose_ensemble(ens: EnsembleSpec, m: int) -> EnsembleSpec:
-    """m-fold sequential composition: all length-m products with product weights."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    ensure_budget(16 * ens.dim**2 * len(ens.unitaries) ** m, "composed ensemble")
-    us = [np.eye(ens.dim, dtype=complex)]
-    ws = [1.0]
-    for _ in range(m):
-        us = [u @ v for u in us for v in ens.unitaries]
-        ws = [w1 * w2 for w1 in ws for w2 in ens.weights]
-    return EnsembleSpec(ens.dim, us, np.array(ws), name=f"{ens.name}^{m}")
-
-
-@dataclass
-class CompositionReport:
-    m: int
-    lambda_base: float
-    lambda_composed: float
-    lambda_power: float
-    diamond_upper_base: float
-    diamond_upper_composed: float
-
-
-def symmetric_composition_check(ens: EnsembleSpec, m: int, t: int) -> CompositionReport:
-    """Verify the multiplicativity of the 2->2 distance under composition.
-
-    For a symmetric ensemble the moment difference is Hermitian and is
-    annihilated by the Haar projector on both sides, so the composed
-    distance is exactly lambda^m; asserted within _COMPOSITION_TOL relative.  The
-    diamond upper bounds are reported and checked consistent
-    (upper_m <= upper_1^m).
-    """
-    if not is_symmetric_ensemble(ens):
-        raise ValueError("ensemble is not symmetric (not closed under dagger)")
-    lam = tpe_distance(ens, t)
-    comp = compose_ensemble(ens, m)
-    lam_m = tpe_distance(comp, t)
-    target = lam**m
-    if abs(lam_m - target) > _COMPOSITION_TOL * max(1.0, target):
-        raise PropertyViolationError(
-            f"composed 2->2 distance {lam_m} deviates from lambda^m = {target}"
-        )
-    d = ens.dim
-    up1 = (d**t) * lam
-    upm = (d**t) * lam_m
-    if upm > up1**m + _COMPOSITION_TOL and m >= 1:
-        raise PropertyViolationError("diamond upper bounds inconsistent under composition")
-    return CompositionReport(m, lam, lam_m, target, up1, upm)

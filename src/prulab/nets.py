@@ -1,8 +1,7 @@
 """Epsilon-net coverage estimation over the unitary group.
 
-Monte Carlo exposure estimates in diamond distance, net composition and
-dagger closure, brute-force product covering, and the ball-volume
-cardinality lower bound.
+Monte Carlo exposure estimates in diamond distance, brute-force product
+covering, and the ball-volume cardinality lower bound.
 """
 
 from __future__ import annotations
@@ -104,25 +103,6 @@ def exposure_estimate(net: NetSpec, eps: float, samples: int,
             exposed += 1
     _, half = wilson_interval(exposed, samples)
     return CoverageReport(eps, exposed / samples, samples, half)
-
-
-def compose_nets(n1: NetSpec, n2: NetSpec) -> NetSpec:
-    """All products V1 V2^dag (|n1| |n2| elements, before deduplication),
-    V1 = n1[i] and V2 = n2[j] at index i |n2| + j."""
-    if n1.dim != n2.dim:
-        raise ValueError("dimension mismatch")
-    d = n1.dim
-    # the products, which NetSpec keeps without a copy, n2's daggers, and
-    # one more |n2| stack of headroom for the Python objects made on the way
-    ensure_budget(16 * d * d * (len(n1) + 2) * len(n2), "net composition")
-    daggers = n2.unitaries.conj().transpose(0, 2, 1)
-    out = np.matmul(n1.unitaries[:, None], daggers[None]).reshape(-1, d, d)
-    return NetSpec(d, out)
-
-
-def dagger_net(net: NetSpec) -> NetSpec:
-    """Elementwise Hermitian conjugates; exposure-preserving."""
-    return NetSpec(net.dim, net.unitaries.conj().transpose(0, 2, 1))
 
 
 def cover_with_product(u: np.ndarray, net: NetSpec) -> tuple[np.ndarray, np.ndarray, float]:

@@ -1,9 +1,10 @@
-"""File formats: matrices, ensembles, nets, circuits.
+"""File formats: loaders of matrices, ensembles, nets and circuits.
 
 JSON matrices are arrays of rows of [re, im] pairs; the optional binary
 format is raw little-endian float64, row-major, re/im interleaved.
 Loading an ensemble, a net or a circuit rejects a matrix that is not
-unitary to within `UNITARY_TOL`.
+unitary to within `UNITARY_TOL`.  The commands only read these files;
+the writers that build test files live in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ from prulab.nets import NetSpec
 from prulab.truncation import DiagonalOracleCircuit, DiagonalPhase
 
 
-def matrix_to_json(u: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in u]
-
-
 def _is_pair(z) -> bool:
     return isinstance(z, list) and len(z) == 2 and all(isinstance(v, (int, float)) for v in z)
 
@@ -32,13 +29,6 @@ def matrix_from_json(rows: list) -> np.ndarray:
             and all(isinstance(row, list) and all(map(_is_pair, row)) for row in rows)):
         raise ValueError("a JSON matrix must be an array of rows of [re, im] number pairs")
     return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-
-def save_matrix_bin(path: str | Path, u: np.ndarray) -> None:
-    flat = np.empty(u.size * 2, dtype="<f8")
-    flat[0::2] = u.real.reshape(-1)
-    flat[1::2] = u.imag.reshape(-1)
-    Path(path).write_bytes(flat.tobytes())
 
 
 def load_matrix_bin(path: str | Path, dim: int) -> np.ndarray:
@@ -75,15 +65,6 @@ def _manifest_matrices(d: dict, dim: int, base: Path | None) -> list[np.ndarray]
     raise ValueError("manifest needs 'matrices' or 'matrix_files'")
 
 
-def ensemble_to_json_dict(ens: EnsembleSpec) -> dict:
-    return {
-        "dim": ens.dim,
-        "weights": [float(w) for w in ens.weights],
-        "matrices": [matrix_to_json(u) for u in ens.unitaries],
-        "name": ens.name,
-    }
-
-
 def ensemble_from_json_dict(d: dict, base: Path | None = None) -> EnsembleSpec:
     dim = int(_field(d, "dim", "ensemble manifest"))
     us = _manifest_matrices(d, dim, base)
@@ -93,30 +74,11 @@ def ensemble_from_json_dict(d: dict, base: Path | None = None) -> EnsembleSpec:
     return ens
 
 
-def net_to_json_dict(net: NetSpec) -> dict:
-    return {"dim": net.dim, "matrices": [matrix_to_json(u) for u in net.unitaries]}
-
-
 def net_from_json_dict(d: dict, base: Path | None = None) -> NetSpec:
     dim = int(_field(d, "dim", "net manifest"))
     net = NetSpec(dim, _manifest_matrices(d, dim, base))
     _check_unitary(enumerate(net.unitaries), "net element")
     return net
-
-
-def circuit_to_json_dict(c: DiagonalOracleCircuit) -> dict:
-    seq = []
-    for item in c.sequence:
-        if item[0] == "fixed":
-            seq.append({"fixed": matrix_to_json(item[1])})
-        else:
-            seq.append({"oracle": item[1]})
-    return {
-        "n": c.n,
-        "m": c.m,
-        "oracles": [[float(v) for v in f.phases] for f in c.oracles],
-        "sequence": seq,
-    }
 
 
 def circuit_from_json_dict(d: dict) -> DiagonalOracleCircuit:
@@ -137,7 +99,3 @@ def circuit_from_json_dict(d: dict) -> DiagonalOracleCircuit:
 
 def load_json(path: str | Path) -> dict:
     return json.loads(Path(path).read_text())
-
-
-def dump_json(path: str | Path, obj: dict) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")

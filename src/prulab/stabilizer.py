@@ -2,8 +2,8 @@
 
 Uniform Clifford sampling through the canonical symplectic-index
 construction, computational-basis measurement supports of stabilizer
-states, dense tableau unitaries read off the tableau's Pauli rows, and the
-explicit full-support state family parametrized by (M, u, v).  Sampling and
+states, dense tableau unitaries read off the tableau's Pauli rows, the
+share of full-support states and the stabilizer-state count.  Sampling and
 support extraction work on packed rows, one Python int per row, so a row
 operation is one XOR and an inner product a popcount.  Symplectic rows
 keep column j as bit j; support rows put qubit 0 in the most significant
@@ -61,15 +61,6 @@ class Tableau:
             and np.array_equal(self.z, other.z)
             and np.array_equal(self.r, other.r)
         )
-
-    def check_symplectic(self) -> bool:
-        """Rows must commute except for the X_j/Z_j partner pairs."""
-        n = self.n
-        form = (self.x @ self.z.T + self.z @ self.x.T) % 2
-        want = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-        want[:n, n:] = np.eye(n, dtype=np.uint8)
-        want[n:, :n] = np.eye(n, dtype=np.uint8)
-        return np.array_equal(form, want)
 
 
 def _pack_rows(bits: np.ndarray) -> list[int]:
@@ -347,51 +338,8 @@ def sample_from_support(sup: AffineSupport, shots: int, rng: np.random.Generator
 
 
 # ---------------------------------------------------------------------------
-# Full-support family
+# Stabilizer-state counts
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GammaParams:
-    """Parameters (M, u, v) of the explicit full-support stabilizer family.
-
-    M is stored strictly upper-triangular (canonical; the quadratic form
-    only sees M_ij + M_ji for i < j), u and v are bit vectors.
-    """
-
-    n: int
-    m_matrix: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.m_matrix, dtype=np.uint8) % 2
-        if m.shape != (self.n, self.n):
-            raise ValueError("M must be n x n")
-        if np.any(np.diagonal(m)):
-            raise ValueError("M must have zero diagonal")
-        canon = np.triu(m ^ m.T, k=1).astype(np.uint8)
-        object.__setattr__(self, "m_matrix", canon)
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=np.uint8) % 2)
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=np.uint8) % 2)
-        if self.u.shape != (self.n,) or self.v.shape != (self.n,):
-            raise ValueError("u, v must be length-n bit vectors")
-
-
-def gamma_state(p: GammaParams) -> Tableau:
-    """Clifford preparing 2^{-n/2} sum_x i^{u.x} (-1)^{x^T M x + v.x} |x>.
-
-    The circuit Z^v CZ^M S^u H^{(x)n} written straight into the tableau: it
-    sends X_j to Z_j, and Z_j to X_j times Z on the M-neighbours of j (Y_j
-    when u_j = 1) with sign (-1)^{v_j}.  The result always has full
-    measurement support (k_dim = n).
-    """
-    n = p.n
-    eye = np.eye(n, dtype=np.uint8)
-    zero = np.zeros((n, n), dtype=np.uint8)
-    neighbours = p.m_matrix ^ p.m_matrix.T ^ np.diag(p.u)
-    return Tableau(n, np.vstack([zero, eye]), np.vstack([eye, neighbours]),
-                   np.concatenate([np.zeros(n, dtype=np.uint8), p.v]))
 
 
 def full_support_probability(n: int, exact: bool = False):
@@ -411,44 +359,3 @@ def stabilizer_state_count(n: int) -> int:
     for j in range(1, n + 1):
         out *= 2**j + 1
     return out
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def _hex_rows(field: str, hexes, count: int, width: int) -> list[int]:
-    """``count`` hex rows of at most ``width`` bits from a tableau field."""
-    if not isinstance(hexes, list) or len(hexes) != count:
-        raise ValueError(f"tableau field {field!r} needs a list of {count} hex rows")
-    try:
-        rows = [int(text, 16) for text in hexes]
-    except (TypeError, ValueError):
-        raise ValueError(f"tableau field {field!r} holds a row that is not hex") from None
-    if not all(0 <= row < 1 << width for row in rows):
-        raise ValueError(f"tableau field {field!r} sets bits beyond its {width} columns")
-    return rows
-
-
-def tableau_to_json_dict(t: Tableau) -> dict:
-    """Each bit row as one zero-padded hex string, column j as bit j."""
-    def hexes(bits: np.ndarray) -> list[str]:
-        return [format(row, f"0{(bits.shape[1] + 3) // 4}x") for row in _pack_rows(bits)]
-
-    return {"n": t.n, "x": hexes(t.x), "z": hexes(t.z), "r": hexes(t.r[None, :])[0]}
-
-
-def tableau_from_json_dict(d: dict) -> Tableau:
-    """Inverse of `tableau_to_json_dict`, rejecting wrong row counts, bits
-    beyond the row width and non-symplectic tableaus."""
-    n = d["n"]
-    if type(n) is not int or n < 1:
-        raise ValueError(f"tableau field 'n' must be a positive integer, got {n!r}")
-    x, z = (_unpack_rows(_hex_rows(key, d[key], 2 * n, n), n) for key in ("x", "z"))
-    r = _unpack_rows(_hex_rows("r", [d["r"]], 1, 2 * n), 2 * n)[0]
-    t = Tableau(n, x, z, r)
-    if not t.check_symplectic():
-        raise ValueError("tableau fields 'x' and 'z' are not symplectic: "
-                         "their rows must commute except for the X_j/Z_j pairs")
-    return t

@@ -21,7 +21,8 @@ from prulab.linalg import RandomSeed, ResourceLimitError
 #: repetition-count calibration for the (eps, eta) contract; empirical with
 #: margin at d <= 8, not a claim about the information-theoretic optimum.
 SHOT_CONSTANT = 2.5
-MAX_QUERIES_DEFAULT = 2_000_000
+#: most queries naive_process_tomography plans before it refuses to run
+MAX_QUERIES = 2_000_000
 
 
 class ChannelOracle:
@@ -73,8 +74,7 @@ def measured_basis_vectors(phis: np.ndarray, rng: np.random.Generator) -> np.nda
 
 
 def naive_process_tomography(oracle: ChannelOracle, eps: float, eta: float,
-                             seed: RandomSeed,
-                             max_queries: int = MAX_QUERIES_DEFAULT) -> TomographyResult:
+                             seed: RandomSeed) -> TomographyResult:
     """Learn the hidden unitary to diamond distance eps with failure rate
     at most eta.
 
@@ -93,10 +93,8 @@ def naive_process_tomography(oracle: ChannelOracle, eps: float, eta: float,
     if eps >= 2.0:
         return TomographyResult(np.eye(d, dtype=complex), 0)
     shots = planned_queries(d, eps, eta)
-    if shots > max_queries:
-        raise ResourceLimitError(
-            f"tomography needs {shots} queries, cap is {max_queries}"
-        )
+    if shots > MAX_QUERIES:
+        raise ResourceLimitError(f"tomography needs {shots} queries, cap is {MAX_QUERIES}")
     rng = seed.generator()
     big = d * d
     omega = np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)

@@ -1,7 +1,8 @@
 """Diagonal-oracle truncation machinery.
 
-Phase rounding to k fractional bits and diamond-distance verification of
-the per-call and per-circuit truncation bounds.
+Phase rounding to k fractional bits, diagonal phase oracles, circuits
+that call them, and diamond-distance verification of a circuit against
+its k-truncated twin under the union bound s 2^{-k} pi.
 """
 
 from __future__ import annotations
@@ -11,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from prulab.linalg import (
-    PropertyViolationError,
-    diamond_distance_from_spectrum,
-    diamond_distance_unitaries,
-    ensure_budget,
-)
+from prulab.linalg import PropertyViolationError, diamond_distance_unitaries, ensure_budget
 
 #: round_k needs k <= MAX_K, so that 2^k is a finite float
 MAX_K = 1023
@@ -65,26 +61,6 @@ def truncate_diagonal(f: DiagonalPhase, k: int) -> tuple[DiagonalPhase, int]:
     vals = round_k(f.phases, k)
     vals[vals <= -1.0] = 1.0
     return DiagonalPhase(f.m, vals), k + 1
-
-
-def diag_truncation_distance(f: DiagonalPhase, k: int) -> float:
-    """Exact diamond distance between the diagonal channel and its k-truncation.
-
-    Diagonal unitaries have their entries as eigenvalues, so the
-    unitary-channel closed form applies directly.  Guaranteed
-    <= 2^{-k} pi; violation raises.
-    """
-    if f.m > 12:
-        raise ValueError("exact evaluation capped at m = 12")
-    g, _ = truncate_diagonal(f, k)
-    rel = np.exp(1j * np.pi * (g.phases - f.phases))
-    dist = float(diamond_distance_from_spectrum(rel))
-    bound = math.pi * 2.0 ** (-k)
-    if dist > bound + 1e-9:
-        raise PropertyViolationError(
-            f"truncation distance {dist} exceeds the bound {bound}"
-        )
-    return dist
 
 
 @dataclass

@@ -26,19 +26,40 @@ Paulis, the closed-form amplitudes of the (M, u, v) state family,
 membership in and enumeration of a measurement support, the dense P.F.C
 matrix of a PFC sample with the splitmix64 phase PRF its ``phase_key``
 keys, and uniformly random diagonal phase functions.
+
+So do the checks and constructions that only tests use: the symplectic
+form check and hex form of a tableau, the (M, u, v) full-support state
+family, the exact diamond distance of one truncated diagonal, the 2->2
+distance with the multiplicativity check of composed symmetric
+ensembles, net composition and dagger closure, and the tomography-based
+net-membership test.  The manifest writers (`dump_json` and the
+`*_to_json_dict` forms) build test files and are the round-trip oracles
+of the loaders in `prulab.serialize`.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize
 
-from prulab.ensembles import PFCSample
-from prulab.stabilizer import AffineSupport, GammaParams, Tableau, tableau_to_unitary
-from prulab.truncation import DiagonalPhase
+from prulab.ensembles import EnsembleSpec, PFCSample
+from prulab.linalg import (
+    PropertyViolationError,
+    RandomSeed,
+    diamond_distance_from_spectrum,
+    ensure_budget,
+)
+from prulab.moments import haar_moment_operator, is_symmetric_ensemble, moment_operator
+from prulab.nets import NetSpec, min_diamond_distance
+from prulab.stabilizer import AffineSupport, Tableau, _pack_rows, tableau_to_unitary
+from prulab.tomography import naive_process_tomography
+from prulab.truncation import DiagonalOracleCircuit, DiagonalPhase, truncate_diagonal
 
 #: tolerance of the channel-property checks on moment superoperators
 PROJECTOR_TOL = 1e-9
@@ -409,9 +430,71 @@ def pauli_matrix(x: np.ndarray, z: np.ndarray, r: int) -> np.ndarray:
     return (-1) ** int(r) * out
 
 
+def is_symplectic(t: Tableau) -> bool:
+    """Whether the tableau's rows commute except for the X_j/Z_j partner pairs."""
+    n = t.n
+    form = (t.x @ t.z.T + t.z @ t.x.T) % 2
+    want = np.zeros((2 * n, 2 * n), dtype=np.uint8)
+    want[:n, n:] = np.eye(n, dtype=np.uint8)
+    want[n:, :n] = np.eye(n, dtype=np.uint8)
+    return np.array_equal(form, want)
+
+
+def tableau_to_json_dict(t: Tableau) -> dict:
+    """Each bit row as one zero-padded hex string, column j as bit j; the
+    digest of `random_clifford_rng`'s pinned stream hashes this form."""
+    def hexes(bits: np.ndarray) -> list[str]:
+        return [format(row, f"0{(bits.shape[1] + 3) // 4}x") for row in _pack_rows(bits)]
+
+    return {"n": t.n, "x": hexes(t.x), "z": hexes(t.z), "r": hexes(t.r[None, :])[0]}
+
+
+@dataclass(frozen=True)
+class GammaParams:
+    """Parameters (M, u, v) of the explicit full-support stabilizer family.
+
+    M is stored strictly upper-triangular (canonical; the quadratic form
+    only sees M_ij + M_ji for i < j), u and v are bit vectors.
+    """
+
+    n: int
+    m_matrix: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+
+    def __post_init__(self):
+        m = np.asarray(self.m_matrix, dtype=np.uint8) % 2
+        if m.shape != (self.n, self.n):
+            raise ValueError("M must be n x n")
+        if np.any(np.diagonal(m)):
+            raise ValueError("M must have zero diagonal")
+        canon = np.triu(m ^ m.T, k=1).astype(np.uint8)
+        object.__setattr__(self, "m_matrix", canon)
+        object.__setattr__(self, "u", np.asarray(self.u, dtype=np.uint8) % 2)
+        object.__setattr__(self, "v", np.asarray(self.v, dtype=np.uint8) % 2)
+        if self.u.shape != (self.n,) or self.v.shape != (self.n,):
+            raise ValueError("u, v must be length-n bit vectors")
+
+
+def gamma_state(p: GammaParams) -> Tableau:
+    """Clifford preparing 2^{-n/2} sum_x i^{u.x} (-1)^{x^T M x + v.x} |x>.
+
+    The circuit Z^v CZ^M S^u H^{(x)n} written straight into the tableau: it
+    sends X_j to Z_j, and Z_j to X_j times Z on the M-neighbours of j (Y_j
+    when u_j = 1) with sign (-1)^{v_j}.  The result always has full
+    measurement support (k_dim = n).
+    """
+    n = p.n
+    eye = np.eye(n, dtype=np.uint8)
+    zero = np.zeros((n, n), dtype=np.uint8)
+    neighbours = p.m_matrix ^ p.m_matrix.T ^ np.diag(p.u)
+    return Tableau(n, np.vstack([zero, eye]), np.vstack([eye, neighbours]),
+                   np.concatenate([np.zeros(n, dtype=np.uint8), p.v]))
+
+
 def gamma_amplitudes(p: GammaParams) -> np.ndarray:
     """Closed-form amplitudes 2^{-n/2} i^{u.x} (-1)^{x^T M x + v.x} of the
-    (M, u, v) state, the oracle for `prulab.stabilizer.gamma_state`."""
+    (M, u, v) state, the oracle for `gamma_state`."""
     n = p.n
     xs = ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1).astype(np.int64)
     quad = np.einsum("ki,ij,kj->k", xs, p.m_matrix.astype(np.int64), xs)
@@ -513,3 +596,160 @@ def random_phase(m: int, rng: np.random.Generator) -> DiagonalPhase:
     vals = rng.uniform(-1.0, 1.0, size=1 << m)
     vals[vals <= -1.0] = 1.0
     return DiagonalPhase(m, vals)
+
+
+def diag_truncation_distance(f: DiagonalPhase, k: int) -> float:
+    """Exact diamond distance between the diagonal channel and its k-truncation.
+
+    Diagonal unitaries have their entries as eigenvalues, so the
+    unitary-channel closed form applies directly.  Guaranteed
+    <= 2^{-k} pi; violation raises.
+    """
+    if f.m > 12:
+        raise ValueError("exact evaluation capped at m = 12")
+    g, _ = truncate_diagonal(f, k)
+    rel = np.exp(1j * np.pi * (g.phases - f.phases))
+    dist = float(diamond_distance_from_spectrum(rel))
+    bound = math.pi * 2.0 ** (-k)
+    if dist > bound + 1e-9:
+        raise PropertyViolationError(
+            f"truncation distance {dist} exceeds the bound {bound}"
+        )
+    return dist
+
+
+def tpe_distance(ens: EnsembleSpec, t: int) -> float:
+    """2->2 distance: spectral norm of the moment-operator difference."""
+    mv = moment_operator(ens, t)
+    mh = haar_moment_operator(ens.dim, t)
+    return float(np.linalg.norm(mv.matrix - mh.matrix, 2))
+
+
+#: relative slack of the composed 2->2 distance against lambda^m
+_COMPOSITION_TOL = 1e-8
+
+
+def compose_ensemble(ens: EnsembleSpec, m: int) -> EnsembleSpec:
+    """m-fold sequential composition: all length-m products with product weights."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    ensure_budget(16 * ens.dim**2 * len(ens.unitaries) ** m, "composed ensemble")
+    us = [np.eye(ens.dim, dtype=complex)]
+    ws = [1.0]
+    for _ in range(m):
+        us = [u @ v for u in us for v in ens.unitaries]
+        ws = [w1 * w2 for w1 in ws for w2 in ens.weights]
+    return EnsembleSpec(ens.dim, us, np.array(ws), name=f"{ens.name}^{m}")
+
+
+@dataclass
+class CompositionReport:
+    m: int
+    lambda_base: float
+    lambda_composed: float
+    lambda_power: float
+    diamond_upper_base: float
+    diamond_upper_composed: float
+
+
+def symmetric_composition_check(ens: EnsembleSpec, m: int, t: int) -> CompositionReport:
+    """Verify the multiplicativity of the 2->2 distance under composition.
+
+    For a symmetric ensemble the moment difference is Hermitian and is
+    annihilated by the Haar projector on both sides, so the composed
+    distance is exactly lambda^m; asserted within _COMPOSITION_TOL relative.  The
+    diamond upper bounds are reported and checked consistent
+    (upper_m <= upper_1^m).
+    """
+    if not is_symmetric_ensemble(ens):
+        raise ValueError("ensemble is not symmetric (not closed under dagger)")
+    lam = tpe_distance(ens, t)
+    comp = compose_ensemble(ens, m)
+    lam_m = tpe_distance(comp, t)
+    target = lam**m
+    if abs(lam_m - target) > _COMPOSITION_TOL * max(1.0, target):
+        raise PropertyViolationError(
+            f"composed 2->2 distance {lam_m} deviates from lambda^m = {target}"
+        )
+    d = ens.dim
+    up1 = (d**t) * lam
+    upm = (d**t) * lam_m
+    if upm > up1**m + _COMPOSITION_TOL and m >= 1:
+        raise PropertyViolationError("diamond upper bounds inconsistent under composition")
+    return CompositionReport(m, lam, lam_m, target, up1, upm)
+
+
+def compose_nets(n1: NetSpec, n2: NetSpec) -> NetSpec:
+    """All products V1 V2^dag (|n1| |n2| elements, before deduplication),
+    V1 = n1[i] and V2 = n2[j] at index i |n2| + j."""
+    if n1.dim != n2.dim:
+        raise ValueError("dimension mismatch")
+    d = n1.dim
+    # the products, which NetSpec keeps without a copy, n2's daggers, and
+    # one more |n2| stack of headroom for the Python objects made on the way
+    ensure_budget(16 * d * d * (len(n1) + 2) * len(n2), "net composition")
+    daggers = n2.unitaries.conj().transpose(0, 2, 1)
+    out = np.matmul(n1.unitaries[:, None], daggers[None]).reshape(-1, d, d)
+    return NetSpec(d, out)
+
+
+def dagger_net(net: NetSpec) -> NetSpec:
+    """Elementwise Hermitian conjugates; exposure-preserving."""
+    return NetSpec(net.dim, net.unitaries.conj().transpose(0, 2, 1))
+
+
+def net_membership_distinguisher(oracle, net, eps: float, eta0: float,
+                                 seed: RandomSeed) -> int:
+    """Tomography-based exposure test behind the designs-to-nets reduction.
+
+    Learns the hidden channel to accuracy eps/3 (failure eta0), then
+    outputs 1 iff the estimate sits farther than 2 eps/3 from every net
+    element; equivalent to accepting when the estimate lands near the
+    eps-far complement of the net.
+    """
+    result = naive_process_tomography(oracle, eps / 3.0, eta0, seed)
+    dist, _ = min_diamond_distance(result.u_hat, net)
+    return int(dist > 2.0 * eps / 3.0)
+
+
+def matrix_to_json(u: np.ndarray) -> list:
+    return [[[float(z.real), float(z.imag)] for z in row] for row in u]
+
+
+def save_matrix_bin(path: str | Path, u: np.ndarray) -> None:
+    flat = np.empty(u.size * 2, dtype="<f8")
+    flat[0::2] = u.real.reshape(-1)
+    flat[1::2] = u.imag.reshape(-1)
+    Path(path).write_bytes(flat.tobytes())
+
+
+def ensemble_to_json_dict(ens: EnsembleSpec) -> dict:
+    return {
+        "dim": ens.dim,
+        "weights": [float(w) for w in ens.weights],
+        "matrices": [matrix_to_json(u) for u in ens.unitaries],
+        "name": ens.name,
+    }
+
+
+def net_to_json_dict(net: NetSpec) -> dict:
+    return {"dim": net.dim, "matrices": [matrix_to_json(u) for u in net.unitaries]}
+
+
+def circuit_to_json_dict(c: DiagonalOracleCircuit) -> dict:
+    seq = []
+    for item in c.sequence:
+        if item[0] == "fixed":
+            seq.append({"fixed": matrix_to_json(item[1])})
+        else:
+            seq.append({"oracle": item[1]})
+    return {
+        "n": c.n,
+        "m": c.m,
+        "oracles": [[float(v) for v in f.phases] for f in c.oracles],
+        "sequence": seq,
+    }
+
+
+def dump_json(path: str | Path, obj: dict) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")

@@ -13,12 +13,15 @@ import pytest
 
 from helpers import (
     brute_force_diamond,
+    dagger_net,
+    diag_truncation_distance,
     empirical_counts,
     partition_probability_dirichlet,
     partition_probability_urn,
     prior_support_bound_exact,
     random_phase,
     total_variation,
+    tpe_distance,
 )
 from prulab.bounds import improved_support_bound, prior_support_bound
 from prulab.distinguisher import (
@@ -29,11 +32,11 @@ from prulab.distinguisher import (
 )
 from prulab.ensembles import reference_design
 from prulab.linalg import RandomSeed, diamond_distance_unitaries, haar_unitary
-from prulab.moments import haar_moment_operator, moment_operator, tpe_distance
-from prulab.nets import NetSpec, cover_with_product, dagger_net, exposure_estimate
+from prulab.moments import haar_moment_operator, moment_operator
+from prulab.nets import NetSpec, cover_with_product, exposure_estimate
 from prulab.stabilizer import full_support_probability, measurement_support, random_clifford_rng
 from prulab.tomography import ChannelOracle, naive_process_tomography, planned_queries
-from prulab.truncation import DiagonalOracleCircuit, circuit_truncation_bound, diag_truncation_distance
+from prulab.truncation import DiagonalOracleCircuit, circuit_truncation_bound
 from prulab.util import wilson_interval
 
 

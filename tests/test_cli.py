@@ -11,22 +11,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_phase
+from helpers import (
+    circuit_to_json_dict,
+    dump_json,
+    ensemble_to_json_dict,
+    matrix_to_json,
+    net_to_json_dict,
+    random_phase,
+    save_matrix_bin,
+)
 from prulab import cli
 from prulab.cli import build_parser, main
 from prulab.linalg import RandomSeed, haar_unitary
 from prulab.serialize import (
     circuit_from_json_dict,
-    circuit_to_json_dict,
-    dump_json,
     ensemble_from_json_dict,
-    ensemble_to_json_dict,
     load_matrix_bin,
     matrix_from_json,
-    matrix_to_json,
     net_from_json_dict,
-    net_to_json_dict,
-    save_matrix_bin,
 )
 from prulab.truncation import DiagonalOracleCircuit
 
@@ -414,6 +416,12 @@ class TestCli:
          "--k must be in 0..1023, got 2000"),
         (["pfc-distinguish", "--n", "5", "--trials", "1", "--k-blocks", "2", "--seed", "1",
           "--t", "100000000000"], "collision test outcomes needs 4.8e+12 bytes"),
+        (["pfc-distinguish", "--n", "3", "--trials", "1", "--k-blocks", "2", "--seed", "1",
+          "--t", "100000000000"], "collision test outcomes needs 4.8e+12 bytes"),
+        (["bounds", "net-size", "--d", "2", "--eps", "0.5", "--t", "3"],
+         "unrecognized arguments: --t 3\nusage: prulab bounds net-size"),
+        (["design-distance", "--ensemble", "pauli-1", "--t", "4", "--mem-budget", "0.00001"],
+         "moment superoperator needs 3.15e+06 bytes, budget is 10737 (raise it with --mem-budget"),
     ], ids=["n-out-of-range", "no-ensemble", "both-ensembles", "unknown-ensemble",
             "no-net", "no-t", "no-kappa", "zero-mem-budget", "negative-mem-budget",
             "net-size-no-eps", "scalable-check-no-q", "fractional-t", "fractional-sweep-t",
@@ -435,7 +443,8 @@ class TestCli:
             "net-coverage-seed-negative", "net-coverage-samples-zero", "tomo-d-zero",
             "tomo-eps-negative", "tomo-eta-one", "tomo-eta-zero", "prior-support-delta",
             "design-distance-t-zero", "design-distance-t-five", "truncate-k-negative",
-            "truncate-k-2000", "pfc-outcomes-over-budget"])
+            "truncate-k-2000", "pfc-outcomes-over-budget", "pfc-small-n-outcomes-over-budget",
+            "unknown-flag-shows-formula-usage", "budget-error-names-mem-budget"])
     def test_usage_error_names_its_cause(self, argv, cause, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1

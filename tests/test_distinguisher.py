@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import collision_count
+from helpers import collision_count, net_membership_distinguisher
 from prulab import distinguisher
 from prulab.distinguisher import (
     DistinguisherParams,
@@ -20,7 +20,6 @@ from prulab.distinguisher import (
     _OutcomeStream,
     blocked_collision_counts,
     concentration_reference,
-    net_membership_distinguisher,
     pfc_distinguish_experiment,
     run_collision_distinguisher,
 )

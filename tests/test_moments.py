@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
-from helpers import is_completely_positive, is_trace_preserving
+from helpers import (
+    compose_ensemble,
+    is_completely_positive,
+    is_trace_preserving,
+    symmetric_composition_check,
+    tpe_distance,
+)
 from prulab.ensembles import EnsembleSpec, reference_design
 from prulab.linalg import RandomSeed, ResourceLimitError, haar_unitary
 from prulab.moments import (
     MomentSuperoperator,
-    compose_ensemble,
     diamond_design_bounds,
     haar_moment_operator,
     is_symmetric_ensemble,
     moment_operator,
-    symmetric_composition_check,
-    tpe_distance,
     _relative_eps,
 )
 

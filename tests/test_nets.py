@@ -1,9 +1,10 @@
 import math
 import tracemalloc
 
+import helpers
 import numpy as np
 import pytest
-from helpers import cover_with_product_unblocked
+from helpers import compose_nets, cover_with_product_unblocked, dagger_net
 
 from prulab import nets
 from prulab.linalg import (
@@ -16,9 +17,7 @@ from prulab.linalg import (
 )
 from prulab.nets import (
     NetSpec,
-    compose_nets,
     cover_with_product,
-    dagger_net,
     exposure_estimate,
     min_diamond_distance,
     net_size_lower_bound,
@@ -129,7 +128,7 @@ class TestComposeAndDagger:
         a = NetSpec.haar_sample(2, 300, RandomSeed(19))
         b = NetSpec.haar_sample(2, 300, RandomSeed(20))
         charged = []
-        monkeypatch.setattr(nets, "ensure_budget", lambda nbytes, what: charged.append(nbytes))
+        monkeypatch.setattr(helpers, "ensure_budget", lambda nbytes, what: charged.append(nbytes))
         tracemalloc.start()
         try:
             comp = compose_nets(a, b)

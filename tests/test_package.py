@@ -15,6 +15,7 @@ SRC = Path(prulab.__file__).parent
 ROOT = Path(__file__).parents[1]
 LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
 BENCH_SPEC = ROOT / "perfbench" / "spec.json"
+HELPERS = ROOT / "tests" / "helpers.py"
 
 
 def test_no_private_names_imported_across_modules():
@@ -50,31 +51,27 @@ def test_benchmark_call_binds():
     inspect.signature(pfc_distinguish_experiment).bind(seed=RandomSeed(0), **params)
 
 
-#: public definitions in src/prulab that only tests/ call, kept as library
-#: API: manifest and tableau writers and readers, net and ensemble
-#: operations, closed forms and counts for callers of the package, dense
-#: Clifford synthesis, which a reference design built from tableaus needs,
-#: and concentration_reference until the exact support-dimension law
-#: replaces it; a class member kept on purpose goes here as ``Class.member``
+#: public definitions in src/prulab that only tests/ call, each waiting for
+#: a caller ROADMAP names: item 2's exact support-dimension law calls
+#: stabilizer_state_count and replaces concentration_reference, and item 3's
+#: reference two-qubit Clifford design calls symplectic_from_index and
+#: tableau_to_unitary; a class member kept on purpose goes here as
+#: ``Class.member``
 TEST_ONLY_API = {
-    "concentration_reference", "net_membership_distinguisher",
-    "symmetric_composition_check", "compose_nets", "dagger_net",
-    "save_matrix_bin", "ensemble_to_json_dict", "net_to_json_dict",
-    "circuit_to_json_dict", "dump_json", "symplectic_from_index", "gamma_state",
-    "stabilizer_state_count", "tableau_to_json_dict", "tableau_from_json_dict",
-    "diag_truncation_distance", "tableau_to_unitary",
+    "concentration_reference", "stabilizer_state_count", "symplectic_from_index",
+    "tableau_to_unitary",
 }
 
 
-def _definitions() -> list[tuple[str, str, Path, int, int]]:
+def _definitions(paths=None) -> list[tuple[str, str, Path, int, int]]:
     """(name, token, path, first line, last line) of every module-level
-    function, class and assigned name in src/prulab, and of every public
-    method, property and classmethod of a public class, named
-    ``Class.member`` with the member's name as its token; dunders,
+    function, class and assigned name in ``paths`` (default: src/prulab),
+    and of every public method, property and classmethod of a public class,
+    named ``Class.member`` with the member's name as its token; dunders,
     ``_``-prefixed members and members of ``_``-prefixed classes are left
     out."""
     out = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in paths or sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
@@ -120,6 +117,14 @@ def test_every_module_level_definition_is_used():
     # tests, scripts or perfbench, is dead code; class members included
     defined = _definitions()
     used = _referenced((SRC, ROOT / "tests", ROOT / "scripts", ROOT / "perfbench"), defined)
+    assert sorted({name for name, *_ in defined} - used) == []
+
+
+def test_every_test_oracle_is_used():
+    # an oracle in tests/helpers.py that no test, other helper or benchmark
+    # file names outside its own statement has outlived its last test
+    defined = _definitions([HELPERS])
+    used = _referenced((ROOT / "tests", ROOT / "perfbench"), defined)
     assert sorted({name for name, *_ in defined} - used) == []
 
 

@@ -9,30 +9,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    GammaParams,
     gamma_amplitudes,
+    gamma_state,
     gf2_rref,
     gf2_solve,
+    is_symplectic,
     measurement_support_bits,
     pack_bits,
     pauli_matrix,
     support_contains,
     support_members,
     symplectic_from_index_bits,
+    tableau_to_json_dict,
 )
 from prulab.linalg import RandomSeed, is_unitary
 from prulab.stabilizer import (
-    GammaParams,
     Tableau,
     full_support_probability,
-    gamma_state,
     measurement_support,
     random_clifford_rng,
     sample_from_support,
     stabilizer_state_count,
     symplectic_from_index,
     symplectic_group_order,
-    tableau_from_json_dict,
-    tableau_to_json_dict,
     tableau_to_statevector,
     tableau_to_unitary,
 )
@@ -131,7 +131,7 @@ class TestRandomClifford:
     def test_symplectic_invariant(self):
         for n in (1, 2, 5):
             t = random_clifford(n, RandomSeed(n))
-            assert t.check_symplectic()
+            assert is_symplectic(t)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -197,7 +197,7 @@ class TestRandomClifford:
         for px, pz in itertools.permutations(paulis, 2):
             for r in itertools.product((0, 1), repeat=2):
                 t = Tableau(1, [[px[0]], [pz[0]]], [[px[1]], [pz[1]]], r)
-                assert t.check_symplectic()
+                assert is_symplectic(t)
                 images.append(tableau_to_unitary(t))
         closure = single_qubit_cliffords()
         overlaps = np.array([[abs(np.trace(a.conj().T @ b)) / 2 for b in closure]
@@ -429,35 +429,3 @@ class TestFullSupportProbability:
     def test_monotone_decreasing(self):
         vals = [full_support_probability(n) for n in range(1, 12)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-class TestSerialization:
-    def test_tableau_round_trip(self):
-        t = random_clifford(5, RandomSeed(2))
-        d = tableau_to_json_dict(t)
-        assert tableau_from_json_dict(d) == t
-
-    def test_hex_layout(self):
-        # column j is bit j; x and z rows take n bits' worth of digits, r 2n
-        d = tableau_to_json_dict(hadamards(5))
-        assert d == {"n": 5, "x": ["00", "00", "00", "00", "00", "01", "02", "04", "08", "10"],
-                     "z": ["01", "02", "04", "08", "10", "00", "00", "00", "00", "00"],
-                     "r": "000"}
-
-    @pytest.mark.parametrize("field, value, cause", [
-        ("x", ["01", "02"], "'x' needs a list of 4 hex rows"),
-        ("z", ["00", "00", "01", "02", "00"], "'z' needs a list of 4 hex rows"),
-        ("x", "01", "'x' needs a list of 4 hex rows"),
-        ("x", ["05", "02", "00", "00"], "'x' sets bits beyond its 2 columns"),
-        ("r", "10", "'r' sets bits beyond its 4 columns"),
-        ("z", ["00", "00", "1g", "02"], "'z' holds a row that is not hex"),
-        ("z", ["00", "00", "-1", "02"], "'z' sets bits beyond its 2 columns"),
-        ("r", 3, "'r' holds a row that is not hex"),
-        ("x", ["02", "01", "00", "00"], "'x' and 'z' are not symplectic"),
-        ("n", 0, "'n' must be a positive integer"),
-        ("n", 2.0, "'n' must be a positive integer"),
-    ])
-    def test_malformed_json_rejected(self, field, value, cause):
-        d = {**tableau_to_json_dict(Tableau(2)), field: value}
-        with pytest.raises(ValueError, match="tableau fields? " + cause):
-            tableau_from_json_dict(d)

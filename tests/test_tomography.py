@@ -13,6 +13,7 @@ from prulab.linalg import (
     is_unitary,
 )
 from prulab.tomography import (
+    MAX_QUERIES,
     ChannelOracle,
     measured_basis_vectors,
     naive_process_tomography,
@@ -157,9 +158,12 @@ class TestNaiveTomography:
         assert res.queries_used == orc.queries == planned_queries(4, 0.5, 0.1)
 
     def test_resource_cap(self):
+        # 8,968,273 planned queries at (d, eps, eta) = (4, 0.01, 0.01)
+        assert planned_queries(4, 0.01, 0.01) > MAX_QUERIES
         orc = ChannelOracle(haar_unitary(4, RandomSeed(13)))
-        with pytest.raises(ResourceLimitError):
-            naive_process_tomography(orc, 0.01, 0.01, RandomSeed(14), max_queries=100)
+        with pytest.raises(ResourceLimitError, match=f"cap is {MAX_QUERIES}"):
+            naive_process_tomography(orc, 0.01, 0.01, RandomSeed(14))
+        assert orc.queries == 0
 
     def test_parameter_validation(self):
         orc = ChannelOracle(haar_unitary(2, RandomSeed(15)))

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_diamond, random_phase
+from helpers import brute_force_diamond, diag_truncation_distance, random_phase
 from prulab.linalg import RandomSeed, haar_unitary
 from prulab.truncation import (
     DiagonalOracleCircuit,
     DiagonalPhase,
     circuit_truncation_bound,
-    diag_truncation_distance,
     round_k,
     truncate_diagonal,
 )
