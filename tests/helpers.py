@@ -28,7 +28,7 @@ matrix of a PFC sample with the splitmix64 phase PRF its ``phase_key``
 keys, and uniformly random diagonal phase functions.
 
 So do the checks and constructions that only tests use: the symplectic
-form check and hex form of a tableau, the (M, u, v) full-support state
+form check and hex form of a tableau with its validating reader, the (M, u, v) full-support state
 family, the exact diamond distance of one truncated diagonal, the 2->2
 distance with the multiplicativity check of composed symmetric
 ensembles, net composition and dagger closure, and the tomography-based
@@ -57,7 +57,13 @@ from prulab.linalg import (
 )
 from prulab.moments import haar_moment_operator, is_symmetric_ensemble, moment_operator
 from prulab.nets import NetSpec, min_diamond_distance
-from prulab.stabilizer import AffineSupport, Tableau, _pack_rows, tableau_to_unitary
+from prulab.stabilizer import (
+    AffineSupport,
+    Tableau,
+    _pack_rows,
+    _unpack_rows,
+    tableau_to_unitary,
+)
 from prulab.tomography import naive_process_tomography
 from prulab.truncation import DiagonalOracleCircuit, DiagonalPhase, truncate_diagonal
 
@@ -447,6 +453,34 @@ def tableau_to_json_dict(t: Tableau) -> dict:
         return [format(row, f"0{(bits.shape[1] + 3) // 4}x") for row in _pack_rows(bits)]
 
     return {"n": t.n, "x": hexes(t.x), "z": hexes(t.z), "r": hexes(t.r[None, :])[0]}
+
+
+def _hex_rows(field: str, hexes, count: int, width: int) -> list[int]:
+    """``count`` hex rows of at most ``width`` bits from a tableau field."""
+    if not isinstance(hexes, list) or len(hexes) != count:
+        raise ValueError(f"tableau field {field!r} needs a list of {count} hex rows")
+    try:
+        rows = [int(text, 16) for text in hexes]
+    except (TypeError, ValueError):
+        raise ValueError(f"tableau field {field!r} holds a row that is not hex") from None
+    if not all(0 <= row < 1 << width for row in rows):
+        raise ValueError(f"tableau field {field!r} sets bits beyond its {width} columns")
+    return rows
+
+
+def tableau_from_json_dict(d: dict) -> Tableau:
+    """Inverse of `tableau_to_json_dict`, rejecting wrong row counts, bits
+    beyond the row width and non-symplectic tableaus."""
+    n = d["n"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"tableau field 'n' must be a positive integer, got {n!r}")
+    x, z = (_unpack_rows(_hex_rows(key, d[key], 2 * n, n), n) for key in ("x", "z"))
+    r = _unpack_rows(_hex_rows("r", [d["r"]], 1, 2 * n), 2 * n)[0]
+    t = Tableau(n, x, z, r)
+    if not is_symplectic(t):
+        raise ValueError("tableau fields 'x' and 'z' are not symplectic: "
+                         "their rows must commute except for the X_j/Z_j pairs")
+    return t
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from helpers import (
     support_contains,
     support_members,
     symplectic_from_index_bits,
+    tableau_from_json_dict,
     tableau_to_json_dict,
 )
 from prulab.linalg import RandomSeed, is_unitary
@@ -429,3 +430,35 @@ class TestFullSupportProbability:
     def test_monotone_decreasing(self):
         vals = [full_support_probability(n) for n in range(1, 12)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+class TestSerialization:
+    def test_tableau_round_trip(self):
+        t = random_clifford(5, RandomSeed(2))
+        d = tableau_to_json_dict(t)
+        assert tableau_from_json_dict(d) == t
+
+    def test_hex_layout(self):
+        # column j is bit j; x and z rows take n bits' worth of digits, r 2n
+        d = tableau_to_json_dict(hadamards(5))
+        assert d == {"n": 5, "x": ["00", "00", "00", "00", "00", "01", "02", "04", "08", "10"],
+                     "z": ["01", "02", "04", "08", "10", "00", "00", "00", "00", "00"],
+                     "r": "000"}
+
+    @pytest.mark.parametrize("field, value, cause", [
+        ("x", ["01", "02"], "'x' needs a list of 4 hex rows"),
+        ("z", ["00", "00", "01", "02", "00"], "'z' needs a list of 4 hex rows"),
+        ("x", "01", "'x' needs a list of 4 hex rows"),
+        ("x", ["05", "02", "00", "00"], "'x' sets bits beyond its 2 columns"),
+        ("r", "10", "'r' sets bits beyond its 4 columns"),
+        ("z", ["00", "00", "1g", "02"], "'z' holds a row that is not hex"),
+        ("z", ["00", "00", "-1", "02"], "'z' sets bits beyond its 2 columns"),
+        ("r", 3, "'r' holds a row that is not hex"),
+        ("x", ["02", "01", "00", "00"], "'x' and 'z' are not symplectic"),
+        ("n", 0, "'n' must be a positive integer"),
+        ("n", 2.0, "'n' must be a positive integer"),
+    ])
+    def test_malformed_json_rejected(self, field, value, cause):
+        d = {**tableau_to_json_dict(Tableau(2)), field: value}
+        with pytest.raises(ValueError, match="tableau fields? " + cause):
+            tableau_from_json_dict(d)
