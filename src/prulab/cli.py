@@ -27,14 +27,23 @@ from prulab.util import config_hash, report_dict
 
 
 class _Parser(argparse.ArgumentParser):
+    #: on the bounds parser, the formula names, whose flags follow the name
+    formulas = ()
+
     def error(self, message):
         # main reports it as every other usage error: "error: ..." and exit 1
         raise ValueError(f"{message}\n{self.format_usage().rstrip()}")
 
-    def parse_known_args(self, *args, **kwargs):
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse would take the flag's value for the formula name and
+        # report that value as an unknown formula
+        if self.formulas and args and args[0].startswith("-") and args[0] not in ("-h", "--help"):
+            flag = args[0].split("=")[0]
+            formula = next((a for a in args if a in self.formulas), "<formula>")
+            self.error(f"{flag} goes after the formula name (prulab bounds {formula} {flag} ...)")
         # a sub-parser rejects its own leftovers, so the usage line shown is
         # that of the command or formula, not the top parser's
-        namespace, extras = super().parse_known_args(*args, **kwargs)
+        namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")
         return namespace, extras
@@ -94,6 +103,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bounds", help="cardinality/entropy bound calculators")
     formulas = p.add_subparsers(dest="formula", required=True)
+    p.formulas = formulas.choices
     f = {}
     for name in ("prior-support", "improved-support", "rom-input-length",
                  "trivial-rompru", "scalable-check", "net-size"):

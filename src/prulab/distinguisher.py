@@ -188,12 +188,15 @@ def run_collision_distinguisher(oracle, params: DistinguisherParams,
     if estimator not in ("mean", "median"):
         raise ValueError("estimator must be 'mean' or 'median'")
     t, k = params.t, params.k_blocks
-    # the int64 blocks, their concatenation and its sorted copy
+    # the int64 outcomes, their sorted copy and its int64 equal-neighbour flags
     ensure_budget(24 * k * t, "collision test outcomes")
-    draws = [oracle.draw(t) for _ in range(k)]
-    if set(map(len, draws)) != {t}:
-        raise ValueError("oracle returned short block (oracle exhaustion)")
-    blocks = blocked_collision_counts(np.concatenate(draws).reshape(k, t))
+    outcomes = np.empty((k, t), dtype=np.int64)
+    for b in range(k):
+        block = oracle.draw(t)
+        if len(block) != t:
+            raise ValueError("oracle returned short block (oracle exhaustion)")
+        outcomes[b] = block
+    blocks = blocked_collision_counts(outcomes)
     m = float(np.mean(blocks)) if estimator == "mean" else float(np.median(blocks))
     verdict = "Haar" if abs(m - params.center) <= params.alpha else "PFC"
     return CollisionReport(params, blocks, m, verdict, estimator=estimator)

@@ -1,6 +1,6 @@
 """Epsilon-net coverage estimation over the unitary group.
 
-Monte Carlo exposure estimates in diamond distance, brute-force product
+Monte Carlo exposure estimates in diamond distance, exact product
 covering, and the ball-volume cardinality lower bound.
 """
 
@@ -21,9 +21,17 @@ from prulab.linalg import (
 from prulab.util import wilson_interval
 
 
-#: rows of the pair-trace matrix that cover_with_product holds at once;
-#: 32 rows of a 2000-element net (1.5 MB) stay in cache, measured fastest
+#: height of the pair-trace gemm blocks that cover_with_product reads its
+#: d = 2 candidates' traces from.  A net of at most this size is one block,
+#: the full m x m gemm; the blocks of a larger net give the full gemm's
+#: entries bit for bit, which a 1-row gemm (numpy sends it to gemv) or a
+#: single-pair dot need not
 _PAIR_BLOCK_ROWS = 32
+
+#: slack on the approximate pair rank 4 - |tr|^2 within which d = 2
+#: candidates are re-ranked exactly: rounding is about 1e-15, and inputs
+#: unitary only to linalg.UNITARY_TOL move the quaternion rank by about 1e-9
+_RANK_SLACK = 1e-8
 
 
 @dataclass
@@ -105,49 +113,113 @@ def exposure_estimate(net: NetSpec, eps: float, samples: int,
     return CoverageReport(eps, exposed / samples, samples, half)
 
 
+def _quaternions(ws: np.ndarray) -> np.ndarray:
+    """Rows q(W) = (Re a, Im a, Re b, Im b) of W / sqrt(det W) =
+    [[a, b], [-conj(b), conj(a)]] for a stack of 2x2 unitaries, as a
+    (4, len(ws)) array; q is fixed up to sign, and for unitaries A, B
+    |tr(A B^dag)| = 2 |<q(A), q(B)>|."""
+    det = ws[:, 0, 0] * ws[:, 1, 1] - ws[:, 0, 1] * ws[:, 1, 0]
+    top = ws[:, 0, :] / np.sqrt(det)[:, None]
+    return np.ascontiguousarray(top.view(float).T)
+
+
+def _chord(rank: float) -> float:
+    """R^4 chord from q(B) to the nearer of +-q(A) for a pair whose rank
+    4 - |tr(A B^dag)|^2 is ``rank``."""
+    return math.sqrt(max(2.0 - 2.0 * math.sqrt(max(1.0 - rank / 4.0, 0.0)), 0.0))
+
+
+def _product_cover_d2(u: np.ndarray, net: NetSpec) -> tuple[np.ndarray, np.ndarray, float]:
+    """The d = 2 branch of cover_with_product: a nearest-pair search over
+    unit quaternions, whose best few pairs are re-ranked by their
+    pair-trace entries."""
+    m = len(net)
+    stacked = net.unitaries
+    rows = min(m, _PAIR_BLOCK_ROWS)
+    # one gemm block, then per element about 512 bytes: h, both quaternion
+    # sets, the sorted keys and the three search ranges of each query
+    fixed = 16 * rows * m + 512 * m
+    ensure_budget(fixed, "product cover search")
+    # dist(V1 V2^dag, u) = sqrt(4 - |tr(V2 V1^dag u)|^2) and
+    # |tr(V2 V1^dag u)| = 2 |<q(V2), q(u^dag V1)>|, so the best pair is the
+    # R^4-closest pair of a query q(u^dag V1_i) and a point +-q(V2_j)
+    h = np.einsum("kij,il->klj", stacked.conj(), u).reshape(m, 4)  # rows vec((V1_i^dag u)^T)
+    g = stacked.reshape(m, 4)
+    queries = _quaternions(h.conj().reshape(m, 2, 2))  # conj(h_i) is u^dag V1_i, row-major
+    half = _quaternions(stacked)
+    points = np.concatenate([half, -half], axis=1)  # point k is net row k % m
+    if not (np.isfinite(queries).all() and np.isfinite(half).all()):
+        raise ValueError("the d = 2 product cover needs unitary u and net elements")
+    # about 1.5x the expected smallest angle among m^2 pairs in projective 3-space
+    w = 1.5 * (3 * math.pi / (4 * m * m)) ** (1 / 3)
+    while True:
+        # slabs of width w in x0, each sorted by x1: a point within chord w
+        # of a query lies in the query's slab or a next one, within x1 +- w
+        keys = np.floor((points[0] + 1) / w) * 4 + points[1]
+        order = np.argsort(keys)
+        keys = keys[order]
+        # sorted needles make searchsorted's probes cache-friendly
+        qkeys = np.floor((queries[0] + 1) / w) * 4 + queries[1]
+        qorder = np.argsort(qkeys)
+        centre = qkeys[qorder] + np.array([[-4.0], [0.0], [4.0]])
+        lo = np.searchsorted(keys, centre - (w + 1e-9)).ravel()
+        counts = np.searchsorted(keys, centre + (w + 1e-9), side="right").ravel() - lo
+        total = int(counts.sum())
+        if total == 0:
+            w *= 2  # at w >= 2 every pair is in the window
+            continue
+        ensure_budget(fixed + 48 * total, "product cover search")
+        ends = np.cumsum(counts)
+        pt = order[np.arange(total) + np.repeat(lo - (ends - counts), counts)]
+        qi = np.repeat(np.tile(qorder, 3), counts)
+        s = queries[0][qi] * points[0][pt]
+        for c in (1, 2, 3):
+            s += queries[c][qi] * points[c][pt]
+        approx = 4.0 - 4.0 * s * s
+        best = float(approx.min())
+        bound = _chord(best + _RANK_SLACK)
+        if bound <= w:
+            break
+        w = bound  # every pair within _RANK_SLACK of the best lies within chord w
+    keep = approx <= best + _RANK_SLACK
+    # sorted flat indices j m + i are in (V2, V1) row-major order; a pair
+    # found twice, through +q and -q, ties with itself
+    flat = np.sort(pt[keep] % m * m + qi[keep])
+    js, iis = np.divmod(flat, m)
+    # each candidate's trace, read from the block that holds its row
+    starts = np.minimum(js // rows * rows, m - rows)
+    tr = np.empty((rows, m), dtype=complex)
+    picked = np.empty(len(flat), dtype=complex)
+    for r0 in dict.fromkeys(starts.tolist()):
+        at_r0 = starts == r0
+        np.matmul(g[r0:r0 + rows], h.T, out=tr)  # tr[j, i] = tr(V2_{r0+j} V1_i^dag u)
+        picked[at_r0] = tr[js[at_r0] - r0, iis[at_r0]]
+    ranks = 4.0 - np.minimum(np.abs(picked) ** 2, 4.0)
+    k = int(np.argmin(ranks))  # first minimum in row-major order
+    return stacked[iis[k]], stacked[js[k]], math.sqrt(max(float(ranks[k]), 0.0))
+
+
 def cover_with_product(u: np.ndarray, net: NetSpec) -> tuple[np.ndarray, np.ndarray, float]:
     """Best two-element product cover of u: minimize dist(V1 V2^dag, u).
 
-    Exhaustive over all |net|^2 ordered pairs; at d = 2 the pair-trace
-    matrix is streamed in row blocks, and ties go to the first pair in
-    (V2, V1) row-major order.  When the net is an (eps, eta)-relaxed net
-    with eta < 1/2 this lands within 2 eps of a Haar-sampled u with
-    certainty in theory and is checked empirically at that strength, not
-    promised unconditionally.
+    Exact over all |net|^2 ordered pairs, ties going to the first pair in
+    (V2, V1) row-major order.  At d = 2 a nearest-pair search over unit
+    quaternions finds the few pairs near the best, and only those are
+    ranked by the pair-trace entries of the exhaustive search, so the pair
+    and the bits of its distance are the exhaustive search's.  Like
+    ``diamond_distance_batch``'s closed form, that path assumes u and the
+    net elements are unitary to ``linalg.UNITARY_TOL``.  When the net is an
+    (eps, eta)-relaxed net with eta < 1/2 this lands within 2 eps of a
+    Haar-sampled u with certainty in theory and is checked empirically at
+    that strength, not promised unconditionally.
     """
     if u.shape != (net.dim, net.dim):
         raise ValueError("dimension mismatch")
+    if net.dim == 2:
+        return _product_cover_d2(u, net)
     m = len(net)
     d = net.dim
     stacked = net.unitaries
-    if d == 2:
-        # dist(V1 V2^dag, u) = sqrt(4 - |tr(V2 V1^dag u)|^2); the trace is a
-        # 4-vector inner product, so each block of V2 rows is one gemm.  It
-        # ranks pairs by the trace itself rather than calling
-        # diamond_distance_batch, which would need every product matrix.
-        rows = min(m, _PAIR_BLOCK_ROWS)
-        ensure_budget(24 * rows * m + 48 * m * d * d, "product cover search")
-        h = np.einsum("kij,il->klj", stacked.conj(), u).reshape(m, 4)  # rows vec((V1_i^dag u)^T)
-        g = stacked.reshape(m, 4)
-        tr = np.empty((rows, m), dtype=complex)
-        rank = np.empty((rows, m))
-        best = []  # (rank, flat index) of each block's first argmin
-        # the last block ends at row m and overlaps its predecessor, so every
-        # gemm has the same height: numpy sends a 1-row remainder to gemv,
-        # whose sums can differ from gemm's in the last bit
-        for r0 in [*range(0, m - rows, rows), m - rows]:
-            np.matmul(g[r0:r0 + rows], h.T, out=tr)  # tr[j, i] = tr(V2_{r0+j} V1_i^dag u)
-            np.abs(tr, out=rank)
-            np.square(rank, out=rank)
-            np.minimum(rank, 4.0, out=rank)
-            np.subtract(4.0, rank, out=rank)
-            k = int(np.argmin(rank))
-            best.append((rank.flat[k], r0 * m + k))
-        # argmin over the block minima keeps np.argmin's first-occurrence
-        # rule for the whole m x m matrix, NaN included
-        d2, flat = best[int(np.argmin([b[0] for b in best]))]
-        j, i = divmod(flat, m)
-        return net.unitaries[i], net.unitaries[j], math.sqrt(max(float(d2), 0.0))
     ensure_budget(48 * m * d * d, "product cover search")
     best = (np.inf, 0, 0)
     for i, v1 in enumerate(net.unitaries):

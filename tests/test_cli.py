@@ -422,6 +422,8 @@ class TestCli:
          "unrecognized arguments: --t 3\nusage: prulab bounds net-size"),
         (["design-distance", "--ensemble", "pauli-1", "--t", "4", "--mem-budget", "0.00001"],
          "moment superoperator needs 3.15e+06 bytes, budget is 10737 (raise it with --mem-budget"),
+        (["bounds", "--d", "2", "net-size", "--eps", "0.5"],
+         "--d goes after the formula name (prulab bounds net-size --d ...)\nusage: prulab bounds"),
     ], ids=["n-out-of-range", "no-ensemble", "both-ensembles", "unknown-ensemble",
             "no-net", "no-t", "no-kappa", "zero-mem-budget", "negative-mem-budget",
             "net-size-no-eps", "scalable-check-no-q", "fractional-t", "fractional-sweep-t",
@@ -444,7 +446,8 @@ class TestCli:
             "tomo-eps-negative", "tomo-eta-one", "tomo-eta-zero", "prior-support-delta",
             "design-distance-t-zero", "design-distance-t-five", "truncate-k-negative",
             "truncate-k-2000", "pfc-outcomes-over-budget", "pfc-small-n-outcomes-over-budget",
-            "unknown-flag-shows-formula-usage", "budget-error-names-mem-budget"])
+            "unknown-flag-shows-formula-usage", "budget-error-names-mem-budget",
+            "flag-before-formula"])
     def test_usage_error_names_its_cause(self, argv, cause, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1

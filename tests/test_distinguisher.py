@@ -272,7 +272,8 @@ class TestCollisionDistinguisher:
         assert calls == [8] * 37
 
     def test_outcome_working_set_is_budgeted_before_any_draw(self):
-        # 24 bytes per outcome: the int64 blocks, their concatenation and its sorted copy
+        # 24 bytes per outcome: the int64 outcomes, their sorted copy and its
+        # int64 equal-neighbour flags
         calls = []
 
         class Counting(_ConstantOracle):

@@ -12,6 +12,7 @@ from prulab.linalg import (
     ResourceLimitError,
     diamond_distance_unitaries,
     haar_unitary,
+    is_unitary,
     memory_budget_bytes,
     set_memory_budget_bytes,
 )
@@ -278,6 +279,92 @@ class TestStreamedPairSearch:
         budget(16 * 40)
         with pytest.raises(ResourceLimitError):
             cover_with_product(u, net)
+
+
+@pytest.fixture(scope="module")
+def c7_net():
+    return NetSpec.haar_sample(2, 2000, RandomSeed(9300))
+
+
+class TestQuaternionPairSearch:
+    """The d = 2 search ranks pairs by unit-quaternion chords and re-ranks
+    the few near the best in the pair-trace arithmetic; it must return the
+    unblocked argmin's pair and distance bits."""
+
+    def test_trace_is_twice_the_quaternion_inner_product(self):
+        seed = RandomSeed(610)
+        a = np.array([haar_unitary(2, seed.child(2 * i)) for i in range(200)])
+        b = np.array([haar_unitary(2, seed.child(2 * i + 1)) for i in range(200)])
+        tr = np.einsum("kij,kij->k", a, b.conj())  # tr(A B^dag)
+        inner = np.einsum("ck,ck->k", nets._quaternions(a), nets._quaternions(b))
+        assert np.max(np.abs(np.abs(tr) - 2 * np.abs(inner))) <= 1e-14
+
+    def test_thousand_queries_on_the_c7_net(self, c7_net):
+        seed = RandomSeed(9303)
+        for i in range(1000):
+            _assert_matches_unblocked(haar_unitary(2, seed.child(i)), c7_net)
+
+    def test_duplicate_heavy_net_ties_to_the_first_pair(self):
+        # a 50-element net repeated 8 times: every pair has 63 exact twins
+        base = NetSpec.haar_sample(2, 50, RandomSeed(611)).unitaries
+        net = NetSpec(2, np.concatenate([base] * 8))
+        us = net.unitaries
+        seed = RandomSeed(612)
+        queries = [haar_unitary(2, seed.child(i)) for i in range(20)]
+        queries += [us[a] @ us[b].conj().T for a, b in [(3, 7), (357, 399), (49, 50), (0, 0)]]
+        picks = [_assert_matches_unblocked(u, net) for u in queries]
+        picks.append(_assert_matches_unblocked(np.eye(2, dtype=complex), net))
+        assert all(v1 < 50 and v2 < 50 for v1, v2, _ in picks)
+        assert picks[-1][:2] == (0, 0) and picks[-1][2] == 0.0
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_every_small_net_size(self, m):
+        net = NetSpec.haar_sample(2, m, RandomSeed(613 + m))
+        us = net.unitaries
+        seed = RandomSeed(625)
+        queries = [haar_unitary(2, seed.child(i)) for i in range(20)]
+        queries += [us[m - 1] @ us[0].conj().T, np.eye(2, dtype=complex)]
+        for u in queries:
+            _assert_matches_unblocked(u, net)
+
+    def test_empty_first_windows_widen(self):
+        # every q(V2) is +-(0, 1, 0, 0) and every query (1, 0, 0, 0): they
+        # differ by 1 in both x0 and x1, so the window holds nothing until w
+        # doubles past 1, and all 100 pairs tie at the largest distance 2
+        iz = np.diag([1j, -1j])
+        net = NetSpec(2, [iz] * 10)
+        assert _assert_matches_unblocked(iz, net) == (0, 0, 2.0)
+
+    def test_net_perturbed_within_unitary_tol(self, c7_net):
+        rng = np.random.default_rng(614)
+        noise = rng.standard_normal((2000, 2, 2)) + 1j * rng.standard_normal((2000, 2, 2))
+        noise *= 3e-11 / np.abs(noise).max()
+        net = NetSpec(2, c7_net.unitaries + noise)
+        assert all(is_unitary(v) for v in net.unitaries)
+        assert not all(is_unitary(v, 1e-13) for v in net.unitaries)
+        us = net.unitaries
+        seed = RandomSeed(615)
+        queries = [haar_unitary(2, seed.child(i)) for i in range(40)]
+        queries += [us[a] @ us[b].conj().T for a, b in [(3, 5), (1999, 0), (7, 1999)]]
+        for u in queries:
+            _assert_matches_unblocked(u, net)
+
+    def test_budget_charges_the_candidates(self, budget):
+        # u = I puts all m copies of I in every query's window: m^2 candidates
+        net = NetSpec(2, [np.eye(2, dtype=complex)] * 1000)
+        u = np.eye(2, dtype=complex)
+        budget(16 << 20)  # the fixed arrays fit, 48 bytes for each of 10^6 do not
+        with pytest.raises(ResourceLimitError, match="product cover search"):
+            cover_with_product(u, net)
+        budget(64 << 20)
+        assert _assert_matches_unblocked(u, net) == (0, 0, 0.0)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_input_rejected(self):
+        # a NaN key would keep the window search from ever ending
+        net = NetSpec(2, [np.eye(2, dtype=complex), np.full((2, 2), np.nan + 0j)])
+        with pytest.raises(ValueError, match="unitary"):
+            cover_with_product(np.eye(2, dtype=complex), net)
 
 
 class TestBounds:

@@ -4,6 +4,9 @@ import importlib
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -41,6 +44,25 @@ def test_benchmark_trace_targets_resolve():
         except AttributeError:
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def test_benchmark_modules_load_no_scipy():
+    """The benchmark's set-up processes import these five modules.  In a
+    fresh process on a 2-vCPU Xeon VM, ``import numpy, scipy.spatial``
+    took 0.49-0.65 s and 64.4 MB max RSS, against 0.20 s and 32.3 MB for
+    numpy and these modules, so a scipy.spatial import would add about
+    0.35 s to nets-cover's setup_s (0.4 s) and 32 MB to its peak_rss_mb
+    (47 MB), past both bounds."""
+    code = ("import sys\n"
+            "import prulab.distinguisher, prulab.linalg, prulab.nets, "
+            "prulab.stabilizer, prulab.tomography\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_benchmark_call_binds():
