@@ -2,6 +2,9 @@
 
 The oracle exposes exactly one capability: apply the hidden unitary (with
 an ancilla) to a chosen pure state, counting one query per application.
+The channel is deterministic, so the oracle keeps its last input and output
+and serves a repeat of the same input from that one entry; the learner
+sends the same state on every query and pays one matmul per run.
 The learner entangles and, for each output phi, draws in O(D) the vector
 that measuring phi in a Haar-random basis would select: its squared moduli
 are Dirichlet(2, 1, ..., 1) in any basis holding phi, with independent
@@ -16,13 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from prulab.linalg import RandomSeed, ResourceLimitError
+from prulab.linalg import RandomSeed, ResourceLimitError, ensure_budget, is_unitary
 
 #: repetition-count calibration for the (eps, eta) contract; empirical with
 #: margin at d <= 8, not a claim about the information-theoretic optimum.
 SHOT_CONSTANT = 2.5
 #: most queries naive_process_tomography plans before it refuses to run
 MAX_QUERIES = 2_000_000
+#: queries whose measured vectors naive_process_tomography draws at once
+_CHUNK = 2048
 
 
 class ChannelOracle:
@@ -30,24 +35,40 @@ class ChannelOracle:
 
     Non-adaptive use only; no inverse, conjugate or transpose access.  Each
     ``apply`` call evolves one supplied pure state by U tensor I and
-    increments the query counter exactly once.
+    increments the query counter exactly once, whether it computes the
+    output or serves it from the one-entry cache of the last input.  The
+    returned array is read-only, and calls whose inputs have the same dtype
+    and contents may return the same array.
     """
 
     def __init__(self, hidden: np.ndarray):
-        if hidden.ndim != 2 or hidden.shape[0] != hidden.shape[1]:
-            raise ValueError("hidden unitary must be square")
+        if not is_unitary(hidden):
+            raise ValueError("hidden matrix must be square and unitary")
         self._hidden = hidden.copy()
         self._hidden.setflags(write=False)
         self.dim = hidden.shape[0]
         self.queries = 0
+        self._last_dtype = self._last_bytes = self._last_out = None
 
     def apply(self, state: np.ndarray) -> np.ndarray:
+        """U tensor I applied to ``state``, a read-only vector; one query."""
         d = self.dim
-        if state.ndim != 1 or state.size % d != 0:
-            raise ValueError("state length must be a multiple of the channel dimension")
+        if state.ndim != 1 or state.size == 0 or state.size % d != 0:
+            raise ValueError("state must be a nonempty vector whose length is a multiple "
+                             "of the channel dimension")
+        # keyed by dtype and contents, not identity, so a state edited in
+        # place misses; a hit has the dtype of an input already checked here.
+        # Object arrays are refused: their bytes are pointers, which a freed
+        # and reallocated element can repeat with a new value.
+        data = state.tobytes()
+        if data != self._last_bytes or state.dtype != self._last_dtype:
+            if state.dtype.kind not in "biufc":
+                raise ValueError(f"state must be numeric, got dtype {state.dtype}")
+            out = self._hidden @ state.reshape(d, state.size // d)
+            out.setflags(write=False)
+            self._last_dtype, self._last_bytes, self._last_out = state.dtype, data, out.reshape(-1)
         self.queries += 1
-        anc = state.size // d
-        return (self._hidden @ state.reshape(d, anc)).reshape(-1)
+        return self._last_out
 
 
 @dataclass
@@ -95,14 +116,18 @@ def naive_process_tomography(oracle: ChannelOracle, eps: float, eta: float,
     shots = planned_queries(d, eps, eta)
     if shots > MAX_QUERIES:
         raise ResourceLimitError(f"tomography needs {shots} queries, cap is {MAX_QUERIES}")
-    rng = seed.generator()
     big = d * d
+    # six complex D x D arrays: the accumulator, one chunk's outer-product
+    # sum and the Choi estimate's temporaries up to eigh's eigenvectors; and
+    # eight complex chunk x D arrays: the outputs, draws and measured vectors
+    ensure_budget(16 * big * (6 * big + 8 * min(shots, _CHUNK)), "tomography working set")
+    rng = seed.generator()
     omega = np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
     acc = np.zeros((big, big), dtype=complex)
     done = 0
     while done < shots:
-        chunk = min(shots - done, 2048)
-        phis = np.stack([oracle.apply(omega) for _ in range(chunk)])
+        chunk = min(shots - done, _CHUNK)
+        phis = np.array([oracle.apply(omega) for _ in range(chunk)])
         vs = measured_basis_vectors(phis, rng)
         acc += vs.T @ vs.conj()
         done += chunk

@@ -15,6 +15,8 @@ it in row blocks.
 
 The per-shot Polya urn is the oracle for the vectorised
 `PolyaUrnSampler.draw`: same RNG calls, one predictive step per shot.
+The uncached channel oracle, one matmul per query, is the oracle for
+`ChannelOracle.apply`'s one-entry output cache.
 
 The exact ground truths no program calls live here too, not in
 `prulab`: the Schatten norm behind the diamond oracle, the `np.unique`
@@ -64,7 +66,7 @@ from prulab.stabilizer import (
     _unpack_rows,
     tableau_to_unitary,
 )
-from prulab.tomography import naive_process_tomography
+from prulab.tomography import ChannelOracle, naive_process_tomography
 from prulab.truncation import DiagonalOracleCircuit, DiagonalPhase, truncate_diagonal
 
 #: tolerance of the channel-property checks on moment superoperators
@@ -273,15 +275,32 @@ def haar_basis_measurement(phis: np.ndarray, rng: np.random.Generator) -> np.nda
     return ws[np.arange(shots), :, ks]
 
 
+class UncachedChannelOracle(ChannelOracle):
+    """The per-call oracle behind `ChannelOracle.apply`'s one-entry cache:
+    one matmul per query, a fresh writable output each time."""
+
+    def apply(self, state: np.ndarray) -> np.ndarray:
+        d = self.dim
+        if state.ndim != 1 or state.size % d != 0:
+            raise ValueError("state length must be a multiple of the channel dimension")
+        self.queries += 1
+        anc = state.size // d
+        return (self._hidden @ state.reshape(d, anc)).reshape(-1)
+
+
 def cover_with_product_unblocked(u: np.ndarray, net) -> tuple[np.ndarray, np.ndarray, float]:
     """The d = 2 pair search over the full m x m trace matrix: one gemm,
-    the clamped rank 4 - min(|tr|^2, 4), one row-major argmin."""
+    the clamped rank 4 - min(|tr|^2, 4) computed in place on |tr|, one
+    row-major argmin."""
     m = len(net)
     stacked = net.unitaries
     h = np.einsum("kij,il->klj", stacked.conj(), u).reshape(m, 4)
     g = stacked.reshape(m, 4)
     tr = g @ h.T  # tr[j, i] = tr(V2_j V1_i^dag u)
-    d2 = 4.0 - np.minimum(np.abs(tr) ** 2, 4.0)
+    d2 = np.abs(tr)
+    np.square(d2, out=d2)
+    np.minimum(d2, 4.0, out=d2)
+    np.subtract(4.0, d2, out=d2)
     j, i = np.unravel_index(int(np.argmin(d2)), d2.shape)
     best = math.sqrt(max(float(d2[j, i]), 0.0))
     return net.unitaries[i], net.unitaries[j], best

@@ -424,6 +424,9 @@ class TestCli:
          "moment superoperator needs 3.15e+06 bytes, budget is 10737 (raise it with --mem-budget"),
         (["bounds", "--d", "2", "net-size", "--eps", "0.5"],
          "--d goes after the formula name (prulab bounds net-size --d ...)\nusage: prulab bounds"),
+        (["tomo-demo", "--d", "8", "--eps", "1.9", "--eta", "0.5", "--seed", "1",
+          "--mem-budget", "0.00001"],
+         "tomography working set needs 5.32e+06 bytes, budget is 10737"),
     ], ids=["n-out-of-range", "no-ensemble", "both-ensembles", "unknown-ensemble",
             "no-net", "no-t", "no-kappa", "zero-mem-budget", "negative-mem-budget",
             "net-size-no-eps", "scalable-check-no-q", "fractional-t", "fractional-sweep-t",
@@ -447,7 +450,7 @@ class TestCli:
             "design-distance-t-zero", "design-distance-t-five", "truncate-k-negative",
             "truncate-k-2000", "pfc-outcomes-over-budget", "pfc-small-n-outcomes-over-budget",
             "unknown-flag-shows-formula-usage", "budget-error-names-mem-budget",
-            "flag-before-formula"])
+            "flag-before-formula", "tomo-over-budget"])
     def test_usage_error_names_its_cause(self, argv, cause, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import haar_basis_measurement
+from helpers import UncachedChannelOracle, haar_basis_measurement
 from scipy.stats import beta, kstest
 
 from prulab.linalg import (
@@ -11,6 +11,8 @@ from prulab.linalg import (
     diamond_distance_unitaries,
     haar_unitary,
     is_unitary,
+    memory_budget_bytes,
+    set_memory_budget_bytes,
 )
 from prulab.tomography import (
     MAX_QUERIES,
@@ -49,6 +51,99 @@ class TestChannelOracle:
         orc = ChannelOracle(haar_unitary(2, RandomSeed(3)))
         with pytest.raises(ValueError):
             orc.apply(np.zeros(3, dtype=complex))
+
+
+def random_state(size, rng):
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+class TestChannelOracleCache:
+    """The one-entry output cache against the uncached per-call oracle."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_tomography_matches_uncached_oracle(self, d):
+        seed = RandomSeed(9500 + d)
+        for i in range(3):
+            u = haar_unitary(d, seed.child(2 * i))
+            fast, slow = ChannelOracle(u), UncachedChannelOracle(u)
+            r1 = naive_process_tomography(fast, 0.5, 0.1, seed.child(2 * i + 1))
+            r2 = naive_process_tomography(slow, 0.5, 0.1, seed.child(2 * i + 1))
+            assert r1.u_hat.tobytes() == r2.u_hat.tobytes()
+            assert r1.queries_used == r2.queries_used == fast.queries == slow.queries
+
+    def test_alternating_inputs_get_their_own_outputs(self):
+        u = haar_unitary(3, RandomSeed(30))
+        orc, ref = ChannelOracle(u), UncachedChannelOracle(u)
+        rng = np.random.default_rng(31)
+        a, b = random_state(6, rng), random_state(6, rng)
+        for state in (a, b, a):
+            out = orc.apply(state)
+            assert out.tobytes() == ref.apply(state).tobytes()
+            assert np.allclose(out, np.kron(u, np.eye(2)) @ state)
+        assert orc.queries == 3
+
+    def test_same_bytes_different_dtype(self):
+        u = haar_unitary(2, RandomSeed(32))
+        orc, ref = ChannelOracle(u), UncachedChannelOracle(u)
+        z = random_state(4, np.random.default_rng(33))
+        x = z.view(np.float64)
+        assert z.tobytes() == x.tobytes()
+        out_z, out_x = orc.apply(z), orc.apply(x)
+        assert out_z.dtype == complex and out_z.shape == (4,)
+        assert out_x.dtype == complex and out_x.shape == (8,)
+        assert out_z.tobytes() == ref.apply(z).tobytes()
+        assert out_x.tobytes() == ref.apply(x).tobytes()
+        assert np.allclose(out_x, np.kron(u, np.eye(4)) @ x)
+
+    def test_state_edited_in_place_misses(self):
+        u = haar_unitary(2, RandomSeed(34))
+        orc, ref = ChannelOracle(u), UncachedChannelOracle(u)
+        rng = np.random.default_rng(35)
+        state = random_state(4, rng)
+        first = orc.apply(state).copy()
+        state[:] = random_state(4, rng)
+        out = orc.apply(state)
+        assert out.tobytes() == ref.apply(state).tobytes()
+        assert not np.allclose(out, first)
+
+    def test_output_is_read_only(self):
+        u = haar_unitary(2, RandomSeed(36))
+        orc, ref = ChannelOracle(u), UncachedChannelOracle(u)
+        state = random_state(4, np.random.default_rng(37))
+        out = orc.apply(state)
+        with pytest.raises(ValueError):
+            out[0] = 0.0
+        with pytest.raises(ValueError):
+            out.base[0, 0] = 0.0
+        assert orc.apply(state).tobytes() == ref.apply(state).tobytes()
+
+    def test_cached_call_counts_one_query(self):
+        orc = ChannelOracle(haar_unitary(2, RandomSeed(38)))
+        state = random_state(4, np.random.default_rng(39))
+        first = orc.apply(state)
+        assert orc.apply(state) is first
+        assert orc.queries == 2
+
+
+class TestChannelOracleRejects:
+    @pytest.mark.parametrize("hidden", [
+        np.ones((2, 2)),
+        np.full((2, 2), np.nan),
+        np.eye(3)[:, :2],
+    ], ids=["not-unitary", "nan", "not-square"])
+    def test_hidden_matrix_must_be_unitary(self, hidden):
+        with pytest.raises(ValueError, match="square and unitary"):
+            ChannelOracle(hidden)
+
+    @pytest.mark.parametrize("state, reason", [
+        (np.zeros(0, dtype=complex), "nonempty"),
+        (np.array([1.0, 0.0], dtype=object), "numeric"),
+    ], ids=["empty", "object-dtype"])
+    def test_bad_state_counts_no_query(self, state, reason):
+        orc = ChannelOracle(np.eye(2))
+        with pytest.raises(ValueError, match=reason):
+            orc.apply(state)
+        assert orc.queries == 0
 
 
 def unit_rows(shots, dim, rng):
@@ -164,6 +259,36 @@ class TestNaiveTomography:
         with pytest.raises(ResourceLimitError, match=f"cap is {MAX_QUERIES}"):
             naive_process_tomography(orc, 0.01, 0.01, RandomSeed(14))
         assert orc.queries == 0
+
+    def test_working_set_is_budgeted_before_any_query(self):
+        # 601 queries at d = 8: six complex 64 x 64 arrays and eight complex
+        # 601 x 64 arrays
+        charge = 16 * 64 * (6 * 64 + 8 * 601)
+        before = memory_budget_bytes()
+        try:
+            set_memory_budget_bytes(charge - 1)
+            orc = ChannelOracle(haar_unitary(8, RandomSeed(40)))
+            with pytest.raises(ResourceLimitError, match="tomography working set needs"):
+                naive_process_tomography(orc, 1.9, 0.5, RandomSeed(41))
+            assert orc.queries == 0
+            set_memory_budget_bytes(charge)
+            res = naive_process_tomography(orc, 1.9, 0.5, RandomSeed(41))
+        finally:
+            set_memory_budget_bytes(before)
+        assert res.queries_used == orc.queries == planned_queries(8, 1.9, 0.5) == 601
+
+    def test_large_dimension_refused_under_the_query_cap(self):
+        # 1.92M planned queries pass the cap, but the 19600^2 accumulator
+        # alone is 6.1 GB.  A query fails the test at once, before the
+        # first chunk's gigabytes of draws would be allocated.
+        class NoQueries(ChannelOracle):
+            def apply(self, state):
+                raise AssertionError("queried before the working set was charged")
+
+        assert planned_queries(140, 1.9, 0.99) <= MAX_QUERIES
+        orc = NoQueries(haar_unitary(140, RandomSeed(42)))
+        with pytest.raises(ResourceLimitError, match="tomography working set needs"):
+            naive_process_tomography(orc, 1.9, 0.99, RandomSeed(43))
 
     def test_parameter_validation(self):
         orc = ChannelOracle(haar_unitary(2, RandomSeed(15)))
