@@ -3,12 +3,14 @@
 Uniform Clifford sampling through the canonical symplectic-index
 construction, computational-basis measurement supports of stabilizer
 states, dense tableau unitaries read off the tableau's Pauli rows, the
-share of full-support states and the stabilizer-state count.  Sampling and
-support extraction work on packed rows, one Python int per row, so a row
-operation is one XOR and an inner product a popcount.  Symplectic rows
-keep column j as bit j; support rows put qubit 0 in the most significant
-bit, so a support's basis, offset and samples are outcome indices as they
-stand.
+share of full-support states and the stabilizer-state count.
+
+A tableau keeps each Pauli row as one Python int, interleaved: x_q at bit
+2q and z_q at bit 2q+1.  The sampler builds those rows and the support
+extraction reduces them, so a row operation is one XOR and an inner
+product a popcount, with no bit arrays between the two.  Supports are
+outcome indices with qubit 0 as the most significant bit, so their basis,
+offset and samples index `tableau_to_statevector` as they stand.
 """
 
 from __future__ import annotations
@@ -31,34 +33,66 @@ class Tableau:
     Row j < n holds the conjugate of X_j, row n+j the conjugate of Z_j, each
     encoded as x/z bit vectors plus a sign bit r; a row with bits (x, z, r)
     stands for the Hermitian Pauli (-1)^r prod_q sigma(x_q, z_q) where
-    sigma(1,1) = Y.  Tableaus are immutable once handed out.
+    sigma(1,1) = Y.  ``rows`` holds row j as one int with x_q at bit 2q and
+    z_q at bit 2q+1; the (2n, n) bit blocks ``x`` and ``z`` are unpacked
+    from it on first use.  Build one from all three blocks x, z and r, or
+    from none for the identity.  Tableaus are immutable: ``x``, ``z`` and
+    ``r`` are read-only arrays.
     """
 
-    __slots__ = ("n", "x", "z", "r")
+    __slots__ = ("n", "rows", "r", "_xz")
 
     def __init__(self, n: int, x=None, z=None, r=None):
         if n < 1:
             raise ValueError("need at least one qubit")
-        self.n = n
-        if x is None:
-            self.x = np.zeros((2 * n, n), dtype=np.uint8)
-            self.z = np.zeros((2 * n, n), dtype=np.uint8)
-            self.x[:n] = np.eye(n, dtype=np.uint8)
-            self.z[n:] = np.eye(n, dtype=np.uint8)
-            self.r = np.zeros(2 * n, dtype=np.uint8)
+        missing = [name for name, block in (("x", x), ("z", z), ("r", r)) if block is None]
+        if len(missing) == 3:
+            rows = [1 << 2 * j for j in range(n)] + [2 << 2 * j for j in range(n)]
+            r = np.zeros(2 * n, dtype=np.uint8)
+        elif missing:
+            raise ValueError(f"tableau needs all of x, z and r or none; missing {', '.join(missing)}")
         else:
-            self.x = np.asarray(x, dtype=np.uint8) % 2
-            self.z = np.asarray(z, dtype=np.uint8) % 2
-            self.r = np.asarray(r, dtype=np.uint8) % 2
-            if self.x.shape != (2 * n, n) or self.z.shape != (2 * n, n) or self.r.shape != (2 * n,):
+            x = np.asarray(x, dtype=np.uint8) % 2
+            z = np.asarray(z, dtype=np.uint8) % 2
+            r = np.asarray(r, dtype=np.uint8) % 2
+            if x.shape != (2 * n, n) or z.shape != (2 * n, n) or r.shape != (2 * n,):
                 raise ValueError("tableau block shapes inconsistent with n")
+            g = np.empty((2 * n, 2 * n), dtype=np.uint8)
+            g[:, 0::2], g[:, 1::2] = x, z
+            rows = _pack_rows(g)
+        self._set(n, rows, r)
+
+    @classmethod
+    def _from_rows(cls, n: int, rows: list[int], r: np.ndarray) -> Tableau:
+        """A tableau of packed rows and a fresh 0/1 sign array, unchecked."""
+        t = cls.__new__(cls)
+        t._set(n, rows, r)
+        return t
+
+    def _set(self, n: int, rows: list[int], r: np.ndarray) -> None:
+        r.flags.writeable = False
+        self.n, self.rows, self.r, self._xz = n, tuple(rows), r, None
+
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._xz is None:
+            g = _unpack_rows(self.rows, 2 * self.n)
+            g.flags.writeable = False
+            self._xz = g[:, 0::2], g[:, 1::2]
+        return self._xz
+
+    @property
+    def x(self) -> np.ndarray:
+        return self._blocks()[0]
+
+    @property
+    def z(self) -> np.ndarray:
+        return self._blocks()[1]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Tableau)
             and self.n == other.n
-            and np.array_equal(self.x, other.x)
-            and np.array_equal(self.z, other.z)
+            and self.rows == other.rows
             and np.array_equal(self.r, other.r)
         )
 
@@ -71,7 +105,7 @@ def _pack_rows(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(buf[j: j + width], "little") for j in range(0, len(buf), width)]
 
 
-def _unpack_rows(rows: list[int], width: int) -> np.ndarray:
+def _unpack_rows(rows: list[int] | tuple[int, ...], width: int) -> np.ndarray:
     """Inverse of `_pack_rows`: a (len(rows), width) uint8 bit array."""
     nbytes = (width + 7) // 8
     buf = b"".join(row.to_bytes(nbytes, "little") for row in rows)
@@ -90,35 +124,24 @@ def _swap_pairs(w: int, evens: int) -> int:
     return (w & evens) << 1 | (w >> 1) & evens
 
 
-def _transvect_rows(h: int, rows: list[int], evens: int) -> list[int]:
-    """The transvection x -> x + <x,h> h on every packed row."""
-    hs = _swap_pairs(h, evens)
-    return [x ^ h if (x & hs).bit_count() & 1 else x for x in rows]
-
-
-def _find_transvection(x: int, y: int, n: int, evens: int) -> tuple[int, int]:
-    """Rows (h1, h2) with Z_h2(Z_h1(x)) = y for nonzero packed rows x, y.
+def _transvections_from_e1(y: int) -> tuple[int, int]:
+    """Rows (h1, h2) with Z_h2(Z_h1(e1)) = y for a nonzero packed row y,
+    where e1 = 1 is X on qubit 0 and a transvection by 0 is the identity.
 
     Each qubit's bit pair (low X, high Z) reads as 1 = X, 2 = Z, 3 = Y.
     """
-    if x == y:
+    if y == 1:
         return 0, 0
-    if (x & _swap_pairs(y, evens)).bit_count() & 1:
-        return x ^ y, 0
-    pairs = [((x >> (2 * q)) & 3, (y >> (2 * q)) & 3) for q in range(n)]
-    for q, (xq, yq) in enumerate(pairs):
-        if xq and yq:
-            # z = x ^ y on the pair; an equal X or Z pair gets Y, a Y pair Z
-            z = ((xq ^ yq) or (2 | (xq != 3))) << (2 * q)
-            return x ^ z, z ^ y
-    z = 0
-    for side in (pairs, [(yq, xq) for xq, yq in pairs]):
-        for q, (aq, bq) in enumerate(side):
-            if aq and not bq:
-                # Z against a Y pair, else the other one of X and Z
-                z |= (2 if aq == 3 else 3 - aq) << (2 * q)
-                break
-    return x ^ z, z ^ y
+    if y & 2:  # <e1, y> = 1
+        return 1 ^ y, 0
+    if y & 1:  # X on qubit 0 in both: go through Y there
+        return 2, 3 ^ y
+    # y is I on qubit 0: go through Z there and, on y's first non-identity
+    # qubit, Z against a Y pair, else the other one of X and Z
+    shift = ((y & -y).bit_length() - 1) & ~1
+    yq = y >> shift & 3
+    z = 2 | (2 if yq == 3 else 3 - yq) << shift
+    return 1 ^ z, z ^ y
 
 
 def symplectic_group_order(n: int) -> int:
@@ -129,24 +152,35 @@ def symplectic_group_order(n: int) -> int:
 
 
 def _symplectic_rows(i: int, n: int) -> list[int]:
-    """The rows of `symplectic_from_index(i, n)`, column j as bit j of each."""
-    nn = 2 * n
+    """The rows of `symplectic_from_index(i, n)`, column j as bit j of each.
+
+    Index i reads as one digit per level m = n, ..., 1, each naming the
+    transvections (t2, t1, h0, f1) that act on the level's 2m rows; the
+    rows are then built from the innermost level out, each level adding
+    the pair e1, e2 below the last level's rows shifted up by one qubit.
+    """
     evens = int("01" * n, 2)
-    s = (1 << nn) - 1
-    f1 = (i % s) + 1
-    i //= s
-    t1, t2 = _find_transvection(1, f1, n, evens)
-    bits = i % (1 << (nn - 1))
-    i >>= nn - 1
-    # e1 with its columns from 2 on set to bits[1:]
-    h0 = 1 | (bits >> 1) << 2
-    for h in (t2, t1):
-        (h0,) = _transvect_rows(h, [h0], evens)
-    if bits & 1:
-        f1 = 0
-    g = [1, 2] + ([] if n == 1 else [row << 2 for row in _symplectic_rows(i, n - 1)])
-    for h in (t2, t1, h0, f1):
-        g = _transvect_rows(h, g, evens)
+    levels = []
+    for m in range(n, 0, -1):
+        s = (1 << 2 * m) - 1
+        f1 = i % s + 1
+        i //= s
+        t1, t2 = _transvections_from_e1(f1)
+        bits = i % (1 << (2 * m - 1))
+        i >>= 2 * m - 1
+        # e1 with its columns from 2 on set to bits[1:]
+        h0 = 1 | (bits >> 1) << 2
+        for h in (t2, t1):
+            if (h0 & _swap_pairs(h, evens)).bit_count() & 1:
+                h0 ^= h
+        levels.append((t2, t1, h0, 0 if bits & 1 else f1))
+    g: list[int] = []
+    for level in reversed(levels):
+        g = [1, 2] + [row << 2 for row in g]
+        for h in level:
+            if h:
+                hs = _swap_pairs(h, evens)
+                g = [x ^ h if (x & hs).bit_count() & 1 else x for x in g]
     return g
 
 
@@ -172,10 +206,7 @@ def _uniform_below(card: int, rng: np.random.Generator) -> int:
     mask = (1 << bits) - 1
     while True:
         words = rng.integers(0, 2**32, size=nwords, dtype=np.uint64)
-        val = 0
-        for w in words:
-            val = (val << 32) | int(w)
-        val &= mask
+        val = int.from_bytes(words.astype(">u4").tobytes(), "big") & mask
         if val < card:
             return val
 
@@ -186,14 +217,13 @@ def random_clifford_rng(n: int, rng: np.random.Generator) -> Tableau:
     Uniform symplectic part via the canonical index construction plus
     uniform sign bits; exact uniformity rather than a random-circuit
     heuristic.  Symplectic row 2j is the image of X_j and row 2j+1 that of
-    Z_j; their even and odd columns are the tableau's x and z bits.
+    Z_j, already in the tableau's interleaved row layout.
     """
     if not 1 <= n <= 63:
         raise ValueError("qubit count out of range [1, 63]")
     rows = _symplectic_rows(_uniform_below(symplectic_group_order(n), rng), n)
-    g = _unpack_rows(rows[0::2] + rows[1::2], 2 * n)
     r = rng.integers(0, 2, size=2 * n).astype(np.uint8)
-    return Tableau(n, g[:, 0::2], g[:, 1::2], r)
+    return Tableau._from_rows(n, rows[0::2] + rows[1::2], r)
 
 
 # ---------------------------------------------------------------------------
@@ -286,39 +316,52 @@ def _check_index_width(sup: AffineSupport) -> None:
 def measurement_support(t: Tableau) -> AffineSupport:
     """Affine set over which measuring C|0...0> is uniform.
 
-    One Gauss-Jordan pass over the stabilizer rows, each packed as
-    (x << n | z, p) for i^p X^x Z^z with qubit 0 as the most significant bit
-    of x and of z.  A row operation is the Pauli product, of phase
-    p1 + p2 + 2 popcount(z1 & x2) mod 4; pivots run lexicographically over
-    the X columns, then the Z columns.  The rows with an X pivot span the
-    support's direction, already in RREF; the Z-column steps leave their x
-    parts alone.  Each remaining row is +-Z^z and sets the outcome bit at
-    its pivot to its sign, so z.v matches that sign on every row.  The
-    offset is that outcome reduced to zero at every basis pivot.
+    One Gauss-Jordan pass over the stabilizer rows, each held as (v, p) for
+    i^p X^x Z^z with v the tableau's interleaved row (x_q at bit 2q, z_q at
+    bit 2q+1), so p = 2r + popcount(x & z).  A row operation is the Pauli
+    product, of phase p1 + p2 + 2 popcount(z1 & x2), taken mod 4 at the
+    end; pivots run over the X bits from qubit 0 on, then the Z bits, and
+    stop at n.  The rows with an X pivot span the support's direction,
+    already in RREF; the Z steps leave their x parts alone, which become
+    outcome indices with qubit 0 as the most significant bit.  Each
+    remaining row is +-Z^z and sets the outcome bit of the qubit at its
+    lowest set bit, its pivot, to its sign, so z.v matches that sign on
+    every row.  The offset is that outcome reduced to zero at every basis
+    pivot.
     """
     n = t.n
-    rows = [(x << n | z, (2 * r + (x & z).bit_count()) % 4)
-            for x, z, r in zip(_pack_rows(t.x[n:, ::-1]), _pack_rows(t.z[n:, ::-1]),
-                               t.r[n:].tolist())]
-    r = 0
-    for c in range(2 * n - 1, -1, -1):
-        hot = next((q for q in range(r, n) if rows[q][0] >> c & 1), None)
-        if hot is None:
+    evens = int("01" * n, 2)
+    vs = list(t.rows[n:])
+    ps = [2 * r + (v >> 1 & v & evens).bit_count() for v, r in zip(vs, t.r[n:].tolist())]
+    k = 0
+    for c in (*range(0, 2 * n, 2), *range(1, 2 * n, 2)):
+        bit = 1 << c
+        for hot in range(k, n):
+            if vs[hot] & bit:
+                break
+        else:
             continue
-        rows[r], rows[hot] = rows[hot], rows[r]
-        v2, p2 = rows[r]
-        x2 = v2 >> n  # below bit n, so v1 & x2 is z1 & x2
-        for q, (v1, p1) in enumerate(rows):
-            if q != r and v1 >> c & 1:
-                rows[q] = (v1 ^ v2, (p1 + p2 + 2 * (v1 & x2).bit_count()) % 4)
-        r += 1
-    basis = tuple(v >> n for v, _ in rows if v >> n)
+        v2, p2 = vs[hot], ps[hot]
+        vs[hot], ps[hot] = vs[k], ps[k]
+        vs[k], ps[k] = v2, p2
+        x2 = v2 & evens
+        for q in range(n):
+            v1 = vs[q]
+            if v1 & bit and q != k:
+                vs[q] = v1 ^ v2
+                ps[q] += p2 + 2 * (v1 >> 1 & x2).bit_count()
+        k += 1
+        if k == n:
+            break
+    # x_q at bit 2q -> outcome bit n-1-q: every other binary digit, reversed
+    basis = tuple(int(format(v, f"0{2 * n}b")[::-2], 2) for v in vs if v & evens)
     offset = 0
-    for v, p in rows[len(basis):]:
+    for v, p in zip(vs[len(basis):], ps[len(basis):]):
+        p %= 4
         if p % 2 or p and not v:
             raise PropertyViolationError("inconsistent stabilizer sign constraints")
         if p:
-            offset |= 1 << (v.bit_length() - 1)
+            offset |= 1 << (n - 1 - ((v & -v).bit_length() - 1) // 2)
     for b in basis:
         if offset >> (b.bit_length() - 1) & 1:
             offset ^= b

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from helpers import (
     GammaParams,
+    _find_transvection,
+    _int_to_bits,
+    _transvect,
     gamma_amplitudes,
     gamma_state,
     gf2_rref,
@@ -27,6 +30,7 @@ from helpers import (
 from prulab.linalg import RandomSeed, is_unitary
 from prulab.stabilizer import (
     Tableau,
+    _transvections_from_e1,
     full_support_probability,
     measurement_support,
     random_clifford_rng,
@@ -126,6 +130,73 @@ class TestSymplecticSampling:
     def test_index_outside_bijection_rejected(self, i, n):
         with pytest.raises(ValueError):
             symplectic_from_index(i, n)
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 63])
+    def test_transvections_from_e1_match_oracle(self, n):
+        # every nonzero y up to n = 4, 200 seeded ones beyond
+        nn = 2 * n
+        if n <= 4:
+            ys = range(1, 1 << nn)
+        else:
+            rng = RandomSeed(2170).child(n).generator()
+            ys = [int.from_bytes(rng.bytes(16), "little") % ((1 << nn) - 1) + 1 for _ in range(200)]
+        e1 = _int_to_bits(1, nn)
+        for y in ys:
+            got = _transvections_from_e1(y)
+            want = _find_transvection(e1, _int_to_bits(y, nn))
+            assert got == tuple(sum(int(b) << j for j, b in enumerate(h)) for h in want), y
+            image = _transvect(_int_to_bits(got[1], nn), _transvect(_int_to_bits(got[0], nn), e1[None, :]))
+            assert np.array_equal(image[0], _int_to_bits(y, nn)), y
+
+
+class TestTableau:
+    @pytest.mark.parametrize("n", [*range(1, 11), 63])
+    def test_blocks_round_trip_through_packed_rows(self, n):
+        rng = RandomSeed(1406).child(n).generator()
+        for _ in range(5):
+            t = random_clifford_rng(n, rng)
+            assert len(t.rows) == 2 * n and all(type(v) is int for v in t.rows)
+            again = Tableau(n, t.x, t.z, t.r)
+            assert again == t and again.rows == t.rows
+            # entries 2 and 3 are read mod 2
+            lift = rng.integers(0, 2, size=(3, 2 * n, n), dtype=np.uint8) * 2
+            again = Tableau(n, t.x + lift[0], t.z + lift[1], t.r + lift[2, :, 0])
+            assert again == t and again.rows == t.rows
+
+    @pytest.mark.parametrize("n", [1, 3, 63])
+    def test_identity(self, n):
+        t = Tableau(n)
+        eye, zero = np.eye(n, dtype=np.uint8), np.zeros((n, n), dtype=np.uint8)
+        assert np.array_equal(t.x, np.vstack([eye, zero]))
+        assert np.array_equal(t.z, np.vstack([zero, eye]))
+        assert not t.r.any() and t.r.shape == (2 * n,)
+        assert t == Tableau(n, t.x, t.z, t.r)
+
+    @pytest.mark.parametrize("x, z, r", [
+        (np.zeros((4, 3)), np.zeros((4, 2)), np.zeros(4)),
+        (np.zeros((4, 2)), np.zeros((2, 2)), np.zeros(4)),
+        (np.zeros((4, 2)), np.zeros((4, 2)), np.zeros(2)),
+        (np.zeros(8), np.zeros((4, 2)), np.zeros(4)),
+    ])
+    def test_block_shapes_checked(self, x, z, r):
+        with pytest.raises(ValueError, match="shapes inconsistent"):
+            Tableau(2, x, z, r)
+
+    @pytest.mark.parametrize("blocks, missing", [
+        ({"x": np.zeros((4, 2))}, "z, r"),
+        ({"x": np.zeros((4, 2)), "z": np.zeros((4, 2))}, "r"),
+        ({"r": np.zeros(4)}, "x, z"),
+    ])
+    def test_blocks_come_all_or_none(self, blocks, missing):
+        with pytest.raises(ValueError, match=f"missing {missing}$"):
+            Tableau(2, **blocks)
+
+    @pytest.mark.parametrize("block", ["x", "z", "r"])
+    def test_blocks_are_read_only(self, block):
+        for t in (Tableau(3), random_clifford(3, RandomSeed(5)), hadamards(3)):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(t, block)[0] = 1
 
 
 class TestRandomClifford:
