@@ -6,10 +6,12 @@ repeated |0...0> queries, the Chebyshev concentration reference for its
 block estimator, and the PFC-vs-Haar experiment that runs the test on
 fresh hidden states of both kinds.
 
-Every oracle serves ``draw(shots)`` from one block stream of outcomes,
-`_OutcomeStream`: its sampler runs once per block, not once per call, so
-the per-call cost of many small draws is a slice.  The blocks grow with
-what the caller has drawn, up to _BLOCK outcomes.
+The three oracles are one stream class, `_OutcomeStream`, each passing
+it the fill that samples its outcomes: the fill runs once per block, not
+once per call, and ``draw(shots)`` returns a read-only view of the next
+``shots`` outcomes of the block, so the per-call cost of many small draws
+is a slice.  The blocks grow with what the caller has drawn, up to _BLOCK
+outcomes.
 """
 
 from __future__ import annotations
@@ -58,14 +60,21 @@ class DistinguisherParams:
 
 
 def blocked_collision_counts(samples: np.ndarray) -> np.ndarray:
-    """Per-row collision counts of a (k_blocks, t) integer outcome array."""
+    """Per-row collision counts of a (k_blocks, t) integer outcome array.
+
+    Each row is sorted and its all-equal windows counted, of width 2, 3, ...
+    until a width has none: a group of g equal values holds g - w + 1 of
+    width w, C(g, 2) over w = 2, ..., g.
+    """
     s = np.sort(samples, axis=1)
-    eq = (s[:, 1:] == s[:, :-1]).astype(np.int64)
-    run = np.zeros(s.shape[0], dtype=np.int64)
-    total = np.zeros(s.shape[0], dtype=np.int64)
-    for j in range(eq.shape[1]):
-        run = (run + 1) * eq[:, j]
-        total += run
+    # run[j, b]: block b's window of the current width from sorted position j
+    # is all equal; blocks lie along the contiguous axis, which makes each
+    # width's AND and sum whole-row passes
+    run = (s[:, 1:] == s[:, :-1]).T.copy()
+    total = run.sum(0)
+    while run.any():
+        run = run[1:] & run[:-1]
+        total += run.sum(0)
     return total
 
 
@@ -83,30 +92,37 @@ class _OutcomeStream:
 
     The first fill is exactly the first request; a later one samples
     max(shots - left, min(served, _BLOCK)), so the block grows with what
-    the caller has taken, up to _BLOCK.  ``take`` returns a copy.
+    the caller has taken, up to _BLOCK.  ``take`` returns a read-only view
+    of the current block: a block is made read-only once filled and is
+    replaced, never written, on refill, so a served draw never changes.
+    Each oracle binds ``draw = _OutcomeStream.take`` in its own class body,
+    where per-class tracing finds and wraps it.
     """
 
     def __init__(self, fill):
         self._fill = fill
         self._buf = np.empty(0, dtype=np.int64)
         self._pos = 0
-        self._served = 0
+        self._filled = 0
 
     def take(self, shots: int) -> np.ndarray:
         if shots < 0:
             raise ValueError(f"shots must be nonnegative, got {shots}")
-        left = self._buf.size - self._pos
-        if shots > left:
-            more = self._fill(max(shots - left, min(self._served, _BLOCK)))
-            self._buf = np.concatenate((self._buf[self._pos:], more)) if left else more
-            self._pos = 0
-        out = self._buf[self._pos:self._pos + shots].copy()
-        self._pos += shots
-        self._served += shots
-        return out
+        pos = self._pos
+        end = pos + shots
+        if end > self._buf.size:
+            left = self._buf.size - pos
+            # what was filled and is not left has been served
+            more = self._fill(max(shots - left, min(self._filled - left, _BLOCK)))
+            self._filled += more.size
+            buf = np.concatenate((self._buf[pos:], more)) if left else more
+            buf.flags.writeable = False
+            self._buf, pos, end = buf, 0, shots
+        self._pos = end
+        return self._buf[pos:end]
 
 
-class HaarUrnOracle:
+class HaarUrnOracle(_OutcomeStream):
     """Measurement oracle of a hidden Haar state, urn realization.
 
     No state vector is ever formed; the equality pattern is exact and the
@@ -116,14 +132,12 @@ class HaarUrnOracle:
     """
 
     def __init__(self, d: int, seed: RandomSeed):
-        urn = PolyaUrnSampler(d, seed.generator())
-        self._stream = _OutcomeStream(lambda n: urn.draw(n))
+        super().__init__(PolyaUrnSampler(d, seed.generator()).draw)
 
-    def draw(self, shots: int) -> np.ndarray:
-        return self._stream.take(shots)
+    draw = _OutcomeStream.take
 
 
-class HaarDenseOracle:
+class HaarDenseOracle(_OutcomeStream):
     """Measurement oracle of a hidden Haar state, dense realization.
 
     Outcomes come from one block stream of Born-rule samples.
@@ -136,13 +150,12 @@ class HaarDenseOracle:
         cdf = np.cumsum(probs / probs.sum())
         cdf /= cdf[-1]
         # rng.choice(d, size=n, p=probs) with the cdf built once, not per call
-        self._stream = _OutcomeStream(lambda n: cdf.searchsorted(rng.random(n), side="right"))
+        super().__init__(lambda n: cdf.searchsorted(rng.random(n), side="right"))
 
-    def draw(self, shots: int) -> np.ndarray:
-        return self._stream.take(shots)
+    draw = _OutcomeStream.take
 
 
-class PFCOracle:
+class PFCOracle(_OutcomeStream):
     """Measurement oracle of (PFC)|0...0> for a hidden PFC draw.
 
     The phase diagonal never affects outcome probabilities and the
@@ -154,10 +167,9 @@ class PFCOracle:
         support = measurement_support(sample.clifford)
         perm = sample.permutation
         rng = seed.generator()
-        self._stream = _OutcomeStream(lambda n: perm[sample_from_support(support, n, rng)])
+        super().__init__(lambda n: perm[sample_from_support(support, n, rng)])
 
-    def draw(self, shots: int) -> np.ndarray:
-        return self._stream.take(shots)
+    draw = _OutcomeStream.take
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +200,8 @@ def run_collision_distinguisher(oracle, params: DistinguisherParams,
     if estimator not in ("mean", "median"):
         raise ValueError("estimator must be 'mean' or 'median'")
     t, k = params.t, params.k_blocks
-    # the int64 outcomes, their sorted copy and its int64 equal-neighbour flags
+    # the int64 outcomes, their sorted copy and its bool run flags, at most
+    # two flag arrays at a time: 18 bytes per outcome, under the 24 charged
     ensure_budget(24 * k * t, "collision test outcomes")
     outcomes = np.empty((k, t), dtype=np.int64)
     for b in range(k):

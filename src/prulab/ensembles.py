@@ -66,8 +66,9 @@ class PolyaUrnSampler:
 
     ``draw`` is vectorised and exact: the same three RNG calls and the same
     float64 arithmetic as the per-shot rule, with copies of draws from the
-    same call resolved by pointer doubling and older ones read from an
-    int64 history whose capacity doubles as it grows.
+    same call resolved by pointer doubling over those copies alone, and
+    older ones read from an int64 history whose capacity doubles as it
+    grows.
     """
 
     def __init__(self, d: int, rng: np.random.Generator):
@@ -92,8 +93,8 @@ class PolyaUrnSampler:
             self._history = grown
         hist = self._history
         block = hist[m0:end]
-        m = np.arange(m0, end, dtype=np.float64)  # exact: m < 2^53
-        copy = coins * np.arange(m0 + self.d, end + self.d) < m
+        m = np.arange(m0, end, dtype=np.float64)  # exact: m + d < 2^53
+        copy = coins * (m + self.d) < m
         src = (copy_pick * m).astype(np.int64)
         # copies of older draws are exact after this gather; copies of draws
         # in this block are resolved below, once the fresh labels are in
@@ -101,15 +102,16 @@ class PolyaUrnSampler:
         fresh = ~copy
         labels = self._labels
         block[fresh] = [labels.setdefault(c, len(labels)) for c in fresh_cats[fresh].tolist()]
-        inner = src >= m0
-        inner &= copy
-        hops = int(np.count_nonzero(inner))
-        if hops:
+        inner = np.flatnonzero((src >= m0) & copy)
+        if inner.size:
+            # each in-block copy points at an earlier draw; double the
+            # pointers of the copies alone until each reaches a draw that is
+            # no in-block copy, which points at itself
             ptr = np.arange(shots)
-            ptr[inner] = src[inner] - m0
-            for _ in range(hops.bit_length()):  # no source chain is longer than hops
-                ptr = ptr[ptr]
-            block[:] = block[ptr]
+            p = ptr[inner] = src[inner] - m0
+            while ((q := ptr[p]) != p).any():
+                ptr[inner] = p = q
+            block[inner] = block[p]
         return block.copy()
 
 

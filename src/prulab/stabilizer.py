@@ -238,11 +238,12 @@ def _apply_row(t: Tableau, i: int, m: np.ndarray) -> np.ndarray:
     (i^p X^x Z^z m)[w] = i^p (-1)^{z.(w^x)} m[w^x], basis index w read with
     qubit 0 as the most significant bit.
     """
-    x, z = _pack_rows(np.stack([t.x[i, ::-1], t.z[i, ::-1]]))
+    bits = format(t.rows[i], f"0{2 * t.n}b")  # x_q at bit 2q, z_q at bit 2q+1
+    x, z = int(bits[::-2], 2), int(bits[-2::-2], 2)
     p = (2 * int(t.r[i]) + (x & z).bit_count()) % 4
     src = np.arange(m.shape[0]) ^ x
-    parity = (((src[:, None] >> np.arange(t.n - 1, -1, -1)) & 1) @ t.z[i]) & 1
-    return (1j**p * (1 - 2 * parity))[:, None] * m[src]
+    sign = np.where(np.bitwise_count(src & z) & 1, -1, 1)
+    return (1j**p * sign)[:, None] * m[src]
 
 
 def tableau_to_statevector(t: Tableau) -> np.ndarray:
@@ -370,14 +371,18 @@ def measurement_support(t: Tableau) -> AffineSupport:
 
 def sample_from_support(sup: AffineSupport, shots: int, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. uniform outcome indices (int64, n <= 63) over the affine set:
-    the offset XOR the basis rows each uniform coefficient row selects."""
+    the offset XOR the basis rows each uniform coefficient row selects,
+    taken one basis row at a time over a contiguous coefficient column."""
     _check_index_width(sup)
     k = sup.k_dim
     if k == 0:
         return np.full(shots, sup.offset, dtype=np.int64)
-    coeffs = rng.integers(0, 2, size=(shots, k), dtype=np.uint8)
-    picked = coeffs * np.array(sup.basis, dtype=np.int64)
-    return np.bitwise_xor.reduce(picked, axis=1) ^ sup.offset
+    cols = rng.integers(0, 2, size=(shots, k), dtype=np.uint8).T.copy()
+    out = cols[0] * np.int64(sup.basis[0])
+    for col, b in zip(cols[1:], sup.basis[1:]):
+        out ^= col * np.int64(b)
+    out ^= sup.offset
+    return out
 
 
 # ---------------------------------------------------------------------------

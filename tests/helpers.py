@@ -16,7 +16,10 @@ it in row blocks.
 The per-shot Polya urn is the oracle for the vectorised
 `PolyaUrnSampler.draw`: same RNG calls, one predictive step per shot.
 The uncached channel oracle, one matmul per query, is the oracle for
-`ChannelOracle.apply`'s one-entry output cache.
+`ChannelOracle.apply`'s one-entry output cache.  The (t - 1)-step run loop
+is the oracle for `blocked_collision_counts`' run windows, and the
+(shots, k) multiply with its XOR reduction the oracle for
+`sample_from_support`'s column-at-a-time XORs.
 
 The exact ground truths no program calls live here too, not in
 `prulab`: the Schatten norm behind the diamond oracle, the `np.unique`
@@ -62,6 +65,7 @@ from prulab.nets import NetSpec, min_diamond_distance
 from prulab.stabilizer import (
     AffineSupport,
     Tableau,
+    _check_index_width,
     _pack_rows,
     _unpack_rows,
     tableau_to_unitary,
@@ -138,6 +142,35 @@ def collision_count(outcomes) -> int:
         raise ValueError("need at least two outcomes")
     _, counts = np.unique(arr, return_counts=True, axis=0 if arr.ndim > 1 else None)
     return int(np.sum(counts * (counts - 1) // 2))
+
+
+def blocked_collision_counts_loop(samples: np.ndarray) -> np.ndarray:
+    """Per-row collision counts by one pass over the sorted columns: each
+    equal neighbour extends the current run of equal values by one and
+    adds its length, so a group of g equal values adds 1 + ... + (g - 1);
+    the oracle for `blocked_collision_counts`."""
+    s = np.sort(samples, axis=1)
+    eq = (s[:, 1:] == s[:, :-1]).astype(np.int64)
+    run = np.zeros(s.shape[0], dtype=np.int64)
+    total = np.zeros(s.shape[0], dtype=np.int64)
+    for j in range(eq.shape[1]):
+        run = (run + 1) * eq[:, j]
+        total += run
+    return total
+
+
+def sample_from_support_reduce(sup: AffineSupport, shots: int,
+                               rng: np.random.Generator) -> np.ndarray:
+    """`sample_from_support` by one (shots, k) int64 multiply and an XOR
+    reduction along each coefficient row, with the same RNG call; its
+    oracle."""
+    _check_index_width(sup)
+    k = sup.k_dim
+    if k == 0:
+        return np.full(shots, sup.offset, dtype=np.int64)
+    coeffs = rng.integers(0, 2, size=(shots, k), dtype=np.uint8)
+    picked = coeffs * np.array(sup.basis, dtype=np.int64)
+    return np.bitwise_xor.reduce(picked, axis=1) ^ sup.offset
 
 
 def partition_probability_dirichlet(d: int, block_sizes: list[int]) -> Fraction:

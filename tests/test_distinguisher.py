@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import collision_count, net_membership_distinguisher
+from helpers import blocked_collision_counts_loop, collision_count, net_membership_distinguisher
 from prulab import distinguisher
 from prulab.distinguisher import (
     DistinguisherParams,
@@ -60,6 +60,26 @@ class TestCollisionCount:
         samples = np.random.default_rng(seed).integers(0, 5, size=(k, t))
         blocked = blocked_collision_counts(samples)
         assert blocked.tolist() == [collision_count(row) for row in samples]
+
+    def test_run_windows_match_the_run_loop(self):
+        rng = np.random.default_rng(2020)
+        # 300 (k, t) arrays, 1 <= k < 40 and 2 <= t < 40, over 1 to 60 symbols
+        cases = [rng.integers(0, rng.integers(1, 61), size=rng.integers([1, 2], 40))
+                 for _ in range(300)]
+        cases += [
+            rng.integers(0, 3, size=(50, 2)),  # t = 2
+            rng.integers(0, 4, size=(1, 33)),  # k = 1
+            np.full((1, 2), 5),
+            np.full((7, 32), 9),  # every value equal
+            np.repeat(rng.integers(0, 60, size=(20, 1)), 32, axis=1),
+            np.vstack([np.full((1, 10), 2), np.arange(10)[None], rng.integers(0, 2, size=(3, 10))]),
+        ]
+        for samples in cases:
+            got = blocked_collision_counts(samples)
+            want = blocked_collision_counts_loop(samples)
+            assert got.dtype == want.dtype == np.int64
+            assert got.tobytes() == want.tobytes(), samples
+            assert got.tolist() == [collision_count(row) for row in samples]
 
 
 class TestParams:
@@ -117,6 +137,14 @@ class _UniformOracle:
         return self.rng.integers(0, self.d, size=shots)
 
 
+#: the three oracles, each built fresh
+ORACLES = pytest.mark.parametrize("make", [
+    lambda: HaarUrnOracle(16, RandomSeed(1)),
+    lambda: HaarDenseOracle(16, RandomSeed(1)),
+    lambda: PFCOracle(sample_pfc(4, RandomSeed(1)), RandomSeed(2)),
+], ids=["urn", "dense", "pfc"])
+
+
 class TestOutcomeStream:
     def test_counting_fill_is_served_in_order_on_schedule(self):
         fills = []
@@ -131,12 +159,31 @@ class TestOutcomeStream:
         served = []
         for shots in requests:
             out = stream.take(shots)
-            assert out.shape == (shots,) and out.flags.owndata
-            served.append(out.copy())
-            out[:] = -1  # writing to what was served changes nothing later
+            assert out.shape == (shots,) and not out.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                out[:] = -1  # what was served cannot be written to
+            served.append(out)
+        # draws served before a refill keep their values after it
         assert np.array_equal(np.concatenate(served), np.arange(sum(requests)))
         # first fill = first request, then max(shots - left, min(served, 4096))
         assert fills == [3, 3, 10, 16, 4985, 4096, 4096, 4913, 4096]
+
+    @ORACLES
+    def test_served_draws_are_read_only_and_keep_their_values(self, make):
+        oracle = make()
+        served, kept = [], []
+        for shots in (1, 3, 0, 50, 7, 5000, 2, 4096, 9, 4096, 1, 9000):  # nine refills
+            out = oracle.draw(shots)
+            served.append(out)
+            kept.append(out.copy())
+            with pytest.raises(ValueError, match="read-only"):
+                out[:] = 0
+            base = out
+            while base is not None:  # nor can the block behind it be written
+                assert not base.flags.writeable
+                base = base.base
+        for out, want in zip(served, kept):
+            assert out.dtype == np.int64 and np.array_equal(out, want)
 
     def test_negative_shots_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -151,11 +198,7 @@ class TestOutcomeStream:
             oracle = HaarDenseOracle(64, RandomSeed(3))
             assert np.array_equal(np.concatenate([oracle.draw(s) for s in split]), want), split
 
-    @pytest.mark.parametrize("make", [
-        lambda: HaarUrnOracle(16, RandomSeed(1)),
-        lambda: HaarDenseOracle(16, RandomSeed(1)),
-        lambda: PFCOracle(sample_pfc(4, RandomSeed(1)), RandomSeed(2)),
-    ], ids=["urn", "dense", "pfc"])
+    @ORACLES
     def test_oracle_is_freed_without_the_cycle_collector(self, make):
         enabled = gc.isenabled()
         gc.disable()
@@ -272,8 +315,8 @@ class TestCollisionDistinguisher:
         assert calls == [8] * 37
 
     def test_outcome_working_set_is_budgeted_before_any_draw(self):
-        # 24 bytes per outcome: the int64 outcomes, their sorted copy and its
-        # int64 equal-neighbour flags
+        # 24 bytes per outcome charged: the int64 outcomes, their sorted copy
+        # and its bool run flags take at most 18
         calls = []
 
         class Counting(_ConstantOracle):

@@ -32,18 +32,38 @@ def test_no_private_names_imported_across_modules():
     assert offenders == []
 
 
-def test_benchmark_trace_targets_resolve():
-    # the traced benchmark run wraps these (module, attribute path) pairs
+def _trace_targets():
     spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
+    return layertrace.TARGETS
+
+
+def test_benchmark_trace_targets_resolve():
+    # the traced benchmark run wraps these (module, attribute path) pairs
     missing = []
-    for _, module, path, _ in layertrace.TARGETS:
+    for _, module, path, _ in _trace_targets():
         try:
             functools.reduce(getattr, path.split("."), importlib.import_module(module))
         except AttributeError:
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def test_benchmark_trace_targets_are_bound_on_their_owners():
+    """The tracer reads a method target from its class's own ``__dict__``,
+    so a method the class only inherits (a ``draw`` left to a base class)
+    makes every traced run raise ``KeyError``; a function target is read
+    from its module."""
+    unbound = []
+    for _, module, path, _ in _trace_targets():
+        owner_path, _, attr = path.rpartition(".")
+        owner = importlib.import_module(module)
+        if owner_path:
+            owner = functools.reduce(getattr, owner_path.split("."), owner)
+        if attr not in vars(owner):
+            unbound.append(f"{module}.{path}")
+    assert unbound == []
 
 
 def test_benchmark_modules_load_no_scipy():

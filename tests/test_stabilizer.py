@@ -21,6 +21,7 @@ from helpers import (
     measurement_support_bits,
     pack_bits,
     pauli_matrix,
+    sample_from_support_reduce,
     support_contains,
     support_members,
     symplectic_from_index_bits,
@@ -29,6 +30,7 @@ from helpers import (
 )
 from prulab.linalg import RandomSeed, is_unitary
 from prulab.stabilizer import (
+    AffineSupport,
     Tableau,
     _transvections_from_e1,
     full_support_probability,
@@ -408,6 +410,30 @@ class TestMeasurementSupport:
                     digest.update(sample_from_support(sup, shots, rng).astype("<i8").tobytes())
         assert digest.hexdigest() == (
             "c11f8d1fa53a8ccd65ecb7c8a6dbe71bc69671b95927244232467dc6e47d520c")
+
+    @pytest.mark.parametrize("k", [0, 1, 10, 63])
+    def test_column_xors_match_the_reduction(self, k):
+        gen = np.random.default_rng(4000 + k)
+        if k:
+            real = hadamards(k)
+        else:  # -Z stabilizers on qubits 0 and 2 set their outcome bits
+            ident = Tableau(3)
+            real = Tableau(3, ident.x, ident.z, [0, 0, 0, 1, 0, 1])
+        supports = [
+            # basis rows and offset up to 2^63 - 1, the widest int64 outcomes
+            AffineSupport(63, tuple(int(b) for b in gen.integers(1, 2**63, size=k)),
+                          int(gen.integers(0, 2**63))),
+            measurement_support(real),
+        ]
+        for sup in supports:
+            assert sup.k_dim == k
+            for shots in (0, 1, 32, 4096):
+                rng, ref = np.random.default_rng(shots), np.random.default_rng(shots)
+                got = sample_from_support(sup, shots, rng)
+                want = sample_from_support_reduce(sup, shots, ref)
+                assert got.dtype == want.dtype == np.int64
+                assert got.tobytes() == want.tobytes(), (sup, shots)
+                assert np.array_equal(rng.random(4), ref.random(4))
 
 
 class TestGammaFamily:
