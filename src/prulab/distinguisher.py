@@ -125,10 +125,10 @@ class _OutcomeStream:
 class HaarUrnOracle(_OutcomeStream):
     """Measurement oracle of a hidden Haar state, urn realization.
 
-    No state vector is ever formed; the equality pattern is exact and the
-    cost per draw is O(1) independent of d.  Draws are served from one
-    block stream of urn outcomes, so repeated draws consume the urn's RNG
-    stream in blocks, not per call.
+    No state vector is ever formed; outcomes are basis indices in [0, d),
+    exact in law, and the cost per draw is O(1) independent of d.  Draws
+    are served from one block stream of urn outcomes, so repeated draws
+    consume the urn's RNG stream in blocks, not per call.
     """
 
     def __init__(self, d: int, seed: RandomSeed):

@@ -58,11 +58,10 @@ class PolyaUrnSampler:
 
     The basis probabilities of a Haar state are flat-Dirichlet, so i.i.d.
     outcome draws marginalize to a d-color Polya urn (Blackwell-MacQueen
-    predictive rule).  Draw i, with m earlier draws, copies the label of a
+    predictive rule).  Draw i, with m earlier draws, copies the outcome of a
     uniform earlier draw with probability m/(m+d), and otherwise picks a
-    uniform fresh category; labels number the categories in order of first
-    appearance.  State persists across calls: all draws share one hidden
-    state.
+    uniform fresh category; outcomes are the categories, in [0, d).  State
+    persists across calls: all draws share one hidden state.
 
     ``draw`` is vectorised and exact: the same three RNG calls and the same
     float64 arithmetic as the per-shot rule, with copies of draws from the
@@ -78,7 +77,6 @@ class PolyaUrnSampler:
         self._rng = rng
         self._history = np.empty(0, dtype=np.int64)
         self._size = 0
-        self._labels: dict[int, int] = {}
 
     def draw(self, shots: int) -> np.ndarray:
         rng = self._rng
@@ -97,11 +95,9 @@ class PolyaUrnSampler:
         copy = coins * (m + self.d) < m
         src = (copy_pick * m).astype(np.int64)
         # copies of older draws are exact after this gather; copies of draws
-        # in this block are resolved below, once the fresh labels are in
+        # in this block are resolved below, once the fresh categories are in
         hist.take(src, out=block)
-        fresh = ~copy
-        labels = self._labels
-        block[fresh] = [labels.setdefault(c, len(labels)) for c in fresh_cats[fresh].tolist()]
+        np.copyto(block, fresh_cats, where=~copy)
         inner = np.flatnonzero((src >= m0) & copy)
         if inner.size:
             # each in-block copy points at an earlier draw; double the

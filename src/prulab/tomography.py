@@ -78,10 +78,15 @@ class TomographyResult:
 
 
 def planned_queries(d: int, eps: float, eta: float) -> int:
-    """Repetition count the reconstruction below uses for an (eps, eta) target."""
+    """Repetition count the reconstruction below uses for an (eps, eta) target;
+    a count past 2^53 is refused from its log, before a float overflows."""
     if eps >= 2.0:
         return 0
-    return max(1, math.ceil(SHOT_CONSTANT * d**3 / eps**2 * (1.0 + math.log(1.0 / eta))))
+    log_inv_eta = math.log(1.0 / eta) if 1.0 / eta < math.inf else -math.log(eta)
+    log_count = 3 * math.log(d) - 2 * math.log(eps) + math.log(SHOT_CONSTANT * (1.0 + log_inv_eta))
+    if log_count > 53 * math.log(2):
+        raise ResourceLimitError(f"tomography needs over 2^53 queries, cap is {MAX_QUERIES}")
+    return max(1, math.ceil(SHOT_CONSTANT * d**3 / eps**2 * (1.0 + log_inv_eta)))
 
 
 def measured_basis_vectors(phis: np.ndarray, rng: np.random.Generator) -> np.ndarray:

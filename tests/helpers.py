@@ -228,7 +228,6 @@ class PolyaUrnLoop:
         self.d = d
         self._rng = rng
         self._history: list[int] = []
-        self._labels: dict[int, int] = {}
 
     def draw(self, shots: int) -> np.ndarray:
         d = self.d
@@ -238,16 +237,14 @@ class PolyaUrnLoop:
         fresh_cats = rng.integers(0, d, size=shots)
         out = np.empty(shots, dtype=np.int64)
         hist = self._history
-        labels = self._labels
         for i in range(shots):
             m = len(hist)
             if coins[i] * (m + d) < m:
-                lab = hist[int(copy_pick[i] * m)]
+                cat = hist[int(copy_pick[i] * m)]
             else:
                 cat = int(fresh_cats[i])
-                lab = labels.setdefault(cat, len(labels))
-            hist.append(lab)
-            out[i] = lab
+            hist.append(cat)
+            out[i] = cat
         return out
 
 

@@ -427,6 +427,12 @@ class TestCli:
         (["tomo-demo", "--d", "8", "--eps", "1.9", "--eta", "0.5", "--seed", "1",
           "--mem-budget", "0.00001"],
          "tomography working set needs 5.32e+06 bytes, budget is 10737"),
+        (["tomo-demo", "--d", "3", "--eps", "1e-300", "--eta", "0.5", "--seed", "1"],
+         "tomography needs over 2^53 queries, cap is 2000000"),
+        (["tomo-demo", "--d", "3", "--eps", "1e-160", "--eta", "0.5", "--seed", "1"],
+         "tomography needs over 2^53 queries, cap is 2000000"),
+        (["tomo-demo", "--d", "3", "--eps", "0.001", "--eta", "1e-320", "--seed", "1"],
+         "tomography needs 49803338761 queries, cap is 2000000"),
     ], ids=["n-out-of-range", "no-ensemble", "both-ensembles", "unknown-ensemble",
             "no-net", "no-t", "no-kappa", "zero-mem-budget", "negative-mem-budget",
             "net-size-no-eps", "scalable-check-no-q", "fractional-t", "fractional-sweep-t",
@@ -450,7 +456,8 @@ class TestCli:
             "design-distance-t-zero", "design-distance-t-five", "truncate-k-negative",
             "truncate-k-2000", "pfc-outcomes-over-budget", "pfc-small-n-outcomes-over-budget",
             "unknown-flag-shows-formula-usage", "budget-error-names-mem-budget",
-            "flag-before-formula", "tomo-over-budget"])
+            "flag-before-formula", "tomo-over-budget", "tomo-eps-squared-underflow",
+            "tomo-count-overflow", "tomo-subnormal-eta"])
     def test_usage_error_names_its_cause(self, argv, cause, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1

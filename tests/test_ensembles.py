@@ -1,4 +1,6 @@
+import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,8 +161,10 @@ class TestHaarMeasurement:
         assert (out < d).all(), out
 
     def test_urn_single_draw(self):
+        # a first draw is always fresh: the category of the third RNG call,
+        # RandomSeed(1).generator()'s integers(0, 7, size=1) after two random(1)
         out = HaarUrnOracle(7, RandomSeed(1)).draw(1)
-        assert out.tolist() == [0]
+        assert out.tolist() == [5]
 
     def test_urn_collision_rate_d2(self):
         trials = 40_000
@@ -190,6 +194,50 @@ class TestHaarMeasurement:
                 got, want = fast.draw(shots), loop.draw(shots)
                 assert got.dtype == want.dtype == np.int64
                 assert np.array_equal(got, want), (d, seed, shots)
+
+    def test_urn_outcomes_rename_the_first_appearance_labels(self):
+        # the grid of test_urn_labels_match_the_per_shot_loop; the digest is
+        # of the urn that numbered its categories by first appearance, so the
+        # outcomes are a one-to-one renaming of those labels per history
+        def first_appearance(x):
+            _, first, inv = np.unique(x, return_index=True, return_inverse=True)
+            rank = np.empty(first.size, dtype=np.int64)
+            rank[np.argsort(first)] = np.arange(first.size)
+            return rank[inv]
+
+        h = hashlib.sha256()
+        for d in [1, 3, 1024, 1 << 20]:
+            for seed in range(10):
+                lengths = np.random.default_rng(seed).permutation([0, 1, 5, 32, 4096, 5000])
+                urn = PolyaUrnSampler(d, np.random.default_rng(seed))
+                out = np.concatenate([urn.draw(s) for s in [*lengths.tolist(), 1, 5, 0, 32]])
+                assert out.dtype == np.int64 and out.min() >= 0 and out.max() < d, (d, seed)
+                h.update(first_appearance(out).tobytes())
+        assert h.hexdigest() == "19f5e5f1196199da02ac53c16789b1c00615dca3e111cd26f66cfd1de9500eb5"
+
+    def test_urn_draws_are_uniform_basis_indices(self):
+        # every single draw of a Haar state is uniform over the d basis
+        # indices; chi-square of each position of 20,000 four-shot urns,
+        # bound the 0.999 quantile of chi-square with 7 degrees of freedom
+        d, trials = 8, 20_000
+        rng = RandomSeed(54).generator()
+        out = np.array([PolyaUrnSampler(d, rng).draw(4) for _ in range(trials)])
+        counts = np.stack([np.bincount(col, minlength=d) for col in out.T])
+        chi2 = ((counts - trials / d) ** 2 / (trials / d)).sum(axis=1)
+        assert counts.shape == (4, d) and (chi2 < 24.32).all(), chi2
+
+    def test_urn_memory_does_not_grow_with_the_categories_seen(self):
+        # at d = 2^40 nearly every draw is fresh; the urn keeps its int64
+        # history (1.6 MB here, capacity doubling) and no per-category state
+        urn = PolyaUrnSampler(1 << 40, RandomSeed(55).generator())
+        tracemalloc.start()
+        try:
+            for _ in range(50):
+                urn.draw(4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, peak
 
     @pytest.mark.parametrize("first", [0, 3])
     def test_urn_resolves_the_longest_copy_chain(self, first):

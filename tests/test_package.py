@@ -11,6 +11,7 @@ import tokenize
 from pathlib import Path
 
 import prulab
+import pytest
 from prulab.distinguisher import pfc_distinguish_experiment
 from prulab.linalg import RandomSeed
 
@@ -91,6 +92,22 @@ def test_benchmark_call_binds():
     # breaks that call, which binding here shows without running it
     params = json.loads(BENCH_SPEC.read_text())["workloads"]["collide-n10"]["params"]
     inspect.signature(pfc_distinguish_experiment).bind(seed=RandomSeed(0), **params)
+
+
+@pytest.mark.parametrize("workload", sorted(json.loads(BENCH_SPEC.read_text())["workloads"]))
+def test_benchmark_trace_counts_match(workload):
+    # a traced run checks every unit's call counts against the workload's
+    # expected_counts; the gate is left out, since four units are too few
+    # for some workloads' aggregate gates
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+                           "--units", "4", "--trace", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode in (0, 1), proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-2])["report"]
+    assert report["failed"] == 0, report["failures"]
+    assert report["count_mismatches"] == []
+    # every unit is checked; the odd ones are traced and their counts compared
+    assert report["units"] == 4 and report["traced_units"] >= 1
 
 
 #: public definitions in src/prulab that only tests/ call, each waiting for

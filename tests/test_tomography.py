@@ -260,6 +260,19 @@ class TestNaiveTomography:
             naive_process_tomography(orc, 0.01, 0.01, RandomSeed(14))
         assert orc.queries == 0
 
+    def test_count_past_float_range_is_refused_from_its_log(self):
+        # eps^2 underflows at 1e-300 and d^3 / eps^2 overflows at 1e-160;
+        # d^3 alone is past every float at d = 10^110, and (10^5, 0.01)
+        # plans 4.2e19 queries, past 2^53 but a finite float
+        refused = rf"over 2\^53 queries, cap is {MAX_QUERIES}"
+        for d, eps in [(3, 1e-300), (3, 1e-160), (10**110, 1.0), (10**5, 1e-2)]:
+            with pytest.raises(ResourceLimitError, match=refused):
+                planned_queries(d, eps, 0.5)
+        # 1 / eta overflows at a subnormal eta, whose count is small
+        for eta in (1e-320, 5e-324):
+            assert planned_queries(1, 1.9, eta) == math.ceil(2.5 / 1.9**2 * (1 - math.log(eta)))
+        assert planned_queries(3, 1e-3, 1e-320) == 49_803_338_761
+
     def test_working_set_is_budgeted_before_any_query(self):
         # 601 queries at d = 8: six complex 64 x 64 arrays and eight complex
         # 601 x 64 arrays
