@@ -74,7 +74,6 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=0.25)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--haar-mode", choices=("urn", "dense"), default="urn")
-    p.add_argument("--estimator", choices=("mean", "median"), default="mean")
 
     p = sub.add_parser("design-distance", help="2->2 distance and diamond/relative bracket of an ensemble")
     _add_output(p)
@@ -194,9 +193,7 @@ def _cmd_pfc_distinguish(args) -> None:
         raise ValueError(f"--alpha must be positive, got {args.alpha}")
     rep = pfc_distinguish_experiment(
         args.n, args.trials, _seed_of(args), t=args.t,
-        k_blocks=args.k_blocks, alpha=args.alpha, haar_mode=args.haar_mode,
-        estimator=args.estimator,
-    )
+        k_blocks=args.k_blocks, alpha=args.alpha, haar_mode=args.haar_mode)
     # only once the run has passed, so that an error's message stays first
     if args.n <= 4:
         print(f"warning: n={args.n} gives d={2**args.n}, far from the "
@@ -205,8 +202,7 @@ def _cmd_pfc_distinguish(args) -> None:
     config = {
         "command": "pfc-distinguish", "n": args.n, "t": rep.params.t,
         "k_blocks": args.k_blocks, "alpha": args.alpha, "trials": args.trials,
-        "haar_mode": args.haar_mode, "estimator": args.estimator,
-        "seed": [args.seed, args.stream],
+        "haar_mode": args.haar_mode, "seed": [args.seed, args.stream],
     }
     _emit(args, config, report_dict(rep))
 

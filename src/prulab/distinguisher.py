@@ -2,9 +2,10 @@
 
 The measurement oracles of the hidden states (Haar by urn or dense
 vector, PFC by stabilizer sampling), the sqrt(d)-query collision test on
-repeated |0...0> queries, the Chebyshev concentration reference for its
-block estimator, and the PFC-vs-Haar experiment that runs the test on
-fresh hidden states of both kinds.
+repeated |0...0> queries, whose statistic is the mean collision count
+over blocks of t copies, the Chebyshev concentration reference for that
+mean, and the PFC-vs-Haar experiment that runs the test on fresh hidden
+states of both kinds.
 
 The three oracles are one stream class, `_OutcomeStream`, each passing
 it the fill that samples its outcomes: the fill runs once per block, not
@@ -31,9 +32,8 @@ from prulab.util import wilson_interval
 class DistinguisherParams:
     """Collision-test parameters: t copies per block, block count, threshold.
 
-    Canonical settings at dimension d are t = ceil(sqrt(d)), alpha = 1/4
-    and 100000 blocks; desk-scale runs usually lower k_blocks.  Other
-    (t, alpha) pairings are accepted but carry no acceptance guarantee.
+    (t, alpha) pairings other than the canonical ones are accepted but
+    carry no acceptance guarantee.
     """
 
     d: int
@@ -50,8 +50,10 @@ class DistinguisherParams:
             raise ValueError("threshold must be positive")
 
     @classmethod
-    def canonical(cls, d: int, k_blocks: int = 100000) -> "DistinguisherParams":
-        return cls(d=d, t=math.isqrt(d - 1) + 1, k_blocks=k_blocks, alpha=0.25)
+    def canonical(cls, d: int) -> "DistinguisherParams":
+        """t = ceil(sqrt(d)), alpha = 1/4 and 100000 blocks; desk-scale runs
+        take only its t and set their own, lower, k_blocks."""
+        return cls(d=d, t=math.isqrt(d - 1) + 1, k_blocks=100000, alpha=0.25)
 
     @property
     def center(self) -> float:
@@ -185,20 +187,15 @@ class CollisionReport:
     blocks: np.ndarray
     mean_collisions: float
     verdict: str  # "Haar" | "PFC"
-    estimator: str = "mean"
 
 
-def run_collision_distinguisher(oracle, params: DistinguisherParams,
-                                estimator: str = "mean") -> CollisionReport:
+def run_collision_distinguisher(oracle, params: DistinguisherParams) -> CollisionReport:
     """Run the blocked collision test against a state-measurement oracle.
 
-    `oracle` is an object with draw(shots).  Verdict is "Haar" iff the
-    block average M lands within alpha of the Haar reference center
-    `params.center`.  `estimator`="median" switches the block aggregation
-    to a median-of-blocks variant.
+    `oracle` is an object with draw(shots), called once per block of t
+    copies.  Verdict is "Haar" iff the mean collision count M over the k
+    blocks lands within alpha of the Haar reference center `params.center`.
     """
-    if estimator not in ("mean", "median"):
-        raise ValueError("estimator must be 'mean' or 'median'")
     t, k = params.t, params.k_blocks
     # the int64 outcomes, their sorted copy and its bool run flags, at most
     # two flag arrays at a time: 18 bytes per outcome, under the 24 charged
@@ -210,14 +207,14 @@ def run_collision_distinguisher(oracle, params: DistinguisherParams,
             raise ValueError("oracle returned short block (oracle exhaustion)")
         outcomes[b] = block
     blocks = blocked_collision_counts(outcomes)
-    m = float(np.mean(blocks)) if estimator == "mean" else float(np.median(blocks))
+    m = float(np.mean(blocks))
     verdict = "Haar" if abs(m - params.center) <= params.alpha else "PFC"
-    return CollisionReport(params, blocks, m, verdict, estimator=estimator)
+    return CollisionReport(params, blocks, m, verdict)
 
 
 def concentration_reference(t: int, p_psi: float, q_psi: float, beta: float,
                             k_blocks: int) -> tuple[float, float, float]:
-    """Chebyshev reference for the block estimator at fixed state statistics.
+    """Chebyshev reference for the block mean at fixed state statistics.
 
     mu = C(t,2) p, tau = t^2 p + 2 t^3 q (a variance upper bound), and the
     deviation bound Pr[|M - mu| >= beta] <= tau / (k beta^2).
@@ -248,10 +245,9 @@ class PFCDistinguishReport:
     advantage_ci_half: float
 
 
-def pfc_distinguish_experiment(n: int, trials: int, seed: RandomSeed,
-                               t: int | None = None, k_blocks: int = 100000,
-                               alpha: float = 0.25, haar_mode: str = "urn",
-                               estimator: str = "mean") -> PFCDistinguishReport:
+def pfc_distinguish_experiment(n: int, trials: int, seed: RandomSeed, t: int | None = None,
+                               k_blocks: int = 100000, alpha: float = 0.25,
+                               haar_mode: str = "urn") -> PFCDistinguishReport:
     """Run the collision test on fresh hidden draws from both ensembles.
 
     Trial i measures a Haar state seeded ``seed.child(4i)`` and the state
@@ -271,7 +267,7 @@ def pfc_distinguish_experiment(n: int, trials: int, seed: RandomSeed,
         raise ValueError("need at least one trial")
 
     def says_haar(oracle) -> bool:
-        return run_collision_distinguisher(oracle, params, estimator=estimator).verdict == "Haar"
+        return run_collision_distinguisher(oracle, params).verdict == "Haar"
 
     haar_hits = pfc_misses = 0
     for i in range(trials):

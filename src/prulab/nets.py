@@ -96,7 +96,7 @@ def exposure_estimate(net: NetSpec, eps: float, samples: int,
                       seed: RandomSeed) -> CoverageReport:
     """Fraction of Haar-sampled unitaries at distance > eps from the net.
 
-    Monte Carlo with a Wilson interval; the estimator cannot distinguish
+    Monte Carlo with a Wilson interval; the sample fraction cannot tell
     a true zero exposure from a tiny one, so only the interval is
     reported.
     """

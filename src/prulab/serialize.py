@@ -38,11 +38,36 @@ def load_matrix_bin(path: str | Path, dim: int) -> np.ndarray:
     return (flat[0::2] + 1j * flat[1::2]).reshape(dim, dim)
 
 
-def _field(d: dict, key: str, what: str):
-    """d[key], or a ValueError naming the missing key."""
+#: the JSON type named for each Python type a manifest value is checked
+#: against; float stands for any JSON number
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number"}
+
+
+def _expect(value, kind: type, what: str):
+    """`value`, or a ValueError naming `what` if it is not of JSON type
+    `kind`; true and false are neither integers nor numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        want, got = _JSON_TYPES[kind], json.dumps(value)
+        got = got if len(got) <= 40 else got[:37] + "..."
+        raise ValueError(f"{what} must be {want}, got {got}")
+    return value
+
+
+def _items(value, kind: type, what: str) -> list:
+    """`value` if it is an array of items of JSON type `kind`, or a
+    ValueError naming the array or its first other item."""
+    for i, item in enumerate(_expect(value, list, what)):
+        _expect(item, kind, f"{what} item {i}")
+    return value
+
+
+def _field(d: dict, key: str, what: str, kind: type):
+    """d[key] if it is of JSON type `kind`, or a ValueError naming the
+    missing key or the key path."""
     if key not in d:
         raise ValueError(f"{what} has no {key!r} entry")
-    return d[key]
+    return _expect(d[key], kind, f"{what} {key}")
 
 
 def _check_unitary(indexed, what: str) -> None:
@@ -59,39 +84,47 @@ def _manifest_matrices(d: dict, dim: int, base: Path | None) -> list[np.ndarray]
     """A manifest's inline `matrices`, or its binary `matrix_files` read
     relative to `base` (default: the working directory)."""
     if "matrices" in d:
-        return [matrix_from_json(m) for m in d["matrices"]]
+        return [matrix_from_json(m) for m in _expect(d["matrices"], list, "manifest matrices")]
     if "matrix_files" in d:
-        return [load_matrix_bin(Path(base or ".") / f, dim) for f in d["matrix_files"]]
+        files = _items(d["matrix_files"], str, "manifest matrix_files")
+        return [load_matrix_bin(Path(base or ".") / f, dim) for f in files]
     raise ValueError("manifest needs 'matrices' or 'matrix_files'")
 
 
 def ensemble_from_json_dict(d: dict, base: Path | None = None) -> EnsembleSpec:
-    dim = int(_field(d, "dim", "ensemble manifest"))
+    _expect(d, dict, "ensemble manifest")
+    dim = _field(d, "dim", "ensemble manifest", int)
     us = _manifest_matrices(d, dim, base)
-    weights = np.array(d["weights"]) if "weights" in d else None
+    weights = (np.array(_items(d["weights"], float, "ensemble manifest weights"))
+               if "weights" in d else None)
     ens = EnsembleSpec(dim, us, weights, name=d.get("name", ""))
     _check_unitary(enumerate(ens.unitaries), "ensemble element")
     return ens
 
 
 def net_from_json_dict(d: dict, base: Path | None = None) -> NetSpec:
-    dim = int(_field(d, "dim", "net manifest"))
+    _expect(d, dict, "net manifest")
+    dim = _field(d, "dim", "net manifest", int)
     net = NetSpec(dim, _manifest_matrices(d, dim, base))
     _check_unitary(enumerate(net.unitaries), "net element")
     return net
 
 
 def circuit_from_json_dict(d: dict) -> DiagonalOracleCircuit:
-    m = int(_field(d, "m", "circuit"))
-    oracles = [DiagonalPhase(m, np.array(p, dtype=float))
-               for p in _field(d, "oracles", "circuit")]
+    _expect(d, dict, "circuit")
+    n, m = (_field(d, key, "circuit", int) for key in ("n", "m"))
+    if n < 0:
+        raise ValueError(f"circuit n must be nonnegative, got {n}")
+    oracles = [DiagonalPhase(m, np.array(_items(p, float, f"circuit oracles item {i}")))
+               for i, p in enumerate(_field(d, "oracles", "circuit", list))]
     seq = []
-    for item in _field(d, "sequence", "circuit"):
-        if "fixed" in item:
+    for i, item in enumerate(_field(d, "sequence", "circuit", list)):
+        what = f"circuit sequence item {i}"
+        if "fixed" in _expect(item, dict, what):
             seq.append(("fixed", matrix_from_json(item["fixed"])))
         else:
-            seq.append(("oracle", int(_field(item, "oracle", "circuit sequence item"))))
-    circ = DiagonalOracleCircuit(int(_field(d, "n", "circuit")), m, oracles, seq)
+            seq.append(("oracle", _field(item, "oracle", what, int)))
+    circ = DiagonalOracleCircuit(n, m, oracles, seq)
     _check_unitary(((i, item[1]) for i, item in enumerate(seq) if item[0] == "fixed"),
                    "circuit sequence item")
     return circ

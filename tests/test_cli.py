@@ -123,11 +123,13 @@ UNREAD_FLAGS = {
     "--c-design --additive-slack --poly-budget --seed --stream --mem-budget",
     "design-distance --ensemble pauli-1 --t 1": "--seed --stream",
     "truncate-diag --k 4": "--seed --stream",
+    "pfc-distinguish --n 6 --trials 1 --k-blocks 5 --seed 1": "--estimator",
 }
 FLAG_VALUES = {"--t": "3", "--sweep-t": "1,2", "--delta": "0", "--eps": "0.5", "--eta": "0",
                "--kappa": "3", "--q": "3", "--m": "3", "--alpha-impl": "0",
                "--c-diamond": "1", "--c-design": "1", "--additive-slack": "1",
-               "--poly-budget": "2", "--seed": "1", "--stream": "2", "--mem-budget": "1"}
+               "--poly-budget": "2", "--seed": "1", "--stream": "2", "--mem-budget": "1",
+               "--estimator": "median"}
 
 
 def run_cli(args, capsys):
@@ -222,10 +224,48 @@ class TestCli:
         (["design-distance", "--t", "1", "--ensemble-file"],
          {"dim": 2, "weights": [float("nan"), 1.0], "matrices": [EYE_2, EYE_2]},
          "weight 0 is nan, not a finite number"),
+        (["design-distance", "--t", "1", "--ensemble-file"], 5,
+         "ensemble manifest must be an object, got 5"),
+        (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1", "--net-file"], 5,
+         "net manifest must be an object, got 5"),
+        (["truncate-diag", "--k", "4", "--circuit-file"], 5, "circuit must be an object, got 5"),
+        (["design-distance", "--t", "1", "--ensemble-file"], {"dim": [2], "matrices": [EYE_2]},
+         "ensemble manifest dim must be an integer, got [2]"),
+        (["design-distance", "--t", "1", "--ensemble-file"], {"dim": None, "matrices": [EYE_2]},
+         "ensemble manifest dim must be an integer, got null"),
+        (["design-distance", "--t", "1", "--ensemble-file"], {"dim": 2, "matrices": None},
+         "manifest matrices must be an array, got null"),
+        (["design-distance", "--t", "1", "--ensemble-file"], {"dim": 2, "matrix_files": [5]},
+         "manifest matrix_files item 0 must be a string, got 5"),
+        (["design-distance", "--t", "1", "--ensemble-file"],
+         {"dim": 2, "weights": "ab", "matrices": [EYE_2]},
+         'ensemble manifest weights must be an array, got "ab"'),
+        (["truncate-diag", "--k", "4", "--circuit-file"],
+         {"n": 1, "m": 1, "oracles": [[0.0, 0.5]], "sequence": [5]},
+         "circuit sequence item 0 must be an object, got 5"),
+        (["truncate-diag", "--k", "4", "--circuit-file"],
+         {"n": 1, "m": 1, "oracles": None, "sequence": []},
+         "circuit oracles must be an array, got null"),
+        (["truncate-diag", "--k", "4", "--circuit-file"],
+         {"n": 1, "m": [1], "oracles": [[0.0, 0.5]], "sequence": [{"oracle": 0}]},
+         "circuit m must be an integer, got [1]"),
+        (["truncate-diag", "--k", "4", "--circuit-file"],
+         {"n": -1, "m": -1, "oracles": [], "sequence": []},
+         "circuit n must be nonnegative, got -1"),
+        (["truncate-diag", "--k", "4", "--circuit-file"],
+         {"n": 1, "m": 1, "oracles": [[0.0, 0.5]], "sequence": [{"oracle": "x"}]},
+         'circuit sequence item 0 oracle must be an integer, got "x"'),
+        (["truncate-diag", "--k", "4", "--circuit-file"],
+         {"n": 1, "m": 1, "oracles": [["a", 0.5]], "sequence": [{"oracle": 0}]},
+         'circuit oracles item 0 item 0 must be a number, got "a"'),
     ], ids=["ensemble-no-dim", "net-no-dim", "circuit-no-sequence", "matrix-row-of-numbers",
             "matrix-entry-not-numeric", "circuit-fixed-of-numbers", "ensemble-not-unitary",
             "net-not-unitary", "circuit-fixed-not-unitary", "ensemble-weights-length",
-            "ensemble-weights-nan"])
+            "ensemble-weights-nan", "ensemble-number", "net-number", "circuit-number",
+            "ensemble-dim-list", "ensemble-dim-null", "matrices-null", "matrix-files-number",
+            "ensemble-weights-string", "circuit-sequence-item-number", "circuit-oracles-null",
+            "circuit-m-list", "circuit-n-negative", "circuit-oracle-string",
+            "circuit-phase-string"])
     def test_manifest_missing_key_is_a_usage_error(self, command, manifest, key, tmp_path,
                                                    capsys):
         dump_json(tmp_path / "m.json", manifest)
@@ -312,6 +352,18 @@ class TestCli:
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (1, ""), err
         assert err.startswith(f"error: unrecognized arguments: {flag}")
+
+    def test_pfc_config_holds_exactly_the_experiments_inputs(self, capsys):
+        # a knob deleted from the library cannot stay in the hashed config, and
+        # a config key cannot name an input the library never receives
+        from prulab.distinguisher import pfc_distinguish_experiment
+
+        code, out, err = run_cli(["pfc-distinguish", "--n", "6", "--trials", "1",
+                                  "--k-blocks", "5", "--seed", "1"], capsys)
+        assert code == 0, err
+        config = json.loads(out)["config"]
+        assert set(config) - {"command"} == set(
+            inspect.signature(pfc_distinguish_experiment).parameters)
 
     def test_bounds_inputs_are_the_formulas_own_flags(self, capsys):
         code, out, err = run_cli(["bounds", "prior-support", "--d", "2", "--t", "1"], capsys)

@@ -23,7 +23,7 @@ from prulab.distinguisher import (
     pfc_distinguish_experiment,
     run_collision_distinguisher,
 )
-from prulab.ensembles import reference_design, sample_pfc
+from prulab.ensembles import PolyaUrnSampler, reference_design, sample_pfc
 from prulab.linalg import (
     RandomSeed,
     ResourceLimitError,
@@ -105,18 +105,6 @@ class TestParams:
 class _ConstantOracle:
     def draw(self, shots):
         return np.zeros(shots, dtype=np.int64)
-
-
-class _ScriptedOracle:
-    """Returns the given blocks of outcomes, one per draw call."""
-
-    def __init__(self, blocks):
-        self.blocks = iter(blocks)
-
-    def draw(self, shots):
-        block = np.asarray(next(self.blocks), dtype=np.int64)
-        assert block.shape == (shots,)
-        return block
 
 
 class _SizedOracle:
@@ -272,25 +260,6 @@ class TestCollisionDistinguisher:
         assert rep1.verdict == rep2.verdict
         assert np.array_equal(rep1.blocks, rep2.blocks)
 
-    def test_median_variant(self):
-        p = DistinguisherParams(d=64, t=8, k_blocks=21)
-        rep = run_collision_distinguisher(_ConstantOracle(), p, estimator="median")
-        assert rep.estimator == "median"
-        assert rep.verdict == "PFC"
-
-    def test_median_and_mean_disagree_on_one_outlier_block(self):
-        # collision counts [1, 1, 28]: one equal pair twice, then all 8 equal;
-        # the mean 10 lies far from the center 56/65, the median 1 within alpha
-        p = DistinguisherParams(d=64, t=8, k_blocks=3)
-        blocks = [[0, 0, 1, 2, 3, 4, 5, 6], [7, 8, 9, 9, 10, 11, 12, 13], [5] * 8]
-        verdicts = {}
-        for estimator in ("mean", "median"):
-            rep = run_collision_distinguisher(_ScriptedOracle(blocks), p, estimator=estimator)
-            assert rep.blocks.tolist() == [1, 1, 28]
-            assert abs(1 - p.center) <= p.alpha < abs(10 - p.center)
-            verdicts[estimator] = (rep.mean_collisions, rep.verdict)
-        assert verdicts == {"mean": (10.0, "PFC"), "median": (1.0, "Haar")}
-
     def test_short_blocks_rejected(self):
         p = DistinguisherParams(d=64, t=8, k_blocks=3)
         with pytest.raises(ValueError, match="short block"):
@@ -441,18 +410,41 @@ class TestAdvantage:
             "trials": 30, "haar_verdict_rate": 0.9666666666666667, "pfc_verdict_rate": 0.8,
             "haar_ci_half": 0.08039953798736568, "pfc_ci_half": 0.13900534639313106,
             "advantage": 0.7666666666666666, "advantage_ci_half": 0.21940488438049674}),
-        ((5, 17, RandomSeed(3)), {"k_blocks": 200, "haar_mode": "dense",
-                                  "estimator": "median"}, {
+        ((5, 17, RandomSeed(3)), {"k_blocks": 200, "haar_mode": "dense"}, {
             "n": 5, "params": {"d": 32, "t": 6, "k_blocks": 200, "alpha": 0.25},
-            "trials": 17, "haar_verdict_rate": 0.9411764705882353,
-            "pfc_verdict_rate": 0.7647058823529411, "haar_ci_half": 0.12968266069523188,
-            "pfc_ci_half": 0.1885367840874783, "advantage": 0.7058823529411764,
-            "advantage_ci_half": 0.31821944478271014}),
-    ], ids=["urn", "dense-median"])
+            "trials": 17, "haar_verdict_rate": 0.8235294117647058,
+            "pfc_verdict_rate": 0.8235294117647058, "haar_ci_half": 0.17419457652413395,
+            "pfc_ci_half": 0.17419457652413395, "advantage": 0.6470588235294117,
+            "advantage_ci_half": 0.3483891530482679}),
+    ], ids=["urn", "dense-mean"])
     def test_report_is_pinned(self, args, kwargs, want):
         # exact floats: the PFC half-width is taken on the count of "Haar"
         # verdicts, and wilson_interval(k, n) and (n - k, n) differ in the last bit
         assert report_dict(pfc_distinguish_experiment(*args, **kwargs)) == want
+
+    def test_collide_n10_fill_schedule_is_pinned(self, monkeypatch):
+        # one trial of the benchmark's collide-n10 unit: 1000 draws of 32 on
+        # each oracle, served from blocks that double from the first request
+        # up to distinguisher._BLOCK
+        urn, support = [], []
+        urn_draw = PolyaUrnSampler.draw
+        sample_from_support = distinguisher.sample_from_support
+
+        def recording_urn(self, shots):
+            urn.append(shots)
+            return urn_draw(self, shots)
+
+        def recording_support(basis, shots, rng):
+            support.append(shots)
+            return sample_from_support(basis, shots, rng)
+
+        monkeypatch.setattr(PolyaUrnSampler, "draw", recording_urn)
+        monkeypatch.setattr(distinguisher, "sample_from_support", recording_support)
+        pfc_distinguish_experiment(n=10, trials=1, t=32, k_blocks=1000, alpha=0.25,
+                                   haar_mode="urn", seed=RandomSeed(1))
+        want = [32, 32, 64, 128, 256, 512, 1024, 2048] + [4096] * 7
+        assert urn == want
+        assert support == want
 
     @pytest.mark.parametrize("kwargs,match", [
         ({"trials": 0}, "at least one trial"),
