@@ -21,10 +21,10 @@ KAPPA_LIMIT = sys.float_info.max_exp
 D_LIMIT = 2**500
 
 
-def check_dimension(d: int, name: str = "d") -> None:
-    """Raise ValueError unless 2 <= d <= D_LIMIT; ``name`` is the one to report."""
+def check_dimension(d: int) -> None:
+    """Raise ValueError unless 2 <= d <= D_LIMIT."""
     if not 2 <= d <= D_LIMIT:
-        raise ValueError(f"{name} must be an integer from 2 to 2^500, got {d}")
+        raise ValueError(f"d must be an integer from 2 to 2^500, got {d}")
 
 
 def _log_binom(t: int, k: int) -> float:

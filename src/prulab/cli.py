@@ -2,8 +2,11 @@
 
 Every stochastic subcommand requires --seed and emits a machine-readable
 report embedding the seed and a content hash of its own config, so any
-report is reproducible bit for bit.  Exit codes: 0 success, 1 usage
-error, 2 assertion-style property violation (for CI gating).
+report is reproducible bit for bit.  Each flag declares its accepted
+values in its argparse type, so a bad value is a usage error that names
+the flag, the bound and the value; flags that exclude each other form
+required groups.  Exit codes: 0 success, 1 usage error, 2 assertion-style
+property violation (for CI gating).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 import sys
 from pathlib import Path
 
+from prulab.bounds import D_LIMIT, KAPPA_LIMIT
 from prulab.linalg import (
     PropertyViolationError,
     RandomSeed,
@@ -23,6 +27,7 @@ from prulab.linalg import (
     memory_budget_bytes,
     set_memory_budget_bytes,
 )
+from prulab.truncation import MAX_K
 from prulab.util import config_hash, report_dict
 
 
@@ -49,16 +54,64 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
+def _number(kind: type = float, low=-math.inf, high=math.inf, *, open_low: bool = False,
+            open_high: bool = False, whole: bool = False):
+    """argparse type: a finite ``kind`` (int or float) from ``low`` to ``high``.
+
+    Each end is closed unless made open, or infinite; ``whole`` asks a float
+    to be a whole number.  A value outside is an ``ArgumentTypeError``,
+    which argparse reports with the flag's name.
+    """
+    def show(bound) -> str:  # 2^-30, 2^64 and D_LIMIT by their exponents
+        mantissa, exponent = math.frexp(bound)
+        return f"2^{exponent - 1}" if mantissa == 0.5 and abs(exponent) > 16 else str(bound)
+
+    open_low, open_high = open_low or low == -math.inf, open_high or high == math.inf
+    domain = f"{'(' if open_low else '['}{show(low)}, {show(high)}{')' if open_high else ']'}"
+
+    def parse(text: str):
+        try:
+            x = kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"must be {noun}, got {text!r}") from None
+        if kind is float and not math.isfinite(x):
+            raise argparse.ArgumentTypeError(f"must be a finite number, got {x}")
+        if whole and not x.is_integer():
+            raise argparse.ArgumentTypeError(f"must be a whole number, got {x}")
+        if (x <= low if open_low else x < low) or (x >= high if open_high else x > high):
+            raise argparse.ArgumentTypeError(f"must be in {domain}, got {x}")
+        return x
+
+    return parse
+
+
+def _number_list(item):
+    """argparse type: a comma list of values that each pass ``item``."""
+    return lambda text: [item(v) for v in text.split(",")]
+
+
+_ANY = _number()
+_NONNEGATIVE = _number(low=0)
+_POSITIVE = _number(low=0, open_low=True)
+_UNIT = _number(low=0, high=1)
+_BELOW_ONE = _number(low=0, high=1, open_high=True)
+_COUNT = _number(int, 1)
+
+
 def _add_output(p: _Parser, budget: bool = True) -> None:
     p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     if budget:
-        p.add_argument("--mem-budget", type=float, help="working-set cap in GiB")
+        # from one byte up to the largest size a float holds in bytes
+        p.add_argument("--mem-budget", type=_number(low=2.0**-30, high=2.0**994, open_high=True),
+                       help="working-set cap in GiB")
 
 
 def _add_seed(p: _Parser) -> None:
-    p.add_argument("--seed", type=int, required=True, help="base seed")
-    p.add_argument("--stream", type=int, default=0, help="seed stream id")
+    word = _number(int, 0, 1 << 64, open_high=True)
+    p.add_argument("--seed", type=word, required=True, help="base seed")
+    p.add_argument("--stream", type=word, default=0, help="seed stream id")
 
 
 def build_parser() -> _Parser:
@@ -68,37 +121,40 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pfc-distinguish", help="collision test: permutation-phase-Clifford vs Haar")
     _add_output(p)
     _add_seed(p)
-    p.add_argument("--n", type=int, required=True, help="qubit count (d = 2^n), n <= 30")
-    p.add_argument("--t", type=int, default=None, help="copies per block (default ceil(sqrt(d)))")
-    p.add_argument("--k-blocks", type=int, default=100000)
-    p.add_argument("--alpha", type=float, default=0.25)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--n", type=_number(int, 1, 30), required=True, help="qubit count (d = 2^n)")
+    p.add_argument("--t", type=_number(int, 2), default=None,
+                   help="copies per block (default ceil(sqrt(d)))")
+    p.add_argument("--k-blocks", type=_COUNT, default=100000)
+    p.add_argument("--alpha", type=_POSITIVE, default=0.25)
+    p.add_argument("--trials", type=_COUNT, required=True)
     p.add_argument("--haar-mode", choices=("urn", "dense"), default="urn")
 
     p = sub.add_parser("design-distance", help="2->2 distance and diamond/relative bracket of an ensemble")
     _add_output(p)
-    p.add_argument("--ensemble-file", type=str, default=None, help="ensemble manifest JSON")
-    p.add_argument("--ensemble", type=str, default=None,
-                   help="builtin: pauli-1 | clifford-1")
-    p.add_argument("--t", type=int, required=True)
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--ensemble-file", type=str, help="ensemble manifest JSON")
+    g.add_argument("--ensemble", choices=("pauli-1", "clifford-1"), help="builtin ensemble")
+    p.add_argument("--t", type=_COUNT, required=True)
 
     p = sub.add_parser("net-coverage", help="Monte Carlo exposure of a finite net")
     _add_output(p)
     _add_seed(p)
-    p.add_argument("--net-file", type=str, default=None, help="net manifest JSON")
-    p.add_argument("--haar-net-size", type=int, default=None,
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--net-file", type=str, help="net manifest JSON")
+    g.add_argument("--haar-net-size", type=_COUNT,
                    help="instead of a file: sample this many Haar elements")
-    p.add_argument("--dim", type=int, default=None, help="dimension for --haar-net-size")
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--sweep-eps", type=str, default=None,
-                   help="comma list of eps values, used in place of --eps; "
+    p.add_argument("--dim", type=_COUNT, default=None, help="dimension for --haar-net-size")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--eps", type=_NONNEGATIVE)
+    g.add_argument("--sweep-eps", type=_number_list(_NONNEGATIVE),
+                   help="comma list of eps values, in place of --eps; "
                         "with --format csv, one row per value")
+    p.add_argument("--samples", type=_COUNT, required=True)
 
     p = sub.add_parser("truncate-diag", help="verify diagonal-truncation distance bounds")
     _add_output(p)
     p.add_argument("--circuit-file", type=str, required=True)
-    p.add_argument("--k", type=int, required=True, help="truncation bits")
+    p.add_argument("--k", type=_number(int, 0, MAX_K), required=True, help="truncation bits")
 
     p = sub.add_parser("bounds", help="cardinality/entropy bound calculators")
     formulas = p.add_subparsers(dest="formula", required=True)
@@ -107,34 +163,42 @@ def build_parser() -> _Parser:
     for name in ("prior-support", "improved-support", "rom-input-length",
                  "trivial-rompru", "scalable-check", "net-size"):
         f[name] = formulas.add_parser(name)
-        f[name].add_argument("--d", type=int, required=True)
+        f[name].add_argument("--d", type=_number(int, 2, D_LIMIT), required=True)
         _add_output(f[name], budget=False)
-    for name in ("prior-support", "improved-support", "rom-input-length", "scalable-check"):
-        f[name].add_argument("--t", type=float, default=None)
-        f[name].add_argument("--sweep-t", type=str, default=None,
-                             help="comma list of t values; with --format csv, one row per value")
-        f[name].add_argument("--delta", type=float, default=0.0)
+    # each domain is the one the formula's own function checks
+    for name, t_type, delta_type in (
+            ("prior-support", _number(low=0, whole=True), _UNIT),
+            ("improved-support", _POSITIVE, _BELOW_ONE),
+            ("rom-input-length", _NONNEGATIVE, _BELOW_ONE),
+            ("scalable-check", _NONNEGATIVE, _NONNEGATIVE)):
+        g = f[name].add_mutually_exclusive_group(required=True)
+        g.add_argument("--t", type=t_type)
+        g.add_argument("--sweep-t", type=_number_list(t_type),
+                       help="comma list of t values; with --format csv, one row per value")
+        f[name].add_argument("--delta", type=delta_type, default=0.0)
     for name in ("prior-support", "improved-support", "net-size"):
         f[name].add_argument("--log", action="store_true", help="report natural logs")
-    f["improved-support"].add_argument("--c-design", type=float, default=1.0)
-    f["rom-input-length"].add_argument("--eps", type=float, default=0.0)
-    f["rom-input-length"].add_argument("--additive-slack", type=float, default=1.0)
-    for name in ("trivial-rompru", "scalable-check"):
-        f[name].add_argument("--kappa", type=int, required=True)
-    f["scalable-check"].add_argument("--q", type=float, required=True)
-    f["scalable-check"].add_argument("--m", type=float, required=True)
-    f["scalable-check"].add_argument("--alpha-impl", type=float, default=0.0)
-    f["scalable-check"].add_argument("--poly-budget", type=float, default=2.0)
-    f["net-size"].add_argument("--eps", type=float, required=True)
-    f["net-size"].add_argument("--eta", type=float, default=0.0)
-    f["net-size"].add_argument("--c-diamond", type=float, default=1.0)
+    f["improved-support"].add_argument("--c-design", type=_POSITIVE, default=1.0)
+    f["rom-input-length"].add_argument("--eps", type=_ANY, default=0.0)
+    f["rom-input-length"].add_argument("--additive-slack", type=_ANY, default=1.0)
+    kappa = _number(int, 0, KAPPA_LIMIT, open_high=True)
+    f["trivial-rompru"].add_argument("--kappa", type=kappa, required=True)
+    f["scalable-check"].add_argument("--kappa", type=_number(int, 0), required=True)
+    f["scalable-check"].add_argument("--q", type=_NONNEGATIVE, required=True)
+    f["scalable-check"].add_argument("--m", type=_NONNEGATIVE, required=True)
+    f["scalable-check"].add_argument("--alpha-impl", type=_NONNEGATIVE, default=0.0)
+    f["scalable-check"].add_argument("--poly-budget", type=_ANY, default=2.0)
+    f["net-size"].add_argument("--eps", type=_POSITIVE, required=True)
+    f["net-size"].add_argument("--eta", type=_UNIT, default=0.0)
+    f["net-size"].add_argument("--c-diamond", type=_POSITIVE, default=1.0)
 
     p = sub.add_parser("tomo-demo", help="tomography contract demo on a hidden Haar unitary")
     _add_output(p)
     _add_seed(p)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--eta", type=float, required=True)
+    p.add_argument("--d", type=_COUNT, required=True)
+    p.add_argument("--eps", type=_POSITIVE, required=True)
+    p.add_argument("--eta", type=_number(low=0, high=1, open_low=True, open_high=True),
+                   required=True)
 
     return top
 
@@ -163,36 +227,11 @@ def _emit(args, config: dict, result: dict | list[dict]) -> None:
         sys.stdout.write(text)
 
 
-def _seed_of(args) -> RandomSeed:
-    for flag, value in (("--seed", args.seed), ("--stream", args.stream)):
-        if not 0 <= value < 1 << 64:
-            raise ValueError(f"{flag} must be in [0, 2^64), got {value}")
-    return RandomSeed(args.seed, args.stream)
-
-
-def _float_list(text: str, flag: str) -> list[float]:
-    try:
-        values = [float(v) for v in text.split(",")]
-    except ValueError:
-        raise ValueError(f"{flag} {text!r} is not a comma list of numbers") from None
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{flag} {text!r} holds a value that is not finite")
-    return values
-
-
 def _cmd_pfc_distinguish(args) -> None:
     from prulab.distinguisher import pfc_distinguish_experiment
 
-    if args.n < 1 or args.n > 30:
-        raise ValueError(f"--n must be between 1 and 30, got {args.n}")
-    for flag, value, least in (("--trials", args.trials, 1), ("--t", args.t, 2),
-                               ("--k-blocks", args.k_blocks, 1)):
-        if value is not None and value < least:
-            raise ValueError(f"{flag} must be at least {least}, got {value}")
-    if args.alpha <= 0:
-        raise ValueError(f"--alpha must be positive, got {args.alpha}")
     rep = pfc_distinguish_experiment(
-        args.n, args.trials, _seed_of(args), t=args.t,
+        args.n, args.trials, RandomSeed(args.seed, args.stream), t=args.t,
         k_blocks=args.k_blocks, alpha=args.alpha, haar_mode=args.haar_mode)
     # only once the run has passed, so that an error's message stays first
     if args.n <= 4:
@@ -212,20 +251,16 @@ def _cmd_design_distance(args) -> None:
     from prulab.moments import MAX_MOMENT_ORDER, diamond_design_bounds
     from prulab.serialize import ensemble_from_json_dict, load_json
 
-    if not 1 <= args.t <= MAX_MOMENT_ORDER:
-        raise ValueError(f"--t must be in 1..{MAX_MOMENT_ORDER}, got {args.t}")
-    if (args.ensemble_file is None) == (args.ensemble is None):
-        raise ValueError("give exactly one of --ensemble and --ensemble-file")
-    if args.ensemble_file:
+    # the parser cannot read the cap: importing prulab.moments loads scipy
+    if args.t > MAX_MOMENT_ORDER:
+        raise ValueError(f"argument --t: must be in [1, {MAX_MOMENT_ORDER}], got {args.t}")
+    if args.ensemble_file is not None:
         ens = ensemble_from_json_dict(load_json(args.ensemble_file),
                                       Path(args.ensemble_file).parent)
     elif args.ensemble == "pauli-1":
         ens = reference_design("pauli-1-design", 1)
-    elif args.ensemble == "clifford-1":
-        ens = reference_design("single-qubit-clifford-3-design")
     else:
-        raise ValueError(f"unknown --ensemble {args.ensemble!r}; "
-                         "choose pauli-1 or clifford-1")
+        ens = reference_design("single-qubit-clifford-3-design")
     rep = diamond_design_bounds(ens, args.t)
     config = {"command": "design-distance", "t": args.t,
               "ensemble": args.ensemble or args.ensemble_file}
@@ -236,30 +271,17 @@ def _cmd_net_coverage(args) -> None:
     from prulab.nets import NetSpec, exposure_estimate
     from prulab.serialize import load_json, net_from_json_dict
 
-    if args.eps is None and args.sweep_eps is None:
-        raise ValueError("net-coverage needs --eps or --sweep-eps")
-    eps_flag = "--sweep-eps" if args.sweep_eps is not None else "--eps"
-    eps_list = (_float_list(args.sweep_eps, eps_flag)
-                if args.sweep_eps is not None else [args.eps])
-    if min(eps_list) < 0:
-        raise ValueError(f"{eps_flag} must be nonnegative, got {min(eps_list)}")
-    if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    seed = _seed_of(args)
-    if args.net_file:
+    if (args.dim is None) != (args.haar_net_size is None):
+        raise ValueError("argument --dim: not allowed with argument --net-file, "
+                         "and required with argument --haar-net-size")
+    seed = RandomSeed(args.seed, args.stream)
+    if args.net_file is not None:
         net = net_from_json_dict(load_json(args.net_file), Path(args.net_file).parent)
-    elif args.haar_net_size is not None and args.dim is not None:
-        if args.dim < 1:
-            raise ValueError(f"--dim must be at least 1, got {args.dim}")
-        if args.haar_net_size < 1:
-            raise ValueError(f"--haar-net-size must be at least 1, got {args.haar_net_size}")
-        net = NetSpec.haar_sample(args.dim, args.haar_net_size, seed.child(999))
     else:
-        raise ValueError("give --net-file, or --haar-net-size together with --dim")
-    rows = []
-    for i, eps in enumerate(eps_list):
-        rep = exposure_estimate(net, eps, args.samples, seed.child(i))
-        rows.append(report_dict(rep))
+        net = NetSpec.haar_sample(args.dim, args.haar_net_size, seed.child(999))
+    eps_list = args.sweep_eps if args.sweep_eps is not None else [args.eps]
+    rows = [report_dict(exposure_estimate(net, eps, args.samples, seed.child(i)))
+            for i, eps in enumerate(eps_list)]
     config = {"command": "net-coverage", "eps": eps_list, "samples": args.samples,
               "net": args.net_file or f"haar({args.dim},{args.haar_net_size})",
               "seed": [args.seed, args.stream]}
@@ -268,10 +290,8 @@ def _cmd_net_coverage(args) -> None:
 
 def _cmd_truncate_diag(args) -> None:
     from prulab.serialize import circuit_from_json_dict, load_json
-    from prulab.truncation import MAX_K, circuit_truncation_bound
+    from prulab.truncation import circuit_truncation_bound
 
-    if not 0 <= args.k <= MAX_K:
-        raise ValueError(f"--k must be in 0..{MAX_K}, got {args.k}")
     circ = circuit_from_json_dict(load_json(args.circuit_file))
     rep = circuit_truncation_bound(circ, args.k)
     config = {"command": "truncate-diag", "circuit": args.circuit_file, "k": args.k}
@@ -302,8 +322,6 @@ def _cmd_bounds(args) -> None:
 
     def one(t_val):
         if args.formula == "prior-support":
-            if not t_val.is_integer():
-                raise ValueError(f"bounds prior-support needs an integer {t_flag}, got {t_val}")
             return {"t": t_val, "value": B.prior_support_bound(
                 args.d, int(t_val), args.delta, as_log=args.log)}
         if args.formula == "improved-support":
@@ -322,24 +340,10 @@ def _cmd_bounds(args) -> None:
             return {"value": net_size_lower_bound(
                 args.d, args.eps, args.eta, args.c_diamond, as_log=args.log)}
 
-    B.check_dimension(args.d, "--d")
-    t_vals = [None]
-    if "t" in vars(args):
-        if args.t is None and sweep is None:
-            raise ValueError(f"bounds {args.formula} needs --t or --sweep-t")
-        t_vals = _float_list(sweep, t_flag) if sweep is not None else [args.t]
-        if min(t_vals) < 0:
-            raise ValueError(f"{t_flag} must be nonnegative, got {min(t_vals)}")
-    if args.formula in ("improved-support", "rom-input-length") and not 0 <= args.delta < 1:
-        raise ValueError(f"bounds {args.formula} needs --delta in [0, 1), got {args.delta}")
-    if args.formula == "prior-support" and not 0 <= args.delta <= 1:
-        raise ValueError(f"bounds prior-support needs --delta in [0, 1], got {args.delta}")
-    if args.formula == "trivial-rompru" and args.kappa >= B.KAPPA_LIMIT:
-        raise ValueError(f"bounds trivial-rompru needs --kappa below {B.KAPPA_LIMIT}, "
-                         f"so that t = 2^kappa is a finite float, got {args.kappa}")
     config = {"command": "bounds", "formula": args.formula,
               "inputs": {k: v for k, v in vars(args).items()
                          if k not in ("command", "formula", "out", "format") and v is not None}}
+    t_vals = (sweep or [args.t]) if "t" in vars(args) else [None]
     rows = [finite(one(v)) for v in t_vals]
     _emit(args, config, rows if sweep is not None else rows[0])
 
@@ -348,13 +352,7 @@ def _cmd_tomo_demo(args) -> None:
     from prulab.linalg import diamond_distance_unitaries, haar_unitary
     from prulab.tomography import ChannelOracle, naive_process_tomography
 
-    if args.d < 1:
-        raise ValueError(f"--d must be at least 1, got {args.d}")
-    if args.eps <= 0:
-        raise ValueError(f"--eps must be positive, got {args.eps}")
-    if not 0 < args.eta < 1:
-        raise ValueError(f"--eta must be in (0, 1), got {args.eta}")
-    seed = _seed_of(args)
+    seed = RandomSeed(args.seed, args.stream)
     hidden = haar_unitary(args.d, seed.child(0))
     oracle = ChannelOracle(hidden)
     res = naive_process_tomography(oracle, args.eps, args.eta, seed.child(1))
@@ -382,17 +380,9 @@ def main(argv: list[str] | None = None) -> int:
     budget = memory_budget_bytes()
     try:
         args = build_parser().parse_args(argv)
-        for name, value in vars(args).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"--{name.replace('_', '-')} must be a finite number, "
-                                 f"got {value}")
         # bounds allocates nothing under ensure_budget, so it has no --mem-budget
         if getattr(args, "mem_budget", None) is not None:
-            nbytes = args.mem_budget * (1 << 30)
-            if not 1 <= nbytes < float("inf"):
-                raise ValueError(f"--mem-budget must be a finite size of at least one "
-                                 f"byte, got {args.mem_budget} GiB")
-            set_memory_budget_bytes(int(nbytes))
+            set_memory_budget_bytes(int(args.mem_budget * (1 << 30)))
         _DISPATCH[args.command](args)
     except PropertyViolationError as exc:
         print(f"property violation: {exc}", file=sys.stderr)

@@ -123,7 +123,6 @@ class EnsembleSpec:
     dim: int
     unitaries: list[np.ndarray]
     weights: np.ndarray | None = None
-    name: str = ""
 
     def __post_init__(self):
         if not self.unitaries:
@@ -205,8 +204,8 @@ def reference_design(kind: str, n: int = 1) -> EnsembleSpec:
     """
     if kind == "pauli-1-design":
         us = pauli_group(n)
-        return EnsembleSpec(2**n, us, name=f"pauli({n})")
+        return EnsembleSpec(2**n, us)
     if kind == "single-qubit-clifford-3-design":
         us = single_qubit_cliffords()
-        return EnsembleSpec(2, us, name="clifford(1)")
+        return EnsembleSpec(2, us)
     raise ValueError(f"unknown reference design {kind!r}")

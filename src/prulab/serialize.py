@@ -97,7 +97,7 @@ def ensemble_from_json_dict(d: dict, base: Path | None = None) -> EnsembleSpec:
     us = _manifest_matrices(d, dim, base)
     weights = (np.array(_items(d["weights"], float, "ensemble manifest weights"))
                if "weights" in d else None)
-    ens = EnsembleSpec(dim, us, weights, name=d.get("name", ""))
+    ens = EnsembleSpec(dim, us, weights)
     _check_unitary(enumerate(ens.unitaries), "ensemble element")
     return ens
 

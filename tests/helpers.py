@@ -722,7 +722,7 @@ def compose_ensemble(ens: EnsembleSpec, m: int) -> EnsembleSpec:
     for _ in range(m):
         us = [u @ v for u in us for v in ens.unitaries]
         ws = [w1 * w2 for w1 in ws for w2 in ens.weights]
-    return EnsembleSpec(ens.dim, us, np.array(ws), name=f"{ens.name}^{m}")
+    return EnsembleSpec(ens.dim, us, np.array(ws))
 
 
 @dataclass
@@ -811,7 +811,6 @@ def ensemble_to_json_dict(ens: EnsembleSpec) -> dict:
         "dim": ens.dim,
         "weights": [float(w) for w in ens.weights],
         "matrices": [matrix_to_json(u) for u in ens.unitaries],
-        "name": ens.name,
     }
 
 

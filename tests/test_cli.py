@@ -1,15 +1,23 @@
 import argparse
+import contextlib
+import copy
+import functools
 import inspect
+import io
 import json
+import operator
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     circuit_to_json_dict,
@@ -129,7 +137,16 @@ FLAG_VALUES = {"--t": "3", "--sweep-t": "1,2", "--delta": "0", "--eps": "0.5", "
                "--kappa": "3", "--q": "3", "--m": "3", "--alpha-impl": "0",
                "--c-diamond": "1", "--c-design": "1", "--additive-slack": "1",
                "--poly-budget": "2", "--seed": "1", "--stream": "2", "--mem-budget": "1",
-               "--estimator": "median"}
+               "--estimator": "median", "--haar-net-size": "3", "--dim": "2", "--sweep-eps": "0.5"}
+# the base command line of a command or formula (net-coverage's gets a
+# --net-file), and flags it reads, but never together with one that line gives
+EXCLUSIVE_FLAGS = {
+    "net-coverage --eps 0.5 --samples 2 --seed 1": "--haar-net-size --dim --sweep-eps",
+    "bounds prior-support --d 2 --t 1": "--sweep-t",
+    "bounds improved-support --d 4 --t 8": "--sweep-t",
+    "bounds rom-input-length --d 4 --t 8": "--sweep-t",
+    "bounds scalable-check --d 16 --kappa 3 --q 4 --m 2 --t 8": "--sweep-t",
+}
 
 
 def run_cli(args, capsys):
@@ -338,20 +355,31 @@ class TestCli:
         assert (code, out) == (1, "")
         assert err.startswith("error: unrecognized arguments: --bogus 3")
 
-    @pytest.mark.parametrize("base, flag", [
-        pytest.param(base, flag, id=base.split(" --")[0].removeprefix("bounds ") + flag)
-        for base, unread in UNREAD_FLAGS.items() for flag in unread.split()])
-    def test_flag_the_command_does_not_read_is_rejected(self, base, flag, tmp_path, capsys):
+    @pytest.mark.parametrize("base, flag, message", [
+        pytest.param(base, flag, message(flag),
+                     id=base.split(" --")[0].removeprefix("bounds ") + flag)
+        for flags, message in (
+            (UNREAD_FLAGS, lambda flag: f"unrecognized arguments: {flag}"),
+            (EXCLUSIVE_FLAGS, lambda flag: f"argument {flag}: not allowed with "))
+        for base, unread in flags.items() for flag in unread.split()])
+    def test_flag_the_command_does_not_read_is_rejected(self, base, flag, message, tmp_path,
+                                                        capsys):
         # every command accepted the output, budget and seed flags, and every
-        # bounds formula all 20 bounds flags, whether it read them or not
+        # bounds formula all 20 bounds flags, whether it read them or not; and
+        # net-coverage and bounds ignored one flag of a pair they read
+        from prulab.nets import NetSpec
+
         argv = shlex.split(base) + [flag] + ([] if flag == "--log" else [FLAG_VALUES[flag]])
         if argv[0] == "truncate-diag":
             dump_json(tmp_path / "c.json", circuit_to_json_dict(DiagonalOracleCircuit(
                 1, 1, [random_phase(1, RandomSeed(7).generator())], [("oracle", 0)])))
             argv += ["--circuit-file", str(tmp_path / "c.json")]
+        if argv[0] == "net-coverage":
+            dump_json(tmp_path / "n.json", net_to_json_dict(NetSpec(2, [np.eye(2, dtype=complex)])))
+            argv[1:1] = ["--net-file", str(tmp_path / "n.json")]
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (1, ""), err
-        assert err.startswith(f"error: unrecognized arguments: {flag}")
+        assert err.startswith(f"error: {message}")
 
     def test_pfc_config_holds_exactly_the_experiments_inputs(self, capsys):
         # a knob deleted from the library cannot stay in the hashed config, and
@@ -372,35 +400,48 @@ class TestCli:
             "d": 2, "t": 1.0, "delta": 0.0, "log": False}
 
     @pytest.mark.parametrize("argv, cause", [
-        (["pfc-distinguish", "--n", "31", "--trials", "1", "--seed", "1"], "--n"),
-        (["design-distance", "--t", "1"], "--ensemble and --ensemble-file"),
+        (["pfc-distinguish", "--n", "31", "--trials", "1", "--seed", "1"],
+         "argument --n: must be in [1, 30], got 31"),
+        (["design-distance", "--t", "1"],
+         "one of the arguments --ensemble-file --ensemble is required"),
         (["design-distance", "--ensemble", "pauli-1", "--ensemble-file", "m.json",
-          "--t", "1"], "--ensemble and --ensemble-file"),
-        (["design-distance", "--ensemble", "bogus", "--t", "1"], "--ensemble 'bogus'"),
-        (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1"], "--net-file"),
-        (["bounds", "prior-support", "--d", "2"], "--t"),
+          "--t", "1"], "argument --ensemble-file: not allowed with argument --ensemble"),
+        (["design-distance", "--ensemble", "bogus", "--t", "1"],
+         "argument --ensemble: invalid choice: 'bogus'"),
+        (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1"],
+         "one of the arguments --net-file --haar-net-size is required"),
+        (["bounds", "prior-support", "--d", "2"], "one of the arguments --t --sweep-t is required"),
         (["bounds", "trivial-rompru", "--d", "4"], "--kappa"),
         (["design-distance", "--ensemble", "pauli-1", "--t", "1", "--mem-budget", "0"],
-         "--mem-budget"),
+         "argument --mem-budget: must be in [2^-30, 2^994), got 0.0"),
         (["design-distance", "--ensemble", "pauli-1", "--t", "1", "--mem-budget", "-1"],
-         "--mem-budget"),
+         "argument --mem-budget: must be in [2^-30, 2^994), got -1.0"),
         (["bounds", "net-size", "--d", "2"], "--eps"),
         (["bounds", "scalable-check", "--d", "4", "--t", "1", "--kappa", "1"], "--q"),
-        (["bounds", "prior-support", "--d", "2", "--t", "1.5"], "integer --t"),
-        (["bounds", "prior-support", "--d", "2", "--sweep-t", "1,1.5"], "integer --sweep-t"),
+        (["bounds", "prior-support", "--d", "2", "--t", "1.5"],
+         "argument --t: must be a whole number, got 1.5"),
+        (["bounds", "prior-support", "--d", "2", "--sweep-t", "1,1.5"],
+         "argument --sweep-t: must be a whole number, got 1.5"),
         (["net-coverage", "--haar-net-size", "2", "--dim", "2", "--eps", "0.5",
-          "--samples", "2", "--seed", "1", "--sweep-eps", "0.1,x"], "--sweep-eps '0.1,x'"),
-        (["bounds", "improved-support", "--d", "4", "--sweep-t", "1,y"], "--sweep-t '1,y'"),
-        (["bounds", "prior-support", "--d", "2", "--t", "-1"], "--t"),
-        (["bounds", "improved-support", "--d", "2", "--t", "inf"], "--t"),
-        (["bounds", "improved-support", "--d", "2", "--t", "nan"], "--t"),
-        (["bounds", "improved-support", "--d", "2", "--sweep-t", "1,nan"], "--sweep-t"),
+          "--samples", "2", "--seed", "1", "--sweep-eps", "0.1,x"],
+         "argument --sweep-eps: must be a number, got 'x'"),
+        (["bounds", "improved-support", "--d", "4", "--sweep-t", "1,y"],
+         "argument --sweep-t: must be a number, got 'y'"),
+        (["bounds", "prior-support", "--d", "2", "--t", "-1"],
+         "argument --t: must be in [0, inf), got -1.0"),
+        (["bounds", "improved-support", "--d", "2", "--t", "inf"],
+         "argument --t: must be a finite number, got inf"),
+        (["bounds", "improved-support", "--d", "2", "--t", "nan"],
+         "argument --t: must be a finite number, got nan"),
+        (["bounds", "improved-support", "--d", "2", "--sweep-t", "1,nan"],
+         "argument --sweep-t: must be a finite number, got nan"),
         (["net-coverage", "--haar-net-size", "5", "--dim", "2", "--eps", "nan",
-          "--samples", "5", "--seed", "1"], "--eps"),
+          "--samples", "5", "--seed", "1"], "argument --eps: must be a finite number, got nan"),
         (["bounds", "improved-support", "--d", "64", "--t", "1e300"], "--log"),
         (["bounds", "prior-support", "--d", "1000", "--t", "200"], "--log"),
         (["bounds", "net-size", "--d", "100", "--eps", "0.001"], "--log"),
-        (["bounds", "trivial-rompru", "--d", "4", "--kappa", "2000"], "--kappa"),
+        (["bounds", "trivial-rompru", "--d", "4", "--kappa", "2000"],
+         "argument --kappa: must be in [0, 1024), got 2000"),
         (["bounds", "scalable-check", "--d", "16", "--kappa", "8", "--q", "1e300",
           "--m", "1e300", "--t", "8"], "--q and --m"),
         (["bounds", "scalable-check", "--d", "16", "--kappa", "8", "--q", "1e300",
@@ -413,59 +454,68 @@ class TestCli:
         (["bounds", "rom-input-length", "--d", "4", "--eps", "1e-320", "--t", "2"], "--eps"),
         (["bounds", "rom-input-length", "--d", "4", "--eps", "1e-320", "--t", "2",
           "--format", "csv"], "--eps"),
-        (["bounds", "rom-input-length", "--d", "0", "--t", "8"], "--d"),
-        (["bounds", "improved-support", "--d", "0", "--t", "2"], "--d"),
-        (["bounds", "prior-support", "--d", "0", "--t", "2"], "--d"),
-        (["bounds", "trivial-rompru", "--kappa", "3", "--d", "1" + "0" * 200], "--d"),
-        (["bounds", "net-size", "--d", "0", "--eps", "0.1"], "--d"),
-        (["bounds", "rom-input-length", "--d", "-3", "--t", "8"], "--d"),
+        (["bounds", "rom-input-length", "--d", "0", "--t", "8"],
+         "argument --d: must be in [2, 2^500], got 0"),
+        (["bounds", "improved-support", "--d", "0", "--t", "2"],
+         "argument --d: must be in [2, 2^500], got 0"),
+        (["bounds", "prior-support", "--d", "0", "--t", "2"],
+         "argument --d: must be in [2, 2^500], got 0"),
+        (["bounds", "trivial-rompru", "--kappa", "3", "--d", "1" + "0" * 200],
+         "argument --d: must be in [2, 2^500], got 1" + "0" * 200),
+        (["bounds", "net-size", "--d", "0", "--eps", "0.1"],
+         "argument --d: must be in [2, 2^500], got 0"),
+        (["bounds", "rom-input-length", "--d", "-3", "--t", "8"],
+         "argument --d: must be in [2, 2^500], got -3"),
         (["bounds", "scalable-check", "--d", "1", "--kappa", "1", "--q", "1", "--m", "1",
-          "--t", "2"], "--d"),
-        (["bounds", "prior-support", "--d", str(2**500 + 1), "--t", "2", "--log"], "--d"),
+          "--t", "2"], "argument --d: must be in [2, 2^500], got 1"),
+        (["bounds", "prior-support", "--d", str(2**500 + 1), "--t", "2", "--log"],
+         f"argument --d: must be in [2, 2^500], got {2**500 + 1}"),
         (["pfc-distinguish", "--n", "20", "--trials", "1", "--k-blocks", "1", "--seed", "1",
           "--mem-budget", "0.0005"], "PFC permutation needs 8.39e+06 bytes, budget is 536870"),
         (["net-coverage", "--haar-net-size", "2", "--dim", "2", "--samples", "2", "--seed", "1"],
-         "--eps or --sweep-eps"),
+         "one of the arguments --eps --sweep-eps is required"),
         (["net-coverage", "--haar-net-size", "2", "--dim", "0", "--eps", "0.5",
-          "--samples", "2", "--seed", "1"], "--dim must be at least 1, got 0"),
+          "--samples", "2", "--seed", "1"], "argument --dim: must be in [1, inf), got 0"),
         (["net-coverage", "--haar-net-size", "2", "--dim", "-2", "--eps", "0.5",
-          "--samples", "2", "--seed", "1"], "--dim must be at least 1, got -2"),
+          "--samples", "2", "--seed", "1"], "argument --dim: must be in [1, inf), got -2"),
         (["net-coverage", "--haar-net-size", "-5", "--dim", "2", "--eps", "0.5",
-          "--samples", "2", "--seed", "1"], "--haar-net-size must be at least 1, got -5"),
+          "--samples", "2", "--seed", "1"], "argument --haar-net-size: must be in [1, inf), got -5"),
         (["bounds", "rom-input-length", "--d", "4", "--t", "1000", "--delta", "5"],
-         "--delta in [0, 1), got 5.0"),
+         "argument --delta: must be in [0, 1), got 5.0"),
         (["bounds", "improved-support", "--d", "4", "--t", "8", "--delta", "1"],
-         "--delta in [0, 1), got 1.0"),
+         "argument --delta: must be in [0, 1), got 1.0"),
         (["net-coverage", "--haar-net-size", "3", "--dim", "2", "--eps", "-1",
-          "--samples", "5", "--seed", "1"], "--eps must be nonnegative, got -1.0"),
+          "--samples", "5", "--seed", "1"], "argument --eps: must be in [0, inf), got -1.0"),
         (["net-coverage", "--haar-net-size", "3", "--dim", "2", "--sweep-eps", "0.3,-1",
-          "--samples", "5", "--seed", "1"], "--sweep-eps must be nonnegative, got -1.0"),
+          "--samples", "5", "--seed", "1"], "argument --sweep-eps: must be in [0, inf), got -1.0"),
         (["bounds", "improved-support", "--d", "4", "--t", "8", "--sweep-t", ""],
-         "--sweep-t '' is not a comma list of numbers"),
-        (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--trials", "0"], "--trials must be at least 1, got 0"),
-        (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--t", "1"], "--t must be at least 2, got 1"),
-        (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--k-blocks", "0"], "--k-blocks must be at least 1, got 0"),
-        (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--alpha", "-1"], "--alpha must be positive, got -1.0"),
-        (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--alpha", "0"], "--alpha must be positive, got 0.0"),
-        (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--seed", "-1"], "--seed must be in [0, 2^64), got -1"),
-        (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--seed", str(2**64)], f"--seed must be in [0, 2^64), got {2**64}"),
-        (["tomo-demo", "--d", "2", "--eps", "0.5", "--eta", "0.1", "--seed", "1", "--stream", "-1"], "--stream must be in [0, 2^64), got -1"),
+         "argument --sweep-t: must be a number, got ''"),
+        (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--trials", "0"], "argument --trials: must be in [1, inf), got 0"),
+        (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--t", "1"], "argument --t: must be in [2, inf), got 1"),
+        (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--k-blocks", "0"], "argument --k-blocks: must be in [1, inf), got 0"),
+        (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--alpha", "-1"], "argument --alpha: must be in (0, inf), got -1.0"),
+        (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--alpha", "0"], "argument --alpha: must be in (0, inf), got 0.0"),
+        (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--seed", "-1"], "argument --seed: must be in [0, 2^64), got -1"),
+        (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--seed", str(2**64)], f"argument --seed: must be in [0, 2^64), got {2**64}"),
+        (["tomo-demo", "--d", "2", "--eps", "0.5", "--eta", "0.1", "--seed", "1", "--stream", "-1"], "argument --stream: must be in [0, 2^64), got -1"),
         (["net-coverage", "--haar-net-size", "3", "--dim", "2", "--eps", "0.5",
-          "--samples", "5", "--seed", "-1"], "--seed must be in [0, 2^64), got -1"),
+          "--samples", "5", "--seed", "-1"], "argument --seed: must be in [0, 2^64), got -1"),
         (["net-coverage", "--haar-net-size", "3", "--dim", "2", "--eps", "0.5",
-          "--samples", "0", "--seed", "1"], "--samples must be at least 1, got 0"),
-        (["tomo-demo", "--d", "2", "--eps", "0.5", "--eta", "0.1", "--seed", "1", "--d", "0"], "--d must be at least 1, got 0"),
-        (["tomo-demo", "--d", "2", "--eps", "0.5", "--eta", "0.1", "--seed", "1", "--eps", "-1"], "--eps must be positive, got -1.0"),
-        (["tomo-demo", "--d", "2", "--eps", "0.5", "--eta", "0.1", "--seed", "1", "--eta", "1"], "--eta must be in (0, 1), got 1.0"),
-        (["tomo-demo", "--d", "2", "--eps", "0.5", "--eta", "0.1", "--seed", "1", "--eta", "0"], "--eta must be in (0, 1), got 0.0"),
+          "--samples", "0", "--seed", "1"], "argument --samples: must be in [1, inf), got 0"),
+        (["tomo-demo", "--d", "2", "--eps", "0.5", "--eta", "0.1", "--seed", "1", "--d", "0"], "argument --d: must be in [1, inf), got 0"),
+        (["tomo-demo", "--d", "2", "--eps", "0.5", "--eta", "0.1", "--seed", "1", "--eps", "-1"], "argument --eps: must be in (0, inf), got -1.0"),
+        (["tomo-demo", "--d", "2", "--eps", "0.5", "--eta", "0.1", "--seed", "1", "--eta", "1"], "argument --eta: must be in (0, 1), got 1.0"),
+        (["tomo-demo", "--d", "2", "--eps", "0.5", "--eta", "0.1", "--seed", "1", "--eta", "0"], "argument --eta: must be in (0, 1), got 0.0"),
         (["bounds", "prior-support", "--d", "4", "--t", "2", "--delta", "5"],
-         "bounds prior-support needs --delta in [0, 1], got 5.0"),
-        (["design-distance", "--ensemble", "pauli-1", "--t", "0"], "--t must be in 1..4, got 0"),
-        (["design-distance", "--ensemble", "pauli-1", "--t", "5"], "--t must be in 1..4, got 5"),
+         "argument --delta: must be in [0, 1], got 5.0"),
+        (["design-distance", "--ensemble", "pauli-1", "--t", "0"],
+         "argument --t: must be in [1, inf), got 0"),
+        (["design-distance", "--ensemble", "pauli-1", "--t", "5"],
+         "argument --t: must be in [1, 4], got 5"),
         (["truncate-diag", "--circuit-file", "c.json", "--k", "-1"],
-         "--k must be in 0..1023, got -1"),
+         "argument --k: must be in [0, 1023], got -1"),
         (["truncate-diag", "--circuit-file", "c.json", "--k", "2000"],
-         "--k must be in 0..1023, got 2000"),
+         "argument --k: must be in [0, 1023], got 2000"),
         (["pfc-distinguish", "--n", "5", "--trials", "1", "--k-blocks", "2", "--seed", "1",
           "--t", "100000000000"], "collision test outcomes needs 4.8e+12 bytes"),
         (["pfc-distinguish", "--n", "3", "--trials", "1", "--k-blocks", "2", "--seed", "1",
@@ -485,6 +535,18 @@ class TestCli:
          "tomography needs over 2^53 queries, cap is 2000000"),
         (["tomo-demo", "--d", "3", "--eps", "0.001", "--eta", "1e-320", "--seed", "1"],
          "tomography needs 49803338761 queries, cap is 2000000"),
+        (["bounds", "net-size", "--d", "4", "--eps", "-1"],
+         "argument --eps: must be in (0, inf), got -1.0"),
+        (["bounds", "net-size", "--d", "4", "--eps", "0.5", "--c-diamond", "0"],
+         "argument --c-diamond: must be in (0, inf), got 0.0"),
+        (["bounds", "trivial-rompru", "--d", "4", "--kappa", "-1"],
+         "argument --kappa: must be in [0, 1024), got -1"),
+        (["bounds", "improved-support", "--d", "4", "--t", "0"],
+         "argument --t: must be in (0, inf), got 0.0"),
+        (["bounds", "improved-support", "--d", "4", "--t", "8", "--c-design", "-1"],
+         "argument --c-design: must be in (0, inf), got -1.0"),
+        (["bounds", "scalable-check", "--d", "16", "--kappa", "3", "--q", "4", "--m", "2",
+          "--t", "8", "--delta", "-1"], "argument --delta: must be in [0, inf), got -1.0"),
     ], ids=["n-out-of-range", "no-ensemble", "both-ensembles", "unknown-ensemble",
             "no-net", "no-t", "no-kappa", "zero-mem-budget", "negative-mem-budget",
             "net-size-no-eps", "scalable-check-no-q", "fractional-t", "fractional-sweep-t",
@@ -509,7 +571,9 @@ class TestCli:
             "truncate-k-2000", "pfc-outcomes-over-budget", "pfc-small-n-outcomes-over-budget",
             "unknown-flag-shows-formula-usage", "budget-error-names-mem-budget",
             "flag-before-formula", "tomo-over-budget", "tomo-eps-squared-underflow",
-            "tomo-count-overflow", "tomo-subnormal-eta"])
+            "tomo-count-overflow", "tomo-subnormal-eta", "net-size-negative-eps",
+            "net-size-c-diamond-zero", "trivial-rompru-kappa-negative", "improved-support-t-zero",
+            "improved-support-c-design-negative", "scalable-check-delta-negative"])
     def test_usage_error_names_its_cause(self, argv, cause, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1
@@ -570,13 +634,19 @@ class TestCli:
     def test_every_declared_flag_is_read(self):
         # each flag a command's leaf parser declares is read by its handler,
         # or by the shared code every handler goes through
-        shared = "".join(inspect.getsource(f) for f in (cli.main, cli._emit, cli._seed_of))
+        shared = "".join(inspect.getsource(f) for f in (cli.main, cli._emit))
         for command, leaf in leaf_parsers(build_parser()):
             source = inspect.getsource(cli._DISPATCH[command]) + shared
             for action in leaf._actions:
                 if action.option_strings and action.dest != "help":
                     assert re.search(rf"\bargs\.{action.dest}\b", source), (
                         command, leaf.prog, action.dest)
+
+    def test_every_numeric_flag_declares_its_domain(self):
+        # a bare int or float type takes any value, nan and inf among them
+        bare = [(leaf.prog, action.dest) for _, leaf in leaf_parsers(build_parser())
+                for action in leaf._actions if action.type in (int, float)]
+        assert bare == []
 
     def test_readme_bounds_commands_emit_strict_json(self, capsys):
         # every `prulab bounds` example in README's CLI block runs as written,
@@ -632,8 +702,7 @@ class TestCli:
         assert out.splitlines()[0] == header
 
     def test_net_coverage_sweep_emits_rows(self, capsys):
-        # --sweep-eps wins over --eps and needs none, and gives rows even for
-        # one value, as --sweep-t does in bounds
+        # --sweep-eps gives rows even for one value, as --sweep-t does in bounds
         base = ["net-coverage", "--haar-net-size", "3", "--dim", "2", "--samples", "5",
                 "--seed", "1"]
         code, out, err = run_cli(base + ["--sweep-eps", "0.5"], capsys)
@@ -641,9 +710,6 @@ class TestCli:
         report = json.loads(out)
         assert report["config"]["eps"] == [0.5]
         assert [row["epsilon"] for row in report["result"]["rows"]] == [0.5]
-        code, swept, err = run_cli(base + ["--eps", "0.1", "--sweep-eps", "0.5"], capsys)
-        assert code == 0, err
-        assert swept == out
         code, out, err = run_cli(base + ["--eps", "0.5"], capsys)
         assert code == 0, err
         assert json.loads(out)["result"]["epsilon"] == 0.5
@@ -690,3 +756,100 @@ class TestCli:
                      "--seed", "1"])
         assert code == 2
         assert "property violation" in capsys.readouterr().err
+
+
+# one valid command line per command or formula; {ensemble}, {net} and
+# {circuit} stand for a manifest the fuzz test writes
+FUZZ_BASES = [
+    "pfc-distinguish --n 1 --t 2 --trials 1 --k-blocks 2 --seed 1",
+    "design-distance --ensemble-file {ensemble} --t 1",
+    "net-coverage --net-file {net} --eps 0.5 --samples 2 --seed 1",
+    "net-coverage --haar-net-size 2 --dim 2 --sweep-eps 0.5 --samples 2 --seed 1",
+    "truncate-diag --circuit-file {circuit} --k 4",
+    "bounds prior-support --d 2 --t 1",
+    "bounds improved-support --d 4 --sweep-t 8",
+    "bounds rom-input-length --d 4 --t 8",
+    "bounds trivial-rompru --d 4 --kappa 3",
+    "bounds scalable-check --d 16 --kappa 3 --q 4 --m 2 --t 8",
+    "bounds net-size --d 2 --eps 0.5",
+    "tomo-demo --d 2 --eps 0.5 --eta 0.2 --seed 1",
+]
+FUZZ_NUMBERS = [0, 1, -1, 0.5, 1.5, 1e300, 1e-300, 63, 64, 1023, 2000]
+FUZZ_VALUES = [*map(str, FUZZ_NUMBERS), "nan", "inf"]
+# each unit of these flags is a draw: small counts keep an example cheap
+FUZZ_COUNT_FLAGS = {"--trials", "--k-blocks", "--samples"}
+FUZZ_COUNTS = ["-1", "0", "1", "2"]
+FUZZ_NODES = [None, *FUZZ_NUMBERS, float("nan"), "", "x", [], [0.5, "x"], {}, {"oracle": 0}]
+
+
+@functools.cache
+def fuzz_manifests():
+    """A valid ensemble, net and circuit manifest, by the placeholder they fill."""
+    from prulab.ensembles import reference_design
+    from prulab.nets import NetSpec
+
+    rng = RandomSeed(7).generator()
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    return {
+        "{ensemble}": ensemble_to_json_dict(reference_design("pauli-1-design", 1)),
+        "{net}": net_to_json_dict(NetSpec.haar_sample(2, 2, RandomSeed(4))),
+        "{circuit}": circuit_to_json_dict(DiagonalOracleCircuit(
+            1, 1, [random_phase(1, rng)], [("oracle", 0), ("fixed", hadamard)])),
+    }
+
+
+def json_paths(node, path=()):
+    """The key path of every node of a JSON document, the root's () first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from json_paths(child, (*path, key))
+
+
+def replaced(node, path, value):
+    """A copy of ``node`` whose node at ``path`` is ``value``."""
+    if not path:
+        return value
+    node = copy.deepcopy(node)
+    parent = functools.reduce(operator.getitem, path[:-1], node)
+    parent[path[-1]] = value
+    return node
+
+
+@pytest.mark.parametrize("base", FUZZ_BASES, ids=lambda base: base.split(" --")[0])
+@settings(derandomize=True, max_examples=25, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_command_line_keeps_the_exit_contract(base, data):
+    """Up to two flag values from FUZZ_VALUES, and any manifest node swapped
+    for null, a number, a string, a list or an object, end in exit 0, 1 or
+    2, never in an exception out of main, and exit 1 prints an error: line."""
+    argv = shlex.split(base)
+    leaves = {leaf.prog.removeprefix("prulab "): leaf for _, leaf in leaf_parsers(build_parser())}
+    leaf = leaves[" ".join(a for a in argv[:2] if not a.startswith("-"))]
+    numeric = [a.option_strings[0] for a in leaf._actions
+               if a.option_strings and a.type not in (None, str) and a.dest != "mem_budget"
+               and (a.default is not None or a.option_strings[0] in argv)]
+    for flag in data.draw(st.lists(st.sampled_from(numeric), max_size=2, unique=True)):
+        pool = FUZZ_COUNTS if flag in FUZZ_COUNT_FLAGS else FUZZ_VALUES
+        value = data.draw(st.sampled_from(pool))
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+    if any(a.dest == "mem_budget" for a in leaf._actions):
+        argv += ["--mem-budget", "0.01"]  # bounds every allocation the command makes
+    with tempfile.TemporaryDirectory() as tmp:
+        for token, manifest in fuzz_manifests().items():
+            if token in argv:
+                path = data.draw(st.none() | st.sampled_from(list(json_paths(manifest))))
+                if path is not None:
+                    manifest = replaced(manifest, path, data.draw(st.sampled_from(FUZZ_NODES)))
+                Path(tmp, "manifest.json").write_text(json.dumps(manifest))
+                argv[argv.index(token)] = str(Path(tmp, "manifest.json"))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())

@@ -178,7 +178,7 @@ class TestSymmetry:
     def test_composition_multiplicative(self):
         u = haar_unitary(2, RandomSeed(3))
         v = haar_unitary(2, RandomSeed(4))
-        ens = EnsembleSpec(2, [u, u.conj().T, v, v.conj().T], name="two-axis")
+        ens = EnsembleSpec(2, [u, u.conj().T, v, v.conj().T])
         r1 = symmetric_composition_check(ens, 1, 1)
         assert r1.lambda_composed == pytest.approx(r1.lambda_base)
         r2 = symmetric_composition_check(ens, 2, 1)
