@@ -70,11 +70,17 @@ class RandomSeed:
         return RandomSeed(int(a), int(b))
 
 
-def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+def unitarity_error(u: np.ndarray) -> float:
+    """max |U U^dag - I| over the entries, inf for a non-square or empty
+    matrix; entries too large for the product give inf or nan, silently."""
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 1:
-        return False
-    dev = u @ u.conj().T - np.eye(u.shape[0])
-    return float(np.max(np.abs(dev))) <= tol
+        return float("inf")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
+
+
+def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+    return unitarity_error(u) <= tol
 
 
 def haar_unitary(d: int, seed: RandomSeed) -> np.ndarray:

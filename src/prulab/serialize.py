@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from prulab.ensembles import EnsembleSpec
-from prulab.linalg import is_unitary
+from prulab.linalg import UNITARY_TOL, unitarity_error
 from prulab.nets import NetSpec
 from prulab.truncation import DiagonalOracleCircuit, DiagonalPhase
 
@@ -24,10 +24,17 @@ def _is_pair(z) -> bool:
     return isinstance(z, list) and len(z) == 2 and all(isinstance(v, (int, float)) for v in z)
 
 
-def matrix_from_json(rows: list) -> np.ndarray:
+def matrix_from_json(rows: list, what: str) -> np.ndarray:
+    """The complex matrix of a JSON array of rows of [re, im] pairs, or a
+    ValueError naming `what` if it is not one or a row's length is not
+    the number of rows."""
     if not (isinstance(rows, list)
             and all(isinstance(row, list) and all(map(_is_pair, row)) for row in rows)):
-        raise ValueError("a JSON matrix must be an array of rows of [re, im] number pairs")
+        raise ValueError(f"{what} must be an array of rows of [re, im] number pairs")
+    for i, row in enumerate(rows):
+        if len(row) != len(rows):
+            raise ValueError(f"{what} must be square: row {i} has {len(row)} entries "
+                             f"for {len(rows)} rows")
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
@@ -71,12 +78,12 @@ def _field(d: dict, key: str, what: str, kind: type):
 
 
 def _check_unitary(indexed, what: str) -> None:
-    """Raise a ValueError naming the index of the first square matrix in
-    the (index, matrix) pairs ``indexed`` that is not unitary, with its
-    max |U U^dag - I| entry."""
+    """Raise a ValueError naming the index of the first matrix in the
+    (index, matrix) pairs ``indexed`` that is not unitary, with its
+    `unitarity_error`."""
     for i, u in indexed:
-        if not is_unitary(u):
-            dev = np.max(np.abs(u @ u.conj().T - np.eye(len(u))))
+        dev = unitarity_error(u)
+        if not dev <= UNITARY_TOL:
             raise ValueError(f"{what} {i} is not unitary: max |U U^dag - I| is {dev:.3g}")
 
 
@@ -84,7 +91,8 @@ def _manifest_matrices(d: dict, dim: int, base: Path | None) -> list[np.ndarray]
     """A manifest's inline `matrices`, or its binary `matrix_files` read
     relative to `base` (default: the working directory)."""
     if "matrices" in d:
-        return [matrix_from_json(m) for m in _expect(d["matrices"], list, "manifest matrices")]
+        matrices = _expect(d["matrices"], list, "manifest matrices")
+        return [matrix_from_json(m, f"manifest matrices item {i}") for i, m in enumerate(matrices)]
     if "matrix_files" in d:
         files = _items(d["matrix_files"], str, "manifest matrix_files")
         return [load_matrix_bin(Path(base or ".") / f, dim) for f in files]
@@ -121,7 +129,7 @@ def circuit_from_json_dict(d: dict) -> DiagonalOracleCircuit:
     for i, item in enumerate(_field(d, "sequence", "circuit", list)):
         what = f"circuit sequence item {i}"
         if "fixed" in _expect(item, dict, what):
-            seq.append(("fixed", matrix_from_json(item["fixed"])))
+            seq.append(("fixed", matrix_from_json(item["fixed"], f"{what} fixed")))
         else:
             seq.append(("oracle", _field(item, "oracle", what, int)))
     circ = DiagonalOracleCircuit(n, m, oracles, seq)

@@ -5,10 +5,11 @@ construction, computational-basis measurement supports of stabilizer
 states, dense tableau unitaries read off the tableau's Pauli rows, the
 share of full-support states and the stabilizer-state count.
 
-A tableau keeps each Pauli row as one Python int, interleaved: x_q at bit
-2q and z_q at bit 2q+1.  The sampler builds those rows and the support
-extraction reduces them, so a row operation is one XOR and an inner
-product a popcount, with no bit arrays between the two.  Supports are
+A tableau is a frozen value of three fields: the qubit count, a tuple of
+Pauli rows, each one Python int interleaved with x_q at bit 2q and z_q at
+bit 2q+1, and a tuple of 0/1 sign bits.  The sampler builds those rows and
+the support extraction reduces them, so a row operation is one XOR and an
+inner product a popcount, with no bit arrays between the two.  Supports are
 outcome indices with qubit 0 as the most significant bit, so their basis,
 offset and samples index `tableau_to_statevector` as they stand.
 """
@@ -27,86 +28,26 @@ from prulab.linalg import PropertyViolationError, ensure_budget
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class Tableau:
     """Binary symplectic tableau of an n-qubit Clifford (modulo global phase).
 
-    Row j < n holds the conjugate of X_j, row n+j the conjugate of Z_j, each
-    encoded as x/z bit vectors plus a sign bit r; a row with bits (x, z, r)
-    stands for the Hermitian Pauli (-1)^r prod_q sigma(x_q, z_q) where
-    sigma(1,1) = Y.  ``rows`` holds row j as one int with x_q at bit 2q and
-    z_q at bit 2q+1; the (2n, n) bit blocks ``x`` and ``z`` are unpacked
-    from it on first use.  Build one from all three blocks x, z and r, or
-    from none for the identity.  Tableaus are immutable: ``x``, ``z`` and
-    ``r`` are read-only arrays.
+    Row j < n holds the conjugate of X_j, row n+j the conjugate of Z_j; a
+    row with bits (x, z) and sign bit r stands for the Hermitian Pauli
+    (-1)^r prod_q sigma(x_q, z_q) where sigma(1,1) = Y.  ``rows`` holds row
+    j as one int with x_q at bit 2q and z_q at bit 2q+1, and ``r`` its sign
+    bits as 0/1 ints.  A tableau is a frozen value: its fields cannot be
+    reassigned, and equal tableaus hash equal.
     """
 
-    __slots__ = ("n", "rows", "r", "_xz")
-
-    def __init__(self, n: int, x=None, z=None, r=None):
-        if n < 1:
-            raise ValueError("need at least one qubit")
-        missing = [name for name, block in (("x", x), ("z", z), ("r", r)) if block is None]
-        if len(missing) == 3:
-            rows = [1 << 2 * j for j in range(n)] + [2 << 2 * j for j in range(n)]
-            r = np.zeros(2 * n, dtype=np.uint8)
-        elif missing:
-            raise ValueError(f"tableau needs all of x, z and r or none; missing {', '.join(missing)}")
-        else:
-            x = np.asarray(x, dtype=np.uint8) % 2
-            z = np.asarray(z, dtype=np.uint8) % 2
-            r = np.asarray(r, dtype=np.uint8) % 2
-            if x.shape != (2 * n, n) or z.shape != (2 * n, n) or r.shape != (2 * n,):
-                raise ValueError("tableau block shapes inconsistent with n")
-            g = np.empty((2 * n, 2 * n), dtype=np.uint8)
-            g[:, 0::2], g[:, 1::2] = x, z
-            rows = _pack_rows(g)
-        self._set(n, rows, r)
-
-    @classmethod
-    def _from_rows(cls, n: int, rows: list[int], r: np.ndarray) -> Tableau:
-        """A tableau of packed rows and a fresh 0/1 sign array, unchecked."""
-        t = cls.__new__(cls)
-        t._set(n, rows, r)
-        return t
-
-    def _set(self, n: int, rows: list[int], r: np.ndarray) -> None:
-        r.flags.writeable = False
-        self.n, self.rows, self.r, self._xz = n, tuple(rows), r, None
-
-    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._xz is None:
-            g = _unpack_rows(self.rows, 2 * self.n)
-            g.flags.writeable = False
-            self._xz = g[:, 0::2], g[:, 1::2]
-        return self._xz
-
-    @property
-    def x(self) -> np.ndarray:
-        return self._blocks()[0]
-
-    @property
-    def z(self) -> np.ndarray:
-        return self._blocks()[1]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Tableau)
-            and self.n == other.n
-            and self.rows == other.rows
-            and np.array_equal(self.r, other.r)
-        )
-
-
-def _pack_rows(bits: np.ndarray) -> list[int]:
-    """Bit rows -> one int per row, column j as bit j."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    width = packed.shape[1]
-    buf = packed.tobytes()
-    return [int.from_bytes(buf[j: j + width], "little") for j in range(0, len(buf), width)]
+    n: int
+    rows: tuple[int, ...]
+    r: tuple[int, ...]
 
 
 def _unpack_rows(rows: list[int] | tuple[int, ...], width: int) -> np.ndarray:
-    """Inverse of `_pack_rows`: a (len(rows), width) uint8 bit array."""
+    """Packed rows -> a (len(rows), width) uint8 bit array, bit j of each
+    row in column j."""
     nbytes = (width + 7) // 8
     buf = b"".join(row.to_bytes(nbytes, "little") for row in rows)
     packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
@@ -217,13 +158,14 @@ def random_clifford_rng(n: int, rng: np.random.Generator) -> Tableau:
     Uniform symplectic part via the canonical index construction plus
     uniform sign bits; exact uniformity rather than a random-circuit
     heuristic.  Symplectic row 2j is the image of X_j and row 2j+1 that of
-    Z_j, already in the tableau's interleaved row layout.
+    Z_j, already in the tableau's interleaved row layout; the frozen
+    `Tableau` holds the X_j images, then the Z_j images, then 2n sign bits.
     """
     if not 1 <= n <= 63:
         raise ValueError("qubit count out of range [1, 63]")
     rows = _symplectic_rows(_uniform_below(symplectic_group_order(n), rng), n)
-    r = rng.integers(0, 2, size=2 * n).astype(np.uint8)
-    return Tableau._from_rows(n, rows[0::2] + rows[1::2], r)
+    r = rng.integers(0, 2, size=2 * n)
+    return Tableau(n, tuple(rows[0::2] + rows[1::2]), tuple(r.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +182,7 @@ def _apply_row(t: Tableau, i: int, m: np.ndarray) -> np.ndarray:
     """
     bits = format(t.rows[i], f"0{2 * t.n}b")  # x_q at bit 2q, z_q at bit 2q+1
     x, z = int(bits[::-2], 2), int(bits[-2::-2], 2)
-    p = (2 * int(t.r[i]) + (x & z).bit_count()) % 4
+    p = (2 * t.r[i] + (x & z).bit_count()) % 4
     src = np.arange(m.shape[0]) ^ x
     sign = np.where(np.bitwise_count(src & z) & 1, -1, 1)
     return (1j**p * sign)[:, None] * m[src]
@@ -333,7 +275,7 @@ def measurement_support(t: Tableau) -> AffineSupport:
     n = t.n
     evens = int("01" * n, 2)
     vs = list(t.rows[n:])
-    ps = [2 * r + (v >> 1 & v & evens).bit_count() for v, r in zip(vs, t.r[n:].tolist())]
+    ps = [2 * r + (v >> 1 & v & evens).bit_count() for v, r in zip(vs, t.r[n:])]
     k = 0
     for c in (*range(0, 2 * n, 2), *range(1, 2 * n, 2)):
         bit = 1 << c

@@ -7,11 +7,11 @@ point of the spectrum's convex hull nearest the origin geometrically.
 The Haar-basis measurement oracle builds the whole basis and samples the
 outcome from its Born probabilities.  The symplectic-index and
 measurement-support oracles are the bit-per-byte numpy forms of the
-packed-row code in `prulab.stabilizer`, with the GF(2) row reduction,
-solver and bit-row packing they need; `prulab.stabilizer` keeps supports
-as packed outcome indices and needs none of them.  The d = 2 pair-cover oracle
-ranks the whole m x m trace matrix at once, where `prulab.nets` streams
-it in row blocks.
+packed-row code in `prulab.stabilizer`, with the GF(2) row reduction and
+solver they need; `prulab.stabilizer` keeps supports as packed outcome
+indices and needs none of them.  The d = 2 pair-cover oracle ranks the
+whole m x m trace matrix at once, where `prulab.nets` streams it in row
+blocks.
 
 The per-shot Polya urn is the oracle for the vectorised
 `PolyaUrnSampler.draw`: same RNG calls, one predictive step per shot.
@@ -32,14 +32,17 @@ membership in and enumeration of a measurement support, the dense P.F.C
 matrix of a PFC sample with the splitmix64 phase PRF its ``phase_key``
 keys, and uniformly random diagonal phase functions.
 
-So do the checks and constructions that only tests use: the symplectic
-form check and hex form of a tableau with its validating reader, the (M, u, v) full-support state
-family, the exact diamond distance of one truncated diagonal, the 2->2
-distance with the multiplicativity check of composed symmetric
-ensembles, net composition and dagger closure, and the tomography-based
-net-membership test.  The manifest writers (`dump_json` and the
-`*_to_json_dict` forms) build test files and are the round-trip oracles
-of the loaders in `prulab.serialize`.
+So do the checks and constructions that only tests use: the bit-block
+form of a tableau (`tableau_from_blocks`, which reads (2n, n) x and z
+blocks and 2n sign bits mod 2 and checks their shapes, `tableau_blocks`,
+its inverse, `identity_tableau` and the `_pack_rows` they pack with), the
+symplectic form check and hex form of a tableau with its validating
+reader, the (M, u, v) full-support state family, the exact diamond
+distance of one truncated diagonal, the 2->2 distance with the
+multiplicativity check of composed symmetric ensembles, net composition
+and dagger closure, and the tomography-based net-membership test.  The
+manifest writers (`dump_json` and the `*_to_json_dict` forms) build test
+files and are the round-trip oracles of the loaders in `prulab.serialize`.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ from prulab.stabilizer import (
     AffineSupport,
     Tableau,
     _check_index_width,
-    _pack_rows,
     _unpack_rows,
     tableau_to_unitary,
 )
@@ -485,10 +487,44 @@ def pauli_matrix(x: np.ndarray, z: np.ndarray, r: int) -> np.ndarray:
     return (-1) ** int(r) * out
 
 
+def _pack_rows(bits: np.ndarray) -> list[int]:
+    """Bit rows -> one int per row, column j as bit j; the inverse of
+    `_unpack_rows`."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    width = packed.shape[1]
+    buf = packed.tobytes()
+    return [int.from_bytes(buf[j: j + width], "little") for j in range(0, len(buf), width)]
+
+
+def tableau_from_blocks(n: int, x, z, r) -> Tableau:
+    """The tableau of (2n, n) bit blocks x and z and 2n sign bits r, each
+    entry read mod 2; rejects blocks of other shapes."""
+    x, z, r = (np.asarray(block, dtype=np.uint8) % 2 for block in (x, z, r))
+    if x.shape != (2 * n, n) or z.shape != (2 * n, n) or r.shape != (2 * n,):
+        raise ValueError("tableau block shapes inconsistent with n")
+    g = np.empty((2 * n, 2 * n), dtype=np.uint8)
+    g[:, 0::2], g[:, 1::2] = x, z
+    return Tableau(n, tuple(_pack_rows(g)), tuple(r.tolist()))
+
+
+def tableau_blocks(t: Tableau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tableau's (2n, n) x and z bit blocks and its (2n,) sign bits, as
+    uint8 arrays; the inverse of `tableau_from_blocks`."""
+    g = _unpack_rows(t.rows, 2 * t.n)
+    return g[:, 0::2], g[:, 1::2], np.array(t.r, dtype=np.uint8)
+
+
+def identity_tableau(n: int) -> Tableau:
+    """The identity Clifford: row j is +X_j, row n+j is +Z_j."""
+    return Tableau(n, tuple(1 << 2 * j for j in range(n)) + tuple(2 << 2 * j for j in range(n)),
+                   (0,) * (2 * n))
+
+
 def is_symplectic(t: Tableau) -> bool:
     """Whether the tableau's rows commute except for the X_j/Z_j partner pairs."""
     n = t.n
-    form = (t.x @ t.z.T + t.z @ t.x.T) % 2
+    x, z, _ = tableau_blocks(t)
+    form = (x @ z.T + z @ x.T) % 2
     want = np.zeros((2 * n, 2 * n), dtype=np.uint8)
     want[:n, n:] = np.eye(n, dtype=np.uint8)
     want[n:, :n] = np.eye(n, dtype=np.uint8)
@@ -501,7 +537,8 @@ def tableau_to_json_dict(t: Tableau) -> dict:
     def hexes(bits: np.ndarray) -> list[str]:
         return [format(row, f"0{(bits.shape[1] + 3) // 4}x") for row in _pack_rows(bits)]
 
-    return {"n": t.n, "x": hexes(t.x), "z": hexes(t.z), "r": hexes(t.r[None, :])[0]}
+    x, z, r = tableau_blocks(t)
+    return {"n": t.n, "x": hexes(x), "z": hexes(z), "r": hexes(r[None, :])[0]}
 
 
 def _hex_rows(field: str, hexes, count: int, width: int) -> list[int]:
@@ -525,7 +562,7 @@ def tableau_from_json_dict(d: dict) -> Tableau:
         raise ValueError(f"tableau field 'n' must be a positive integer, got {n!r}")
     x, z = (_unpack_rows(_hex_rows(key, d[key], 2 * n, n), n) for key in ("x", "z"))
     r = _unpack_rows(_hex_rows("r", [d["r"]], 1, 2 * n), 2 * n)[0]
-    t = Tableau(n, x, z, r)
+    t = tableau_from_blocks(n, x, z, r)
     if not is_symplectic(t):
         raise ValueError("tableau fields 'x' and 'z' are not symplectic: "
                          "their rows must commute except for the X_j/Z_j pairs")
@@ -571,8 +608,8 @@ def gamma_state(p: GammaParams) -> Tableau:
     eye = np.eye(n, dtype=np.uint8)
     zero = np.zeros((n, n), dtype=np.uint8)
     neighbours = p.m_matrix ^ p.m_matrix.T ^ np.diag(p.u)
-    return Tableau(n, np.vstack([zero, eye]), np.vstack([eye, neighbours]),
-                   np.concatenate([np.zeros(n, dtype=np.uint8), p.v]))
+    return tableau_from_blocks(n, np.vstack([zero, eye]), np.vstack([eye, neighbours]),
+                               np.concatenate([np.zeros(n, dtype=np.uint8), p.v]))
 
 
 def gamma_amplitudes(p: GammaParams) -> np.ndarray:
@@ -591,11 +628,10 @@ def _pauli_product(x1, z1, p1, x2, z2, p2):
     return x1 ^ x2, z1 ^ z2, p
 
 
-def _row_xzform(t: Tableau, i: int):
+def _row_xzform(x: np.ndarray, z: np.ndarray, r) -> tuple:
     """Tableau row as phase-tracked XZ-form: (-1)^r prod sigma = i^p prod X^x Z^z."""
-    x, z, r = t.x[i], t.z[i], int(t.r[i])
-    p = (2 * r + int(np.dot(x.astype(np.int64), z.astype(np.int64)))) % 4
-    return x.copy(), z.copy(), p
+    p = (2 * int(r) + int(np.dot(x.astype(np.int64), z.astype(np.int64)))) % 4
+    return x, z, p
 
 
 def measurement_support_bits(t: Tableau) -> tuple[np.ndarray, np.ndarray]:
@@ -604,7 +640,8 @@ def measurement_support_bits(t: Tableau) -> tuple[np.ndarray, np.ndarray]:
     uint8 bit vectors, each row operation a numpy Pauli product,
     lexicographic pivots, then `gf2_solve` on the leftover Z rows."""
     n = t.n
-    rows = [_row_xzform(t, n + j) for j in range(n)]
+    x, z, signs = tableau_blocks(t)
+    rows = [_row_xzform(x[i], z[i], signs[i]) for i in range(n, 2 * n)]
     pivots: list[int] = []
     for c in range(n):
         r = len(pivots)

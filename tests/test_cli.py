@@ -12,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ from prulab.truncation import DiagonalOracleCircuit
 class TestSerialization:
     def test_matrix_json_round_trip(self):
         u = haar_unitary(3, RandomSeed(1))
-        assert np.array_equal(matrix_from_json(matrix_to_json(u)), u)
+        assert np.array_equal(matrix_from_json(matrix_to_json(u), "matrix"), u)
 
     def test_matrix_binary_round_trip(self, tmp_path):
         u = haar_unitary(4, RandomSeed(2))
@@ -226,6 +227,13 @@ class TestCli:
          {"n": 1, "m": 1, "oracles": [[0.0, 0.5]], "sequence": [{"fixed": [[1, 0], [0, 1]]}]},
          "[re, im]"),
         (["design-distance", "--t", "1", "--ensemble-file"],
+         {"dim": 2, "matrices": [[[], [[0, 0], [1, 0]]]]},
+         "manifest matrices item 0 must be square: row 0 has 0 entries for 2 rows"),
+        (["truncate-diag", "--k", "4", "--circuit-file"],
+         {"n": 1, "m": 1, "oracles": [[0.0, 0.5]],
+          "sequence": [{"fixed": [[[1, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]}]},
+         "circuit sequence item 0 fixed must be square: row 1 has 3 entries for 2 rows"),
+        (["design-distance", "--t", "1", "--ensemble-file"],
          {"dim": 2, "matrices": [EYE_2, TWICE_EYE_2]},
          "ensemble element 1 is not unitary: max |U U^dag - I| is 3"),
         (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1", "--net-file"],
@@ -276,7 +284,8 @@ class TestCli:
          {"n": 1, "m": 1, "oracles": [["a", 0.5]], "sequence": [{"oracle": 0}]},
          'circuit oracles item 0 item 0 must be a number, got "a"'),
     ], ids=["ensemble-no-dim", "net-no-dim", "circuit-no-sequence", "matrix-row-of-numbers",
-            "matrix-entry-not-numeric", "circuit-fixed-of-numbers", "ensemble-not-unitary",
+            "matrix-entry-not-numeric", "circuit-fixed-of-numbers", "ensemble-matrix-ragged",
+            "circuit-fixed-ragged", "ensemble-not-unitary",
             "net-not-unitary", "circuit-fixed-not-unitary", "ensemble-weights-length",
             "ensemble-weights-nan", "ensemble-number", "net-number", "circuit-number",
             "ensemble-dim-list", "ensemble-dim-null", "matrices-null", "matrix-files-number",
@@ -290,6 +299,29 @@ class TestCli:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and key in err
+
+    @pytest.mark.parametrize("command, manifest, key", [
+        (["design-distance", "--t", "1", "--ensemble-file"],
+         {"dim": 2, "matrices": [[[[1e300, 0], [0, 0]], [[0, 0], [1, 0]]]]}, "ensemble element 0"),
+        (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1", "--net-file"],
+         {"dim": 2, "matrices": [EYE_2, [[[1e300, 0], [0, 0]], [[0, 0], [1e300, 0]]]]},
+         "net element 1"),
+        (["truncate-diag", "--k", "4", "--circuit-file"],
+         {"n": 1, "m": 1, "oracles": [[0.0, 0.5]],
+          "sequence": [{"oracle": 0}, {"fixed": [[[1e300, 1e300], [0, 0]], [[0, 0], [1, 0]]]}]},
+         "circuit sequence item 1"),
+    ], ids=["ensemble", "net", "circuit-fixed"])
+    def test_overflowing_matrix_is_not_unitary_without_warnings(self, command, manifest, key,
+                                                                 tmp_path, capsys):
+        # the unitarity deviation of a 1e300 entry overflows; the warnings
+        # numpy would print before the error line are errors here
+        dump_json(tmp_path / "m.json", manifest)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli([*command, str(tmp_path / "m.json")], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {key} is not unitary: max |U U^dag - I| is ")
 
     def test_net_coverage_single_element_diameter(self, tmp_path, capsys):
         from prulab.nets import NetSpec

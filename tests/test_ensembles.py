@@ -9,6 +9,7 @@ from helpers import (
     PolyaUrnLoop,
     collision_count,
     empirical_counts,
+    identity_tableau,
     partition_probability_dirichlet,
     partition_probability_urn,
     pfc_dense,
@@ -105,10 +106,9 @@ class TestPFCSample:
 
 class TestPFCMeasurement:
     def test_identity_pfc_outcomes(self):
-        from prulab.stabilizer import Tableau
         from prulab.ensembles import PFCSample
 
-        s = PFCSample(3, np.arange(8), 0, Tableau(3))
+        s = PFCSample(3, np.arange(8), 0, identity_tableau(3))
         out = PFCOracle(s, RandomSeed(1)).draw(6)
         assert not out.any()
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -17,6 +18,7 @@ from helpers import (
     gamma_state,
     gf2_rref,
     gf2_solve,
+    identity_tableau,
     is_symplectic,
     measurement_support_bits,
     pack_bits,
@@ -25,6 +27,8 @@ from helpers import (
     support_contains,
     support_members,
     symplectic_from_index_bits,
+    tableau_blocks,
+    tableau_from_blocks,
     tableau_from_json_dict,
     tableau_to_json_dict,
 )
@@ -61,7 +65,7 @@ def hadamards(n):
 def tableau_of(g, r):
     """The tableau `random_clifford_rng` builds from symplectic matrix g and signs r."""
     rows = np.vstack([g[0::2], g[1::2]])
-    return Tableau(g.shape[0] // 2, rows[:, 0::2], rows[:, 1::2], r)
+    return tableau_from_blocks(g.shape[0] // 2, rows[:, 0::2], rows[:, 1::2], r)
 
 
 def assert_same_support(t):
@@ -159,21 +163,22 @@ class TestTableau:
         for _ in range(5):
             t = random_clifford_rng(n, rng)
             assert len(t.rows) == 2 * n and all(type(v) is int for v in t.rows)
-            again = Tableau(n, t.x, t.z, t.r)
-            assert again == t and again.rows == t.rows
+            x, z, r = tableau_blocks(t)
+            assert (x.shape, z.shape, r.shape) == ((2 * n, n), (2 * n, n), (2 * n,))
+            assert tableau_from_blocks(n, x, z, r) == t
             # entries 2 and 3 are read mod 2
             lift = rng.integers(0, 2, size=(3, 2 * n, n), dtype=np.uint8) * 2
-            again = Tableau(n, t.x + lift[0], t.z + lift[1], t.r + lift[2, :, 0])
-            assert again == t and again.rows == t.rows
+            assert tableau_from_blocks(n, x + lift[0], z + lift[1], r + lift[2, :, 0]) == t
 
     @pytest.mark.parametrize("n", [1, 3, 63])
     def test_identity(self, n):
-        t = Tableau(n)
+        t = identity_tableau(n)
+        x, z, r = tableau_blocks(t)
         eye, zero = np.eye(n, dtype=np.uint8), np.zeros((n, n), dtype=np.uint8)
-        assert np.array_equal(t.x, np.vstack([eye, zero]))
-        assert np.array_equal(t.z, np.vstack([zero, eye]))
-        assert not t.r.any() and t.r.shape == (2 * n,)
-        assert t == Tableau(n, t.x, t.z, t.r)
+        assert np.array_equal(x, np.vstack([eye, zero]))
+        assert np.array_equal(z, np.vstack([zero, eye]))
+        assert not r.any() and r.shape == (2 * n,)
+        assert t == tableau_from_blocks(n, x, z, r)
 
     @pytest.mark.parametrize("x, z, r", [
         (np.zeros((4, 3)), np.zeros((4, 2)), np.zeros(4)),
@@ -183,22 +188,20 @@ class TestTableau:
     ])
     def test_block_shapes_checked(self, x, z, r):
         with pytest.raises(ValueError, match="shapes inconsistent"):
-            Tableau(2, x, z, r)
+            tableau_from_blocks(2, x, z, r)
 
-    @pytest.mark.parametrize("blocks, missing", [
-        ({"x": np.zeros((4, 2))}, "z, r"),
-        ({"x": np.zeros((4, 2)), "z": np.zeros((4, 2))}, "r"),
-        ({"r": np.zeros(4)}, "x, z"),
-    ])
-    def test_blocks_come_all_or_none(self, blocks, missing):
-        with pytest.raises(ValueError, match=f"missing {missing}$"):
-            Tableau(2, **blocks)
-
-    @pytest.mark.parametrize("block", ["x", "z", "r"])
-    def test_blocks_are_read_only(self, block):
-        for t in (Tableau(3), random_clifford(3, RandomSeed(5)), hadamards(3)):
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(t, block)[0] = 1
+    @pytest.mark.parametrize("n", [1, 3, 63])
+    def test_is_a_frozen_value(self, n):
+        t = random_clifford_rng(n, RandomSeed(5).child(n).generator())
+        for field in ("n", "rows", "r"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, field, getattr(t, field))
+        for field in (t.rows, t.r):
+            assert type(field) is tuple and all(type(v) is int for v in field)
+        assert set(t.r) <= {0, 1}
+        again = tableau_from_blocks(n, *tableau_blocks(t))
+        assert again == t and hash(again) == hash(t)
+        assert len({t, again, identity_tableau(n)}) == 2
 
 
 class TestRandomClifford:
@@ -233,8 +236,7 @@ class TestRandomClifford:
         counts: dict = {}
         for _ in range(n_samples):
             t = random_clifford_rng(1, rng)
-            key = (t.x.tobytes(), t.z.tobytes(), t.r.tobytes())
-            counts[key] = counts.get(key, 0) + 1
+            counts[t] = counts.get(t, 0) + 1
         assert len(counts) == 24
         p = 1 / 24
         se = np.sqrt(p * (1 - p) / n_samples)
@@ -249,6 +251,7 @@ class TestRandomClifford:
                 t = random_clifford(n, seed.child(100 * n + k))
                 u = tableau_to_unitary(t)
                 assert is_unitary(u, 1e-9)
+                x, z, r = tableau_blocks(t)
                 for j in range(n):
                     xb = np.zeros(n, dtype=np.uint8)
                     zb = np.zeros(n, dtype=np.uint8)
@@ -256,9 +259,9 @@ class TestRandomClifford:
                     xj = pauli_matrix(xb, zb, 0)
                     zj = pauli_matrix(zb, xb, 0)
                     assert np.allclose(u @ xj @ u.conj().T,
-                                       pauli_matrix(t.x[j], t.z[j], t.r[j]), atol=1e-9)
+                                       pauli_matrix(x[j], z[j], r[j]), atol=1e-9)
                     assert np.allclose(u @ zj @ u.conj().T,
-                                       pauli_matrix(t.x[n + j], t.z[n + j], t.r[n + j]),
+                                       pauli_matrix(x[n + j], z[n + j], r[n + j]),
                                        atol=1e-9)
 
     def test_single_qubit_images_are_the_hs_closure(self):
@@ -270,7 +273,7 @@ class TestRandomClifford:
         images = []
         for px, pz in itertools.permutations(paulis, 2):
             for r in itertools.product((0, 1), repeat=2):
-                t = Tableau(1, [[px[0]], [pz[0]]], [[px[1]], [pz[1]]], r)
+                t = tableau_from_blocks(1, [[px[0]], [pz[0]]], [[px[1]], [pz[1]]], r)
                 assert is_symplectic(t)
                 images.append(tableau_to_unitary(t))
         closure = single_qubit_cliffords()
@@ -283,7 +286,7 @@ class TestRandomClifford:
 
 class TestMeasurementSupport:
     def test_identity_supports_zero_string(self):
-        sup = measurement_support(Tableau(3))
+        sup = measurement_support(identity_tableau(3))
         assert sup.k_dim == 0
         assert sup.offset == 0
 
@@ -312,7 +315,7 @@ class TestMeasurementSupport:
         assert tv <= 0.05
 
     def test_identity_sampling_constant(self):
-        out = sample_measurement(Tableau(4), 5, RandomSeed(0))
+        out = sample_measurement(identity_tableau(4), 5, RandomSeed(0))
         assert (out.dtype, out.shape) == (np.int64, (5,))
         assert not out.any()
 
@@ -354,7 +357,7 @@ class TestMeasurementSupport:
     def test_extreme_dimensions_match_bit_oracle(self, n):
         # k = 0 for the identity, k = n for Hadamard layers and gamma states
         rng = np.random.default_rng(n)
-        cases = [Tableau(n), hadamards(n)]
+        cases = [identity_tableau(n), hadamards(n)]
         for _ in range(4):
             m = np.triu(rng.integers(0, 2, size=(n, n)), k=1).astype(np.uint8)
             cases.append(gamma_state(GammaParams(n, m, rng.integers(0, 2, n), rng.integers(0, 2, n))))
@@ -382,15 +385,14 @@ class TestMeasurementSupport:
     def test_support_past_int64_width(self):
         # supports are Python ints at any n; only int64 outcome arrays stop at 63
         n = 100
-        ident = Tableau(n)
-        r = np.zeros(2 * n, dtype=np.uint8)
-        r[n:] = np.arange(n) % 3 == 0  # -Z_j stabilizers flip outcome bit j
-        sup = measurement_support(Tableau(n, ident.x, ident.z, r))
+        # -Z_j stabilizers flip outcome bit j
+        r = (0,) * n + tuple(int(j % 3 == 0) for j in range(n))
+        sup = measurement_support(Tableau(n, identity_tableau(n).rows, r))
         assert sup.basis == () and sup.offset == sum(1 << (n - 1 - j) for j in range(0, n, 3))
         sup = measurement_support(hadamards(n))
         assert sup.basis == tuple(1 << j for j in range(n - 1, -1, -1)) and sup.offset == 0
         assert support_contains(sup, (1 << n) - 1) and not support_contains(sup, 1 << n)
-        for t in (Tableau(64), hadamards(64), Tableau(n), hadamards(n)):
+        for t in (identity_tableau(64), hadamards(64), identity_tableau(n), hadamards(n)):
             sup = measurement_support(t)
             with pytest.raises(ValueError, match="int64"):
                 sample_from_support(sup, 4, np.random.default_rng(0))
@@ -417,8 +419,7 @@ class TestMeasurementSupport:
         if k:
             real = hadamards(k)
         else:  # -Z stabilizers on qubits 0 and 2 set their outcome bits
-            ident = Tableau(3)
-            real = Tableau(3, ident.x, ident.z, [0, 0, 0, 1, 0, 1])
+            real = Tableau(3, identity_tableau(3).rows, (0, 0, 0, 1, 0, 1))
         supports = [
             # basis rows and offset up to 2^63 - 1, the widest int64 outcomes
             AffineSupport(63, tuple(int(b) for b in gen.integers(1, 2**63, size=k)),
@@ -556,6 +557,6 @@ class TestSerialization:
         ("n", 2.0, "'n' must be a positive integer"),
     ])
     def test_malformed_json_rejected(self, field, value, cause):
-        d = {**tableau_to_json_dict(Tableau(2)), field: value}
+        d = {**tableau_to_json_dict(identity_tableau(2)), field: value}
         with pytest.raises(ValueError, match="tableau fields? " + cause):
             tableau_from_json_dict(d)
