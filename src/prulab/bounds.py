@@ -115,7 +115,7 @@ def rom_input_length_bounds(d: int, t: float, delta: float, epsilon: float,
     """Input-length lower bounds for implementing designs/nets from one
     binary oracle.
 
-    m_design_1 = log2 t + loglog2(d^2/t) - slack        (regime t < d^2)
+    m_design_1 = log2 t + loglog2(d^2/t) - slack        (regime 0 < t < d^2)
     m_design_2 = 2 log2 d + loglog2(t/d^2) - slack      (regime t > d^2)
     m_net      = 2 log2 d + loglog2(1/epsilon) - slack
 
@@ -137,7 +137,8 @@ def rom_input_length_bounds(d: int, t: float, delta: float, epsilon: float,
     m1 = None
     v = loglog2(d * d / t) if t > 0 else None
     if v is None:
-        notes["m_design_1"] = "undefined: needs t < d^2"
+        notes["m_design_1"] = ("undefined: needs 0 < t < d^2" if t <= 0
+                               else "undefined: needs t < d^2")
     else:
         m1 = math.log2(t) + v - additive_slack
 

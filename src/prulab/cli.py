@@ -27,6 +27,7 @@ from prulab.linalg import (
     memory_budget_bytes,
     set_memory_budget_bytes,
 )
+from prulab.moments import MAX_MOMENT_ORDER, diamond_design_bounds
 from prulab.truncation import MAX_K
 from prulab.util import config_hash, report_dict
 
@@ -134,7 +135,7 @@ def build_parser() -> _Parser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--ensemble-file", type=str, help="ensemble manifest JSON")
     g.add_argument("--ensemble", choices=("pauli-1", "clifford-1"), help="builtin ensemble")
-    p.add_argument("--t", type=_COUNT, required=True)
+    p.add_argument("--t", type=_number(int, 1, MAX_MOMENT_ORDER), required=True)
 
     p = sub.add_parser("net-coverage", help="Monte Carlo exposure of a finite net")
     _add_output(p)
@@ -248,12 +249,8 @@ def _cmd_pfc_distinguish(args) -> None:
 
 def _cmd_design_distance(args) -> None:
     from prulab.ensembles import reference_design
-    from prulab.moments import MAX_MOMENT_ORDER, diamond_design_bounds
     from prulab.serialize import ensemble_from_json_dict, load_json
 
-    # the parser cannot read the cap: importing prulab.moments loads scipy
-    if args.t > MAX_MOMENT_ORDER:
-        raise ValueError(f"argument --t: must be in [1, {MAX_MOMENT_ORDER}], got {args.t}")
     if args.ensemble_file is not None:
         ens = ensemble_from_json_dict(load_json(args.ensemble_file),
                                       Path(args.ensemble_file).parent)

@@ -1,9 +1,12 @@
-"""Moment superoperators and design-distance notions.
+"""Moment superoperators and design-distance notions, in numpy alone.
 
 The t-th moment operator of an ensemble, the exact Haar moment operator as
-the orthogonal projector onto the permutation-operator span, the 2->2
+the orthogonal projector onto the permutation-operator span (with the
+Gram matrix taken from the operators themselves), the 2->2
 (expander) distance, the dagger-symmetry test behind its diamond lower
-bound, and the diamond/relative conversion bracket.
+bound (one row of traces per element), and the diamond/relative
+conversion bracket (the generalized eigenproblem against the diagonal
+Haar Choi matrix, scaled to an ordinary one).
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from prulab.linalg import ensure_budget, kron_power
 from prulab.ensembles import EnsembleSpec
@@ -70,54 +72,30 @@ def moment_operator(ens: EnsembleSpec, t: int) -> MomentSuperoperator:
 
 
 def _permutation_operator(perm: tuple[int, ...], d: int) -> np.ndarray:
-    """Operator permuting the t tensor factors of (C^d)^{ot t}."""
+    """Operator permuting the t tensor factors of (C^d)^{ot t}: factor j of
+    the input becomes factor perm[j] of the output."""
     t = len(perm)
     n = d**t
-    idx = np.arange(n)
-    digits = np.stack([(idx // d ** (t - 1 - j)) % d for j in range(t)])
-    out_digits = np.empty_like(digits)
-    for j, pj in enumerate(perm):
-        out_digits[pj] = digits[j]
-    out_idx = sum(out_digits[j] * d ** (t - 1 - j) for j in range(t))
-    p = np.zeros((n, n))
-    p[out_idx, idx] = 1.0
-    return p
-
-
-def _cycle_count(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    cycles = 0
-    for i in range(len(perm)):
-        if not seen[i]:
-            cycles += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-    return cycles
+    return np.eye(n).reshape((d,) * t + (n,)).transpose([*np.argsort(perm), t]).reshape(n, n)
 
 
 def haar_moment_operator(d: int, t: int) -> MomentSuperoperator:
     """Exact Haar t-th moment operator.
 
     Orthogonal projector (in Hilbert-Schmidt inner product) onto the span
-    of the permutation operators: Gram matrix d^{#cycles(sigma^{-1} tau)},
-    pseudo-inverted so the degenerate t > d case is handled.
+    of the permutation operators, through the pseudo-inverse of their Gram
+    matrix, so the degenerate t > d case is handled.  The Gram entries are
+    tr(P_sigma^T P_tau) = d^{#cycles(sigma^{-1} tau)}, whole numbers a
+    float product holds exactly.
     """
     if t < 1:
         raise ValueError("moment order must be >= 1")
     if t > MAX_MOMENT_ORDER:
         raise ValueError(f"moment order capped at {MAX_MOMENT_ORDER}")
     _check_superop_budget(d, t)
-    perms = list(itertools.permutations(range(t)))
-    k = len(perms)
-    gram = np.empty((k, k))
-    for a, sa in enumerate(perms):
-        inv = tuple(np.argsort(sa))
-        for b, sb in enumerate(perms):
-            comp = tuple(inv[sb[i]] for i in range(t))
-            gram[a, b] = float(d) ** _cycle_count(comp)
+    perms = itertools.permutations(range(t))
     vecs = np.stack([_permutation_operator(p, d).reshape(-1) for p in perms], axis=1)
+    gram = vecs.T @ vecs
     gplus = np.linalg.pinv(gram, rcond=_GRAM_RCOND)
     proj = vecs @ gplus @ vecs.conj().T
     return MomentSuperoperator(d, t, proj.astype(complex))
@@ -127,23 +105,22 @@ def is_symmetric_ensemble(ens: EnsembleSpec) -> bool:
     """Whether the ensemble is closed under dagger with matched weights.
 
     Matching is done modulo global phase, which is invisible to every
-    moment operator.
+    moment operator.  Each U_i in turn takes the first unused U_j of equal
+    weight with |tr(U_j U_i)| = d, that is U_j = U_i^dagger up to phase,
+    read for every j at once from one row of traces.
     """
-    used = [False] * len(ens.unitaries)
+    m, d = len(ens.unitaries), ens.dim
+    ensure_budget(16 * m * d * d, "dagger pairing")
+    flat = np.stack(ens.unitaries).reshape(m, d * d)
+    w = ens.weights
+    free = np.ones(m, dtype=bool)
     for i, u in enumerate(ens.unitaries):
-        ud = u.conj().T
-        hit = None
-        for j, v in enumerate(ens.unitaries):
-            if used[j] or abs(ens.weights[i] - ens.weights[j]) > 1e-12:
-                continue
-            tr = np.trace(v.conj().T @ ud)
-            # phase-corrected Frobenius residual: 2d - 2|tr|
-            if 2 * ens.dim - 2 * abs(tr) <= _SYMMETRY_TOL:
-                hit = j
-                break
-        if hit is None:
+        # phase-corrected Frobenius residual: 2d - 2|tr|
+        residual = 2 * d - 2 * np.abs(flat @ u.T.reshape(-1))
+        hits = np.flatnonzero(free & (np.abs(w - w[i]) <= 1e-12) & (residual <= _SYMMETRY_TOL))
+        if hits.size == 0:
             return False
-        used[hit] = True
+        free[hits[0]] = False
     return True
 
 
@@ -182,8 +159,10 @@ def _relative_eps(mv: MomentSuperoperator, mh: MomentSuperoperator):
         return None, True
     v_in = evecs[:, keep]
     a = v_in.conj().T @ cv @ v_in
-    b = np.diag(evals[keep])
-    mu = scipy.linalg.eigh((a + a.conj().T) / 2, b, eigvals_only=True)
+    # C_H is diagonal, with positive entries b, on its support, so the
+    # pencil (a, diag(b)) has the eigenvalues of b^{-1/2} a b^{-1/2}
+    s = 1 / np.sqrt(evals[keep])
+    mu = np.linalg.eigvalsh(s[:, None] * ((a + a.conj().T) / 2) * s)
     eps = max(1.0 - float(mu.min()), float(mu.max()) - 1.0)
     return max(eps, 0.0), False
 

@@ -19,7 +19,13 @@ The uncached channel oracle, one matmul per query, is the oracle for
 `ChannelOracle.apply`'s one-entry output cache.  The (t - 1)-step run loop
 is the oracle for `blocked_collision_counts`' run windows, and the
 (shots, k) multiply with its XOR reduction the oracle for
-`sample_from_support`'s column-at-a-time XORs.
+`sample_from_support`'s column-at-a-time XORs.  In `prulab.moments`, the
+cycle-count formula (`permutation_gram_cycles`) is the oracle for the Haar
+projector's Gram taken from the permutation operators themselves,
+``scipy.linalg.eigh`` on the generalized problem (`relative_eps_scipy`)
+the oracle for the relative bracket's scaled ``eigvalsh``, and the double
+loop of ``np.trace`` calls (`is_symmetric_ensemble_loop`) the oracle for
+the dagger pairing by rows of traces.
 
 The exact ground truths no program calls live here too, not in
 `prulab`: the Schatten norm behind the diamond oracle, the `np.unique`
@@ -47,6 +53,7 @@ files and are the round-trip oracles of the loaders in `prulab.serialize`.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -54,6 +61,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import minimize
 
 from prulab.ensembles import EnsembleSpec, PFCSample
@@ -63,7 +71,14 @@ from prulab.linalg import (
     diamond_distance_from_spectrum,
     ensure_budget,
 )
-from prulab.moments import haar_moment_operator, is_symmetric_ensemble, moment_operator
+from prulab.moments import (
+    _SUPPORT_TOL,
+    _SYMMETRY_TOL,
+    MomentSuperoperator,
+    haar_moment_operator,
+    is_symmetric_ensemble,
+    moment_operator,
+)
 from prulab.nets import NetSpec, min_diamond_distance
 from prulab.stabilizer import (
     AffineSupport,
@@ -743,6 +758,68 @@ def tpe_distance(ens: EnsembleSpec, t: int) -> float:
     mv = moment_operator(ens, t)
     mh = haar_moment_operator(ens.dim, t)
     return float(np.linalg.norm(mv.matrix - mh.matrix, 2))
+
+
+def permutation_gram_cycles(d: int, t: int) -> np.ndarray:
+    """Gram matrix of the permutation operators of S_t on (C^d)^{ot t},
+    from the cycle count: entry (a, b) is d^{#cycles(sigma_a^{-1} sigma_b)},
+    in the order of ``itertools.permutations(range(t))``."""
+    perms = list(itertools.permutations(range(t)))
+    gram = np.empty((len(perms), len(perms)))
+    for a, sa in enumerate(perms):
+        inv = np.argsort(sa)
+        for b, sb in enumerate(perms):
+            comp = [inv[sb[i]] for i in range(t)]
+            seen, cycles = [False] * t, 0
+            for i in range(t):
+                if not seen[i]:
+                    cycles += 1
+                    j = i
+                    while not seen[j]:
+                        seen[j] = True
+                        j = comp[j]
+            gram[a, b] = float(d) ** cycles
+    return gram
+
+
+def relative_eps_scipy(mv: MomentSuperoperator, mh: MomentSuperoperator):
+    """`moments._relative_eps` with the relative sandwich solved as the
+    generalized eigenproblem (A, diag(b)) by ``scipy.linalg.eigh``."""
+    ch = (mh.choi() + mh.choi().conj().T) / 2
+    cv = (mv.choi() + mv.choi().conj().T) / 2
+    evals, evecs = np.linalg.eigh(ch)
+    scale = float(evals.max())
+    keep = evals > _SUPPORT_TOL * scale
+    v_out = evecs[:, ~keep]
+    if v_out.size and np.linalg.norm(v_out.conj().T @ cv @ v_out) > _SUPPORT_TOL * scale:
+        return None, True
+    v_in = evecs[:, keep]
+    a = v_in.conj().T @ cv @ v_in
+    mu = scipy.linalg.eigh((a + a.conj().T) / 2, np.diag(evals[keep]), eigvals_only=True)
+    eps = max(1.0 - float(mu.min()), float(mu.max()) - 1.0)
+    return max(eps, 0.0), False
+
+
+def is_symmetric_ensemble_loop(ens: EnsembleSpec) -> bool:
+    """`moments.is_symmetric_ensemble` as a double loop of ``np.trace``
+    calls: each U_i takes the first unused V of equal weight whose
+    phase-corrected residual 2d - 2|tr(V^dagger U_i^dagger)| is within
+    the symmetry tolerance."""
+    used = [False] * len(ens.unitaries)
+    for i, u in enumerate(ens.unitaries):
+        ud = u.conj().T
+        hit = None
+        for j, v in enumerate(ens.unitaries):
+            if used[j] or abs(ens.weights[i] - ens.weights[j]) > 1e-12:
+                continue
+            tr = np.trace(v.conj().T @ ud)
+            if 2 * ens.dim - 2 * abs(tr) <= _SYMMETRY_TOL:
+                hit = j
+                break
+        if hit is None:
+            return False
+        used[hit] = True
+    return True
 
 
 #: relative slack of the composed 2->2 distance against lambda^m

@@ -124,6 +124,16 @@ class TestRomInputLength:
         assert r.m_design_1 is None and r.m_design_2 is None
         assert "m_design_1" in r.regime_notes and "m_design_2" in r.regime_notes
 
+    @pytest.mark.parametrize("d, t, note", [
+        (2, 0.0, "undefined: needs 0 < t < d^2"),
+        (2, 4.0, "undefined: needs t < d^2"),
+        (16, 300.0, "undefined: needs t < d^2"),
+    ], ids=["t-zero", "t-equals-d-squared", "t-above-d-squared"])
+    def test_design_1_note_names_the_failed_condition(self, d, t, note):
+        r = rom_input_length_bounds(d, t, 0.1, 0.01)
+        assert r.m_design_1 is None
+        assert r.regime_notes["m_design_1"] == note
+
     def test_net_formula(self):
         r = rom_input_length_bounds(1 << 10, 2.0, 0.1, 2.0**-16, additive_slack=0.0)
         assert r.m_net == pytest.approx(20 + 4)

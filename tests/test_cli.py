@@ -541,7 +541,7 @@ class TestCli:
         (["bounds", "prior-support", "--d", "4", "--t", "2", "--delta", "5"],
          "argument --delta: must be in [0, 1], got 5.0"),
         (["design-distance", "--ensemble", "pauli-1", "--t", "0"],
-         "argument --t: must be in [1, inf), got 0"),
+         "argument --t: must be in [1, 4], got 0"),
         (["design-distance", "--ensemble", "pauli-1", "--t", "5"],
          "argument --t: must be in [1, 4], got 5"),
         (["truncate-diag", "--circuit-file", "c.json", "--k", "-1"],
@@ -658,6 +658,35 @@ class TestCli:
         code, out, err = run_cli(argv, capsys)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
         assert code == 0 and out
+
+    def test_runs_without_scipy(self, tmp_path):
+        """scipy is a test dependency only: with its import blocked, every
+        prulab module imports and each command runs one small line."""
+        circuit = tmp_path / "c.json"
+        dump_json(circuit, fuzz_manifests()["{circuit}"])
+        lines = [
+            "design-distance --ensemble clifford-1 --t 3",
+            "bounds prior-support --d 2 --t 1",
+            "pfc-distinguish --n 1 --t 2 --trials 1 --k-blocks 2 --seed 1",
+            "net-coverage --haar-net-size 2 --dim 2 --eps 0.5 --samples 2 --seed 1",
+            "tomo-demo --d 2 --eps 0.5 --eta 0.2 --seed 1",
+            f"truncate-diag --circuit-file {circuit} --k 4",
+        ]
+        code = ("import importlib, json, pkgutil, shlex, sys\n"
+                "sys.modules['scipy'] = None\n"
+                "import prulab\n"
+                "for m in pkgutil.iter_modules(prulab.__path__):\n"
+                "    importlib.import_module('prulab.' + m.name)\n"
+                "from prulab.cli import main\n"
+                "codes = [main(shlex.split(line)) for line in json.loads(sys.argv[1])]\n"
+                "print(json.dumps(codes))\n")
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(lines)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(lines), proc.stderr
 
     def test_readme_commands_parse(self):
         for argv in readme_commands():

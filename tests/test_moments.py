@@ -1,21 +1,34 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
 from helpers import (
     compose_ensemble,
     is_completely_positive,
+    is_symmetric_ensemble_loop,
     is_trace_preserving,
+    permutation_gram_cycles,
+    relative_eps_scipy,
     symmetric_composition_check,
     tpe_distance,
 )
 from prulab.ensembles import EnsembleSpec, reference_design
-from prulab.linalg import RandomSeed, ResourceLimitError, haar_unitary
+from prulab.linalg import (
+    RandomSeed,
+    ResourceLimitError,
+    haar_unitary,
+    memory_budget_bytes,
+    set_memory_budget_bytes,
+)
 from prulab.moments import (
     MomentSuperoperator,
     diamond_design_bounds,
     haar_moment_operator,
     is_symmetric_ensemble,
     moment_operator,
+    _permutation_operator,
     _relative_eps,
 )
 
@@ -95,6 +108,25 @@ class TestHaarMomentOperator:
         with pytest.raises(ValueError):
             haar_moment_operator(2, 5)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_operator_gram_equals_cycle_gram(self, d, t):
+        # the Gram of the permutation operators is exact in floats
+        vecs = np.stack([_permutation_operator(p, d).reshape(-1)
+                         for p in itertools.permutations(range(t))], axis=1)
+        assert np.array_equal(vecs.T @ vecs, permutation_gram_cycles(d, t))
+
+    def test_permutation_operator_moves_factors(self):
+        # factor j of a product vector lands in factor perm[j]
+        rng = RandomSeed(21).generator()
+        factors = rng.integers(-9, 10, size=(3, 3)).astype(float)  # exact products
+        for perm in itertools.permutations(range(3)):
+            moved = [None] * 3
+            for j, pj in enumerate(perm):
+                moved[pj] = factors[j]
+            assert np.array_equal(_permutation_operator(perm, 3) @ functools.reduce(np.kron, factors),
+                                  functools.reduce(np.kron, moved))
+
 
 class TestTpeDistance:
     def test_exact_designs_vanish(self, pauli1, cliff1):
@@ -164,6 +196,110 @@ class TestDesignDistanceBounds:
         fake = MomentSuperoperator(2, 2, matrix)
         eps, not_rel = _relative_eps(fake, mh)
         assert not_rel and eps is None
+
+
+def _random_ensemble(d: int, m: int, seed: int) -> EnsembleSpec:
+    rng = RandomSeed(seed).generator()
+    us = [haar_unitary(d, RandomSeed(seed, i)) for i in range(m)]
+    return EnsembleSpec(d, us, rng.dirichlet(np.ones(m)))
+
+
+class TestRelativeEps:
+    """The scaled ordinary eigenproblem against scipy's generalized one."""
+
+    @staticmethod
+    def _check(ens, t):
+        mv, mh = moment_operator(ens, t), haar_moment_operator(ens.dim, t)
+        eps, not_rel = _relative_eps(mv, mh)
+        eps_ref, not_rel_ref = relative_eps_scipy(mv, mh)
+        assert not_rel == not_rel_ref is False
+        assert eps == pytest.approx(eps_ref, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_reference_designs(self, pauli1, cliff1, t):
+        self._check(pauli1, t)
+        self._check(cliff1, t)
+
+    @pytest.mark.parametrize("d, t, seed", [
+        (2, 1, 1), (2, 2, 2), (2, 3, 3), (2, 4, 4), (3, 1, 5), (3, 2, 6), (3, 3, 7),
+    ])
+    def test_random_ensembles(self, d, t, seed):
+        self._check(_random_ensemble(d, 5, seed), t)
+
+
+def _dagger_closed(d: int, pairs: int, seed: int) -> tuple[list, np.ndarray]:
+    """Shuffled U, U^dagger pairs, each element under a random global phase,
+    with equal weights on each pair."""
+    rng = RandomSeed(seed).generator()
+    us, ws = [], []
+    for i in range(pairs):
+        u = haar_unitary(d, RandomSeed(seed, i))
+        w = rng.uniform(0.5, 1.5)
+        us += [u * np.exp(2j * np.pi * rng.random()),
+               u.conj().T * np.exp(2j * np.pi * rng.random())]
+        ws += [w, w]
+    order = rng.permutation(len(us))
+    return [us[k] for k in order], np.asarray(ws)[order]
+
+
+def _pairing_case(kind: str, seed: int) -> tuple[EnsembleSpec, bool]:
+    """A seeded ensemble of one kind with the dagger-closure verdict it
+    must get."""
+    rng = RandomSeed(seed, 1).generator()
+    d = 2 + seed % 3
+    us, ws = _dagger_closed(d, 4, seed)
+    if kind == "closed":
+        expected = True
+    elif kind == "missing-partner":
+        drop = int(rng.integers(len(us)))
+        us, ws = us[:drop] + us[drop + 1:], np.delete(ws, drop)
+        expected = False
+    elif kind == "unequal-weights":
+        ws = ws.copy()
+        ws[int(rng.integers(len(us)))] *= 1 + 1e-6
+        expected = False
+    elif kind == "repeated-closed":
+        # U, U, U^dagger, U^dagger: each copy takes its own partner
+        us, ws = us + us, np.concatenate([ws, ws])
+        expected = True
+    else:  # repeated-unmatched: one U repeated without a second U^dagger
+        k = int(rng.integers(len(us)))
+        us, ws = us + [us[k]], np.append(ws, ws[k])
+        expected = False
+    return EnsembleSpec(d, us, ws / ws.sum()), expected
+
+
+_PAIRING_KINDS = ["closed", "missing-partner", "unequal-weights", "repeated-closed",
+                  "repeated-unmatched"]
+
+
+class TestDaggerPairing:
+    """Per-row pairing against the double loop of np.trace calls."""
+
+    @pytest.mark.parametrize("kind", _PAIRING_KINDS)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_loop(self, kind, seed):
+        ens, expected = _pairing_case(kind, seed)
+        assert is_symmetric_ensemble(ens) == is_symmetric_ensemble_loop(ens) == expected
+
+    def test_reference_designs(self, pauli1, cliff1):
+        for ens in (pauli1, cliff1):
+            assert is_symmetric_ensemble(ens) == is_symmetric_ensemble_loop(ens) is True
+
+    def test_random_ensembles(self):
+        # Haar elements are almost surely not each other's daggers
+        for seed in range(10):
+            ens = _random_ensemble(2 + seed % 2, 4, seed)
+            assert is_symmetric_ensemble(ens) == is_symmetric_ensemble_loop(ens) is False
+
+    def test_stack_is_charged_to_the_budget(self, cliff1):
+        old = memory_budget_bytes()
+        try:
+            set_memory_budget_bytes(16 * 24 * 4 - 1)
+            with pytest.raises(ResourceLimitError, match="dagger pairing"):
+                is_symmetric_ensemble(cliff1)
+        finally:
+            set_memory_budget_bytes(old)
 
 
 class TestSymmetry:

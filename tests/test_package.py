@@ -5,6 +5,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import tokenize
@@ -84,6 +85,24 @@ def test_benchmark_modules_load_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_imports_match_declared_dependencies():
+    # every third-party module src/prulab imports is a declared runtime
+    # dependency, and every declared dependency is imported
+    tomllib = pytest.importorskip("tomllib")
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group()
+                for req in tomllib.loads((ROOT / "pyproject.toml").read_text())
+                ["project"]["dependencies"]}
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"prulab"}
+    assert third_party == declared == {"numpy"}
 
 
 def test_benchmark_call_binds():
