@@ -9,25 +9,30 @@ Example:
     python scripts/bounds_table.py --d 8 12 16 20 --t-mult 1 2 4
 """
 
-import argparse
 import math
 
-from prulab.bounds import improved_support_bound, prior_support_bound
+from prulab.bounds import D_LIMIT, improved_support_bound, prior_support_bound
+from prulab.cli import _BELOW_ONE, _POSITIVE, _number, _Parser, exit_code
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--d", type=int, nargs="+", default=[8, 12, 16, 20, 24])
-    ap.add_argument("--t-mult", type=float, nargs="+", default=[1.0, 2.0, 4.0],
+def main(argv: list[str] | None = None) -> None:
+    # each domain is the one both bound functions accept
+    ap = _Parser(description=__doc__)
+    ap.add_argument("--d", type=_number(int, 2, D_LIMIT), nargs="+", default=[8, 12, 16, 20, 24])
+    ap.add_argument("--t-mult", type=_POSITIVE, nargs="+", default=[1.0, 2.0, 4.0],
                     help="multiples of 4 d^2 ln 4")
-    ap.add_argument("--delta", type=float, default=0.0)
-    ap.add_argument("--c-design", type=float, default=1.0)
-    args = ap.parse_args()
+    ap.add_argument("--delta", type=_BELOW_ONE, default=0.0)
+    ap.add_argument("--c-design", type=_POSITIVE, default=1.0)
+    args = ap.parse_args(argv)
 
     print(f"{'d':>4} {'t':>8} {'ln prior':>12} {'ln improved':>12}  winner")
     for d in args.d:
         for mult in args.t_mult:
-            t = math.ceil(4 * d * d * math.log(4.0) * mult)
+            t_real = 4 * d * d * math.log(4.0) * mult
+            if not math.isfinite(t_real):
+                raise ValueError(f"argument --t-mult: 4 d^2 ln 4 * {mult} overflows "
+                                 f"a float at d = {d}")
+            t = math.ceil(t_real)
             pri = prior_support_bound(d, t, args.delta, as_log=True)
             imp = improved_support_bound(d, t, args.delta, args.c_design, as_log=True)
             winner = "improved" if imp > pri else "prior"
@@ -35,4 +40,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(exit_code(main))

@@ -10,26 +10,27 @@ Example:
         --eps 0.2 0.4 0.6 0.9 1.2 --seed 3 --check-products
 """
 
-import argparse
 import csv
 import sys
 
+from prulab.cli import _COUNT, _NONNEGATIVE, _WORD, _Parser, exit_code
 from prulab.linalg import RandomSeed, haar_unitary
 from prulab.nets import NetSpec, cover_with_product, exposure_estimate
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--dim", type=int, default=2)
-    ap.add_argument("--net-size", type=int, default=500)
-    ap.add_argument("--samples", type=int, default=300)
-    ap.add_argument("--eps", type=float, nargs="+",
+def main(argv: list[str] | None = None) -> None:
+    # each domain is the one its library check accepts
+    ap = _Parser(description=__doc__)
+    ap.add_argument("--dim", type=_COUNT, default=2)
+    ap.add_argument("--net-size", type=_COUNT, default=500)
+    ap.add_argument("--samples", type=_COUNT, default=300)
+    ap.add_argument("--eps", type=_NONNEGATIVE, nargs="+",
                     default=[0.2, 0.4, 0.6, 0.9, 1.2])
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seed", type=_WORD, required=True)
     ap.add_argument("--check-products", action="store_true",
                     help="also report the worst pair-cover distance on 100 fresh draws")
     ap.add_argument("--out", type=str, default=None, help="CSV path (default stdout)")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     seed = RandomSeed(args.seed)
     net = NetSpec.haar_sample(args.dim, args.net_size, seed.child(0))
@@ -57,4 +58,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(exit_code(main))

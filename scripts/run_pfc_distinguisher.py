@@ -11,23 +11,24 @@ Example:
         --k-blocks 1000 --seed 7 --out pfc_sweep.json
 """
 
-import argparse
 import json
 import time
 
+from prulab.cli import _COUNT, _WORD, _number, _Parser, exit_code
 from prulab.distinguisher import pfc_distinguish_experiment
 from prulab.linalg import RandomSeed
 from prulab.util import report_dict
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, nargs="+", default=[6, 8, 10])
-    ap.add_argument("--trials", type=int, default=100)
-    ap.add_argument("--k-blocks", type=int, default=1000)
-    ap.add_argument("--seed", type=int, required=True)
+def main(argv: list[str] | None = None) -> None:
+    # the domains of `prulab pfc-distinguish`'s flags of the same names
+    ap = _Parser(description=__doc__)
+    ap.add_argument("--n", type=_number(int, 1, 30), nargs="+", default=[6, 8, 10])
+    ap.add_argument("--trials", type=_COUNT, default=100)
+    ap.add_argument("--k-blocks", type=_COUNT, default=1000)
+    ap.add_argument("--seed", type=_WORD, required=True)
     ap.add_argument("--out", type=str, default=None)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     rows = []
     for n in args.n:
@@ -46,4 +47,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(exit_code(main))

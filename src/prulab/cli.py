@@ -98,6 +98,7 @@ _POSITIVE = _number(low=0, open_low=True)
 _UNIT = _number(low=0, high=1)
 _BELOW_ONE = _number(low=0, high=1, open_high=True)
 _COUNT = _number(int, 1)
+_WORD = _number(int, 0, 1 << 64, open_high=True)  # an unsigned 64-bit seed
 
 
 def _add_output(p: _Parser, budget: bool = True) -> None:
@@ -110,9 +111,8 @@ def _add_output(p: _Parser, budget: bool = True) -> None:
 
 
 def _add_seed(p: _Parser) -> None:
-    word = _number(int, 0, 1 << 64, open_high=True)
-    p.add_argument("--seed", type=word, required=True, help="base seed")
-    p.add_argument("--stream", type=word, default=0, help="seed stream id")
+    p.add_argument("--seed", type=_WORD, required=True, help="base seed")
+    p.add_argument("--stream", type=_WORD, default=0, help="seed stream id")
 
 
 def build_parser() -> _Parser:
@@ -373,23 +373,36 @@ _DISPATCH = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    budget = memory_budget_bytes()
+def exit_code(run) -> int:
+    """Call ``run()`` under the exit-code contract: 0 when it returns, 1 with
+    ``error: ...`` on a usage or resource error, 2 with ``property
+    violation: ...`` on a failed property check; the experiment scripts
+    share it."""
     try:
-        args = build_parser().parse_args(argv)
-        # bounds allocates nothing under ensure_budget, so it has no --mem-budget
-        if getattr(args, "mem_budget", None) is not None:
-            set_memory_budget_bytes(int(args.mem_budget * (1 << 30)))
-        _DISPATCH[args.command](args)
+        run()
     except PropertyViolationError as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 2
     except (ResourceLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    budget = memory_budget_bytes()
+
+    def run() -> None:
+        args = build_parser().parse_args(argv)
+        # bounds allocates nothing under ensure_budget, so it has no --mem-budget
+        if getattr(args, "mem_budget", None) is not None:
+            set_memory_budget_bytes(int(args.mem_budget * (1 << 30)))
+        _DISPATCH[args.command](args)
+
+    try:
+        return exit_code(run)
     finally:
         set_memory_budget_bytes(budget)
-    return 0
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ offset and samples index `tableau_to_statevector` as they stand.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,6 +86,7 @@ def _transvections_from_e1(y: int) -> tuple[int, int]:
     return 1 ^ z, z ^ y
 
 
+@functools.lru_cache(maxsize=64)  # every qubit count the sampler takes
 def symplectic_group_order(n: int) -> int:
     out = 1
     for j in range(1, n + 1):
@@ -141,31 +143,36 @@ def symplectic_from_index(i: int, n: int) -> np.ndarray:
     return _unpack_rows(_symplectic_rows(i, n), 2 * n)
 
 
-def _uniform_below(card: int, rng: np.random.Generator) -> int:
-    bits = card.bit_length()
-    nwords = (bits + 31) // 32
-    mask = (1 << bits) - 1
-    while True:
-        words = rng.integers(0, 2**32, size=nwords, dtype=np.uint64)
-        val = int.from_bytes(words.astype(">u4").tobytes(), "big") & mask
-        if val < card:
-            return val
-
-
 def random_clifford_rng(n: int, rng: np.random.Generator) -> Tableau:
     """Uniformly random n-qubit Clifford (modulo global phase), 1 <= n <= 63.
 
     Uniform symplectic part via the canonical index construction plus
     uniform sign bits; exact uniformity rather than a random-circuit
-    heuristic.  Symplectic row 2j is the image of X_j and row 2j+1 that of
-    Z_j, already in the tableau's interleaved row layout; the frozen
-    `Tableau` holds the X_j images, then the Z_j images, then 2n sign bits.
+    heuristic.  Each attempt takes ceil((bits + 2n) / 64) raw words from
+    ``rng.bit_generator.random_raw``, read as one little-endian int, where
+    bits = |Sp(2n,2)|.bit_length(): its low ``bits`` bits are the symplectic
+    index, and the next 2n bits are the sign bits, bit j being r_j.  An
+    index >= |Sp(2n,2)| rejects the whole attempt, signs included, and the
+    next attempt draws fresh words.  Symplectic row 2j is the image of X_j
+    and row 2j+1 that of Z_j, already in the tableau's interleaved row
+    layout; the frozen `Tableau` holds the X_j images, then the Z_j images,
+    then the 2n sign bits.
     """
     if not 1 <= n <= 63:
         raise ValueError("qubit count out of range [1, 63]")
-    rows = _symplectic_rows(_uniform_below(symplectic_group_order(n), rng), n)
-    r = rng.integers(0, 2, size=2 * n)
-    return Tableau(n, tuple(rows[0::2] + rows[1::2]), tuple(r.tolist()))
+    order = symplectic_group_order(n)
+    bits = order.bit_length()
+    words = (bits + 2 * n + 63) // 64
+    while True:
+        raw = rng.bit_generator.random_raw(words).astype("<u8", copy=False)
+        value = int.from_bytes(raw.tobytes(), "little")
+        i = value & ((1 << bits) - 1)
+        if i < order:
+            break
+    rows = _symplectic_rows(i, n)
+    signs = value >> bits
+    r = tuple(signs >> j & 1 for j in range(2 * n))
+    return Tableau(n, tuple(rows[0::2] + rows[1::2]), r)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,34 @@ def tableau_of(g, r):
     return tableau_from_blocks(g.shape[0] // 2, rows[:, 0::2], rows[:, 1::2], r)
 
 
+class ScriptedWords:
+    """Stands in for a Generator: ``bit_generator.random_raw(k)`` returns the
+    next k of the given uint64 words and records k in ``calls``.  It has no
+    other method, so a sampler that reads it draws through random_raw alone."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = [int(w) for w in words]
+        self.read = 0
+        self.calls = []
+
+    def random_raw(self, k):
+        assert self.read + k <= len(self.words), "script ran out of words"
+        self.calls.append(k)
+        self.read += k
+        return np.array(self.words[self.read - k:self.read], dtype=np.uint64)
+
+
+def attempt_words(n, index, r, junk=0):
+    """The raw words of one sampler attempt: ``index`` in the low bits, then
+    the sign bits r, bit j being r_j, then ``junk`` in the unread high bits."""
+    bits = symplectic_group_order(n).bit_length()
+    count = -(-(bits + 2 * n) // 64)
+    value = index | sum(b << (bits + j) for j, b in enumerate(r))
+    value |= junk << (bits + 2 * n) & ((1 << 64 * count) - 1)
+    return [value >> (64 * w) & (2**64 - 1) for w in range(count)]
+
+
 def assert_same_support(t):
     got = measurement_support(t)
     basis, offset = measurement_support_bits(t)
@@ -220,15 +248,57 @@ class TestRandomClifford:
         assert random_clifford(3, RandomSeed(12)) == random_clifford(3, RandomSeed(12))
 
     def test_stream_is_pinned(self):
-        # the digest of these seeded draws, taken before the sampler moved
-        # to packed rows; it changes only with the RNG stream or the bijection
+        # the digest of these seeded draws, taken when each attempt became
+        # one random_raw call (index bits, then sign bits); it changes only
+        # with the RNG stream, that word layout or the bijection
         rng = RandomSeed(20261018).generator()
         digest = hashlib.sha256()
         for n in [*range(1, 11), 63]:
             for _ in range(5):
                 digest.update(json.dumps(tableau_to_json_dict(random_clifford_rng(n, rng))).encode())
         assert digest.hexdigest() == (
-            "692aa533103edcf251e5d885045b38861afbd09dd31e95edd54268024024041b")
+            "c71b21f724da57edffb4476d6d5ffe81d383cd71415bd5042b9b87541b8de5f1")
+
+    @pytest.mark.parametrize("n", [1, 2, 63])
+    def test_reads_index_then_signs_from_one_raw_call(self, n):
+        order = symplectic_group_order(n)
+        words = -(-(order.bit_length() + 2 * n) // 64)
+        gen = np.random.default_rng(6000 + n)
+        for index in (0, order - 1, int.from_bytes(gen.bytes(8 * words), "little") % order):
+            r = gen.integers(0, 2, size=2 * n).tolist()
+            rng = ScriptedWords(attempt_words(n, index, r, junk=-1))
+            assert random_clifford_rng(n, rng) == tableau_of(symplectic_from_index(index, n), r)
+            assert rng.calls == [words] and rng.read == len(rng.words)
+
+    @pytest.mark.parametrize("n", [1, 2, 63])
+    def test_over_range_index_redraws_the_whole_attempt(self, n):
+        # the rejected attempt's sign bits are all 1 and must not be kept
+        order = symplectic_group_order(n)
+        words = -(-(order.bit_length() + 2 * n) // 64)
+        r = [1, 0] * n
+        for bad in (order, (1 << order.bit_length()) - 1):
+            rng = ScriptedWords(attempt_words(n, bad, [1] * 2 * n) + attempt_words(n, 5, r))
+            assert random_clifford_rng(n, rng) == tableau_of(symplectic_from_index(5, n), r)
+            assert rng.calls == [words, words] and rng.read == len(rng.words)
+
+    def test_two_qubit_indices_uniform_over_720(self):
+        # 36,000 draws from seeded words, one word per attempt: a draw's index
+        # is the low 10 bits of its last word, and its rows must be that
+        # index's.  The statistic must lie between the chi-square(719)
+        # quantiles at 1e-6 and 1 - 1e-6 (552.9, 913.9); this seed gives 728.9
+        draws, order = 36_000, symplectic_group_order(2)
+        rows_of = [tableau_of(symplectic_from_index(i, 2), [0] * 4).rows for i in range(order)]
+        rng = ScriptedWords(RandomSeed(7200).generator().bit_generator.random_raw(2 * draws))
+        counts = np.zeros(order, dtype=int)
+        for _ in range(draws):
+            t = random_clifford_rng(2, rng)
+            index = rng.words[rng.read - 1] & 1023
+            assert t.rows == rows_of[index]
+            counts[index] += 1
+        rejected = sum(w & 1023 >= order for w in rng.words[:rng.read])
+        assert rng.calls == [1] * (draws + rejected)
+        expected = draws / order
+        assert 552.9 < ((counts - expected) ** 2 / expected).sum() < 913.9
 
     def test_single_qubit_uniform_over_24(self):
         rng = RandomSeed(971).generator()
@@ -400,9 +470,9 @@ class TestMeasurementSupport:
                 support_members(sup)
 
     def test_sample_stream_is_pinned(self):
-        # digest of int64 outcome indices, taken when supports were still
-        # bit rows (indices then packed with qubit 0 as the most significant
-        # bit); it changes only with the RNG stream or the support's basis
+        # digest of int64 outcome indices, taken when each Clifford became
+        # one random_raw call (index bits, then sign bits); it changes only
+        # with the RNG stream, the Clifford sampler or the support's basis
         digest = hashlib.sha256()
         rng = RandomSeed(2170).generator()
         for n in (1, 5, 10, 30, 63):
@@ -411,7 +481,7 @@ class TestMeasurementSupport:
                 for shots in (1, 64):
                     digest.update(sample_from_support(sup, shots, rng).astype("<i8").tobytes())
         assert digest.hexdigest() == (
-            "c11f8d1fa53a8ccd65ecb7c8a6dbe71bc69671b95927244232467dc6e47d520c")
+            "61291d06a736986b037e7dd05ac3bfa45c7d04e3e813e0a2309d81bfe4b60886")
 
     @pytest.mark.parametrize("k", [0, 1, 10, 63])
     def test_column_xors_match_the_reduction(self, k):
