@@ -254,10 +254,8 @@ def _cmd_design_distance(args) -> None:
     if args.ensemble_file is not None:
         ens = ensemble_from_json_dict(load_json(args.ensemble_file),
                                       Path(args.ensemble_file).parent)
-    elif args.ensemble == "pauli-1":
-        ens = reference_design("pauli-1-design", 1)
     else:
-        ens = reference_design("single-qubit-clifford-3-design")
+        ens = reference_design(args.ensemble)
     rep = diamond_design_bounds(ens, args.t)
     config = {"command": "design-distance", "t": args.t,
               "ensemble": args.ensemble or args.ensemble_file}

@@ -1,8 +1,8 @@
 """Unitary ensemble generators.
 
 The permutation/phase/Clifford product ensemble, the Polya-urn sampler
-behind the Haar-state measurement oracle, and small exact reference
-designs used as oracles by the moment-operator tests.
+behind the Haar-state measurement oracle, and the exact single-qubit
+Pauli and Clifford designs, read off Clifford tableaus.
 """
 
 from __future__ import annotations
@@ -11,8 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from prulab.linalg import PropertyViolationError, RandomSeed, ensure_budget
-from prulab.stabilizer import Tableau, random_clifford_rng
+from prulab.linalg import RandomSeed, ensure_budget
+from prulab.stabilizer import (
+    Tableau,
+    clifford_tableau,
+    random_clifford_rng,
+    symplectic_group_order,
+    tableau_to_unitary,
+)
 
 # ---------------------------------------------------------------------------
 # PFC ensemble
@@ -147,65 +153,20 @@ class EnsembleSpec:
         return len(self.unitaries)
 
 
-_PAULI_1 = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.diag([1.0, -1.0]).astype(complex),
-}
+def reference_design(name: str) -> EnsembleSpec:
+    """The exact single-qubit reference designs, read off the 6 x 4
+    tableaus of every symplectic index and sign pattern through
+    `tableau_to_unitary`.
 
-
-def _phase_canonical(u: np.ndarray) -> bytes:
-    """Byte key identifying u modulo global phase (for group closure)."""
-    flat = u.reshape(-1)
-    idx = int(np.argmax(np.abs(flat) > 1e-8))
-    v = u / (flat[idx] / abs(flat[idx]))
-    return (np.round(v, 8) + (0.0 + 0.0j)).tobytes()  # also collapses -0.0
-
-
-def single_qubit_cliffords() -> list[np.ndarray]:
-    """The 24 single-qubit Cliffords modulo phase, by closure of {H, S}."""
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    s = np.diag([1, 1j]).astype(complex)
-    found: dict[bytes, np.ndarray] = {}
-    frontier = [np.eye(2, dtype=complex)]
-    found[_phase_canonical(frontier[0])] = frontier[0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for g in (h, s):
-                v = g @ u
-                key = _phase_canonical(v)
-                if key not in found:
-                    found[key] = v
-                    nxt.append(v)
-        frontier = nxt
-    if len(found) != 24:
-        raise PropertyViolationError(f"{{H, S}} closure has {len(found)} elements, not 24")
-    return list(found.values())
-
-
-def pauli_group(n: int) -> list[np.ndarray]:
-    """The 4^n Pauli tensor products modulo phase; n <= 4."""
-    if not 1 <= n <= 4:
-        raise ValueError("Pauli reference design is capped at n = 4")
-    out = [np.array([[1.0 + 0j]])]
-    for _ in range(n):
-        out = [np.kron(u, p) for u in out for p in _PAULI_1.values()]
-    return out
-
-
-def reference_design(kind: str, n: int = 1) -> EnsembleSpec:
-    """Exact reference designs used as moment-operator oracles.
-
-    "pauli-1-design": the 4^n Pauli group (exact 1-design).
-    "single-qubit-clifford-3-design": the 24-element Clifford group at d=2
-    (exact 3-design, not a 4-design).
+    "clifford-1": all 24, the single-qubit Clifford group modulo phase
+    (an exact 3-design, not a 4-design).  "pauli-1": the 4 whose rows are
+    the identity's, X -> +-X and Z -> +-Z, the Pauli group modulo phase
+    (an exact 1-design).
     """
-    if kind == "pauli-1-design":
-        us = pauli_group(n)
-        return EnsembleSpec(2**n, us)
-    if kind == "single-qubit-clifford-3-design":
-        us = single_qubit_cliffords()
-        return EnsembleSpec(2, us)
-    raise ValueError(f"unknown reference design {kind!r}")
+    if name not in ("pauli-1", "clifford-1"):
+        raise ValueError(f"unknown reference design {name!r}")
+    tableaus = [clifford_tableau(i, signs, 1)
+                for i in range(symplectic_group_order(1)) for signs in range(4)]
+    if name == "pauli-1":
+        tableaus = [t for t in tableaus if t.rows == (1, 2)]
+    return EnsembleSpec(2, [tableau_to_unitary(t) for t in tableaus])

@@ -58,8 +58,14 @@ class NetSpec:
 
     @classmethod
     def haar_sample(cls, dim: int, size: int, seed: RandomSeed) -> "NetSpec":
+        """``size`` Haar unitaries drawn in turn from the seed's generator,
+        written in place into the (size, dim, dim) array charged here."""
+        ensure_budget(16 * size * dim * dim, "Haar net")
         rng = seed.generator()
-        return cls(dim, [haar_unitary_rng(dim, rng) for _ in range(size)])
+        net = np.empty((size, dim, dim), dtype=complex)
+        for u in net:
+            u[...] = haar_unitary_rng(dim, rng)
+        return cls(dim, net)
 
 
 @dataclass

@@ -77,6 +77,15 @@ def _field(d: dict, key: str, what: str, kind: type):
     return _expect(d[key], kind, f"{what} {key}")
 
 
+def _dim(d: dict, what: str) -> int:
+    """d["dim"] if it is an integer of at least 1, or a ValueError naming
+    the key path."""
+    dim = _field(d, "dim", what, int)
+    if dim < 1:
+        raise ValueError(f"{what} dim must be at least 1, got {dim}")
+    return dim
+
+
 def _check_unitary(indexed, what: str) -> None:
     """Raise a ValueError naming the index of the first matrix in the
     (index, matrix) pairs ``indexed`` that is not unitary, with its
@@ -101,7 +110,7 @@ def _manifest_matrices(d: dict, dim: int, base: Path | None) -> list[np.ndarray]
 
 def ensemble_from_json_dict(d: dict, base: Path | None = None) -> EnsembleSpec:
     _expect(d, dict, "ensemble manifest")
-    dim = _field(d, "dim", "ensemble manifest", int)
+    dim = _dim(d, "ensemble manifest")
     us = _manifest_matrices(d, dim, base)
     weights = (np.array(_items(d["weights"], float, "ensemble manifest weights"))
                if "weights" in d else None)
@@ -112,7 +121,7 @@ def ensemble_from_json_dict(d: dict, base: Path | None = None) -> EnsembleSpec:
 
 def net_from_json_dict(d: dict, base: Path | None = None) -> NetSpec:
     _expect(d, dict, "net manifest")
-    dim = _field(d, "dim", "net manifest", int)
+    dim = _dim(d, "net manifest")
     net = NetSpec(dim, _manifest_matrices(d, dim, base))
     _check_unitary(enumerate(net.unitaries), "net element")
     return net

@@ -1,7 +1,8 @@
 """Stabilizer (Clifford) machinery.
 
-Uniform Clifford sampling through the canonical symplectic-index
-construction, computational-basis measurement supports of stabilizer
+The tableau of a canonical symplectic index and its sign bits, which the
+uniform Clifford sampler and the reference designs in `prulab.ensembles`
+both build through, computational-basis measurement supports of stabilizer
 states, dense tableau unitaries read off the tableau's Pauli rows, the
 share of full-support states and the stabilizer-state count.
 
@@ -46,15 +47,6 @@ class Tableau:
     r: tuple[int, ...]
 
 
-def _unpack_rows(rows: list[int] | tuple[int, ...], width: int) -> np.ndarray:
-    """Packed rows -> a (len(rows), width) uint8 bit array, bit j of each
-    row in column j."""
-    nbytes = (width + 7) // 8
-    buf = b"".join(row.to_bytes(nbytes, "little") for row in rows)
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
-    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
-
-
 # ---------------------------------------------------------------------------
 # Uniform symplectic / Clifford sampling
 # ---------------------------------------------------------------------------
@@ -95,7 +87,12 @@ def symplectic_group_order(n: int) -> int:
 
 
 def _symplectic_rows(i: int, n: int) -> list[int]:
-    """The rows of `symplectic_from_index(i, n)`, column j as bit j of each.
+    """The rows of the 2n x 2n symplectic matrix of index i, column j as
+    bit j of each: the Koenig-Smolin bijection (arXiv:1406.2170) from
+    [0, |Sp(2n,2)|) onto Sp(2n,2), on packed rows.  Columns 2q, 2q+1 are
+    the X/Z components on qubit q, so <v,w> is the parity of v AND w with
+    each bit pair swapped, and the transvection by h sends a row x to
+    x ^ h when <x,h> = 1.
 
     Index i reads as one digit per level m = n, ..., 1, each naming the
     transvections (t2, t1, h0, f1) that act on the level's 2m rows; the
@@ -127,20 +124,23 @@ def _symplectic_rows(i: int, n: int) -> list[int]:
     return g
 
 
-def symplectic_from_index(i: int, n: int) -> np.ndarray:
-    """Canonical bijection from [0, |Sp(2n,2)|) onto 2n x 2n symplectic matrices.
+def clifford_tableau(i: int, signs: int, n: int) -> Tableau:
+    """The n-qubit tableau of symplectic index i, 0 <= i < |Sp(2n,2)|,
+    with sign bits ``signs``, 0 <= signs < 4^n, whose bit j is r_j.
 
-    Koenig-Smolin construction (arXiv:1406.2170) on packed rows: each row is
-    one Python int whose bit j is column j.  Pair-interleaved convention:
-    columns 2q, 2q+1 are the X/Z components on qubit q, so <v,w> is the
-    parity of v AND w with each bit pair swapped, and the transvection by h
-    sends a row x to x ^ h when <x,h> = 1.
+    Symplectic row 2j is the image of X_j and row 2j+1 that of Z_j,
+    already in the tableau's interleaved row layout; the tableau holds the
+    X_j images, then the Z_j images.
     """
     if n < 1:
         raise ValueError(f"need n >= 1 qubits, got {n}")
     if not 0 <= i < symplectic_group_order(n):
         raise ValueError(f"symplectic index {i} outside [0, {symplectic_group_order(n)})")
-    return _unpack_rows(_symplectic_rows(i, n), 2 * n)
+    if not 0 <= signs < 1 << 2 * n:
+        raise ValueError(f"sign bits {signs} outside [0, {1 << 2 * n})")
+    rows = _symplectic_rows(i, n)
+    r = tuple([signs >> j & 1 for j in range(2 * n)])
+    return Tableau(n, tuple(rows[0::2] + rows[1::2]), r)
 
 
 def random_clifford_rng(n: int, rng: np.random.Generator) -> Tableau:
@@ -151,12 +151,9 @@ def random_clifford_rng(n: int, rng: np.random.Generator) -> Tableau:
     heuristic.  Each attempt takes ceil((bits + 2n) / 64) raw words from
     ``rng.bit_generator.random_raw``, read as one little-endian int, where
     bits = |Sp(2n,2)|.bit_length(): its low ``bits`` bits are the symplectic
-    index, and the next 2n bits are the sign bits, bit j being r_j.  An
-    index >= |Sp(2n,2)| rejects the whole attempt, signs included, and the
-    next attempt draws fresh words.  Symplectic row 2j is the image of X_j
-    and row 2j+1 that of Z_j, already in the tableau's interleaved row
-    layout; the frozen `Tableau` holds the X_j images, then the Z_j images,
-    then the 2n sign bits.
+    index, and the next 2n bits are the sign bits, bit j being r_j, read
+    by `clifford_tableau`.  An index >= |Sp(2n,2)| rejects the whole
+    attempt, signs included, and the next attempt draws fresh words.
     """
     if not 1 <= n <= 63:
         raise ValueError("qubit count out of range [1, 63]")
@@ -169,10 +166,7 @@ def random_clifford_rng(n: int, rng: np.random.Generator) -> Tableau:
         i = value & ((1 << bits) - 1)
         if i < order:
             break
-    rows = _symplectic_rows(i, n)
-    signs = value >> bits
-    r = tuple(signs >> j & 1 for j in range(2 * n))
-    return Tableau(n, tuple(rows[0::2] + rows[1::2]), r)
+    return clifford_tableau(i, value >> bits & ((1 << 2 * n) - 1), n)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,11 @@ outcome from its Born probabilities.  The symplectic-index and
 measurement-support oracles are the bit-per-byte numpy forms of the
 packed-row code in `prulab.stabilizer`, with the GF(2) row reduction and
 solver they need; `prulab.stabilizer` keeps supports as packed outcome
-indices and needs none of them.  The d = 2 pair-cover oracle ranks the
+indices and needs none of them.  The breadth-first closure of {H, S}
+over matrices keyed by their phase-fixed, rounded bytes
+(`single_qubit_cliffords`) is the oracle for the single-qubit designs
+`prulab.ensembles.reference_design` reads off tableaus; it shares no
+code with the tableau read-out.  The d = 2 pair-cover oracle ranks the
 whole m x m trace matrix at once, where `prulab.nets` streams it in row
 blocks.
 
@@ -42,9 +46,12 @@ So do the checks and constructions that only tests use: the bit-block
 form of a tableau (`tableau_from_blocks`, which reads (2n, n) x and z
 blocks and 2n sign bits mod 2 and checks their shapes, `tableau_blocks`,
 its inverse, `identity_tableau` and the `_pack_rows` they pack with), the
-symplectic form check and hex form of a tableau with its validating
-reader, the (M, u, v) full-support state family, the exact diamond
-distance of one truncated diagonal, the 2->2 distance with the
+2n x 2n bit matrix of a symplectic index (`symplectic_from_index`, the
+packed rows `prulab.stabilizer.clifford_tableau` reads, spread out by
+`_unpack_rows`), the symplectic form check and hex form of a tableau with
+its validating reader, the one-to-one match of two lists of unitaries
+modulo phase, the (M, u, v) full-support state family, the exact
+diamond distance of one truncated diagonal, the 2->2 distance with the
 multiplicativity check of composed symmetric ensembles, net composition
 and dagger closure, and the tomography-based net-membership test.  The
 manifest writers (`dump_json` and the `*_to_json_dict` forms) build test
@@ -84,7 +91,8 @@ from prulab.stabilizer import (
     AffineSupport,
     Tableau,
     _check_index_width,
-    _unpack_rows,
+    _symplectic_rows,
+    symplectic_group_order,
     tableau_to_unitary,
 )
 from prulab.tomography import ChannelOracle, naive_process_tomography
@@ -408,6 +416,26 @@ def _find_transvection(x: np.ndarray, y: np.ndarray):
     return (x ^ z), (z ^ y)
 
 
+def _unpack_rows(rows: list[int] | tuple[int, ...], width: int) -> np.ndarray:
+    """Packed rows -> a (len(rows), width) uint8 bit array, bit j of each
+    row in column j."""
+    nbytes = (width + 7) // 8
+    buf = b"".join(row.to_bytes(nbytes, "little") for row in rows)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
+def symplectic_from_index(i: int, n: int) -> np.ndarray:
+    """The 2n x 2n symplectic bit matrix of index i in [0, |Sp(2n,2)|): the
+    packed rows `prulab.stabilizer` builds its tableaus from, unpacked, in
+    the pair-interleaved column order (2q, 2q+1 the X/Z bits of qubit q)."""
+    if n < 1:
+        raise ValueError(f"need n >= 1 qubits, got {n}")
+    if not 0 <= i < symplectic_group_order(n):
+        raise ValueError(f"symplectic index {i} outside [0, {symplectic_group_order(n)})")
+    return _unpack_rows(_symplectic_rows(i, n), 2 * n)
+
+
 def symplectic_from_index_bits(i: int, n: int) -> np.ndarray:
     """The Koenig-Smolin index bijection with one byte per matrix entry and a
     small matmul per transvection; wraps indices outside [0, |Sp(2n,2)|)."""
@@ -500,6 +528,46 @@ def pauli_matrix(x: np.ndarray, z: np.ndarray, r: int) -> np.ndarray:
     for xq, zq in zip(x, z):
         out = np.kron(out, table[(int(xq), int(zq))])
     return (-1) ** int(r) * out
+
+
+def _phase_canonical(u: np.ndarray) -> bytes:
+    """Byte key identifying u modulo global phase (for group closure)."""
+    flat = u.reshape(-1)
+    idx = int(np.argmax(np.abs(flat) > 1e-8))
+    v = u / (flat[idx] / abs(flat[idx]))
+    return (np.round(v, 8) + (0.0 + 0.0j)).tobytes()  # also collapses -0.0
+
+
+def single_qubit_cliffords() -> list[np.ndarray]:
+    """The 24 single-qubit Cliffords modulo phase, by closure of {H, S}."""
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    s = np.diag([1, 1j]).astype(complex)
+    found: dict[bytes, np.ndarray] = {}
+    frontier = [np.eye(2, dtype=complex)]
+    found[_phase_canonical(frontier[0])] = frontier[0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for g in (h, s):
+                v = g @ u
+                key = _phase_canonical(v)
+                if key not in found:
+                    found[key] = v
+                    nxt.append(v)
+        frontier = nxt
+    if len(found) != 24:
+        raise PropertyViolationError(f"{{H, S}} closure has {len(found)} elements, not 24")
+    return list(found.values())
+
+
+def one_to_one_modulo_phase(us, vs) -> bool:
+    """Whether each of the unitaries ``us`` equals exactly one of ``vs`` up
+    to a global phase and each of ``vs`` exactly one of ``us``: |tr(U^dag V)|/d
+    is 1 exactly at a phase multiple, here read as above 1 - 1e-9."""
+    overlaps = np.array([[abs(np.trace(u.conj().T @ v)) / len(u) for v in vs] for u in us])
+    matches = overlaps > 1 - 1e-9
+    return (matches.shape == (len(us), len(us)) and (matches.sum(axis=0) == 1).all()
+            and (matches.sum(axis=1) == 1).all())
 
 
 def _pack_rows(bits: np.ndarray) -> list[int]:

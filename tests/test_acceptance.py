@@ -106,8 +106,8 @@ def test_c3_full_support_statistics():
 
 
 def test_c4_exact_design_residuals():
-    pauli = reference_design("pauli-1-design", 1)
-    cliff = reference_design("single-qubit-clifford-3-design")
+    pauli = reference_design("pauli-1")
+    cliff = reference_design("clifford-1")
     r_pauli = tpe_distance(pauli, 1)
     r_cliff = [tpe_distance(cliff, t) for t in (1, 2, 3)]
     ok = r_pauli <= 1e-9 and all(r <= 1e-9 for r in r_cliff)
@@ -228,7 +228,7 @@ def test_c8_tomography_contract():
 def test_c9_bound_calculators():
     # the pauli reference design attains the bound at (2, 1, 0)
     bound = prior_support_bound(2, 1, 0.0)
-    pauli = reference_design("pauli-1-design", 1)
+    pauli = reference_design("pauli-1")
     ok = bound == pytest.approx(4.0) and len(pauli) == 4
     # log-space vs big-integer ground truth
     worst = 0.0

@@ -62,7 +62,7 @@ class TestSerialization:
     def test_ensemble_manifest_round_trip(self):
         from prulab.ensembles import reference_design
 
-        ens = reference_design("pauli-1-design", 1)
+        ens = reference_design("pauli-1")
         back = ensemble_from_json_dict(ensemble_to_json_dict(ens))
         assert back.dim == 2 and len(back) == 4
         for a, b in zip(ens.unitaries, back.unitaries):
@@ -189,7 +189,7 @@ class TestCli:
         from prulab.ensembles import reference_design
 
         names = []
-        for i, u in enumerate(reference_design("pauli-1-design", 1).unitaries):
+        for i, u in enumerate(reference_design("pauli-1").unitaries):
             names.append(f"u{i}.bin")
             save_matrix_bin(tmp_path / names[-1], u)
         dump_json(tmp_path / "m.json", {"dim": 2, "matrix_files": names})
@@ -283,6 +283,13 @@ class TestCli:
         (["truncate-diag", "--k", "4", "--circuit-file"],
          {"n": 1, "m": 1, "oracles": [["a", 0.5]], "sequence": [{"oracle": 0}]},
          'circuit oracles item 0 item 0 must be a number, got "a"'),
+        (["design-distance", "--t", "1", "--ensemble-file"],
+         {"dim": -1, "matrix_files": ["a.bin"]},
+         "ensemble manifest dim must be at least 1, got -1"),
+        (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1", "--net-file"],
+         {"dim": -1, "matrix_files": ["a.bin"]}, "net manifest dim must be at least 1, got -1"),
+        (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1", "--net-file"],
+         {"dim": 0, "matrix_files": ["a.bin"]}, "net manifest dim must be at least 1, got 0"),
     ], ids=["ensemble-no-dim", "net-no-dim", "circuit-no-sequence", "matrix-row-of-numbers",
             "matrix-entry-not-numeric", "circuit-fixed-of-numbers", "ensemble-matrix-ragged",
             "circuit-fixed-ragged", "ensemble-not-unitary",
@@ -291,9 +298,12 @@ class TestCli:
             "ensemble-dim-list", "ensemble-dim-null", "matrices-null", "matrix-files-number",
             "ensemble-weights-string", "circuit-sequence-item-number", "circuit-oracles-null",
             "circuit-m-list", "circuit-n-negative", "circuit-oracle-string",
-            "circuit-phase-string"])
+            "circuit-phase-string", "ensemble-dim-negative", "net-dim-negative",
+            "net-dim-zero"])
     def test_manifest_missing_key_is_a_usage_error(self, command, manifest, key, tmp_path,
                                                    capsys):
+        # a.bin holds two float64s, one complex entry, for the matrix_files rows
+        (tmp_path / "a.bin").write_bytes(bytes(16))
         dump_json(tmp_path / "m.json", manifest)
         code, out, err = run_cli([*command, str(tmp_path / "m.json")], capsys)
         assert code == 1
@@ -579,6 +589,9 @@ class TestCli:
          "argument --c-design: must be in (0, inf), got -1.0"),
         (["bounds", "scalable-check", "--d", "16", "--kappa", "3", "--q", "4", "--m", "2",
           "--t", "8", "--delta", "-1"], "argument --delta: must be in [0, inf), got -1.0"),
+        (["net-coverage", "--haar-net-size", "2000", "--dim", "16", "--eps", "0.5",
+          "--samples", "2", "--seed", "1", "--mem-budget", "0.001"],
+         "Haar net needs 8.19e+06 bytes, budget is 1073741"),
     ], ids=["n-out-of-range", "no-ensemble", "both-ensembles", "unknown-ensemble",
             "no-net", "no-t", "no-kappa", "zero-mem-budget", "negative-mem-budget",
             "net-size-no-eps", "scalable-check-no-q", "fractional-t", "fractional-sweep-t",
@@ -605,7 +618,8 @@ class TestCli:
             "flag-before-formula", "tomo-over-budget", "tomo-eps-squared-underflow",
             "tomo-count-overflow", "tomo-subnormal-eta", "net-size-negative-eps",
             "net-size-c-diamond-zero", "trivial-rompru-kappa-negative", "improved-support-t-zero",
-            "improved-support-c-design-negative", "scalable-check-delta-negative"])
+            "improved-support-c-design-negative", "scalable-check-delta-negative",
+            "haar-net-over-budget"])
     def test_usage_error_names_its_cause(self, argv, cause, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1
@@ -852,7 +866,7 @@ def fuzz_manifests():
     rng = RandomSeed(7).generator()
     hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     return {
-        "{ensemble}": ensemble_to_json_dict(reference_design("pauli-1-design", 1)),
+        "{ensemble}": ensemble_to_json_dict(reference_design("pauli-1")),
         "{net}": net_to_json_dict(NetSpec.haar_sample(2, 2, RandomSeed(4))),
         "{circuit}": circuit_to_json_dict(DiagonalOracleCircuit(
             1, 1, [random_phase(1, rng)], [("oracle", 0), ("fixed", hadamard)])),

@@ -394,7 +394,7 @@ class TestAdvantage:
 
     def test_exact_1_design_matches_haar_single_query(self):
         # one query, accept iff the measured outcome is 0
-        pauli = reference_design("pauli-1-design", 1)
+        pauli = reference_design("pauli-1")
         seed, trials = RandomSeed(71), 400
         hits_pauli = hits_haar = 0
         for i in range(trials):

@@ -10,20 +10,21 @@ from helpers import (
     collision_count,
     empirical_counts,
     identity_tableau,
+    one_to_one_modulo_phase,
     partition_probability_dirichlet,
     partition_probability_urn,
+    pauli_matrix,
     pfc_dense,
     pfc_phase_values,
+    single_qubit_cliffords,
     total_variation,
 )
 from prulab.distinguisher import HaarDenseOracle, HaarUrnOracle, PFCOracle
 from prulab.ensembles import (
     EnsembleSpec,
     PolyaUrnSampler,
-    pauli_group,
     reference_design,
     sample_pfc,
-    single_qubit_cliffords,
 )
 from prulab.linalg import (
     RandomSeed,
@@ -294,19 +295,23 @@ class TestHaarMeasurement:
 
 class TestReferenceDesigns:
     def test_pauli_group_n1(self):
-        ens = reference_design("pauli-1-design", 1)
-        assert len(ens) == 4
+        # the design read off tableaus against the Kronecker-product Paulis
+        ens = reference_design("pauli-1")
+        assert len(ens) == 4 and np.array_equal(ens.weights, np.full(4, 0.25))
         for u in ens.unitaries:
             assert is_unitary(u)
-
-    def test_pauli_count_n2(self):
-        assert len(pauli_group(2)) == 16
+        paulis = [pauli_matrix([x], [z], 0) for x in (0, 1) for z in (0, 1)]
+        assert one_to_one_modulo_phase(ens.unitaries, paulis)
 
     def test_clifford_group(self):
+        # the design read off tableaus against the {H, S} closure
         us = single_qubit_cliffords()
         assert len(us) == 24
         for u in us:
             assert is_unitary(u, 1e-9)
+        ens = reference_design("clifford-1")
+        assert ens.dim == 2 and np.array_equal(ens.weights, np.full(24, 1 / 24))
+        assert one_to_one_modulo_phase(ens.unitaries, us)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

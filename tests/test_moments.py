@@ -35,12 +35,12 @@ from prulab.moments import (
 
 @pytest.fixture(scope="module")
 def pauli1():
-    return reference_design("pauli-1-design", 1)
+    return reference_design("pauli-1")
 
 
 @pytest.fixture(scope="module")
 def cliff1():
-    return reference_design("single-qubit-clifford-3-design")
+    return reference_design("clifford-1")
 
 
 class TestMomentOperator:
@@ -61,7 +61,7 @@ class TestMomentOperator:
         assert np.abs(mv.matrix - mh.matrix).max() < 1e-9
 
     def test_trace_preserving_and_cp(self, cliff1):
-        for ens, t in ((cliff1, 2), (reference_design("pauli-1-design", 1), 1)):
+        for ens, t in ((cliff1, 2), (reference_design("pauli-1"), 1)):
             m = moment_operator(ens, t)
             assert is_trace_preserving(m)
             assert is_completely_positive(m)

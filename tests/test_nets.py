@@ -12,6 +12,7 @@ from prulab.linalg import (
     ResourceLimitError,
     diamond_distance_unitaries,
     haar_unitary,
+    haar_unitary_rng,
     is_unitary,
     memory_budget_bytes,
     set_memory_budget_bytes,
@@ -104,6 +105,32 @@ class TestExposure:
     def test_vol_complement(self, small_net):
         rep = exposure_estimate(small_net, 1.0, 100, RandomSeed(12))
         assert rep.vol_hat == pytest.approx(1.0 - rep.eta_hat)
+
+
+class TestHaarSample:
+    @pytest.mark.parametrize("dim, size, seed", [(1, 3, 1), (2, 40, 2), (3, 7, 3), (16, 5, 4)])
+    def test_net_is_the_list_built_net(self, dim, size, seed):
+        rng = RandomSeed(seed).generator()
+        want = np.array([haar_unitary_rng(dim, rng) for _ in range(size)])
+        net = NetSpec.haar_sample(dim, size, RandomSeed(seed))
+        assert net.unitaries.tobytes() == want.tobytes()
+
+    def test_net_stays_within_its_charge(self, monkeypatch):
+        # the net once was a list of arrays that NetSpec copied, a peak of
+        # twice the net, and was charged nothing; the slack covers one Haar
+        # sample's working set at d = 16.  The warm-up call keeps numpy's
+        # first linalg imports out of the trace
+        NetSpec.haar_sample(16, 1, RandomSeed(0))
+        charged = []
+        monkeypatch.setattr(nets, "ensure_budget", lambda nbytes, what: charged.append(nbytes))
+        tracemalloc.start()
+        try:
+            net = NetSpec.haar_sample(16, 2000, RandomSeed(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert charged == [net.unitaries.nbytes] == [16 * 2000 * 16 * 16]
+        assert peak <= charged[0] + (64 << 10)
 
 
 class TestComposeAndDagger:

@@ -130,15 +130,10 @@ def test_benchmark_trace_counts_match(workload):
 
 
 #: public definitions in src/prulab that only tests/ call, each waiting for
-#: a caller ROADMAP names: item 2's exact support-dimension law calls
-#: stabilizer_state_count and replaces concentration_reference, and item 3's
-#: reference two-qubit Clifford design calls tableau_to_unitary and moves
-#: symplectic_from_index to tests/helpers.py; a class member kept on purpose
-#: goes here as ``Class.member``
-TEST_ONLY_API = {
-    "concentration_reference", "stabilizer_state_count", "symplectic_from_index",
-    "tableau_to_unitary",
-}
+#: the caller ROADMAP item 2 names: its exact support-dimension law calls
+#: stabilizer_state_count and replaces concentration_reference; a class
+#: member kept on purpose goes here as ``Class.member``
+TEST_ONLY_API = {"concentration_reference", "stabilizer_state_count"}
 
 
 def _definitions(paths=None) -> list[tuple[str, str, Path, int, int]]:

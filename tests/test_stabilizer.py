@@ -21,11 +21,14 @@ from helpers import (
     identity_tableau,
     is_symplectic,
     measurement_support_bits,
+    one_to_one_modulo_phase,
     pack_bits,
     pauli_matrix,
     sample_from_support_reduce,
     support_contains,
     support_members,
+    single_qubit_cliffords,
+    symplectic_from_index,
     symplectic_from_index_bits,
     tableau_blocks,
     tableau_from_blocks,
@@ -37,12 +40,12 @@ from prulab.stabilizer import (
     AffineSupport,
     Tableau,
     _transvections_from_e1,
+    clifford_tableau,
     full_support_probability,
     measurement_support,
     random_clifford_rng,
     sample_from_support,
     stabilizer_state_count,
-    symplectic_from_index,
     symplectic_group_order,
     tableau_to_statevector,
     tableau_to_unitary,
@@ -164,6 +167,26 @@ class TestSymplecticSampling:
     def test_index_outside_bijection_rejected(self, i, n):
         with pytest.raises(ValueError):
             symplectic_from_index(i, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_clifford_tableau_is_the_index_matrix_with_its_signs(self, n):
+        # every index and sign pattern at n = 1, 40 seeded pairs beyond
+        order = symplectic_group_order(n)
+        if n == 1:
+            pairs = itertools.product(range(order), range(4))
+        else:
+            rng = RandomSeed(2171).child(n).generator()
+            pairs = [(int.from_bytes(rng.bytes(order.bit_length() // 8 + 8), "little") % order,
+                      int(rng.integers(1 << 2 * n))) for _ in range(40)]
+        for i, signs in pairs:
+            r = [signs >> j & 1 for j in range(2 * n)]
+            assert clifford_tableau(i, signs, n) == tableau_of(symplectic_from_index(i, n), r)
+
+    @pytest.mark.parametrize("i, signs, n", [(6, 0, 1), (-1, 0, 1), (0, 16, 1), (0, -1, 1),
+                                             (0, 256, 2), (0, 0, 0)])
+    def test_clifford_tableau_outside_its_range_rejected(self, i, signs, n):
+        with pytest.raises(ValueError):
+            clifford_tableau(i, signs, n)
 
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 63])
@@ -337,8 +360,6 @@ class TestRandomClifford:
     def test_single_qubit_images_are_the_hs_closure(self):
         # 6 symplectic (x, z) row pairs times 4 sign patterns; the {H, S}
         # closure shares no code with the tableau read-out
-        from prulab.ensembles import single_qubit_cliffords
-
         paulis = [(1, 0), (0, 1), (1, 1)]
         images = []
         for px, pz in itertools.permutations(paulis, 2):
@@ -346,12 +367,7 @@ class TestRandomClifford:
                 t = tableau_from_blocks(1, [[px[0]], [pz[0]]], [[px[1]], [pz[1]]], r)
                 assert is_symplectic(t)
                 images.append(tableau_to_unitary(t))
-        closure = single_qubit_cliffords()
-        overlaps = np.array([[abs(np.trace(a.conj().T @ b)) / 2 for b in closure]
-                             for a in images])
-        matches = overlaps > 1 - 1e-9
-        assert matches.shape == (24, 24)
-        assert (matches.sum(axis=0) == 1).all() and (matches.sum(axis=1) == 1).all()
+        assert len(images) == 24 and one_to_one_modulo_phase(images, single_qubit_cliffords())
 
 
 class TestMeasurementSupport:
