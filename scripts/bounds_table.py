@@ -11,7 +11,7 @@ Example:
 
 import math
 
-from prulab.bounds import D_LIMIT, improved_support_bound, prior_support_bound
+from prulab.bounds import D_LIMIT, log_improved_support_bound, log_prior_support_bound
 from prulab.cli import _BELOW_ONE, _POSITIVE, _number, _Parser, exit_code
 
 
@@ -33,8 +33,8 @@ def main(argv: list[str] | None = None) -> None:
                 raise ValueError(f"argument --t-mult: 4 d^2 ln 4 * {mult} overflows "
                                  f"a float at d = {d}")
             t = math.ceil(t_real)
-            pri = prior_support_bound(d, t, args.delta, as_log=True)
-            imp = improved_support_bound(d, t, args.delta, args.c_design, as_log=True)
+            pri = log_prior_support_bound(d, t, args.delta)
+            imp = log_improved_support_bound(d, t, args.delta, args.c_design)
             winner = "improved" if imp > pri else "prior"
             print(f"{d:>4} {t:>8} {pri:>12.2f} {imp:>12.2f}  {winner}")
 

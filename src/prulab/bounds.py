@@ -1,9 +1,11 @@
 """Closed-form cardinality/entropy bound calculators.
 
-Support-size lower bounds for approximate designs, oracle input-length
-bounds, the trivial scalable construction's parameter arithmetic, and the
-scalability predicate.  Everything is evaluated in log-space; the tests
-cross-check it against exact big-integer values at desk scale.
+Support-size lower bounds for approximate designs, the epsilon-net
+cardinality bound, oracle input-length bounds, the trivial scalable
+construction's parameter arithmetic, and the scalability predicate.  Every
+cardinality bound returns its natural log, computed from the logs of its
+inputs; the tests cross-check it against exact big-integer values at desk
+scale and against mpmath.
 """
 
 from __future__ import annotations
@@ -50,29 +52,31 @@ def _log_binom(t: int, k: int) -> float:
                       corr(t + k), -corr(t), -corr(k)))
 
 
-def prior_support_bound(d: int, t: int, delta: float, as_log: bool = False) -> float:
-    """max{ (1-delta) C(d+t-1, t)^2, d^{2t} / ((1+delta) t!) }.
+def log_prior_support_bound(d: int, t: int, delta: float) -> float:
+    """ln max{ (1-delta) C(d+t-1, t)^2, d^{2t} / ((1+delta) t!) }.
 
-    Natural-log value with ``as_log``; the plain value may overflow to inf
-    for large parameters.
+    The second branch is evaluated from float(t); it is -inf where 2t ln d
+    or ln t! leaves float range, since t! is then the far larger.
     """
     check_dimension(d)
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must be in [0, 1]")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    log_b2 = -math.log1p(delta) + 2 * t * math.log(d) - math.lgamma(t + 1)
+    tf = float(t)
+    try:
+        log_b2 = -math.log1p(delta) + 2 * tf * math.log(d) - math.lgamma(tf + 1)
+    except OverflowError:  # ln t! left float range
+        log_b2 = -math.inf
+    if log_b2 == math.inf:  # 2t ln d left float range
+        log_b2 = -math.inf
     if delta >= 1.0:
-        log_best = log_b2
-    else:
-        log_b1 = math.log1p(-delta) + 2 * _log_binom(t, d - 1)
-        log_best = max(log_b1, log_b2)
-    return log_best if as_log else _safe_exp(log_best)
+        return log_b2
+    return max(math.log1p(-delta) + 2 * _log_binom(t, d - 1), log_b2)
 
 
-def improved_support_bound(d: int, t: float, delta: float, c_design: float = 1.0,
-                           as_log: bool = False) -> float:
-    """((2-2delta)/(3+delta)) (c_design t / (d^2 ln(4/(1-delta))))^((d^2-1)/2).
+def log_improved_support_bound(d: int, t: float, delta: float, c_design: float = 1.0) -> float:
+    """ln of ((2-2delta)/(3+delta)) (c_design t / (d^2 ln(4/(1-delta))))^((d^2-1)/2).
 
     Valid for 0 <= delta < 1; the unspecified constant enters linearly in
     the base.
@@ -85,19 +89,27 @@ def improved_support_bound(d: int, t: float, delta: float, c_design: float = 1.0
     pref = math.log(2.0 - 2.0 * delta) - math.log(3.0 + delta)
     denom = d * d * math.log(4.0 / (1.0 - delta))
     ratio = c_design * t / denom
-    if sys.float_info.min <= ratio <= sys.float_info.max:
+    if sys.float_info.min <= ratio <= sys.float_info.max:  # one rounding of the ratio
         log_ratio = math.log(ratio)
     else:  # the ratio left the normal float range; its log did not
         log_ratio = math.log(c_design) + math.log(t) - math.log(denom)
-    log_val = pref + 0.5 * (d * d - 1) * log_ratio
-    return log_val if as_log else _safe_exp(log_val)
+    return pref + 0.5 * (d * d - 1) * log_ratio
 
 
-def _safe_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
+def log_net_size_lower_bound(d: int, eps: float, eta: float, c_diamond: float = 1.0) -> float:
+    """ln of the ball-volume cardinality bound for an (eps, eta)-net,
+    (1 - eta) (c_diamond / eps)^(d^2 - 1); -inf at eta = 1.
+
+    The universal ball-volume constant is caller-supplied; its true value
+    is open, the default 1 is a placeholder.
+    """
+    check_dimension(d)
+    if eps <= 0 or c_diamond <= 0:
+        raise ValueError("eps and c_diamond must be positive")
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must be in [0, 1]")
+    log_keep = math.log1p(-eta) if eta < 1.0 else -math.inf
+    return log_keep + (d * d - 1) * (math.log(c_diamond) - math.log(eps))
 
 
 @dataclass
@@ -115,12 +127,14 @@ def rom_input_length_bounds(d: int, t: float, delta: float, epsilon: float,
     """Input-length lower bounds for implementing designs/nets from one
     binary oracle.
 
-    m_design_1 = log2 t + loglog2(d^2/t) - slack        (regime 0 < t < d^2)
-    m_design_2 = 2 log2 d + loglog2(t/d^2) - slack      (regime t > d^2)
-    m_net      = 2 log2 d + loglog2(1/epsilon) - slack
+    m_design_1 = log2 t + log2(log2(d^2/t)) - slack     (regime 0 < t < d^2)
+    m_design_2 = 2 log2 d + log2(log2(t/d^2)) - slack   (regime t > d^2)
+    m_net      = 2 log2 d + log2(log2(1/epsilon)) - slack
 
-    Valid for 0 <= delta < 1, as for `improved_support_bound`.  The paper
-    proves m_design_2 only for a design error delta whose advantage
+    Each is computed from 2 log2 d, log2 t and -log2 epsilon, and each
+    regime test compares those logs, so no ratio leaves float range.
+    Valid for 0 <= delta < 1, as for `log_improved_support_bound`.  The
+    paper proves m_design_2 only for a design error delta whose advantage
     1 - delta stays bounded away from 0; it is reported whenever t > d^2,
     and holding that precondition is the caller's part.
     """
@@ -128,36 +142,29 @@ def rom_input_length_bounds(d: int, t: float, delta: float, epsilon: float,
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must be in [0, 1), got {delta}")
     notes: dict = {}
-
-    def loglog2(x: float) -> float | None:
-        if x <= 1.0:
-            return None
-        return math.log2(math.log2(x))
-
-    m1 = None
-    v = loglog2(d * d / t) if t > 0 else None
-    if v is None:
-        notes["m_design_1"] = ("undefined: needs 0 < t < d^2" if t <= 0
-                               else "undefined: needs t < d^2")
-    else:
-        m1 = math.log2(t) + v - additive_slack
-
-    m2 = None
-    v = loglog2(t / (d * d)) if t > 0 else None
-    if v is None:
+    m1 = m2 = m3 = None
+    log2_d2 = 2 * math.log2(d)
+    if t <= 0:
+        notes["m_design_1"] = "undefined: needs 0 < t < d^2"
         notes["m_design_2"] = "undefined: needs t > d^2"
     else:
-        m2 = 2 * math.log2(d) + v - additive_slack
+        log2_t = math.log2(t)
+        gap = log2_d2 - log2_t  # log2(d^2/t)
+        if gap > 0:
+            m1 = log2_t + math.log2(gap) - additive_slack
+        else:
+            notes["m_design_1"] = "undefined: needs t < d^2"
+        if gap < 0:
+            m2 = log2_d2 + math.log2(-gap) - additive_slack
+        else:
+            notes["m_design_2"] = "undefined: needs t > d^2"
 
-    m3 = None
     if epsilon <= 0:
         notes["m_net"] = "undefined: epsilon must be positive"
+    elif epsilon >= 1:
+        notes["m_net"] = "undefined: needs epsilon < 1"
     else:
-        v = loglog2(1.0 / epsilon)
-        if v is None:
-            notes["m_net"] = "undefined: needs epsilon < 1"
-        else:
-            m3 = 2 * math.log2(d) + v - additive_slack
+        m3 = log2_d2 + math.log2(-math.log2(epsilon)) - additive_slack
 
     return InputLengthBounds(m1, m2, m3, notes)
 

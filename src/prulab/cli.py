@@ -211,8 +211,9 @@ def _emit(args, config: dict, result: dict | list[dict]) -> None:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        for row in rows:  # a nested report, such as a dict of notes, as JSON
+            writer.writerow({k: json.dumps(v, sort_keys=True) if isinstance(v, dict) else v
+                             for k, v in row.items()})
         text = buf.getvalue()
     else:
         report = {
@@ -295,33 +296,33 @@ def _cmd_truncate_diag(args) -> None:
 
 def _cmd_bounds(args) -> None:
     from prulab import bounds as B
-    from prulab.nets import net_size_lower_bound
 
-    sweep = args.sweep_t if "t" in vars(args) else None
-    t_flag = "--sweep-t" if sweep is not None else "--t"
     # the flags named when a report field other than "value" is not finite
-    sources = {"m_design_1": f"--d and {t_flag}", "m_net": "--d and --eps",
-               "qm": "--q and --m", "qm_budget": "--d, --kappa and --poly-budget",
-               "support_size_log2": "--d and --kappa", "q_upper": "--d and --kappa"}
+    sources = {"qm": "--q and --m", "qm_budget": "--d, --kappa and --poly-budget"}
 
     def finite(row: dict) -> dict:
+        # the one place a calculator's natural log becomes a plain number
+        if "value" in row and not args.log:
+            try:
+                row["value"] = math.exp(row["value"])
+            except OverflowError:
+                raise ValueError(f"bounds {args.formula} evaluates to inf as a float; "
+                                 "pass --log for its natural log") from None
         for key, value in row.items():
             if isinstance(value, float) and not math.isfinite(value):
                 if key == "value":
-                    hint = "" if args.log else "; pass --log for its natural log"
-                    raise ValueError(f"bounds {args.formula} evaluates to {value} "
-                                     f"as a float{hint}")
+                    raise ValueError(f"bounds {args.formula} evaluates to {value} as a float")
                 raise ValueError(f"bounds {args.formula} evaluates {key} to {value} "
                                  f"as a float; it is computed from {sources[key]}")
         return row
 
     def one(t_val):
         if args.formula == "prior-support":
-            return {"t": t_val, "value": B.prior_support_bound(
-                args.d, int(t_val), args.delta, as_log=args.log)}
+            return {"t": t_val, "value": B.log_prior_support_bound(
+                args.d, int(t_val), args.delta)}
         if args.formula == "improved-support":
-            return {"t": t_val, "value": B.improved_support_bound(
-                args.d, t_val, args.delta, args.c_design, as_log=args.log)}
+            return {"t": t_val, "value": B.log_improved_support_bound(
+                args.d, t_val, args.delta, args.c_design)}
         if args.formula == "rom-input-length":
             return {"t": t_val, **report_dict(B.rom_input_length_bounds(
                 args.d, t_val, args.delta, args.eps, args.additive_slack))}
@@ -332,12 +333,13 @@ def _cmd_bounds(args) -> None:
                                     args.alpha_impl, t_val, args.delta)
             return report_dict(B.scalable_check(params, args.poly_budget))
         if args.formula == "net-size":
-            return {"value": net_size_lower_bound(
-                args.d, args.eps, args.eta, args.c_diamond, as_log=args.log)}
+            return {"value": B.log_net_size_lower_bound(
+                args.d, args.eps, args.eta, args.c_diamond)}
 
     config = {"command": "bounds", "formula": args.formula,
               "inputs": {k: v for k, v in vars(args).items()
                          if k not in ("command", "formula", "out", "format") and v is not None}}
+    sweep = args.sweep_t if "t" in vars(args) else None
     t_vals = (sweep or [args.t]) if "t" in vars(args) else [None]
     rows = [finite(one(v)) for v in t_vals]
     _emit(args, config, rows if sweep is not None else rows[0])
@@ -373,16 +375,16 @@ _DISPATCH = {
 
 def exit_code(run) -> int:
     """Call ``run()`` under the exit-code contract: 0 when it returns, 1 with
-    ``error: ...`` on a usage or resource error, 2 with ``property
-    violation: ...`` on a failed property check; the experiment scripts
-    share it."""
+    ``error: ...`` on a usage or resource error (a failed allocation
+    among them), 2 with ``property violation: ...`` on a failed property
+    check; the experiment scripts share it."""
     try:
         run()
     except PropertyViolationError as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 2
-    except (ResourceLimitError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ResourceLimitError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

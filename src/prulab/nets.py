@@ -1,7 +1,7 @@
 """Epsilon-net coverage estimation over the unitary group.
 
-Monte Carlo exposure estimates in diamond distance, exact product
-covering, and the ball-volume cardinality lower bound.
+Monte Carlo exposure estimates in diamond distance and exact product
+covering.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from prulab.bounds import check_dimension
 from prulab.linalg import (
     RandomSeed,
     diamond_distance_batch,
@@ -235,28 +234,4 @@ def cover_with_product(u: np.ndarray, net: NetSpec) -> tuple[np.ndarray, np.ndar
         if dists[k] < best[0]:
             best = (float(dists[k]), i, k)
     return net.unitaries[best[1]], net.unitaries[best[2]], best[0]
-
-
-def net_size_lower_bound(d: int, eps: float, eta: float, c_diamond: float = 1.0,
-                         as_log: bool = False) -> float:
-    """Ball-volume cardinality bound for an (eps, eta)-net:
-    (1 - eta) (c_diamond / eps)^(d^2 - 1).
-
-    Natural-log value, computed in log space, with ``as_log``; the plain
-    value overflows to inf for large parameters.  The universal ball-volume
-    constant is caller-supplied; its true value is open, the default 1 is a
-    placeholder.
-    """
-    check_dimension(d)
-    if eps <= 0 or c_diamond <= 0:
-        raise ValueError("eps and c_diamond must be positive")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must be in [0, 1]")
-    if as_log:
-        log_keep = math.log1p(-eta) if eta < 1.0 else -math.inf
-        return log_keep + (d * d - 1) * math.log(c_diamond / eps)
-    try:
-        return (1.0 - eta) * (c_diamond / eps) ** (d * d - 1)
-    except OverflowError:
-        return math.inf
 

@@ -35,7 +35,8 @@ The exact ground truths no program calls live here too, not in
 `prulab`: the Schatten norm behind the diamond oracle, the `np.unique`
 collision count that checks `blocked_collision_counts`, the two exact
 routes to Haar partition probabilities (Dirichlet integral and urn
-product), the big-integer prior support bound, the trace-preservation
+product), the big-integer prior support bound, 50-digit mpmath values
+of the log and input-length bounds in `prulab.bounds`, the trace-preservation
 and complete-positivity checks of moment superoperators, dense tableau
 Paulis, the closed-form amplitudes of the (M, u, v) state family,
 membership in and enumeration of a measurement support, the dense P.F.C
@@ -67,6 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import scipy.linalg
 from scipy.optimize import minimize
@@ -274,10 +276,75 @@ class PolyaUrnLoop:
 
 
 def prior_support_bound_exact(d: int, t: int, delta: Fraction) -> Fraction:
-    """Big-integer ground truth for `prulab.bounds.prior_support_bound`."""
+    """Big-integer ground truth for the support bound whose natural log
+    `prulab.bounds.log_prior_support_bound` returns."""
     b1 = (1 - delta) * Fraction(math.comb(d + t - 1, t)) ** 2
     b2 = Fraction(d ** (2 * t), math.factorial(t)) / (1 + delta)
     return max(b1, b2)
+
+
+#: the values the exit-contract fuzz tests of the CLI and the scripts give a
+#: numeric flag: small and boundary integers, fractions, the float
+#: extremes (largest, near-largest, subnormal, smallest subnormal) and the
+#: non-finite
+FUZZ_NUMBERS = [0, 1, -1, 0.5, 1.5, 1e300, 1e-300, 63, 64, 1023, 2000,
+                1e306, 1.7e308, 1e-320, 5e-324]
+FUZZ_VALUES = [*map(str, FUZZ_NUMBERS), "nan", "inf"]
+#: the values of a flag each of whose units is a draw: small counts keep an
+#: example cheap
+FUZZ_COUNTS = ["-1", "0", "1", "2"]
+
+
+#: significant digits of the mpmath bound oracles below, each fed the exact
+#: binary value of its float inputs
+MP_DIGITS = 50
+
+
+def mp_log_prior_support_bound(d: int, t: int, delta: float):
+    """ln max{(1 - delta) C(d + t - 1, t)^2, d^{2t} / ((1 + delta) t!)}, as
+    loggammas whose working digits cover their cancellation."""
+    with mpmath.workdps(MP_DIGITS + 10 + len(str(d)) + len(str(t))):
+        d, t, delta = mpmath.mpf(d), mpmath.mpf(t), mpmath.mpf(delta)
+        b2 = 2 * t * mpmath.log(d) - mpmath.loggamma(t + 1) - mpmath.log1p(delta)
+        if delta == 1:
+            return b2
+        log_binom = mpmath.loggamma(d + t) - mpmath.loggamma(t + 1) - mpmath.loggamma(d)
+        return max(mpmath.log1p(-delta) + 2 * log_binom, b2)
+
+
+def mp_log_improved_support_bound(d: int, t: float, delta: float, c_design: float):
+    """ln of ((2 - 2 delta)/(3 + delta)) (c t / (d^2 ln(4/(1 - delta))))^((d^2 - 1)/2)."""
+    with mpmath.workdps(MP_DIGITS + 10):
+        d2, t, delta, c = (mpmath.mpf(d) ** 2, mpmath.mpf(t), mpmath.mpf(delta),
+                           mpmath.mpf(c_design))
+        base = c * t / (d2 * mpmath.log(4 / (1 - delta)))
+        return mpmath.log((2 - 2 * delta) / (3 + delta)) + (d2 - 1) / 2 * mpmath.log(base)
+
+
+def mp_log_net_size_lower_bound(d: int, eps: float, eta: float, c_diamond: float):
+    """ln of (1 - eta) (c / eps)^(d^2 - 1); -inf at eta = 1."""
+    if eta == 1:
+        return -mpmath.inf
+    with mpmath.workdps(MP_DIGITS + 10):
+        return mpmath.log1p(-mpmath.mpf(eta)) + (mpmath.mpf(d) ** 2 - 1) * mpmath.log(
+            mpmath.mpf(c_diamond) / mpmath.mpf(eps))
+
+
+def mp_rom_input_length_bounds(d: int, t: float, epsilon: float, additive_slack: float) -> dict:
+    """m_design_1, m_design_2 and m_net as log2 log2 of the ratios d^2/t,
+    t/d^2 and 1/epsilon, each None outside its regime."""
+    with mpmath.workdps(MP_DIGITS + 10):
+        d2, t, eps, slack = (mpmath.mpf(d) ** 2, mpmath.mpf(t), mpmath.mpf(epsilon),
+                             mpmath.mpf(additive_slack))
+
+        def loglog2(x):
+            return mpmath.log(mpmath.log(x, 2), 2)
+
+        return {
+            "m_design_1": mpmath.log(t, 2) + loglog2(d2 / t) - slack if 0 < t < d2 else None,
+            "m_design_2": mpmath.log(d2, 2) + loglog2(t / d2) - slack if t > d2 else None,
+            "m_net": mpmath.log(d2, 2) + loglog2(1 / eps) - slack if 0 < eps < 1 else None,
+        }
 
 
 def is_trace_preserving(m, tol: float = PROJECTOR_TOL) -> bool:

@@ -23,7 +23,7 @@ from helpers import (
     total_variation,
     tpe_distance,
 )
-from prulab.bounds import improved_support_bound, prior_support_bound
+from prulab.bounds import log_improved_support_bound, log_prior_support_bound
 from prulab.distinguisher import (
     HaarDenseOracle,
     HaarUrnOracle,
@@ -227,7 +227,7 @@ def test_c8_tomography_contract():
 
 def test_c9_bound_calculators():
     # the pauli reference design attains the bound at (2, 1, 0)
-    bound = prior_support_bound(2, 1, 0.0)
+    bound = math.exp(log_prior_support_bound(2, 1, 0.0))
     pauli = reference_design("pauli-1")
     ok = bound == pytest.approx(4.0) and len(pauli) == 4
     # log-space vs big-integer ground truth
@@ -235,7 +235,7 @@ def test_c9_bound_calculators():
     for d in (2, 3, 4):
         for t in range(1, 21):
             for delta in (0.0, 0.25, 0.5):
-                approx = prior_support_bound(d, t, delta)
+                approx = math.exp(log_prior_support_bound(d, t, delta))
                 exact = float(prior_support_bound_exact(d, t, Fraction(delta)))
                 worst = max(worst, abs(approx - exact) / exact)
     ok = ok and worst <= 1e-9
@@ -245,8 +245,8 @@ def test_c9_bound_calculators():
     for d in (16, 18, 20):
         for mult in (1.0, 2.0, 4.0):
             t = math.ceil(4 * d * d * math.log(4.0) * mult)
-            imp = improved_support_bound(d, t, 0.0, 1.0, as_log=True)
-            pri = prior_support_bound(d, t, 0.0, as_log=True)
+            imp = log_improved_support_bound(d, t, 0.0, 1.0)
+            pri = log_prior_support_bound(d, t, 0.0)
             dominated = dominated and imp > pri
     ok = ok and dominated
     report("C9 bound calculators", ok,

@@ -2,41 +2,48 @@ import math
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import prior_support_bound_exact
+from helpers import (
+    mp_log_improved_support_bound,
+    mp_log_net_size_lower_bound,
+    mp_log_prior_support_bound,
+    mp_rom_input_length_bounds,
+    prior_support_bound_exact,
+)
 from prulab.bounds import (
     D_LIMIT,
     KAPPA_LIMIT,
     RomPruParams,
-    improved_support_bound,
-    prior_support_bound,
+    log_improved_support_bound,
+    log_net_size_lower_bound,
+    log_prior_support_bound,
     rom_input_length_bounds,
     scalable_check,
     trivial_rompru_params,
 )
-from prulab.nets import net_size_lower_bound
 
 
 class TestPriorSupportBound:
     def test_pauli_point(self):
-        assert prior_support_bound(2, 1, 0.0) == pytest.approx(4.0)
+        assert log_prior_support_bound(2, 1, 0.0) == pytest.approx(math.log(4.0))
 
     def test_arithmetic_example(self):
-        assert prior_support_bound(4, 3, 0.0) == pytest.approx(4**6 / 6, rel=1e-12)
+        assert log_prior_support_bound(4, 3, 0.0) == pytest.approx(math.log(4**6 / 6), rel=1e-12)
 
     def test_delta_one_keeps_second_branch(self):
-        v = prior_support_bound(3, 2, 1.0)
-        assert v == pytest.approx(3**4 / (2 * 2))
+        v = log_prior_support_bound(3, 2, 1.0)
+        assert v == pytest.approx(math.log(3**4 / (2 * 2)))
 
     def test_log_matches_exact_on_grid(self):
         worst = 0.0
         for d in (2, 3, 4):
             for t in range(1, 21):
                 for delta in (0.0, 0.25, 0.5):
-                    approx = prior_support_bound(d, t, delta)
+                    approx = math.exp(log_prior_support_bound(d, t, delta))
                     exact = float(prior_support_bound_exact(d, t, Fraction(delta)))
                     worst = max(worst, abs(approx - exact) / exact)
         assert worst < 1e-9
@@ -46,58 +53,57 @@ class TestPriorSupportBound:
         # the binomial branch wins at t >> d; a difference of lgammas was off
         # in the 4th digit at d = 1000, t = 1e15
         exact = 2 * math.log(math.comb(d + t - 1, t))
-        assert prior_support_bound(d, t, 0.0, as_log=True) == pytest.approx(exact, rel=1e-15)
+        assert log_prior_support_bound(d, t, 0.0) == pytest.approx(exact, rel=1e-15)
 
     def test_log_space_no_overflow(self):
-        v = prior_support_bound(64, 10_000, 0.1, as_log=True)
+        v = log_prior_support_bound(64, 10_000, 0.1)
         assert math.isfinite(v) and v > 0
 
     def test_delta_validation(self):
         with pytest.raises(ValueError):
-            prior_support_bound(2, 1, -0.1)
+            log_prior_support_bound(2, 1, -0.1)
 
 
 class TestImprovedSupportBound:
     def test_magic_t_closed_form(self):
         d = 2
         t = d * d * math.log(4.0) * math.e
-        assert improved_support_bound(d, t, 0.0, 1.0) == pytest.approx(
-            (2 / 3) * math.e**1.5)
+        assert log_improved_support_bound(d, t, 0.0, 1.0) == pytest.approx(
+            math.log(2 / 3) + 1.5)
 
     def test_prefactor_vanishes_near_delta_one(self):
-        lo = improved_support_bound(2, 100.0, 0.999, 1.0)
-        hi = improved_support_bound(2, 100.0, 0.5, 1.0)
+        lo = log_improved_support_bound(2, 100.0, 0.999, 1.0)
+        hi = log_improved_support_bound(2, 100.0, 0.5, 1.0)
         assert lo < hi
 
     @given(st.integers(2, 5), st.floats(1.0, 1e5), st.floats(1.1, 3.0))
     @settings(max_examples=50, deadline=None)
     def test_monotone_in_t(self, d, t, factor):
-        a = improved_support_bound(d, t, 0.0, as_log=True)
-        b = improved_support_bound(d, t * factor, 0.0, as_log=True)
+        a = log_improved_support_bound(d, t, 0.0)
+        b = log_improved_support_bound(d, t * factor, 0.0)
         assert b > a
 
     def test_constant_scales_base(self):
-        a = improved_support_bound(2, 50.0, 0.0, 1.0, as_log=True)
-        b = improved_support_bound(2, 25.0, 0.0, 2.0, as_log=True)
+        a = log_improved_support_bound(2, 50.0, 0.0, 1.0)
+        b = log_improved_support_bound(2, 25.0, 0.0, 2.0)
         assert a == pytest.approx(b)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            improved_support_bound(2, 10.0, 1.0)
+            log_improved_support_bound(2, 10.0, 1.0)
 
     @pytest.mark.parametrize("t, c_design, shift", [
         (5e-324, 1.0, 600), (1e-300, 1e-30, 600), (1e-310, 1.0, 100), (1e300, 1e300, -1000)])
     def test_ratio_past_float_range(self, t, c_design, shift):
         # c_design t / denom underflows (or is subnormal) or overflows; the
         # log must still be linear in log t: scaling t by 2^shift lands in
-        # the normal range and adds (d^2 - 1)/2 shift ln 2
+        # the normal range and adds (d^2 - 1)/2 shift ln 2.  The plain value
+        # is the CLI's to form (test_cli's test_plain_value_is_the_exp_of_the_log)
         d = 3
-        far = improved_support_bound(d, t, 0.0, c_design, as_log=True)
-        near = improved_support_bound(d, math.ldexp(t, shift), 0.0, c_design, as_log=True)
+        far = log_improved_support_bound(d, t, 0.0, c_design)
+        near = log_improved_support_bound(d, math.ldexp(t, shift), 0.0, c_design)
         assert math.isfinite(near)
         assert far == pytest.approx(near - 0.5 * (d * d - 1) * shift * math.log(2), rel=1e-12)
-        plain = improved_support_bound(d, t, 0.0, c_design)
-        assert plain == (0.0 if shift > 0 else math.inf)
 
 
 class TestDominationCrossover:
@@ -108,8 +114,8 @@ class TestDominationCrossover:
             t0 = 4 * d * d * math.log(4.0)
             for mult in (1.0, 2.0, 4.0):
                 t = math.ceil(t0 * mult)
-                imp = improved_support_bound(d, t, 0.0, 1.0, as_log=True)
-                pri = prior_support_bound(d, t, 0.0, as_log=True)
+                imp = log_improved_support_bound(d, t, 0.0, 1.0)
+                pri = log_prior_support_bound(d, t, 0.0)
                 assert imp > pri
 
 
@@ -151,13 +157,78 @@ class TestRomInputLength:
             rom_input_length_bounds(4, 1000.0, delta, 0.01)
 
 
+#: the inputs the CLI's float flags reach at their extremes: the largest and
+#: a near-largest finite float, a subnormal and the smallest subnormal
+EXTREMES = [1e306, 1.7e308, 1e-320, 5e-324]
+#: relative distance from the mpmath oracle every calculator keeps
+ORACLE_REL = 1e-12
+
+
+def _worst_rel(pairs) -> float:
+    """Largest |value - oracle| / |oracle| over (value, oracle) pairs; an
+    oracle of 0 or -inf needs that very value."""
+    worst = 0.0
+    for value, oracle in pairs:
+        if oracle == 0 or mpmath.isinf(oracle):
+            assert value == oracle, (value, oracle)
+        else:
+            worst = max(worst, float(abs(value - oracle) / abs(oracle)))
+    return worst
+
+
+class TestAgainstMpmath:
+    """Each calculator on a grid that includes the extreme float inputs,
+    against 50-digit mpmath fed the same binary values."""
+
+    DS = [2, 3, 16, 1000, 2**100 + 1, D_LIMIT]
+
+    def test_log_prior_support_bound(self):
+        ts = [0, 1, 2, 7, 64, 65, 1000, 10**6, 10**15, *map(int, EXTREMES[:2])]
+        # at delta = 1 only the d^{2t}/t! branch is left, and it is -inf
+        # where ln t! leaves float range: only moderate t there
+        pairs = [(log_prior_support_bound(d, t, delta), mp_log_prior_support_bound(d, t, delta))
+                 for d in self.DS for t in ts
+                 for delta in (0.0, 0.25, *EXTREMES[2:], *([1.0] if t <= 10**15 else []))]
+        assert _worst_rel(pairs) <= ORACLE_REL
+
+    @pytest.mark.parametrize("t", [8.0, 1420.0, 1e-300, *EXTREMES])
+    def test_log_improved_support_bound(self, t):
+        pairs = [(log_improved_support_bound(d, t, delta, c),
+                  mp_log_improved_support_bound(d, t, delta, c))
+                 for d in self.DS for delta in (0.0, 0.5, 0.999999, *EXTREMES[2:])
+                 for c in (1.0, 0.1, *EXTREMES)]
+        assert _worst_rel(pairs) <= ORACLE_REL
+
+    @pytest.mark.parametrize("eps", [0.5, 1e-3, 1.5, *EXTREMES])
+    def test_log_net_size_lower_bound(self, eps):
+        pairs = [(log_net_size_lower_bound(d, eps, eta, c),
+                  mp_log_net_size_lower_bound(d, eps, eta, c))
+                 for d in self.DS for eta in (0.0, 0.2, 0.999, 1.0, *EXTREMES[2:])
+                 for c in (1.0, 3.0, *EXTREMES)]
+        assert _worst_rel(pairs) <= ORACLE_REL
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 2.0, 8.0, 300.0, 1e6, *EXTREMES])
+    def test_rom_input_length_bounds(self, t):
+        pairs = []
+        for d in (4, 1024, *self.DS):
+            for eps in (0.0, 1e-3, 0.5, 1.0, *EXTREMES):
+                for slack in (0.0, 0.5, *EXTREMES):
+                    got = rom_input_length_bounds(d, t, 0.0, eps, slack)
+                    want = mp_rom_input_length_bounds(d, t, eps, slack)
+                    for key, oracle in want.items():
+                        value = getattr(got, key)
+                        assert (value is None) == (oracle is None), (d, t, eps, slack, key)
+                        if value is not None:
+                            pairs.append((value, oracle))
+        assert pairs and _worst_rel(pairs) <= ORACLE_REL
+
+
 def _mp_log2_support(d: int, kappa: int) -> float:
     """2 log2 C(t + k, k), t = 2^kappa and k = d^2 - 1, from mpmath's loggamma.
 
     2300 bits hold t + k exactly for every accepted d and kappa, and keep
     about 1000 bits after the loggammas cancel.
     """
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workprec(2300):
         t, k = mpmath.mpf(1 << kappa), mpmath.mpf(d * d - 1)
         log_binom = mpmath.loggamma(t + k + 1) - mpmath.loggamma(t + 1) - mpmath.loggamma(k + 1)
@@ -237,11 +308,11 @@ class TestTrivialConstruction:
     @pytest.mark.parametrize("d", [-3, 0, 1, D_LIMIT + 1, 10**200])
     def test_every_calculator_rejects_d(self, d):
         calls = [
-            lambda: prior_support_bound(d, 2, 0.0),
-            lambda: improved_support_bound(d, 2.0, 0.0),
+            lambda: log_prior_support_bound(d, 2, 0.0),
+            lambda: log_improved_support_bound(d, 2.0, 0.0),
             lambda: rom_input_length_bounds(d, 8.0, 0.0, 0.1),
             lambda: trivial_rompru_params(d, 3),
-            lambda: net_size_lower_bound(d, 0.1, 0.0),
+            lambda: log_net_size_lower_bound(d, 0.1, 0.0),
             lambda: RomPruParams(d, 1, 1.0, 1.0, 0.0, 2.0, 0.0),
         ]
         for call in calls:
@@ -250,11 +321,11 @@ class TestTrivialConstruction:
 
     def test_d_limit_is_evaluable(self):
         # at the largest accepted d every calculator still runs in floats
-        assert math.isfinite(prior_support_bound(D_LIMIT, 2, 0.0, as_log=True))
-        assert math.isfinite(improved_support_bound(D_LIMIT, 2.0, 0.999999, as_log=True))
+        assert math.isfinite(log_prior_support_bound(D_LIMIT, 2, 0.0))
+        assert math.isfinite(log_improved_support_bound(D_LIMIT, 2.0, 0.999999))
         assert math.isfinite(rom_input_length_bounds(D_LIMIT, 2.0, 0.0, 0.1).m_net)
         assert math.isfinite(trivial_rompru_params(D_LIMIT, 3).support_size_log2)
-        assert math.isfinite(net_size_lower_bound(D_LIMIT, 0.1, 0.0, as_log=True))
+        assert math.isfinite(log_net_size_lower_bound(D_LIMIT, 0.1, 0.0))
 
 
 class TestScalableCheck:

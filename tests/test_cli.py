@@ -1,10 +1,12 @@
 import argparse
 import contextlib
 import copy
+import csv
 import functools
 import inspect
 import io
 import json
+import math
 import operator
 import os
 import re
@@ -21,10 +23,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    FUZZ_COUNTS,
+    FUZZ_NUMBERS,
+    FUZZ_VALUES,
     circuit_to_json_dict,
     dump_json,
     ensemble_to_json_dict,
     matrix_to_json,
+    mp_log_net_size_lower_bound,
+    mp_log_prior_support_bound,
+    mp_rom_input_length_bounds,
     net_to_json_dict,
     random_phase,
     save_matrix_bin,
@@ -492,10 +500,8 @@ class TestCli:
           "--t", "8", "--poly-budget", "1000"], "--poly-budget"),
         (["bounds", "scalable-check", "--d", "16", "--kappa", "0", "--q", "4", "--m", "2",
           "--t", "8", "--poly-budget", "-1"], "--poly-budget"),
-        (["bounds", "rom-input-length", "--d", "4", "--t", "1e-320"], "--d and --t"),
-        (["bounds", "rom-input-length", "--d", "4", "--eps", "1e-320", "--t", "2"], "--eps"),
-        (["bounds", "rom-input-length", "--d", "4", "--eps", "1e-320", "--t", "2",
-          "--format", "csv"], "--eps"),
+        (["bounds", "prior-support", "--d", "2", "--t", "1e306"], "pass --log"),
+        (["bounds", "prior-support", "--d", "2", "--t", "1.7e308"], "pass --log"),
         (["bounds", "rom-input-length", "--d", "0", "--t", "8"],
          "argument --d: must be in [2, 2^500], got 0"),
         (["bounds", "improved-support", "--d", "0", "--t", "2"],
@@ -599,8 +605,8 @@ class TestCli:
             "nan-sweep-t", "nan-eps", "improved-support-overflow", "prior-support-overflow",
             "net-size-overflow", "trivial-rompru-kappa-overflow", "scalable-check-qm",
             "scalable-check-qm-csv", "scalable-check-budget",
-            "scalable-check-budget-zero-base", "rom-input-length-m-design-1",
-            "rom-input-length-m-net", "rom-input-length-m-net-csv",
+            "scalable-check-budget-zero-base", "prior-support-t-1e306-overflow",
+            "prior-support-t-1.7e308-overflow",
             "rom-input-length-d-zero", "improved-support-d-zero", "prior-support-d-zero",
             "trivial-rompru-d-201-digits", "net-size-d-zero", "rom-input-length-d-negative",
             "scalable-check-d-one", "prior-support-d-beyond-limit",
@@ -653,6 +659,72 @@ class TestCli:
         assert code == 0, err
         rep = strict_json(out)["result"]
         assert all(np.isfinite(v) for v in rep.values() if isinstance(v, float))
+
+    @pytest.mark.parametrize("argv, field, oracle", [
+        (["bounds", "prior-support", "--d", "2", "--t", "1e306", "--log"], "value",
+         lambda: mp_log_prior_support_bound(2, int(1e306), 0.0)),
+        (["bounds", "prior-support", "--d", "2", "--t", "1.7e308", "--log"], "value",
+         lambda: mp_log_prior_support_bound(2, int(1.7e308), 0.0)),
+        (["bounds", "rom-input-length", "--d", "4", "--t", "1e-320"], "m_design_1",
+         lambda: mp_rom_input_length_bounds(4, 1e-320, 0.0, 1.0)["m_design_1"]),
+        (["bounds", "rom-input-length", "--d", "4", "--t", "5e-324"], "m_design_1",
+         lambda: mp_rom_input_length_bounds(4, 5e-324, 0.0, 1.0)["m_design_1"]),
+        (["bounds", "rom-input-length", "--d", "4", "--eps", "1e-320", "--t", "2"], "m_net",
+         lambda: mp_rom_input_length_bounds(4, 2.0, 1e-320, 1.0)["m_net"]),
+        (["bounds", "rom-input-length", "--d", "4", "--eps", "1e-320", "--t", "2",
+          "--format", "csv"], "m_net",
+         lambda: mp_rom_input_length_bounds(4, 2.0, 1e-320, 1.0)["m_net"]),
+        (["bounds", "rom-input-length", "--d", "4", "--eps", "5e-324", "--t", "8"], "m_net",
+         lambda: mp_rom_input_length_bounds(4, 8.0, 5e-324, 1.0)["m_net"]),
+        (["bounds", "net-size", "--d", "2", "--eps", "1e-320", "--log"], "value",
+         lambda: mp_log_net_size_lower_bound(2, 1e-320, 0.0, 1.0)),
+        (["bounds", "net-size", "--d", "2", "--eps", "5e-324", "--log"], "value",
+         lambda: mp_log_net_size_lower_bound(2, 5e-324, 0.0, 1.0)),
+        (["bounds", "net-size", "--d", "2", "--eps", "0.5", "--c-diamond", "1.7e308", "--log"],
+         "value", lambda: mp_log_net_size_lower_bound(2, 0.5, 0.0, 1.7e308)),
+    ], ids=["prior-support-t-1e306-log", "prior-support-t-1.7e308-log",
+            "rom-input-length-m-design-1", "rom-input-length-m-design-1-subnormal",
+            "rom-input-length-m-net", "rom-input-length-m-net-csv",
+            "rom-input-length-m-net-subnormal", "net-size-eps-1e-320-log",
+            "net-size-eps-5e-324-log", "net-size-c-diamond-1.7e308-log"])
+    def test_extreme_input_matches_the_oracle(self, argv, field, oracle, capsys):
+        # each bound is computed from the logs of its inputs, so a subnormal
+        # or near-largest input gives a finite field, the mpmath oracle's
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        if "csv" in argv:
+            (row,) = csv.DictReader(io.StringIO(out))
+            value = float(row[field])
+        else:
+            value = strict_json(out)["result"][field]
+        assert value == pytest.approx(float(oracle()), rel=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "prior-support", "--d", "2", "--t", "1"],
+        ["bounds", "net-size", "--d", "2", "--eps", "0.5"],
+        ["bounds", "net-size", "--d", "3", "--eps", "0.1", "--eta", "0.2"],
+        ["bounds", "improved-support", "--d", "3", "--t", "5e-324"],
+        ["bounds", "improved-support", "--d", "3", "--t", "1e-300", "--c-design", "1e-30"],
+        ["bounds", "improved-support", "--d", "3", "--t", "1e300", "--c-design", "1e300"],
+        ["bounds", "improved-support", "--d", "16", "--sweep-t", "1420,2840"],
+    ], ids=["prior-support", "net-size", "net-size-eta",
+            "improved-support-underflow", "improved-support-tiny-c-design",
+            "improved-support-overflow", "improved-support-sweep"])
+    def test_plain_value_is_the_exp_of_the_log(self, argv, capsys):
+        # without --log, bounds reports exp of the calculator's natural log:
+        # 0.0 once that underflows, and a usage error naming --log once it
+        # overflows
+        code, out, err = run_cli(argv + ["--log"], capsys)
+        assert code == 0, err
+        result = strict_json(out)["result"]
+        logs = [row["value"] for row in result.get("rows", [result])]
+        code, out, err = run_cli(argv, capsys)
+        if any(v > math.log(sys.float_info.max) for v in logs):
+            assert code == 1 and err.startswith("error: ") and "pass --log" in err
+            return
+        assert code == 0, err
+        result = strict_json(out)["result"]
+        assert [row["value"] for row in result.get("rows", [result])] == list(map(math.exp, logs))
 
     def test_scalable_check_beyond_float_kappa(self, capsys):
         code, out, err = run_cli(["bounds", "scalable-check", "--d", "16", "--kappa", "2000",
@@ -819,6 +891,47 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["result"]["value"] == pytest.approx(8.0)
 
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 8.00 GiB for an array with shape (1073741824,)"),
+         "error: Unable to allocate 8.00 GiB for an array with shape (1073741824,)"),
+        (MemoryError(), "error: MemoryError"),
+    ], ids=["numpy-message", "bare"])
+    def test_memory_error_keeps_the_exit_contract(self, exc, message, capsys, monkeypatch):
+        # a failed allocation inside the budget, as numpy's for the 2^30-entry
+        # permutation of --n 30 is, is a resource error: exit 1, no traceback
+        def boom(args):
+            raise exc
+
+        monkeypatch.setitem(cli._DISPATCH, "pfc-distinguish", boom)
+        code, out, err = run_cli(["pfc-distinguish", "--n", "30", "--trials", "1",
+                                  "--k-blocks", "1", "--seed", "1"], capsys)
+        assert (code, out, err) == (1, "", message + "\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "rom-input-length", "--d", "4", "--t", "3"],
+        ["bounds", "rom-input-length", "--d", "4", "--sweep-t", "3,20,16", "--eps", "0.1"],
+        ["pfc-distinguish", "--n", "2", "--trials", "1", "--k-blocks", "2", "--seed", "1"],
+    ], ids=["rom-input-length", "rom-input-length-sweep", "pfc-distinguish"])
+    def test_csv_dict_cells_are_json(self, argv, capsys):
+        # a report field that holds a dict is one JSON cell, its keys sorted,
+        # equal to the field in the JSON report
+        code, out, err = run_cli(argv + ["--format", "csv"], capsys)
+        assert code == 0, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        reports = result.get("rows", [result])
+        assert len(rows) == len(reports)
+        cells = 0
+        for row, report in zip(rows, reports):
+            for key, value in report.items():
+                if isinstance(value, dict):
+                    assert json.loads(row[key]) == value
+                    assert row[key] == json.dumps(value, sort_keys=True)
+                    cells += 1
+        assert cells == len(rows)
+
     def test_property_violation_exits_2(self, tmp_path, capsys, monkeypatch):
         from prulab.linalg import PropertyViolationError
         import prulab.cli as cli_mod
@@ -849,11 +962,8 @@ FUZZ_BASES = [
     "bounds net-size --d 2 --eps 0.5",
     "tomo-demo --d 2 --eps 0.5 --eta 0.2 --seed 1",
 ]
-FUZZ_NUMBERS = [0, 1, -1, 0.5, 1.5, 1e300, 1e-300, 63, 64, 1023, 2000]
-FUZZ_VALUES = [*map(str, FUZZ_NUMBERS), "nan", "inf"]
-# each unit of these flags is a draw: small counts keep an example cheap
+# each unit of these flags is a draw: they take FUZZ_COUNTS
 FUZZ_COUNT_FLAGS = {"--trials", "--k-blocks", "--samples"}
-FUZZ_COUNTS = ["-1", "0", "1", "2"]
 FUZZ_NODES = [None, *FUZZ_NUMBERS, float("nan"), "", "x", [], [0.5, "x"], {}, {"oracle": 0}]
 
 

@@ -7,6 +7,7 @@ import pytest
 from helpers import compose_nets, cover_with_product_unblocked, dagger_net
 
 from prulab import nets
+from prulab.bounds import log_net_size_lower_bound
 from prulab.linalg import (
     RandomSeed,
     ResourceLimitError,
@@ -22,7 +23,6 @@ from prulab.nets import (
     cover_with_product,
     exposure_estimate,
     min_diamond_distance,
-    net_size_lower_bound,
 )
 
 
@@ -395,21 +395,22 @@ class TestQuaternionPairSearch:
 
 
 class TestBounds:
+    # the net-size bound lives in prulab.bounds and returns its natural log
     def test_eta_one_gives_zero(self):
-        assert net_size_lower_bound(3, 0.1, 1.0) == 0.0
+        assert log_net_size_lower_bound(3, 0.1, 1.0) == -math.inf
 
     def test_formula_value(self):
-        assert net_size_lower_bound(2, 0.5, 0.0, 1.0) == pytest.approx(8.0)
+        assert log_net_size_lower_bound(2, 0.5, 0.0, 1.0) == pytest.approx(math.log(8.0))
 
     def test_monotone_decreasing_in_eps(self):
-        vals = [net_size_lower_bound(2, e, 0.1) for e in (0.1, 0.2, 0.4)]
+        vals = [log_net_size_lower_bound(2, e, 0.1) for e in (0.1, 0.2, 0.4)]
         assert vals[0] > vals[1] > vals[2]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            net_size_lower_bound(2, 0.0, 0.0)
+            log_net_size_lower_bound(2, 0.0, 0.0)
         with pytest.raises(ValueError):
-            net_size_lower_bound(2, 0.1, 1.5)
+            log_net_size_lower_bound(2, 0.1, 1.5)
 
 class TestNetSpec:
     def test_empty_rejected(self):

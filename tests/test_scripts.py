@@ -1,11 +1,19 @@
-"""Smoke runs of the experiment scripts at tiny sizes."""
+"""Smoke runs of the experiment scripts at tiny sizes, and their exit
+contract on every numeric flag."""
 
+import importlib.util
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from helpers import FUZZ_COUNTS, FUZZ_VALUES
+
+from prulab.cli import exit_code
+from prulab.linalg import memory_budget_bytes, set_memory_budget_bytes
 
 ROOT = Path(__file__).parents[1]
 
@@ -23,7 +31,9 @@ def run_script(script, args):
     ("coverage_sweep.py", ["--net-size", "5", "--samples", "5", "--eps", "0.5", "--seed", "1",
                            "--check-products"], 0, "{'eps': 0.5,"),
     ("bounds_table.py", ["--d", "4", "--t-mult", "1"], 1, "   4 "),
-], ids=["run_pfc_distinguisher", "coverage_sweep", "bounds_table"])
+    # t = 2.2e306: ln t! leaves float range, and the prior bound its other branch
+    ("bounds_table.py", ["--d", "2", "--t-mult", "1e305"], 1, "   2 "),
+], ids=["run_pfc_distinguisher", "coverage_sweep", "bounds_table", "bounds_table-t-mult-1e305"])
 def test_script_runs(script, args, header, row_prefix):
     # each script prints its header lines, then one row per input; here
     # there is one input
@@ -51,3 +61,59 @@ def test_bad_value_is_a_usage_error(script, args, message):
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.splitlines()[0] == f"error: {message}", proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# a small valid command line per script, and its flags that take one unit
+# of work per unit of value, which take FUZZ_COUNTS
+SCRIPT_BASES = {
+    "run_pfc_distinguisher.py": "--n 2 --trials 1 --k-blocks 2 --seed 1",
+    "coverage_sweep.py": "--dim 2 --net-size 2 --samples 2 --eps 0.5 --seed 1 --check-products",
+    "bounds_table.py": "--d 4 --t-mult 1",
+}
+SCRIPT_COUNT_FLAGS = {"--trials", "--k-blocks", "--samples", "--net-size"}
+
+
+def numeric_flags(script):
+    """The flags ``script`` declares with a type other than str."""
+    source = (ROOT / "scripts" / script).read_text()
+    return re.findall(r'add_argument\("(--[\w-]+)", type=(?!str\b)', source)
+
+
+def script_main(script):
+    spec = importlib.util.spec_from_file_location(script.removesuffix(".py"),
+                                                  ROOT / "scripts" / script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+@pytest.mark.parametrize("script, flag, value", [
+    pytest.param(script, flag, value, id=f"{script.removesuffix('.py')} {flag} {value}")
+    for script in SCRIPT_BASES for flag in numeric_flags(script)
+    for value in (FUZZ_COUNTS if flag in SCRIPT_COUNT_FLAGS else FUZZ_VALUES)])
+def test_every_numeric_flag_keeps_the_exit_contract(script, flag, value, capsys):
+    """Each value of FUZZ_VALUES (or FUZZ_COUNTS) on each numeric flag of a
+    small valid command line ends in exit 0, 1 or 2, never in an exception
+    out of main, and exit 1 prints an error: line.  A flag given twice keeps
+    its last value, this one.  A 1 MiB budget bounds every allocation the
+    script charges."""
+    argv = [*shlex.split(SCRIPT_BASES[script]), flag, value]
+    main = script_main(script)
+    budget = memory_budget_bytes()
+    set_memory_budget_bytes(1 << 20)
+    try:
+        code = exit_code(lambda: main(argv))
+    finally:
+        set_memory_budget_bytes(budget)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert err.startswith("error: "), (argv, err)
+
+
+def test_numeric_flags_are_found():
+    assert {script: numeric_flags(script) for script in SCRIPT_BASES} == {
+        "run_pfc_distinguisher.py": ["--n", "--trials", "--k-blocks", "--seed"],
+        "coverage_sweep.py": ["--dim", "--net-size", "--samples", "--eps", "--seed"],
+        "bounds_table.py": ["--d", "--t-mult", "--delta", "--c-design"],
+    }
