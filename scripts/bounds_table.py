@@ -36,7 +36,9 @@ def main(argv: list[str] | None = None) -> None:
             pri = log_prior_support_bound(d, t, args.delta)
             imp = log_improved_support_bound(d, t, args.delta, args.c_design)
             winner = "improved" if imp > pri else "prior"
-            print(f"{d:>4} {t:>8} {pri:>12.2f} {imp:>12.2f}  {winner}")
+            # a t of more than 8 digits in e-notation, to fit its column
+            t_cell = f"{t:>8}" if t < 10**8 else f"{t:>8.1e}"
+            print(f"{d:>4} {t_cell} {pri:>12.2f} {imp:>12.2f}  {winner}")
 
 
 if __name__ == "__main__":

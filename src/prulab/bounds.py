@@ -55,8 +55,9 @@ def _log_binom(t: int, k: int) -> float:
 def log_prior_support_bound(d: int, t: int, delta: float) -> float:
     """ln max{ (1-delta) C(d+t-1, t)^2, d^{2t} / ((1+delta) t!) }.
 
-    The second branch is evaluated from float(t); it is -inf where 2t ln d
-    or ln t! leaves float range, since t! is then the far larger.
+    The second branch is evaluated from float(t); where ln t! leaves float
+    range (t > 2.5e305), in Stirling's form t (2 ln d - ln t + 1) -
+    ln(2 pi t)/2, to within 1/(12 t).  A result below float range is -inf.
     """
     check_dimension(d)
     if not 0.0 <= delta <= 1.0:
@@ -67,9 +68,8 @@ def log_prior_support_bound(d: int, t: int, delta: float) -> float:
     try:
         log_b2 = -math.log1p(delta) + 2 * tf * math.log(d) - math.lgamma(tf + 1)
     except OverflowError:  # ln t! left float range
-        log_b2 = -math.inf
-    if log_b2 == math.inf:  # 2t ln d left float range
-        log_b2 = -math.inf
+        log_b2 = (tf * (2 * math.log(d) - math.log(tf) + 1)
+                  - 0.5 * (math.log(2 * math.pi) + math.log(tf)) - math.log1p(delta))
     if delta >= 1.0:
         return log_b2
     return max(math.log1p(-delta) + 2 * _log_binom(t, d - 1), log_b2)
@@ -131,8 +131,9 @@ def rom_input_length_bounds(d: int, t: float, delta: float, epsilon: float,
     m_design_2 = 2 log2 d + log2(log2(t/d^2)) - slack   (regime t > d^2)
     m_net      = 2 log2 d + log2(log2(1/epsilon)) - slack
 
-    Each is computed from 2 log2 d, log2 t and -log2 epsilon, and each
-    regime test compares those logs, so no ratio leaves float range.
+    Each is computed from 2 log2 d, log2 t and -log2 epsilon, so no ratio
+    leaves float range, but from the exact d^2/t - 1 within a factor 2 of
+    d^2, where those logs cancel; the regimes compare t with d^2 exactly.
     Valid for 0 <= delta < 1, as for `log_improved_support_bound`.  The
     paper proves m_design_2 only for a design error delta whose advantage
     1 - delta stays bounded away from 0; it is reported whenever t > d^2,
@@ -144,20 +145,20 @@ def rom_input_length_bounds(d: int, t: float, delta: float, epsilon: float,
     notes: dict = {}
     m1 = m2 = m3 = None
     log2_d2 = 2 * math.log2(d)
-    if t <= 0:
-        notes["m_design_1"] = "undefined: needs 0 < t < d^2"
-        notes["m_design_2"] = "undefined: needs t > d^2"
-    else:
+    if t > 0:
         log2_t = math.log2(t)
         gap = log2_d2 - log2_t  # log2(d^2/t)
-        if gap > 0:
-            m1 = log2_t + math.log2(gap) - additive_slack
-        else:
-            notes["m_design_1"] = "undefined: needs t < d^2"
-        if gap < 0:
-            m2 = log2_d2 + math.log2(-gap) - additive_slack
-        else:
-            notes["m_design_2"] = "undefined: needs t > d^2"
+        if abs(gap) < 1:
+            p, q = t.as_integer_ratio()
+            gap = math.log1p((d * d * q - p) / p) / math.log(2)
+    if 0 < t < d * d:
+        m1 = log2_t + math.log2(gap) - additive_slack
+    else:
+        notes["m_design_1"] = "undefined: needs t < d^2" if t > 0 else "undefined: needs 0 < t < d^2"
+    if t > d * d:
+        m2 = log2_d2 + math.log2(-gap) - additive_slack
+    else:
+        notes["m_design_2"] = "undefined: needs t > d^2"
 
     if epsilon <= 0:
         notes["m_net"] = "undefined: epsilon must be positive"

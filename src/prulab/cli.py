@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from prulab.bounds import D_LIMIT, KAPPA_LIMIT
+from prulab.ensembles import REFERENCE_DESIGNS, reference_design
 from prulab.linalg import (
     PropertyViolationError,
     RandomSeed,
@@ -134,7 +135,7 @@ def build_parser() -> _Parser:
     _add_output(p)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--ensemble-file", type=str, help="ensemble manifest JSON")
-    g.add_argument("--ensemble", choices=("pauli-1", "clifford-1"), help="builtin ensemble")
+    g.add_argument("--ensemble", choices=REFERENCE_DESIGNS, help="builtin ensemble")
     p.add_argument("--t", type=_number(int, 1, MAX_MOMENT_ORDER), required=True)
 
     p = sub.add_parser("net-coverage", help="Monte Carlo exposure of a finite net")
@@ -249,7 +250,6 @@ def _cmd_pfc_distinguish(args) -> None:
 
 
 def _cmd_design_distance(args) -> None:
-    from prulab.ensembles import reference_design
     from prulab.serialize import ensemble_from_json_dict, load_json
 
     if args.ensemble_file is not None:

@@ -122,18 +122,23 @@ class PolyaUrnSampler:
 # ---------------------------------------------------------------------------
 
 
+REFERENCE_DESIGNS = ("pauli-1", "clifford-1")
+
+
 @dataclass
 class EnsembleSpec:
-    """A finite distribution over U(d): unitaries with weights (default uniform)."""
+    """A finite distribution over U(d): unitaries, held as one (m, dim, dim)
+    complex array (the caller's own when it already is one, as in NetSpec),
+    with weights (default uniform)."""
 
     dim: int
-    unitaries: list[np.ndarray]
+    unitaries: np.ndarray
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.unitaries:
-            raise ValueError("an ensemble needs unitaries")
         count = len(self.unitaries)
+        if count == 0:
+            raise ValueError("an ensemble needs unitaries")
         if self.weights is None:
             self.weights = np.full(count, 1.0 / count)
         w = self.weights = np.asarray(self.weights, dtype=float)
@@ -145,9 +150,9 @@ class EnsembleSpec:
             raise ValueError(f"weight {bad[0]} is {w[bad[0]]}, not a finite number")
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights must be nonnegative and sum to 1, got sum {w.sum()}")
-        for u in self.unitaries:
-            if u.shape != (self.dim, self.dim):
-                raise ValueError("ensemble element dimension mismatch")
+        if any(np.shape(u) != (self.dim, self.dim) for u in self.unitaries):
+            raise ValueError("ensemble element dimension mismatch")
+        self.unitaries = np.asarray(self.unitaries, dtype=complex)
 
     def __len__(self) -> int:
         return len(self.unitaries)
@@ -163,10 +168,10 @@ def reference_design(name: str) -> EnsembleSpec:
     the identity's, X -> +-X and Z -> +-Z, the Pauli group modulo phase
     (an exact 1-design).
     """
-    if name not in ("pauli-1", "clifford-1"):
+    if name not in REFERENCE_DESIGNS:
         raise ValueError(f"unknown reference design {name!r}")
     tableaus = [clifford_tableau(i, signs, 1)
                 for i in range(symplectic_group_order(1)) for signs in range(4)]
     if name == "pauli-1":
         tableaus = [t for t in tableaus if t.rows == (1, 2)]
-    return EnsembleSpec(2, [tableau_to_unitary(t) for t in tableaus])
+    return EnsembleSpec(2, np.array([tableau_to_unitary(t) for t in tableaus]))

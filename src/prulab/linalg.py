@@ -114,7 +114,8 @@ def kron_power(u: np.ndarray, t: int) -> np.ndarray:
     if t < 1:
         raise ValueError("t must be >= 1")
     d = u.shape[0]
-    ensure_budget(16 * (d**t) ** 2, "Kronecker power")
+    # the power, the one before it and np.kron's two iteration buffers
+    ensure_budget(16 * (d ** (2 * t) + d ** (2 * t - 2) + 2 * np.getbufsize()), "Kronecker power")
     out = u
     for _ in range(t - 1):
         out = np.kron(out, u)

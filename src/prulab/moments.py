@@ -1,4 +1,4 @@
-"""Moment superoperators and design-distance notions, in numpy alone.
+"""Moment operators and design-distance notions, in numpy alone.
 
 The t-th moment operator of an ensemble, the exact Haar moment operator as
 the orthogonal projector onto the permutation-operator span (with the
@@ -12,6 +12,7 @@ Haar Choi matrix, scaled to an ordinary one).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,47 +29,35 @@ _SYMMETRY_TOL = 1e-9
 _SUPPORT_TOL = 1e-9
 
 
-@dataclass
-class MomentSuperoperator:
-    """Matrix of a t-th moment map on vectorized operators (row-major vec).
-
-    The matrix acts as vec(X) -> vec(Phi(X)) with the convention
-    vec(A X B) = (A kron B^T) vec(X); for a channel average this is
-    E[U^{ot t} kron conj(U^{ot t})].
-    """
-
-    dim: int
-    order: int
-    matrix: np.ndarray
-
-    @property
-    def op_dim(self) -> int:
-        return self.dim**self.order
-
-    def choi(self) -> np.ndarray:
-        """Reshuffle to the Choi matrix; positive semidefinite iff CP."""
-        n = self.op_dim
-        m = self.matrix.reshape(n, n, n, n)
-        return m.transpose(0, 2, 1, 3).reshape(n * n, n * n)
-
-
-def _check_superop_budget(d: int, t: int) -> None:
-    n = d**t
-    ensure_budget(16 * (n * n) ** 2 * 3, "moment superoperator")
-
-
-def moment_operator(ens: EnsembleSpec, t: int) -> MomentSuperoperator:
-    """t-th moment superoperator of an ensemble: the exact weighted average."""
+def moment_operator(ens: EnsembleSpec, t: int) -> np.ndarray:
+    """t-th moment operator of an ensemble: the exact weighted average
+    E[U^{ot t} kron conj(U^{ot t})], the matrix of X -> E[U^{ot t} X
+    U^{ot t dagger}] on row-major vectorized operators, with
+    vec(A X B) = (A kron B^T) vec(X)."""
     if t < 1:
         raise ValueError("moment order must be >= 1")
-    d = ens.dim
-    _check_superop_budget(d, t)
-    n = d**t
+    n = ens.dim**t
+    # the sum, one weighted term and np.kron's two iteration buffers
+    ensure_budget(16 * (2 * n**4 + 2 * np.getbufsize()), "moment superoperator")
     acc = np.zeros((n * n, n * n), dtype=complex)
     for w, u in zip(ens.weights, ens.unitaries):
         ut = kron_power(u, t)
-        acc += w * np.kron(ut, ut.conj())
-    return MomentSuperoperator(d, t, acc)
+        term = np.kron(ut, ut.conj())
+        term *= w
+        acc += term
+        del term  # before the next one is built
+    return acc
+
+
+def _hermitian_choi(m: np.ndarray) -> np.ndarray:
+    """(C + C^dagger)/2 in one new array, for C the Choi matrix of the
+    moment operator m: C[(i, j), (k, l)] = m[(i, k), (j, l)]."""
+    n = math.isqrt(len(m))
+    c = m.reshape(n, n, n, n).transpose(0, 2, 1, 3)
+    h = np.conjugate(c.transpose(2, 3, 0, 1), out=np.empty(c.shape, dtype=complex))
+    h += c
+    h /= 2
+    return h.reshape(n * n, n * n)
 
 
 def _permutation_operator(perm: tuple[int, ...], d: int) -> np.ndarray:
@@ -79,7 +68,7 @@ def _permutation_operator(perm: tuple[int, ...], d: int) -> np.ndarray:
     return np.eye(n).reshape((d,) * t + (n,)).transpose([*np.argsort(perm), t]).reshape(n, n)
 
 
-def haar_moment_operator(d: int, t: int) -> MomentSuperoperator:
+def haar_moment_operator(d: int, t: int) -> np.ndarray:
     """Exact Haar t-th moment operator.
 
     Orthogonal projector (in Hilbert-Schmidt inner product) onto the span
@@ -92,13 +81,15 @@ def haar_moment_operator(d: int, t: int) -> MomentSuperoperator:
         raise ValueError("moment order must be >= 1")
     if t > MAX_MOMENT_ORDER:
         raise ValueError(f"moment order capped at {MAX_MOMENT_ORDER}")
-    _check_superop_budget(d, t)
-    perms = itertools.permutations(range(t))
-    vecs = np.stack([_permutation_operator(p, d).reshape(-1) for p in perms], axis=1)
-    gram = vecs.T @ vecs
-    gplus = np.linalg.pinv(gram, rcond=_GRAM_RCOND)
+    n = d**t
+    # the t! permutation operators, the real projector and its complex copy
+    ensure_budget(8 * n * n * math.factorial(t) + 24 * n**4, "moment superoperator")
+    vecs = np.empty((n * n, math.factorial(t)))
+    for j, perm in enumerate(itertools.permutations(range(t))):
+        vecs[:, j] = _permutation_operator(perm, d).reshape(-1)
+    gplus = np.linalg.pinv(vecs.T @ vecs, rcond=_GRAM_RCOND)
     proj = vecs @ gplus @ vecs.conj().T
-    return MomentSuperoperator(d, t, proj.astype(complex))
+    return proj.astype(complex)
 
 
 def is_symmetric_ensemble(ens: EnsembleSpec) -> bool:
@@ -109,9 +100,10 @@ def is_symmetric_ensemble(ens: EnsembleSpec) -> bool:
     weight with |tr(U_j U_i)| = d, that is U_j = U_i^dagger up to phase,
     read for every j at once from one row of traces.
     """
-    m, d = len(ens.unitaries), ens.dim
-    ensure_budget(16 * m * d * d, "dagger pairing")
-    flat = np.stack(ens.unitaries).reshape(m, d * d)
+    m, d = len(ens), ens.dim
+    # per row: m traces, their moduli and residuals, the free mask, one U^T
+    ensure_budget(33 * m + 16 * d * d, "dagger pairing")
+    flat = ens.unitaries.reshape(m, d * d)
     w = ens.weights
     free = np.ones(m, dtype=bool)
     for i, u in enumerate(ens.unitaries):
@@ -147,42 +139,42 @@ class DesignDistanceReport:
     symmetric: bool
 
 
-def _relative_eps(mv: MomentSuperoperator, mh: MomentSuperoperator):
-    """Smallest eps with (1-eps) C_H <= C_nu <= (1+eps) C_H on C_H's support."""
-    ch = (mh.choi() + mh.choi().conj().T) / 2
-    cv = (mv.choi() + mv.choi().conj().T) / 2
-    evals, evecs = np.linalg.eigh(ch)
-    scale = float(evals.max())
-    keep = evals > _SUPPORT_TOL * scale
-    v_out = evecs[:, ~keep]
-    if v_out.size and np.linalg.norm(v_out.conj().T @ cv @ v_out) > _SUPPORT_TOL * scale:
-        return None, True
-    v_in = evecs[:, keep]
-    a = v_in.conj().T @ cv @ v_in
-    # C_H is diagonal, with positive entries b, on its support, so the
-    # pencil (a, diag(b)) has the eigenvalues of b^{-1/2} a b^{-1/2}
-    s = 1 / np.sqrt(evals[keep])
-    mu = np.linalg.eigvalsh(s[:, None] * ((a + a.conj().T) / 2) * s)
-    eps = max(1.0 - float(mu.min()), float(mu.max()) - 1.0)
-    return max(eps, 0.0), False
-
-
 def diamond_design_bounds(ens: EnsembleSpec, t: int) -> DesignDistanceReport:
     """Report the 2->2 distance and the derived diamond/relative brackets."""
+    d = ens.dim
+    # four moment operators at most: each goes once lambda is computed and
+    # its Choi matrix built, and the Haar Choi matrix once its eigenbasis is
+    ensure_budget(64 * d ** (4 * t), "design distance")
     mv = moment_operator(ens, t)
-    mh = haar_moment_operator(ens.dim, t)
-    lam = float(np.linalg.norm(mv.matrix - mh.matrix, 2))
-    d, tt = ens.dim, t
+    mh = haar_moment_operator(d, t)
+    lam = float(np.linalg.norm(mv - mh, 2))
+    ch = _hermitian_choi(mh)
+    del mh
+    evals, evecs = np.linalg.eigh(ch)
+    del ch
+    cv = _hermitian_choi(mv)
+    del mv
+    scale = float(evals.max())
+    keep = evals > _SUPPORT_TOL * scale
+    v_out, v_in = evecs[:, ~keep], evecs[:, keep]
+    del evecs
+    eps = None  # not relative: the ensemble Choi matrix leaks off the Haar support
+    if not (v_out.size and np.linalg.norm(v_out.conj().T @ cv @ v_out) > _SUPPORT_TOL * scale):
+        a = v_in.conj().T @ cv @ v_in
+        del cv, v_in
+        # the Haar Choi matrix is diagonal, with positive entries b, on its
+        # support, so the pencil (a, diag(b)) has the eigenvalues of b^{-1/2} a b^{-1/2}
+        s = 1 / np.sqrt(evals[keep])
+        mu = np.linalg.eigvalsh(s[:, None] * ((a + a.conj().T) / 2) * s)
+        eps = max(1.0 - float(mu.min()), float(mu.max()) - 1.0, 0.0)
     symmetric = is_symmetric_ensemble(ens)
-    lower = lam * d ** (-tt / 2) if symmetric else None
-    eps, not_rel = _relative_eps(mv, mh)
     return DesignDistanceReport(
         dim=d,
         order=t,
         lambda_tpe=lam,
-        diamond_upper=(d**tt) * lam,
-        diamond_lower=lower,
+        diamond_upper=(d**t) * lam,
+        diamond_lower=lam * d ** (-t / 2) if symmetric else None,
         eps_relative=eps,
-        not_relative=not_rel,
+        not_relative=eps is None,
         symmetric=symmetric,
     )

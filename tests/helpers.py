@@ -36,8 +36,10 @@ The exact ground truths no program calls live here too, not in
 collision count that checks `blocked_collision_counts`, the two exact
 routes to Haar partition probabilities (Dirichlet integral and urn
 product), the big-integer prior support bound, 50-digit mpmath values
-of the log and input-length bounds in `prulab.bounds`, the trace-preservation
-and complete-positivity checks of moment superoperators, dense tableau
+of the log and input-length bounds in `prulab.bounds`, the Choi matrix of
+a moment operator (`choi`, the plain reshuffle; `prulab.moments` builds
+only its Hermitian part) with the trace-preservation and
+complete-positivity checks it feeds, dense tableau
 Paulis, the closed-form amplitudes of the (M, u, v) state family,
 membership in and enumeration of a measurement support, the dense P.F.C
 matrix of a PFC sample with the splitmix64 phase PRF its ``phase_key``
@@ -57,6 +59,13 @@ multiplicativity check of composed symmetric ensembles, net composition
 and dagger closure, and the tomography-based net-membership test.  The
 manifest writers (`dump_json` and the `*_to_json_dict` forms) build test
 files and are the round-trip oracles of the loaders in `prulab.serialize`.
+
+The memory contract of an entry point (its measured peak at or under the
+largest charge it makes with ``ensure_budget``) is read by one tool,
+`traced_peak`: a warm-up call, an ``ensure_budget`` spy on the given
+modules, and the tracemalloc peak and the charges of a second call.
+tracemalloc sees what numpy allocates, not the workspace LAPACK takes
+inside ``eigh`` or ``svd``.
 """
 
 from __future__ import annotations
@@ -64,6 +73,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -83,7 +93,6 @@ from prulab.linalg import (
 from prulab.moments import (
     _SUPPORT_TOL,
     _SYMMETRY_TOL,
-    MomentSuperoperator,
     haar_moment_operator,
     is_symmetric_ensemble,
     moment_operator,
@@ -100,8 +109,26 @@ from prulab.stabilizer import (
 from prulab.tomography import ChannelOracle, naive_process_tomography
 from prulab.truncation import DiagonalOracleCircuit, DiagonalPhase, truncate_diagonal
 
-#: tolerance of the channel-property checks on moment superoperators
+#: tolerance of the channel-property checks on moment operators
 PROJECTOR_TOL = 1e-9
+
+
+def traced_peak(call, monkeypatch, *modules):
+    """(result, peak, charges) of ``call()``: its tracemalloc peak in bytes
+    and the byte counts it passed to ``ensure_budget`` in ``modules``, which
+    are spied on, not enforced.  An untraced warm-up call first keeps
+    one-time imports and caches out of the peak."""
+    call()
+    charges = []
+    for module in modules:
+        monkeypatch.setattr(module, "ensure_budget", lambda nbytes, what: charges.append(nbytes))
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak, charges
 
 
 def schatten_norm(x: np.ndarray, k) -> float:
@@ -347,18 +374,26 @@ def mp_rom_input_length_bounds(d: int, t: float, epsilon: float, additive_slack:
         }
 
 
-def is_trace_preserving(m, tol: float = PROJECTOR_TOL) -> bool:
-    """Whether the moment superoperator ``m``'s Choi matrix has the identity
+def choi(m: np.ndarray) -> np.ndarray:
+    """The Choi matrix of the moment operator ``m``, its reshuffle
+    C[(i, j), (k, l)] = m[(i, k), (j, l)]; positive semidefinite iff the map
+    is completely positive."""
+    n = math.isqrt(len(m))
+    return m.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
+def is_trace_preserving(m: np.ndarray, tol: float = PROJECTOR_TOL) -> bool:
+    """Whether the moment operator ``m``'s Choi matrix has the identity
     as its partial trace over the output factor."""
-    n = m.op_dim
-    pt = np.trace(m.choi().reshape(n, n, n, n), axis1=0, axis2=2)
+    n = math.isqrt(len(m))
+    pt = np.trace(choi(m).reshape(n, n, n, n), axis1=0, axis2=2)
     return np.allclose(pt, np.eye(n), atol=tol)
 
 
-def is_completely_positive(m, tol: float = PROJECTOR_TOL) -> bool:
-    """Whether the moment superoperator ``m``'s Choi matrix is positive
+def is_completely_positive(m: np.ndarray, tol: float = PROJECTOR_TOL) -> bool:
+    """Whether the moment operator ``m``'s Choi matrix is positive
     semidefinite to within ``tol``."""
-    c = m.choi()
+    c = choi(m)
     ev = np.linalg.eigvalsh((c + c.conj().T) / 2)
     return bool(ev.min() >= -tol)
 
@@ -892,7 +927,7 @@ def tpe_distance(ens: EnsembleSpec, t: int) -> float:
     """2->2 distance: spectral norm of the moment-operator difference."""
     mv = moment_operator(ens, t)
     mh = haar_moment_operator(ens.dim, t)
-    return float(np.linalg.norm(mv.matrix - mh.matrix, 2))
+    return float(np.linalg.norm(mv - mh, 2))
 
 
 def permutation_gram_cycles(d: int, t: int) -> np.ndarray:
@@ -917,11 +952,13 @@ def permutation_gram_cycles(d: int, t: int) -> np.ndarray:
     return gram
 
 
-def relative_eps_scipy(mv: MomentSuperoperator, mh: MomentSuperoperator):
-    """`moments._relative_eps` with the relative sandwich solved as the
-    generalized eigenproblem (A, diag(b)) by ``scipy.linalg.eigh``."""
-    ch = (mh.choi() + mh.choi().conj().T) / 2
-    cv = (mv.choi() + mv.choi().conj().T) / 2
+def relative_eps_scipy(mv: np.ndarray, mh: np.ndarray):
+    """The relative bracket of `moments.diamond_design_bounds` for the
+    moment operators ``mv`` and ``mh``, with the relative sandwich solved as
+    the generalized eigenproblem (A, diag(b)) by ``scipy.linalg.eigh``:
+    (eps_relative, not_relative)."""
+    ch = (choi(mh) + choi(mh).conj().T) / 2
+    cv = (choi(mv) + choi(mv).conj().T) / 2
     evals, evecs = np.linalg.eigh(ch)
     scale = float(evals.max())
     keep = evals > _SUPPORT_TOL * scale

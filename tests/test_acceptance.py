@@ -112,8 +112,7 @@ def test_c4_exact_design_residuals():
     r_cliff = [tpe_distance(cliff, t) for t in (1, 2, 3)]
     ok = r_pauli <= 1e-9 and all(r <= 1e-9 for r in r_cliff)
     for t in (1, 2, 3):
-        diff = np.abs(haar_moment_operator(2, t).matrix
-                      - moment_operator(cliff, t).matrix).max()
+        diff = np.abs(haar_moment_operator(2, t) - moment_operator(cliff, t)).max()
         ok = ok and diff <= 1e-9
     r4 = tpe_distance(cliff, 4)
     ok = ok and r4 > 1e-6

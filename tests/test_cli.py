@@ -39,6 +39,7 @@ from helpers import (
 )
 from prulab import cli
 from prulab.cli import build_parser, main
+from prulab.ensembles import REFERENCE_DESIGNS
 from prulab.linalg import RandomSeed, haar_unitary
 from prulab.serialize import (
     circuit_from_json_dict,
@@ -191,6 +192,11 @@ class TestCli:
                                capsys)
         assert code == 0
         assert json.loads(out)["result"]["lambda_tpe"] <= 1e-10
+
+    def test_builtin_ensembles_are_the_reference_designs(self):
+        (parser,) = [p for name, p in leaf_parsers(build_parser()) if name == "design-distance"]
+        (action,) = [a for a in parser._actions if a.dest == "ensemble"]
+        assert action.choices == REFERENCE_DESIGNS
 
     def test_design_distance_matrix_files_relative_to_manifest(self, tmp_path, monkeypatch,
                                                                capsys):
@@ -571,7 +577,7 @@ class TestCli:
         (["bounds", "net-size", "--d", "2", "--eps", "0.5", "--t", "3"],
          "unrecognized arguments: --t 3\nusage: prulab bounds net-size"),
         (["design-distance", "--ensemble", "pauli-1", "--t", "4", "--mem-budget", "0.00001"],
-         "moment superoperator needs 3.15e+06 bytes, budget is 10737 (raise it with --mem-budget"),
+         "design distance needs 4.19e+06 bytes, budget is 10737 (raise it with --mem-budget"),
         (["bounds", "--d", "2", "net-size", "--eps", "0.5"],
          "--d goes after the formula name (prulab bounds net-size --d ...)\nusage: prulab bounds"),
         (["tomo-demo", "--d", "8", "--eps", "1.9", "--eta", "0.5", "--seed", "1",

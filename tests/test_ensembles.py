@@ -317,6 +317,13 @@ class TestReferenceDesigns:
         with pytest.raises(ValueError):
             reference_design("nope")
 
+    def test_a_complex_stack_is_kept_as_it_is(self):
+        stack = np.stack([np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)])
+        ens = EnsembleSpec(2, stack)
+        assert ens.unitaries.shape == (2, 2, 2) and np.shares_memory(ens.unitaries, stack)
+        with pytest.raises(ValueError, match="ensemble element dimension mismatch"):
+            EnsembleSpec(3, stack)
+
     def test_weights_validation(self):
         with pytest.raises(ValueError):
             EnsembleSpec(2, [np.eye(2)], np.array([0.5]))

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_diamond, hull_diamond_from_spectrum, schatten_norm
+from helpers import brute_force_diamond, hull_diamond_from_spectrum, schatten_norm, traced_peak
+from prulab import linalg
 from prulab.linalg import (
     RandomSeed,
     ResourceLimitError,
@@ -125,6 +126,14 @@ class TestVectorize:
                 kron_power(np.eye(2), 10)
         finally:
             set_memory_budget_bytes(old)
+
+    def test_kron_power_stays_within_its_charge(self, monkeypatch):
+        # the power before the last and np.kron's broadcast buffers once
+        # went uncharged, a peak 1.31x the charge
+        u = haar_unitary(4, RandomSeed(32))
+        power, peak, charged = traced_peak(lambda: kron_power(u, 4), monkeypatch, linalg)
+        assert power.shape == (256, 256)
+        assert peak <= max(charged) + (64 << 10)
 
 
 class TestDiamondDistance:

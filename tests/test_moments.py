@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    choi,
     compose_ensemble,
     is_completely_positive,
     is_symmetric_ensemble_loop,
@@ -13,23 +14,24 @@ from helpers import (
     relative_eps_scipy,
     symmetric_composition_check,
     tpe_distance,
+    traced_peak,
 )
+from prulab import linalg, moments
 from prulab.ensembles import EnsembleSpec, reference_design
 from prulab.linalg import (
     RandomSeed,
     ResourceLimitError,
     haar_unitary,
+    haar_unitary_rng,
     memory_budget_bytes,
     set_memory_budget_bytes,
 )
 from prulab.moments import (
-    MomentSuperoperator,
     diamond_design_bounds,
     haar_moment_operator,
     is_symmetric_ensemble,
     moment_operator,
     _permutation_operator,
-    _relative_eps,
 )
 
 
@@ -48,17 +50,17 @@ class TestMomentOperator:
         ens = EnsembleSpec(2, [np.eye(2, dtype=complex)])
         for t in (1, 2):
             m = moment_operator(ens, t)
-            assert np.allclose(m.matrix, np.eye(4**t), atol=1e-12)
+            assert np.allclose(m, np.eye(4**t), atol=1e-12)
 
     def test_pauli_twirl_equals_haar_t1(self, pauli1):
         mv = moment_operator(pauli1, 1)
         mh = haar_moment_operator(2, 1)
-        assert np.abs(mv.matrix - mh.matrix).max() < 1e-10
+        assert np.abs(mv - mh).max() < 1e-10
 
     def test_clifford_equals_haar_t3(self, cliff1):
         mv = moment_operator(cliff1, 3)
         mh = haar_moment_operator(2, 3)
-        assert np.abs(mv.matrix - mh.matrix).max() < 1e-9
+        assert np.abs(mv - mh).max() < 1e-9
 
     def test_trace_preserving_and_cp(self, cliff1):
         for ens, t in ((cliff1, 2), (reference_design("pauli-1"), 1)):
@@ -84,24 +86,24 @@ class TestHaarMomentOperator:
         m = haar_moment_operator(2, 1)
         for basis in (np.array([[0, 1], [1, 0]]), np.array([[1, 0], [0, -1]]),
                       np.array([[0, -1j], [1j, 0]])):
-            assert np.abs(m.matrix @ basis.reshape(-1)).max() < 1e-12
+            assert np.abs(m @ basis.reshape(-1)).max() < 1e-12
         x = np.array([[0.3, 0], [0, 0.7]], dtype=complex)
-        assert np.allclose((m.matrix @ x.reshape(-1)).reshape(2, 2), np.trace(x) * np.eye(2) / 2)
+        assert np.allclose((m @ x.reshape(-1)).reshape(2, 2), np.trace(x) * np.eye(2) / 2)
 
     @pytest.mark.parametrize("d,t", [(2, 1), (2, 2), (2, 3), (3, 2), (2, 4)])
     def test_projector_properties(self, d, t):
-        m = haar_moment_operator(d, t).matrix
+        m = haar_moment_operator(d, t)
         assert np.abs(m @ m - m).max() < 1e-9
         assert np.abs(m - m.conj().T).max() < 1e-9
 
     def test_matches_clifford_average_t3(self, cliff1):
         mh = haar_moment_operator(2, 3)
         mc = moment_operator(cliff1, 3)
-        assert np.abs(mh.matrix - mc.matrix).max() < 1e-9
+        assert np.abs(mh - mc).max() < 1e-9
 
     def test_gram_degenerate_t_above_d(self):
         # t=3 > d=2 makes the permutation Gram singular; pseudo-inverse path
-        m = haar_moment_operator(2, 3).matrix
+        m = haar_moment_operator(2, 3)
         assert np.abs(m @ m - m).max() < 1e-9
 
     def test_order_cap(self):
@@ -140,7 +142,7 @@ class TestTpeDistance:
     def test_singleton_identity_matches_direct_svd(self):
         ens = EnsembleSpec(2, [np.eye(2, dtype=complex)])
         lam = tpe_distance(ens, 1)
-        diff = np.eye(4) - haar_moment_operator(2, 1).matrix
+        diff = np.eye(4) - haar_moment_operator(2, 1)
         direct = np.linalg.svd(diff, compute_uv=False)[0]
         assert lam == pytest.approx(direct, abs=1e-12)
 
@@ -149,7 +151,7 @@ class TestTpeDistance:
             mv = moment_operator(cliff1, t)
             mh = haar_moment_operator(2, t)
             eye = np.eye(2**t, dtype=complex)
-            assert np.abs((mv.matrix - mh.matrix) @ eye.reshape(-1)).max() < 1e-9
+            assert np.abs((mv - mh) @ eye.reshape(-1)).max() < 1e-9
 
 
 class TestDesignDistanceBounds:
@@ -184,18 +186,16 @@ class TestDesignDistanceBounds:
             if rep.diamond_lower is not None:
                 assert rep.diamond_lower <= rep.diamond_upper + 1e-12
 
-    def test_not_relative_flag_on_synthetic_leak(self):
-        mh = haar_moment_operator(2, 2)
-        ch = mh.choi()
+    def test_not_relative_flag_on_synthetic_leak(self, monkeypatch, pauli1):
+        ch = choi(haar_moment_operator(2, 2))
         evals, evecs = np.linalg.eigh((ch + ch.conj().T) / 2)
         v = evecs[:, 0]  # null direction of the Haar Choi
         assert evals[0] < 1e-9
         leak = ch + 0.5 * np.outer(v, v.conj())
-        n = mh.op_dim
-        matrix = leak.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-        fake = MomentSuperoperator(2, 2, matrix)
-        eps, not_rel = _relative_eps(fake, mh)
-        assert not_rel and eps is None
+        # the reshuffle is its own inverse: this moment operator has Choi matrix leak
+        monkeypatch.setattr(moments, "moment_operator", lambda ens, t: choi(leak))
+        rep = diamond_design_bounds(pauli1, 2)
+        assert rep.not_relative and rep.eps_relative is None
 
 
 def _random_ensemble(d: int, m: int, seed: int) -> EnsembleSpec:
@@ -209,11 +209,11 @@ class TestRelativeEps:
 
     @staticmethod
     def _check(ens, t):
-        mv, mh = moment_operator(ens, t), haar_moment_operator(ens.dim, t)
-        eps, not_rel = _relative_eps(mv, mh)
-        eps_ref, not_rel_ref = relative_eps_scipy(mv, mh)
-        assert not_rel == not_rel_ref is False
-        assert eps == pytest.approx(eps_ref, rel=1e-12, abs=1e-12)
+        rep = diamond_design_bounds(ens, t)
+        eps_ref, not_rel_ref = relative_eps_scipy(moment_operator(ens, t),
+                                                  haar_moment_operator(ens.dim, t))
+        assert rep.not_relative == not_rel_ref is False
+        assert rep.eps_relative == pytest.approx(eps_ref, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_reference_designs(self, pauli1, cliff1, t):
@@ -292,14 +292,47 @@ class TestDaggerPairing:
             ens = _random_ensemble(2 + seed % 2, 4, seed)
             assert is_symmetric_ensemble(ens) == is_symmetric_ensemble_loop(ens) is False
 
-    def test_stack_is_charged_to_the_budget(self, cliff1):
+    def test_rows_are_charged_to_the_budget(self, cliff1):
         old = memory_budget_bytes()
         try:
-            set_memory_budget_bytes(16 * 24 * 4 - 1)
+            set_memory_budget_bytes(33 * 24 + 16 * 2 * 2 - 1)
             with pytest.raises(ResourceLimitError, match="dagger pairing"):
                 is_symmetric_ensemble(cliff1)
         finally:
             set_memory_budget_bytes(old)
+
+
+class TestMemoryCharges:
+    """Each entry point's tracemalloc peak stays within the largest charge it
+    makes, with 64 KiB of slack.  tracemalloc does not see the workspace
+    LAPACK takes inside eigh and svd, so neither the peak nor the charges
+    count it."""
+
+    @pytest.mark.parametrize("make, t", [
+        (lambda: EnsembleSpec(3, [haar_unitary(3, RandomSeed(30, i)) for i in range(10)]), 3),
+        (lambda: reference_design("clifford-1"), 4),
+    ], ids=["haar10-d3-t3", "clifford-1-t4"])
+    def test_design_distance(self, monkeypatch, make, t):
+        # the moment operators stayed held through the Choi steps, which
+        # copied each Choi matrix twice: 2.4x the charge on Haar elements
+        ens = make()
+        _, peak, charged = traced_peak(lambda: diamond_design_bounds(ens, t), monkeypatch,
+                                       moments, linalg)
+        assert peak <= max(charged) + (64 << 10)
+
+    def test_dagger_pairing(self, monkeypatch):
+        # 2,500 pairs U, U^dagger at d = 8, so that every row is read; the
+        # stack of the elements, once copied, is the caller's now
+        rng = RandomSeed(31).generator()
+        us = np.empty((5000, 8, 8), dtype=complex)
+        for u, ud in zip(us[::2], us[1::2]):
+            u[...] = haar_unitary_rng(8, rng)
+            ud[...] = u.conj().T
+        ens = EnsembleSpec(8, us)
+        symmetric, peak, charged = traced_peak(lambda: is_symmetric_ensemble(ens), monkeypatch,
+                                               moments)
+        assert symmetric
+        assert peak <= max(charged) + (64 << 10)
 
 
 class TestSymmetry:

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import helpers
 import numpy as np
@@ -118,17 +117,9 @@ class TestHaarSample:
     def test_net_stays_within_its_charge(self, monkeypatch):
         # the net once was a list of arrays that NetSpec copied, a peak of
         # twice the net, and was charged nothing; the slack covers one Haar
-        # sample's working set at d = 16.  The warm-up call keeps numpy's
-        # first linalg imports out of the trace
-        NetSpec.haar_sample(16, 1, RandomSeed(0))
-        charged = []
-        monkeypatch.setattr(nets, "ensure_budget", lambda nbytes, what: charged.append(nbytes))
-        tracemalloc.start()
-        try:
-            net = NetSpec.haar_sample(16, 2000, RandomSeed(1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # sample's working set at d = 16
+        net, peak, charged = helpers.traced_peak(
+            lambda: NetSpec.haar_sample(16, 2000, RandomSeed(1)), monkeypatch, nets)
         assert charged == [net.unitaries.nbytes] == [16 * 2000 * 16 * 16]
         assert peak <= charged[0] + (64 << 10)
 
@@ -155,14 +146,7 @@ class TestComposeAndDagger:
         # a list of 2x2 products, then NetSpec's copy, once peaked at 4.6x the charge
         a = NetSpec.haar_sample(2, 300, RandomSeed(19))
         b = NetSpec.haar_sample(2, 300, RandomSeed(20))
-        charged = []
-        monkeypatch.setattr(helpers, "ensure_budget", lambda nbytes, what: charged.append(nbytes))
-        tracemalloc.start()
-        try:
-            comp = compose_nets(a, b)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        comp, peak, charged = helpers.traced_peak(lambda: compose_nets(a, b), monkeypatch, helpers)
         assert len(charged) == 1 and peak <= charged[0]
         want = np.array([v1 @ v2.conj().T for v1 in a.unitaries for v2 in b.unitaries])
         assert comp.unitaries.shape == (90_000, 2, 2)

@@ -43,6 +43,20 @@ def test_script_runs(script, args, header, row_prefix):
     assert len(lines) == header + 1 and lines[-1].startswith(row_prefix), proc.stdout
 
 
+@pytest.mark.parametrize("args", [
+    ["--d", "2", "--t-mult", "1e305"],
+    ["--d", "8", "12", "16", "20", "--t-mult", "1", "2", "4"],
+    ["--d", "2", "--t-mult", "1e6", "1e7"],
+], ids=["t-mult-1e305", "readme", "t-of-8-and-9-digits"])
+def test_bounds_table_columns_line_up(args):
+    # every column but the last, the winner's name, is as wide as its heading
+    proc = run_script("bounds_table.py", args)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    width = len(header.rsplit("  ", 1)[0])
+    assert rows and all(len(row.rsplit("  ", 1)[0]) == width for row in rows), proc.stdout
+
+
 @pytest.mark.parametrize("script,args,message", [
     ("bounds_table.py", ["--d", "1"], "argument --d: must be in [2, 2^500], got 1"),
     ("coverage_sweep.py", ["--net-size", "0", "--seed", "1"],
