@@ -3,7 +3,8 @@
 
 Builds one net, then estimates the exposed Haar fraction at a grid of
 radii; optionally also checks the two-element product covering at each
-radius on fresh samples.
+radius on fresh samples.  Prints one JSON object per radius, and with
+--out also writes the rows as CSV.
 
 Example:
     python scripts/coverage_sweep.py --dim 2 --net-size 500 --samples 300 \
@@ -11,6 +12,7 @@ Example:
 """
 
 import csv
+import json
 import sys
 
 from prulab.cli import _COUNT, _NONNEGATIVE, _WORD, _Parser, exit_code
@@ -47,7 +49,7 @@ def main(argv: list[str] | None = None) -> None:
             row["worst_pair_cover"] = worst
             row["two_eps"] = 2 * eps
         rows.append(row)
-        print(row)
+        print(json.dumps(row))
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))

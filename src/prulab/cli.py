@@ -377,7 +377,7 @@ def exit_code(run) -> int:
     """Call ``run()`` under the exit-code contract: 0 when it returns, 1 with
     ``error: ...`` on a usage or resource error (a failed allocation
     among them), 2 with ``property violation: ...`` on a failed property
-    check; the experiment scripts share it."""
+    check; scripts/coverage_sweep.py shares it."""
     try:
         run()
     except PropertyViolationError as exc:

@@ -197,9 +197,11 @@ def run_collision_distinguisher(oracle, params: DistinguisherParams) -> Collisio
     blocks lands within alpha of the Haar reference center `params.center`.
     """
     t, k = params.t, params.k_blocks
-    # the int64 outcomes, their sorted copy and its bool run flags, at most
-    # two flag arrays at a time: 18 bytes per outcome, under the 24 charged
-    ensure_budget(24 * k * t, "collision test outcomes")
+    # per outcome: the int64 outcomes, their sorted copy and its bool run
+    # flags, at most two flag arrays at a time, 18 bytes; and what the oracle
+    # holds, at most 16: an urn's int64 history, whose capacity doubles and
+    # so stays under twice what it has drawn
+    ensure_budget(34 * k * t, "collision test outcomes")
     outcomes = np.empty((k, t), dtype=np.int64)
     for b in range(k):
         block = oracle.draw(t)

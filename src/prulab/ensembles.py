@@ -85,16 +85,20 @@ class PolyaUrnSampler:
         self._size = 0
 
     def draw(self, shots: int) -> np.ndarray:
+        m0 = self._size
+        end = m0 + shots
+        if end > self._history.size:
+            size = max(end, 2 * self._history.size)
+            # the history and its grown copy, both held while one is copied
+            ensure_budget(8 * (self._history.size + size), "Polya urn history")
+            grown = np.empty(size, dtype=np.int64)
+            grown[:m0] = self._history[:m0]
+            self._history = grown
+        self._size = end
         rng = self._rng
         coins = rng.random(shots)
         copy_pick = rng.random(shots)
         fresh_cats = rng.integers(0, self.d, size=shots)
-        m0 = self._size
-        end = self._size = m0 + shots
-        if end > self._history.size:
-            grown = np.empty(max(end, 2 * self._history.size), dtype=np.int64)
-            grown[:m0] = self._history[:m0]
-            self._history = grown
         hist = self._history
         block = hist[m0:end]
         m = np.arange(m0, end, dtype=np.float64)  # exact: m + d < 2^53
@@ -127,9 +131,9 @@ REFERENCE_DESIGNS = ("pauli-1", "clifford-1")
 
 @dataclass
 class EnsembleSpec:
-    """A finite distribution over U(d): unitaries, held as one (m, dim, dim)
-    complex array (the caller's own when it already is one, as in NetSpec),
-    with weights (default uniform)."""
+    """A finite distribution over U(d): unitaries, held as one C-contiguous
+    (m, dim, dim) complex array (the caller's own when it already is one,
+    as in NetSpec), with weights (default uniform)."""
 
     dim: int
     unitaries: np.ndarray
@@ -152,7 +156,7 @@ class EnsembleSpec:
             raise ValueError(f"weights must be nonnegative and sum to 1, got sum {w.sum()}")
         if any(np.shape(u) != (self.dim, self.dim) for u in self.unitaries):
             raise ValueError("ensemble element dimension mismatch")
-        self.unitaries = np.asarray(self.unitaries, dtype=complex)
+        self.unitaries = np.ascontiguousarray(self.unitaries, dtype=complex)
 
     def __len__(self) -> int:
         return len(self.unitaries)

@@ -38,8 +38,8 @@ class NetSpec:
     """A finite set of same-dimension unitaries treated as a candidate net.
 
     Built from any sequence of (dim, dim) matrices; ``unitaries`` holds
-    them as one (m, dim, dim) complex array, which is the caller's own
-    array, not a copy, when it already is one.
+    them as one C-contiguous (m, dim, dim) complex array, which is the
+    caller's own array, not a copy, when it already is one.
     """
 
     dim: int
@@ -50,7 +50,7 @@ class NetSpec:
             raise ValueError("a net must be nonempty")
         if any(np.shape(u) != (self.dim, self.dim) for u in self.unitaries):
             raise ValueError("net element dimension mismatch")
-        self.unitaries = np.asarray(self.unitaries, dtype=complex)
+        self.unitaries = np.ascontiguousarray(self.unitaries, dtype=complex)
 
     def __len__(self) -> int:
         return len(self.unitaries)

@@ -571,9 +571,9 @@ class TestCli:
         (["truncate-diag", "--circuit-file", "c.json", "--k", "2000"],
          "argument --k: must be in [0, 1023], got 2000"),
         (["pfc-distinguish", "--n", "5", "--trials", "1", "--k-blocks", "2", "--seed", "1",
-          "--t", "100000000000"], "collision test outcomes needs 4.8e+12 bytes"),
+          "--t", "100000000000"], "collision test outcomes needs 6.8e+12 bytes"),
         (["pfc-distinguish", "--n", "3", "--trials", "1", "--k-blocks", "2", "--seed", "1",
-          "--t", "100000000000"], "collision test outcomes needs 4.8e+12 bytes"),
+          "--t", "100000000000"], "collision test outcomes needs 6.8e+12 bytes"),
         (["bounds", "net-size", "--d", "2", "--eps", "0.5", "--t", "3"],
          "unrecognized arguments: --t 3\nusage: prulab bounds net-size"),
         (["design-distance", "--ensemble", "pauli-1", "--t", "4", "--mem-budget", "0.00001"],
@@ -783,6 +783,17 @@ class TestCli:
     def test_readme_commands_parse(self):
         for argv in readme_commands():
             build_parser().parse_args(argv)
+
+    def test_readme_lists_each_workflow_once(self):
+        # the "Experiment scripts" block names each script under scripts/
+        # once, and only those; no prulab line of the CLI block repeats
+        root = Path(__file__).parents[1]
+        text = (root / "README.md").read_text()
+        block = text.split("## Experiment scripts", 1)[1].split("```")[1]
+        named = re.findall(r"\bscripts/([\w.-]+)", block)
+        assert sorted(named) == sorted(p.name for p in (root / "scripts").glob("*.py"))
+        commands = [tuple(argv) for argv in readme_commands()]
+        assert len(set(commands)) == len(commands)
 
     def test_every_declared_flag_is_read(self):
         # each flag a command's leaf parser declares is read by its handler,

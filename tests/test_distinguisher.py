@@ -10,8 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import blocked_collision_counts_loop, collision_count, net_membership_distinguisher
-from prulab import distinguisher
+from helpers import (
+    blocked_collision_counts_loop,
+    collision_count,
+    net_membership_distinguisher,
+    traced_peak,
+)
+from prulab import distinguisher, ensembles
 from prulab.distinguisher import (
     DistinguisherParams,
     HaarDenseOracle,
@@ -284,9 +289,19 @@ class TestCollisionDistinguisher:
         run_collision_distinguisher(Counting(), DistinguisherParams(d=64, t=8, k_blocks=37))
         assert calls == [8] * 37
 
+    def test_urn_side_peak_is_within_its_charge(self, monkeypatch):
+        # canonical k at n = 10: the 3.2M outcomes, their sorted copy and
+        # the urn's 4.2M-slot history; charged 24 bytes per outcome, with no
+        # room for the history, it peaked at 91.7 MB against 76.8 MB
+        params = DistinguisherParams.canonical(1024)
+        _, peak, charged = traced_peak(
+            lambda: run_collision_distinguisher(HaarUrnOracle(1024, RandomSeed(8)), params),
+            monkeypatch, distinguisher, ensembles)
+        assert peak <= max(charged) + (64 << 10)
+
     def test_outcome_working_set_is_budgeted_before_any_draw(self):
-        # 24 bytes per outcome charged: the int64 outcomes, their sorted copy
-        # and its bool run flags take at most 18
+        # 34 bytes per outcome charged: the int64 outcomes, their sorted
+        # copy and its bool run flags take at most 18, an urn's history 16
         calls = []
 
         class Counting(_ConstantOracle):
@@ -297,11 +312,11 @@ class TestCollisionDistinguisher:
         p = DistinguisherParams(d=64, t=8, k_blocks=37)
         before = memory_budget_bytes()
         try:
-            set_memory_budget_bytes(24 * 8 * 37 - 1)
+            set_memory_budget_bytes(34 * 8 * 37 - 1)
             with pytest.raises(ResourceLimitError, match="collision test outcomes needs"):
                 run_collision_distinguisher(Counting(), p)
             assert calls == []
-            set_memory_budget_bytes(24 * 8 * 37)
+            set_memory_budget_bytes(34 * 8 * 37)
             run_collision_distinguisher(Counting(), p)
         finally:
             set_memory_budget_bytes(before)

@@ -240,6 +240,24 @@ class TestHaarMeasurement:
             tracemalloc.stop()
         assert peak < 8 << 20, peak
 
+    def test_urn_history_is_charged_where_it_grows(self):
+        # 40 draws grow the history to 64 slots: the 32 held and the 64 of
+        # its copy; a refused draw leaves the urn and its RNG as they were
+        twin = PolyaUrnSampler(8, RandomSeed(56).generator())
+        want = [twin.draw(32), twin.draw(8)]
+        urn = PolyaUrnSampler(8, RandomSeed(56).generator())
+        first = urn.draw(32)
+        before = memory_budget_bytes()
+        try:
+            set_memory_budget_bytes(8 * (32 + 64) - 1)
+            with pytest.raises(ResourceLimitError, match="Polya urn history needs 768 bytes"):
+                urn.draw(8)
+            set_memory_budget_bytes(8 * (32 + 64))
+            rest = urn.draw(8)
+        finally:
+            set_memory_budget_bytes(before)
+        assert np.array_equal(first, want[0]) and np.array_equal(rest, want[1])
+
     @pytest.mark.parametrize("first", [0, 3])
     def test_urn_resolves_the_longest_copy_chain(self, first):
         class ChainRng:
@@ -323,6 +341,12 @@ class TestReferenceDesigns:
         assert ens.unitaries.shape == (2, 2, 2) and np.shares_memory(ens.unitaries, stack)
         with pytest.raises(ValueError, match="ensemble element dimension mismatch"):
             EnsembleSpec(3, stack)
+
+    def test_a_transposed_stack_is_made_contiguous(self):
+        stack = np.stack([np.eye(2, dtype=complex), np.array([[0, 1j], [1, 0]])])
+        ens = EnsembleSpec(2, stack.transpose(0, 2, 1))
+        assert ens.unitaries.flags.c_contiguous
+        assert np.array_equal(ens.unitaries, stack.transpose(0, 2, 1))
 
     def test_weights_validation(self):
         with pytest.raises(ValueError):

@@ -48,6 +48,12 @@ class TestHaarUnitary:
         assert is_unitary(haar_unitary(2, RandomSeed(1)))
         assert is_unitary(haar_unitary(7, RandomSeed(2)))
 
+    def test_peak_is_within_its_charge(self, monkeypatch):
+        # at d = 1024 the three d x d arrays charged were a quarter short
+        _, peak, charged = traced_peak(lambda: haar_unitary(1024, RandomSeed(5)), monkeypatch,
+                                       linalg)
+        assert peak <= max(charged) + (64 << 10)
+
     def test_rejects_d0(self):
         with pytest.raises(ValueError):
             haar_unitary(0, RandomSeed(0))

@@ -320,15 +320,28 @@ class TestMemoryCharges:
                                        moments, linalg)
         assert peak <= max(charged) + (64 << 10)
 
-    def test_dagger_pairing(self, monkeypatch):
-        # 2,500 pairs U, U^dagger at d = 8, so that every row is read; the
-        # stack of the elements, once copied, is the caller's now
+    @staticmethod
+    def dagger_paired_stack():
+        # 2,500 pairs U, U^dagger at d = 8, so that every row is read
         rng = RandomSeed(31).generator()
         us = np.empty((5000, 8, 8), dtype=complex)
         for u, ud in zip(us[::2], us[1::2]):
             u[...] = haar_unitary_rng(8, rng)
             ud[...] = u.conj().T
-        ens = EnsembleSpec(8, us)
+        return us
+
+    def test_dagger_pairing(self, monkeypatch):
+        # the stack of the elements, once copied, is the caller's now
+        ens = EnsembleSpec(8, self.dagger_paired_stack())
+        symmetric, peak, charged = traced_peak(lambda: is_symmetric_ensemble(ens), monkeypatch,
+                                               moments)
+        assert symmetric
+        assert peak <= max(charged) + (64 << 10)
+
+    def test_dagger_pairing_of_a_transposed_stack(self, monkeypatch):
+        # the transposes pair up as the elements do; kept as a view, the
+        # stack was copied whole by the pairing's reshape, 32x its charge
+        ens = EnsembleSpec(8, self.dagger_paired_stack().transpose(0, 2, 1))
         symmetric, peak, charged = traced_peak(lambda: is_symmetric_ensemble(ens), monkeypatch,
                                                moments)
         assert symmetric

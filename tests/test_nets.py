@@ -404,3 +404,9 @@ class TestNetSpec:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             NetSpec(2, [np.eye(3)])
+
+    def test_a_transposed_stack_is_made_contiguous(self):
+        stack = np.stack([np.eye(2, dtype=complex), np.array([[0, 1j], [1, 0]])])
+        net = NetSpec(2, stack.transpose(0, 2, 1))
+        assert net.unitaries.flags.c_contiguous
+        assert np.array_equal(net.unitaries, stack.transpose(0, 2, 1))

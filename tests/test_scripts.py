@@ -1,7 +1,9 @@
 """Smoke runs of the experiment scripts at tiny sizes, and their exit
 contract on every numeric flag."""
 
+import csv
 import importlib.util
+import json
 import os
 import re
 import shlex
@@ -26,14 +28,9 @@ def run_script(script, args):
 
 
 @pytest.mark.parametrize("script,args,header,row_prefix", [
-    ("run_pfc_distinguisher.py", ["--n", "3", "--trials", "2", "--k-blocks", "5", "--seed", "1"],
-     0, "n=  3 "),
     ("coverage_sweep.py", ["--net-size", "5", "--samples", "5", "--eps", "0.5", "--seed", "1",
-                           "--check-products"], 0, "{'eps': 0.5,"),
-    ("bounds_table.py", ["--d", "4", "--t-mult", "1"], 1, "   4 "),
-    # t = 2.2e306: ln t! leaves float range, and the prior bound its other branch
-    ("bounds_table.py", ["--d", "2", "--t-mult", "1e305"], 1, "   2 "),
-], ids=["run_pfc_distinguisher", "coverage_sweep", "bounds_table", "bounds_table-t-mult-1e305"])
+                           "--check-products"], 0, '{"eps": 0.5,'),
+], ids=["coverage_sweep"])
 def test_script_runs(script, args, header, row_prefix):
     # each script prints its header lines, then one row per input; here
     # there is one input
@@ -41,33 +38,30 @@ def test_script_runs(script, args, header, row_prefix):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == header + 1 and lines[-1].startswith(row_prefix), proc.stdout
+    for line in lines[header:]:
+        json.loads(line)
 
 
-@pytest.mark.parametrize("args", [
-    ["--d", "2", "--t-mult", "1e305"],
-    ["--d", "8", "12", "16", "20", "--t-mult", "1", "2", "4"],
-    ["--d", "2", "--t-mult", "1e6", "1e7"],
-], ids=["t-mult-1e305", "readme", "t-of-8-and-9-digits"])
-def test_bounds_table_columns_line_up(args):
-    # every column but the last, the winner's name, is as wide as its heading
-    proc = run_script("bounds_table.py", args)
+def test_coverage_sweep_writes_its_rows_as_csv(tmp_path):
+    # --out writes the rows stdout prints as JSON, one CSV row each
+    out = tmp_path / "sweep.csv"
+    proc = run_script("coverage_sweep.py", ["--net-size", "5", "--samples", "5", "--eps", "0.5",
+                                            "0.9", "--seed", "1", "--check-products",
+                                            "--out", str(out)])
     assert proc.returncode == 0, proc.stderr
-    header, *rows = proc.stdout.splitlines()
-    width = len(header.rsplit("  ", 1)[0])
-    assert rows and all(len(row.rsplit("  ", 1)[0]) == width for row in rows), proc.stdout
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [row["eps"] for row in rows] == [0.5, 0.9], proc.stdout
+    with open(out, newline="") as fh:
+        table = list(csv.DictReader(fh))
+    assert list(table[0]) == ["eps", "eta_hat", "ci_half", "worst_pair_cover", "two_eps"]
+    assert [{k: float(v) for k, v in row.items()} for row in table] == rows
 
 
 @pytest.mark.parametrize("script,args,message", [
-    ("bounds_table.py", ["--d", "1"], "argument --d: must be in [2, 2^500], got 1"),
     ("coverage_sweep.py", ["--net-size", "0", "--seed", "1"],
      "argument --net-size: must be in [1, inf), got 0"),
     ("coverage_sweep.py", ["--seed", "-1"], "argument --seed: must be in [0, 2^64), got -1"),
-    ("run_pfc_distinguisher.py", ["--n", "0", "--seed", "1"],
-     "argument --n: must be in [1, 30], got 0"),
-    ("bounds_table.py", ["--d", "1000000", "--t-mult", "1e300"],
-     "argument --t-mult: 4 d^2 ln 4 * 1e+300 overflows a float at d = 1000000"),
-], ids=["bounds_table-d", "coverage_sweep-net-size", "coverage_sweep-seed",
-        "run_pfc_distinguisher-n", "bounds_table-t-mult"])
+], ids=["coverage_sweep-net-size", "coverage_sweep-seed"])
 def test_bad_value_is_a_usage_error(script, args, message):
     # the exit contract of the prulab CLI: exit 1 and an error: line naming
     # the flag, never a traceback
@@ -80,11 +74,9 @@ def test_bad_value_is_a_usage_error(script, args, message):
 # a small valid command line per script, and its flags that take one unit
 # of work per unit of value, which take FUZZ_COUNTS
 SCRIPT_BASES = {
-    "run_pfc_distinguisher.py": "--n 2 --trials 1 --k-blocks 2 --seed 1",
     "coverage_sweep.py": "--dim 2 --net-size 2 --samples 2 --eps 0.5 --seed 1 --check-products",
-    "bounds_table.py": "--d 4 --t-mult 1",
 }
-SCRIPT_COUNT_FLAGS = {"--trials", "--k-blocks", "--samples", "--net-size"}
+SCRIPT_COUNT_FLAGS = {"--samples", "--net-size"}
 
 
 def numeric_flags(script):
@@ -127,7 +119,5 @@ def test_every_numeric_flag_keeps_the_exit_contract(script, flag, value, capsys)
 
 def test_numeric_flags_are_found():
     assert {script: numeric_flags(script) for script in SCRIPT_BASES} == {
-        "run_pfc_distinguisher.py": ["--n", "--trials", "--k-blocks", "--seed"],
         "coverage_sweep.py": ["--dim", "--net-size", "--samples", "--eps", "--seed"],
-        "bounds_table.py": ["--d", "--t-mult", "--delta", "--c-design"],
     }
