@@ -1,6 +1,8 @@
 """Smoke runs of the experiment scripts at tiny sizes, and their exit
-contract on every numeric flag."""
+contract on every numeric flag, also for the workflows of the retired
+scripts, which README now runs as `prulab` commands."""
 
+import argparse
 import csv
 import importlib.util
 import json
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 from helpers import FUZZ_COUNTS, FUZZ_VALUES
 
-from prulab.cli import exit_code
+from prulab.cli import build_parser, exit_code, main as prulab_main
 from prulab.linalg import memory_budget_bytes, set_memory_budget_bytes
 
 ROOT = Path(__file__).parents[1]
@@ -76,7 +78,7 @@ def test_bad_value_is_a_usage_error(script, args, message):
 SCRIPT_BASES = {
     "coverage_sweep.py": "--dim 2 --net-size 2 --samples 2 --eps 0.5 --seed 1 --check-products",
 }
-SCRIPT_COUNT_FLAGS = {"--samples", "--net-size"}
+SCRIPT_COUNT_FLAGS = {"--trials", "--k-blocks", "--samples", "--net-size"}
 
 
 def numeric_flags(script):
@@ -93,28 +95,71 @@ def script_main(script):
     return module.main
 
 
-@pytest.mark.parametrize("script, flag, value", [
-    pytest.param(script, flag, value, id=f"{script.removesuffix('.py')} {flag} {value}")
-    for script in SCRIPT_BASES for flag in numeric_flags(script)
+# the workflows of the retired scripts run_pfc_distinguisher.py and
+# bounds_table.py, by the script's name: the small `prulab` command lines
+# of README's replacement for each, and the numeric flags the script had
+# that those commands keep (bounds_table.py's --t-mult is gone, as README
+# gives t itself: 4 d^2 ln 4 = 88.7 at d = 4)
+RETIRED_SCRIPT_LINES = {
+    "run_pfc_distinguisher": ["pfc-distinguish --n 2 --trials 1 --k-blocks 2 --seed 1"],
+    "bounds_table": ["bounds prior-support --d 4 --sweep-t 89 --log --format csv",
+                     "bounds improved-support --d 4 --sweep-t 89 --log --format csv"],
+}
+RETIRED_SCRIPT_FLAGS = {
+    "run_pfc_distinguisher": ["--n", "--trials", "--k-blocks", "--seed"],
+    "bounds_table": ["--d", "--delta", "--c-design"],
+}
+
+
+def declares(line, flag):
+    """Whether the `prulab` command that ``line`` names declares ``flag``."""
+    parser = build_parser()
+    for word in shlex.split(line):
+        if word.startswith("-"):
+            break
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[word]
+    return flag in parser._option_string_actions
+
+
+def workflow_runs(name, flag, value):
+    """The argv and main of each run of workflow ``name`` with ``flag value``
+    appended: the script's own, or each replacement line that declares
+    ``flag``."""
+    if name in RETIRED_SCRIPT_LINES:
+        lines = [line for line in RETIRED_SCRIPT_LINES[name] if declares(line, flag)]
+        assert lines, (name, flag)
+        return [([*shlex.split(line), flag, value], prulab_main) for line in lines]
+    script = f"{name}.py"
+    main = script_main(script)
+    return [([*shlex.split(SCRIPT_BASES[script]), flag, value],
+             lambda argv: exit_code(lambda: main(argv)))]
+
+
+@pytest.mark.parametrize("name, flag, value", [
+    pytest.param(name, flag, value, id=f"{name} {flag} {value}")
+    for name, flags in [
+        *((script.removesuffix(".py"), numeric_flags(script)) for script in SCRIPT_BASES),
+        *RETIRED_SCRIPT_FLAGS.items()]
+    for flag in flags
     for value in (FUZZ_COUNTS if flag in SCRIPT_COUNT_FLAGS else FUZZ_VALUES)])
-def test_every_numeric_flag_keeps_the_exit_contract(script, flag, value, capsys):
+def test_every_numeric_flag_keeps_the_exit_contract(name, flag, value, capsys):
     """Each value of FUZZ_VALUES (or FUZZ_COUNTS) on each numeric flag of a
     small valid command line ends in exit 0, 1 or 2, never in an exception
     out of main, and exit 1 prints an error: line.  A flag given twice keeps
     its last value, this one.  A 1 MiB budget bounds every allocation the
-    script charges."""
-    argv = [*shlex.split(SCRIPT_BASES[script]), flag, value]
-    main = script_main(script)
-    budget = memory_budget_bytes()
-    set_memory_budget_bytes(1 << 20)
-    try:
-        code = exit_code(lambda: main(argv))
-    finally:
-        set_memory_budget_bytes(budget)
-    err = capsys.readouterr().err
-    assert code in (0, 1, 2), argv
-    if code == 1:
-        assert err.startswith("error: "), (argv, err)
+    workflow charges."""
+    for argv, main in workflow_runs(name, flag, value):
+        budget = memory_budget_bytes()
+        set_memory_budget_bytes(1 << 20)
+        try:
+            code = main(argv)
+        finally:
+            set_memory_budget_bytes(budget)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert err.startswith("error: "), (argv, err)
 
 
 def test_numeric_flags_are_found():
