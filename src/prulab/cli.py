@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from prulab.bounds import D_LIMIT, KAPPA_LIMIT
-from prulab.ensembles import REFERENCE_DESIGNS, reference_design
+from prulab.ensembles import REFERENCE_DESIGNS, EnsembleSpec, reference_design
 from prulab.linalg import (
     PropertyViolationError,
     RandomSeed,
@@ -142,7 +142,8 @@ def build_parser() -> _Parser:
     _add_output(p)
     _add_seed(p)
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--net-file", type=str, help="net manifest JSON")
+    g.add_argument("--ensemble-file", type=str,
+                   help="ensemble manifest JSON; its unitaries are the net")
     g.add_argument("--haar-net-size", type=_COUNT,
                    help="instead of a file: sample this many Haar elements")
     p.add_argument("--dim", type=_COUNT, default=None, help="dimension for --haar-net-size")
@@ -152,6 +153,9 @@ def build_parser() -> _Parser:
                    help="comma list of eps values, in place of --eps; "
                         "with --format csv, one row per value")
     p.add_argument("--samples", type=_COUNT, required=True)
+    p.add_argument("--check-products", action="store_true",
+                   help="also report the worst pair-cover distance over 100 fresh Haar "
+                        "draws per radius")
 
     p = sub.add_parser("truncate-diag", help="verify diagonal-truncation distance bounds")
     _add_output(p)
@@ -249,12 +253,15 @@ def _cmd_pfc_distinguish(args) -> None:
     _emit(args, config, report_dict(rep))
 
 
-def _cmd_design_distance(args) -> None:
+def _load_ensemble(path: str):
     from prulab.serialize import ensemble_from_json_dict, load_json
 
+    return ensemble_from_json_dict(load_json(path), Path(path).parent)
+
+
+def _cmd_design_distance(args) -> None:
     if args.ensemble_file is not None:
-        ens = ensemble_from_json_dict(load_json(args.ensemble_file),
-                                      Path(args.ensemble_file).parent)
+        ens = _load_ensemble(args.ensemble_file)
     else:
         ens = reference_design(args.ensemble)
     rep = diamond_design_bounds(ens, args.t)
@@ -264,23 +271,35 @@ def _cmd_design_distance(args) -> None:
 
 
 def _cmd_net_coverage(args) -> None:
-    from prulab.nets import NetSpec, exposure_estimate
-    from prulab.serialize import load_json, net_from_json_dict
+    """Exposure at each radius: the net is seed.child(999)'s Haar sample or
+    the unitaries of an ensemble file, and row i's draws come from
+    seed.child(i).  --check-products adds the worst best-pair cover over
+    100 Haar draws per row, taken in row order from the base seed's own
+    generator, which neither of those uses."""
+    from prulab.linalg import haar_unitary_rng
+    from prulab.nets import cover_with_product, exposure_estimate
 
     if (args.dim is None) != (args.haar_net_size is None):
-        raise ValueError("argument --dim: not allowed with argument --net-file, "
+        raise ValueError("argument --dim: not allowed with argument --ensemble-file, "
                          "and required with argument --haar-net-size")
     seed = RandomSeed(args.seed, args.stream)
-    if args.net_file is not None:
-        net = net_from_json_dict(load_json(args.net_file), Path(args.net_file).parent)
+    if args.ensemble_file is not None:
+        net = _load_ensemble(args.ensemble_file)
     else:
-        net = NetSpec.haar_sample(args.dim, args.haar_net_size, seed.child(999))
+        net = EnsembleSpec.haar_sample(args.dim, args.haar_net_size, seed.child(999))
     eps_list = args.sweep_eps if args.sweep_eps is not None else [args.eps]
     rows = [report_dict(exposure_estimate(net, eps, args.samples, seed.child(i)))
             for i, eps in enumerate(eps_list)]
     config = {"command": "net-coverage", "eps": eps_list, "samples": args.samples,
-              "net": args.net_file or f"haar({args.dim},{args.haar_net_size})",
+              "net": args.ensemble_file or f"haar({args.dim},{args.haar_net_size})",
               "seed": [args.seed, args.stream]}
+    if args.check_products:
+        config["check_products"] = True
+        rng = seed.generator()
+        for row in rows:
+            row["worst_pair_cover"] = max(
+                cover_with_product(haar_unitary_rng(net.dim, rng), net)[2] for _ in range(100))
+            row["two_eps"] = 2 * row["epsilon"]
     _emit(args, config, rows if args.sweep_eps is not None else rows[0])
 
 
@@ -373,36 +392,27 @@ _DISPATCH = {
 }
 
 
-def exit_code(run) -> int:
-    """Call ``run()`` under the exit-code contract: 0 when it returns, 1 with
+def main(argv: list[str] | None = None) -> int:
+    """Run a command under the exit-code contract: 0 when it returns, 1 with
     ``error: ...`` on a usage or resource error (a failed allocation
     among them), 2 with ``property violation: ...`` on a failed property
-    check; scripts/coverage_sweep.py shares it."""
+    check."""
+    budget = memory_budget_bytes()
     try:
-        run()
+        args = build_parser().parse_args(argv)
+        # bounds allocates nothing under ensure_budget, so it has no --mem-budget
+        if getattr(args, "mem_budget", None) is not None:
+            set_memory_budget_bytes(int(args.mem_budget * (1 << 30)))
+        _DISPATCH[args.command](args)
     except PropertyViolationError as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 2
     except (ResourceLimitError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    budget = memory_budget_bytes()
-
-    def run() -> None:
-        args = build_parser().parse_args(argv)
-        # bounds allocates nothing under ensure_budget, so it has no --mem-budget
-        if getattr(args, "mem_budget", None) is not None:
-            set_memory_budget_bytes(int(args.mem_budget * (1 << 30)))
-        _DISPATCH[args.command](args)
-
-    try:
-        return exit_code(run)
     finally:
         set_memory_budget_bytes(budget)
+    return 0
 
 
 if __name__ == "__main__":

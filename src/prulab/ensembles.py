@@ -1,8 +1,9 @@
 """Unitary ensemble generators.
 
 The permutation/phase/Clifford product ensemble, the Polya-urn sampler
-behind the Haar-state measurement oracle, and the exact single-qubit
-Pauli and Clifford designs, read off Clifford tableaus.
+behind the Haar-state measurement oracle, finite ensembles (a Haar-sampled
+one is the usual net of `prulab.nets`), and the exact single-qubit Pauli
+and Clifford designs, read off Clifford tableaus.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from prulab.linalg import RandomSeed, ensure_budget
+from prulab.linalg import RandomSeed, ensure_budget, haar_unitary_rng
 from prulab.stabilizer import (
     Tableau,
     clifford_tableau,
@@ -132,8 +133,9 @@ REFERENCE_DESIGNS = ("pauli-1", "clifford-1")
 @dataclass
 class EnsembleSpec:
     """A finite distribution over U(d): unitaries, held as one C-contiguous
-    (m, dim, dim) complex array (the caller's own when it already is one,
-    as in NetSpec), with weights (default uniform)."""
+    (m, dim, dim) complex array (the caller's own when it already is one),
+    with weights (default uniform).  A net is an ensemble whose weights
+    nothing reads: `prulab.nets` covers with its unitaries alone."""
 
     dim: int
     unitaries: np.ndarray
@@ -160,6 +162,17 @@ class EnsembleSpec:
 
     def __len__(self) -> int:
         return len(self.unitaries)
+
+    @classmethod
+    def haar_sample(cls, dim: int, size: int, seed: RandomSeed) -> "EnsembleSpec":
+        """``size`` Haar unitaries drawn in turn from the seed's generator,
+        written in place into the (size, dim, dim) array charged here."""
+        ensure_budget(16 * size * dim * dim, "Haar net")
+        rng = seed.generator()
+        net = np.empty((size, dim, dim), dtype=complex)
+        for u in net:
+            u[...] = haar_unitary_rng(dim, rng)
+        return cls(dim, net)
 
 
 def reference_design(name: str) -> EnsembleSpec:

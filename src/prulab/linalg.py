@@ -95,11 +95,14 @@ def haar_unitary(d: int, seed: RandomSeed) -> np.ndarray:
 
 
 def haar_unitary_rng(d: int, rng: np.random.Generator) -> np.ndarray:
-    # four d x d complex arrays at most, one bool and d Householder scalars:
-    # at the QR's end the Ginibre matrix, numpy's working copy of it and its
-    # scalars, Q, and R as np.triu builds it under a bool mask; then the
-    # Ginibre matrix, Q, R and the phase-fixed product
-    ensure_budget(16 * d * (4 * d + 1) + d * d, "Haar sample")
+    # four d x d complex arrays at most, and the larger of two extras: at the
+    # QR's end the Ginibre matrix, numpy's working copy of it, Q, and R as
+    # np.triu builds it, with the d Householder scalars and a d x d bool mask;
+    # then the Ginibre matrix, Q, R and the phase-fixed product, which numpy
+    # computes through an iteration buffer of min(d^2, np.getbufsize())
+    # complex entries (128 KiB from d = 91 up, at numpy's default 8192)
+    ensure_budget(16 * d * (4 * d + 1) + max(d * d, 16 * min(d * d, np.getbufsize())),
+                  "Haar sample")
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)

@@ -1,7 +1,8 @@
 """Epsilon-net coverage estimation over the unitary group.
 
 Monte Carlo exposure estimates in diamond distance and exact product
-covering.
+covering.  A net is an `EnsembleSpec`: these functions read its ``dim``
+and ``unitaries``, never its weights.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from prulab.ensembles import EnsembleSpec
 from prulab.linalg import (
     RandomSeed,
     diamond_distance_batch,
@@ -33,38 +35,8 @@ _PAIR_BLOCK_ROWS = 32
 _RANK_SLACK = 1e-8
 
 
-@dataclass
-class NetSpec:
-    """A finite set of same-dimension unitaries treated as a candidate net.
-
-    Built from any sequence of (dim, dim) matrices; ``unitaries`` holds
-    them as one C-contiguous (m, dim, dim) complex array, which is the
-    caller's own array, not a copy, when it already is one.
-    """
-
-    dim: int
-    unitaries: np.ndarray
-
-    def __post_init__(self):
-        if len(self.unitaries) == 0:
-            raise ValueError("a net must be nonempty")
-        if any(np.shape(u) != (self.dim, self.dim) for u in self.unitaries):
-            raise ValueError("net element dimension mismatch")
-        self.unitaries = np.ascontiguousarray(self.unitaries, dtype=complex)
-
-    def __len__(self) -> int:
-        return len(self.unitaries)
-
-    @classmethod
-    def haar_sample(cls, dim: int, size: int, seed: RandomSeed) -> "NetSpec":
-        """``size`` Haar unitaries drawn in turn from the seed's generator,
-        written in place into the (size, dim, dim) array charged here."""
-        ensure_budget(16 * size * dim * dim, "Haar net")
-        rng = seed.generator()
-        net = np.empty((size, dim, dim), dtype=complex)
-        for u in net:
-            u[...] = haar_unitary_rng(dim, rng)
-        return cls(dim, net)
+#: the name perfbench/workloads.py builds its net by; the net is an EnsembleSpec
+NetSpec = EnsembleSpec
 
 
 @dataclass
@@ -87,7 +59,7 @@ def _distances_to_net(u: np.ndarray, stacked: np.ndarray) -> np.ndarray:
     return diamond_distance_batch(ws)
 
 
-def min_diamond_distance(u: np.ndarray, net: NetSpec) -> tuple[float, int]:
+def min_diamond_distance(u: np.ndarray, net: EnsembleSpec) -> tuple[float, int]:
     """Minimum diamond distance from u to the net, with the argmin index
     (lowest index on ties)."""
     if u.shape != (net.dim, net.dim):
@@ -97,7 +69,7 @@ def min_diamond_distance(u: np.ndarray, net: NetSpec) -> tuple[float, int]:
     return float(dists[i]), i
 
 
-def exposure_estimate(net: NetSpec, eps: float, samples: int,
+def exposure_estimate(net: EnsembleSpec, eps: float, samples: int,
                       seed: RandomSeed) -> CoverageReport:
     """Fraction of Haar-sampled unitaries at distance > eps from the net.
 
@@ -134,7 +106,7 @@ def _chord(rank: float) -> float:
     return math.sqrt(max(2.0 - 2.0 * math.sqrt(max(1.0 - rank / 4.0, 0.0)), 0.0))
 
 
-def _product_cover_d2(u: np.ndarray, net: NetSpec) -> tuple[np.ndarray, np.ndarray, float]:
+def _product_cover_d2(u: np.ndarray, net: EnsembleSpec) -> tuple[np.ndarray, np.ndarray, float]:
     """The d = 2 branch of cover_with_product: a nearest-pair search over
     unit quaternions, whose best few pairs are re-ranked by their
     pair-trace entries."""
@@ -204,7 +176,7 @@ def _product_cover_d2(u: np.ndarray, net: NetSpec) -> tuple[np.ndarray, np.ndarr
     return stacked[iis[k]], stacked[js[k]], math.sqrt(max(float(ranks[k]), 0.0))
 
 
-def cover_with_product(u: np.ndarray, net: NetSpec) -> tuple[np.ndarray, np.ndarray, float]:
+def cover_with_product(u: np.ndarray, net: EnsembleSpec) -> tuple[np.ndarray, np.ndarray, float]:
     """Best two-element product cover of u: minimize dist(V1 V2^dag, u).
 
     Exact over all |net|^2 ordered pairs, ties going to the first pair in

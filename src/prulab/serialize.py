@@ -1,9 +1,9 @@
-"""File formats: loaders of matrices, ensembles, nets and circuits.
+"""File formats: loaders of matrices, ensembles (a net among them) and circuits.
 
 JSON matrices are arrays of rows of [re, im] pairs; the optional binary
 format is raw little-endian float64, row-major, re/im interleaved.
-Loading an ensemble, a net or a circuit rejects a matrix that is not
-unitary to within `UNITARY_TOL`.  The commands only read these files;
+Loading an ensemble or a circuit rejects a matrix that is not unitary to
+within `UNITARY_TOL`.  The commands only read these files;
 the writers that build test files live in tests/helpers.py.
 """
 
@@ -16,7 +16,6 @@ import numpy as np
 
 from prulab.ensembles import EnsembleSpec
 from prulab.linalg import UNITARY_TOL, unitarity_error
-from prulab.nets import NetSpec
 from prulab.truncation import DiagonalOracleCircuit, DiagonalPhase
 
 
@@ -117,14 +116,6 @@ def ensemble_from_json_dict(d: dict, base: Path | None = None) -> EnsembleSpec:
     ens = EnsembleSpec(dim, us, weights)
     _check_unitary(enumerate(ens.unitaries), "ensemble element")
     return ens
-
-
-def net_from_json_dict(d: dict, base: Path | None = None) -> NetSpec:
-    _expect(d, dict, "net manifest")
-    dim = _dim(d, "net manifest")
-    net = NetSpec(dim, _manifest_matrices(d, dim, base))
-    _check_unitary(enumerate(net.unitaries), "net element")
-    return net
 
 
 def circuit_from_json_dict(d: dict) -> DiagonalOracleCircuit:

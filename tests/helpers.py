@@ -58,7 +58,8 @@ diamond distance of one truncated diagonal, the 2->2 distance with the
 multiplicativity check of composed symmetric ensembles, net composition
 and dagger closure, and the tomography-based net-membership test.  The
 manifest writers (`dump_json` and the `*_to_json_dict` forms) build test
-files and are the round-trip oracles of the loaders in `prulab.serialize`.
+files and are the round-trip oracles of the loaders in `prulab.serialize`;
+`readme_commands` reads README's `prulab` lines for the CLI tests.
 
 The memory contract of an entry point (its measured peak at or under the
 largest charge it makes with ``ensure_budget``) is read by one tool,
@@ -73,6 +74,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import shlex
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,7 +99,7 @@ from prulab.moments import (
     is_symmetric_ensemble,
     moment_operator,
 )
-from prulab.nets import NetSpec, min_diamond_distance
+from prulab.nets import min_diamond_distance
 from prulab.stabilizer import (
     AffineSupport,
     Tableau,
@@ -310,7 +312,7 @@ def prior_support_bound_exact(d: int, t: int, delta: Fraction) -> Fraction:
     return max(b1, b2)
 
 
-#: the values the exit-contract fuzz tests of the CLI and the scripts give a
+#: the values the exit-contract fuzz tests of the CLI give a
 #: numeric flag: small and boundary integers, fractions, the float
 #: extremes (largest, near-largest, subnormal, smallest subnormal) and the
 #: non-finite
@@ -320,6 +322,13 @@ FUZZ_VALUES = [*map(str, FUZZ_NUMBERS), "nan", "inf"]
 #: the values of a flag each of whose units is a draw: small counts keep an
 #: example cheap
 FUZZ_COUNTS = ["-1", "0", "1", "2"]
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each `prulab` line in README's CLI block, continuations joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("prulab ")]
 
 
 #: significant digits of the mpmath bound oracles below, each fed the exact
@@ -1048,23 +1057,24 @@ def symmetric_composition_check(ens: EnsembleSpec, m: int, t: int) -> Compositio
     return CompositionReport(m, lam, lam_m, target, up1, upm)
 
 
-def compose_nets(n1: NetSpec, n2: NetSpec) -> NetSpec:
+def compose_nets(n1: EnsembleSpec, n2: EnsembleSpec) -> EnsembleSpec:
     """All products V1 V2^dag (|n1| |n2| elements, before deduplication),
     V1 = n1[i] and V2 = n2[j] at index i |n2| + j."""
     if n1.dim != n2.dim:
         raise ValueError("dimension mismatch")
     d = n1.dim
-    # the products, which NetSpec keeps without a copy, n2's daggers, and
-    # one more |n2| stack of headroom for the Python objects made on the way
-    ensure_budget(16 * d * d * (len(n1) + 2) * len(n2), "net composition")
+    # the products, which EnsembleSpec keeps without a copy, n2's daggers, and
+    # one more |n2| stack of headroom for the Python objects made on the way;
+    # then the products' uniform weights and the two bool masks of their check
+    ensure_budget((16 * d * d * (len(n1) + 2) + 10 * len(n1)) * len(n2), "net composition")
     daggers = n2.unitaries.conj().transpose(0, 2, 1)
     out = np.matmul(n1.unitaries[:, None], daggers[None]).reshape(-1, d, d)
-    return NetSpec(d, out)
+    return EnsembleSpec(d, out)
 
 
-def dagger_net(net: NetSpec) -> NetSpec:
+def dagger_net(net: EnsembleSpec) -> EnsembleSpec:
     """Elementwise Hermitian conjugates; exposure-preserving."""
-    return NetSpec(net.dim, net.unitaries.conj().transpose(0, 2, 1))
+    return EnsembleSpec(net.dim, net.unitaries.conj().transpose(0, 2, 1))
 
 
 def net_membership_distinguisher(oracle, net, eps: float, eta0: float,
@@ -1098,10 +1108,6 @@ def ensemble_to_json_dict(ens: EnsembleSpec) -> dict:
         "weights": [float(w) for w in ens.weights],
         "matrices": [matrix_to_json(u) for u in ens.unitaries],
     }
-
-
-def net_to_json_dict(net: NetSpec) -> dict:
-    return {"dim": net.dim, "matrices": [matrix_to_json(u) for u in net.unitaries]}
 
 
 def circuit_to_json_dict(c: DiagonalOracleCircuit) -> dict:

@@ -30,10 +30,10 @@ from prulab.distinguisher import (
     blocked_collision_counts,
     pfc_distinguish_experiment,
 )
-from prulab.ensembles import reference_design
+from prulab.ensembles import EnsembleSpec, reference_design
 from prulab.linalg import RandomSeed, diamond_distance_unitaries, haar_unitary
 from prulab.moments import haar_moment_operator, moment_operator
-from prulab.nets import NetSpec, cover_with_product, exposure_estimate
+from prulab.nets import cover_with_product, exposure_estimate
 from prulab.stabilizer import full_support_probability, measurement_support, random_clifford_rng
 from prulab.tomography import ChannelOracle, naive_process_tomography, planned_queries
 from prulab.truncation import DiagonalOracleCircuit, circuit_truncation_bound
@@ -175,7 +175,7 @@ def test_c6_truncation_theorem():
 
 def test_c7_relaxed_net_composition():
     d, net_size = 2, 2000
-    net = NetSpec.haar_sample(d, net_size, RandomSeed(9300))
+    net = EnsembleSpec.haar_sample(d, net_size, RandomSeed(9300))
     # tune eps to put the exposure mid-range, then measure it afresh
     tune_seed = RandomSeed(9301)
     dists = []

@@ -33,8 +33,8 @@ from helpers import (
     mp_log_net_size_lower_bound,
     mp_log_prior_support_bound,
     mp_rom_input_length_bounds,
-    net_to_json_dict,
     random_phase,
+    readme_commands,
     save_matrix_bin,
 )
 from prulab import cli
@@ -46,7 +46,6 @@ from prulab.serialize import (
     ensemble_from_json_dict,
     load_matrix_bin,
     matrix_from_json,
-    net_from_json_dict,
 )
 from prulab.truncation import DiagonalOracleCircuit
 
@@ -69,20 +68,14 @@ class TestSerialization:
             load_matrix_bin(path, 3)
 
     def test_ensemble_manifest_round_trip(self):
-        from prulab.ensembles import reference_design
+        # a design and a Haar net, which a manifest holds alike
+        from prulab.ensembles import EnsembleSpec, reference_design
 
-        ens = reference_design("pauli-1")
-        back = ensemble_from_json_dict(ensemble_to_json_dict(ens))
-        assert back.dim == 2 and len(back) == 4
-        for a, b in zip(ens.unitaries, back.unitaries):
-            assert np.array_equal(a, b)
-
-    def test_net_manifest_round_trip(self):
-        from prulab.nets import NetSpec
-
-        net = NetSpec.haar_sample(2, 5, RandomSeed(4))
-        back = net_from_json_dict(net_to_json_dict(net))
-        assert len(back) == 5
+        for ens in (reference_design("pauli-1"), EnsembleSpec.haar_sample(2, 5, RandomSeed(4))):
+            back = ensemble_from_json_dict(ensemble_to_json_dict(ens))
+            assert back.dim == 2 and len(back) == len(ens)
+            assert np.array_equal(back.unitaries, ens.unitaries)
+            assert np.array_equal(back.weights, ens.weights)
 
     def test_circuit_manifest_round_trip(self):
         from prulab.truncation import DiagonalOracleCircuit
@@ -105,13 +98,6 @@ def strict_json(text):
 
 EYE_2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 TWICE_EYE_2 = [[[2, 0], [0, 0]], [[0, 0], [2, 0]]]
-
-
-def readme_commands():
-    """The argv of each `prulab` line in README's CLI block, continuations joined."""
-    text = (Path(__file__).parents[1] / "README.md").read_text()
-    block = text.split("## CLI", 1)[1].split("```")[1].replace("\\\n", " ")
-    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("prulab ")]
 
 
 def leaf_parsers(parser, command=None):
@@ -149,7 +135,7 @@ FLAG_VALUES = {"--t": "3", "--sweep-t": "1,2", "--delta": "0", "--eps": "0.5", "
                "--poly-budget": "2", "--seed": "1", "--stream": "2", "--mem-budget": "1",
                "--estimator": "median", "--haar-net-size": "3", "--dim": "2", "--sweep-eps": "0.5"}
 # the base command line of a command or formula (net-coverage's gets a
-# --net-file), and flags it reads, but never together with one that line gives
+# --ensemble-file), and flags it reads, but never together with one that line gives
 EXCLUSIVE_FLAGS = {
     "net-coverage --eps 0.5 --samples 2 --seed 1": "--haar-net-size --dim --sweep-eps",
     "bounds prior-support --d 2 --t 1": "--sweep-t",
@@ -222,14 +208,14 @@ class TestCli:
         elsewhere = tmp_path / "elsewhere"
         elsewhere.mkdir()
         monkeypatch.chdir(elsewhere)
-        code, out, err = run_cli(["net-coverage", "--net-file", str(tmp_path / "net.json"),
+        code, out, err = run_cli(["net-coverage", "--ensemble-file", str(tmp_path / "net.json"),
                                   "--eps", "2.0", "--samples", "40", "--seed", "5"], capsys)
         assert code == 0, err
         assert json.loads(out)["result"]["eta_hat"] == 0.0
 
     @pytest.mark.parametrize("command, manifest, key", [
         (["design-distance", "--t", "1", "--ensemble-file"], {"matrices": []}, "'dim'"),
-        (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1", "--net-file"],
+        (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1", "--ensemble-file"],
          {"matrices": []}, "'dim'"),
         (["truncate-diag", "--k", "4", "--circuit-file"],
          {"n": 1, "m": 1, "oracles": [[0.0, 0.5]]}, "'sequence'"),
@@ -250,9 +236,9 @@ class TestCli:
         (["design-distance", "--t", "1", "--ensemble-file"],
          {"dim": 2, "matrices": [EYE_2, TWICE_EYE_2]},
          "ensemble element 1 is not unitary: max |U U^dag - I| is 3"),
-        (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1", "--net-file"],
+        (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1", "--ensemble-file"],
          {"dim": 2, "matrices": [EYE_2, TWICE_EYE_2]},
-         "net element 1 is not unitary: max |U U^dag - I| is 3"),
+         "ensemble element 1 is not unitary: max |U U^dag - I| is 3"),
         (["truncate-diag", "--k", "4", "--circuit-file"],
          {"n": 1, "m": 1, "oracles": [[0.0, 0.5]],
           "sequence": [{"oracle": 0}, {"fixed": TWICE_EYE_2}]},
@@ -265,8 +251,8 @@ class TestCli:
          "weight 0 is nan, not a finite number"),
         (["design-distance", "--t", "1", "--ensemble-file"], 5,
          "ensemble manifest must be an object, got 5"),
-        (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1", "--net-file"], 5,
-         "net manifest must be an object, got 5"),
+        (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1", "--ensemble-file"], 5,
+         "ensemble manifest must be an object, got 5"),
         (["truncate-diag", "--k", "4", "--circuit-file"], 5, "circuit must be an object, got 5"),
         (["design-distance", "--t", "1", "--ensemble-file"], {"dim": [2], "matrices": [EYE_2]},
          "ensemble manifest dim must be an integer, got [2]"),
@@ -300,10 +286,14 @@ class TestCli:
         (["design-distance", "--t", "1", "--ensemble-file"],
          {"dim": -1, "matrix_files": ["a.bin"]},
          "ensemble manifest dim must be at least 1, got -1"),
-        (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1", "--net-file"],
-         {"dim": -1, "matrix_files": ["a.bin"]}, "net manifest dim must be at least 1, got -1"),
-        (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1", "--net-file"],
-         {"dim": 0, "matrix_files": ["a.bin"]}, "net manifest dim must be at least 1, got 0"),
+        (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1", "--ensemble-file"],
+         {"dim": -1, "matrix_files": ["a.bin"]},
+         "ensemble manifest dim must be at least 1, got -1"),
+        (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1", "--ensemble-file"],
+         {"dim": 0, "matrix_files": ["a.bin"]}, "ensemble manifest dim must be at least 1, got 0"),
+        (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1", "--ensemble-file"],
+         {"dim": 2, "weights": [0.5, 0.25], "matrices": [EYE_2, EYE_2]},
+         "weights must be nonnegative and sum to 1, got sum 0.75"),
     ], ids=["ensemble-no-dim", "net-no-dim", "circuit-no-sequence", "matrix-row-of-numbers",
             "matrix-entry-not-numeric", "circuit-fixed-of-numbers", "ensemble-matrix-ragged",
             "circuit-fixed-ragged", "ensemble-not-unitary",
@@ -313,7 +303,7 @@ class TestCli:
             "ensemble-weights-string", "circuit-sequence-item-number", "circuit-oracles-null",
             "circuit-m-list", "circuit-n-negative", "circuit-oracle-string",
             "circuit-phase-string", "ensemble-dim-negative", "net-dim-negative",
-            "net-dim-zero"])
+            "net-dim-zero", "net-weights-sum"])
     def test_manifest_missing_key_is_a_usage_error(self, command, manifest, key, tmp_path,
                                                    capsys):
         # a.bin holds two float64s, one complex entry, for the matrix_files rows
@@ -327,9 +317,9 @@ class TestCli:
     @pytest.mark.parametrize("command, manifest, key", [
         (["design-distance", "--t", "1", "--ensemble-file"],
          {"dim": 2, "matrices": [[[[1e300, 0], [0, 0]], [[0, 0], [1, 0]]]]}, "ensemble element 0"),
-        (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1", "--net-file"],
+        (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1", "--ensemble-file"],
          {"dim": 2, "matrices": [EYE_2, [[[1e300, 0], [0, 0]], [[0, 0], [1e300, 0]]]]},
-         "net element 1"),
+         "ensemble element 1"),
         (["truncate-diag", "--k", "4", "--circuit-file"],
          {"n": 1, "m": 1, "oracles": [[0.0, 0.5]],
           "sequence": [{"oracle": 0}, {"fixed": [[[1e300, 1e300], [0, 0]], [[0, 0], [1, 0]]]}]},
@@ -348,12 +338,12 @@ class TestCli:
         assert err.startswith(f"error: {key} is not unitary: max |U U^dag - I| is ")
 
     def test_net_coverage_single_element_diameter(self, tmp_path, capsys):
-        from prulab.nets import NetSpec
+        from prulab.ensembles import EnsembleSpec
 
         net_file = tmp_path / "net.json"
-        dump_json(net_file, net_to_json_dict(NetSpec(2, [np.eye(2, dtype=complex)])))
+        dump_json(net_file, ensemble_to_json_dict(EnsembleSpec(2, [np.eye(2, dtype=complex)])))
         code, out, _ = run_cli(
-            ["net-coverage", "--net-file", str(net_file), "--eps", "2.0",
+            ["net-coverage", "--ensemble-file", str(net_file), "--eps", "2.0",
              "--samples", "40", "--seed", "5"], capsys)
         assert code == 0
         assert json.loads(out)["result"]["eta_hat"] == 0.0
@@ -423,7 +413,7 @@ class TestCli:
         # every command accepted the output, budget and seed flags, and every
         # bounds formula all 20 bounds flags, whether it read them or not; and
         # net-coverage and bounds ignored one flag of a pair they read
-        from prulab.nets import NetSpec
+        from prulab.ensembles import EnsembleSpec
 
         argv = shlex.split(base) + [flag] + ([] if flag == "--log" else [FLAG_VALUES[flag]])
         if argv[0] == "truncate-diag":
@@ -431,8 +421,9 @@ class TestCli:
                 1, 1, [random_phase(1, RandomSeed(7).generator())], [("oracle", 0)])))
             argv += ["--circuit-file", str(tmp_path / "c.json")]
         if argv[0] == "net-coverage":
-            dump_json(tmp_path / "n.json", net_to_json_dict(NetSpec(2, [np.eye(2, dtype=complex)])))
-            argv[1:1] = ["--net-file", str(tmp_path / "n.json")]
+            dump_json(tmp_path / "n.json",
+                      ensemble_to_json_dict(EnsembleSpec(2, [np.eye(2, dtype=complex)])))
+            argv[1:1] = ["--ensemble-file", str(tmp_path / "n.json")]
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (1, ""), err
         assert err.startswith(f"error: {message}")
@@ -465,7 +456,7 @@ class TestCli:
         (["design-distance", "--ensemble", "bogus", "--t", "1"],
          "argument --ensemble: invalid choice: 'bogus'"),
         (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1"],
-         "one of the arguments --net-file --haar-net-size is required"),
+         "one of the arguments --ensemble-file --haar-net-size is required"),
         (["bounds", "prior-support", "--d", "2"], "one of the arguments --t --sweep-t is required"),
         (["bounds", "trivial-rompru", "--d", "4"], "--kappa"),
         (["design-distance", "--ensemble", "pauli-1", "--t", "1", "--mem-budget", "0"],
@@ -604,6 +595,9 @@ class TestCli:
         (["net-coverage", "--haar-net-size", "2000", "--dim", "16", "--eps", "0.5",
           "--samples", "2", "--seed", "1", "--mem-budget", "0.001"],
          "Haar net needs 8.19e+06 bytes, budget is 1073741"),
+        (["net-coverage", "--net-file", "net.json", "--haar-net-size", "2", "--dim", "2",
+          "--eps", "0.5", "--samples", "2", "--seed", "1"],
+         "unrecognized arguments: --net-file net.json"),
     ], ids=["n-out-of-range", "no-ensemble", "both-ensembles", "unknown-ensemble",
             "no-net", "no-t", "no-kappa", "zero-mem-budget", "negative-mem-budget",
             "net-size-no-eps", "scalable-check-no-q", "fractional-t", "fractional-sweep-t",
@@ -631,7 +625,7 @@ class TestCli:
             "tomo-count-overflow", "tomo-subnormal-eta", "net-size-negative-eps",
             "net-size-c-diamond-zero", "trivial-rompru-kappa-negative", "improved-support-t-zero",
             "improved-support-c-design-negative", "scalable-check-delta-negative",
-            "haar-net-over-budget"])
+            "haar-net-over-budget", "net-file-is-ensemble-file"])
     def test_usage_error_names_its_cause(self, argv, cause, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1
@@ -785,13 +779,10 @@ class TestCli:
             build_parser().parse_args(argv)
 
     def test_readme_lists_each_workflow_once(self):
-        # the "Experiment scripts" block names each script under scripts/
-        # once, and only those; no prulab line of the CLI block repeats
-        root = Path(__file__).parents[1]
-        text = (root / "README.md").read_text()
-        block = text.split("## Experiment scripts", 1)[1].split("```")[1]
-        named = re.findall(r"\bscripts/([\w.-]+)", block)
-        assert sorted(named) == sorted(p.name for p in (root / "scripts").glob("*.py"))
+        # each workflow is a prulab command: README names no script, and no
+        # prulab line of the CLI block repeats
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        assert re.findall(r"\bscripts/", text) == []
         commands = [tuple(argv) for argv in readme_commands()]
         assert len(set(commands)) == len(commands)
 
@@ -877,6 +868,34 @@ class TestCli:
         code, out, err = run_cli(base + ["--eps", "0.5"], capsys)
         assert code == 0, err
         assert json.loads(out)["result"]["epsilon"] == 0.5
+
+    def test_check_products_adds_the_pair_cover_to_each_row(self, capsys):
+        # the exposure fields are the same command's without the flag; the
+        # product draws are 100 per row, in row order, from the base seed's
+        # own generator
+        from prulab.ensembles import EnsembleSpec
+        from prulab.linalg import haar_unitary_rng
+        from prulab.nets import cover_with_product
+
+        base = ["net-coverage", "--haar-net-size", "5", "--dim", "2", "--samples", "5",
+                "--sweep-eps", "0.5,0.9", "--seed", "1", "--stream", "2"]
+        code, out, err = run_cli(base, capsys)
+        assert code == 0, err
+        plain = json.loads(out)
+        code, out, err = run_cli(base + ["--check-products"], capsys)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["config"] == {**plain["config"], "check_products": True}
+        seed = RandomSeed(1, 2)
+        net = EnsembleSpec.haar_sample(2, 5, seed.child(999))
+        rng = seed.generator()
+        for row, want in zip(report["result"]["rows"], plain["result"]["rows"], strict=True):
+            worst = max(cover_with_product(haar_unitary_rng(2, rng), net)[2] for _ in range(100))
+            assert row == {**want, "worst_pair_cover": worst, "two_eps": 2 * want["epsilon"]}
+        code, out, err = run_cli(base + ["--check-products", "--format", "csv"], capsys)
+        assert code == 0, err
+        assert out.splitlines()[0] == ("epsilon,eta_hat,vol_hat,samples,ci_half,"
+                                       "worst_pair_cover,two_eps")
 
     def test_csv_sweep_one_param_per_row(self, capsys):
         code, out, _ = run_cli(
@@ -968,7 +987,7 @@ class TestCli:
 FUZZ_BASES = [
     "pfc-distinguish --n 1 --t 2 --trials 1 --k-blocks 2 --seed 1",
     "design-distance --ensemble-file {ensemble} --t 1",
-    "net-coverage --net-file {net} --eps 0.5 --samples 2 --seed 1",
+    "net-coverage --ensemble-file {net} --eps 0.5 --samples 2 --seed 1",
     "net-coverage --haar-net-size 2 --dim 2 --sweep-eps 0.5 --samples 2 --seed 1",
     "truncate-diag --circuit-file {circuit} --k 4",
     "bounds prior-support --d 2 --t 1",
@@ -986,15 +1005,15 @@ FUZZ_NODES = [None, *FUZZ_NUMBERS, float("nan"), "", "x", [], [0.5, "x"], {}, {"
 
 @functools.cache
 def fuzz_manifests():
-    """A valid ensemble, net and circuit manifest, by the placeholder they fill."""
-    from prulab.ensembles import reference_design
-    from prulab.nets import NetSpec
+    """A valid ensemble, net and circuit manifest, by the placeholder they
+    fill; the net is a Haar-sampled ensemble."""
+    from prulab.ensembles import EnsembleSpec, reference_design
 
     rng = RandomSeed(7).generator()
     hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     return {
         "{ensemble}": ensemble_to_json_dict(reference_design("pauli-1")),
-        "{net}": net_to_json_dict(NetSpec.haar_sample(2, 2, RandomSeed(4))),
+        "{net}": ensemble_to_json_dict(EnsembleSpec.haar_sample(2, 2, RandomSeed(4))),
         "{circuit}": circuit_to_json_dict(DiagonalOracleCircuit(
             1, 1, [random_phase(1, rng)], [("oracle", 0), ("fixed", hadamard)])),
     }

@@ -28,7 +28,7 @@ from prulab.distinguisher import (
     pfc_distinguish_experiment,
     run_collision_distinguisher,
 )
-from prulab.ensembles import PolyaUrnSampler, reference_design, sample_pfc
+from prulab.ensembles import EnsembleSpec, PolyaUrnSampler, reference_design, sample_pfc
 from prulab.linalg import (
     RandomSeed,
     ResourceLimitError,
@@ -37,7 +37,7 @@ from prulab.linalg import (
     memory_budget_bytes,
     set_memory_budget_bytes,
 )
-from prulab.nets import NetSpec, exposure_estimate
+from prulab.nets import exposure_estimate
 from prulab.tomography import ChannelOracle
 from prulab.util import report_dict, wilson_interval
 
@@ -487,14 +487,14 @@ class TestAdvantage:
 
 class TestNetMembership:
     def test_member_accepted(self):
-        net = NetSpec.haar_sample(2, 12, RandomSeed(80))
+        net = EnsembleSpec.haar_sample(2, 12, RandomSeed(80))
         hidden = net.unitaries[4]
         out = net_membership_distinguisher(
             ChannelOracle(hidden), net, eps=0.8, eta0=0.05, seed=RandomSeed(81))
         assert out == 0
 
     def test_far_unitary_flagged(self):
-        net = NetSpec(2, [np.eye(2, dtype=complex)])
+        net = EnsembleSpec(2, [np.eye(2, dtype=complex)])
         hidden = np.diag([1.0, -1.0]).astype(complex)  # distance 2 from identity
         out = net_membership_distinguisher(
             ChannelOracle(hidden), net, eps=0.9, eta0=0.05, seed=RandomSeed(82))
@@ -502,7 +502,7 @@ class TestNetMembership:
 
     def test_acceptance_rate_bracketed_by_exposures(self):
         # rate in [(1-eta0) eta_eps - CI, eta_{eps/3} + eta0 + CI]
-        net = NetSpec.haar_sample(2, 50, RandomSeed(83))
+        net = EnsembleSpec.haar_sample(2, 50, RandomSeed(83))
         eps, eta0 = 0.9, 0.1
         trials = 200
         seed = RandomSeed(84)

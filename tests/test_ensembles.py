@@ -348,6 +348,10 @@ class TestReferenceDesigns:
         assert ens.unitaries.flags.c_contiguous
         assert np.array_equal(ens.unitaries, stack.transpose(0, 2, 1))
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="an ensemble needs unitaries"):
+            EnsembleSpec(2, [])
+
     def test_weights_validation(self):
         with pytest.raises(ValueError):
             EnsembleSpec(2, [np.eye(2)], np.array([0.5]))

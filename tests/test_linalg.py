@@ -48,9 +48,11 @@ class TestHaarUnitary:
         assert is_unitary(haar_unitary(2, RandomSeed(1)))
         assert is_unitary(haar_unitary(7, RandomSeed(2)))
 
-    def test_peak_is_within_its_charge(self, monkeypatch):
-        # at d = 1024 the three d x d arrays charged were a quarter short
-        _, peak, charged = traced_peak(lambda: haar_unitary(1024, RandomSeed(5)), monkeypatch,
+    @pytest.mark.parametrize("d", [64, 256, 1024])
+    def test_peak_is_within_its_charge(self, d, monkeypatch):
+        # at d = 1024 the three d x d arrays charged were a quarter short; at
+        # d = 256 the phase fix's iteration buffer went uncharged
+        _, peak, charged = traced_peak(lambda: haar_unitary(d, RandomSeed(5)), monkeypatch,
                                        linalg)
         assert peak <= max(charged) + (64 << 10)
 

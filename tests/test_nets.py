@@ -1,3 +1,4 @@
+import json
 import math
 
 import helpers
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 from helpers import compose_nets, cover_with_product_unblocked, dagger_net
 
-from prulab import nets
+from prulab import ensembles, nets
 from prulab.bounds import log_net_size_lower_bound
+from prulab.cli import main
+from prulab.ensembles import EnsembleSpec, reference_design
 from prulab.linalg import (
     RandomSeed,
     ResourceLimitError,
@@ -18,16 +21,16 @@ from prulab.linalg import (
     set_memory_budget_bytes,
 )
 from prulab.nets import (
-    NetSpec,
     cover_with_product,
     exposure_estimate,
     min_diamond_distance,
 )
+from prulab.util import report_dict
 
 
 @pytest.fixture(scope="module")
 def small_net():
-    return NetSpec.haar_sample(2, 60, RandomSeed(500))
+    return EnsembleSpec.haar_sample(2, 60, RandomSeed(500))
 
 
 class TestMinDiamondDistance:
@@ -36,19 +39,19 @@ class TestMinDiamondDistance:
         assert d < 1e-6 and i == 13
 
     def test_identity_net_vs_z(self):
-        net = NetSpec(2, [np.eye(2, dtype=complex)])
+        net = EnsembleSpec(2, [np.eye(2, dtype=complex)])
         d, i = min_diamond_distance(np.diag([1.0, -1.0]).astype(complex), net)
         assert d == pytest.approx(2.0) and i == 0
 
     def test_tie_prefers_lowest_index(self):
         u = haar_unitary(2, RandomSeed(1))
-        net = NetSpec(2, [u, u])
+        net = EnsembleSpec(2, [u, u])
         _, i = min_diamond_distance(u, net)
         assert i == 0
 
     def test_exact_match_later_in_net(self):
         u = haar_unitary(2, RandomSeed(2))
-        net = NetSpec(2, [np.eye(2, dtype=complex), u])
+        net = EnsembleSpec(2, [np.eye(2, dtype=complex), u])
         d, i = min_diamond_distance(u, net)
         assert d < 1e-6 and i == 1
 
@@ -57,7 +60,7 @@ class TestMinDiamondDistance:
             min_diamond_distance(np.eye(3), small_net)
 
     def test_matches_scalar_loop_d3(self):
-        net = NetSpec.haar_sample(3, 15, RandomSeed(3))
+        net = EnsembleSpec.haar_sample(3, 15, RandomSeed(3))
         u = haar_unitary(3, RandomSeed(4))
         d, i = min_diamond_distance(u, net)
         scal = [diamond_distance_unitaries(u, v) for v in net.unitaries]
@@ -94,8 +97,8 @@ class TestExposure:
         assert reps[1].eta_hat + slack[1] >= reps[2].eta_hat - slack[2]
 
     def test_monotone_in_net_size(self):
-        big = NetSpec.haar_sample(2, 120, RandomSeed(10))
-        small = NetSpec(2, big.unitaries[:30])
+        big = EnsembleSpec.haar_sample(2, 120, RandomSeed(10))
+        small = EnsembleSpec(2, big.unitaries[:30])
         seed = RandomSeed(11)
         r_small = exposure_estimate(small, 0.8, 250, seed)
         r_big = exposure_estimate(big, 0.8, 250, seed)
@@ -111,41 +114,41 @@ class TestHaarSample:
     def test_net_is_the_list_built_net(self, dim, size, seed):
         rng = RandomSeed(seed).generator()
         want = np.array([haar_unitary_rng(dim, rng) for _ in range(size)])
-        net = NetSpec.haar_sample(dim, size, RandomSeed(seed))
+        net = EnsembleSpec.haar_sample(dim, size, RandomSeed(seed))
         assert net.unitaries.tobytes() == want.tobytes()
 
     def test_net_stays_within_its_charge(self, monkeypatch):
-        # the net once was a list of arrays that NetSpec copied, a peak of
-        # twice the net, and was charged nothing; the slack covers one Haar
-        # sample's working set at d = 16
+        # the net once was a list of arrays that its constructor copied, a
+        # peak of twice the net, and was charged nothing; the slack covers one
+        # Haar sample's working set at d = 16 and the uniform weights
         net, peak, charged = helpers.traced_peak(
-            lambda: NetSpec.haar_sample(16, 2000, RandomSeed(1)), monkeypatch, nets)
+            lambda: EnsembleSpec.haar_sample(16, 2000, RandomSeed(1)), monkeypatch, ensembles)
         assert charged == [net.unitaries.nbytes] == [16 * 2000 * 16 * 16]
         assert peak <= charged[0] + (64 << 10)
 
 
 class TestComposeAndDagger:
     def test_identity_composition(self):
-        net = NetSpec(2, [np.eye(2, dtype=complex)])
+        net = EnsembleSpec(2, [np.eye(2, dtype=complex)])
         comp = compose_nets(net, net)
         assert len(comp) == 1
         assert np.allclose(comp.unitaries[0], np.eye(2))
 
     def test_composed_size(self):
-        a = NetSpec.haar_sample(2, 7, RandomSeed(13))
-        b = NetSpec.haar_sample(2, 5, RandomSeed(14))
+        a = EnsembleSpec.haar_sample(2, 7, RandomSeed(13))
+        b = EnsembleSpec.haar_sample(2, 5, RandomSeed(14))
         assert len(compose_nets(a, b)) == 35
 
     def test_compose_dimension_mismatch(self):
-        a = NetSpec.haar_sample(2, 3, RandomSeed(15))
-        b = NetSpec.haar_sample(3, 3, RandomSeed(16))
+        a = EnsembleSpec.haar_sample(2, 3, RandomSeed(15))
+        b = EnsembleSpec.haar_sample(3, 3, RandomSeed(16))
         with pytest.raises(ValueError):
             compose_nets(a, b)
 
     def test_products_stay_within_their_charge(self, monkeypatch):
-        # a list of 2x2 products, then NetSpec's copy, once peaked at 4.6x the charge
-        a = NetSpec.haar_sample(2, 300, RandomSeed(19))
-        b = NetSpec.haar_sample(2, 300, RandomSeed(20))
+        # a list of 2x2 products, then the net's copy, once peaked at 4.6x the charge
+        a = EnsembleSpec.haar_sample(2, 300, RandomSeed(19))
+        b = EnsembleSpec.haar_sample(2, 300, RandomSeed(20))
         comp, peak, charged = helpers.traced_peak(lambda: compose_nets(a, b), monkeypatch, helpers)
         assert len(charged) == 1 and peak <= charged[0]
         want = np.array([v1 @ v2.conj().T for v1 in a.unitaries for v2 in b.unitaries])
@@ -166,19 +169,19 @@ class TestComposeAndDagger:
 class TestCoverWithProduct:
     def test_member_with_identity_gives_zero(self):
         u = haar_unitary(2, RandomSeed(19))
-        net = NetSpec(2, [np.eye(2, dtype=complex), u])
+        net = EnsembleSpec(2, [np.eye(2, dtype=complex), u])
         v1, v2, dist = cover_with_product(u, net)
         assert dist < 1e-6
 
     def test_degenerate_identity_net(self):
         u = haar_unitary(2, RandomSeed(20))
-        net = NetSpec(2, [np.eye(2, dtype=complex)])
+        net = EnsembleSpec(2, [np.eye(2, dtype=complex)])
         _, _, dist = cover_with_product(u, net)
         assert dist == pytest.approx(diamond_distance_unitaries(u, np.eye(2)), abs=1e-9)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_matches_exhaustive_scalar_search(self, d):
-        net = NetSpec.haar_sample(d, 12, RandomSeed(21 + d))
+        net = EnsembleSpec.haar_sample(d, 12, RandomSeed(21 + d))
         u = haar_unitary(d, RandomSeed(40 + d))
         v1, v2, dist = cover_with_product(u, net)
         brute = min(
@@ -190,7 +193,7 @@ class TestCoverWithProduct:
 
     def test_relaxed_net_composition_bound(self):
         # eta1 + eta2 < 1 makes the pair cover reach eps1 + eps2
-        net = NetSpec.haar_sample(2, 300, RandomSeed(23))
+        net = EnsembleSpec.haar_sample(2, 300, RandomSeed(23))
         eps = 0.55
         rep = exposure_estimate(net, eps, 300, RandomSeed(24))
         assert rep.eta_hat + rep.ci_half < 0.5
@@ -217,7 +220,7 @@ def _assert_matches_unblocked(u, net):
 
 @pytest.fixture(scope="module")
 def net_2000():
-    return NetSpec.haar_sample(2, 2000, RandomSeed(600))
+    return EnsembleSpec.haar_sample(2, 2000, RandomSeed(600))
 
 
 @pytest.fixture
@@ -251,7 +254,7 @@ class TestStreamedPairSearch:
         (0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, 0), (3, 5)])
     def test_net_sizes_around_the_block(self, blocks, extra):
         m = blocks * nets._PAIR_BLOCK_ROWS + extra
-        net = NetSpec.haar_sample(2, m, RandomSeed(602 + m))
+        net = EnsembleSpec.haar_sample(2, m, RandomSeed(602 + m))
         seed = RandomSeed(603)
         for i in range(10):
             _assert_matches_unblocked(haar_unitary(2, seed.child(i)), net)
@@ -262,10 +265,10 @@ class TestStreamedPairSearch:
     def test_duplicate_rows_across_blocks_tie_to_the_first(self):
         b = nets._PAIR_BLOCK_ROWS
         m = 3 * b + 5
-        us = list(NetSpec.haar_sample(2, m, RandomSeed(604)).unitaries)
+        us = list(EnsembleSpec.haar_sample(2, m, RandomSeed(604)).unitaries)
         for dup in (b, 2 * b + 1, m - 1):  # next block, a middle one, the last
             us[dup] = us[b - 1]
-        net = NetSpec(2, us)
+        net = EnsembleSpec(2, us)
         picks = [_assert_matches_unblocked(us[4] @ us[b - 1].conj().T, net)]
         seed = RandomSeed(605)
         picks += [_assert_matches_unblocked(haar_unitary(2, seed.child(i)), net)
@@ -283,7 +286,7 @@ class TestStreamedPairSearch:
             cover_with_product(u, net_2000)
 
     def test_budget_d3_charges_one_batch(self, budget):
-        net = NetSpec.haar_sample(3, 40, RandomSeed(607))
+        net = EnsembleSpec.haar_sample(3, 40, RandomSeed(607))
         u = haar_unitary(3, RandomSeed(608))
         budget(16 * 40 * 40)  # below the old m x m charge
         cover_with_product(u, net)
@@ -294,7 +297,7 @@ class TestStreamedPairSearch:
 
 @pytest.fixture(scope="module")
 def c7_net():
-    return NetSpec.haar_sample(2, 2000, RandomSeed(9300))
+    return EnsembleSpec.haar_sample(2, 2000, RandomSeed(9300))
 
 
 class TestQuaternionPairSearch:
@@ -317,8 +320,8 @@ class TestQuaternionPairSearch:
 
     def test_duplicate_heavy_net_ties_to_the_first_pair(self):
         # a 50-element net repeated 8 times: every pair has 63 exact twins
-        base = NetSpec.haar_sample(2, 50, RandomSeed(611)).unitaries
-        net = NetSpec(2, np.concatenate([base] * 8))
+        base = EnsembleSpec.haar_sample(2, 50, RandomSeed(611)).unitaries
+        net = EnsembleSpec(2, np.concatenate([base] * 8))
         us = net.unitaries
         seed = RandomSeed(612)
         queries = [haar_unitary(2, seed.child(i)) for i in range(20)]
@@ -330,7 +333,7 @@ class TestQuaternionPairSearch:
 
     @pytest.mark.parametrize("m", range(1, 11))
     def test_every_small_net_size(self, m):
-        net = NetSpec.haar_sample(2, m, RandomSeed(613 + m))
+        net = EnsembleSpec.haar_sample(2, m, RandomSeed(613 + m))
         us = net.unitaries
         seed = RandomSeed(625)
         queries = [haar_unitary(2, seed.child(i)) for i in range(20)]
@@ -343,14 +346,14 @@ class TestQuaternionPairSearch:
         # differ by 1 in both x0 and x1, so the window holds nothing until w
         # doubles past 1, and all 100 pairs tie at the largest distance 2
         iz = np.diag([1j, -1j])
-        net = NetSpec(2, [iz] * 10)
+        net = EnsembleSpec(2, [iz] * 10)
         assert _assert_matches_unblocked(iz, net) == (0, 0, 2.0)
 
     def test_net_perturbed_within_unitary_tol(self, c7_net):
         rng = np.random.default_rng(614)
         noise = rng.standard_normal((2000, 2, 2)) + 1j * rng.standard_normal((2000, 2, 2))
         noise *= 3e-11 / np.abs(noise).max()
-        net = NetSpec(2, c7_net.unitaries + noise)
+        net = EnsembleSpec(2, c7_net.unitaries + noise)
         assert all(is_unitary(v) for v in net.unitaries)
         assert not all(is_unitary(v, 1e-13) for v in net.unitaries)
         us = net.unitaries
@@ -362,7 +365,7 @@ class TestQuaternionPairSearch:
 
     def test_budget_charges_the_candidates(self, budget):
         # u = I puts all m copies of I in every query's window: m^2 candidates
-        net = NetSpec(2, [np.eye(2, dtype=complex)] * 1000)
+        net = EnsembleSpec(2, [np.eye(2, dtype=complex)] * 1000)
         u = np.eye(2, dtype=complex)
         budget(16 << 20)  # the fixed arrays fit, 48 bytes for each of 10^6 do not
         with pytest.raises(ResourceLimitError, match="product cover search"):
@@ -373,7 +376,7 @@ class TestQuaternionPairSearch:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_input_rejected(self):
         # a NaN key would keep the window search from ever ending
-        net = NetSpec(2, [np.eye(2, dtype=complex), np.full((2, 2), np.nan + 0j)])
+        net = EnsembleSpec(2, [np.eye(2, dtype=complex), np.full((2, 2), np.nan + 0j)])
         with pytest.raises(ValueError, match="unitary"):
             cover_with_product(np.eye(2, dtype=complex), net)
 
@@ -396,17 +399,48 @@ class TestBounds:
         with pytest.raises(ValueError):
             log_net_size_lower_bound(2, 0.1, 1.5)
 
-class TestNetSpec:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            NetSpec(2, [])
 
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            NetSpec(2, [np.eye(3)])
+class TestDesignAsNet:
+    """The paper's design-to-net step on an exact design: the single-qubit
+    Clifford group, an exact 3-design, measured as a net as it stands."""
 
-    def test_a_transposed_stack_is_made_contiguous(self):
-        stack = np.stack([np.eye(2, dtype=complex), np.array([[0, 1j], [1, 0]])])
-        net = NetSpec(2, stack.transpose(0, 2, 1))
-        assert net.unitaries.flags.c_contiguous
-        assert np.array_equal(net.unitaries, stack.transpose(0, 2, 1))
+    @pytest.mark.parametrize("eps, eta", [
+        (0.6, 0.71225), (0.8, 0.312), (1.0, 0.0075), (1.05, 0.0), (1.2, 0.0)])
+    def test_clifford_group_exposure(self, eps, eta):
+        rep = exposure_estimate(reference_design("clifford-1"), eps, 4000, RandomSeed(1))
+        assert rep.eta_hat == eta
+
+    def test_clifford_group_covering_radius(self):
+        # a Nelder-Mead search over SU(2) found no point farther from the group
+        # than this one, at distance sqrt(5/2 - sqrt 2) = 1.0420..., so every
+        # exposure from eps = 1.05 up is 0
+        r2 = math.sqrt(2)
+        a, b = complex(2 + r2, r2) / 4, complex(r2 - 2, -r2) / 4
+        hole = np.array([[a, b], [-b.conjugate(), a.conjugate()]])
+        dist, _ = min_diamond_distance(hole, reference_design("clifford-1"))
+        assert dist == pytest.approx(math.sqrt(2.5 - r2), abs=1e-12)
+
+    def test_weights_are_not_read(self):
+        group = reference_design("clifford-1")
+        weights = np.arange(1.0, 25.0) / 300.0
+        skewed = EnsembleSpec(2, group.unitaries, weights)
+        u = haar_unitary(2, RandomSeed(3))
+        assert min_diamond_distance(u, skewed) == min_diamond_distance(u, group)
+        assert (exposure_estimate(skewed, 0.8, 300, RandomSeed(4))
+                == exposure_estimate(group, 0.8, 300, RandomSeed(4)))
+        (v1, v2, dist), (w1, w2, want) = cover_with_product(u, skewed), cover_with_product(u, group)
+        assert (v1.tobytes(), v2.tobytes(), dist) == (w1.tobytes(), w2.tobytes(), want)
+
+    def test_net_coverage_reads_the_group_manifest(self, tmp_path, capsys):
+        # each row is the library's exposure on the group, row i drawn from
+        # the base seed's child i
+        group = reference_design("clifford-1")
+        helpers.dump_json(tmp_path / "clifford.json", helpers.ensemble_to_json_dict(group))
+        radii = [0.6, 1.05]
+        assert main(["net-coverage", "--ensemble-file", str(tmp_path / "clifford.json"),
+                     "--sweep-eps", ",".join(map(str, radii)), "--samples", "400",
+                     "--seed", "1"]) == 0
+        rows = json.loads(capsys.readouterr().out)["result"]["rows"]
+        assert rows == [report_dict(exposure_estimate(group, eps, 400, RandomSeed(1).child(i)))
+                        for i, eps in enumerate(radii)]
+        assert rows[1]["eta_hat"] == 0.0

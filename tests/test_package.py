@@ -187,9 +187,9 @@ def _referenced(folders, definitions) -> set[str]:
 
 def test_every_module_level_definition_is_used():
     # a definition whose name is no token outside its own statement, in src,
-    # tests, scripts or perfbench, is dead code; class members included
+    # tests or perfbench, is dead code; class members included
     defined = _definitions()
-    used = _referenced((SRC, ROOT / "tests", ROOT / "scripts", ROOT / "perfbench"), defined)
+    used = _referenced((SRC, ROOT / "tests", ROOT / "perfbench"), defined)
     assert sorted({name for name, *_ in defined} - used) == []
 
 
@@ -213,6 +213,6 @@ def test_public_definitions_have_a_caller_outside_tests():
     sweep by hand, grepping each attribute's uses.
     """
     defined = [d for d in _definitions() if not d[0].startswith("_")]
-    used = _referenced((SRC, ROOT / "scripts", ROOT / "perfbench"), defined)
+    used = _referenced((SRC, ROOT / "perfbench"), defined)
     test_only = {name for name, *_ in defined} - used
     assert sorted(test_only ^ TEST_ONLY_API) == []
