@@ -68,14 +68,23 @@ class TestSerialization:
             load_matrix_bin(path, 3)
 
     def test_ensemble_manifest_round_trip(self):
-        # a design and a Haar net, which a manifest holds alike
-        from prulab.ensembles import EnsembleSpec, reference_design
+        from prulab.ensembles import reference_design
 
-        for ens in (reference_design("pauli-1"), EnsembleSpec.haar_sample(2, 5, RandomSeed(4))):
-            back = ensemble_from_json_dict(ensemble_to_json_dict(ens))
-            assert back.dim == 2 and len(back) == len(ens)
-            assert np.array_equal(back.unitaries, ens.unitaries)
-            assert np.array_equal(back.weights, ens.weights)
+        ens = reference_design("pauli-1")
+        back = ensemble_from_json_dict(ensemble_to_json_dict(ens))
+        assert back.dim == 2 and len(back) == len(ens)
+        assert np.array_equal(back.unitaries, ens.unitaries)
+        assert np.array_equal(back.weights, ens.weights)
+
+    def test_net_manifest_round_trip(self):
+        # a Haar net is an ensemble, so the ensemble manifest holds it
+        from prulab.ensembles import EnsembleSpec
+
+        net = EnsembleSpec.haar_sample(2, 5, RandomSeed(4))
+        back = ensemble_from_json_dict(ensemble_to_json_dict(net))
+        assert back.dim == 2 and len(back) == 5
+        assert np.array_equal(back.unitaries, net.unitaries)
+        assert np.array_equal(back.weights, net.weights)
 
     def test_circuit_manifest_round_trip(self):
         from prulab.truncation import DiagonalOracleCircuit
