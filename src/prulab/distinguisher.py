@@ -1,8 +1,9 @@
 """Collision-statistics distinguisher.
 
 The measurement oracles of the hidden states (Haar by urn or dense
-vector, PFC by stabilizer sampling), the sqrt(d)-query collision test on
-repeated |0...0> queries, whose statistic is the mean collision count
+vector, PFC by stabilizer sampling, one raw RNG word per outcome read
+through the support's per-byte XOR tables), the sqrt(d)-query collision
+test on repeated |0...0> queries, whose statistic is the mean collision count
 over blocks of t copies, the Chebyshev concentration reference for that
 mean, and the PFC-vs-Haar experiment that runs the test on fresh hidden
 states of both kinds.
@@ -162,7 +163,9 @@ class PFCOracle(_OutcomeStream):
 
     The phase diagonal never affects outcome probabilities and the
     permutation is a relabeling, so this is stabilizer sampling of C
-    followed by the permutation, served from one block stream.
+    followed by the permutation, served from one block stream.  Each fill
+    is one `sample_from_support` call: one raw word per outcome, through
+    XOR tables of C's support built on the first fill and reused after.
     """
 
     def __init__(self, sample: PFCSample, seed: RandomSeed):
@@ -200,8 +203,12 @@ def run_collision_distinguisher(oracle, params: DistinguisherParams) -> Collisio
     # per outcome: the int64 outcomes, their sorted copy and its bool run
     # flags, at most two flag arrays at a time, 18 bytes; and what the oracle
     # holds, at most 16: an urn's int64 history, whose capacity doubles and
-    # so stays under twice what it has drawn
-    ensure_budget(34 * k * t, "collision test outcomes")
+    # so stays under twice what it has drawn.  And 60 per shot of the
+    # largest fill, min(k t, max(t, _BLOCK)) shots, measured at most 59 past
+    # the 34: the urn's per-fill arrays and its history's growth past the
+    # drawn blocks; the support sampler's raw words, byte indices and lookups
+    # (32 bytes a shot) came to at most 12 past it
+    ensure_budget(34 * k * t + 60 * min(k * t, max(t, _BLOCK)), "collision test outcomes")
     outcomes = np.empty((k, t), dtype=np.int64)
     for b in range(k):
         block = oracle.draw(t)

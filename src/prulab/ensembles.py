@@ -167,7 +167,10 @@ class EnsembleSpec:
     def haar_sample(cls, dim: int, size: int, seed: RandomSeed) -> "EnsembleSpec":
         """``size`` Haar unitaries drawn in turn from the seed's generator,
         written in place into the (size, dim, dim) array charged here."""
-        ensure_budget(16 * size * dim * dim, "Haar net")
+        # the stack, and per element the constructor's uniform weight (8
+        # bytes) and the bool masks of its check (2): at dim = 1 and 2 those
+        # are a large share
+        ensure_budget((16 * dim * dim + 10) * size, "Haar net")
         rng = seed.generator()
         net = np.empty((size, dim, dim), dtype=complex)
         for u in net:

@@ -3,8 +3,9 @@
 The tableau of a canonical symplectic index and its sign bits, which the
 uniform Clifford sampler and the reference designs in `prulab.ensembles`
 both build through, computational-basis measurement supports of stabilizer
-states, dense tableau unitaries read off the tableau's Pauli rows, the
-share of full-support states and the stabilizer-state count.
+states and uniform samples over them, dense tableau unitaries read off the
+tableau's Pauli rows, the share of full-support states and the
+stabilizer-state count.
 
 A tableau is a frozen value of three fields: the qubit count, a tuple of
 Pauli rows, each one Python int interleaved with x_q at bit 2q and z_q at
@@ -312,19 +313,40 @@ def measurement_support(t: Tableau) -> AffineSupport:
     return AffineSupport(n, basis, offset)
 
 
+@functools.lru_cache(maxsize=16)
+def _xor_tables(sup: AffineSupport) -> np.ndarray:
+    """Read-only (ceil(k/8), 256) int64 tables of the support: entry
+    [p, j] is the XOR of basis rows 8p + i over the bits i of j, a row past
+    k_dim counting as zero, and table 0 also XORs the offset.  At most
+    16 KiB, built once per support and kept, for the 16 supports last
+    sampled, for their later fills."""
+    rows = np.zeros(-(-sup.k_dim // 8) * 8, dtype=np.int64)
+    rows[:sup.k_dim] = sup.basis
+    picks = np.arange(256)[:, None] >> np.arange(8) & 1
+    tables = np.bitwise_xor.reduce(picks * rows.reshape(-1, 1, 8), axis=2)
+    tables[0] ^= sup.offset
+    tables.flags.writeable = False
+    return tables
+
+
 def sample_from_support(sup: AffineSupport, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. uniform outcome indices (int64, n <= 63) over the affine set:
-    the offset XOR the basis rows each uniform coefficient row selects,
-    taken one basis row at a time over a contiguous coefficient column."""
+    """i.i.d. uniform outcome indices (int64, n <= 63) over the affine set.
+
+    One ``rng.bit_generator.random_raw(shots)`` call: the low k_dim bits of
+    each word are that shot's coefficient row, bit i selecting basis row i,
+    uniform because 2^k_dim divides 2^64.  The outcome is the XOR of one
+    `_xor_tables` lookup per byte of those bits, the first carrying the
+    offset.
+    """
     _check_index_width(sup)
-    k = sup.k_dim
-    if k == 0:
+    if sup.k_dim == 0:
         return np.full(shots, sup.offset, dtype=np.int64)
-    cols = rng.integers(0, 2, size=(shots, k), dtype=np.uint8).T.copy()
-    out = cols[0] * np.int64(sup.basis[0])
-    for col, b in zip(cols[1:], sup.basis[1:]):
-        out ^= col * np.int64(b)
-    out ^= sup.offset
+    tables = _xor_tables(sup)
+    raw = rng.bit_generator.random_raw(shots).astype("<u8", copy=False)
+    coeff_bytes = raw.view(np.uint8).reshape(shots, 8)
+    out = tables[0].take(coeff_bytes[:, 0])
+    for p in range(1, len(tables)):
+        out ^= tables[p].take(coeff_bytes[:, p])
     return out
 
 

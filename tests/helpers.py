@@ -22,14 +22,15 @@ The per-shot Polya urn is the oracle for the vectorised
 The uncached channel oracle, one matmul per query, is the oracle for
 `ChannelOracle.apply`'s one-entry output cache.  The (t - 1)-step run loop
 is the oracle for `blocked_collision_counts`' run windows, and the
-(shots, k) multiply with its XOR reduction the oracle for
-`sample_from_support`'s column-at-a-time XORs.  In `prulab.moments`, the
-cycle-count formula (`permutation_gram_cycles`) is the oracle for the Haar
-projector's Gram taken from the permutation operators themselves,
-``scipy.linalg.eigh`` on the generalized problem (`relative_eps_scipy`)
-the oracle for the relative bracket's scaled ``eigvalsh``, and the double
-loop of ``np.trace`` calls (`is_symmetric_ensemble_loop`) the oracle for
-the dagger pairing by rows of traces.
+(shots, k) multiply of the same raw words' unpacked bits with its XOR
+reduction the oracle for `sample_from_support`'s per-byte table lookups.
+In `prulab.moments`, the cycle-count formula (`permutation_gram_cycles`)
+is the oracle for the Haar projector's Gram taken from the permutation
+operators themselves, ``scipy.linalg.eigh`` on the generalized problem
+(`relative_eps_scipy`) the oracle for the relative bracket's scaled
+``eigvalsh``, and the double loop of ``np.trace`` calls
+(`is_symmetric_ensemble_loop`) the oracle for the dagger pairing by rows
+of traces.
 
 The exact ground truths no program calls live here too, not in
 `prulab`: the Schatten norm behind the diamond oracle, the `np.unique`
@@ -217,14 +218,16 @@ def blocked_collision_counts_loop(samples: np.ndarray) -> np.ndarray:
 
 def sample_from_support_reduce(sup: AffineSupport, shots: int,
                                rng: np.random.Generator) -> np.ndarray:
-    """`sample_from_support` by one (shots, k) int64 multiply and an XOR
-    reduction along each coefficient row, with the same RNG call; its
-    oracle."""
+    """`sample_from_support` by unpacking the low k bits of the same raw
+    words into a (shots, k) coefficient matrix, one int64 multiply by the
+    basis and an XOR reduction along each row; its oracle."""
     _check_index_width(sup)
     k = sup.k_dim
     if k == 0:
         return np.full(shots, sup.offset, dtype=np.int64)
-    coeffs = rng.integers(0, 2, size=(shots, k), dtype=np.uint8)
+    raw = rng.bit_generator.random_raw(shots).astype("<u8", copy=False)
+    coeffs = np.unpackbits(raw.view(np.uint8).reshape(shots, 8), axis=1,
+                           bitorder="little")[:, :k]
     picked = coeffs * np.array(sup.basis, dtype=np.int64)
     return np.bitwise_xor.reduce(picked, axis=1) ^ sup.offset
 

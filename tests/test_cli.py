@@ -571,9 +571,9 @@ class TestCli:
         (["truncate-diag", "--circuit-file", "c.json", "--k", "2000"],
          "argument --k: must be in [0, 1023], got 2000"),
         (["pfc-distinguish", "--n", "5", "--trials", "1", "--k-blocks", "2", "--seed", "1",
-          "--t", "100000000000"], "collision test outcomes needs 6.8e+12 bytes"),
+          "--t", "100000000000"], "collision test outcomes needs 1.28e+13 bytes"),
         (["pfc-distinguish", "--n", "3", "--trials", "1", "--k-blocks", "2", "--seed", "1",
-          "--t", "100000000000"], "collision test outcomes needs 6.8e+12 bytes"),
+          "--t", "100000000000"], "collision test outcomes needs 1.28e+13 bytes"),
         (["bounds", "net-size", "--d", "2", "--eps", "0.5", "--t", "3"],
          "unrecognized arguments: --t 3\nusage: prulab bounds net-size"),
         (["design-distance", "--ensemble", "pauli-1", "--t", "4", "--mem-budget", "0.00001"],
@@ -603,7 +603,7 @@ class TestCli:
           "--t", "8", "--delta", "-1"], "argument --delta: must be in [0, inf), got -1.0"),
         (["net-coverage", "--haar-net-size", "2000", "--dim", "16", "--eps", "0.5",
           "--samples", "2", "--seed", "1", "--mem-budget", "0.001"],
-         "Haar net needs 8.19e+06 bytes, budget is 1073741"),
+         "Haar net needs 8.21e+06 bytes, budget is 1073741"),
         (["net-coverage", "--net-file", "net.json", "--haar-net-size", "2", "--dim", "2",
           "--eps", "0.5", "--samples", "2", "--seed", "1"],
          "unrecognized arguments: --net-file net.json"),

@@ -208,9 +208,9 @@ class TestOutcomeStream:
 
 class TestPFCOracle:
     def test_draw_stream_is_pinned(self, monkeypatch):
-        # digest taken when each Clifford became one random_raw call (index
-        # bits, then sign bits); it changes only with the RNG stream, the
-        # Clifford sampler or the support's basis
+        # digest taken when each support sample became one random_raw word
+        # read through per-byte XOR tables; it changes only with the RNG
+        # stream, the Clifford sampler, the support sampler or the basis
         fills = []
 
         def recording(support, shots, rng):
@@ -226,7 +226,7 @@ class TestPFCOracle:
             for shots in (1, 32, 500):
                 digest.update(np.asarray(oracle.draw(shots), dtype="<i8").tobytes())
         assert digest.hexdigest() == (
-            "d75aaa52dea3d13288ed0900548f80d63588b179013f54f336c58d57a8ed3278")
+            "073c4e2f15e0c3f4cf52a475f89cf942f5d9e58e836dcd534b2506fe6d202b20")
         assert fills == [1, 32, 500] * 8  # one fill per request, of its size
 
 
@@ -299,9 +299,26 @@ class TestCollisionDistinguisher:
             monkeypatch, distinguisher, ensembles)
         assert peak <= max(charged) + (64 << 10)
 
+    @pytest.mark.parametrize("k", [100, 300])
+    @pytest.mark.parametrize("side", ["urn", "pfc"])
+    def test_small_k_peak_is_within_its_charge(self, monkeypatch, side, k):
+        # below about 10^4 outcomes a fill's temporaries are no longer small
+        # beside the outcomes: charged 34 bytes per outcome and nothing per
+        # fill, the urn side peaked at 0.199 MB against 0.109 MB at k = 100
+        # and 0.495 MB against 0.326 MB at k = 300
+        params = DistinguisherParams(d=1024, t=32, k_blocks=k)
+        sample = sample_pfc(10, RandomSeed(3))
+        make = {"urn": lambda: HaarUrnOracle(1024, RandomSeed(8)),
+                "pfc": lambda: PFCOracle(sample, RandomSeed(9))}[side]
+        _, peak, charged = traced_peak(
+            lambda: run_collision_distinguisher(make(), params),
+            monkeypatch, distinguisher, ensembles)
+        assert peak <= max(charged) + (64 << 10)
+
     def test_outcome_working_set_is_budgeted_before_any_draw(self):
         # 34 bytes per outcome charged: the int64 outcomes, their sorted
-        # copy and its bool run flags take at most 18, an urn's history 16
+        # copy and its bool run flags take at most 18, an urn's history 16;
+        # and 60 per shot of the largest fill, here all 296 outcomes
         calls = []
 
         class Counting(_ConstantOracle):
@@ -312,11 +329,11 @@ class TestCollisionDistinguisher:
         p = DistinguisherParams(d=64, t=8, k_blocks=37)
         before = memory_budget_bytes()
         try:
-            set_memory_budget_bytes(34 * 8 * 37 - 1)
+            set_memory_budget_bytes(94 * 8 * 37 - 1)
             with pytest.raises(ResourceLimitError, match="collision test outcomes needs"):
                 run_collision_distinguisher(Counting(), p)
             assert calls == []
-            set_memory_budget_bytes(34 * 8 * 37)
+            set_memory_budget_bytes(94 * 8 * 37)
             run_collision_distinguisher(Counting(), p)
         finally:
             set_memory_budget_bytes(before)

@@ -120,11 +120,20 @@ class TestHaarSample:
     def test_net_stays_within_its_charge(self, monkeypatch):
         # the net once was a list of arrays that its constructor copied, a
         # peak of twice the net, and was charged nothing; the slack covers one
-        # Haar sample's working set at d = 16 and the uniform weights
+        # Haar sample's working set at d = 16
         net, peak, charged = helpers.traced_peak(
             lambda: EnsembleSpec.haar_sample(16, 2000, RandomSeed(1)), monkeypatch, ensembles)
-        assert charged == [net.unitaries.nbytes] == [16 * 2000 * 16 * 16]
+        assert charged == [net.unitaries.nbytes + 10 * 2000] == [(16 * 16 * 16 + 10) * 2000]
         assert peak <= charged[0] + (64 << 10)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_small_dim_net_stays_within_its_charge(self, monkeypatch, dim):
+        # the uniform weights and the bool masks of their check, 10 bytes per
+        # element, are a large share at dim 1 and 2; charged only the stack,
+        # haar_sample(1, 100000) peaked 1.0 MB over its 1.6 MB charge
+        _, peak, charged = helpers.traced_peak(
+            lambda: EnsembleSpec.haar_sample(dim, 100000, RandomSeed(1)), monkeypatch, ensembles)
+        assert peak <= max(charged) + (64 << 10)
 
 
 class TestComposeAndDagger:

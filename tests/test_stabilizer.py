@@ -40,6 +40,7 @@ from prulab.stabilizer import (
     AffineSupport,
     Tableau,
     _transvections_from_e1,
+    _xor_tables,
     clifford_tableau,
     full_support_probability,
     measurement_support,
@@ -486,9 +487,10 @@ class TestMeasurementSupport:
                 support_members(sup)
 
     def test_sample_stream_is_pinned(self):
-        # digest of int64 outcome indices, taken when each Clifford became
-        # one random_raw call (index bits, then sign bits); it changes only
-        # with the RNG stream, the Clifford sampler or the support's basis
+        # digest of int64 outcome indices, taken when each support sample
+        # became one random_raw word read through per-byte XOR tables; it
+        # changes only with the RNG stream, the Clifford sampler, the
+        # support sampler or the support's basis
         digest = hashlib.sha256()
         rng = RandomSeed(2170).generator()
         for n in (1, 5, 10, 30, 63):
@@ -497,7 +499,7 @@ class TestMeasurementSupport:
                 for shots in (1, 64):
                     digest.update(sample_from_support(sup, shots, rng).astype("<i8").tobytes())
         assert digest.hexdigest() == (
-            "61291d06a736986b037e7dd05ac3bfa45c7d04e3e813e0a2309d81bfe4b60886")
+            "83cf4b762b6897b2fdea3e7912a1de3f20b12e52c84ae78007286462f941241c")
 
     @pytest.mark.parametrize("k", [0, 1, 10, 63])
     def test_column_xors_match_the_reduction(self, k):
@@ -521,6 +523,72 @@ class TestMeasurementSupport:
                 assert got.dtype == want.dtype == np.int64
                 assert got.tobytes() == want.tobytes(), (sup, shots)
                 assert np.array_equal(rng.random(4), ref.random(4))
+
+
+def small_supports():
+    """Every Hadamard layer of k <= 10 qubits and the identity's k = 0, then
+    five seeded uniform Cliffords at each n <= 10: every support dimension
+    up to 10, the sampler's one and two byte tables."""
+    sups = [measurement_support(identity_tableau(3))]
+    sups += [measurement_support(hadamards(k)) for k in range(1, 11)]
+    rng = RandomSeed(7300).generator()
+    sups += [measurement_support(random_clifford_rng(n, rng))
+             for n in range(1, 11) for _ in range(5)]
+    return sups
+
+
+class TestSupportSampler:
+    def test_one_raw_word_per_shot(self):
+        # ScriptedWords has no `integers` method, so a fill that drew its
+        # coefficient bits from Generator.integers would fail here
+        words = RandomSeed(7301).generator().bit_generator.random_raw(4096)
+        for sup in small_supports():
+            if not sup.k_dim:
+                continue
+            rng = ScriptedWords(words)
+            for shots in (1, 32, 4000):
+                assert sample_from_support(sup, shots, rng).shape == (shots,)
+            assert rng.calls == [1, 32, 4000]  # one call per fill, of its size
+
+    def test_every_coefficient_row_gives_each_member_once(self):
+        # coefficient row c, the low k bits of a word, selects basis row j at
+        # its bit j, as member c of support_members does; the high bits,
+        # filled with junk here, select nothing
+        junk = RandomSeed(7302).generator().bit_generator.random_raw(1 << 10)
+        for sup in small_supports():
+            k = sup.k_dim
+            words = np.arange(1 << k, dtype=np.uint64) | junk[:1 << k] << np.uint64(k)
+            got = sample_from_support(sup, 1 << k, ScriptedWords(words))
+            members = support_members(sup)
+            assert np.array_equal(got, members), sup
+            assert np.unique(got).size == 1 << k
+
+    def test_histogram_is_uniform_over_the_support(self):
+        # 200,000 draws over 2^5 members: the expected total variation from
+        # uniform is about 0.005, its 99th percentile 0.0064, and this seed
+        # reads 0.0040
+        sup = measurement_support(random_clifford(6, RandomSeed(7303)))
+        assert sup.k_dim == 5
+        members = support_members(sup)
+        got = sample_from_support(sup, 200_000, RandomSeed(7304).generator())
+        assert np.isin(got, members).all()
+        freq = np.unique(got, return_counts=True)[1] / got.size
+        assert freq.size == members.size
+        assert 0.5 * np.abs(freq - 1 / members.size).sum() < 0.01
+
+    def test_tables_are_built_once_per_support(self):
+        sup = measurement_support(hadamards(9))
+        _xor_tables.cache_clear()
+        rng = RandomSeed(7305).generator()
+        first = sample_from_support(sup, 64, rng)
+        for shots in (32, 4096, 1):
+            sample_from_support(sup, shots, rng)
+        # an equal support built anew is the same cache key
+        again = sample_from_support(measurement_support(hadamards(9)), 64,
+                                    RandomSeed(7305).generator())
+        assert np.array_equal(first, again)
+        info = _xor_tables.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
 
 
 class TestGammaFamily:
