@@ -1,12 +1,12 @@
 """Batch experiment front end.
 
-Every stochastic subcommand requires --seed and emits a machine-readable
-report embedding the seed and a content hash of its own config, so any
-report is reproducible bit for bit.  Each flag declares its accepted
-values in its argparse type, so a bad value is a usage error that names
-the flag, the bound and the value; flags that exclude each other form
-required groups.  Exit codes: 0 success, 1 usage error, 2 assertion-style
-property violation (for CI gating).
+Each command returns rows, written as JSON with the config (the flags the
+command read, output flags aside) and its content hash, or as CSV.  Every
+stochastic subcommand requires --seed, so any report is reproducible bit
+for bit.  Each flag declares its accepted values in its argparse type, so
+a bad value is a usage error that names the flag, the bound and the value;
+a list flag takes a comma list of them, one row each.  Exit codes: 0
+success, 1 usage error, 2 assertion-style property violation.
 """
 
 from __future__ import annotations
@@ -147,11 +147,8 @@ def build_parser() -> _Parser:
     g.add_argument("--haar-net-size", type=_COUNT,
                    help="instead of a file: sample this many Haar elements")
     p.add_argument("--dim", type=_COUNT, default=None, help="dimension for --haar-net-size")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--eps", type=_NONNEGATIVE)
-    g.add_argument("--sweep-eps", type=_number_list(_NONNEGATIVE),
-                   help="comma list of eps values, in place of --eps; "
-                        "with --format csv, one row per value")
+    p.add_argument("--eps", type=_number_list(_NONNEGATIVE), required=True,
+                   help="comma list of radii, one row each")
     p.add_argument("--samples", type=_COUNT, required=True)
     p.add_argument("--check-products", action="store_true",
                    help="also report the worst pair-cover distance over 100 fresh Haar "
@@ -177,10 +174,8 @@ def build_parser() -> _Parser:
             ("improved-support", _POSITIVE, _BELOW_ONE),
             ("rom-input-length", _NONNEGATIVE, _BELOW_ONE),
             ("scalable-check", _NONNEGATIVE, _NONNEGATIVE)):
-        g = f[name].add_mutually_exclusive_group(required=True)
-        g.add_argument("--t", type=t_type)
-        g.add_argument("--sweep-t", type=_number_list(t_type),
-                       help="comma list of t values; with --format csv, one row per value")
+        f[name].add_argument("--t", type=_number_list(t_type), required=True,
+                             help="comma list of t values, one row each")
         f[name].add_argument("--delta", type=delta_type, default=0.0)
     for name in ("prior-support", "improved-support", "net-size"):
         f[name].add_argument("--log", action="store_true", help="report natural logs")
@@ -209,9 +204,11 @@ def build_parser() -> _Parser:
     return top
 
 
-def _emit(args, config: dict, result: dict | list[dict]) -> None:
-    """Write `result`, one report or a list of rows, as JSON or CSV."""
-    rows = result if isinstance(result, list) else [result]
+def _emit(args, rows: list[dict]) -> None:
+    """Write a command's rows as CSV, a line each, or as a JSON report: its
+    config (the flags the command read, output flags aside), the config's
+    hash, and its result, the row itself when there is one and
+    ``{"rows": [...]}`` when there are several."""
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
@@ -221,10 +218,12 @@ def _emit(args, config: dict, result: dict | list[dict]) -> None:
                              for k, v in row.items()})
         text = buf.getvalue()
     else:
+        config = {k: v for k, v in vars(args).items()
+                  if k not in ("out", "format", "mem_budget") and v is not None}
         report = {
             "config": config,
             "config_hash": config_hash(config),
-            "result": {"rows": rows} if isinstance(result, list) else result,
+            "result": rows[0] if len(rows) == 1 else {"rows": rows},
         }
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
@@ -234,7 +233,7 @@ def _emit(args, config: dict, result: dict | list[dict]) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_pfc_distinguish(args) -> None:
+def _cmd_pfc_distinguish(args) -> list[dict]:
     from prulab.distinguisher import pfc_distinguish_experiment
 
     rep = pfc_distinguish_experiment(
@@ -245,12 +244,7 @@ def _cmd_pfc_distinguish(args) -> None:
         print(f"warning: n={args.n} gives d={2**args.n}, far from the "
               "asymptotic regime the test is tuned for; ran anyway",
               file=sys.stderr)
-    config = {
-        "command": "pfc-distinguish", "n": args.n, "t": rep.params.t,
-        "k_blocks": args.k_blocks, "alpha": args.alpha, "trials": args.trials,
-        "haar_mode": args.haar_mode, "seed": [args.seed, args.stream],
-    }
-    _emit(args, config, report_dict(rep))
+    return [report_dict(rep)]
 
 
 def _load_ensemble(path: str):
@@ -259,18 +253,15 @@ def _load_ensemble(path: str):
     return ensemble_from_json_dict(load_json(path), Path(path).parent)
 
 
-def _cmd_design_distance(args) -> None:
+def _cmd_design_distance(args) -> list[dict]:
     if args.ensemble_file is not None:
         ens = _load_ensemble(args.ensemble_file)
     else:
         ens = reference_design(args.ensemble)
-    rep = diamond_design_bounds(ens, args.t)
-    config = {"command": "design-distance", "t": args.t,
-              "ensemble": args.ensemble or args.ensemble_file}
-    _emit(args, config, report_dict(rep))
+    return [report_dict(diamond_design_bounds(ens, args.t))]
 
 
-def _cmd_net_coverage(args) -> None:
+def _cmd_net_coverage(args) -> list[dict]:
     """Exposure at each radius: the net is seed.child(999)'s Haar sample or
     the unitaries of an ensemble file, and row i's draws come from
     seed.child(i).  --check-products adds the worst best-pair cover over
@@ -287,33 +278,26 @@ def _cmd_net_coverage(args) -> None:
         net = _load_ensemble(args.ensemble_file)
     else:
         net = EnsembleSpec.haar_sample(args.dim, args.haar_net_size, seed.child(999))
-    eps_list = args.sweep_eps if args.sweep_eps is not None else [args.eps]
     rows = [report_dict(exposure_estimate(net, eps, args.samples, seed.child(i)))
-            for i, eps in enumerate(eps_list)]
-    config = {"command": "net-coverage", "eps": eps_list, "samples": args.samples,
-              "net": args.ensemble_file or f"haar({args.dim},{args.haar_net_size})",
-              "seed": [args.seed, args.stream]}
+            for i, eps in enumerate(args.eps)]
     if args.check_products:
-        config["check_products"] = True
         rng = seed.generator()
         for row in rows:
             row["worst_pair_cover"] = max(
                 cover_with_product(haar_unitary_rng(net.dim, rng), net)[2] for _ in range(100))
             row["two_eps"] = 2 * row["epsilon"]
-    _emit(args, config, rows if args.sweep_eps is not None else rows[0])
+    return rows
 
 
-def _cmd_truncate_diag(args) -> None:
+def _cmd_truncate_diag(args) -> list[dict]:
     from prulab.serialize import circuit_from_json_dict, load_json
     from prulab.truncation import circuit_truncation_bound
 
     circ = circuit_from_json_dict(load_json(args.circuit_file))
-    rep = circuit_truncation_bound(circ, args.k)
-    config = {"command": "truncate-diag", "circuit": args.circuit_file, "k": args.k}
-    _emit(args, config, report_dict(rep))
+    return [report_dict(circuit_truncation_bound(circ, args.k))]
 
 
-def _cmd_bounds(args) -> None:
+def _cmd_bounds(args) -> list[dict]:
     from prulab import bounds as B
 
     # the flags named when a report field other than "value" is not finite
@@ -355,16 +339,10 @@ def _cmd_bounds(args) -> None:
             return {"value": B.log_net_size_lower_bound(
                 args.d, args.eps, args.eta, args.c_diamond)}
 
-    config = {"command": "bounds", "formula": args.formula,
-              "inputs": {k: v for k, v in vars(args).items()
-                         if k not in ("command", "formula", "out", "format") and v is not None}}
-    sweep = args.sweep_t if "t" in vars(args) else None
-    t_vals = (sweep or [args.t]) if "t" in vars(args) else [None]
-    rows = [finite(one(v)) for v in t_vals]
-    _emit(args, config, rows if sweep is not None else rows[0])
+    return [finite(one(t_val)) for t_val in (args.t if "t" in vars(args) else [None])]
 
 
-def _cmd_tomo_demo(args) -> None:
+def _cmd_tomo_demo(args) -> list[dict]:
     from prulab.linalg import diamond_distance_unitaries, haar_unitary
     from prulab.tomography import ChannelOracle, naive_process_tomography
 
@@ -373,13 +351,11 @@ def _cmd_tomo_demo(args) -> None:
     oracle = ChannelOracle(hidden)
     res = naive_process_tomography(oracle, args.eps, args.eta, seed.child(1))
     err = diamond_distance_unitaries(hidden, res.u_hat)
-    config = {"command": "tomo-demo", "d": args.d, "eps": args.eps,
-              "eta": args.eta, "seed": [args.seed, args.stream]}
-    _emit(args, config, {
+    return [{
         "queries_used": res.queries_used,
         "achieved_diamond_error": err,
         "within_target": bool(err <= args.eps),
-    })
+    }]
 
 
 _DISPATCH = {
@@ -403,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
         # bounds allocates nothing under ensure_budget, so it has no --mem-budget
         if getattr(args, "mem_budget", None) is not None:
             set_memory_budget_bytes(int(args.mem_budget * (1 << 30)))
-        _DISPATCH[args.command](args)
+        _emit(args, _DISPATCH[args.command](args))
     except PropertyViolationError as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 2

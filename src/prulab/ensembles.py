@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from prulab.linalg import RandomSeed, ensure_budget, haar_unitary_rng
+from prulab.linalg import RandomSeed, ensure_budget, haar_unitaries_rng
 from prulab.stabilizer import (
     Tableau,
     clifford_tableau,
@@ -166,15 +166,19 @@ class EnsembleSpec:
     @classmethod
     def haar_sample(cls, dim: int, size: int, seed: RandomSeed) -> "EnsembleSpec":
         """``size`` Haar unitaries drawn in turn from the seed's generator,
-        written in place into the (size, dim, dim) array charged here."""
+        written in place into the (size, dim, dim) array charged here in
+        blocks of 512 entries: bit for bit the elements drawn one at a time."""
         # the stack, and per element the constructor's uniform weight (8
         # bytes) and the bool masks of its check (2): at dim = 1 and 2 those
-        # are a large share
+        # are a large share.  A block's working set, under 100 bytes an
+        # entry, stays below 64 KiB (from dim = 23 up a block is one element)
         ensure_budget((16 * dim * dim + 10) * size, "Haar net")
         rng = seed.generator()
         net = np.empty((size, dim, dim), dtype=complex)
-        for u in net:
-            u[...] = haar_unitary_rng(dim, rng)
+        step = max(1, 512 // (dim * dim))
+        for i in range(0, size, step):
+            block = net[i:i + step]
+            block[...] = haar_unitaries_rng(dim, len(block), rng)
         return cls(dim, net)
 
 

@@ -95,19 +95,30 @@ def haar_unitary(d: int, seed: RandomSeed) -> np.ndarray:
 
 
 def haar_unitary_rng(d: int, rng: np.random.Generator) -> np.ndarray:
-    # four d x d complex arrays at most, and the larger of two extras: at the
-    # QR's end the Ginibre matrix, numpy's working copy of it, Q, and R as
-    # np.triu builds it, with the d Householder scalars and a d x d bool mask;
-    # then the Ginibre matrix, Q, R and the phase-fixed product, which numpy
-    # computes through an iteration buffer of min(d^2, np.getbufsize())
-    # complex entries (128 KiB from d = 91 up, at numpy's default 8192)
-    ensure_budget(16 * d * (4 * d + 1) + max(d * d, 16 * min(d * d, np.getbufsize())),
-                  "Haar sample")
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+    """One Haar unitary from ``rng``: `haar_unitaries_rng`'s one-element case."""
+    return haar_unitaries_rng(d, 1, rng)[0]
+
+
+def haar_unitaries_rng(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m Haar unitaries drawn in turn from ``rng``, as one (m, d, d) stack.
+
+    Bit for bit the m one-element draws: one (m, 2, d, d) Gaussian draw
+    reads their numbers in the same order, and the stacked QR and phase fix
+    treat each matrix alone.
+    """
+    # per element four d x d complex arrays at most, and the larger of two
+    # extras: at the QR's end the Ginibre matrix, numpy's working copy of it,
+    # Q, and R as np.triu builds it, with the d Householder scalars and a
+    # d x d bool mask; then the Ginibre matrix, Q, R and the phase-fixed
+    # product, which numpy computes through an iteration buffer of
+    # min(m d^2, np.getbufsize()) complex entries (128 KiB at numpy's default)
+    ensure_budget(16 * m * d * (4 * d + 1)
+                  + max(m * d * d, 16 * min(m * d * d, np.getbufsize())), "Haar sample")
+    z = rng.standard_normal((m, 2, d, d))
+    z = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)  # the real pairs freed before the QR
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    phases = diag / np.abs(diag)
-    return q * phases
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:

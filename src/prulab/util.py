@@ -34,5 +34,5 @@ def report_dict(report) -> dict:
 
 def config_hash(config: dict) -> str:
     """Content hash of a config dict (canonical JSON, sha1 hex)."""
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha1(blob.encode()).hexdigest()

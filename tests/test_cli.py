@@ -3,6 +3,7 @@ import contextlib
 import copy
 import csv
 import functools
+import hashlib
 import inspect
 import io
 import json
@@ -119,39 +120,40 @@ def leaf_parsers(parser, command=None):
 
 
 # the base command line of each command or formula that lost flags, and the
-# flags it no longer accepts because it never read them
+# flags it no longer accepts: those it never read, and --sweep-t and
+# --sweep-eps, whose comma lists --t and --eps now take
 UNREAD_FLAGS = {
     "bounds prior-support --d 2 --t 1": "--eps --eta --kappa --q --m --alpha-impl "
-    "--c-diamond --c-design --additive-slack --poly-budget --seed --stream --mem-budget",
+    "--c-diamond --c-design --additive-slack --poly-budget --seed --stream --mem-budget "
+    "--sweep-t",
     "bounds improved-support --d 4 --t 8": "--eps --eta --kappa --q --m --alpha-impl "
-    "--c-diamond --additive-slack --poly-budget --seed --stream --mem-budget",
+    "--c-diamond --additive-slack --poly-budget --seed --stream --mem-budget --sweep-t",
     "bounds rom-input-length --d 4 --t 8": "--eta --kappa --q --m --alpha-impl --c-diamond "
-    "--c-design --poly-budget --log --seed --stream --mem-budget",
+    "--c-design --poly-budget --log --seed --stream --mem-budget --sweep-t",
     "bounds trivial-rompru --d 4 --kappa 3": "--t --sweep-t --delta --eps --eta --q --m "
     "--alpha-impl --c-diamond --c-design --additive-slack --poly-budget --log --seed "
     "--stream --mem-budget",
     "bounds scalable-check --d 16 --kappa 3 --q 4 --m 2 --t 8": "--eps --eta --c-diamond "
-    "--c-design --additive-slack --log --seed --stream --mem-budget",
+    "--c-design --additive-slack --log --seed --stream --mem-budget --sweep-t",
     "bounds net-size --d 2 --eps 0.5": "--t --sweep-t --delta --kappa --q --m --alpha-impl "
     "--c-design --additive-slack --poly-budget --seed --stream --mem-budget",
     "design-distance --ensemble pauli-1 --t 1": "--seed --stream",
     "truncate-diag --k 4": "--seed --stream",
     "pfc-distinguish --n 6 --trials 1 --k-blocks 5 --seed 1": "--estimator",
+    "net-coverage --eps 0.5 --samples 2 --seed 1": "--sweep-eps",
 }
 FLAG_VALUES = {"--t": "3", "--sweep-t": "1,2", "--delta": "0", "--eps": "0.5", "--eta": "0",
                "--kappa": "3", "--q": "3", "--m": "3", "--alpha-impl": "0",
                "--c-diamond": "1", "--c-design": "1", "--additive-slack": "1",
                "--poly-budget": "2", "--seed": "1", "--stream": "2", "--mem-budget": "1",
                "--estimator": "median", "--haar-net-size": "3", "--dim": "2", "--sweep-eps": "0.5"}
-# the base command line of a command or formula (net-coverage's gets a
-# --ensemble-file), and flags it reads, but never together with one that line gives
+# the base command line of a command (net-coverage's gets a --ensemble-file),
+# and flags it reads, but never together with one that line gives
 EXCLUSIVE_FLAGS = {
-    "net-coverage --eps 0.5 --samples 2 --seed 1": "--haar-net-size --dim --sweep-eps",
-    "bounds prior-support --d 2 --t 1": "--sweep-t",
-    "bounds improved-support --d 4 --t 8": "--sweep-t",
-    "bounds rom-input-length --d 4 --t 8": "--sweep-t",
-    "bounds scalable-check --d 16 --kappa 3 --q 4 --m 2 --t 8": "--sweep-t",
+    "net-coverage --eps 0.5 --samples 2 --seed 1": "--haar-net-size --dim",
 }
+# the dests of the output flags, which a report's config leaves out
+OUTPUT_DESTS = ("out", "format", "mem_budget")
 
 
 def run_cli(args, capsys):
@@ -421,7 +423,7 @@ class TestCli:
                                                         capsys):
         # every command accepted the output, budget and seed flags, and every
         # bounds formula all 20 bounds flags, whether it read them or not; and
-        # net-coverage and bounds ignored one flag of a pair they read
+        # net-coverage ignores one flag of a pair it reads
         from prulab.ensembles import EnsembleSpec
 
         argv = shlex.split(base) + [flag] + ([] if flag == "--log" else [FLAG_VALUES[flag]])
@@ -442,18 +444,35 @@ class TestCli:
         # a config key cannot name an input the library never receives
         from prulab.distinguisher import pfc_distinguish_experiment
 
-        code, out, err = run_cli(["pfc-distinguish", "--n", "6", "--trials", "1",
+        code, out, err = run_cli(["pfc-distinguish", "--n", "6", "--trials", "1", "--t", "8",
                                   "--k-blocks", "5", "--seed", "1"], capsys)
         assert code == 0, err
         config = json.loads(out)["config"]
-        assert set(config) - {"command"} == set(
+        assert set(config) - {"command", "stream"} == set(
             inspect.signature(pfc_distinguish_experiment).parameters)
 
-    def test_bounds_inputs_are_the_formulas_own_flags(self, capsys):
-        code, out, err = run_cli(["bounds", "prior-support", "--d", "2", "--t", "1"], capsys)
-        assert code == 0, err
-        assert json.loads(out)["config"]["inputs"] == {
-            "d": 2, "t": 1.0, "delta": 0.0, "log": False}
+    def test_config_is_the_flags_the_command_read(self, tmp_path, monkeypatch, capsys):
+        # each README line's config is its parsed flags, output flags and
+        # flags it was not given aside, and its hash is the sha1 of that
+        # config's canonical JSON; the slow lines run at small sizes
+        from prulab.ensembles import EnsembleSpec
+
+        dump_json(tmp_path / "net.json",
+                  ensemble_to_json_dict(EnsembleSpec.haar_sample(2, 3, RandomSeed(4))))
+        dump_json(tmp_path / "circuit.json", fuzz_manifests()["{circuit}"])
+        monkeypatch.chdir(tmp_path)
+        small = {"--trials": "2", "--k-blocks": "5", "--haar-net-size": "5", "--samples": "5"}
+        for argv in readme_commands():
+            argv = [small.get(prev, word) for prev, word in zip([None, *argv], argv)]
+            argv += ["--format", "json"]
+            code, out, err = run_cli(argv, capsys)
+            assert code == 0, (argv, err)
+            report = json.loads(out)
+            flags = vars(build_parser().parse_args(argv))
+            assert report["config"] == {k: v for k, v in flags.items()
+                                        if k not in OUTPUT_DESTS and v is not None}, argv
+            canonical = json.dumps(report["config"], sort_keys=True, separators=(",", ":"))
+            assert report["config_hash"] == hashlib.sha1(canonical.encode()).hexdigest()
 
     @pytest.mark.parametrize("argv, cause", [
         (["pfc-distinguish", "--n", "31", "--trials", "1", "--seed", "1"],
@@ -466,7 +485,7 @@ class TestCli:
          "argument --ensemble: invalid choice: 'bogus'"),
         (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1"],
          "one of the arguments --ensemble-file --haar-net-size is required"),
-        (["bounds", "prior-support", "--d", "2"], "one of the arguments --t --sweep-t is required"),
+        (["bounds", "prior-support", "--d", "2"], "the following arguments are required: --t"),
         (["bounds", "trivial-rompru", "--d", "4"], "--kappa"),
         (["design-distance", "--ensemble", "pauli-1", "--t", "1", "--mem-budget", "0"],
          "argument --mem-budget: must be in [2^-30, 2^994), got 0.0"),
@@ -476,21 +495,21 @@ class TestCli:
         (["bounds", "scalable-check", "--d", "4", "--t", "1", "--kappa", "1"], "--q"),
         (["bounds", "prior-support", "--d", "2", "--t", "1.5"],
          "argument --t: must be a whole number, got 1.5"),
-        (["bounds", "prior-support", "--d", "2", "--sweep-t", "1,1.5"],
-         "argument --sweep-t: must be a whole number, got 1.5"),
+        (["bounds", "prior-support", "--d", "2", "--t", "1,1.5"],
+         "argument --t: must be a whole number, got 1.5"),
         (["net-coverage", "--haar-net-size", "2", "--dim", "2", "--eps", "0.5",
-          "--samples", "2", "--seed", "1", "--sweep-eps", "0.1,x"],
-         "argument --sweep-eps: must be a number, got 'x'"),
-        (["bounds", "improved-support", "--d", "4", "--sweep-t", "1,y"],
-         "argument --sweep-t: must be a number, got 'y'"),
+          "--samples", "2", "--seed", "1", "--eps", "0.1,x"],
+         "argument --eps: must be a number, got 'x'"),
+        (["bounds", "improved-support", "--d", "4", "--t", "1,y"],
+         "argument --t: must be a number, got 'y'"),
         (["bounds", "prior-support", "--d", "2", "--t", "-1"],
          "argument --t: must be in [0, inf), got -1.0"),
         (["bounds", "improved-support", "--d", "2", "--t", "inf"],
          "argument --t: must be a finite number, got inf"),
         (["bounds", "improved-support", "--d", "2", "--t", "nan"],
          "argument --t: must be a finite number, got nan"),
-        (["bounds", "improved-support", "--d", "2", "--sweep-t", "1,nan"],
-         "argument --sweep-t: must be a finite number, got nan"),
+        (["bounds", "improved-support", "--d", "2", "--t", "1,nan"],
+         "argument --t: must be a finite number, got nan"),
         (["net-coverage", "--haar-net-size", "5", "--dim", "2", "--eps", "nan",
           "--samples", "5", "--seed", "1"], "argument --eps: must be a finite number, got nan"),
         (["bounds", "improved-support", "--d", "64", "--t", "1e300"], "--log"),
@@ -527,7 +546,7 @@ class TestCli:
         (["pfc-distinguish", "--n", "20", "--trials", "1", "--k-blocks", "1", "--seed", "1",
           "--mem-budget", "0.0005"], "PFC permutation needs 8.39e+06 bytes, budget is 536870"),
         (["net-coverage", "--haar-net-size", "2", "--dim", "2", "--samples", "2", "--seed", "1"],
-         "one of the arguments --eps --sweep-eps is required"),
+         "the following arguments are required: --eps"),
         (["net-coverage", "--haar-net-size", "2", "--dim", "0", "--eps", "0.5",
           "--samples", "2", "--seed", "1"], "argument --dim: must be in [1, inf), got 0"),
         (["net-coverage", "--haar-net-size", "2", "--dim", "-2", "--eps", "0.5",
@@ -540,10 +559,10 @@ class TestCli:
          "argument --delta: must be in [0, 1), got 1.0"),
         (["net-coverage", "--haar-net-size", "3", "--dim", "2", "--eps", "-1",
           "--samples", "5", "--seed", "1"], "argument --eps: must be in [0, inf), got -1.0"),
-        (["net-coverage", "--haar-net-size", "3", "--dim", "2", "--sweep-eps", "0.3,-1",
-          "--samples", "5", "--seed", "1"], "argument --sweep-eps: must be in [0, inf), got -1.0"),
-        (["bounds", "improved-support", "--d", "4", "--t", "8", "--sweep-t", ""],
-         "argument --sweep-t: must be a number, got ''"),
+        (["net-coverage", "--haar-net-size", "3", "--dim", "2", "--eps", "0.3,-1",
+          "--samples", "5", "--seed", "1"], "argument --eps: must be in [0, inf), got -1.0"),
+        (["bounds", "improved-support", "--d", "4", "--t", ""],
+         "argument --t: must be a number, got ''"),
         (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--trials", "0"], "argument --trials: must be in [1, inf), got 0"),
         (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--t", "1"], "argument --t: must be in [2, inf), got 1"),
         (["pfc-distinguish", "--n", "6", "--trials", "1", "--k-blocks", "5", "--seed", "1", "--k-blocks", "0"], "argument --k-blocks: must be in [1, inf), got 0"),
@@ -715,7 +734,7 @@ class TestCli:
         ["bounds", "improved-support", "--d", "3", "--t", "5e-324"],
         ["bounds", "improved-support", "--d", "3", "--t", "1e-300", "--c-design", "1e-30"],
         ["bounds", "improved-support", "--d", "3", "--t", "1e300", "--c-design", "1e300"],
-        ["bounds", "improved-support", "--d", "16", "--sweep-t", "1420,2840"],
+        ["bounds", "improved-support", "--d", "16", "--t", "1420,2840"],
     ], ids=["prior-support", "net-size", "net-size-eta",
             "improved-support-underflow", "improved-support-tiny-c-design",
             "improved-support-overflow", "improved-support-sweep"])
@@ -866,17 +885,20 @@ class TestCli:
         assert out.splitlines()[0] == header
 
     def test_net_coverage_sweep_emits_rows(self, capsys):
-        # --sweep-eps gives rows even for one value, as --sweep-t does in bounds
+        # one radius gives its row as the result, and two give rows
         base = ["net-coverage", "--haar-net-size", "3", "--dim", "2", "--samples", "5",
                 "--seed", "1"]
-        code, out, err = run_cli(base + ["--sweep-eps", "0.5"], capsys)
+        code, out, err = run_cli(base + ["--eps", "0.5"], capsys)
         assert code == 0, err
         report = json.loads(out)
         assert report["config"]["eps"] == [0.5]
-        assert [row["epsilon"] for row in report["result"]["rows"]] == [0.5]
-        code, out, err = run_cli(base + ["--eps", "0.5"], capsys)
+        one = report["result"]
+        assert one["epsilon"] == 0.5
+        code, out, err = run_cli(base + ["--eps", "0.5,0.9"], capsys)
         assert code == 0, err
-        assert json.loads(out)["result"]["epsilon"] == 0.5
+        rows = json.loads(out)["result"]["rows"]
+        assert [row["epsilon"] for row in rows] == [0.5, 0.9]
+        assert rows[0] == one
 
     def test_check_products_adds_the_pair_cover_to_each_row(self, capsys):
         # the exposure fields are the same command's without the flag; the
@@ -887,7 +909,7 @@ class TestCli:
         from prulab.nets import cover_with_product
 
         base = ["net-coverage", "--haar-net-size", "5", "--dim", "2", "--samples", "5",
-                "--sweep-eps", "0.5,0.9", "--seed", "1", "--stream", "2"]
+                "--eps", "0.5,0.9", "--seed", "1", "--stream", "2"]
         code, out, err = run_cli(base, capsys)
         assert code == 0, err
         plain = json.loads(out)
@@ -908,7 +930,7 @@ class TestCli:
 
     def test_csv_sweep_one_param_per_row(self, capsys):
         code, out, _ = run_cli(
-            ["bounds", "improved-support", "--d", "4", "--sweep-t", "100,200,400",
+            ["bounds", "improved-support", "--d", "4", "--t", "100,200,400",
              "--format", "csv"], capsys)
         assert code == 0
         lines = [ln for ln in out.strip().splitlines() if ln]
@@ -954,7 +976,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "rom-input-length", "--d", "4", "--t", "3"],
-        ["bounds", "rom-input-length", "--d", "4", "--sweep-t", "3,20,16", "--eps", "0.1"],
+        ["bounds", "rom-input-length", "--d", "4", "--t", "3,20,16", "--eps", "0.1"],
         ["pfc-distinguish", "--n", "2", "--trials", "1", "--k-blocks", "2", "--seed", "1"],
     ], ids=["rom-input-length", "rom-input-length-sweep", "pfc-distinguish"])
     def test_csv_dict_cells_are_json(self, argv, capsys):
@@ -997,10 +1019,10 @@ FUZZ_BASES = [
     "pfc-distinguish --n 1 --t 2 --trials 1 --k-blocks 2 --seed 1",
     "design-distance --ensemble-file {ensemble} --t 1",
     "net-coverage --ensemble-file {net} --eps 0.5 --samples 2 --seed 1",
-    "net-coverage --haar-net-size 2 --dim 2 --sweep-eps 0.5 --samples 2 --seed 1",
+    "net-coverage --haar-net-size 2 --dim 2 --eps 0.3,0.5 --samples 2 --seed 1",
     "truncate-diag --circuit-file {circuit} --k 4",
     "bounds prior-support --d 2 --t 1",
-    "bounds improved-support --d 4 --sweep-t 8",
+    "bounds improved-support --d 4 --t 8,16",
     "bounds rom-input-length --d 4 --t 8",
     "bounds trivial-rompru --d 4 --kappa 3",
     "bounds scalable-check --d 16 --kappa 3 --q 4 --m 2 --t 8",

@@ -11,7 +11,9 @@ from prulab.linalg import (
     diamond_distance_batch,
     diamond_distance_from_spectrum,
     diamond_distance_unitaries,
+    haar_unitaries_rng,
     haar_unitary,
+    haar_unitary_rng,
     is_unitary,
     kron_power,
     memory_budget_bytes,
@@ -59,6 +61,28 @@ class TestHaarUnitary:
     def test_rejects_d0(self):
         with pytest.raises(ValueError):
             haar_unitary(0, RandomSeed(0))
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 64])
+    def test_one_element_is_the_textbook_draw(self, d):
+        # one Ginibre pair, real part first, its QR and the R-diagonal phase
+        # fix: the stream every seeded Haar sample and net is drawn from
+        rng = RandomSeed(d).generator()
+        z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+        q, r = np.linalg.qr(z)
+        want = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        assert haar_unitary_rng(d, RandomSeed(d).generator()).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d, m", [(1, 700), (2, 300), (5, 40), (16, 6)])
+    def test_stack_is_the_one_element_draws(self, d, m):
+        rng = RandomSeed(d).generator()
+        want = np.array([haar_unitary_rng(d, rng) for _ in range(m)])
+        assert haar_unitaries_rng(d, m, RandomSeed(d).generator()).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d, m", [(1, 4096), (2, 1024), (16, 64)])
+    def test_stack_peak_is_within_its_charge(self, d, m, monkeypatch):
+        _, peak, charged = traced_peak(lambda: haar_unitaries_rng(d, m, RandomSeed(5).generator()),
+                                       monkeypatch, linalg)
+        assert peak <= max(charged) + (64 << 10)
 
     def test_first_moment_uniform_columns(self):
         # |<x|U|0>|^2 averages to 1/d for every x

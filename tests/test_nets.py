@@ -110,7 +110,10 @@ class TestExposure:
 
 
 class TestHaarSample:
-    @pytest.mark.parametrize("dim, size, seed", [(1, 3, 1), (2, 40, 2), (3, 7, 3), (16, 5, 4)])
+    # the larger sizes span several blocks of the fill, the last one short
+    @pytest.mark.parametrize("dim, size, seed", [
+        (1, 3, 1), (2, 40, 2), (3, 7, 3), (16, 5, 4), (1, 1000, 5), (2, 2000, 6), (3, 500, 7),
+        (4, 300, 8), (16, 50, 9), (23, 4, 10)])
     def test_net_is_the_list_built_net(self, dim, size, seed):
         rng = RandomSeed(seed).generator()
         want = np.array([haar_unitary_rng(dim, rng) for _ in range(size)])
@@ -130,7 +133,8 @@ class TestHaarSample:
     def test_small_dim_net_stays_within_its_charge(self, monkeypatch, dim):
         # the uniform weights and the bool masks of their check, 10 bytes per
         # element, are a large share at dim 1 and 2; charged only the stack,
-        # haar_sample(1, 100000) peaked 1.0 MB over its 1.6 MB charge
+        # haar_sample(1, 100000) peaked 1.0 MB over its 1.6 MB charge; drawn
+        # as one unchunked stack, the net peaked at 4 to 6 times its size
         _, peak, charged = helpers.traced_peak(
             lambda: EnsembleSpec.haar_sample(dim, 100000, RandomSeed(1)), monkeypatch, ensembles)
         assert peak <= max(charged) + (64 << 10)
@@ -447,7 +451,7 @@ class TestDesignAsNet:
         helpers.dump_json(tmp_path / "clifford.json", helpers.ensemble_to_json_dict(group))
         radii = [0.6, 1.05]
         assert main(["net-coverage", "--ensemble-file", str(tmp_path / "clifford.json"),
-                     "--sweep-eps", ",".join(map(str, radii)), "--samples", "400",
+                     "--eps", ",".join(map(str, radii)), "--samples", "400",
                      "--seed", "1"]) == 0
         rows = json.loads(capsys.readouterr().out)["result"]["rows"]
         assert rows == [report_dict(exposure_estimate(group, eps, 400, RandomSeed(1).child(i)))

@@ -17,8 +17,8 @@ from prulab.linalg import memory_budget_bytes, set_memory_budget_bytes
 # README's `net-coverage ... --check-products` line at tiny sizes)
 RETIRED_SCRIPT_LINES = {
     "run_pfc_distinguisher": ["pfc-distinguish --n 2 --trials 1 --k-blocks 2 --seed 1"],
-    "bounds_table": ["bounds prior-support --d 4 --sweep-t 89 --log --format csv",
-                     "bounds improved-support --d 4 --sweep-t 89 --log --format csv"],
+    "bounds_table": ["bounds prior-support --d 4 --t 89 --log --format csv",
+                     "bounds improved-support --d 4 --t 89 --log --format csv"],
     "coverage_sweep": ["net-coverage --haar-net-size 2 --dim 2 --eps 0.5 --samples 2 --seed 1 "
                        "--check-products"],
 }
@@ -83,6 +83,14 @@ def test_every_numeric_flag_keeps_the_exit_contract(name, flag, value, capsys):
         assert code in (0, 1, 2), argv
         if code == 1:
             assert err.startswith("error: "), (argv, err)
+
+
+@pytest.mark.parametrize("line", [
+    pytest.param(line, id=line) for lines in RETIRED_SCRIPT_LINES.values() for line in lines])
+def test_replacement_line_runs_as_written(line, capsys):
+    # a base line that stopped parsing would turn every fuzz case above into
+    # a usage error, which their exit contract allows
+    assert main(shlex.split(line)) == 0, capsys.readouterr().err
 
 
 def test_numeric_flags_are_found():
