@@ -259,11 +259,14 @@ def scalable_check(p: RomPruParams, poly_budget: float = 2.0) -> ScalableCheckRe
         budget = math.inf
     return ScalableCheckReport(
         efficiency_ok=qm <= budget,
-        alpha_ok=p.alpha_impl <= 2.0 ** (-p.kappa),
+        # ldexp(1, -kappa) is 2.0**-kappa wherever that is defined, and 0.0,
+        # as exact for a float comparison, from kappa = 2^1024 on, where
+        # 2.0**-kappa cannot convert kappa to a float and raises
+        alpha_ok=p.alpha_impl <= math.ldexp(1.0, -p.kappa),
         # t >= 2^kappa iff t's binary exponent exceeds kappa; 2.0**kappa
         # overflows from kappa = 1024 on
         queries_ok=math.frexp(p.t)[1] > p.kappa,
-        advantage_ok=p.delta <= 2.0 ** (-p.kappa),
+        advantage_ok=p.delta <= math.ldexp(1.0, -p.kappa),
         qm=qm,
         qm_budget=budget,
         induced_design_t=p.t,

@@ -8,12 +8,12 @@ over blocks of t copies, the Chebyshev concentration reference for that
 mean, and the PFC-vs-Haar experiment that runs the test on fresh hidden
 states of both kinds.
 
-The three oracles are one stream class, `_OutcomeStream`, each passing
-it the fill that samples its outcomes: the fill runs once per block, not
-once per call, and ``draw(shots)`` returns a read-only view of the next
-``shots`` outcomes of the block, so the per-call cost of many small draws
-is a slice.  The blocks grow with what the caller has drawn, up to _BLOCK
-outcomes.
+The urn and PFC oracles are one stream class, `_OutcomeStream`, each
+passing it the fill that samples its outcomes: the fill runs once per
+block, not once per call, and ``draw(shots)`` returns a read-only view of
+the next ``shots`` outcomes of the block, so the per-call cost of many
+small draws is a slice; blocks grow with what the caller has drawn, up to
+_BLOCK outcomes.  The dense oracle samples its Born rule on each call.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from prulab.linalg import RandomSeed, ensure_budget, haar_state
+from prulab.linalg import RandomSeed, ensure_budget
 from prulab.ensembles import PFCSample, PolyaUrnSampler, sample_pfc
 from prulab.stabilizer import measurement_support, sample_from_support
 from prulab.util import wilson_interval
@@ -140,22 +140,26 @@ class HaarUrnOracle(_OutcomeStream):
     draw = _OutcomeStream.take
 
 
-class HaarDenseOracle(_OutcomeStream):
+class HaarDenseOracle:
     """Measurement oracle of a hidden Haar state, dense realization.
 
-    Outcomes come from one block stream of Born-rule samples.
+    The state is a normalized complex Gaussian vector; ``draw(shots)`` is one
+    search of its Born cdf per uniform, so no draw depends on the split.
     """
 
     def __init__(self, d: int, seed: RandomSeed):
         ensure_budget(16 * d * 4, "dense Haar oracle")
-        rng = seed.generator()
-        probs = np.abs(haar_state(d, rng)) ** 2
+        self._rng = rng = seed.generator()
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        probs = np.abs(v / np.linalg.norm(v)) ** 2
         cdf = np.cumsum(probs / probs.sum())
-        cdf /= cdf[-1]
-        # rng.choice(d, size=n, p=probs) with the cdf built once, not per call
-        super().__init__(lambda n: cdf.searchsorted(rng.random(n), side="right"))
+        self._cdf = cdf / cdf[-1]
 
-    draw = _OutcomeStream.take
+    def draw(self, shots: int) -> np.ndarray:
+        if shots < 0:
+            raise ValueError(f"shots must be nonnegative, got {shots}")
+        # rng.choice(d, size=shots, p=probs) with the cdf built once, not per call
+        return self._cdf.searchsorted(self._rng.random(shots), side="right")
 
 
 class PFCOracle(_OutcomeStream):

@@ -8,6 +8,7 @@ shortest arc of the unit circle holding the spectrum of U^dag V.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -38,8 +39,12 @@ def set_memory_budget_bytes(n: int) -> None:
 
 def ensure_budget(nbytes: float, what: str) -> None:
     if nbytes > _budget_bytes:
+        try:
+            shown = f"{nbytes:.3g}"
+        except OverflowError:  # an int past float range, which .3g turns into a float
+            shown = f"{Decimal(nbytes):.3g}"
         raise ResourceLimitError(
-            f"{what} needs {nbytes:.3g} bytes, budget is {_budget_bytes} "
+            f"{what} needs {shown} bytes, budget is {_budget_bytes} "
             "(raise it with --mem-budget, in GiB, or set_memory_budget_bytes)"
         )
 
@@ -119,12 +124,6 @@ def haar_unitaries_rng(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=1, axis2=2)
     return q * (diag / np.abs(diag))[:, None, :]
-
-
-def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state: normalized complex Gaussian vector."""
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
 
 
 def kron_power(u: np.ndarray, t: int) -> np.ndarray:

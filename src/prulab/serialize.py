@@ -19,21 +19,20 @@ from prulab.linalg import UNITARY_TOL, unitarity_error
 from prulab.truncation import DiagonalOracleCircuit, DiagonalPhase
 
 
-def _is_pair(z) -> bool:
-    return isinstance(z, list) and len(z) == 2 and all(isinstance(v, (int, float)) for v in z)
-
-
 def matrix_from_json(rows: list, what: str) -> np.ndarray:
     """The complex matrix of a JSON array of rows of [re, im] pairs, or a
     ValueError naming `what` if it is not one or a row's length is not
-    the number of rows."""
-    if not (isinstance(rows, list)
-            and all(isinstance(row, list) and all(map(_is_pair, row)) for row in rows)):
+    the number of rows, or naming the entry whose re or im is no number."""
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and all(isinstance(z, list) and len(z) == 2 for z in row)
+            for row in rows)):
         raise ValueError(f"{what} must be an array of rows of [re, im] number pairs")
     for i, row in enumerate(rows):
         if len(row) != len(rows):
             raise ValueError(f"{what} must be square: row {i} has {len(row)} entries "
                              f"for {len(rows)} rows")
+        for j, z in enumerate(row):
+            _items(z, float, f"{what} row {i} entry {j} [re, im]")
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
@@ -50,14 +49,24 @@ _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an in
                float: "a number"}
 
 
+#: the least integer float() overflows on: halfway from the largest float
+#: to 2^1024, which rounds up
+_FLOAT_END = 2**1024 - 2**970
+
+
 def _expect(value, kind: type, what: str):
     """`value`, or a ValueError naming `what` if it is not of JSON type
-    `kind`; true and false are neither integers nor numbers."""
+    `kind`; true and false are neither integers nor numbers, and a number
+    is one a float holds, not an integer past float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        want, got = _JSON_TYPES[kind], json.dumps(value)
-        got = got if len(got) <= 40 else got[:37] + "..."
-        raise ValueError(f"{what} must be {want}, got {got}")
-    return value
+        want = _JSON_TYPES[kind]
+    elif kind is float and isinstance(value, int) and abs(value) >= _FLOAT_END:
+        want = "a number within float range"
+    else:
+        return value
+    got = json.dumps(value)
+    got = got if len(got) <= 40 else got[:37] + "..."
+    raise ValueError(f"{what} must be {want}, got {got}")
 
 
 def _items(value, kind: type, what: str) -> list:

@@ -84,8 +84,10 @@ class DiagonalOracleCircuit:
         for item in self.sequence:
             kind = item[0]
             if kind == "fixed":
-                if item[1].shape != (1 << self.n, 1 << self.n):
-                    raise ValueError("fixed layer has wrong dimension")
+                # no array dimension reaches 2^63, so no 1 << n is built past it
+                if not 0 <= self.n < 63 or item[1].shape != (1 << self.n, 1 << self.n):
+                    raise ValueError(f"fixed layer has wrong dimension: {item[1].shape} "
+                                     f"for n = {self.n} qubits")
             elif kind == "oracle":
                 idx = item[1]
                 if not 0 <= idx < len(self.oracles):
@@ -132,7 +134,7 @@ class CircuitTruncationReport:
 def circuit_truncation_bound(c: DiagonalOracleCircuit, k: int) -> CircuitTruncationReport:
     """Exact diamond distance between the circuit and its k-truncated twin,
     checked against the union bound s 2^{-k} pi."""
-    if 1 << c.n > 1 << 10:
+    if c.n > 10:
         raise ValueError("dense circuit comparison capped at total dim 2^10")
     dist = diamond_distance_unitaries(c.materialize(), c.materialize(k_trunc=k))
     bound = c.call_count * math.pi * 2.0 ** (-k)

@@ -44,7 +44,8 @@ complete-positivity checks it feeds, dense tableau
 Paulis, the closed-form amplitudes of the (M, u, v) state family,
 membership in and enumeration of a measurement support, the dense P.F.C
 matrix of a PFC sample with the splitmix64 phase PRF its ``phase_key``
-keys, and uniformly random diagonal phase functions.
+keys, uniformly random diagonal phase functions, and the Haar-random
+state vector whose Born probabilities the dense Haar oracle samples.
 
 So do the checks and constructions that only tests use: the bit-block
 form of a tableau (`tableau_from_blocks`, which reads (2n, n) x and z
@@ -423,6 +424,14 @@ def empirical_counts(values) -> dict:
         key = int(v)
         out[key] = out.get(key, 0) + 1
     return out
+
+
+def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random pure state: normalized complex Gaussian vector, the
+    reference for the Born probabilities of
+    `prulab.distinguisher.HaarDenseOracle`."""
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
 
 
 def haar_basis_measurement(phis: np.ndarray, rng: np.random.Generator) -> np.ndarray:

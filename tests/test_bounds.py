@@ -3,6 +3,7 @@ import sys
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -363,6 +364,33 @@ class TestScalableCheck:
             assert queries_ok(t) and not queries_ok(math.nextafter(t, 0.0))
         else:
             assert not queries_ok(sys.float_info.max)
+
+    def test_error_rule_equals_the_float_rule_below_kappa_1024(self):
+        # alpha_ok and advantage_ok, alpha <= 2^-kappa and delta <= 2^-kappa,
+        # are the plain float comparison wherever 2.0 ** -kappa is defined
+        rng = np.random.default_rng(11)
+        tiny = sys.float_info.min  # the smallest normal; subnormals lie below it
+        for kappa in range(KAPPA_LIMIT):
+            p = 2.0 ** -kappa
+            for x in [0.0, p, math.nextafter(p, math.inf), math.nextafter(p, 0.0), 1.5 * p,
+                      p / 2, 5e-324, 1e-320, math.nextafter(tiny, 0.0), tiny, 1.0,
+                      sys.float_info.max, *(3 * p * rng.random(2))]:
+                rep = scalable_check(RomPruParams(16, kappa, 4.0, 2.0, x, 8.0, x))
+                assert rep.alpha_ok == rep.advantage_ok == (x <= p), (kappa, x)
+
+    @pytest.mark.parametrize("kappa", [1024, 1073, 1074, 1075, 2**1024, 10**400],
+                             ids=["1024", "1073", "1074", "1075", "2-1024", "10-400"])
+    def test_error_rule_holds_past_float_range(self, kappa):
+        # 2^-1024 and the subnormals 2^-1073 and 2^-1074 are exact floats
+        def ok(x):
+            rep = scalable_check(RomPruParams(16, kappa, 4.0, 2.0, x, 8.0, x))
+            assert rep.alpha_ok == rep.advantage_ok
+            return rep.alpha_ok
+
+        assert ok(0.0)
+        for exponent in (-1024, -1073, -1074):
+            assert ok(math.ldexp(1.0, exponent)) == (kappa <= -exponent), exponent
+        assert not ok(math.nextafter(2.0**-1024, 1.0))
 
     def test_all_zero_errors_pass(self):
         p = RomPruParams(16, 2, 3.0, 2.0, 0.0, 100.0, 0.0)

@@ -305,6 +305,36 @@ class TestCli:
         (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1", "--ensemble-file"],
          {"dim": 2, "weights": [0.5, 0.25], "matrices": [EYE_2, EYE_2]},
          "weights must be nonnegative and sum to 1, got sum 0.75"),
+        # every JSON number has one rule: no true or false, no integer past float range
+        (["design-distance", "--t", "1", "--ensemble-file"],
+         {"dim": 2, "matrices": [[[[True, 0], [0, 0]], [[0, 0], [True, 0]]]]},
+         "manifest matrices item 0 row 0 entry 0 [re, im] item 0 must be a number, got true"),
+        (["truncate-diag", "--k", "4", "--circuit-file"],
+         {"n": 1, "m": 1, "oracles": [[0.0, 0.5]],
+          "sequence": [{"oracle": 0}, {"fixed": [[[1, 0], [0, 0]], [[0, 0], [1, False]]]}]},
+         "circuit sequence item 1 fixed row 1 entry 1 [re, im] item 1 must be a number, "
+         "got false"),
+        (["design-distance", "--t", "1", "--ensemble-file"],
+         {"dim": 2, "weights": [10**400], "matrices": [EYE_2]},
+         "ensemble manifest weights item 0 must be a number within float range, got 1000"),
+        (["design-distance", "--t", "1", "--ensemble-file"],
+         {"dim": 2, "matrices": [[[[1, 0], [0, 0]], [[0, 0], [1, -10**400]]]]},
+         "manifest matrices item 0 row 1 entry 1 [re, im] item 1 must be a number within "
+         "float range, got -1000"),
+        (["net-coverage", "--eps", "0.5", "--samples", "10", "--seed", "1", "--ensemble-file"],
+         {"dim": 2, "matrices": [EYE_2, [[[2**1024, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+         "manifest matrices item 1 row 0 entry 0 [re, im] item 0 must be a number within "
+         "float range, got 1797"),
+        (["truncate-diag", "--k", "4", "--circuit-file"],
+         {"n": 1, "m": 1, "oracles": [[0.0, 10**400]], "sequence": [{"oracle": 0}]},
+         "circuit oracles item 0 item 1 must be a number within float range, got 1000"),
+        (["truncate-diag", "--k", "4", "--circuit-file"],
+         {"n": 10**18, "m": 1, "oracles": [[0.0, 0.5]], "sequence": [{"oracle": 0}]},
+         "dense circuit comparison capped at total dim 2^10"),
+        (["truncate-diag", "--k", "4", "--circuit-file"],
+         {"n": 10**18, "m": 1, "oracles": [[0.0, 0.5]],
+          "sequence": [{"oracle": 0}, {"fixed": EYE_2}]},
+         "fixed layer has wrong dimension: (2, 2) for n = 1000000000000000000 qubits"),
     ], ids=["ensemble-no-dim", "net-no-dim", "circuit-no-sequence", "matrix-row-of-numbers",
             "matrix-entry-not-numeric", "circuit-fixed-of-numbers", "ensemble-matrix-ragged",
             "circuit-fixed-ragged", "ensemble-not-unitary",
@@ -314,7 +344,9 @@ class TestCli:
             "ensemble-weights-string", "circuit-sequence-item-number", "circuit-oracles-null",
             "circuit-m-list", "circuit-n-negative", "circuit-oracle-string",
             "circuit-phase-string", "ensemble-dim-negative", "net-dim-negative",
-            "net-dim-zero", "net-weights-sum"])
+            "net-dim-zero", "net-weights-sum", "ensemble-matrix-true", "circuit-fixed-false",
+            "ensemble-weights-1e400", "ensemble-matrix-1e400", "net-matrix-2-1024",
+            "circuit-phase-1e400", "circuit-n-1e18", "circuit-n-1e18-fixed"])
     def test_manifest_missing_key_is_a_usage_error(self, command, manifest, key, tmp_path,
                                                    capsys):
         # a.bin holds two float64s, one complex entry, for the matrix_files rows
@@ -626,6 +658,24 @@ class TestCli:
         (["net-coverage", "--net-file", "net.json", "--haar-net-size", "2", "--dim", "2",
           "--eps", "0.5", "--samples", "2", "--seed", "1"],
          "unrecognized arguments: --net-file net.json"),
+        # an integer flag past float range: the charge is shown without
+        # turning it into a float, and 2^-kappa is compared by exponent
+        (["pfc-distinguish", "--n", "2", "--trials", "1", "--k-blocks", "2", "--seed", "1",
+          "--t", str(2**1024)], "collision test outcomes needs 2.30e+310 bytes, budget is"),
+        (["pfc-distinguish", "--n", "2", "--trials", "1", "--k-blocks", str(2**1024),
+          "--seed", "1"], "collision test outcomes needs 1.22e+310 bytes, budget is"),
+        (["pfc-distinguish", "--n", "2", "--trials", "1", "--k-blocks", "2", "--seed", "1",
+          "--t", str(10**307)], "collision test outcomes needs 1.28e+309 bytes, budget is"),
+        (["net-coverage", "--haar-net-size", "2", "--dim", str(2**1024), "--eps", "0.5",
+          "--samples", "2", "--seed", "1"], "Haar net needs 1.03e+618 bytes, budget is"),
+        (["net-coverage", "--haar-net-size", str(2**1024), "--dim", "2", "--eps", "0.5",
+          "--samples", "2", "--seed", "1"], "Haar net needs 1.33e+310 bytes, budget is"),
+        (["tomo-demo", "--d", str(2**1024), "--eps", "1.5", "--eta", "0.5", "--seed", "1"],
+         "Haar sample needs 2.10e+618 bytes, budget is"),
+        (["bounds", "scalable-check", "--d", "16", "--kappa", str(2**1024), "--q", "4",
+          "--m", "2", "--t", "8"],
+         "bounds scalable-check evaluates qm_budget to inf as a float; it is computed from "
+         "--d, --kappa and --poly-budget"),
     ], ids=["n-out-of-range", "no-ensemble", "both-ensembles", "unknown-ensemble",
             "no-net", "no-t", "no-kappa", "zero-mem-budget", "negative-mem-budget",
             "net-size-no-eps", "scalable-check-no-q", "fractional-t", "fractional-sweep-t",
@@ -653,7 +703,9 @@ class TestCli:
             "tomo-count-overflow", "tomo-subnormal-eta", "net-size-negative-eps",
             "net-size-c-diamond-zero", "trivial-rompru-kappa-negative", "improved-support-t-zero",
             "improved-support-c-design-negative", "scalable-check-delta-negative",
-            "haar-net-over-budget", "net-file-is-ensemble-file"])
+            "haar-net-over-budget", "net-file-is-ensemble-file", "pfc-t-2-1024",
+            "pfc-k-blocks-2-1024", "pfc-t-1e307", "net-coverage-dim-2-1024",
+            "net-coverage-net-size-2-1024", "tomo-d-2-1024", "scalable-check-kappa-2-1024"])
     def test_usage_error_names_its_cause(self, argv, cause, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1
@@ -1068,6 +1120,23 @@ def replaced(node, path, value):
     return node
 
 
+def check_exit_contract(argv) -> None:
+    """Run main on ``argv`` and check the exit contract: no exception out of
+    main, exit 0, 1 or 2, and exit 1 with an error: line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+
+
+def leaf_parser_of(argv):
+    """The parser of the command or formula that ``argv`` names."""
+    leaves = {leaf.prog.removeprefix("prulab "): leaf for _, leaf in leaf_parsers(build_parser())}
+    return leaves[" ".join(a for a in argv[:2] if not a.startswith("-"))]
+
+
 @pytest.mark.parametrize("base", FUZZ_BASES, ids=lambda base: base.split(" --")[0])
 @settings(derandomize=True, max_examples=25, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
@@ -1077,8 +1146,7 @@ def test_fuzzed_command_line_keeps_the_exit_contract(base, data):
     for null, a number, a string, a list or an object, end in exit 0, 1 or
     2, never in an exception out of main, and exit 1 prints an error: line."""
     argv = shlex.split(base)
-    leaves = {leaf.prog.removeprefix("prulab "): leaf for _, leaf in leaf_parsers(build_parser())}
-    leaf = leaves[" ".join(a for a in argv[:2] if not a.startswith("-"))]
+    leaf = leaf_parser_of(argv)
     numeric = [a.option_strings[0] for a in leaf._actions
                if a.option_strings and a.type not in (None, str) and a.dest != "mem_budget"
                and (a.default is not None or a.option_strings[0] in argv)]
@@ -1099,9 +1167,83 @@ def test_fuzzed_command_line_keeps_the_exit_contract(base, data):
                     manifest = replaced(manifest, path, data.draw(st.sampled_from(FUZZ_NODES)))
                 Path(tmp, "manifest.json").write_text(json.dumps(manifest))
                 argv[argv.index(token)] = str(Path(tmp, "manifest.json"))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    assert code in (0, 1, 2), argv
-    if code == 1:
-        assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+        check_exit_contract(argv)
+
+
+#: integers past float range, 2^1024, -2^1024 and 10^400, by their case ids
+HUGE_INTEGERS = {"2^1024": 2**1024, "-2^1024": -2**1024, "10^400": 10**400}
+# a huge repetition count is a long run, not a crash
+HUGE_SKIPPED_FLAGS = {"--trials", "--samples"}
+
+
+def with_manifests(argv, tmp, manifests=None):
+    """``argv`` with each manifest placeholder replaced by the path of its
+    manifest, written under ``tmp``: from ``manifests``, else the valid one."""
+    argv = list(argv)
+    for token, manifest in {**fuzz_manifests(), **(manifests or {})}.items():
+        if token in argv:
+            path = Path(tmp, token.strip("{}") + ".json")
+            path.write_text(json.dumps(manifest))
+            argv[argv.index(token)] = str(path)
+    return argv
+
+
+def huge_flag_cases():
+    """Each numeric flag of each command or formula, on its last line of
+    FUZZ_BASES (net-coverage's is the --haar-net-size line, which reads
+    --dim), with each of HUGE_INTEGERS."""
+    bases = {base.split(" --")[0]: base for base in FUZZ_BASES}
+    for name, base in bases.items():
+        for action in leaf_parser_of(shlex.split(base))._actions:
+            flag = action.option_strings[0] if action.option_strings else None
+            if flag and action.type not in (None, str) and flag not in HUGE_SKIPPED_FLAGS:
+                for label, value in HUGE_INTEGERS.items():
+                    yield pytest.param(base, flag, str(value), id=f"{name} {flag} {label}")
+
+
+@pytest.mark.parametrize("base, flag, value", huge_flag_cases())
+def test_every_numeric_flag_keeps_the_exit_contract_past_float_range(base, flag, value,
+                                                                     tmp_path):
+    """An integer past float range on any numeric flag of any command or
+    formula ends in exit 0, 1 or 2, never in an exception out of main, and
+    exit 1 prints an error: line.  Each other flag keeps its small valid
+    value, and a 10 MiB budget bounds what the command charges."""
+    argv = shlex.split(base)
+    if flag != "--mem-budget" and any(a.dest == "mem_budget"
+                                      for a in leaf_parser_of(argv)._actions):
+        argv += ["--mem-budget", "0.01"]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    check_exit_contract(with_manifests(argv, tmp_path))
+
+
+def number_slot_cases():
+    """The first path to each number slot of the ensemble, net and circuit
+    manifests, a slot being a path with each array index but a last one
+    replaced by #: a matrix's re or im, each weight, each phase of an oracle."""
+    for base in FUZZ_BASES:
+        argv = shlex.split(base)
+        for token, manifest in fuzz_manifests().items():
+            if token not in argv:
+                continue
+            slots = {}
+            for path in json_paths(manifest):
+                node = functools.reduce(operator.getitem, path, manifest)
+                slot = tuple("#" if isinstance(k, int) else k for k in path[:-1]) + path[-1:]
+                if isinstance(node, (int, float)) and not isinstance(node, bool):
+                    slots.setdefault(slot, path)
+            for path in slots.values():
+                for label, value in {**HUGE_INTEGERS, "true": True}.items():
+                    yield pytest.param(base, token, path, value, id=(
+                        f"{argv[0]} {token.strip('{}')} {'/'.join(map(str, path))} {label}"))
+
+
+@pytest.mark.parametrize("base, token, path, value", number_slot_cases())
+def test_every_manifest_number_keeps_the_exit_contract(base, token, path, value, tmp_path):
+    """true, or an integer past float range, in any number slot of a valid
+    manifest ends in exit 0, 1 or 2, never in an exception out of main, and
+    exit 1 prints an error: line."""
+    manifest = replaced(fuzz_manifests()[token], path, value)
+    check_exit_contract(with_manifests(shlex.split(base), tmp_path, {token: manifest}))

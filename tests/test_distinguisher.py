@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import (
     blocked_collision_counts_loop,
     collision_count,
+    haar_state,
     net_membership_distinguisher,
     traced_peak,
 )
@@ -32,7 +33,6 @@ from prulab.ensembles import EnsembleSpec, PolyaUrnSampler, reference_design, sa
 from prulab.linalg import (
     RandomSeed,
     ResourceLimitError,
-    haar_state,
     haar_unitary,
     memory_budget_bytes,
     set_memory_budget_bytes,
@@ -161,7 +161,11 @@ class TestOutcomeStream:
         # first fill = first request, then max(shots - left, min(served, 4096))
         assert fills == [3, 3, 10, 16, 4985, 4096, 4096, 4913, 4096]
 
-    @ORACLES
+    # the dense oracle draws directly: each draw is a fresh array its caller owns
+    @pytest.mark.parametrize("make", [
+        lambda: HaarUrnOracle(16, RandomSeed(1)),
+        lambda: PFCOracle(sample_pfc(4, RandomSeed(1)), RandomSeed(2)),
+    ], ids=["urn", "pfc"])
     def test_served_draws_are_read_only_and_keep_their_values(self, make):
         oracle = make()
         served, kept = [], []
@@ -181,6 +185,11 @@ class TestOutcomeStream:
     def test_negative_shots_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             _OutcomeStream(np.arange).take(-1)
+
+    @ORACLES
+    def test_oracle_rejects_negative_shots(self, make):
+        with pytest.raises(ValueError, match="^shots must be nonnegative, got -1$"):
+            make().draw(-1)
 
     def test_dense_draws_do_not_depend_on_the_split(self):
         # the whole stream is numpy's rng.choice over the Born probabilities

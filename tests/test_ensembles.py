@@ -9,6 +9,7 @@ from helpers import (
     PolyaUrnLoop,
     collision_count,
     empirical_counts,
+    haar_state,
     identity_tableau,
     one_to_one_modulo_phase,
     partition_probability_dirichlet,
@@ -29,7 +30,6 @@ from prulab.ensembles import (
 from prulab.linalg import (
     RandomSeed,
     ResourceLimitError,
-    haar_state,
     is_unitary,
     memory_budget_bytes,
     set_memory_budget_bytes,

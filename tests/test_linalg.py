@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +160,22 @@ class TestVectorize:
                 kron_power(np.eye(2), 10)
         finally:
             set_memory_budget_bytes(old)
+
+    @pytest.mark.parametrize("nbytes, shown", [
+        (12_800_000_000_000, "1.28e+13"),
+        (8.21e6, "8.21e+06"),
+        (2.0**1023, "8.99e+307"),
+        (2**1024 - 2**970 - 1, "1.8e+308"),  # the last integer a float holds
+        (2**1024, "1.80e+308"),
+        (10**400, "1.00e+400"),
+        (128 * 2**1024, "2.30e+310"),
+    ], ids=["int", "float", "float-2-1023", "int-float-max", "int-2-1024", "int-10-400",
+            "int-2-1031"])
+    def test_budget_error_shows_any_charge(self, nbytes, shown, monkeypatch):
+        # .3g turns an int into a float, which fails past float range
+        monkeypatch.setattr(linalg, "_budget_bytes", 1024)
+        with pytest.raises(ResourceLimitError, match=rf"^Haar net needs {re.escape(shown)} bytes"):
+            linalg.ensure_budget(nbytes, "Haar net")
 
     def test_kron_power_stays_within_its_charge(self, monkeypatch):
         # the power before the last and np.kron's broadcast buffers once

@@ -177,6 +177,15 @@ class TestCircuitTruncation:
         rj = circuit_truncation_bound(joined, k)
         assert rj.distance <= ra.distance + rb.distance + 1e-9
 
+    @pytest.mark.parametrize("n", [11, 63, 10**18, 2**1024], ids=["11", "63", "1e18", "2-1024"])
+    def test_width_is_compared_without_building_2_to_the_n(self, n):
+        f = DiagonalPhase(1, np.zeros(2))
+        circuit = DiagonalOracleCircuit(n, 1, [f], [("oracle", 0)])
+        with pytest.raises(ValueError, match="capped at total dim 2\\^10"):
+            circuit_truncation_bound(circuit, 4)
+        with pytest.raises(ValueError, match=f"wrong dimension: \\(2, 2\\) for n = {n} qubits"):
+            DiagonalOracleCircuit(n, 1, [f], [("oracle", 0), ("fixed", np.eye(2))])
+
     def test_validation(self):
         f = DiagonalPhase(2, np.zeros(4))
         with pytest.raises(ValueError):
