@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -36,6 +37,14 @@ from prulab.util import config_hash, report_dict
 class _Parser(argparse.ArgumentParser):
     #: on the bounds parser, the formula names, whose flags follow the name
     formulas = ()
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads -1000 and -2.5 after a flag as its value, but -1e3,
+        # -inf and -nan as a flag, which leaves the one before with no value;
+        # no flag here starts with -<digit>, -.<digit>, -inf or -nan, so a
+        # word that does is a value, for the flag's type to read
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         # main reports it as every other usage error: "error: ..." and exit 1
@@ -129,7 +138,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k-blocks", type=_COUNT, default=100000)
     p.add_argument("--alpha", type=_POSITIVE, default=0.25)
     p.add_argument("--trials", type=_COUNT, required=True)
-    p.add_argument("--haar-mode", choices=("urn", "dense"), default="urn")
 
     p = sub.add_parser("design-distance", help="2->2 distance and diamond/relative bracket of an ensemble")
     _add_output(p)
@@ -238,7 +246,7 @@ def _cmd_pfc_distinguish(args) -> list[dict]:
 
     rep = pfc_distinguish_experiment(
         args.n, args.trials, RandomSeed(args.seed, args.stream), t=args.t,
-        k_blocks=args.k_blocks, alpha=args.alpha, haar_mode=args.haar_mode)
+        k_blocks=args.k_blocks, alpha=args.alpha)
     # only once the run has passed, so that an error's message stays first
     if args.n <= 4:
         print(f"warning: n={args.n} gives d={2**args.n}, far from the "

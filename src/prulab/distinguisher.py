@@ -1,8 +1,8 @@
 """Collision-statistics distinguisher.
 
-The measurement oracles of the hidden states (Haar by urn or dense
-vector, PFC by stabilizer sampling, one raw RNG word per outcome read
-through the support's per-byte XOR tables), the sqrt(d)-query collision
+The measurement oracles of the hidden states (Haar by urn, PFC by
+stabilizer sampling, one raw RNG word per outcome read through the
+support's per-byte XOR tables), the sqrt(d)-query collision
 test on repeated |0...0> queries, whose statistic is the mean collision count
 over blocks of t copies, the Chebyshev concentration reference for that
 mean, and the PFC-vs-Haar experiment that runs the test on fresh hidden
@@ -13,7 +13,8 @@ passing it the fill that samples its outcomes: the fill runs once per
 block, not once per call, and ``draw(shots)`` returns a read-only view of
 the next ``shots`` outcomes of the block, so the per-call cost of many
 small draws is a slice; blocks grow with what the caller has drawn, up to
-_BLOCK outcomes.  The dense oracle samples its Born rule on each call.
+_BLOCK outcomes.  The urn is exact in law, so it is the one Haar oracle;
+the dense state-vector oracle it is checked against is a test reference.
 """
 
 from __future__ import annotations
@@ -140,28 +141,6 @@ class HaarUrnOracle(_OutcomeStream):
     draw = _OutcomeStream.take
 
 
-class HaarDenseOracle:
-    """Measurement oracle of a hidden Haar state, dense realization.
-
-    The state is a normalized complex Gaussian vector; ``draw(shots)`` is one
-    search of its Born cdf per uniform, so no draw depends on the split.
-    """
-
-    def __init__(self, d: int, seed: RandomSeed):
-        ensure_budget(16 * d * 4, "dense Haar oracle")
-        self._rng = rng = seed.generator()
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        probs = np.abs(v / np.linalg.norm(v)) ** 2
-        cdf = np.cumsum(probs / probs.sum())
-        self._cdf = cdf / cdf[-1]
-
-    def draw(self, shots: int) -> np.ndarray:
-        if shots < 0:
-            raise ValueError(f"shots must be nonnegative, got {shots}")
-        # rng.choice(d, size=shots, p=probs) with the cdf built once, not per call
-        return self._cdf.searchsorted(self._rng.random(shots), side="right")
-
-
 class PFCOracle(_OutcomeStream):
     """Measurement oracle of (PFC)|0...0> for a hidden PFC draw.
 
@@ -263,19 +242,20 @@ def pfc_distinguish_experiment(n: int, trials: int, seed: RandomSeed, t: int | N
                                haar_mode: str = "urn") -> PFCDistinguishReport:
     """Run the collision test on fresh hidden draws from both ensembles.
 
-    Trial i measures a Haar state seeded ``seed.child(4i)`` and the state
-    of ``sample_pfc(n, s.child(0))``, drawn by ``s.child(1)``, where
-    s = ``seed.child(4i + 2)``.  Each side's Wilson half-width is taken
-    on its count of "Haar" verdicts.
+    Trial i measures the urn's Haar state seeded ``seed.child(4i)`` and
+    the state of ``sample_pfc(n, s.child(0))``, drawn by ``s.child(1)``,
+    where s = ``seed.child(4i + 2)``.  Each side's Wilson half-width is
+    taken on its count of "Haar" verdicts.  ``haar_mode`` is kept only
+    for the benchmark spec's call, which passes "urn", the one value
+    accepted; any other is refused before any trial.
     """
     d = 1 << n
     params = DistinguisherParams(
         d=d, t=t if t is not None else DistinguisherParams.canonical(d).t,
         k_blocks=k_blocks, alpha=alpha,
     )
-    haar_oracle = {"urn": HaarUrnOracle, "dense": HaarDenseOracle}.get(haar_mode)
-    if haar_oracle is None:
-        raise ValueError("mode must be 'urn' or 'dense'")
+    if haar_mode != "urn":
+        raise ValueError(f"haar_mode must be 'urn', got {haar_mode!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
 
@@ -284,7 +264,7 @@ def pfc_distinguish_experiment(n: int, trials: int, seed: RandomSeed, t: int | N
 
     haar_hits = pfc_misses = 0
     for i in range(trials):
-        haar_hits += says_haar(haar_oracle(d, seed.child(4 * i)))
+        haar_hits += says_haar(HaarUrnOracle(d, seed.child(4 * i)))
         s = seed.child(4 * i + 2)
         pfc_misses += says_haar(PFCOracle(sample_pfc(n, s.child(0)), s.child(1)))
     haar_rate, miss_rate = haar_hits / trials, pfc_misses / trials

@@ -175,7 +175,8 @@ class EnsembleSpec:
         ensure_budget((16 * dim * dim + 10) * size, "Haar net")
         rng = seed.generator()
         net = np.empty((size, dim, dim), dtype=complex)
-        step = max(1, 512 // (dim * dim))
+        # haar_unitaries_rng refuses a dim below 1 on the first block
+        step = max(1, 512 // max(1, dim * dim))
         for i in range(0, size, step):
             block = net[i:i + step]
             block[...] = haar_unitaries_rng(dim, len(block), rng)

@@ -94,8 +94,6 @@ def haar_unitary(d: int, seed: RandomSeed) -> np.ndarray:
     Ginibre matrix, QR factorization, then the R-diagonal phase correction;
     the plain QR of a Gaussian matrix is not Haar-distributed without it.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
     return haar_unitary_rng(d, seed.generator())
 
 
@@ -109,8 +107,10 @@ def haar_unitaries_rng(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
 
     Bit for bit the m one-element draws: one (m, 2, d, d) Gaussian draw
     reads their numbers in the same order, and the stacked QR and phase fix
-    treat each matrix alone.
+    treat each matrix alone.  The one check of d for every Haar draw.
     """
+    if d < 1:  # before any arithmetic on d, which a charge or shape would take
+        raise ValueError("dimension must be >= 1")
     # per element four d x d complex arrays at most, and the larger of two
     # extras: at the QR's end the Ginibre matrix, numpy's working copy of it,
     # Q, and R as np.triu builds it, with the d Householder scalars and a

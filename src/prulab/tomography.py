@@ -74,7 +74,7 @@ class ChannelOracle:
 @dataclass
 class TomographyResult:
     u_hat: np.ndarray
-    queries_used: int
+    queries_used: int  # this run's queries, not the oracle's running total
 
 
 def planned_queries(d: int, eps: float, eta: float) -> int:
@@ -141,5 +141,5 @@ def naive_process_tomography(oracle: ChannelOracle, eps: float, eta: float,
     evals, evecs = np.linalg.eigh(rho)
     top = evecs[:, -1]
     a, _, b = np.linalg.svd(top.reshape(d, d) * math.sqrt(d))
-    return TomographyResult(a @ b, oracle.queries)
+    return TomographyResult(a @ b, shots)
 

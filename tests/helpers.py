@@ -5,7 +5,10 @@ oracle maximizes the output trace distance over pure inputs with an
 ancilla by direct numerical optimization, and the hull oracle finds the
 point of the spectrum's convex hull nearest the origin geometrically.
 The Haar-basis measurement oracle builds the whole basis and samples the
-outcome from its Born probabilities.  The symplectic-index and
+outcome from its Born probabilities, and the dense Haar-state oracle
+(`HaarDenseOracle`) samples the Born probabilities of a whole state vector,
+the reference for `prulab.distinguisher.HaarUrnOracle`, which samples
+that law exactly with no vector.  The symplectic-index and
 measurement-support oracles are the bit-per-byte numpy forms of the
 packed-row code in `prulab.stabilizer`, with the GF(2) row reduction and
 solver they need; `prulab.stabilizer` keeps supports as packed outcome
@@ -45,7 +48,8 @@ Paulis, the closed-form amplitudes of the (M, u, v) state family,
 membership in and enumeration of a measurement support, the dense P.F.C
 matrix of a PFC sample with the splitmix64 phase PRF its ``phase_key``
 keys, uniformly random diagonal phase functions, and the Haar-random
-state vector whose Born probabilities the dense Haar oracle samples.
+state vector (`haar_state`) whose Born probabilities the dense Haar
+oracle samples.
 
 So do the checks and constructions that only tests use: the bit-block
 form of a tableau (`tableau_from_blocks`, which reads (2n, n) x and z
@@ -427,11 +431,33 @@ def empirical_counts(values) -> dict:
 
 
 def haar_state(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state: normalized complex Gaussian vector, the
-    reference for the Born probabilities of
-    `prulab.distinguisher.HaarDenseOracle`."""
+    """Haar-random pure state: normalized complex Gaussian vector, whose
+    Born probabilities `HaarDenseOracle` samples."""
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)
+
+
+class HaarDenseOracle:
+    """Measurement oracle of a hidden Haar state, dense realization: the
+    reference for `prulab.distinguisher.HaarUrnOracle`, which samples the
+    same law with no state vector.
+
+    The state is `haar_state`'s, drawn from the seed's generator;
+    ``draw(shots)`` is one search of its Born cdf per uniform from the same
+    generator, so no draw depends on the split.
+    """
+
+    def __init__(self, d: int, seed: RandomSeed):
+        self._rng = rng = seed.generator()
+        probs = np.abs(haar_state(d, rng)) ** 2
+        cdf = np.cumsum(probs / probs.sum())
+        self._cdf = cdf / cdf[-1]
+
+    def draw(self, shots: int) -> np.ndarray:
+        if shots < 0:
+            raise ValueError(f"shots must be nonnegative, got {shots}")
+        # rng.choice(d, size=shots, p=probs) with the cdf built once, not per call
+        return self._cdf.searchsorted(self._rng.random(shots), side="right")
 
 
 def haar_basis_measurement(phis: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    HaarDenseOracle,
     brute_force_diamond,
     dagger_net,
     diag_truncation_distance,
@@ -25,7 +26,6 @@ from helpers import (
 )
 from prulab.bounds import log_improved_support_bound, log_prior_support_bound
 from prulab.distinguisher import (
-    HaarDenseOracle,
     HaarUrnOracle,
     blocked_collision_counts,
     pfc_distinguish_experiment,
@@ -48,8 +48,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 def test_c1_collision_distinguisher_end_to_end():
     t0 = time.time()
     rep = pfc_distinguish_experiment(
-        n=10, trials=200, seed=RandomSeed(20250810), t=32, k_blocks=1000,
-        alpha=0.25, haar_mode="urn",
+        n=10, trials=200, seed=RandomSeed(20250810), t=32, k_blocks=1000, alpha=0.25,
     )
     elapsed = time.time() - t0
     ok = (rep.haar_rate >= 0.95 and rep.pfc_rate >= 0.25

@@ -423,16 +423,6 @@ class TestCli:
                          "--k-blocks", "25", "--seed", "21", "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_pfc_distinguish_dense_haar_mode(self, tmp_path):
-        paths = [tmp_path / "a.json", tmp_path / "b.json"]
-        for path in paths:
-            assert main(["pfc-distinguish", "--n", "6", "--trials", "5", "--k-blocks", "200",
-                         "--haar-mode", "dense", "--seed", "7", "--out", str(path)]) == 0
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-        rep = json.loads(paths[0].read_text())["result"]
-        assert 0.0 <= rep["haar_verdict_rate"] <= 1.0
-        assert 0.0 <= rep["pfc_verdict_rate"] <= 1.0
-
     def test_stochastic_requires_seed(self, capsys):
         code, out, err = run_cli(["pfc-distinguish", "--n", "3", "--trials", "2"], capsys)
         assert (code, out) == (1, "")
@@ -480,8 +470,10 @@ class TestCli:
                                   "--k-blocks", "5", "--seed", "1"], capsys)
         assert code == 0, err
         config = json.loads(out)["config"]
+        # haar_mode stays in the signature only for perfbench/spec.json's
+        # call, and goes with it (ROADMAP item 1)
         assert set(config) - {"command", "stream"} == set(
-            inspect.signature(pfc_distinguish_experiment).parameters)
+            inspect.signature(pfc_distinguish_experiment).parameters) - {"haar_mode"}
 
     def test_config_is_the_flags_the_command_read(self, tmp_path, monkeypatch, capsys):
         # each README line's config is its parsed flags, output flags and
@@ -676,6 +668,8 @@ class TestCli:
           "--m", "2", "--t", "8"],
          "bounds scalable-check evaluates qm_budget to inf as a float; it is computed from "
          "--d, --kappa and --poly-budget"),
+        (["pfc-distinguish", "--n", "6", "--trials", "2", "--k-blocks", "5", "--seed", "1",
+          "--haar-mode", "urn"], "unrecognized arguments: --haar-mode urn"),
     ], ids=["n-out-of-range", "no-ensemble", "both-ensembles", "unknown-ensemble",
             "no-net", "no-t", "no-kappa", "zero-mem-budget", "negative-mem-budget",
             "net-size-no-eps", "scalable-check-no-q", "fractional-t", "fractional-sweep-t",
@@ -705,7 +699,8 @@ class TestCli:
             "improved-support-c-design-negative", "scalable-check-delta-negative",
             "haar-net-over-budget", "net-file-is-ensemble-file", "pfc-t-2-1024",
             "pfc-k-blocks-2-1024", "pfc-t-1e307", "net-coverage-dim-2-1024",
-            "net-coverage-net-size-2-1024", "tomo-d-2-1024", "scalable-check-kappa-2-1024"])
+            "net-coverage-net-size-2-1024", "tomo-d-2-1024", "scalable-check-kappa-2-1024",
+            "pfc-haar-mode-removed"])
     def test_usage_error_names_its_cause(self, argv, cause, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1
@@ -1065,8 +1060,10 @@ class TestCli:
         assert "property violation" in capsys.readouterr().err
 
 
-# one valid command line per command or formula; {ensemble}, {net} and
-# {circuit} stand for a manifest the fuzz test writes
+# one valid command line per command or formula, and one for each switch
+# that changes what a command runs: --check-products, and --log, with CSV
+# output, on README's bounds lines; {ensemble}, {net} and {circuit} stand
+# for a manifest the fuzz tests write
 FUZZ_BASES = [
     "pfc-distinguish --n 1 --t 2 --trials 1 --k-blocks 2 --seed 1",
     "design-distance --ensemble-file {ensemble} --t 1",
@@ -1080,6 +1077,9 @@ FUZZ_BASES = [
     "bounds scalable-check --d 16 --kappa 3 --q 4 --m 2 --t 8",
     "bounds net-size --d 2 --eps 0.5",
     "tomo-demo --d 2 --eps 0.5 --eta 0.2 --seed 1",
+    "net-coverage --haar-net-size 2 --dim 2 --eps 0.5 --samples 2 --seed 1 --check-products",
+    "bounds prior-support --d 4 --t 89 --log --format csv",
+    "bounds improved-support --d 4 --t 89 --log --format csv",
 ]
 # each unit of these flags is a draw: they take FUZZ_COUNTS
 FUZZ_COUNT_FLAGS = {"--trials", "--k-blocks", "--samples"}
@@ -1137,7 +1137,34 @@ def leaf_parser_of(argv):
     return leaves[" ".join(a for a in argv[:2] if not a.startswith("-"))]
 
 
-@pytest.mark.parametrize("base", FUZZ_BASES, ids=lambda base: base.split(" --")[0])
+def base_id(base: str) -> str:
+    """A FUZZ_BASES line's name: its command or formula, the manifest it
+    reads and the switches it gives."""
+    argv = shlex.split(base)
+    actions = leaf_parser_of(argv)._option_string_actions
+    return " ".join(argv[:2 if argv[0] == "bounds" else 1] + [
+        w for w in argv if w.startswith("{") or w in actions and actions[w].nargs == 0])
+
+
+def numeric_flags(base: str) -> list[str]:
+    """The numeric flags a FUZZ_BASES line reads: those it gives, those with
+    a default, and --mem-budget."""
+    argv = shlex.split(base)
+    return [a.option_strings[0] for a in leaf_parser_of(argv)._actions
+            if a.option_strings and a.type not in (None, str)
+            and (a.option_strings[0] in argv or a.default is not None or a.dest == "mem_budget")]
+
+
+def with_value(argv, flag, words):
+    """``argv`` with ``flag`` and its value, where it gives them, or else at its
+    end, replaced by ``words``."""
+    if flag not in argv:
+        return [*argv, *words]
+    i = argv.index(flag)
+    return [*argv[:i], *words, *argv[i + 2:]]
+
+
+@pytest.mark.parametrize("base", FUZZ_BASES, ids=base_id)
 @settings(derandomize=True, max_examples=25, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
@@ -1146,18 +1173,11 @@ def test_fuzzed_command_line_keeps_the_exit_contract(base, data):
     for null, a number, a string, a list or an object, end in exit 0, 1 or
     2, never in an exception out of main, and exit 1 prints an error: line."""
     argv = shlex.split(base)
-    leaf = leaf_parser_of(argv)
-    numeric = [a.option_strings[0] for a in leaf._actions
-               if a.option_strings and a.type not in (None, str) and a.dest != "mem_budget"
-               and (a.default is not None or a.option_strings[0] in argv)]
+    numeric = [flag for flag in numeric_flags(base) if flag != "--mem-budget"]
     for flag in data.draw(st.lists(st.sampled_from(numeric), max_size=2, unique=True)):
         pool = FUZZ_COUNTS if flag in FUZZ_COUNT_FLAGS else FUZZ_VALUES
-        value = data.draw(st.sampled_from(pool))
-        if flag in argv:
-            argv[argv.index(flag) + 1] = value
-        else:
-            argv += [flag, value]
-    if any(a.dest == "mem_budget" for a in leaf._actions):
+        argv = with_value(argv, flag, [flag, data.draw(st.sampled_from(pool))])
+    if any(a.dest == "mem_budget" for a in leaf_parser_of(argv)._actions):
         argv += ["--mem-budget", "0.01"]  # bounds every allocation the command makes
     with tempfile.TemporaryDirectory() as tmp:
         for token, manifest in fuzz_manifests().items():
@@ -1188,35 +1208,70 @@ def with_manifests(argv, tmp, manifests=None):
     return argv
 
 
-def huge_flag_cases():
-    """Each numeric flag of each command or formula, on its last line of
-    FUZZ_BASES (net-coverage's is the --haar-net-size line, which reads
-    --dim), with each of HUGE_INTEGERS."""
-    bases = {base.split(" --")[0]: base for base in FUZZ_BASES}
-    for name, base in bases.items():
-        for action in leaf_parser_of(shlex.split(base))._actions:
-            flag = action.option_strings[0] if action.option_strings else None
-            if flag and action.type not in (None, str) and flag not in HUGE_SKIPPED_FLAGS:
-                for label, value in HUGE_INTEGERS.items():
-                    yield pytest.param(base, flag, str(value), id=f"{name} {flag} {label}")
+def flag_cases():
+    """Each numeric flag of each line of FUZZ_BASES, with each of
+    FUZZ_VALUES, or of FUZZ_COUNTS on a count flag, and each of
+    HUGE_INTEGERS on a flag other than a repetition count."""
+    for base in FUZZ_BASES:
+        for flag in numeric_flags(base):
+            values = {v: v for v in (FUZZ_COUNTS if flag in FUZZ_COUNT_FLAGS else FUZZ_VALUES)}
+            if flag not in HUGE_SKIPPED_FLAGS:
+                values.update({label: str(value) for label, value in HUGE_INTEGERS.items()})
+            for label, value in values.items():
+                yield pytest.param(base, flag, value, id=f"{base_id(base)} {flag} {label}")
 
 
-@pytest.mark.parametrize("base, flag, value", huge_flag_cases())
-def test_every_numeric_flag_keeps_the_exit_contract_past_float_range(base, flag, value,
-                                                                     tmp_path):
-    """An integer past float range on any numeric flag of any command or
-    formula ends in exit 0, 1 or 2, never in an exception out of main, and
-    exit 1 prints an error: line.  Each other flag keeps its small valid
-    value, and a 10 MiB budget bounds what the command charges."""
+def test_sweep_reaches_every_numeric_flag():
+    # each numeric flag of each command or formula is read on some base line,
+    # so the sweep below gives it every fuzz value
+    declared = {(leaf.prog, a.option_strings[0]) for _, leaf in leaf_parsers(build_parser())
+                for a in leaf._actions if a.option_strings and a.type not in (None, str)}
+    assert declared == {(leaf_parser_of(shlex.split(base)).prog, flag)
+                        for base in FUZZ_BASES for flag in numeric_flags(base)}
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    """One folder for the valid manifests of the sweeps below, which have
+    over a thousand cases: a folder per case would cost more than most."""
+    return tmp_path_factory.mktemp("manifests")
+
+
+@pytest.mark.parametrize("base", FUZZ_BASES, ids=base_id)
+def test_fuzz_base_runs_as_written(base, manifest_dir, capsys):
+    # a base that stopped running would turn every case of the sweep below
+    # into a usage error, which their exit contract allows
+    assert main(with_manifests(shlex.split(base), manifest_dir)) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base, flag, value", flag_cases())
+def test_every_numeric_flag_keeps_the_exit_contract(base, flag, value, manifest_dir):
+    """Any of the fuzz values on any numeric flag of any base line ends in
+    exit 0, 1 or 2, never in an exception out of main, and exit 1 prints
+    an error: line.  Each other flag keeps its small valid value, and a
+    10 MiB budget bounds what the command charges."""
     argv = shlex.split(base)
     if flag != "--mem-budget" and any(a.dest == "mem_budget"
                                       for a in leaf_parser_of(argv)._actions):
         argv += ["--mem-budget", "0.01"]
-    if flag in argv:
-        argv[argv.index(flag) + 1] = value
-    else:
-        argv += [flag, value]
-    check_exit_contract(with_manifests(argv, tmp_path))
+    check_exit_contract(with_manifests(with_value(argv, flag, [flag, value]), manifest_dir))
+
+
+@pytest.mark.parametrize("base, flag, value", [
+    pytest.param(base, flag, value, id=f"{base_id(base)} {flag} {value}")
+    for base in FUZZ_BASES for flag in numeric_flags(base)
+    for value in ("-1e3", "-2.5E1", "-inf", "-nan")])
+def test_negative_number_after_a_flag_is_its_value(base, flag, value, manifest_dir, capsys):
+    """A negative number in e-notation, -inf or -nan after a flag runs as
+    flag=value does: argparse once read it as a flag, leaving the one
+    before it with no value.  Among these flags, rom-input-length's --eps
+    and --additive-slack and scalable-check's --poly-budget admit it."""
+    runs = []
+    for words in ([flag, value], [f"{flag}={value}"]):
+        argv = with_manifests(with_value(shlex.split(base), flag, words), manifest_dir)
+        runs.append((main(argv), *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert "expected one argument" not in runs[0][2]
 
 
 def number_slot_cases():

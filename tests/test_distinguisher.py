@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    HaarDenseOracle,
     blocked_collision_counts_loop,
     collision_count,
     haar_state,
@@ -20,7 +21,6 @@ from helpers import (
 from prulab import distinguisher, ensembles
 from prulab.distinguisher import (
     DistinguisherParams,
-    HaarDenseOracle,
     HaarUrnOracle,
     PFCOracle,
     _OutcomeStream,
@@ -453,19 +453,26 @@ class TestAdvantage:
             "pfc_verdict_rate": 0.5666666666666667, "haar_ci_half": 0.08039953798736568,
             "pfc_ci_half": 0.16712876511988078, "advantage": 0.5333333333333333,
             "advantage_ci_half": 0.24752830310724647}),
-        ((5, 17, RandomSeed(3)), {"k_blocks": 200, "haar_mode": "dense"}, {
-            "n": 5, "params": {"d": 32, "t": 6, "k_blocks": 200, "alpha": 0.25},
-            "trials": 17, "haar_verdict_rate": 0.8235294117647058,
-            "pfc_verdict_rate": 0.2941176470588235, "haar_ci_half": 0.17419457652413395,
-            "pfc_ci_half": 0.19926869730328753, "advantage": 0.11764705882352933,
-            "advantage_ci_half": 0.3734632738274215}),
-    ], ids=["urn", "dense-mean"])
+    ], ids=["urn"])
     def test_report_is_pinned(self, args, kwargs, want):
         # exact floats: the PFC half-width is taken on the count of "Haar"
         # verdicts, and wilson_interval(k, n) and (n - k, n) differ in the last bit;
         # values taken when each Clifford became one random_raw call, so they
         # move with the RNG stream or the Clifford sampler
         assert report_dict(pfc_distinguish_experiment(*args, **kwargs)) == want
+
+    def test_dense_haar_side_is_pinned(self):
+        # the Haar side of pfc_distinguish_experiment(5, 17, RandomSeed(3),
+        # k_blocks=200) measured by the dense reference oracle on the
+        # experiment's own seeds: 14 of 17 trials say "Haar", the rate its
+        # report gave when it could run the dense oracle itself
+        params = DistinguisherParams(d=32, t=6, k_blocks=200)
+        reports = [run_collision_distinguisher(HaarDenseOracle(32, RandomSeed(3).child(4 * i)),
+                                               params) for i in range(17)]
+        assert [int(r.blocks.sum()) for r in reports] == [
+            231, 127, 155, 176, 191, 185, 191, 178, 135, 204, 188, 258, 168, 145, 200, 177, 277]
+        assert "".join(r.verdict[0] for r in reports) == "HPHHHHHHHHHPHHHHP"
+        assert sum(r.verdict == "Haar" for r in reports) / 17 == 0.8235294117647058
 
     def test_collide_n10_fill_schedule_is_pinned(self, monkeypatch):
         # one trial of the benchmark's collide-n10 unit: 1000 draws of 32 on
@@ -486,7 +493,7 @@ class TestAdvantage:
         monkeypatch.setattr(PolyaUrnSampler, "draw", recording_urn)
         monkeypatch.setattr(distinguisher, "sample_from_support", recording_support)
         pfc_distinguish_experiment(n=10, trials=1, t=32, k_blocks=1000, alpha=0.25,
-                                   haar_mode="urn", seed=RandomSeed(1))
+                                   seed=RandomSeed(1))
         want = [32, 32, 64, 128, 256, 512, 1024, 2048] + [4096] * 7
         assert urn == want
         assert support == want
@@ -494,6 +501,8 @@ class TestAdvantage:
     @pytest.mark.parametrize("kwargs,match", [
         ({"trials": 0}, "at least one trial"),
         ({"haar_mode": "qr"}, "mode must be"),
+        # the dense oracle is a test reference, no longer a mode
+        ({"haar_mode": "dense"}, "^haar_mode must be 'urn', got 'dense'$"),
     ])
     def test_bad_arguments_fail_before_any_trial(self, kwargs, match, monkeypatch):
         def no_trial(*args, **kwargs):

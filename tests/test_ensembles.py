@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 from helpers import (
+    HaarDenseOracle,
     PolyaUrnLoop,
     collision_count,
     empirical_counts,
@@ -20,7 +21,7 @@ from helpers import (
     single_qubit_cliffords,
     total_variation,
 )
-from prulab.distinguisher import HaarDenseOracle, HaarUrnOracle, PFCOracle
+from prulab.distinguisher import HaarUrnOracle, PFCOracle
 from prulab.ensembles import (
     EnsembleSpec,
     PolyaUrnSampler,

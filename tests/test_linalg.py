@@ -60,9 +60,17 @@ class TestHaarUnitary:
                                        linalg)
         assert peak <= max(charged) + (64 << 10)
 
-    def test_rejects_d0(self):
-        with pytest.raises(ValueError):
-            haar_unitary(0, RandomSeed(0))
+    @pytest.mark.parametrize("draw", [
+        lambda d: haar_unitary(d, RandomSeed(0)),
+        lambda d: haar_unitary_rng(d, RandomSeed(0).generator()),
+        lambda d: haar_unitaries_rng(d, 3, RandomSeed(0).generator()),
+    ], ids=["haar_unitary", "haar_unitary_rng", "haar_unitaries_rng"])
+    @pytest.mark.parametrize("d", [0, -1, -2**1024], ids=["0", "-1", "-2^1024"])
+    def test_rejects_d_below_one(self, draw, d):
+        # one check, before any charge or shape is computed from d, so no d
+        # below 1 gives an empty array, numpy's shape error or a budget error
+        with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+            draw(d)
 
     @pytest.mark.parametrize("d", [1, 2, 7, 64])
     def test_one_element_is_the_textbook_draw(self, d):

@@ -120,6 +120,12 @@ class TestHaarSample:
         net = EnsembleSpec.haar_sample(dim, size, RandomSeed(seed))
         assert net.unitaries.tobytes() == want.tobytes()
 
+    def test_rejects_d0(self):
+        # the block size must not divide by dim * dim = 0 before the stacked
+        # draw can refuse it
+        with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+            EnsembleSpec.haar_sample(0, 5, RandomSeed(1))
+
     def test_net_stays_within_its_charge(self, monkeypatch):
         # the net once was a list of arrays that its constructor copied, a
         # peak of twice the net, and was charged nothing; the slack covers one

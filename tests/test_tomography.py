@@ -213,6 +213,15 @@ class TestNaiveTomography:
         res = naive_process_tomography(orc, 0.4, 0.15, RandomSeed(9))
         assert res.queries_used == planned_queries(2, 0.4, 0.15) == orc.queries
 
+    def test_reused_oracle_reports_each_runs_own_queries(self):
+        # the oracle's counter totals every run made on it; each result
+        # counts its own run's queries, none at the diameter radius
+        orc = ChannelOracle(haar_unitary(2, RandomSeed(8)))
+        used = [naive_process_tomography(orc, eps, 0.1, RandomSeed(9)).queries_used
+                for eps in (0.5, 0.5, 2.5)]
+        assert used == [265, 265, 0] and planned_queries(2, 0.5, 0.1) == 265
+        assert orc.queries == 530
+
     def test_estimate_exactly_unitary(self):
         u = haar_unitary(2, RandomSeed(10))
         res = naive_process_tomography(ChannelOracle(u), 0.5, 0.2, RandomSeed(11))
