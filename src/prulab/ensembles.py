@@ -32,8 +32,10 @@ class PFCSample:
 
     ``permutation`` maps |x> to |perm[x]> and ``clifford`` is C's tableau.
     The +-1 phase diagonal F is never materialized: ``phase_key`` keys the
-    counter-based PRF that gives its values, so widths up to n = 30 stay
-    cheap.  F changes no outcome probability, so no measurement reads it.
+    counter-based PRF that gives its values, so F costs nothing at any
+    width.  F changes no outcome probability, so no measurement reads it.
+    The permutation is held whole, 8 * 2^n bytes: 8 GiB at n = 30, the
+    default memory budget.
     """
 
     n: int
@@ -168,6 +170,8 @@ class EnsembleSpec:
         """``size`` Haar unitaries drawn in turn from the seed's generator,
         written in place into the (size, dim, dim) array charged here in
         blocks of 512 entries: bit for bit the elements drawn one at a time."""
+        if dim < 1:  # before the charge and the stack take arithmetic on it
+            raise ValueError("dimension must be >= 1")
         # the stack, and per element the constructor's uniform weight (8
         # bytes) and the bool masks of its check (2): at dim = 1 and 2 those
         # are a large share.  A block's working set, under 100 bytes an
@@ -175,8 +179,7 @@ class EnsembleSpec:
         ensure_budget((16 * dim * dim + 10) * size, "Haar net")
         rng = seed.generator()
         net = np.empty((size, dim, dim), dtype=complex)
-        # haar_unitaries_rng refuses a dim below 1 on the first block
-        step = max(1, 512 // max(1, dim * dim))
+        step = max(1, 512 // (dim * dim))
         for i in range(0, size, step):
             block = net[i:i + step]
             block[...] = haar_unitaries_rng(dim, len(block), rng)

@@ -29,9 +29,9 @@ from prulab.util import wilson_interval
 #: single-pair dot need not
 _PAIR_BLOCK_ROWS = 32
 
-#: slack on the approximate pair rank 4 - |tr|^2 within which d = 2
-#: candidates are re-ranked exactly: rounding is about 1e-15, and inputs
-#: unitary only to linalg.UNITARY_TOL move the quaternion rank by about 1e-9
+#: slack on an approximate rank 4 - |tr|^2 within which the d = 2 searches
+#: re-rank candidates exactly: rounding is about 1e-15, and inputs unitary
+#: only to linalg.UNITARY_TOL move the quaternion rank by about 1e-9
 _RANK_SLACK = 1e-8
 
 
@@ -61,12 +61,31 @@ def _distances_to_net(u: np.ndarray, stacked: np.ndarray) -> np.ndarray:
 
 def min_diamond_distance(u: np.ndarray, net: EnsembleSpec) -> tuple[float, int]:
     """Minimum diamond distance from u to the net, with the argmin index
-    (lowest index on ties)."""
+    (lowest index on ties).
+
+    At d = 2 the distance needs only |tr(V_k^dag u)|, which one (m, 4)
+    product gives for every element; only the elements whose clamped rank
+    4 - min(|tr|^2, 4) is within ``_RANK_SLACK`` of the best go through the
+    batched distance, so the index and the bits of the distance are the full
+    batch's.  Like ``diamond_distance_batch``'s closed form, that assumes u
+    and the net elements are unitary to ``linalg.UNITARY_TOL``; a non-finite
+    trace sends the query through the full batch.
+    """
     if u.shape != (net.dim, net.dim):
         raise ValueError("dimension mismatch")
-    dists = _distances_to_net(u, net.unitaries)
+    stacked = net.unitaries
+    rows = None
+    if net.dim == 2:
+        t2 = np.abs(stacked.reshape(-1, 4) @ u.conj().reshape(4)) ** 2  # |tr(V_k^dag u)|^2
+        top = float(t2.max())  # NaN or inf if any row is: the full batch ranks those
+        if math.isfinite(top):
+            # the rank 4 - min(t2, 4) is within the slack of the best where
+            # t2 is within it of min(top, 4)
+            rows = (t2 >= min(top, 4.0) - _RANK_SLACK).nonzero()[0]
+            stacked = stacked[rows]
+    dists = _distances_to_net(u, stacked)
     i = int(np.argmin(dists))
-    return float(dists[i]), i
+    return float(dists[i]), (i if rows is None else int(rows[i]))
 
 
 def exposure_estimate(net: EnsembleSpec, eps: float, samples: int,
@@ -75,7 +94,9 @@ def exposure_estimate(net: EnsembleSpec, eps: float, samples: int,
 
     Monte Carlo with a Wilson interval; the sample fraction cannot tell
     a true zero exposure from a tiny one, so only the interval is
-    reported.
+    reported.  Sample i is drawn from ``seed.child(i)`` and ranked by
+    ``min_diamond_distance``, whose d = 2 prefilter makes it one (m, 4)
+    product and a few exact distances.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -84,7 +105,7 @@ def exposure_estimate(net: EnsembleSpec, eps: float, samples: int,
     exposed = 0
     for i in range(samples):
         u = haar_unitary_rng(net.dim, seed.child(i).generator())
-        if float(_distances_to_net(u, net.unitaries).min()) > eps:
+        if min_diamond_distance(u, net)[0] > eps:
             exposed += 1
     _, half = wilson_interval(exposed, samples)
     return CoverageReport(eps, exposed / samples, samples, half)
@@ -100,6 +121,18 @@ def _quaternions(ws: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(top.view(float).T)
 
 
+def _left_map(w: np.ndarray) -> np.ndarray:
+    """The real orthogonal 4 x 4 matrix L of left multiplication by the unit
+    quaternion q(W) of a 2x2 unitary: q(W V) = +-L q(V) for every 2x2
+    unitary V, the sign being that of sqrt(det W) sqrt(det V) against
+    sqrt(det W V)."""
+    p0, p1, p2, p3 = _quaternions(w[None])[:, 0]
+    return np.array([[p0, -p1, -p2, -p3],
+                     [p1, p0, -p3, p2],
+                     [p2, p3, p0, -p1],
+                     [p3, -p2, p1, p0]])
+
+
 def _chord(rank: float) -> float:
     """R^4 chord from q(B) to the nearer of +-q(A) for a pair whose rank
     4 - |tr(A B^dag)|^2 is ``rank``."""
@@ -109,7 +142,9 @@ def _chord(rank: float) -> float:
 def _product_cover_d2(u: np.ndarray, net: EnsembleSpec) -> tuple[np.ndarray, np.ndarray, float]:
     """The d = 2 branch of cover_with_product: a nearest-pair search over
     unit quaternions, whose best few pairs are re-ranked by their
-    pair-trace entries."""
+    pair-trace entries.  The queries q(u^dag V1_i) are the net's own
+    quaternions under one 4 x 4 map, ``_left_map(u^dag)``, up to a sign
+    that the points +-q(V2_j) make immaterial."""
     m = len(net)
     stacked = net.unitaries
     rows = min(m, _PAIR_BLOCK_ROWS)
@@ -122,8 +157,8 @@ def _product_cover_d2(u: np.ndarray, net: EnsembleSpec) -> tuple[np.ndarray, np.
     # R^4-closest pair of a query q(u^dag V1_i) and a point +-q(V2_j)
     h = np.einsum("kij,il->klj", stacked.conj(), u).reshape(m, 4)  # rows vec((V1_i^dag u)^T)
     g = stacked.reshape(m, 4)
-    queries = _quaternions(h.conj().reshape(m, 2, 2))  # conj(h_i) is u^dag V1_i, row-major
     half = _quaternions(stacked)
+    queries = _left_map(u.conj().T) @ half  # +-q(u^dag V1_i)
     points = np.concatenate([half, -half], axis=1)  # point k is net row k % m
     if not (np.isfinite(queries).all() and np.isfinite(half).all()):
         raise ValueError("the d = 2 product cover needs unitary u and net elements")

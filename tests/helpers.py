@@ -18,7 +18,9 @@ over matrices keyed by their phase-fixed, rounded bytes
 `prulab.ensembles.reference_design` reads off tableaus; it shares no
 code with the tableau read-out.  The d = 2 pair-cover oracle ranks the
 whole m x m trace matrix at once, where `prulab.nets` streams it in row
-blocks.
+blocks, and the nearest-element oracle (`min_diamond_distance_full`)
+ranks the batched distance to every element, where `prulab.nets` sends
+only the few near the best trace through it at d = 2.
 
 The per-shot Polya urn is the oracle for the vectorised
 `PolyaUrnSampler.draw`: same RNG calls, one predictive step per shot.
@@ -105,7 +107,7 @@ from prulab.moments import (
     is_symmetric_ensemble,
     moment_operator,
 )
-from prulab.nets import min_diamond_distance
+from prulab.nets import _distances_to_net, min_diamond_distance
 from prulab.stabilizer import (
     AffineSupport,
     Tableau,
@@ -490,6 +492,14 @@ class UncachedChannelOracle(ChannelOracle):
         self.queries += 1
         anc = state.size // d
         return (self._hidden @ state.reshape(d, anc)).reshape(-1)
+
+
+def min_diamond_distance_full(u: np.ndarray, net) -> tuple[float, int]:
+    """The nearest-element search over the batched distance to every net
+    element: the first minimum and its index."""
+    dists = _distances_to_net(u, net.unitaries)
+    i = int(np.argmin(dists))
+    return float(dists[i]), i
 
 
 def cover_with_product_unblocked(u: np.ndarray, net) -> tuple[np.ndarray, np.ndarray, float]:

@@ -4,7 +4,7 @@ import math
 import helpers
 import numpy as np
 import pytest
-from helpers import compose_nets, cover_with_product_unblocked, dagger_net
+from helpers import compose_nets, cover_with_product_unblocked, dagger_net, min_diamond_distance_full
 
 from prulab import ensembles, nets
 from prulab.bounds import log_net_size_lower_bound
@@ -68,6 +68,79 @@ class TestMinDiamondDistance:
         assert i == int(np.argmin(scal))
 
 
+def _assert_matches_full(u, net):
+    """The d = 2 prefiltered search returns the full batch's index and
+    distance bits."""
+    dist, i = min_diamond_distance(u, net)
+    want, j = min_diamond_distance_full(u, net)
+    assert i == j
+    assert np.float64(dist).tobytes() == np.float64(want).tobytes()
+    return dist, i
+
+
+class TestTracePrefilter:
+    """At d = 2 only the elements near the best |tr| get an exact distance;
+    the index and the distance bits must be the full batch's."""
+
+    @pytest.mark.parametrize("which", ["c7_net", "net_2000"])
+    def test_seeded_queries(self, which, request):
+        net = request.getfixturevalue(which)
+        seed = RandomSeed(620)
+        for i in range(300):
+            _assert_matches_full(haar_unitary(2, seed.child(i)), net)
+
+    def test_every_member_and_the_identity(self, c7_net):
+        for k, v in enumerate(c7_net.unitaries):
+            dist, i = _assert_matches_full(v, c7_net)
+            assert dist < 1e-6 and i == k
+        _assert_matches_full(np.eye(2, dtype=complex), c7_net)
+
+    def test_duplicate_net_ties_to_the_first(self):
+        # a 50-element net repeated 8 times: every distance has 7 exact twins
+        base = EnsembleSpec.haar_sample(2, 50, RandomSeed(621)).unitaries
+        net = EnsembleSpec(2, np.concatenate([base] * 8))
+        seed = RandomSeed(622)
+        queries = [haar_unitary(2, seed.child(i)) for i in range(60)]
+        queries += list(net.unitaries) + [np.eye(2, dtype=complex)]
+        assert all(_assert_matches_full(u, net)[1] < 50 for u in queries)
+
+    def test_clamp_keeps_the_exact_first_row(self):
+        # |tr|^2 of the second row rounds past 4: unclamped, its rank of
+        # -8e-7 would push the first row, at rank 0, out of the slack
+        u = np.eye(2, dtype=complex)
+        net = EnsembleSpec(2, [u, u * (1 + 1e-7)])
+        assert _assert_matches_full(u, net) == (0.0, 0)
+        seed = RandomSeed(623)
+        for i in range(20):
+            v = haar_unitary(2, seed.child(i))
+            _assert_matches_full(v, EnsembleSpec(2, [v, v * (1 + 1e-7)]))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("nan_at", [0, 1])
+    def test_nan_row_wins_as_in_the_full_batch(self, nan_at):
+        us = [np.eye(2, dtype=complex)] * 2
+        us[nan_at] = np.full((2, 2), np.nan + 0j)
+        net = EnsembleSpec(2, us)
+        for dist, i in (min_diamond_distance(us[1 - nan_at], net),
+                        min_diamond_distance_full(us[1 - nan_at], net)):
+            assert math.isnan(dist) and i == nan_at
+
+    def test_few_rows_reach_the_exact_distance(self, net_2000, monkeypatch):
+        # the full batch sends all 2000 rows through it
+        seen = []
+
+        def spy(u, stacked):
+            seen.append(len(stacked))
+            return batched(u, stacked)
+
+        batched = nets._distances_to_net
+        monkeypatch.setattr(nets, "_distances_to_net", spy)
+        seed = RandomSeed(624)
+        for i in range(100):
+            min_diamond_distance(haar_unitary(2, seed.child(i)), net_2000)
+        assert len(seen) == 100 and max(seen) <= 8
+
+
 class TestExposure:
     def test_diameter_covers_everything(self, small_net):
         rep = exposure_estimate(small_net, 2.0, 60, RandomSeed(5))
@@ -125,6 +198,17 @@ class TestHaarSample:
         # draw can refuse it
         with pytest.raises(ValueError, match="^dimension must be >= 1$"):
             EnsembleSpec.haar_sample(0, 5, RandomSeed(1))
+
+    @pytest.mark.parametrize("dim", [-1, -2**1024])
+    def test_rejects_negative_dims_before_the_charge(self, dim, monkeypatch):
+        # they once reached np.empty's "negative dimensions" error or the
+        # Haar net charge
+        def charge(nbytes, what):
+            raise AssertionError(f"charged {what}")
+
+        monkeypatch.setattr(ensembles, "ensure_budget", charge)
+        with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+            EnsembleSpec.haar_sample(dim, 5, RandomSeed(1))
 
     def test_net_stays_within_its_charge(self, monkeypatch):
         # the net once was a list of arrays that its constructor copied, a
@@ -331,6 +415,17 @@ class TestQuaternionPairSearch:
         tr = np.einsum("kij,kij->k", a, b.conj())  # tr(A B^dag)
         inner = np.einsum("ck,ck->k", nets._quaternions(a), nets._quaternions(b))
         assert np.max(np.abs(np.abs(tr) - 2 * np.abs(inner))) <= 1e-14
+
+    def test_left_map_multiplies_quaternions(self):
+        seed = RandomSeed(616)
+        for i in range(200):
+            w = haar_unitary(2, seed.child(2 * i))
+            v = haar_unitary(2, seed.child(2 * i + 1))
+            left = nets._left_map(w)
+            got = left @ nets._quaternions(v[None])[:, 0]
+            want = nets._quaternions((w @ v)[None])[:, 0]
+            assert min(np.abs(got - want).max(), np.abs(got + want).max()) <= 1e-14
+            assert np.abs(left @ left.T - np.eye(4)).max() <= 1e-14
 
     def test_thousand_queries_on_the_c7_net(self, c7_net):
         seed = RandomSeed(9303)
